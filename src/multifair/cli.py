@@ -76,17 +76,15 @@ def _load_instance(path, need_hypotheses=True, need_predictor=True):
     return pop, cls, predictor
 
 
-def _family_for(args, pop, epsilon):
+def _family_for(args, pop, cls, epsilon):
     kind = args.family
     if kind == "lowdegree":
-        _, cls, _ = _load_instance(args.instance)
         return make_family("lowdegree", hypotheses=cls, degree=args.degree or 1,
                            outcome_space=pop.space)
     if args.grid_m:
         grid = make_grid_with_denominator(pop.space, args.grid_m)
     else:
         grid = make_coordinate_grid(pop.space, float(epsilon))
-    _, cls, _ = _load_instance(args.instance)
     return make_family(kind, hypotheses=cls, grid=grid)
 
 
@@ -107,7 +105,7 @@ def cmd_audit(args) -> int:
     elif kind == "cov":
         report = serialize.report_to_json(audit_covariance_mc(pop, predictor, cls, backend))
     elif kind == "oi":
-        family = _family_for(args, pop, args.epsilon or "0.1")
+        family = _family_for(args, pop, cls, args.epsilon or "0.1")
         report = serialize.report_to_json(audit_oi(pop, predictor, family, backend))
     elif kind == "omni":
         if not args.losses:
@@ -134,7 +132,7 @@ def cmd_audit(args) -> int:
 def cmd_construct(args) -> int:
     pop, cls, _ = _load_instance(args.instance, need_predictor=False)
     epsilon = serialize.parse_number(args.epsilon)
-    family = _family_for(args, pop, epsilon)
+    family = _family_for(args, pop, cls, epsilon)
     step = float(epsilon) if args.mode == "exact" else float(epsilon) / 2
     if args.rule == "mwu":
         rule = mwu_rule(pop.space, step_size=step / 1.0)
@@ -251,8 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="multifair",
         description="Exact multi-group fairness audits, predictor construction, "
                     "and graph regularity partitions.")
-    ap.add_argument("--threads", type=int, default=1,
-                    help="cap on inner parallelism (current build runs sequentially)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     a = sub.add_parser("audit", help="run a fairness audit on an instance file")

@@ -13,16 +13,19 @@ P = {V_1..V_m} of the vertices:
                   sub-blocks have close density) is at most eps n^2
 
 All checkers are exact over the rationals: comparisons are performed on
-integer-scaled quantities, never on floats.  The intermediate checker and
-the (S,T)-irregularity maximizer share one trick: for a fixed T the
-objective decomposes across parts, so the 4^n double enumeration
-collapses to a 2^n scan with an exact inner maximization per part.
+integer-scaled quantities, never on floats.  Every exact check enumerates
+T and maximizes over S in closed form, in one of two kernels.  `_cut_norm`
+maximizes |sum_{S x T} M| for the residual matrices of pair irregularity,
+the Frieze-Kannan check and the exact cut oracle.  `_partition_scan` uses
+that for a fixed T the objective decomposes across parts, so the 4^n
+double enumeration collapses to a 2^n scan with an exact maximization per
+part; the intermediate check and the (S,T)-irregularity maximizer differ
+only in the per-block score they pass to it.
 
 The cut oracle stands in for the semidefinite-programming subroutine of
-the partition-refinement algorithm: exact small-scale maximization of
-|sum_{S x T} M| (enumerate T, pick S greedily by row-sum signs), with an
-alternating-maximization heuristic for larger instances that preserves
-the one-half approximation contract the refinement analysis needs.
+the partition-refinement algorithm.  Its exact mode is `_cut_norm`; its
+alternating mode, for larger instances, climbs to a local optimum of the
+bilinear form and carries no approximation guarantee.
 
 Refinement repeatedly finds the (S, T) maximizing the partition's
 (S,T)-irregularity and, while that exceeds eps n^2 / 2, replaces P by the
@@ -56,6 +59,7 @@ FK_LIMIT = 20
 INTERMEDIATE_LIMIT = 14
 CUT_ORACLE_LIMIT = 20
 RECTANGLE_CLASS_LIMIT = 6
+_CHUNK = 512  # masks per vectorized block of an enumeration loop
 
 
 @dataclass(frozen=True)
@@ -144,6 +148,12 @@ def edge_count(g: DiGraph, S, T) -> int:
     return sum(1 for (u, v) in g.edges if u in S and v in T)
 
 
+def _block_edges(adj: np.ndarray, p: VertexPartition) -> np.ndarray:
+    """e(V_j, V_k) for every part pair of p, as an m x m array."""
+    return np.array([[adj[np.ix_(a, b)].sum() for b in p.parts] for a in p.parts],
+                    dtype=np.int64)
+
+
 def density(g: DiGraph, S, T) -> Fraction:
     S, T = set(S), set(T)
     if not S or not T:
@@ -201,6 +211,33 @@ def _mask_to_set(mask: int, universe) -> tuple:
     return tuple(universe[i] for i in range(len(universe)) if (mask >> i) & 1)
 
 
+def _cut_norm(mat: np.ndarray):
+    """(value, S, T) maximizing |sum_{S x T} mat| over row sets S and column
+    sets T of an integer matrix, exactly.
+
+    Column masks T are enumerated in increasing order while the positive
+    and negative row sums over each T accumulate a block of rows at a time
+    (at most 2^20 sums, or one row), so memory stays O(2^cols) instead of
+    O(rows 2^cols).  The first maximizing T wins, the sign is +
+    when the positive total is at least the negative one, and S is the rows
+    whose sum over T has that sign strictly.
+    """
+    n_rows, n_cols = mat.shape
+    pos = np.zeros(1 << n_cols, dtype=np.int64)
+    neg = np.zeros(1 << n_cols, dtype=np.int64)
+    step = max(1, (1 << 20) >> n_cols)
+    for start in range(0, n_rows, step):
+        sums = _subset_sum_table(mat[start:start + step].T)  # T-mask x row
+        pos += np.maximum(sums, 0).sum(axis=1)
+        neg += np.maximum(-sums, 0).sum(axis=1)
+    best = np.maximum(pos, neg)
+    t_mask = int(best.argmax())
+    sign = 1 if pos[t_mask] >= neg[t_mask] else -1
+    T = _mask_to_set(t_mask, range(n_cols))
+    S = tuple(np.nonzero(sign * mat[:, list(T)].sum(axis=1) > 0)[0].tolist())
+    return int(best[t_mask]), S, T
+
+
 # ---------------------------------------------------------------------------
 # Irregularity of a pair
 # ---------------------------------------------------------------------------
@@ -209,9 +246,8 @@ def _mask_to_set(mask: int, universe) -> tuple:
 def irregularity(g: DiGraph, X, Y, want_witness: bool = False):
     """max over S in X, T in Y of |e(S,T) - d(X,Y)|S||T||, exactly.
 
-    Enumerates subsets of the smaller side; for each, the optimal other
-    side is read off the residual signs, once per sign.  The smaller side
-    is capped at 22 elements.
+    The cut norm of the scaled residual adj|X||Y| - e(X,Y) on X x Y, with
+    the smaller side enumerated; that side is capped at 22 elements.
     """
     X, Y = sorted(set(X)), sorted(set(Y))
     if not X or not Y:
@@ -220,31 +256,18 @@ def irregularity(g: DiGraph, X, Y, want_witness: bool = False):
         raise EnumerationLimitError(
             f"both sides exceed {IRREGULARITY_ENUM_LIMIT}; exact irregularity refused")
     swap = len(Y) < len(X)
-    rows, cols = (Y, X) if swap else (X, Y)
-    if (1 << len(rows)) * len(cols) > (1 << 27):
+    small, large = (Y, X) if swap else (X, Y)
+    if (1 << len(small)) * len(large) > (1 << 27):
         raise EnumerationLimitError("irregularity table exceeds the memory guard")
-    adj = g.adjacency()
-    mat = adj[np.ix_(cols, rows)].T if swap else adj[np.ix_(rows, cols)]
-    # scaled residual per (subset-of-rows mask, single column):
-    #   rho[mask, c] = e(mask, {c}) * |X||Y| - e(X, Y) * |mask|
-    dxy_num = edge_count(g, X, Y)
     scale = len(X) * len(Y)
-    table = _subset_sum_table(mat * scale)
-    sizes = _popcounts(table.shape[0])
-    rho = table - dxy_num * sizes[:, None]
-    pos = np.maximum(rho, 0).sum(axis=1)
-    neg = np.maximum(-rho, 0).sum(axis=1)
-    best = np.maximum(pos, neg)
-    mask = int(best.argmax())
-    value = Fraction(int(best[mask]), scale)
+    resid = g.adjacency()[np.ix_(X, Y)] * scale - edge_count(g, X, Y)
+    best, rows, cols = _cut_norm(resid if swap else resid.T)
+    value = Fraction(best, scale)
     if not want_witness:
         return value
-    sign = 1 if pos[mask] >= neg[mask] else -1
-    row_set = _mask_to_set(mask, rows)
-    col_rho = rho[mask]
-    col_set = tuple(c for i, c in enumerate(cols) if sign * col_rho[i] > 0)
-    S, T = (col_set, row_set) if swap else (row_set, col_set)
-    return value, (S, T)
+    on_small, on_large = [small[i] for i in cols], [large[i] for i in rows]
+    S, T = (on_large, on_small) if swap else (on_small, on_large)
+    return value, (tuple(S), tuple(T))
 
 
 def irregularity_bruteforce(g: DiGraph, X, Y) -> Fraction:
@@ -279,7 +302,7 @@ def partition_st_irregularity(g: DiGraph, p: VertexPartition, S, T) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def check_regular_pair(g: DiGraph, X, Y, epsilon, chunk: int = 512):
+def check_regular_pair(g: DiGraph, X, Y, epsilon):
     """Is (X, Y) eps-regular: |d(S,T) - d(X,Y)| <= eps whenever |S| >= eps|X|
     and |T| >= eps|Y|?  Exact; returns (bool, witness-or-None)."""
     X, Y = sorted(set(X)), sorted(set(Y))
@@ -301,8 +324,8 @@ def check_regular_pair(g: DiGraph, X, Y, epsilon, chunk: int = 512):
     t_masks = np.arange(1 << ny, dtype=np.int64)
     col_bits = [(t_masks >> c) & 1 for c in range(ny)]
     colsel = np.stack(col_bits, axis=0)  # ny x 2^ny
-    for start in range(0, 1 << nx, chunk):
-        stop = min(start + chunk, 1 << nx)
+    for start in range(0, 1 << nx, _CHUNK):
+        stop = min(start + _CHUNK, 1 << nx)
         rows = table[start:stop]  # chunk x ny
         e_all = _int_matmul(rows, colsel)  # chunk x 2^ny
         st = s_sizes[start:stop, None] * t_sizes[None, :]
@@ -357,50 +380,22 @@ def _pair_scale(p: VertexPartition) -> int:
 def check_frieze_kannan(g: DiGraph, p: VertexPartition, epsilon) -> CheckReport:
     """max_{S,T} |e(S,T) - sum_jk d_jk |S n V_j||T n V_k|| <= eps n^2; exact.
 
-    Enumerates T; for fixed T the deviation is a sum of per-vertex residuals,
-    so the optimal S per sign is the positive (negative) residual set.
+    The cut norm of the residual adjacency minus block density, scaled by
+    the common block-size denominator L.
     """
     n = p.n
     if n > FK_LIMIT:
         raise EnumerationLimitError(f"exact Frieze-Kannan check capped at {FK_LIMIT}")
     eps = exactify(epsilon)
-    adj = g.adjacency()
-    block = p.block_of()
     L = _pair_scale(p)
-    m = p.size
-    e_blocks = [[edge_count(g, a, b) for b in p.parts] for a in p.parts]
     if L * n * n > (1 << 60):
         raise EnumerationLimitError("block-size denominators too large for exact scan")
-    # coefficient of |T n V_k| in vertex u's residual, integer-scaled by L
-    coef = np.array(
-        [[e_blocks[block[u]][k] * (L // (len(p.parts[block[u]]) * len(p.parts[k])))
-          for k in range(m)] for u in range(n)],
-        dtype=np.int64,
-    )
-    t_masks = np.arange(1 << n, dtype=np.int64)
-    t_in_k = np.zeros((m, 1 << n), dtype=np.int64)
-    for k, part in enumerate(p.parts):
-        for v in part:
-            t_in_k[k] += (t_masks >> v) & 1
-    pos = np.zeros(1 << n, dtype=np.int64)
-    neg = np.zeros(1 << n, dtype=np.int64)
-    row_tables = []
-    for u in range(n):
-        row = adj[u]
-        rs = np.zeros(1 << n, dtype=np.int64)
-        for v in range(n):
-            if row[v]:
-                rs[(t_masks >> v) & 1 == 1] += 1
-        rho = rs * L - coef[u] @ t_in_k
-        row_tables.append(rho)
-        pos += np.maximum(rho, 0)
-        neg += np.maximum(-rho, 0)
-    best = np.maximum(pos, neg)
-    t_mask = int(best.argmax())
-    value = Fraction(int(best[t_mask]), L)
-    sign = 1 if pos[t_mask] >= neg[t_mask] else -1
-    S = tuple(u for u in range(n) if sign * row_tables[u][t_mask] > 0)
-    T = _mask_to_set(t_mask, list(range(n)))
+    adj = g.adjacency()[:n, :n]
+    sizes = np.array([len(a) for a in p.parts], dtype=np.int64)
+    d_scaled = _block_edges(adj, p) * (L // np.outer(sizes, sizes))
+    block = p.block_of()
+    best, S, T = _cut_norm(adj * L - d_scaled[np.ix_(block, block)])
+    value = Fraction(best, L)
     passed = value <= eps * n * n
     return CheckReport("frieze-kannan", passed, (S, T), eps * n * n - value)
 
@@ -411,18 +406,21 @@ def check_frieze_kannan(g: DiGraph, p: VertexPartition, epsilon) -> CheckReport:
 
 
 def _int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact integer matmul routed through BLAS; values must stay below 2^53."""
+    """Exact integer matmul routed through BLAS; exact because every partial
+    sum is below max|a| max|b| * (inner dimension) < 2^53, checked here."""
+    bound = int(np.abs(a).max(initial=0)) * int(np.abs(b).max(initial=0)) * a.shape[-1]
+    if bound >= 1 << 53:
+        raise InternalInvariantError(f"integer matmul bound {bound} exceeds 2^53")
     out = a.astype(np.float64) @ b.astype(np.float64)
     return np.rint(out).astype(np.int64)
 
 
-def _local_block_tables(g: DiGraph, p: VertexPartition):
+def _local_block_tables(adj: np.ndarray, p: VertexPartition):
     """Per part: local subset machinery; per part pair: e(sub_a, sub_b) tables.
 
     Pair tables are materialized when small; otherwise a (rows-table,
     column-mask) factorization is kept and columns are built on demand.
     """
-    adj = g.adjacency()
     parts = p.parts
     sizes = [_popcounts(1 << len(a)) for a in parts]
     pair = {}
@@ -439,18 +437,6 @@ def _local_block_tables(g: DiGraph, p: VertexPartition):
     return sizes, pair
 
 
-def _sub_masks_of(p: VertexPartition, n: int):
-    """Per part k: array over global T-masks of the local index of T n V_k."""
-    t_masks = np.arange(1 << n, dtype=np.int64)
-    out = []
-    for part in p.parts:
-        idx = np.zeros(1 << n, dtype=np.int64)
-        for bit, v in enumerate(part):
-            idx += ((t_masks >> v) & 1) << bit
-        out.append(idx)
-    return out
-
-
 def _pair_cols(pair_entry, b_idx: np.ndarray, nb: int) -> np.ndarray:
     """e(sub_a, sub_b) for every local a-mask and the requested b-masks."""
     kind, data = pair_entry
@@ -460,28 +446,24 @@ def _pair_cols(pair_entry, b_idx: np.ndarray, nb: int) -> np.ndarray:
     return _int_matmul(data, colsel)
 
 
-def max_st_irregularity(g: DiGraph, p: VertexPartition, chunk: int = 4096):
-    """(value, S, T) maximizing sum_jk |e(S n V_j, T n V_k) - d_jk |S n V_j||T n V_k||.
+def _partition_scan(g: DiGraph, p: VertexPartition, score):
+    """(best, S, T) maximizing sum_j max_{S_j in V_j} sum_k score(...) over T.
 
-    Exact: enumerate T, and for each T maximize per part over the local
-    subsets, which is valid because the absolute residuals decompose
-    across parts once T is fixed.
+    `score(cols, st, size, e)` maps the e(S_j, T n V_k) table of one block
+    pair (local S_j-mask x T-mask), its |S_j||T n V_k| products, |V_j||V_k|
+    and e(V_j, V_k) to a nonnegative integer table.  T-masks are scanned in
+    chunks; the first maximizing T wins, and within it the first best S_j.
     """
     n = p.n
-    if n > FK_LIMIT:
-        raise EnumerationLimitError(f"exact irregularity search capped at {FK_LIMIT}")
-    if p.size == 1:
-        value, (S, T) = irregularity(g, p.parts[0], p.parts[0], want_witness=True)
-        return value, S, T
-    L = _pair_scale(p)
-    if L * n * n > (1 << 59):
-        raise EnumerationLimitError("block-size denominators too large for exact scan")
-    sizes, pair = _local_block_tables(g, p)
-    sub_idx = _sub_masks_of(p, n)
     parts = p.parts
     m = p.size
-    chunk = min(chunk, max(64, (1 << 22) // max(1 << len(a) for a in parts)))
-    e_blocks = [[edge_count(g, a, b) for b in parts] for a in parts]
+    adj = g.adjacency()
+    e_blocks = _block_edges(adj, p)
+    sizes, pair = _local_block_tables(adj, p)
+    t_masks = np.arange(1 << n, dtype=np.int64)
+    sub_idx = [sum(((t_masks >> v) & 1) << bit for bit, v in enumerate(part))
+               for part in parts]  # per part k: local index of T n V_k
+    chunk = min(_CHUNK, max(64, (1 << 22) // max(1 << len(a) for a in parts)))
     best_val = -1
     best = None
     for start in range(0, 1 << n, chunk):
@@ -494,10 +476,8 @@ def max_st_irregularity(g: DiGraph, p: VertexPartition, chunk: int = 4096):
             for k in range(m):
                 b_idx = sub_idx[k][start:stop]
                 cols = _pair_cols(pair[(j, k)], b_idx, len(parts[k]))
-                w = L // (len(parts[j]) * len(parts[k]))
-                res = cols * (len(parts[j]) * len(parts[k]) * w) \
-                    - e_blocks[j][k] * w * (sizes[j][:, None] * sizes[k][b_idx][None, :])
-                acc += np.abs(res)
+                st = sizes[j][:, None] * sizes[k][b_idx][None, :]
+                acc += score(cols, st, len(parts[j]) * len(parts[k]), e_blocks[j, k])
             arg_a[j] = acc.argmax(axis=0)
             total += acc.max(axis=0)
         i = int(total.argmax())
@@ -508,7 +488,26 @@ def max_st_irregularity(g: DiGraph, p: VertexPartition, chunk: int = 4096):
             for j in range(m):
                 s_set.extend(_mask_to_set(int(arg_a[j][i]), parts[j]))
             best = (tuple(sorted(s_set)), _mask_to_set(t_mask, list(range(n))))
-    return Fraction(best_val, L), best[0], best[1]
+    return best_val, best[0], best[1]
+
+
+def max_st_irregularity(g: DiGraph, p: VertexPartition):
+    """(value, S, T) maximizing sum_jk |e(S n V_j, T n V_k) - d_jk |S n V_j||T n V_k||.
+
+    Exact: a partition scan with the absolute block residual as score.
+    """
+    n = p.n
+    if n > FK_LIMIT:
+        raise EnumerationLimitError(f"exact irregularity search capped at {FK_LIMIT}")
+    if p.size == 1:
+        value, (S, T) = irregularity(g, p.parts[0], p.parts[0], want_witness=True)
+        return value, S, T
+    L = _pair_scale(p)
+    if L * n * n > (1 << 59):
+        raise EnumerationLimitError("block-size denominators too large for exact scan")
+    best, S, T = _partition_scan(
+        g, p, lambda cols, st, size, e: np.abs(cols * L - e * (L // size) * st))
+    return Fraction(best, L), S, T
 
 
 def max_st_irregularity_sigma_enum(g: DiGraph, p: VertexPartition):
@@ -541,8 +540,7 @@ def max_st_irregularity_sigma_enum(g: DiGraph, p: VertexPartition):
     return best
 
 
-def check_intermediate(g: DiGraph, p: VertexPartition, epsilon,
-                       chunk: int = 4096) -> CheckReport:
+def check_intermediate(g: DiGraph, p: VertexPartition, epsilon) -> CheckReport:
     """For all S, T: mass of block pairs that are not (S,T,eps)-regular is
     at most eps n^2.  Exact via the same per-part decomposition."""
     n = p.n
@@ -550,42 +548,14 @@ def check_intermediate(g: DiGraph, p: VertexPartition, epsilon,
         raise EnumerationLimitError(f"exact intermediate check capped at {INTERMEDIATE_LIMIT}")
     eps = exactify(epsilon)
     pn, pd = eps.numerator, eps.denominator
-    parts = p.parts
-    m = p.size
-    e_blocks = [[edge_count(g, a, b) for b in parts] for a in parts]
-    sizes, pair = _local_block_tables(g, p)
-    sub_idx = _sub_masks_of(p, n)
-    chunk = min(chunk, max(64, (1 << 22) // max(1 << len(a) for a in parts)))
-    best_val = -1
-    best = None
-    for start in range(0, 1 << n, chunk):
-        stop = min(start + chunk, 1 << n)
-        width = stop - start
-        total = np.zeros(width, dtype=np.int64)
-        arg_a = np.zeros((m, width), dtype=np.int64)
-        for j in range(m):
-            acc = np.zeros(((1 << len(parts[j])), width), dtype=np.int64)
-            vj = len(parts[j])
-            for k in range(m):
-                vk = len(parts[k])
-                b_idx = sub_idx[k][start:stop]
-                cols = _pair_cols(pair[(j, k)], b_idx, vk)
-                st = sizes[j][:, None] * sizes[k][b_idx][None, :]
-                viol = np.abs(cols * (vj * vk) - e_blocks[j][k] * st) * pd \
-                    > pn * st * (vj * vk)
-                acc += np.where(viol, st, 0)
-            arg_a[j] = acc.argmax(axis=0)
-            total += acc.max(axis=0)
-        i = int(total.argmax())
-        if total[i] > best_val:
-            best_val = int(total[i])
-            t_mask = start + i
-            s_set = []
-            for j in range(m):
-                s_set.extend(_mask_to_set(int(arg_a[j][i]), parts[j]))
-            best = (tuple(sorted(s_set)), _mask_to_set(t_mask, list(range(n))))
+
+    def violating_mass(cols, st, size, e):
+        viol = np.abs(cols * size - e * st) * pd > pn * st * size
+        return np.where(viol, st, 0)
+
+    best_val, S, T = _partition_scan(g, p, violating_mass)
     passed = best_val * pd <= pn * n * n
-    return CheckReport("intermediate", passed, best, eps * n * n - best_val)
+    return CheckReport("intermediate", passed, (S, T), eps * n * n - best_val)
 
 
 def spot_check_intermediate(g: DiGraph, p: VertexPartition, epsilon,
@@ -634,11 +604,12 @@ def _scale_matrix(m_rows):
 
 
 def cut_oracle(m_rows, mode: str = "exact", rng: np.random.Generator | None = None):
-    """(S, T, value) with |sum_{S x T} M| at least half the true maximum.
+    """(S, T, value) for |sum_{S x T} M| over row sets S and column sets T.
 
-    Exact mode attains the maximum outright (T enumerated, S read off row
-    sums, both signs) and is capped at 20 columns.  Alternating mode
-    climbs to a local optimum of the bilinear form from a few starts.
+    Exact mode attains the maximum: it is `_cut_norm` on the integer-scaled
+    matrix, capped at 20 columns.  Alternating mode climbs to a local
+    optimum of the bilinear form from a few starts; it guarantees no
+    fraction of the maximum.
     """
     m_list = [list(r) for r in m_rows]
     n_rows = len(m_list)
@@ -647,26 +618,8 @@ def cut_oracle(m_rows, mode: str = "exact", rng: np.random.Generator | None = No
         if n_cols > CUT_ORACLE_LIMIT:
             raise EnumerationLimitError(f"exact cut oracle capped at {CUT_ORACLE_LIMIT} columns")
         arr, den = _scale_matrix(m_list)
-        t_masks = np.arange(1 << n_cols, dtype=np.int64)
-        pos = np.zeros(1 << n_cols, dtype=np.int64)
-        neg = np.zeros(1 << n_cols, dtype=np.int64)
-        for u in range(n_rows):
-            rs = np.zeros(1 << n_cols, dtype=np.int64)
-            for v in range(n_cols):
-                if arr[u, v]:
-                    rs[(t_masks >> v) & 1 == 1] += arr[u, v]
-            pos += np.maximum(rs, 0)
-            neg += np.maximum(-rs, 0)
-        best = np.maximum(pos, neg)
-        t_mask = int(best.argmax())
-        sign = 1 if pos[t_mask] >= neg[t_mask] else -1
-        T = tuple(v for v in range(n_cols) if (t_mask >> v) & 1)
-        S = []
-        for u in range(n_rows):
-            rsum = sum(arr[u, v] for v in T)
-            if sign * rsum > 0:
-                S.append(u)
-        return tuple(S), T, Fraction(int(best[t_mask]), den)
+        best, S, T = _cut_norm(arr.reshape(n_rows, n_cols))
+        return S, T, Fraction(best, den)
 
     if mode != "alternating":
         raise DomainError(f"unknown cut oracle mode {mode!r}")

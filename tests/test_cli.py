@@ -88,6 +88,15 @@ def test_construct_exact_round_trip(tmp_path):
     assert parse_number(read(rep)["value"]) <= parse_number("0.1")
 
 
+def test_construct_accepts_instance_without_predictor(two_point, tmp_path):
+    doc = read(two_point)
+    del doc["predictor"]
+    inst = tmp_path / "no_pred.json"
+    inst.write_text(json.dumps(doc))
+    assert main(["construct", str(inst), "--family", "mc", "--epsilon", "0.2",
+                 "--grid-m", "1", "--output", str(tmp_path / "out.json")]) == 0
+
+
 def test_construct_sampled_deterministic(tmp_path):
     inst = tmp_path / "inst.json"
     assert main(["fixture", "random", "--seed", "2", "--individuals", "6",

@@ -37,11 +37,18 @@ from multifair import (
     st_irregularity,
     xor_product,
 )
-from multifair.graph import delta_st, delta_st_level, pair_id, rational_sqrt_upper
+from multifair.graph import (
+    _int_matmul,
+    delta_st,
+    delta_st_level,
+    pair_id,
+    rational_sqrt_upper,
+)
 from multifair.errors import (
     DomainError,
     EmptyBlockError,
     EnumerationLimitError,
+    InternalInvariantError,
     StructuralFailureError,
 )
 
@@ -107,6 +114,16 @@ def test_irregularity_matches_bruteforce_random():
         assert irregularity(g, X, Y) == irregularity_bruteforce(g, X, Y)
         X2, Y2 = (0, 1, 2), (2, 3, 4, 5)
         assert irregularity(g, X2, Y2) == irregularity_bruteforce(g, X2, Y2)
+
+
+def test_irregularity_witness_attains_value_on_unequal_sides():
+    g = random_digraph(np.random.default_rng(12), 9, 0.5)
+    for X, Y in (((0, 1, 2), (3, 4, 5, 6, 7, 8)), ((3, 4, 5, 6, 7, 8), (0, 1, 2)),
+                 ((0, 4), (1, 2, 3, 4, 5))):
+        val, (S, T) = irregularity(g, X, Y, want_witness=True)
+        assert val > 0 and val == irregularity_bruteforce(g, X, Y)
+        assert set(S) <= set(X) and set(T) <= set(Y)
+        assert st_irregularity(g, X, Y, S, T) == val
 
 
 def test_st_irregularity_properties():
@@ -242,6 +259,35 @@ def test_intermediate_checker_single_part():
     assert rep.slack == eps * 36 - worst
 
 
+def _random_partition(rng, n):
+    perm = rng.permutation(n).tolist()
+    m = int(rng.integers(2, n + 1))
+    cuts = sorted(rng.choice(np.arange(1, n), m - 1, replace=False).tolist())
+    return VertexPartition(tuple(tuple(perm[a:b]) for a, b in zip([0] + cuts, cuts + [n])))
+
+
+def test_fk_matches_literal_enumeration_on_multi_part_partitions():
+    eps = F(1, 20)
+    for seed in range(6):
+        rng = np.random.default_rng(40 + seed)
+        n = int(rng.integers(3, 7))
+        g = random_digraph(rng, n, 0.5)
+        p = _random_partition(rng, n)
+        dens = [[density(g, a, b) for b in p.parts] for a in p.parts]
+
+        def deviation(S, T):
+            model = sum(dens[j][k] * len(set(S) & set(a)) * len(set(T) & set(b))
+                        for j, a in enumerate(p.parts) for k, b in enumerate(p.parts))
+            return abs(edge_count(g, S, T) - model)
+
+        subsets = [tuple(v for v in range(n) if mask >> v & 1) for mask in range(1 << n)]
+        worst = max(deviation(S, T) for S in subsets for T in subsets)
+        rep = check_frieze_kannan(g, p, eps)
+        assert rep.slack == eps * n * n - worst
+        assert rep.passed == (worst <= eps * n * n)
+        assert deviation(*rep.witness) == worst
+
+
 def test_checker_guards():
     g = DiGraph.complete(21)
     with pytest.raises(EnumerationLimitError):
@@ -267,16 +313,25 @@ def test_cut_oracle_constant_matrices():
 
 def test_cut_oracle_exact_is_maximal():
     rng = np.random.default_rng(10)
-    m = (rng.integers(0, 2, (6, 6)) * 2 - 1).tolist()
-    S, T, val = cut_oracle(m, mode="exact")
-    best = 0
-    for ms in range(64):
-        for mt in range(64):
-            s = [i for i in range(6) if ms >> i & 1]
-            t = [i for i in range(6) if mt >> i & 1]
-            best = max(best, abs(sum(m[u][v] for u in s for v in t)))
-    assert val == best
-    assert abs(sum(m[u][v] for u in S for v in T)) == val
+    for rows, cols in ((6, 6), (2, 7), (7, 2), (5, 6)):
+        m = (rng.integers(0, 2, (rows, cols)) * 2 - 1).tolist()
+        S, T, val = cut_oracle(m, mode="exact")
+        best = 0
+        for ms in range(1 << rows):
+            for mt in range(1 << cols):
+                s = [i for i in range(rows) if ms >> i & 1]
+                t = [i for i in range(cols) if mt >> i & 1]
+                best = max(best, abs(sum(m[u][v] for u in s for v in t)))
+        assert val == best
+        assert abs(sum(m[u][v] for u in S for v in T)) == val
+
+
+def test_int_matmul_checks_exactness_bound():
+    a, b = np.array([[(1 << 26) - 1, 3]]), np.array([[1 << 26], [5]])
+    assert _int_matmul(a, b)[0, 0] == ((1 << 26) - 1) * (1 << 26) + 15
+    # max|a| max|b| * inner dimension = 2^26 * 2^26 * 2 = 2^53
+    with pytest.raises(InternalInvariantError):
+        _int_matmul(a + 1, b)
 
 
 def test_cut_oracle_alternating_half_guarantee():
