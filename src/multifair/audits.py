@@ -16,6 +16,11 @@ converted back to a Fraction at the very end.  Level-set identity is exact
 equality of prediction values.  The float backend uses the same algorithms
 on floats and clusters prediction values within 1e-9.
 
+The signed cell table of `_Prepared` is shared with the OI event-family
+audits in `oi`, which build it on the levels of the grid-rounded
+predictor instead: the mc OI audit is the multi-calibration distance over
+those levels, with the modeled mass still taken from the raw predictor.
+
 The chain MA <= MC <= SMC holds exactly on every instance, as does the
 discretization inequality SMC(rounded p) <= |grid| * MC(p) + eta.
 """
@@ -28,7 +33,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import OutcomeDist, exactify, FLOAT_GROUP_TOL
+from .core import OutcomeDist, SimplexGrid, exactify, FLOAT_GROUP_TOL
 from .errors import DomainError
 from .population import (
     HypothesisClass,
@@ -80,21 +85,27 @@ class _Prepared:
     Exact mode stores, per individual j and outcome o, the integers
     D * w_j * p(o) for both the predictor and the truth, where D is the
     least common denominator of every such product.
+
+    Levels group individuals by prediction value.  With a grid they group
+    by the grid-rounded prediction instead, which is what the OI event
+    families condition on; the modeled mass still comes from the raw
+    predictor.
     """
 
-    def __init__(self, pop: PopulationInstance, predictor: Predictor, exact: bool):
+    def __init__(self, pop: PopulationInstance, predictor: Predictor, exact: bool,
+                 grid: SimplexGrid | None = None):
         predictor.check_total(pop)
         self.pop = pop
         self.exact = exact
         self.ids = pop.ids
-        n = len(pop.ids)
         ell = pop.space.size
+        pred = predictor.as_exact() if exact else predictor
+        self.dists = [pred.values[j] for j in pop.ids]
 
         if exact:
-            pred = predictor.as_exact()
             w = [exactify(pop.weight[j]) for j in pop.ids]
-            tilde_fr = [[w[i] * exactify(pred.values[j].weights[o]) for o in range(ell)]
-                        for i, j in enumerate(pop.ids)]
+            tilde_fr = [[w[i] * exactify(d.weights[o]) for o in range(ell)]
+                        for i, d in enumerate(self.dists)]
             star_fr = [[w[i] * exactify(pop.p_true[j].weights[o]) for o in range(ell)]
                        for i, j in enumerate(pop.ids)]
             D = 1
@@ -107,21 +118,29 @@ class _Prepared:
             self.D = D
             self.tilde = [[int(f * D) for f in row] for row in tilde_fr]
             self.star = [[int(f * D) for f in row] for row in star_fr]
-            self.w_int = [sum(row) for row in self.star]
-            self.level_dists = [pred.values[j] for j in pop.ids]
         else:
             self.D = 1.0
             self.tilde = [
-                [float(pop.weight[j]) * float(predictor.values[j].weights[o])
-                 for o in range(ell)]
-                for j in pop.ids
+                [float(pop.weight[j]) * float(d.weights[o]) for o in range(ell)]
+                for j, d in zip(pop.ids, self.dists)
             ]
             self.star = [
                 [float(pop.weight[j]) * float(pop.p_true[j].weights[o]) for o in range(ell)]
                 for j in pop.ids
             ]
-            self.w_int = [sum(row) for row in self.star]
-            self.level_dists = self._cluster_levels(predictor)
+        self.w_int = [sum(row) for row in self.star]
+        self.diff = [[t - s for t, s in zip(tr, sr)] for tr, sr in zip(self.tilde, self.star)]
+
+        if grid is not None:
+            rounded = {}
+            for d in self.dists:
+                if d not in rounded:
+                    rounded[d] = grid.round_dist(d)
+            self.level_dists = [rounded[d] for d in self.dists]
+        elif exact:
+            self.level_dists = self.dists
+        else:
+            self.level_dists = self._cluster_levels()
 
         reps = {}
         order = []
@@ -137,8 +156,8 @@ class _Prepared:
         for pos, li in enumerate(self.level_of):
             self.level_members[li].append(pos)
 
-    def _cluster_levels(self, predictor: Predictor):
-        dists = [predictor.values[j] for j in self.pop.ids]
+    def _cluster_levels(self):
+        dists = self.dists
         uniq = sorted({tuple(float(w) for w in d.weights) for d in dists})
         rep_of = {}
         current = None
@@ -171,7 +190,7 @@ class _Prepared:
         nc = len(cls.hypotheses)
         nv = len(self.levels)
         n = len(self.ids)
-        diff = [[t - s for t, s in zip(tr, sr)] for tr, sr in zip(self.tilde, self.star)]
+        diff = self.diff
 
         if self.exact and self.D <= _NUMPY_SAFE_LIMIT and n * ell > 512:
             diff_np = np.asarray(diff, dtype=np.int64).reshape(-1)
@@ -209,10 +228,12 @@ class _Prepared:
     def level_value(self, level_index):
         return self.levels[level_index]
 
+    def to_mass(self, scaled):
+        """Convert an accumulated scaled mass into a probability mass."""
+        return Fraction(scaled, self.D) if self.exact else float(scaled)
+
     def level_mass(self, level_index):
-        members = self.level_members[level_index]
-        total = sum(self.w_int[pos] for pos in members)
-        return Fraction(total, self.D) if self.exact else total
+        return self.to_mass(sum(self.w_int[pos] for pos in self.level_members[level_index]))
 
 
 def _prepare(pop, predictor, backend):

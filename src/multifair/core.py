@@ -213,19 +213,26 @@ def stat_distance_subset_oracle(p, q):
         raise EnumerationLimitError(
             f"support of size {k} exceeds the enumeration guard {SUBSET_ORACLE_LIMIT}"
         )
-    diffs = [tp[a] - tq[a] for a in atoms]
+    return _max_abs_subset_sum([tp[a] - tq[a] for a in atoms])
+
+
+def _max_abs_subset_sum(values):
+    """max over all subsets of |sum of the subset|, by literal enumeration.
+
+    A Gray-code walk: exactly one value enters or leaves the subset per
+    step.  Returns the int 0 when no subset sum is nonzero.
+    """
     best = 0
     acc = 0
     prev = 0
-    # Gray-code walk: exactly one atom enters or leaves per step.
-    for g in range(1, 1 << k):
+    for g in range(1, 1 << len(values)):
         gray = g ^ (g >> 1)
         changed = gray ^ prev
         idx = changed.bit_length() - 1
         if gray & changed:
-            acc += diffs[idx]
+            acc += values[idx]
         else:
-            acc -= diffs[idx]
+            acc -= values[idx]
         prev = gray
         mag = abs(acc)
         if mag > best:

@@ -22,6 +22,12 @@ the best event is the set of cells where the modeled mass exceeds the
 true mass, so the maximal advantage is exactly the corresponding
 statistical distance.  The literal exhaustive-E maximization is kept as
 an oracle for small cell counts.
+
+The basic, mc and smc audits, their best responses and the oracle all
+reduce over one signed table, the (modeled - true) mass per (hypothesis,
+level, y, outcome) that `audits._Prepared` builds for the statistical-
+distance audits, here on the levels of the grid-rounded predictor.  The
+lowdegree audit reads the same prepared per-individual mass differences.
 """
 
 from __future__ import annotations
@@ -30,9 +36,9 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import OutcomeDist, SimplexGrid, exactify
+from .core import OutcomeDist, OutcomeSpace, SimplexGrid, _max_abs_subset_sum, exactify
 from .errors import ConstructionError, EnumerationLimitError
-from .audits import AuditReport
+from .audits import AuditReport, _Prepared
 from .population import HypothesisClass, PopulationInstance, Predictor
 
 EXPLICIT_AUDIT_LIMIT = 10**6
@@ -82,6 +88,7 @@ class DistinguisherFamily:
     degree: int | None = None
     explicit_members: tuple | None = None
     negation_closed: bool = False
+    outcome_space: OutcomeSpace | None = None  # lowdegree only; the others use grid.space
 
     def member_count(self):
         if self.kind == "explicit":
@@ -89,7 +96,7 @@ class DistinguisherFamily:
         nc = len(self.hypotheses)
         ny = len(self.hypotheses.range_values)
         if self.kind == "lowdegree":
-            ell = self.degree_space_size
+            ell = self.outcome_space.size
             return nc * ell * len(monomial_multisets(ell, self.degree))
         ell = self.grid.space.size
         ng = self.grid.size
@@ -101,12 +108,6 @@ class DistinguisherFamily:
             return (nc ** ng) * (2 ** (ny * ell * ng))
         raise ConstructionError(f"unknown family kind {self.kind!r}")
 
-    @property
-    def degree_space_size(self):
-        # lowdegree families carry no grid; the outcome count comes from use
-        # sites, recorded at construction time in self.grid-free mode.
-        return self._ell
-
     def members(self):
         """Materialize the member list; refused for the implicit mc/smc kinds."""
         if self.kind == "explicit":
@@ -114,7 +115,7 @@ class DistinguisherFamily:
         if self.kind == "basic":
             return list(_basic_members(self.hypotheses, self.grid))
         if self.kind == "lowdegree":
-            return list(_lowdegree_members(self.hypotheses, self._ell, self._labels, self.degree))
+            return list(_lowdegree_members(self.hypotheses, self.outcome_space, self.degree))
         raise EnumerationLimitError(
             f"{self.kind} family has {self.member_count()} members; not materializable"
         )
@@ -142,10 +143,8 @@ def make_family(kind, hypotheses=None, grid=None, degree=None, members=None,
             raise ConstructionError("lowdegree family needs degree k >= 1")
         if outcome_space is None:
             raise ConstructionError("lowdegree family needs the outcome space")
-        fam = DistinguisherFamily(kind="lowdegree", hypotheses=hypotheses, degree=degree)
-        fam._ell = outcome_space.size
-        fam._labels = outcome_space.labels
-        return fam
+        return DistinguisherFamily(kind="lowdegree", hypotheses=hypotheses, degree=degree,
+                                   outcome_space=outcome_space)
     raise ConstructionError(f"unknown family kind {kind!r}")
 
 
@@ -165,10 +164,10 @@ def _basic_members(cls: HypothesisClass, grid: SimplexGrid):
                     )
 
 
-def _lowdegree_members(cls: HypothesisClass, ell, labels, degree):
+def _lowdegree_members(cls: HypothesisClass, space: OutcomeSpace, degree):
     for h in cls:
-        for o0 in labels:
-            for mono in monomial_multisets(ell, degree):
+        for o0 in space.labels:
+            for mono in monomial_multisets(space.size, degree):
                 def fn(j, oo, pred, _h=h, _o0=o0, _m=mono):
                     if oo != _o0:
                         return 0
@@ -241,85 +240,50 @@ def oi_advantage(pop: PopulationInstance, predictor: Predictor, d: Distinguisher
     return total
 
 
-class _CellTables:
-    """Signed (modeled - true) masses per hypothesis over (y, o, level) cells.
+def _mass(prep, scaled):
+    """A scaled sum of positive cells as a mass; an empty sum stays the int 0."""
+    return prep.to_mass(scaled) if scaled else 0
 
-    Levels group individuals by the grid-rounded prediction; the modeled
-    mass still comes from the raw predictor, which is what the family
-    definitions prescribe.
+
+def _positive_sums(per_level):
+    """Per level: the summed positive cells, the mass of that level's best event."""
+    return [sum(x for x in row if x > 0) for row in per_level]
+
+
+def _positive_cells(prep, ys, per_level, levels):
+    """The (y, outcome, grid point) cells with positive signed mass on the given levels."""
+    ell = prep.pop.space.size
+    labels = prep.pop.space.labels
+    return [(ys[i // ell], labels[i % ell], tuple(prep.levels[v].weights))
+            for v in levels for i, x in enumerate(per_level[v]) if x > 0]
+
+
+def _smc_choice(prep, tables):
+    """Per level: the first hypothesis with the largest positive sum, and that sum."""
+    pos = [_positive_sums(per_level) for per_level in tables]
+    out = []
+    for v in range(len(prep.levels)):
+        c = max(range(len(tables)), key=lambda c: pos[c][v])
+        out.append((c, pos[c][v]))
+    return out
+
+
+def _first_reached_cell(prep, ys, h, per_level, target):
+    """(level, cell) of the first cell with |signed mass| == target.
+
+    Cells are ordered by their earliest nonzero (individual, outcome)
+    contribution, in population and label order.  When every contribution
+    is zero the first cell of the first level is returned.
     """
-
-    def __init__(self, pop, predictor, cls, grid, exact=True):
-        predictor.check_total(pop)
-        self.pop = pop
-        self.cls = cls
-        self.grid = grid
-        self.exact = exact
-        pred = predictor.as_exact() if exact else predictor
-        rounded = {}
-        for j in pop.ids:
-            d = pred.values[j]
-            if d not in rounded:
-                rounded[d] = grid.round_dist(d)
-        self.rounded = {j: rounded[pred.values[j]] for j in pop.ids}
-        levels = sorted({tuple(g.weights) for g in self.rounded.values()})
-        self.levels = levels
-        self.level_index = {t: i for i, t in enumerate(levels)}
-        ell = pop.space.size
-        conv = exactify if exact else float
-        self.diff = {}  # hypothesis name -> {(y_idx, o_idx, level_idx): signed mass}
-        self.level_mass = [Fraction(0) if exact else 0.0] * len(levels)
-        ys = list(cls.range_values)
-        self.y_values = ys
-        y_of = {y: i for i, y in enumerate(ys)}
-        lm = list(self.level_mass)
-        for h in cls:
-            table = {}
-            for j in pop.ids:
-                w = conv(pop.weight[j])
-                if w == 0:
-                    continue
-                li = self.level_index[tuple(self.rounded[j].weights)]
-                yi = y_of[h.values[j]]
-                pt = pred.values[j].weights
-                ps = pop.p_true[j].weights
-                for o_idx in range(ell):
-                    dmass = w * (conv(pt[o_idx]) - conv(ps[o_idx]))
-                    if dmass != 0:
-                        key = (yi, o_idx, li)
-                        table[key] = table.get(key, 0) + dmass
-            self.diff[h.name] = table
-        for j in pop.ids:
-            li = self.level_index[tuple(self.rounded[j].weights)]
-            lm[li] = lm[li] + conv(pop.weight[j])
-        self.level_mass = lm
-
-    def positive_event(self, name, level_idx=None):
-        """Cells with strictly positive signed mass; the optimal event."""
-        cells = []
-        for (yi, oi, li), v in self.diff[name].items():
-            if level_idx is not None and li != level_idx:
-                continue
-            if v > 0:
-                cells.append((self.y_values[yi], self.pop.space.labels[oi], self.levels[li]))
-        return cells
-
-    def mc_value(self, name):
-        return sum(v for v in self.diff[name].values() if v > 0)
-
-    def smc_per_level(self, name):
-        per = {}
-        for (yi, oi, li), v in self.diff[name].items():
-            if v > 0:
-                per[li] = per.get(li, 0) + v
-        return per
-
-    def basic_best(self, name):
-        best = None
-        for key, v in self.diff[name].items():
-            if best is None or abs(v) > abs(best[1]):
-                best = (key, v)
-        return best
+    y_idx = {y: i for i, y in enumerate(ys)}
+    ell = prep.pop.space.size
+    for pos, j in enumerate(prep.ids):
+        row = per_level[prep.level_of[pos]]
+        base = y_idx[h.values[j]] * ell
+        for o, x in enumerate(prep.diff[pos]):
+            if x and abs(row[base + o]) == target:
+                return prep.level_of[pos], base + o
+    return 0, 0
 
 
 def audit_oi(pop, predictor, family: DistinguisherFamily, backend="rational") -> AuditReport:
@@ -336,60 +300,43 @@ def audit_oi(pop, predictor, family: DistinguisherFamily, backend="rational") ->
     if family.kind == "lowdegree":
         return _audit_lowdegree(pop, predictor, family, exact)
 
-    tables = _CellTables(pop, predictor, family.hypotheses, family.grid, exact=exact)
-    if family.kind == "mc":
-        breakdown = {h.name: tables.mc_value(h.name) for h in family.hypotheses}
-        witness = max(breakdown, key=lambda k: breakdown[k])
-        return AuditReport("oi-mc", breakdown[witness], witness, breakdown)
+    if family.kind not in ("mc", "smc", "basic"):
+        raise ConstructionError(f"unknown family kind {family.kind!r}")
+    cls = family.hypotheses
+    prep = _Prepared(pop, predictor, exact, grid=family.grid)
+    _, tables = prep.per_cv_tables(cls)
     if family.kind == "smc":
-        total = 0
-        per_level_best = {}
-        for li in range(len(tables.levels)):
-            best = max(
-                ((h.name, tables.smc_per_level(h.name).get(li, 0)) for h in family.hypotheses),
-                key=lambda t: t[1],
-            )
-            per_level_best[tables.levels[li]] = best
-            total += best[1]
-        return AuditReport("oi-smc", total if total else (Fraction(0) if exact else 0.0),
-                           per_level_best, per_level_best)
-    if family.kind == "basic":
-        breakdown = {}
-        for h in family.hypotheses:
-            best = tables.basic_best(h.name)
-            breakdown[h.name] = abs(best[1]) if best else (Fraction(0) if exact else 0.0)
-        witness = max(breakdown, key=lambda k: breakdown[k])
-        return AuditReport("oi-basic", breakdown[witness], witness, breakdown)
-    raise ConstructionError(f"unknown family kind {family.kind!r}")
+        choice = _smc_choice(prep, tables)
+        per_level_best = {tuple(prep.levels[v].weights): (cls.hypotheses[c].name, _mass(prep, s))
+                          for v, (c, s) in enumerate(choice)}
+        total = prep.to_mass(sum(s for _, s in choice))
+        return AuditReport("oi-smc", total, per_level_best, per_level_best)
+    if family.kind == "mc":
+        breakdown = {h.name: _mass(prep, sum(_positive_sums(t))) for h, t in zip(cls, tables)}
+    else:
+        breakdown = {h.name: prep.to_mass(max(abs(x) for row in t for x in row))
+                     for h, t in zip(cls, tables)}
+    witness = max(breakdown, key=lambda k: breakdown[k])
+    return AuditReport(f"oi-{family.kind}", breakdown[witness], witness, breakdown)
 
 
 def _audit_lowdegree(pop, predictor, family, exact):
-    pred = predictor.as_exact() if exact else predictor
+    prep = _Prepared(pop, predictor, exact)
     conv = exactify if exact else float
-    cls = family.hypotheses
-    ell = family._ell
-    labels = family._labels
-    monos = monomial_multisets(ell, family.degree)
+    labels = family.outcome_space.labels
+    monos = monomial_multisets(len(labels), family.degree)
+    mono_vals = [[conv(monomial_value(mono, d)) for d in prep.dists] for mono in monos]
     breakdown = {}
     witness = None
     best_abs = None
-    for h in cls:
+    for h in family.hypotheses:
+        cvals = [conv(h.values[j]) for j in prep.ids]
         h_best = None
         for o_idx, o0 in enumerate(labels):
-            for mono in monos:
-                total = Fraction(0) if exact else 0.0
-                for j in pop.ids:
-                    w = conv(pop.weight[j])
-                    if w == 0:
-                        continue
-                    cj = conv(h.values[j])
-                    if cj == 0:
-                        continue
-                    pd = pred.values[j]
-                    coef = conv(pd.weights[o_idx]) - conv(pop.p_true[j].weights[o_idx])
-                    if coef == 0:
-                        continue
-                    total += w * cj * conv(monomial_value(mono, pd)) * coef
+            terms = [(pos, row[o_idx] * c)
+                     for pos, (row, c) in enumerate(zip(prep.diff, cvals)) if row[o_idx] and c]
+            for mono, mv in zip(monos, mono_vals):
+                total = prep.to_mass(sum(t * mv[pos] for pos, t in terms))
                 if h_best is None or abs(total) > abs(h_best[0]):
                     h_best = (total, o0, mono)
         breakdown[h.name] = abs(h_best[0])
@@ -438,41 +385,39 @@ def best_response(pop, predictor, family: DistinguisherFamily, backend="rational
             return negate(d), -adv
         return d, adv
 
-    tables = _CellTables(pop, predictor, family.hypotheses, family.grid, exact=exact)
-    by_name = {h.name: h for h in family.hypotheses}
+    if family.kind not in ("mc", "smc", "basic"):
+        raise ConstructionError(f"unknown family kind {family.kind!r}")
+    cls = family.hypotheses
+    prep = _Prepared(pop, predictor, exact, grid=family.grid)
+    ys, tables = prep.per_cv_tables(cls)
     if family.kind == "mc":
-        name = max(by_name, key=lambda n: tables.mc_value(n))
-        cells = [(y, o, g) for (y, o, g) in tables.positive_event(name)]
-        d = mc_event_distinguisher(by_name[name], cells, family.grid)
-        return d, tables.mc_value(name)
+        pos = [sum(_positive_sums(t)) for t in tables]
+        c = max(range(len(cls)), key=lambda c: pos[c])
+        cells = _positive_cells(prep, ys, tables[c], range(len(prep.levels)))
+        return mc_event_distinguisher(cls.hypotheses[c], cells, family.grid), _mass(prep, pos[c])
     if family.kind == "smc":
-        assignment = []
-        cells = []
-        total = 0
-        for li, level in enumerate(tables.levels):
-            name = max(by_name, key=lambda n: tables.smc_per_level(n).get(li, 0))
-            val = tables.smc_per_level(name).get(li, 0)
-            total += val
-            assignment.append((level, by_name[name]))
-            cells.extend(tables.positive_event(name, level_idx=li))
+        choice = _smc_choice(prep, tables)
+        assignment = [(tuple(prep.levels[v].weights), cls.hypotheses[c])
+                      for v, (c, _) in enumerate(choice)]
+        cells = [cell for v, (c, _) in enumerate(choice)
+                 for cell in _positive_cells(prep, ys, tables[c], [v])]
         d = smc_event_distinguisher(assignment, cells, family.grid)
-        return d, total if total else (Fraction(0) if exact else 0.0)
-    if family.kind == "basic":
-        best = None
-        for h in family.hypotheses:
-            cand = tables.basic_best(h.name)
-            if cand and (best is None or abs(cand[1]) > abs(best[2])):
-                best = (h, cand[0], cand[1])
-        h, (yi, oi, li), val = best
-        y = tables.y_values[yi]
-        o = pop.space.labels[oi]
-        g = tables.levels[li]
-        cells = [(y, o, g)]
-        d = mc_event_distinguisher(h, cells, family.grid, name=f"cell[{h.name},{y},{o}]")
-        if val < 0:
-            return negate(d), -val
-        return d, val
-    raise ConstructionError(f"unknown family kind {family.kind!r}")
+        return d, prep.to_mass(sum(s for _, s in choice))
+    # basic: binary instances always tie (y, "0", l) against (y, "1", l), so the
+    # first-reached order is what keeps the witness, and with it the
+    # constructor transcripts, deterministic and stable.
+    peak = [max(abs(x) for row in t for x in row) for t in tables]
+    c = max(range(len(cls)), key=lambda c: peak[c])
+    h = cls.hypotheses[c]
+    v, i = _first_reached_cell(prep, ys, h, tables[c], peak[c])
+    ell = pop.space.size
+    y, o = ys[i // ell], pop.space.labels[i % ell]
+    val = prep.to_mass(tables[c][v][i])
+    d = mc_event_distinguisher(h, [(y, o, tuple(prep.levels[v].weights))], family.grid,
+                               name=f"cell[{h.name},{y},{o}]")
+    if val < 0:
+        return negate(d), -val
+    return d, val
 
 
 def audit_oi_mc_bruteforce(pop, predictor, cls, grid, backend="rational"):
@@ -481,36 +426,20 @@ def audit_oi_mc_bruteforce(pop, predictor, cls, grid, backend="rational"):
     Enumerates 2^(|Y| * outcomes * |grid|) events, so the cell count is
     capped at 12.
     """
-    exact = backend == "rational"
-    tables = _CellTables(pop, predictor, cls, grid, exact=exact)
+    prep = _Prepared(pop, predictor, backend == "rational", grid=grid)
+    ys, tables = prep.per_cv_tables(cls)
     ell = pop.space.size
-    ny = len(tables.y_values)
-    ng = grid.size
-    n_cells = ny * ell * ng
+    n_cells = len(ys) * ell * grid.size
     if n_cells > MC_ORACLE_CELL_LIMIT:
         raise EnumerationLimitError(f"{n_cells} cells exceed the oracle cap")
     # cells over the full (y, o, grid) lattice, not just occupied levels
-    level_of = {t: i for i, t in enumerate(tables.levels)}
+    level_of = {tuple(d.weights): v for v, d in enumerate(prep.levels)}
     best = 0
-    for h in cls:
+    for per_level in tables:
         diffs = []
-        for yi in range(ny):
-            for oi in range(ell):
-                for g in grid.iter_points():
-                    li = level_of.get(tuple(g.weights))
-                    diffs.append(tables.diff[h.name].get((yi, oi, li), 0)
-                                 if li is not None else 0)
-        acc = 0
-        prev = 0
-        for gcode in range(1, 1 << n_cells):
-            gray = gcode ^ (gcode >> 1)
-            changed = gray ^ prev
-            idx = changed.bit_length() - 1
-            if gray & changed:
-                acc += diffs[idx]
-            else:
-                acc -= diffs[idx]
-            prev = gray
-            if abs(acc) > best:
-                best = abs(acc)
-    return best
+        for i in range(len(ys) * ell):
+            for g in grid.iter_points():
+                v = level_of.get(tuple(g.weights))
+                diffs.append(per_level[v][i] if v is not None else 0)
+        best = max(best, _max_abs_subset_sum(diffs))
+    return _mass(prep, best)

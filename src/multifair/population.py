@@ -122,7 +122,8 @@ class Hypothesis:
 
     def __post_init__(self):
         object.__setattr__(self, "range_values", tuple(self.range_values))
-        bad = {v for v in self.values.values() if v not in set(self.range_values)}
+        allowed = set(self.range_values)
+        bad = {v for v in self.values.values() if v not in allowed}
         if bad:
             raise DomainError(f"hypothesis {self.name}: values outside range: {bad}")
 
@@ -255,21 +256,6 @@ def sample(pop: PopulationInstance, rng: np.random.Generator, n: int) -> list:
     o_idx = np.minimum(o_idx, pop.space.size - 1)
     labels = pop.space.labels
     return [(pop.ids[i], labels[o]) for i, o in zip(idx.tolist(), o_idx.tolist())]
-
-
-def sample_modeled_outcomes(predictor: Predictor, individuals, space: OutcomeSpace,
-                            rng: np.random.Generator) -> list:
-    """Draw one modeled outcome per listed individual from the predictor."""
-    if not individuals:
-        return []
-    dists = np.array(
-        [[float(w) for w in predictor.values[j].weights] for j in individuals], dtype=float
-    )
-    cum = np.cumsum(dists, axis=1)
-    u = rng.random(len(individuals))
-    o_idx = (cum < u[:, None]).sum(axis=1)
-    o_idx = np.minimum(o_idx, space.size - 1)
-    return [space.labels[o] for o in o_idx.tolist()]
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,15 @@ def test_construct_accepts_instance_without_predictor(two_point, tmp_path):
                  "--grid-m", "1", "--output", str(tmp_path / "out.json")]) == 0
 
 
+def test_construct_basic_family_already_indistinguishable(two_point, tmp_path):
+    # the uniform start is the truth, so no cell has a nonzero advantage
+    out = tmp_path / "out.json"
+    assert main(["construct", str(two_point), "--family", "basic", "--epsilon", "0.2",
+                 "--grid-m", "1", "--output", str(out)]) == 0
+    doc = read(out)["transcript"]
+    assert doc["iterations"] == [] and doc["final_audit"] == "0"
+
+
 def test_construct_sampled_deterministic(tmp_path):
     inst = tmp_path / "inst.json"
     assert main(["fixture", "random", "--seed", "2", "--individuals", "6",

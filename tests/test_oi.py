@@ -83,6 +83,32 @@ def test_mc_audit_equals_mc_of_discretized_when_grid_valued():
     assert audit_oi(pop, pred, fam_smc).value == \
         audit_strict_multi_calibration(pop, pred, cls).value == \
         grid_fixture_smc_closed_form(m)
+    # the same identities on discretized random predictors with more outcomes
+    rng = np.random.default_rng(11)
+    for ell, m in ((3, 2), (3, 3), (8, 1), (8, 2)):
+        for _ in range(3):
+            pop, cls, pred = random_instance(rng, 12, ell, 3)
+            grid = make_grid_with_denominator(pop.space, m)
+            phat = discretize(pred, grid)
+            assert audit_oi(pop, phat, make_family("mc", hypotheses=cls, grid=grid)).value == \
+                audit_multi_calibration(pop, phat, cls).value
+            assert audit_oi(pop, phat, make_family("smc", hypotheses=cls, grid=grid)).value == \
+                audit_strict_multi_calibration(pop, phat, cls).value
+
+
+@pytest.mark.parametrize("ell", [2, 3, 8])
+def test_float_oi_audits_close_to_rational(ell):
+    rng = np.random.default_rng(100 + ell)
+    for _ in range(4):
+        pop, cls, pred = random_instance(rng, 10, ell, 3)
+        grid = make_grid_with_denominator(pop.space, 2)
+        fams = [make_family(k, hypotheses=cls, grid=grid) for k in ("basic", "mc", "smc")]
+        fams.append(make_family("lowdegree", hypotheses=cls, degree=2, outcome_space=pop.space))
+        for fam in fams:
+            exact = audit_oi(pop, pred, fam).value
+            approx = audit_oi(pop, pred, fam, backend="float").value
+            assert isinstance(approx, (int, float))
+            assert abs(float(exact) - approx) < 1e-9
 
 
 def test_mc_audit_eta_slack_in_general():
@@ -124,6 +150,17 @@ def test_basic_family_member_count_and_audit():
     d, adv = best_response(pop, pred, fam)
     assert adv == worst
     assert abs(oi_advantage(pop, pred, d)) == worst
+
+
+def test_basic_best_response_with_no_nonzero_cell():
+    # under the ground truth no cell of any hypothesis gets a nonzero mass
+    pop, cls, _ = fixture_two_point()
+    gt = pop.ground_truth_predictor()
+    fam = make_family("basic", hypotheses=cls, grid=identity_grid())
+    d, adv = best_response(pop, gt, fam)
+    assert adv == 0 and isinstance(adv, F)
+    assert oi_advantage(pop, gt, d) == 0
+    assert d.payload["event_cells"] == [(0, "0", (1, 0))]
 
 
 def test_implicit_family_counts():
