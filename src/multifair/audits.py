@@ -236,10 +236,15 @@ class _Prepared:
         return self.to_mass(sum(self.w_int[pos] for pos in self.level_members[level_index]))
 
 
-def _prepare(pop, predictor, backend):
+def _is_exact(backend) -> bool:
+    """True for the "rational" backend, False for "float"; DomainError otherwise."""
     if backend not in ("rational", "float"):
         raise DomainError(f"unknown backend {backend!r}")
-    return _Prepared(pop, predictor, exact=(backend == "rational"))
+    return backend == "rational"
+
+
+def _prepare(pop, predictor, backend):
+    return _Prepared(pop, predictor, exact=_is_exact(backend))
 
 
 # ---------------------------------------------------------------------------

@@ -13,14 +13,21 @@ P = {V_1..V_m} of the vertices:
                   sub-blocks have close density) is at most eps n^2
 
 All checkers are exact over the rationals: comparisons are performed on
-integer-scaled quantities, never on floats.  Every exact check enumerates
-T and maximizes over S in closed form, in one of two kernels.  `_cut_norm`
+integer-scaled quantities, never on floats.  An eps test |r| > eps x size
+on an integer r is read off an integer threshold table built in Python
+ints (`_eps_thresholds`), so a float eps, whose exact denominator is near
+2^54, never enters an int64 product.  Every exact check enumerates T and
+maximizes over S in closed form, in one of three kernels.  `_cut_norm`
 maximizes |sum_{S x T} M| for the residual matrices of pair irregularity,
 the Frieze-Kannan check and the exact cut oracle.  `_partition_scan` uses
 that for a fixed T the objective decomposes across parts, so the 4^n
 double enumeration collapses to a 2^n scan with an exact maximization per
 part; the intermediate check and the (S,T)-irregularity maximizer differ
-only in the per-block score they pass to it.
+only in the per-block score they pass to it, and a block pair small enough
+to tabulate whole is scored once per scan.  `_one_part_scan` is the
+intermediate check on a one-part partition: for a fixed T the extreme
+values of e(S, T) over |S| = s are sums of the s smallest and s largest
+column counts, so sorting those counts decides every S at once.
 
 The cut oracle stands in for the semidefinite-programming subroutine of
 the partition-refinement algorithm.  Its exact mode is `_cut_norm`; its
@@ -211,6 +218,23 @@ def _mask_to_set(mask: int, universe) -> tuple:
     return tuple(universe[i] for i in range(len(universe)) if (mask >> i) & 1)
 
 
+def _mask_bits(masks: np.ndarray, width: int) -> np.ndarray:
+    """out[c, i] = bit c of masks[i]; a width x len(masks) 0/1 table."""
+    return np.stack([(masks >> c) & 1 for c in range(width)], axis=0)
+
+
+def _eps_thresholds(eps: Fraction, size: int) -> np.ndarray:
+    """thr[x] = floor(eps x size), clamped to [-1, size^2], for x = 0..size.
+
+    An integer r in [0, size^2] exceeds eps x size exactly when r > thr[x].
+    The table is built in Python ints, so no int64 product involves eps's
+    numerator or denominator.
+    """
+    pn, pd = eps.numerator, eps.denominator
+    return np.array([max(-1, min(pn * x * size // pd, size * size)) for x in range(size + 1)],
+                    dtype=np.int64)
+
+
 def _cut_norm(mat: np.ndarray):
     """(value, S, T) maximizing |sum_{S x T} mat| over row sets S and column
     sets T of an integer matrix, exactly.
@@ -312,26 +336,24 @@ def check_regular_pair(g: DiGraph, X, Y, epsilon):
     if eps >= 1:
         return True, None
     pn, pd = eps.numerator, eps.denominator
-    adj = g.adjacency()
-    mat = adj[np.ix_(X, Y)]
+    mat = g.adjacency()[np.ix_(X, Y)]
     e_xy = int(mat.sum())
     nx, ny = len(X), len(Y)
+    size = nx * ny
+    thr = _eps_thresholds(eps, size)
     table = _subset_sum_table(mat)  # e(S, {col}) for every S-mask
     s_sizes = _popcounts(1 << nx)
     t_sizes = _popcounts(1 << ny)
-    s_ok = s_sizes * pd >= pn * nx  # |S| >= eps |X|
-    t_ok = t_sizes * pd >= pn * ny
-    t_masks = np.arange(1 << ny, dtype=np.int64)
-    col_bits = [(t_masks >> c) & 1 for c in range(ny)]
-    colsel = np.stack(col_bits, axis=0)  # ny x 2^ny
+    # |S| >= eps |X| and |T| >= eps |Y|, decided per size in Python ints
+    s_ok = np.array([s * pd >= pn * nx for s in range(nx + 1)])[s_sizes]
+    t_ok = np.array([t * pd >= pn * ny for t in range(ny + 1)])[t_sizes]
+    colsel = _mask_bits(np.arange(1 << ny, dtype=np.int64), ny)  # ny x 2^ny
     for start in range(0, 1 << nx, _CHUNK):
         stop = min(start + _CHUNK, 1 << nx)
-        rows = table[start:stop]  # chunk x ny
-        e_all = _int_matmul(rows, colsel)  # chunk x 2^ny
+        e_all = _int_matmul(table[start:stop], colsel)  # chunk x 2^ny
         st = s_sizes[start:stop, None] * t_sizes[None, :]
-        lhs = np.abs(e_all * (nx * ny) - e_xy * st) * pd
-        rhs = pn * st * (nx * ny)
-        viol = (lhs > rhs) & s_ok[start:stop, None] & t_ok[None, :]
+        viol = ((np.abs(e_all * size - e_xy * st) > thr[st])
+                & s_ok[start:stop, None] & t_ok[None, :])
         if viol.any():
             si, ti = np.argwhere(viol)[0]
             return False, (_mask_to_set(start + int(si), X), _mask_to_set(int(ti), Y))
@@ -415,35 +437,32 @@ def _int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.rint(out).astype(np.int64)
 
 
-def _local_block_tables(adj: np.ndarray, p: VertexPartition):
-    """Per part: local subset machinery; per part pair: e(sub_a, sub_b) tables.
+def _pair_tables(adj: np.ndarray, p: VertexPartition, e_blocks: np.ndarray, score):
+    """Per part pair (j, k): the scored table over (local S_j-mask, local
+    (T n V_k)-mask) when it has at most 2^22 entries, else the e(S_j, {v})
+    row table, whose columns each T-chunk builds and scores itself.
 
-    Pair tables are materialized when small; otherwise a (rows-table,
-    column-mask) factorization is kept and columns are built on demand.
+    Full tables are scored in row blocks of at most 2^18 entries, so the
+    score's temporaries stay small.
     """
     parts = p.parts
     sizes = [_popcounts(1 << len(a)) for a in parts]
     pair = {}
     for j, a in enumerate(parts):
         for k, b in enumerate(parts):
-            rows = adj[np.ix_(a, b)]
-            row_table = _subset_sum_table(rows)  # 2^|a| x |b|
-            if (1 << len(a)) * (1 << len(b)) <= (1 << 22):
-                colsel = np.stack([(np.arange(1 << len(b)) >> c) & 1
-                                   for c in range(len(b))], axis=0)
-                pair[(j, k)] = ("full", _int_matmul(row_table, colsel))
-            else:
+            row_table = _subset_sum_table(adj[np.ix_(a, b)])  # 2^|a| x |b|
+            if len(a) + len(b) > 22:
                 pair[(j, k)] = ("rows", row_table)
+                continue
+            colsel = _mask_bits(np.arange(1 << len(b), dtype=np.int64), len(b))
+            scored = np.empty((1 << len(a), 1 << len(b)), dtype=np.int64)
+            step = max(1, (1 << 18) >> len(b))
+            for r in range(0, 1 << len(a), step):
+                st = sizes[j][r:r + step, None] * sizes[k][None, :]
+                scored[r:r + step] = score(_int_matmul(row_table[r:r + step], colsel), st,
+                                           len(a) * len(b), e_blocks[j, k])
+            pair[(j, k)] = ("full", scored)
     return sizes, pair
-
-
-def _pair_cols(pair_entry, b_idx: np.ndarray, nb: int) -> np.ndarray:
-    """e(sub_a, sub_b) for every local a-mask and the requested b-masks."""
-    kind, data = pair_entry
-    if kind == "full":
-        return data[:, b_idx]
-    colsel = np.stack([(b_idx >> c) & 1 for c in range(nb)], axis=0)
-    return _int_matmul(data, colsel)
 
 
 def _partition_scan(g: DiGraph, p: VertexPartition, score):
@@ -451,15 +470,16 @@ def _partition_scan(g: DiGraph, p: VertexPartition, score):
 
     `score(cols, st, size, e)` maps the e(S_j, T n V_k) table of one block
     pair (local S_j-mask x T-mask), its |S_j||T n V_k| products, |V_j||V_k|
-    and e(V_j, V_k) to a nonnegative integer table.  T-masks are scanned in
-    chunks; the first maximizing T wins, and within it the first best S_j.
+    and e(V_j, V_k) to a nonnegative integer table, elementwise.  T-masks
+    are scanned in chunks; the first maximizing T wins, and within it the
+    first best S_j.
     """
     n = p.n
     parts = p.parts
     m = p.size
     adj = g.adjacency()
     e_blocks = _block_edges(adj, p)
-    sizes, pair = _local_block_tables(adj, p)
+    sizes, pair = _pair_tables(adj, p, e_blocks, score)
     t_masks = np.arange(1 << n, dtype=np.int64)
     sub_idx = [sum(((t_masks >> v) & 1) << bit for bit, v in enumerate(part))
                for part in parts]  # per part k: local index of T n V_k
@@ -475,7 +495,11 @@ def _partition_scan(g: DiGraph, p: VertexPartition, score):
             acc = np.zeros(((1 << len(parts[j])), width), dtype=np.int64)
             for k in range(m):
                 b_idx = sub_idx[k][start:stop]
-                cols = _pair_cols(pair[(j, k)], b_idx, len(parts[k]))
+                kind, table = pair[(j, k)]
+                if kind == "full":
+                    acc += table[:, b_idx]
+                    continue
+                cols = _int_matmul(table, _mask_bits(b_idx, len(parts[k])))
                 st = sizes[j][:, None] * sizes[k][b_idx][None, :]
                 acc += score(cols, st, len(parts[j]) * len(parts[k]), e_blocks[j, k])
             arg_a[j] = acc.argmax(axis=0)
@@ -489,6 +513,52 @@ def _partition_scan(g: DiGraph, p: VertexPartition, score):
                 s_set.extend(_mask_to_set(int(arg_a[j][i]), parts[j]))
             best = (tuple(sorted(s_set)), _mask_to_set(t_mask, list(range(n))))
     return best_val, best[0], best[1]
+
+
+def _violating_mass(eps: Fraction):
+    """The intermediate check's score: |S_j||T n V_k| where the restricted
+    density strays from d(V_j, V_k) by more than eps, else 0."""
+    thresholds = {}
+
+    def score(cols, st, size, e):
+        if size not in thresholds:
+            thresholds[size] = _eps_thresholds(eps, size)
+        return np.where(np.abs(cols * size - e * st) > thresholds[size][st], st, 0)
+    return score
+
+
+def _one_part_scan(adj: np.ndarray, eps: Fraction):
+    """`_partition_scan` with `_violating_mass(eps)` on the one-part
+    partition of the vertices of the n x n matrix adj, in O(2^n n log n).
+
+    For a fixed T write c_v = e({v}, T).  Over |S| = s, e(S, T) ranges
+    between the sums of the s smallest and the s largest c_v, and the test
+    |e n^2 - E s t| > eps s t n^2 is convex in e, so a violating S of size s
+    exists exactly when one of those two sums violates.  T's mass is t
+    times the largest such s.  The first T of largest mass wins; for it
+    alone the e(S, T) table over S-masks yields the first S-mask of largest
+    score, as `_partition_scan` would pick.
+    """
+    n = adj.shape[0]
+    size = n * n
+    e_all = int(adj.sum())
+    thr = _eps_thresholds(eps, size)
+    bits = _mask_bits(np.arange(1 << n, dtype=np.int64), n).T  # mask x vertex
+    counts = np.sort(_int_matmul(bits, adj.T), axis=1)  # row T: c_v ascending
+    zero = np.zeros((1 << n, 1), dtype=np.int64)
+    low = np.concatenate([zero, np.cumsum(counts, axis=1)], axis=1)  # s smallest
+    high = np.concatenate([zero, np.cumsum(counts[:, ::-1], axis=1)], axis=1)  # s largest
+    pops = bits.sum(axis=1)
+    st = pops[:, None] * np.arange(n + 1)  # |T| s for every T and s = 0..n
+    lim = thr[st]
+    viol = (np.abs(low * size - e_all * st) > lim) | (np.abs(high * size - e_all * st) > lim)
+    mass = np.where(viol, st, 0).max(axis=1)
+    t_mask = int(mass.argmax())
+    e_s = _int_matmul(bits, adj[:, bits[t_mask] == 1].sum(axis=1))  # e(S, T) per S-mask
+    st_s = pops * pops[t_mask]
+    s_mask = int(np.where(np.abs(e_s * size - e_all * st_s) > thr[st_s], st_s, 0).argmax())
+    universe = list(range(n))
+    return int(mass[t_mask]), _mask_to_set(s_mask, universe), _mask_to_set(t_mask, universe)
 
 
 def max_st_irregularity(g: DiGraph, p: VertexPartition):
@@ -542,19 +612,23 @@ def max_st_irregularity_sigma_enum(g: DiGraph, p: VertexPartition):
 
 def check_intermediate(g: DiGraph, p: VertexPartition, epsilon) -> CheckReport:
     """For all S, T: mass of block pairs that are not (S,T,eps)-regular is
-    at most eps n^2.  Exact via the same per-part decomposition."""
+    at most eps n^2.
+
+    Exact.  A one-part partition takes the sorted-count closed form of
+    `_one_part_scan`; any other takes `_partition_scan` with the violating
+    mass as score.  Both compare against integer threshold tables, so a
+    float eps is decided exactly too.  The witness is the first T-mask of
+    largest mass and, within it, the first S-mask of largest score.
+    """
     n = p.n
     if n > INTERMEDIATE_LIMIT:
         raise EnumerationLimitError(f"exact intermediate check capped at {INTERMEDIATE_LIMIT}")
     eps = exactify(epsilon)
-    pn, pd = eps.numerator, eps.denominator
-
-    def violating_mass(cols, st, size, e):
-        viol = np.abs(cols * size - e * st) * pd > pn * st * size
-        return np.where(viol, st, 0)
-
-    best_val, S, T = _partition_scan(g, p, violating_mass)
-    passed = best_val * pd <= pn * n * n
+    if p.size == 1:
+        best_val, S, T = _one_part_scan(g.adjacency()[:n, :n], eps)
+    else:
+        best_val, S, T = _partition_scan(g, p, _violating_mass(eps))
+    passed = best_val * eps.denominator <= eps.numerator * n * n
     return CheckReport("intermediate", passed, (S, T), eps * n * n - best_val)
 
 

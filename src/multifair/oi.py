@@ -38,7 +38,7 @@ from fractions import Fraction
 
 from .core import OutcomeDist, OutcomeSpace, SimplexGrid, _max_abs_subset_sum, exactify
 from .errors import ConstructionError, EnumerationLimitError
-from .audits import AuditReport, _Prepared
+from .audits import AuditReport, _is_exact, _Prepared
 from .population import HypothesisClass, PopulationInstance, Predictor
 
 EXPLICIT_AUDIT_LIMIT = 10**6
@@ -288,7 +288,7 @@ def _first_reached_cell(prep, ys, h, per_level, target):
 
 def audit_oi(pop, predictor, family: DistinguisherFamily, backend="rational") -> AuditReport:
     """max_A |Delta_A| over the family, via closed forms for mc/smc/basic."""
-    exact = backend == "rational"
+    exact = _is_exact(backend)
     if family.kind == "explicit":
         if len(family.explicit_members) > EXPLICIT_AUDIT_LIMIT:
             raise EnumerationLimitError("explicit family too large to audit")
@@ -355,7 +355,7 @@ def best_response(pop, predictor, family: DistinguisherFamily, backend="rational
     mc/smc, a wrapper otherwise), so the result is always directly usable
     as a loss table.
     """
-    exact = backend == "rational"
+    exact = _is_exact(backend)
     if family.kind == "explicit":
         best = None
         for d in family.explicit_members:
@@ -426,7 +426,7 @@ def audit_oi_mc_bruteforce(pop, predictor, cls, grid, backend="rational"):
     Enumerates 2^(|Y| * outcomes * |grid|) events, so the cell count is
     capped at 12.
     """
-    prep = _Prepared(pop, predictor, backend == "rational", grid=grid)
+    prep = _Prepared(pop, predictor, _is_exact(backend), grid=grid)
     ys, tables = prep.per_cv_tables(cls)
     ell = pop.space.size
     n_cells = len(ys) * ell * grid.size

@@ -159,6 +159,11 @@ class HypothesisClass:
         object.__setattr__(self, "hypotheses", tuple(self.hypotheses))
         if not self.hypotheses:
             raise DomainError("hypothesis class must be nonempty")
+        names = set()
+        for h in self.hypotheses:
+            if h.name in names:
+                raise DomainError(f"two hypotheses are named {h.name!r}")
+            names.add(h.name)
         rng = self.hypotheses[0].range_values
         if any(h.range_values != rng for h in self.hypotheses):
             raise DomainError("all hypotheses in a class must share one range")

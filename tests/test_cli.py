@@ -50,6 +50,19 @@ def test_domain_error_exits_two(tmp_path):
     assert main(["audit", str(out), "--kind", "cov"]) == 2
 
 
+def test_duplicate_hypothesis_names_exit_two(tmp_path, capsys):
+    out = tmp_path / "inst.json"
+    assert main(["fixture", "random", "--seed", "3", "--hypotheses", "2",
+                 "--output", str(out)]) == 0
+    doc = read(out)
+    doc["hypotheses"][1]["name"] = doc["hypotheses"][0]["name"]
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["audit", str(out), "--kind", "mc"]) == 2
+    err = capsys.readouterr().err
+    assert "domain error" in err and "Traceback" not in err
+
+
 def test_conditional_audit(two_point, tmp_path):
     rep = tmp_path / "rep.json"
     assert main(["audit", str(two_point), "--kind", "conditional", "--epsilon", "0.3",

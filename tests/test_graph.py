@@ -39,6 +39,8 @@ from multifair import (
 )
 from multifair.graph import (
     _int_matmul,
+    _partition_scan,
+    _violating_mass,
     delta_st,
     delta_st_level,
     pair_id,
@@ -184,6 +186,29 @@ def test_regular_pair_complete_and_eps_one():
     assert check_regular_pair(g2, range(6), range(6), 1)[0]
 
 
+def test_regular_pair_matches_literal_definition_at_float_eps():
+    eps = 0.45
+    exact = F(eps)
+    X, Y = range(6), range(6, 12)
+    big = [tuple(v for v in range(6) if mask >> v & 1) for mask in range(64)]
+    big = [s for s in big if len(s) >= exact * 6]
+    for seed in range(20):
+        rng = np.random.default_rng(60 + seed)
+        g = random_digraph(rng, 12, float(rng.uniform(0.2, 0.8)))
+        adj = g.adjacency()
+        d_xy = F(int(adj[:6, 6:].sum()), 36)
+
+        def strays(S, T):
+            return abs(F(int(adj[np.ix_(S, T)].sum()), len(S) * len(T)) - d_xy) > exact
+
+        regular = not any(strays(S, [6 + v for v in T]) for S in big for T in big)
+        ok, witness = check_regular_pair(g, X, Y, eps)
+        assert ok == regular
+        if not ok:
+            S, T = witness
+            assert len(S) >= exact * 6 and len(T) >= exact * 6 and strays(S, T)
+
+
 def test_regular_pair_half_graph_fails():
     # edges u -> v iff u <= v across the bipartition {0,1} x {2,3}
     g = DiGraph(4, frozenset({(0, 2), (0, 3), (1, 3)}))
@@ -221,42 +246,87 @@ def test_fk_fail_witness_matches_pair_irregularity():
     assert dev == worst
 
 
+def _violating_mass_literal(g, p, S, T, eps):
+    """Mass of the block pairs whose (S, T)-restricted density strays by more than eps."""
+    mass = 0
+    for a in p.parts:
+        for b in p.parts:
+            sa, tb = set(S) & set(a), set(T) & set(b)
+            if sa and tb and abs(density(g, sa, tb) - density(g, a, b)) > eps:
+                mass += len(sa) * len(tb)
+    return mass
+
+
 def test_intermediate_checker_matches_manual_enumeration():
     g = random_digraph(np.random.default_rng(8), 6, 0.5)
     p = VertexPartition(((0, 1), (2, 3), (4, 5)))
-    eps = F(1, 4)
-    rep = check_intermediate(g, p, eps)
-    worst = 0
-    for ms in range(64):
-        S = {i for i in range(6) if ms >> i & 1}
-        for mt in range(64):
-            T = {i for i in range(6) if mt >> i & 1}
-            mass = 0
-            for a in p.parts:
-                for b in p.parts:
-                    sa, tb = S & set(a), T & set(b)
-                    if not sa or not tb:
-                        continue
-                    if abs(density(g, sa, tb) - density(g, a, b)) > eps:
-                        mass += len(sa) * len(tb)
-            worst = max(worst, mass)
-    assert rep.slack == eps * 36 - worst
-    assert rep.passed == (worst <= eps * 36)
+    subsets = [{i for i in range(6) if mask >> i & 1} for mask in range(64)]
+    for eps in (F(1, 4), 0.2, 0.45):
+        rep = check_intermediate(g, p, eps)
+        exact = F(eps)  # a float eps is its exact binary value
+        worst = max(_violating_mass_literal(g, p, S, T, exact) for S in subsets for T in subsets)
+        assert rep.slack == exact * 36 - worst
+        assert rep.passed == (worst <= exact * 36)
+        assert _violating_mass_literal(g, p, *rep.witness, exact) == worst
 
 
 def test_intermediate_checker_single_part():
     g = random_digraph(np.random.default_rng(9), 6, 0.5)
     p = VertexPartition.trivial(6)
-    eps = F(3, 10)
+    for eps in (F(3, 10), 0.2, 0.45):
+        rep = check_intermediate(g, p, eps)
+        exact = F(eps)
+        worst = 0
+        for ms in range(1, 64):
+            S = tuple(i for i in range(6) if ms >> i & 1)
+            for mt in range(1, 64):
+                T = tuple(i for i in range(6) if mt >> i & 1)
+                if abs(density(g, S, T) - density(g, range(6), range(6))) > exact:
+                    worst = max(worst, len(S) * len(T))
+        assert rep.slack == exact * 36 - worst
+
+
+def test_intermediate_float_eps_does_not_overflow():
+    # eps = 0.2 exceeds 1/5 by 2^-56, so its violating mass is at most 1/5's;
+    # an int64 product with the float's denominator reported 132 against 56
+    g = random_digraph(np.random.default_rng(1), 12, 0.5)
+    p = VertexPartition.trivial(12)
+    as_float = check_intermediate(g, p, 0.2)
+    as_fraction = check_intermediate(g, p, F(1, 5))
+    assert F(0.2) > F(1, 5)
+    assert F(0.2) * 144 - as_float.slack <= F(1, 5) * 144 - as_fraction.slack
+
+
+def test_one_part_kernel_matches_partition_scan():
+    # the sorted-count closed form against the exact T-scan it replaces, which
+    # takes its "full" pair table up to n = 11 and its "rows" table at n = 12
+    for n in range(1, 13):
+        for seed in range(2 if n < 11 else 1):
+            rng = np.random.default_rng(700 + 10 * n + seed)
+            g = random_digraph(rng, n, float(rng.choice([0.3, 0.5, 0.7])))
+            p = VertexPartition.trivial(n)
+            eps_list = {11: (F(1, 5), 0.45), 12: (0.2,)}.get(
+                n, (F(1, 5), F(3, 10), F(1, 2), 0.2, 0.45))
+            for eps in eps_list:
+                exact = F(eps)
+                rep = check_intermediate(g, p, eps)
+                best, S, T = _partition_scan(g, p, _violating_mass(exact))
+                assert (rep.passed, rep.slack, rep.witness) == \
+                    (best <= exact * n * n, exact * n * n - best, (S, T))
+
+
+def test_multi_part_scans_on_rows_pair_tables():
+    # one part of 12 of 14 vertices: its pair with itself has 2^24 > 2^22
+    # (S_j, T n V_k) entries, so the scans build its columns per T-chunk
+    eps = F(1, 5)
+    rng = np.random.default_rng(900)
+    g = random_digraph(rng, 14, 0.5)
+    perm = rng.permutation(14).tolist()
+    p = VertexPartition((tuple(perm[:12]), (perm[12],), (perm[13],)))
+    value, S, T = max_st_irregularity(g, p)
+    assert partition_st_irregularity(g, p, S, T) == value
     rep = check_intermediate(g, p, eps)
-    worst = 0
-    for ms in range(1, 64):
-        S = tuple(i for i in range(6) if ms >> i & 1)
-        for mt in range(1, 64):
-            T = tuple(i for i in range(6) if mt >> i & 1)
-            if abs(density(g, S, T) - density(g, range(6), range(6))) > eps:
-                worst = max(worst, len(S) * len(T))
-    assert rep.slack == eps * 36 - worst
+    assert _violating_mass_literal(g, p, *rep.witness, eps) == eps * 196 - rep.slack
 
 
 def _random_partition(rng, n):

@@ -24,7 +24,7 @@ from multifair import (
     oi_advantage,
     random_instance,
 )
-from multifair.errors import ConstructionError, EnumerationLimitError
+from multifair.errors import ConstructionError, DomainError, EnumerationLimitError
 from multifair.oi import monomial_multisets
 
 
@@ -48,6 +48,18 @@ def test_constant_distinguisher_zero_advantage():
     pop, _, pred = fixture_two_point()
     one = Distinguisher("const", lambda j, o, p: 1)
     assert oi_advantage(pop, pred, one) == 0
+
+
+def test_unknown_backend_rejected():
+    pop, cls, pred = fixture_two_point()
+    grid = identity_grid()
+    fam = make_family("mc", hypotheses=cls, grid=grid)
+    with pytest.raises(DomainError):
+        audit_oi(pop, pred, fam, backend="ratonal")
+    with pytest.raises(DomainError):
+        best_response(pop, pred, fam, backend="ratonal")
+    with pytest.raises(DomainError):
+        audit_oi_mc_bruteforce(pop, pred, cls, grid, backend="ratonal")
 
 
 def test_two_point_cell_advantage_quarter():

@@ -135,6 +135,14 @@ def test_hypothesis_rejects_off_range_values():
         Hypothesis("bad", (0, 1), {"x": 2})
 
 
+def test_hypothesis_class_rejects_duplicate_names():
+    from multifair import Hypothesis
+    pop, cls, _ = random_instance(np.random.default_rng(0), 4, 2, 2)
+    h0, h1 = cls.hypotheses
+    with pytest.raises(DomainError, match="c0"):
+        HypothesisClass((h0, Hypothesis(h0.name, h1.range_values, h1.values)))
+
+
 def test_indicator_all_is_constant_one():
     pop, _, _ = fixture_two_point()
     h = indicator_all(pop)
