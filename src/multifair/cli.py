@@ -79,9 +79,9 @@ def _load_instance(path, need_hypotheses=True, need_predictor=True):
 def _family_for(args, pop, cls, epsilon):
     kind = args.family
     if kind == "lowdegree":
-        return make_family("lowdegree", hypotheses=cls, degree=args.degree or 1,
-                           outcome_space=pop.space)
-    if args.grid_m:
+        degree = args.degree if args.degree is not None else 1
+        return make_family("lowdegree", hypotheses=cls, degree=degree, outcome_space=pop.space)
+    if args.grid_m is not None:
         grid = make_grid_with_denominator(pop.space, args.grid_m)
     else:
         grid = make_coordinate_grid(pop.space, float(epsilon))
@@ -105,7 +105,7 @@ def cmd_audit(args) -> int:
     elif kind == "cov":
         report = serialize.report_to_json(audit_covariance_mc(pop, predictor, cls, backend))
     elif kind == "oi":
-        family = _family_for(args, pop, cls, args.epsilon or "0.1")
+        family = _family_for(args, pop, cls, serialize.parse_number(args.epsilon or "0.1"))
         report = serialize.report_to_json(audit_oi(pop, predictor, family, backend))
     elif kind == "omni":
         if not args.losses:

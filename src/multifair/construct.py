@@ -130,16 +130,16 @@ def wal_sample_count(epsilon, beta, member_count) -> int:
 # ---------------------------------------------------------------------------
 
 
-def loss_from_distinguisher(d: Distinguisher, j, predictor, space) -> LossTable:
-    return LossTable(space, tuple(float(d.evaluate(j, o, predictor)) for o in space.labels))
+def loss_from_distinguisher(d: Distinguisher, pop, predictor) -> list:
+    """Per individual of the population: the loss table L_j(o) = A(j, o, p)."""
+    return [LossTable(pop.space, tuple(float(v) for v in row))
+            for row in d.values(pop.ids, predictor)]
 
 
 def _apply_update(pop, predictor, rule, d) -> Predictor:
-    out = {}
-    for j in pop.ids:
-        loss = loss_from_distinguisher(d, j, predictor, pop.space)
-        out[j] = update(rule, predictor.values[j], loss)
-    return Predictor(out)
+    losses = loss_from_distinguisher(d, pop, predictor)
+    return Predictor({j: update(rule, predictor.values[j], loss)
+                      for j, loss in zip(pop.ids, losses)})
 
 
 def _initial_divergence(pop, predictor, rule) -> float:
@@ -229,15 +229,15 @@ def empirical_advantages(members, pop, predictor, samples):
     for j, o in samples:
         counts[id_pos[j]] += 1
         obs_counts[id_pos[j], o_pos[o]] += 1
+    drawn = [i for i in range(len(pop.ids)) if counts[i] != 0]
+    drawn_ids = [pop.ids[i] for i in drawn]
+    pts = [[float(w) for w in predictor.values[j].weights] for j in drawn_ids]
     out = []
     for d in members:
         modeled = 0.0
         observed = 0.0
-        for i, j in enumerate(pop.ids):
-            if counts[i] == 0:
-                continue
-            vals = [float(d.evaluate(j, o, predictor)) for o in pop.space.labels]
-            pt = [float(w) for w in predictor.values[j].weights]
+        for i, pt, row in zip(drawn, pts, d.values(drawn_ids, predictor)):
+            vals = [float(v) for v in row]
             modeled += counts[i] * sum(a * b for a, b in zip(vals, pt))
             observed += sum(obs_counts[i, oi] * vals[oi] for oi in range(pop.space.size))
         out.append((modeled - observed) / n)
@@ -326,37 +326,13 @@ SELECT_ROUNDS_FACTOR = 8          # rounds = ceil(8 ln(1/beta))
 ANTI_CONCENTRATION_PROB = Fraction(1, 16)  # documented lower bound per round
 
 
-def label_sample(j, o, predictor, event, grid: SimplexGrid, rng: np.random.Generator):
-    """1[(1, o', rounded p_j) in E] - 1[(1, o, rounded p_j) in E] with o' ~ p_j.
-
-    Event cells may be written (outcome, grid point) or, matching the
-    family convention, (1, outcome, grid point).
-    """
-    d = predictor.values[j].as_exact()
-    g = tuple(grid.round_dist(d).weights)
-    ev = set()
-    for cell in event:
-        if len(cell) == 3:
-            one, oo, gg = cell
-            if one != 1:
-                raise DomainError("labeling events live over the y = 1 slice")
-            ev.add((oo, tuple(gg)))
-        else:
-            oo, gg = cell
-            ev.add((oo, tuple(gg)))
-    weights = [float(w) for w in predictor.values[j].weights]
-    labels = predictor.values[j].space.labels
-    o_prime = labels[int(rng.choice(len(labels), p=np.array(weights) / sum(weights)))]
-    return int((o_prime, g) in ev) - int((o, g) in ev)
-
-
 class ErmOverHypotheses:
     """ERM weak agnostic learner over a 0/1 hypothesis class.
 
     Searches the class together with its pointwise complements, so the
     complement-closure assumption of the selection lemma holds regardless
-    of how the class was specified.  Labeled data is (individual, y) with
-    y in [-1, 1]; a hypothesis is returned when its empirical correlation
+    of how the class was specified.  Labels y in [-1, 1] arrive summed per
+    individual; a hypothesis is returned when its empirical correlation
     E[c_x y] exceeds 3 eps / 4.
     """
 
@@ -371,21 +347,8 @@ class ErmOverHypotheses:
                 search.append(comp)
         self.search = search
 
-    @property
-    def search_size(self):
-        return len(self.search)
-
-    def __call__(self, eps, labeled):
-        if not labeled:
-            return None
-        n = len(labeled)
-        agg = {}
-        for x, y in labeled:
-            agg[x] = agg.get(x, 0.0) + y
-        return self.from_aggregates(eps, agg, n)
-
     def from_aggregates(self, eps, agg, n):
-        """Same ERM on per-individual label sums: E[c_x y] = sum_j c_j agg_j / n."""
+        """ERM on per-individual label sums: E[c_x y] = sum_j c_j agg_j / n."""
         best = None
         for h in self.search:
             corr = sum(h.values[j] * v for j, v in agg.items()) / n
@@ -398,7 +361,7 @@ class ErmOverHypotheses:
 
 def select_distinguisher_randomized(pop, predictor, cls: HypothesisClass, eps_prime,
                                     beta, rng: np.random.Generator,
-                                    grid: SimplexGrid, wal_over_cls=None):
+                                    grid: SimplexGrid):
     """Randomized event selection: returns an mc-family member or None.
 
     If some mc-family member has advantage above 8 sqrt(outcomes * |grid|)
@@ -409,12 +372,10 @@ def select_distinguisher_randomized(pop, predictor, cls: HypothesisClass, eps_pr
     if not pop.space.is_binary or not cls.is_binary:
         raise DomainError("randomized selection requires binary outcomes and hypotheses")
     epsp = float(eps_prime)
-    if wal_over_cls is None:
-        wal_over_cls = ErmOverHypotheses(cls)
+    learner = ErmOverHypotheses(cls)
     rounds = math.ceil(SELECT_ROUNDS_FACTOR * math.log(1 / beta))
-    search_size = getattr(wal_over_cls, "search_size", 2 * len(cls.hypotheses))
     n_per_round = math.ceil(
-        8 * math.log(2 * search_size * rounds / beta) / (epsp / 2) ** 2)
+        8 * math.log(2 * len(learner.search) * rounds / beta) / (epsp / 2) ** 2)
 
     cells = [(o, tuple(g.weights)) for o in pop.space.labels for g in grid.iter_points()]
     pred_exact = predictor.as_exact()
@@ -442,14 +403,10 @@ def select_distinguisher_randomized(pop, predictor, cls: HypothesisClass, eps_pr
         o_prime = (cum_mod[idx] < u2[:, None]).sum(axis=1)
         o_prime = np.minimum(o_prime, pop.space.size - 1)
         y = in_event[cell_of[idx, o_prime]] - in_event[cell_of[idx, o_star]]
-        if isinstance(wal_over_cls, ErmOverHypotheses):
-            # aggregate labels per individual so the ERM is O(|C| * |X|)
-            agg_arr = np.bincount(idx, weights=y.astype(float), minlength=len(pop.ids))
-            agg = {j: float(agg_arr[i]) for i, j in enumerate(pop.ids)}
-            c = wal_over_cls.from_aggregates(epsp, agg, n_per_round)
-        else:
-            pairs = [(pop.ids[i], float(v)) for i, v in zip(idx.tolist(), y.tolist())]
-            c = wal_over_cls(epsp, pairs)
+        # aggregate labels per individual so the ERM is O(|C| * |X|)
+        agg_arr = np.bincount(idx, weights=y.astype(float), minlength=len(pop.ids))
+        agg = {j: float(agg_arr[i]) for i, j in enumerate(pop.ids)}
+        c = learner.from_aggregates(epsp, agg, n_per_round)
         if c is not None:
             ev3 = {(1, o, g) for (o, g) in event}
             d = mc_event_distinguisher(c, ev3, grid)

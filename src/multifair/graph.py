@@ -98,6 +98,8 @@ class DiGraph:
 
 def random_digraph(rng: np.random.Generator, n: int, p: float = 0.5,
                    loops: bool = False) -> DiGraph:
+    if n < 0:
+        raise DomainError(f"vertex count {n} is negative")
     mat = rng.random((n, n)) < p
     if not loops:
         np.fill_diagonal(mat, False)
@@ -111,6 +113,8 @@ class VertexPartition:
     def __post_init__(self):
         parts = tuple(tuple(sorted(int(v) for v in p)) for p in self.parts)
         object.__setattr__(self, "parts", parts)
+        if not parts:
+            raise DomainError("a partition needs at least one part")
         seen = set()
         for p in parts:
             if not p:
@@ -148,6 +152,13 @@ class VertexPartition:
 # ---------------------------------------------------------------------------
 # Edge statistics
 # ---------------------------------------------------------------------------
+
+
+def _vertex_count(g: DiGraph, p: VertexPartition) -> int:
+    """n, after checking that p partitions exactly the vertices of g."""
+    if p.n != g.n:
+        raise DomainError(f"partition covers {p.n} vertices but the graph has {g.n}")
+    return p.n
 
 
 def edge_count(g: DiGraph, S, T) -> int:
@@ -372,7 +383,7 @@ class CheckReport:
 def check_szemeredi(g: DiGraph, p: VertexPartition, epsilon) -> CheckReport:
     """Mass of non-eps-regular part pairs at most eps n^2; exact."""
     eps = exactify(epsilon)
-    n = p.n
+    n = _vertex_count(g, p)
     bad_mass = 0
     witness = []
     for a in p.parts:
@@ -405,14 +416,14 @@ def check_frieze_kannan(g: DiGraph, p: VertexPartition, epsilon) -> CheckReport:
     The cut norm of the residual adjacency minus block density, scaled by
     the common block-size denominator L.
     """
-    n = p.n
+    n = _vertex_count(g, p)
     if n > FK_LIMIT:
         raise EnumerationLimitError(f"exact Frieze-Kannan check capped at {FK_LIMIT}")
     eps = exactify(epsilon)
     L = _pair_scale(p)
     if L * n * n > (1 << 60):
         raise EnumerationLimitError("block-size denominators too large for exact scan")
-    adj = g.adjacency()[:n, :n]
+    adj = g.adjacency()
     sizes = np.array([len(a) for a in p.parts], dtype=np.int64)
     d_scaled = _block_edges(adj, p) * (L // np.outer(sizes, sizes))
     block = p.block_of()
@@ -566,7 +577,7 @@ def max_st_irregularity(g: DiGraph, p: VertexPartition):
 
     Exact: a partition scan with the absolute block residual as score.
     """
-    n = p.n
+    n = _vertex_count(g, p)
     if n > FK_LIMIT:
         raise EnumerationLimitError(f"exact irregularity search capped at {FK_LIMIT}")
     if p.size == 1:
@@ -620,12 +631,12 @@ def check_intermediate(g: DiGraph, p: VertexPartition, epsilon) -> CheckReport:
     float eps is decided exactly too.  The witness is the first T-mask of
     largest mass and, within it, the first S-mask of largest score.
     """
-    n = p.n
+    n = _vertex_count(g, p)
     if n > INTERMEDIATE_LIMIT:
         raise EnumerationLimitError(f"exact intermediate check capped at {INTERMEDIATE_LIMIT}")
     eps = exactify(epsilon)
     if p.size == 1:
-        best_val, S, T = _one_part_scan(g.adjacency()[:n, :n], eps)
+        best_val, S, T = _one_part_scan(g.adjacency(), eps)
     else:
         best_val, S, T = _partition_scan(g, p, _violating_mass(eps))
     passed = best_val * eps.denominator <= eps.numerator * n * n
@@ -635,7 +646,7 @@ def check_intermediate(g: DiGraph, p: VertexPartition, epsilon) -> CheckReport:
 def spot_check_intermediate(g: DiGraph, p: VertexPartition, epsilon,
                             rng: np.random.Generator, samples: int = 2000) -> CheckReport:
     """Randomized, non-exhaustive intermediate check for larger graphs."""
-    n = p.n
+    n = _vertex_count(g, p)
     eps = exactify(epsilon)
     worst = Fraction(0)
     witness = None
@@ -972,6 +983,7 @@ def rectangle_class(g: DiGraph) -> HypothesisClass:
 
 def partition_to_predictor(g: DiGraph, p: VertexPartition) -> Predictor:
     """The density predictor: on V_j x V_k it outputs d(V_j, V_k)."""
+    _vertex_count(g, p)
     block = p.block_of()
     dens = {}
     for j, a in enumerate(p.parts):

@@ -16,6 +16,13 @@ the predictor only at the individual under consideration):
   smc        per-level hypothesis choice plus an event
   lowdegree  c(j) * (monomial of degree < k in p_j) * 1[o = o0]
 
+Members are data, not closures: basic, mc and smc members are events
+over (hypothesis value, outcome, grid point) cells, lowdegree members are
+(hypothesis, outcome, monomial) triples, and only explicit members carry
+a callable.  `Distinguisher.values` evaluates a member over a population
+at once, rounding each distinct prediction once; every advantage, loss
+table and empirical advantage goes through it.
+
 The mc and smc families have astronomically many members (every event E
 is one member) but their audits never enumerate: for a fixed hypothesis
 the best event is the set of cells where the modeled mass exceeds the
@@ -33,7 +40,7 @@ lowdegree audit reads the same prepared per-individual mass differences.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .core import OutcomeDist, OutcomeSpace, SimplexGrid, _max_abs_subset_sum, exactify
@@ -47,22 +54,95 @@ MC_ORACLE_CELL_LIMIT = 12
 
 @dataclass
 class Distinguisher:
+    """A family member as data; `payload` is what transcripts record.
+
+    event     `events` maps a grid point (weight tuple) to (c, cells): the
+              value at (j, o) is 1[(c(j), o) in cells] for the point nearest
+              p_j, and 0 at points without an entry.
+    monomial  `monomial` is (c, o0, indices): c(j) * prod_i p_j[i] * 1[o = o0].
+    explicit  `fn(j, o, predictor)`.
+
+    A `negated` member takes the value 1 - v.
+    """
+
     name: str
-    fn: object  # callable (j, outcome label, Predictor) -> value in [0, 1]
-    access_level: str = "sample-access"
+    fn: object = None
     payload: dict = field(default_factory=dict)
+    grid: SimplexGrid | None = None
+    events: dict | None = None
+    monomial: tuple | None = None
+    negated: bool = False
+
+    def values(self, ids, predictor):
+        """Per individual in `ids`: the member's value at each outcome, in label order.
+
+        Each distinct prediction is rounded onto the grid once per call.
+        """
+        rows = []
+        rounded = {}
+        for j in ids:
+            dist = predictor.values[j]
+            labels = dist.space.labels
+            if self.events is not None:
+                g = rounded.get(dist)
+                if g is None:
+                    g = rounded[dist] = tuple(self.grid.round_dist(dist.as_exact()).weights)
+                entry = self.events.get(g)
+                if entry is None:
+                    row = [0] * len(labels)
+                else:
+                    h, cells = entry
+                    y = h.values[j]
+                    row = [1 if (y, o) in cells else 0 for o in labels]
+            elif self.monomial is not None:
+                h, o0, mono = self.monomial
+                row = [h.values[j] * monomial_value(mono, dist) if o == o0 else 0
+                       for o in labels]
+            else:
+                row = [self.fn(j, o, predictor) for o in labels]
+            rows.append([1 - v for v in row] if self.negated else row)
+        return rows
 
     def evaluate(self, j, o, predictor):
-        return self.fn(j, o, predictor)
+        return self.values([j], predictor)[0][predictor.values[j].space.index(o)]
 
 
 def negate(d: Distinguisher) -> Distinguisher:
-    return Distinguisher(
-        name=f"not:{d.name}",
-        fn=lambda j, o, p, _f=d.fn: 1 - _f(j, o, p),
-        access_level=d.access_level,
-        payload={"negated": True, **d.payload},
-    )
+    """The pointwise complement 1 - A."""
+    return replace(d, name=f"not:{d.name}", payload={"negated": True, **d.payload},
+                   negated=not d.negated)
+
+
+def _event_member(grid: SimplexGrid, assignment, event, name, payload) -> Distinguisher:
+    """An event member: the (y, outcome, grid point) cells grouped by point.
+
+    `assignment` maps grid points to the hypothesis that reads their cells;
+    cells at a point without a hypothesis are never accepted.
+    """
+    events = {}
+    for y, o, w in event:
+        w = tuple(w)
+        h = assignment.get(w)
+        if h is not None:
+            events.setdefault(w, (h, set()))[1].add((y, o))
+    return Distinguisher(name, payload=payload, grid=grid, events=events)
+
+
+def mc_event_distinguisher(h, event, grid: SimplexGrid, name=None) -> Distinguisher:
+    """1[(c_j, o, rounded p_j) in E] for an event over (y, outcome, grid point)."""
+    ev = frozenset(event)
+    return _event_member(grid, {tuple(w): h for _, _, w in ev}, ev,
+                         name or f"event[{h.name},|E|={len(ev)}]",
+                         {"hypothesis": h.name, "event_cells": sorted(ev)})
+
+
+def monomial_distinguisher(h, o0, mono) -> Distinguisher:
+    """c(j) * (monomial in p_j) * 1[o = o0]."""
+    mono = tuple(mono)
+    return Distinguisher(f"mono[{h.name},{o0},{mono}]",
+                         payload={"hypothesis": h.name, "monomial_indices": list(mono),
+                                  "outcome": o0},
+                         monomial=(h, o0, mono))
 
 
 def monomial_multisets(ell: int, degree_bound: int):
@@ -87,8 +167,12 @@ class DistinguisherFamily:
     grid: SimplexGrid | None = None
     degree: int | None = None
     explicit_members: tuple | None = None
-    negation_closed: bool = False
     outcome_space: OutcomeSpace | None = None  # lowdegree only; the others use grid.space
+
+    @property
+    def negation_closed(self) -> bool:
+        """mc and smc contain every member's complement (the complementary event)."""
+        return self.kind in ("mc", "smc")
 
     def member_count(self):
         if self.kind == "explicit":
@@ -112,10 +196,16 @@ class DistinguisherFamily:
         """Materialize the member list; refused for the implicit mc/smc kinds."""
         if self.kind == "explicit":
             return list(self.explicit_members)
+        cls = self.hypotheses
         if self.kind == "basic":
-            return list(_basic_members(self.hypotheses, self.grid))
+            return [mc_event_distinguisher(h, [(y, o, tuple(g.weights))], self.grid,
+                                           name=f"cell[{h.name},{y},{o}]")
+                    for h in cls for y in cls.range_values
+                    for o in self.grid.space.labels for g in self.grid.iter_points()]
         if self.kind == "lowdegree":
-            return list(_lowdegree_members(self.hypotheses, self.outcome_space, self.degree))
+            return [monomial_distinguisher(h, o0, mono) for h in cls
+                    for o0 in self.outcome_space.labels
+                    for mono in monomial_multisets(self.outcome_space.size, self.degree)]
         raise EnumerationLimitError(
             f"{self.kind} family has {self.member_count()} members; not materializable"
         )
@@ -133,11 +223,7 @@ def make_family(kind, hypotheses=None, grid=None, degree=None, members=None,
     if kind in ("basic", "mc", "smc"):
         if grid is None:
             raise ConstructionError(f"{kind} family needs a simplex grid")
-        fam = DistinguisherFamily(
-            kind=kind, hypotheses=hypotheses, grid=grid,
-            negation_closed=(kind in ("mc", "smc")),
-        )
-        return fam
+        return DistinguisherFamily(kind=kind, hypotheses=hypotheses, grid=grid)
     if kind == "lowdegree":
         if degree is None or degree < 1:
             raise ConstructionError("lowdegree family needs degree k >= 1")
@@ -146,70 +232,6 @@ def make_family(kind, hypotheses=None, grid=None, degree=None, members=None,
         return DistinguisherFamily(kind="lowdegree", hypotheses=hypotheses, degree=degree,
                                    outcome_space=outcome_space)
     raise ConstructionError(f"unknown family kind {kind!r}")
-
-
-def _basic_members(cls: HypothesisClass, grid: SimplexGrid):
-    ell_labels = grid.space.labels
-    for h in cls:
-        for y in cls.range_values:
-            for o in ell_labels:
-                for g in grid.iter_points():
-                    def fn(j, oo, pred, _h=h, _y=y, _o=o, _g=g, _grid=grid):
-                        return 1 if (_h.values[j] == _y and oo == _o
-                                     and _grid.round_dist(pred.values[j].as_exact()) == _g) else 0
-                    yield Distinguisher(
-                        name=f"cell[{h.name},{y},{o}]",
-                        fn=fn,
-                        payload={"hypothesis": h.name, "event_cells": [(y, o, tuple(g.weights))]},
-                    )
-
-
-def _lowdegree_members(cls: HypothesisClass, space: OutcomeSpace, degree):
-    for h in cls:
-        for o0 in space.labels:
-            for mono in monomial_multisets(space.size, degree):
-                def fn(j, oo, pred, _h=h, _o0=o0, _m=mono):
-                    if oo != _o0:
-                        return 0
-                    return _h.values[j] * monomial_value(_m, pred.values[j])
-                yield Distinguisher(
-                    name=f"mono[{h.name},{o0},{mono}]",
-                    fn=fn,
-                    payload={"hypothesis": h.name, "monomial_indices": list(mono),
-                             "outcome": o0},
-                )
-
-
-def mc_event_distinguisher(h, event, grid: SimplexGrid, name=None) -> Distinguisher:
-    """1[(c_j, o, rounded p_j) in E] for an event over (y, outcome, grid point)."""
-    ev = frozenset(event)
-    def fn(j, o, pred, _h=h, _ev=ev, _grid=grid):
-        g = _grid.round_dist(pred.values[j].as_exact())
-        return 1 if (_h.values[j], o, tuple(g.weights)) in _ev else 0
-    return Distinguisher(
-        name=name or f"event[{h.name},|E|={len(ev)}]",
-        fn=fn,
-        payload={"hypothesis": h.name,
-                 "event_cells": sorted((y, o, w) for (y, o, w) in ev)},
-    )
-
-
-def smc_event_distinguisher(assignment, event, grid: SimplexGrid, name=None) -> Distinguisher:
-    """Per-level hypothesis assignment with a shared event."""
-    ev = frozenset(event)
-    amap = dict(assignment)  # grid-point weight tuple -> Hypothesis
-    def fn(j, o, pred, _a=amap, _ev=ev, _grid=grid):
-        g = tuple(_grid.round_dist(pred.values[j].as_exact()).weights)
-        h = _a.get(g)
-        if h is None:
-            return 0
-        return 1 if (h.values[j], o, g) in _ev else 0
-    return Distinguisher(
-        name=name or "level-assigned-event",
-        fn=fn,
-        payload={"assignment": {str(k): h.name for k, h in amap.items()},
-                 "event_cells": sorted((y, o, w) for (y, o, w) in ev)},
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -223,18 +245,15 @@ def oi_advantage(pop: PopulationInstance, predictor: Predictor, d: Distinguisher
     predictor.check_total(pop)
     pred = predictor.as_exact() if exact else predictor
     total = Fraction(0) if exact else 0.0
-    for j in pop.ids:
+    for j, row in zip(pop.ids, d.values(pop.ids, pred)):
         w = exactify(pop.weight[j]) if exact else float(pop.weight[j])
         if w == 0:
             continue
         pt = pred.values[j].weights
         ps = pop.p_true[j].weights
-        for o_idx, o in enumerate(pop.space.labels):
+        for o_idx, a in enumerate(row):
             coef = pt[o_idx] - ps[o_idx]
-            if coef == 0:
-                continue
-            a = d.evaluate(j, o, pred)
-            if a != 0:
+            if coef != 0 and a != 0:
                 v = w * (exactify(coef) * exactify(a) if exact else float(coef) * float(a))
                 total += v
     return total
@@ -352,8 +371,8 @@ def best_response(pop, predictor, family: DistinguisherFamily, backend="rational
 
     When the maximizer's signed advantage is negative the pointwise
     complement 1 - A is returned instead (the structural negation inside
-    mc/smc, a wrapper otherwise), so the result is always directly usable
-    as a loss table.
+    mc/smc, a `negated` member otherwise), so the result is always
+    directly usable as a loss table.
     """
     exact = _is_exact(backend)
     if family.kind == "explicit":
@@ -371,15 +390,7 @@ def best_response(pop, predictor, family: DistinguisherFamily, backend="rational
         report = _audit_lowdegree(pop, predictor, family, exact)
         w = report.witness
         h = next(h for h in family.hypotheses if h.name == w["hypothesis"])
-        mono = tuple(w["monomial_indices"])
-        o0 = w["outcome"]
-        def fn(j, oo, pred, _h=h, _o0=o0, _m=mono):
-            if oo != _o0:
-                return 0
-            return _h.values[j] * monomial_value(_m, pred.values[j])
-        d = Distinguisher(f"mono[{h.name},{o0},{mono}]", fn,
-                          payload={"hypothesis": h.name, "monomial_indices": list(mono),
-                                   "outcome": o0})
+        d = monomial_distinguisher(h, w["outcome"], w["monomial_indices"])
         adv = oi_advantage(pop, predictor, d, exact=exact)
         if adv < 0:
             return negate(d), -adv
@@ -397,11 +408,13 @@ def best_response(pop, predictor, family: DistinguisherFamily, backend="rational
         return mc_event_distinguisher(cls.hypotheses[c], cells, family.grid), _mass(prep, pos[c])
     if family.kind == "smc":
         choice = _smc_choice(prep, tables)
-        assignment = [(tuple(prep.levels[v].weights), cls.hypotheses[c])
-                      for v, (c, _) in enumerate(choice)]
-        cells = [cell for v, (c, _) in enumerate(choice)
-                 for cell in _positive_cells(prep, ys, tables[c], [v])]
-        d = smc_event_distinguisher(assignment, cells, family.grid)
+        amap = {tuple(prep.levels[v].weights): cls.hypotheses[c]
+                for v, (c, _) in enumerate(choice)}
+        cells = sorted(cell for v, (c, _) in enumerate(choice)
+                       for cell in _positive_cells(prep, ys, tables[c], [v]))
+        d = _event_member(family.grid, amap, cells, "level-assigned-event",
+                          {"assignment": {str(k): h.name for k, h in amap.items()},
+                           "event_cells": cells})
         return d, prep.to_mass(sum(s for _, s in choice))
     # basic: binary instances always tie (y, "0", l) against (y, "1", l), so the
     # first-reached order is what keeps the witness, and with it the

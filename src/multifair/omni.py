@@ -92,6 +92,8 @@ def omni_audit(pop: PopulationInstance, predictor: Predictor, losses,
     The breakdown keeps the signed per-pair gaps; the report value clips
     below at zero so it compares directly against a slack eps.
     """
+    if not losses:
+        raise DomainError("an omniprediction audit needs at least one loss")
     act_of = _action_map(losses, cls)
     predictor.check_total(pop)
     pred = predictor.as_exact()

@@ -350,6 +350,8 @@ def random_instance(rng: np.random.Generator, n_individuals: int, n_outcomes: in
     Weights and conditionals are built from small random integers so all
     denominators stay tame under the exact backend.
     """
+    if n_individuals < 1:
+        raise DomainError("a random instance needs at least one individual")
     if n_outcomes == 2:
         space = binary_space()
     else:

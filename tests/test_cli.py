@@ -235,3 +235,37 @@ def test_sampled_failure_exit_three_retains_transcript(tmp_path, monkeypatch):
     doc = read(out)
     assert doc["failed"] is True
     assert doc["transcript"]["succeeded"] is False
+
+
+BAD_INPUTS = [
+    (["audit", "{tp}", "--kind", "oi", "--epsilon", "abc"], 1),
+    (["audit", "{tp}", "--kind", "omni", "--losses", "{empty}"], 2),
+    (["omni", "{tp}", "--losses", "{empty}"], 2),
+    (["audit", "{tp}", "--kind", "oi", "--grid-m", "0"], 2),
+    (["audit", "{tp}", "--kind", "oi", "--family", "lowdegree", "--degree", "0"], 2),
+    (["construct", "{tp}", "--epsilon", "0.05", "--grid-m", "0"], 2),
+    (["construct", "{tp}", "--epsilon", "0.2", "--family", "lowdegree", "--degree", "0"], 2),
+    (["fixture", "random", "--seed", "1", "--individuals", "0"], 2),
+    (["fixture", "graph-random", "--seed", "1", "--n", "-1"], 2),
+    (["graph", "{g6}", "--task", "correspond", "--partition", "{empty}"], 2),
+] + [
+    (["graph", "{g6}", "--task", task, "--epsilon", "0.3", "--partition", part], 2)
+    for task in ("check-fk", "check-int", "check-sz", "correspond")
+    for part in ("{small}", "{large}")
+]
+
+
+@pytest.mark.parametrize("argv,code", BAD_INPUTS, ids=[" ".join(a) for a, _ in BAD_INPUTS])
+def test_bad_inputs_exit_cleanly(argv, code, two_point, tmp_path, capsys):
+    files = {"tp": two_point}
+    for name, doc in (("empty", []), ("small", [[0, 1], [2, 3]]),
+                      ("large", [[0, 1, 2, 3], [4, 5, 6, 7]])):
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(doc))
+    files["g6"] = tmp_path / "g6.json"
+    assert main(["fixture", "graph-random", "--seed", "1", "--n", "6",
+                 "--output", str(files["g6"])]) == 0
+    capsys.readouterr()
+    assert main([a.format(**files) for a in argv]) == code
+    err = capsys.readouterr().err
+    assert err and "Traceback" not in err

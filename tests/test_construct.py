@@ -17,7 +17,6 @@ from multifair import (
     construct_sampled,
     fixture_two_point,
     indicator_all,
-    label_sample,
     make_family,
     make_grid_with_denominator,
     mwu_rule,
@@ -201,28 +200,8 @@ def test_sampled_iteration_cap_formula():
 
 
 # ---------------------------------------------------------------------------
-# label and randomized selection
+# randomized selection
 # ---------------------------------------------------------------------------
-
-
-def test_label_empty_and_full_events():
-    pop, _, pred = fixture_two_point()
-    grid = identity_grid()
-    rng = np.random.default_rng(0)
-    assert label_sample("0", "1", pred, set(), grid, rng) == 0
-    full = {(1, o, tuple(g.weights)) for o in pop.space.labels
-            for g in grid.iter_points()}
-    assert label_sample("0", "1", pred, full, grid, rng) == 0
-
-
-def test_label_deterministic_case():
-    pop, _, pred = fixture_two_point()
-    grid = identity_grid()
-    event = {(1, "1", (F(0), F(1))), (1, "1", (F(1), F(0)))}
-    rng = np.random.default_rng(1)
-    # individual "1" predicts Bernoulli(1): the modeled draw is always "1"
-    for _ in range(10):
-        assert label_sample("1", "0", pred, event, grid, rng) == 1
 
 
 def test_select_distinguisher_round_count():

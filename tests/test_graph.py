@@ -45,6 +45,7 @@ from multifair.graph import (
     delta_st_level,
     pair_id,
     rational_sqrt_upper,
+    spot_check_intermediate,
 )
 from multifair.errors import (
     DomainError,
@@ -488,6 +489,34 @@ def test_equivalence_bounds_on_random_graphs():
     assert rep["intermediate_pass"]
     assert rep["max_st_irregularity"] == 0
     assert rep.get("converse_verified")
+
+
+@pytest.mark.parametrize("parts", [((0, 1), (2, 3)), ((0, 1, 2, 3), (4, 5, 6, 7))])
+@pytest.mark.parametrize("entry", [
+    lambda g, p: check_frieze_kannan(g, p, F(3, 10)),
+    lambda g, p: check_intermediate(g, p, F(3, 10)),
+    lambda g, p: check_szemeredi(g, p, F(3, 10)),
+    lambda g, p: spot_check_intermediate(g, p, F(3, 10), np.random.default_rng(0), 10),
+    max_st_irregularity,
+    partition_to_predictor,
+], ids=["frieze-kannan", "intermediate", "szemeredi", "spot-intermediate",
+        "max-st-irregularity", "partition-to-predictor"])
+def test_partition_of_another_vertex_count_is_rejected(entry, parts):
+    # a 4-vertex partition used to check only the induced subgraph on 0..3,
+    # and an 8-vertex one to index past the adjacency matrix
+    g = random_digraph(np.random.default_rng(3), 6, 0.5)
+    with pytest.raises(DomainError, match="partition covers"):
+        entry(g, VertexPartition(parts))
+
+
+def test_empty_partition_is_rejected():
+    with pytest.raises(DomainError):
+        VertexPartition(())
+
+
+def test_random_digraph_rejects_negative_vertex_count():
+    with pytest.raises(DomainError):
+        random_digraph(np.random.default_rng(0), -1)
 
 
 def test_rational_sqrt_upper():

@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction as F
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from multifair import (
     Distinguisher,
+    LossTable,
     OutcomeDist,
     Predictor,
     SimplexGrid,
@@ -21,11 +23,14 @@ from multifair import (
     grid_fixture_smc_closed_form,
     make_family,
     make_grid_with_denominator,
+    mwu_rule,
     oi_advantage,
     random_instance,
+    stat_distance,
+    update,
 )
 from multifair.errors import ConstructionError, DomainError, EnumerationLimitError
-from multifair.oi import monomial_multisets
+from multifair.oi import monomial_multisets, negate
 
 
 def identity_grid():
@@ -273,3 +278,76 @@ def test_sample_access_probe_mc_and_lowdegree():
     d2, _ = best_response(pop, pred, fam2)
     for o in pop.space.labels:
         assert d2.evaluate("0", o, pred) == d2.evaluate("0", o, other)
+
+
+@functools.lru_cache(maxsize=None)
+def _nearest_point(grid, dist):
+    """The first grid point of least statistical distance to the exactified dist."""
+    return min(grid.iter_points(), key=lambda g: stat_distance(dist.as_exact(), g))
+
+
+def _oracle_value(d, pop, cls, grid, j, o, pred):
+    """A member's value at (j, o), read literally off its payload."""
+    payload = d.payload
+    by_name = {h.name: h for h in cls}
+    if "monomial_indices" in payload:
+        h = by_name[payload["hypothesis"]]
+        v = 0
+        if o == payload["outcome"]:
+            v = h.values[j]
+            for i in payload["monomial_indices"]:
+                v = v * pred.values[j].weights[i]
+    else:
+        point = tuple(_nearest_point(grid, pred.values[j]).weights)
+        if "assignment" in payload:
+            name = payload["assignment"].get(str(point))
+        else:
+            name = payload["hypothesis"]
+        cells = {(y, oo, tuple(w)) for y, oo, w in payload["event_cells"]}
+        v = int(name is not None and (by_name[name].values[j], o, point) in cells)
+    return 1 - v if payload.get("negated") else v
+
+
+@pytest.mark.parametrize("ell", [2, 3, 8])
+def test_population_evaluation_matches_payload_oracle(ell):
+    rng = np.random.default_rng(200 + ell)
+    for _ in range(2):
+        pop, cls, pred = random_instance(rng, 8, ell, 3)
+        grid = make_grid_with_denominator(pop.space, 2)
+        # one MWU step leaves float predictions whose exact sums miss 1
+        rule = mwu_rule(pop.space, 0.7)
+        losses = LossTable(pop.space, tuple((k % 3) / 2 for k in range(ell)))
+        fpred = Predictor({j: update(rule, pred.values[j], losses) for j in pop.ids})
+        assert any(sum(F(w) for w in fpred.values[j].weights) != 1 for j in pop.ids)
+        fam_low = make_family("lowdegree", hypotheses=cls, degree=2, outcome_space=pop.space)
+        for p in (pred, fpred):
+            members = [best_response(pop, p, make_family(k, hypotheses=cls, grid=grid))[0]
+                       for k in ("basic", "mc", "smc")]
+            members += [best_response(pop, p, fam_low)[0]] + fam_low.members()
+            # the payload marks a negation but not how many: complement each once
+            members += [negate(d) for d in members if not d.payload.get("negated")]
+            for d in members:
+                rows = d.values(pop.ids, p)
+                for j, row in zip(pop.ids, rows):
+                    for o, v in zip(pop.space.labels, row):
+                        want = _oracle_value(d, pop, cls, grid, j, o, p)
+                        assert v == want and d.evaluate(j, o, p) == want, (d.name, j, o)
+
+
+def test_negate_complements_and_double_negation_restores():
+    rng = np.random.default_rng(12)
+    pop, cls, pred = random_instance(rng, 6, 3, 2)
+    grid = make_grid_with_denominator(pop.space, 2)
+    explicit = Distinguisher("o0", lambda j, o, p: F(1, 3) if o == "0" else 0)
+    members = [explicit,
+               best_response(pop, pred, make_family("mc", hypotheses=cls, grid=grid))[0],
+               make_family("lowdegree", hypotheses=cls, degree=2,
+                           outcome_space=pop.space).members()[4]]
+    for d in members:
+        once, twice = negate(d), negate(negate(d))
+        base = d.values(pop.ids, pred)
+        assert once.values(pop.ids, pred) == [[1 - v for v in row] for row in base]
+        assert twice.values(pop.ids, pred) == base
+        assert once.payload["negated"] is True and twice.payload["negated"] is True
+        assert once.name == f"not:{d.name}"
+        assert oi_advantage(pop, pred, once) == -oi_advantage(pop, pred, d)
