@@ -16,10 +16,22 @@ converted back to a Fraction at the very end.  Level-set identity is exact
 equality of prediction values.  The float backend uses the same algorithms
 on floats and clusters prediction values within 1e-9.
 
-The signed cell table of `_Prepared` is shared with the OI event-family
-audits in `oi`, which build it on the levels of the grid-rounded
-predictor instead: the mc OI audit is the multi-calibration distance over
-those levels, with the modeled mass still taken from the raw predictor.
+Every audit here, the OI event-family audits in `oi` and the
+omniprediction audit in `omni` each make one call of
+`_Prepared.cell_tables`, which sums per-individual rows of scaled masses
+per (hypothesis, level, hypothesis value y).  They differ only in the rows
+they pass and in how they reduce the table:
+
+    MA, MC, SMC, OI families   diff: modeled - true mass per outcome
+    covariance                 (mass, true-one mass); E[c] and E[c o*]
+                               are y-weighted sums over the range
+    violation, conditional     (mass, true-one mass, modeled - true one mass)
+                               in the column of y = 1
+    omniprediction             star: true mass per outcome
+
+The OI event families build the table on the levels of the grid-rounded
+predictor: the mc OI audit is the multi-calibration distance over those
+levels, with the modeled mass still taken from the raw predictor.
 
 The chain MA <= MC <= SMC holds exactly on every instance, as does the
 discretization inequality SMC(rounded p) <= |grid| * MC(p) + eta.
@@ -82,14 +94,15 @@ class ConditionalCheckResult:
 class _Prepared:
     """Instance + predictor flattened into integer (or float) mass arrays.
 
-    Exact mode stores, per individual j and outcome o, the integers
-    D * w_j * p(o) for both the predictor and the truth, where D is the
-    least common denominator of every such product.
+    Exact mode stores, per individual j and outcome o, the integer
+    D * w_j * p*_j(o) of the truth (`star`) and the signed difference
+    D * w_j * (p_j(o) - p*_j(o)) of the predictor against it (`diff`),
+    where D is the least common denominator of every such product.
 
     Levels group individuals by prediction value.  With a grid they group
     by the grid-rounded prediction instead, which is what the OI event
     families condition on; the modeled mass still comes from the raw
-    predictor.
+    predictor.  `level_weight` holds each level's scaled mass.
     """
 
     def __init__(self, pop: PopulationInstance, predictor: Predictor, exact: bool,
@@ -116,11 +129,11 @@ class _Prepared:
                 for f in row:
                     D = D * f.denominator // math.gcd(D, f.denominator)
             self.D = D
-            self.tilde = [[int(f * D) for f in row] for row in tilde_fr]
+            tilde = [[int(f * D) for f in row] for row in tilde_fr]
             self.star = [[int(f * D) for f in row] for row in star_fr]
         else:
             self.D = 1.0
-            self.tilde = [
+            tilde = [
                 [float(pop.weight[j]) * float(d.weights[o]) for o in range(ell)]
                 for j, d in zip(pop.ids, self.dists)
             ]
@@ -128,8 +141,7 @@ class _Prepared:
                 [float(pop.weight[j]) * float(pop.p_true[j].weights[o]) for o in range(ell)]
                 for j in pop.ids
             ]
-        self.w_int = [sum(row) for row in self.star]
-        self.diff = [[t - s for t, s in zip(tr, sr)] for tr, sr in zip(self.tilde, self.star)]
+        self.diff = [[t - s for t, s in zip(tr, sr)] for tr, sr in zip(tilde, self.star)]
 
         if grid is not None:
             rounded = {}
@@ -152,9 +164,9 @@ class _Prepared:
         self.levels = order
         idx = {d: i for i, d in enumerate(order)}
         self.level_of = [idx[d] for d in self.level_dists]
-        self.level_members = [[] for _ in order]
-        for pos, li in enumerate(self.level_of):
-            self.level_members[li].append(pos)
+        self.level_weight = [0] * len(order)
+        for li, row in zip(self.level_of, self.star):
+            self.level_weight[li] += sum(row)
 
     def _cluster_levels(self):
         dists = self.dists
@@ -168,54 +180,47 @@ class _Prepared:
         reps = {t: OutcomeDist(self.pop.space, rep_of[t]) for t in uniq}
         return [reps[tuple(float(w) for w in d.weights)] for d in dists]
 
-    def hypothesis_index_arrays(self, cls: HypothesisClass):
-        """Per hypothesis: y-index per individual, plus the shared y ordering."""
+    def cell_tables(self, cls: HypothesisClass, rows):
+        """Sums of per-individual rows per (hypothesis, level, y).
+
+        `rows[pos]` holds k scaled masses for individual pos (k is read from
+        the rows).  Returns (ys, tables) with ys the class's range in order
+        and tables[c][level][y * k + i] the sum of rows[pos][i] over the
+        level's members on which hypothesis c takes the y-th value.  The
+        module docstring lists the rows each audit passes.
+
+        The rows callers pass are masses or differences of masses, so the
+        absolute values in any one column sum to at most 2D: under
+        D <= 2^40 no int64 partial sum can overflow.
+        """
         ys = list(cls.range_values)
         y_idx = {y: i for i, y in enumerate(ys)}
-        arrays = []
-        for h in cls:
-            arrays.append([y_idx[h.values[j]] for j in self.ids])
-        return ys, arrays
-
-    def per_cv_tables(self, cls: HypothesisClass):
-        """Signed mass differences per (hypothesis, level, y, o), integer-scaled.
-
-        Returns an array-like indexed [c][level][y * ell + o] with entries
-        sum over the level's members of (tilde - star).  One pass serves
-        the MA, MC, and strict audits alike.
-        """
-        ell = self.pop.space.size
-        ys, y_arrays = self.hypothesis_index_arrays(cls)
+        y_arrays = [[y_idx[h.values[j]] for j in self.ids] for h in cls]
         ny = len(ys)
-        nc = len(cls.hypotheses)
         nv = len(self.levels)
         n = len(self.ids)
-        diff = self.diff
+        k = len(rows[0])
 
-        if self.exact and self.D <= _NUMPY_SAFE_LIMIT and n * ell > 512:
-            diff_np = np.asarray(diff, dtype=np.int64).reshape(-1)
-            o_part = np.tile(np.arange(ell, dtype=np.int64), n)
-            lvl = np.repeat(np.asarray(self.level_of, dtype=np.int64), ell)
+        if self.exact and self.D <= _NUMPY_SAFE_LIMIT and n * k > 512:
+            flat = np.asarray(rows, dtype=np.int64).reshape(-1)
+            i_part = np.tile(np.arange(k, dtype=np.int64), n)
+            lvl = np.repeat(np.asarray(self.level_of, dtype=np.int64) * ny, k)
             out = []
             for y_arr in y_arrays:
-                keys = (lvl * ny + np.repeat(np.asarray(y_arr, dtype=np.int64), ell)) * ell + o_part
-                acc = np.zeros(nv * ny * ell, dtype=np.int64)
-                np.add.at(acc, keys, diff_np)
-                out.append([
-                    [int(acc[(v * ny + y) * ell + o]) for y in range(ny) for o in range(ell)]
-                    for v in range(nv)
-                ])
+                keys = (lvl + np.repeat(np.asarray(y_arr, dtype=np.int64), k)) * k + i_part
+                acc = np.zeros(nv * ny * k, dtype=np.int64)
+                np.add.at(acc, keys, flat)
+                out.append(acc.reshape(nv, ny * k).tolist())
             return ys, out
 
         out = []
         for y_arr in y_arrays:
-            tables = [[0] * (ny * ell) for _ in range(nv)]
-            for pos in range(n):
-                row = tables[self.level_of[pos]]
-                base = y_arr[pos] * ell
-                drow = diff[pos]
-                for o in range(ell):
-                    row[base + o] += drow[o]
+            tables = [[0] * (ny * k) for _ in range(nv)]
+            for li, y, row in zip(self.level_of, y_arr, rows):
+                cells = tables[li]
+                base = y * k
+                for i, x in enumerate(row):
+                    cells[base + i] += x
             out.append(tables)
         return ys, out
 
@@ -225,15 +230,9 @@ class _Prepared:
             return Fraction(scaled_total, 2 * self.D)
         return scaled_total / 2.0
 
-    def level_value(self, level_index):
-        return self.levels[level_index]
-
     def to_mass(self, scaled):
         """Convert an accumulated scaled mass into a probability mass."""
         return Fraction(scaled, self.D) if self.exact else float(scaled)
-
-    def level_mass(self, level_index):
-        return self.to_mass(sum(self.w_int[pos] for pos in self.level_members[level_index]))
 
 
 def _is_exact(backend) -> bool:
@@ -256,7 +255,7 @@ def audit_multi_accuracy(pop, predictor, cls, backend="rational") -> AuditReport
     """max_c delta((c_i, modeled), (c_i, true)); the predictor is multi-accurate
     with slack eps iff the value is <= eps."""
     prep = _prepare(pop, predictor, backend)
-    ys, tables = prep.per_cv_tables(cls)
+    ys, tables = prep.cell_tables(cls, prep.diff)
     breakdown = {}
     for h, per_level in zip(cls, tables):
         cells = [0] * len(per_level[0])
@@ -271,7 +270,7 @@ def audit_multi_accuracy(pop, predictor, cls, backend="rational") -> AuditReport
 def audit_multi_calibration(pop, predictor, cls, backend="rational") -> AuditReport:
     """max_c delta((c_i, modeled, p_i), (c_i, true, p_i))."""
     prep = _prepare(pop, predictor, backend)
-    ys, tables = prep.per_cv_tables(cls)
+    ys, tables = prep.cell_tables(cls, prep.diff)
     breakdown = {}
     for h, per_level in zip(cls, tables):
         breakdown[h.name] = prep.to_value(sum(abs(x) for row in per_level for x in row))
@@ -282,7 +281,7 @@ def audit_multi_calibration(pop, predictor, cls, backend="rational") -> AuditRep
 def audit_strict_multi_calibration(pop, predictor, cls, backend="rational") -> AuditReport:
     """E over level sets of the per-level worst hypothesis distance."""
     prep = _prepare(pop, predictor, backend)
-    ys, tables = prep.per_cv_tables(cls)
+    ys, tables = prep.cell_tables(cls, prep.diff)
     total = 0
     breakdown = {}
     witness = None
@@ -291,8 +290,8 @@ def audit_strict_multi_calibration(pop, predictor, cls, backend="rational") -> A
         per_c = [sum(abs(x) for x in tables[c][v]) for c in range(len(cls.hypotheses))]
         best_c = max(range(len(per_c)), key=lambda c: per_c[c])
         total += per_c[best_c]
-        level_value = prep.level_value(v)
-        mass = prep.level_mass(v)
+        level_value = prep.levels[v]
+        mass = prep.to_mass(prep.level_weight[v])
         contribution = prep.to_value(per_c[best_c])
         record = {
             "level": level_value,
@@ -324,22 +323,23 @@ def audit_covariance_mc(pop, predictor, cls, backend="rational") -> AuditReport:
             raise DomainError(f"hypothesis {h.name}: range must lie in [0, 1]")
     prep = _prepare(pop, predictor, backend)
     one = pop.space.index("1")
+    ys, tables = prep.cell_tables(cls, [(sum(row), row[one]) for row in prep.star])
+    yv = [exactify(y) if prep.exact else float(y) for y in ys]
     breakdown = {}
-    for h in cls:
-        cvals = [exactify(h.values[j]) if prep.exact else float(h.values[j])
-                 for j in prep.ids]
+    for h, per_level in zip(cls, tables):
         total = Fraction(0) if prep.exact else 0.0
-        for v in range(len(prep.levels)):
-            members = prep.level_members[v]
-            mass = sum(prep.w_int[pos] for pos in members)
+        for mass, cells in zip(prep.level_weight, per_level):
             if mass == 0:
                 continue
-            a = sum(cvals[pos] * prep.star[pos][one] for pos in members)
-            b = sum(cvals[pos] * prep.w_int[pos] for pos in members)
-            c = sum(prep.star[pos][one] for pos in members)
+            # scaled masses of c * o*, of c and of o* = 1 on the level
+            a = sum(y * x for y, x in zip(yv, cells[1::2]))
+            b = sum(y * x for y, x in zip(yv, cells[0::2]))
+            c = sum(cells[1::2])
             # E|Cov| contribution: mass * |a/mass - (b/mass)(c/mass)| / D-normalization
             num = abs(a * mass - b * c)
             if prep.exact:
+                # known defect (ROADMAP item 2): mass * D is the right divisor,
+                # so this reports E|Cov| / D; kept while its value is pinned
                 total += Fraction(num, mass * prep.D * prep.D)
             else:
                 total += num / mass
@@ -361,22 +361,15 @@ def _require_binary(pop, cls):
 
 
 def _binary_level_stats(prep, cls):
-    """Per (c, level): (mass of S in level, true-one mass of S in level), integer-scaled."""
+    """Per (c, level), integer-scaled, for the set S that c indicates: (mass of
+    S, true-one mass of S, modeled-minus-true one mass of S) in the level."""
     one = prep.pop.space.index("1")
-    stats = []
-    for h in cls:
-        in_s = [h.values[j] == 1 for j in prep.ids]
-        per_level = []
-        for v in range(len(prep.levels)):
-            mass = 0
-            ones = 0
-            for pos in prep.level_members[v]:
-                if in_s[pos]:
-                    mass += prep.w_int[pos]
-                    ones += prep.star[pos][one]
-            per_level.append((mass, ones))
-        stats.append(per_level)
-    return stats
+    rows = [(sum(s), s[one], d[one]) for s, d in zip(prep.star, prep.diff)]
+    ys, tables = prep.cell_tables(cls, rows)
+    if 1 not in ys:
+        return [[(0, 0, 0)] * len(prep.levels) for _ in tables]
+    base = 3 * ys.index(1)
+    return [[tuple(cells[base:base + 3]) for cells in per_level] for per_level in tables]
 
 
 def violation_profile(pop, predictor, cls, backend="rational") -> ViolationProfile:
@@ -390,10 +383,10 @@ def violation_profile(pop, predictor, cls, backend="rational") -> ViolationProfi
     stats = _binary_level_stats(prep, cls)
     entries = {}
     for h, per_level in zip(cls, stats):
-        for v, (mass, ones) in enumerate(per_level):
+        for v, (mass, ones, _) in enumerate(per_level):
             if mass == 0:
                 continue
-            vv = prep.level_value(v).p_one()
+            vv = prep.levels[v].p_one()
             if prep.exact:
                 nab = abs(Fraction(ones, mass) - exactify(vv))
             else:
@@ -416,29 +409,28 @@ def check_conditional(pop, predictor, cls, epsilon, kind, backend="rational") ->
     least 1 - eps such that on each level in V every S that is eps-large
     conditionally has nabla_{S,v} <= eps.  The canonical witness is the set
     of all such levels.
+
+    Conditioning events of zero mass are skipped: they constrain nothing,
+    even at eps = 0.  A negative eps raises DomainError.
     """
     _require_binary(pop, cls)
     if kind not in ("MA", "MC", "SMC"):
         raise DomainError(f"unknown conditional kind {kind!r}")
     prep = _prepare(pop, predictor, backend)
-    one = pop.space.index("1")
     eps = exactify(epsilon) if prep.exact else float(epsilon)
+    if eps < 0:
+        raise DomainError(f"epsilon must be nonnegative, got {epsilon}")
     stats = _binary_level_stats(prep, cls)
     total = prep.D if prep.exact else 1.0
 
     if kind == "MA":
         for h, per_level in zip(cls, stats):
-            mass = sum(m for m, _ in per_level)
-            if mass < eps * total:
+            mass = sum(m for m, _, _ in per_level)
+            if mass == 0 or mass < eps * total:
                 continue
-            ones = sum(o for _, o in per_level)
-            tilde_ones = sum(
-                prep.tilde[pos][one]
-                for pos, j in enumerate(prep.ids)
-                if h.values[j] == 1
-            )
-            gap = abs(Fraction(ones - tilde_ones, mass)) if prep.exact \
-                else abs(ones - tilde_ones) / mass
+            # modeled-minus-true one mass of S; its |.| / Pr[S] is the gap
+            excess = sum(e for _, _, e in per_level)
+            gap = abs(Fraction(excess, mass)) if prep.exact else abs(excess) / mass
             if gap > eps:
                 return ConditionalCheckResult(kind, False, None, (h.name, None, gap))
         return ConditionalCheckResult(kind, True, None)
@@ -446,23 +438,23 @@ def check_conditional(pop, predictor, cls, epsilon, kind, backend="rational") ->
     if kind == "MC":
         witness = {}
         for h, per_level in zip(cls, stats):
-            mass = sum(m for m, _ in per_level)
+            mass = sum(m for m, _, _ in per_level)
             if mass < eps * total:
                 continue
             good_levels = []
             good_mass = 0
-            for v, (m, o) in enumerate(per_level):
+            for v, (m, o, _) in enumerate(per_level):
                 if m == 0:
                     continue
-                vv = prep.level_value(v).p_one()
+                vv = prep.levels[v].p_one()
                 nab = abs(Fraction(o, m) - exactify(vv)) if prep.exact \
                     else abs(o / m - float(vv))
                 if nab <= eps:
                     good_levels.append(vv)
                     good_mass += m
             if good_mass < (1 - eps) * mass:
-                bad = [prep.level_value(v).p_one() for v, (m, _) in enumerate(per_level)
-                       if m > 0 and prep.level_value(v).p_one() not in good_levels]
+                bad = [prep.levels[v].p_one() for v, (m, _, _) in enumerate(per_level)
+                       if m > 0 and prep.levels[v].p_one() not in good_levels]
                 return ConditionalCheckResult(kind, False, None,
                                               (h.name, bad[0] if bad else None, None))
             witness[h.name] = good_levels
@@ -472,15 +464,14 @@ def check_conditional(pop, predictor, cls, epsilon, kind, backend="rational") ->
     good_v = []
     good_mass = 0
     first_bad = None
-    for v in range(len(prep.levels)):
-        level_mass = sum(prep.w_int[pos] for pos in prep.level_members[v])
+    for v, level_mass in enumerate(prep.level_weight):
         if level_mass == 0:
             continue
-        vv = prep.level_value(v).p_one()
+        vv = prep.levels[v].p_one()
         ok = True
         for h, per_level in zip(cls, stats):
-            m, o = per_level[v]
-            if m < eps * level_mass:
+            m, o, _ = per_level[v]
+            if m == 0 or m < eps * level_mass:
                 continue
             nab = abs(Fraction(o, m) - exactify(vv)) if prep.exact else abs(o / m - float(vv))
             if nab > eps:

@@ -39,7 +39,7 @@ from .graph import (
 )
 from .noregret import mwu_rule, pgd_rule
 from .oi import audit_oi, make_family
-from .omni import omni_audit, omni_bound_check
+from .omni import omni_bound_check
 from .population import (
     fixture_grid_population,
     fixture_two_point,
@@ -111,9 +111,9 @@ def cmd_audit(args) -> int:
         if not args.losses:
             raise InputError("--kind omni needs --losses")
         losses = serialize.losses_from_json(pop.space, _load_json(args.losses))
-        report = serialize.report_to_json(omni_audit(pop, predictor, losses, cls))
-        report["bound_check"] = serialize.jsonify(
-            omni_bound_check(pop, predictor, losses, cls))
+        check = omni_bound_check(pop, predictor, losses, cls)
+        report = serialize.report_to_json(check.pop("report"))
+        report["bound_check"] = serialize.jsonify(check)
     elif kind == "conditional":
         if args.epsilon is None:
             raise InputError("--kind conditional needs --epsilon")
@@ -210,8 +210,10 @@ def cmd_graph(args) -> int:
 def cmd_omni(args) -> int:
     pop, cls, predictor = _load_instance(args.instance)
     losses = serialize.losses_from_json(pop.space, _load_json(args.losses))
-    doc = serialize.jsonify(omni_bound_check(pop, predictor, losses, cls))
-    doc["report"] = serialize.report_to_json(omni_audit(pop, predictor, losses, cls))
+    check = omni_bound_check(pop, predictor, losses, cls)
+    report = check.pop("report")
+    doc = serialize.jsonify(check)
+    doc["report"] = serialize.report_to_json(report)
     _emit(doc, args.output)
     return 0
 

@@ -323,7 +323,7 @@ def audit_oi(pop, predictor, family: DistinguisherFamily, backend="rational") ->
         raise ConstructionError(f"unknown family kind {family.kind!r}")
     cls = family.hypotheses
     prep = _Prepared(pop, predictor, exact, grid=family.grid)
-    _, tables = prep.per_cv_tables(cls)
+    _, tables = prep.cell_tables(cls, prep.diff)
     if family.kind == "smc":
         choice = _smc_choice(prep, tables)
         per_level_best = {tuple(prep.levels[v].weights): (cls.hypotheses[c].name, _mass(prep, s))
@@ -400,7 +400,7 @@ def best_response(pop, predictor, family: DistinguisherFamily, backend="rational
         raise ConstructionError(f"unknown family kind {family.kind!r}")
     cls = family.hypotheses
     prep = _Prepared(pop, predictor, exact, grid=family.grid)
-    ys, tables = prep.per_cv_tables(cls)
+    ys, tables = prep.cell_tables(cls, prep.diff)
     if family.kind == "mc":
         pos = [sum(_positive_sums(t)) for t in tables]
         c = max(range(len(cls)), key=lambda c: pos[c])
@@ -440,7 +440,7 @@ def audit_oi_mc_bruteforce(pop, predictor, cls, grid, backend="rational"):
     capped at 12.
     """
     prep = _Prepared(pop, predictor, _is_exact(backend), grid=grid)
-    ys, tables = prep.per_cv_tables(cls)
+    ys, tables = prep.cell_tables(cls, prep.diff)
     ell = pop.space.size
     n_cells = len(ys) * ell * grid.size
     if n_cells > MC_ORACLE_CELL_LIMIT:

@@ -8,7 +8,11 @@ its post-processed actions lose at most eps more than any hypothesis:
 
     E[loss(true outcome, post(p_i))] <= E[loss(true outcome, c_i)] + eps.
 
-The audit evaluates this gap exactly for every (loss, hypothesis) pair.
+The audit evaluates this gap exactly for every (loss, hypothesis) pair
+from one cell table of true masses per (hypothesis, level, y, outcome),
+`audits._Prepared.cell_tables` over the rows `star`: each level is
+post-processed once per loss, and each hypothesis costs once per
+(y, outcome).
 Because losses are [0,1]-bounded, the gap is at most the calibration
 audit plus the multi-accuracy audit, exactly; `omni_bound_check` verifies
 that inequality on any instance.
@@ -19,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .audits import AuditReport, audit_calibration, audit_multi_accuracy
+from .audits import AuditReport, _Prepared, audit_calibration, audit_multi_accuracy
 from .core import OutcomeDist, OutcomeSpace, exactify
 from .errors import DomainError, RangeMismatchError
 from .population import HypothesisClass, PopulationInstance, Predictor
@@ -95,32 +99,29 @@ def omni_audit(pop: PopulationInstance, predictor: Predictor, losses,
     if not losses:
         raise DomainError("an omniprediction audit needs at least one loss")
     act_of = _action_map(losses, cls)
-    predictor.check_total(pop)
-    pred = predictor.as_exact()
+    prep = _Prepared(pop, predictor, exact=True)
+    ell = pop.space.size
+    ys, tables = prep.cell_tables(cls, prep.star)
+    # scaled true outcome masses per level (any hypothesis splits a level by
+    # y), and per (hypothesis, y) at [c][y * ell + o]
+    level_true = [[sum(cells[o::ell]) for o in range(ell)] for cells in tables[0]]
+    y_true = [[sum(col) for col in zip(*per_level)] for per_level in tables]
     breakdown = {}
     witness = None
     best = None
     for loss in losses:
-        post_cache = {}
-        post_loss = Fraction(0)
-        for j in pop.ids:
-            d = pred.values[j]
-            if d not in post_cache:
-                post_cache[d] = post_process(loss, d)
-            y = post_cache[d]
-            w = exactify(pop.weight[j])
-            post_loss += w * sum(
-                exactify(t) * exactify(loss.cost(o, y))
-                for o, t in zip(pop.space.labels, pop.p_true[j].weights))
-        for h in cls:
-            h_loss = Fraction(0)
-            for j in pop.ids:
-                w = exactify(pop.weight[j])
-                y = act_of[(loss.name, h.values[j])]
-                h_loss += w * sum(
-                    exactify(t) * exactify(loss.cost(o, y))
-                    for o, t in zip(pop.space.labels, pop.p_true[j].weights))
-            gap = post_loss - h_loss
+        costs = {a: [exactify(loss.cost(o, a)) for o in pop.space.labels]
+                 for a in loss.actions}
+
+        def expected(masses, action):
+            return sum(m * c for m, c in zip(masses, costs[action]))
+
+        post_loss = sum(expected(masses, post_process(loss, d))
+                        for d, masses in zip(prep.levels, level_true))
+        for h, cells in zip(cls, y_true):
+            h_loss = sum(expected(cells[i * ell:(i + 1) * ell], act_of[(loss.name, y)])
+                         for i, y in enumerate(ys))
+            gap = Fraction(post_loss - h_loss, prep.D)
             breakdown[(loss.name, h.name)] = gap
             if best is None or gap > best:
                 best = gap
@@ -131,7 +132,7 @@ def omni_audit(pop: PopulationInstance, predictor: Predictor, losses,
 
 def omni_bound_check(pop, predictor, losses, cls) -> dict:
     """Verify omni_audit <= calibration + multi-accuracy, exactly, and report
-    all three numbers."""
+    all three numbers; the omni audit's full report is kept under "report"."""
     omni = omni_audit(pop, predictor, losses, cls)
     cal = audit_calibration(pop, predictor)
     ma = audit_multi_accuracy(pop, predictor, cls)
@@ -142,4 +143,5 @@ def omni_bound_check(pop, predictor, losses, cls) -> dict:
         "multi_accuracy": ma.value,
         "bound_holds": holds,
         "witness": omni.witness,
+        "report": omni,
     }

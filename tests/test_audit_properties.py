@@ -1,0 +1,87 @@
+"""Property tests of the population audits on hypothesis-drawn random instances."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from multifair import (
+    audit_covariance_mc,
+    audit_multi_accuracy,
+    audit_multi_calibration,
+    audit_strict_multi_calibration,
+    discretize,
+    make_grid_with_denominator,
+    random_instance,
+    violation_profile,
+)
+
+TOL = 1e-9
+
+
+@st.composite
+def instances(draw, binary_outcomes=False):
+    """A small random instance; half the time its predictor is rounded to a
+    coarse grid so that levels hold several individuals."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(1, 7))
+    ell = 2 if binary_outcomes else draw(st.sampled_from((2, 3)))
+    binary = draw(st.booleans())
+    pop, cls, pred = random_instance(np.random.default_rng(seed), n, ell,
+                                     draw(st.integers(1, 3)), binary_hypotheses=binary)
+    if draw(st.booleans()):
+        pred = discretize(pred, make_grid_with_denominator(pop.space, 2))
+    return pop, cls, pred
+
+
+@settings(max_examples=40, deadline=None)
+@given(instances())
+def test_ma_mc_smc_chain(inst):
+    pop, cls, pred = inst
+    ma = audit_multi_accuracy(pop, pred, cls).value
+    mc = audit_multi_calibration(pop, pred, cls).value
+    smc = audit_strict_multi_calibration(pop, pred, cls).value
+    assert 0 <= ma <= mc <= smc <= 1
+
+
+def _close(exact, approx):
+    return abs(float(exact) - approx) <= TOL
+
+
+@settings(max_examples=40, deadline=None)
+@given(instances())
+def test_float_backend_agrees_with_rational(inst):
+    pop, cls, pred = inst
+    for audit in (audit_multi_accuracy, audit_multi_calibration,
+                  audit_strict_multi_calibration):
+        exact = audit(pop, pred, cls)
+        approx = audit(pop, pred, cls, "float")
+        assert _close(exact.value, approx.value)
+        if audit is not audit_strict_multi_calibration:
+            assert all(_close(exact.breakdown[k], approx.breakdown[k]) for k in exact.breakdown)
+
+
+@settings(max_examples=40, deadline=None)
+@given(instances(binary_outcomes=True))
+def test_float_violation_profile_agrees_with_rational(inst):
+    pop, cls, pred = inst
+    if not cls.is_binary:
+        return
+    exact = violation_profile(pop, pred, cls).entries
+    approx = violation_profile(pop, pred, cls, "float").entries
+    assert len(exact) == len(approx)
+    for (name, level), value in exact.items():
+        assert _close(value, approx[(name, float(level))])
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the rational covariance audit reports E|Cov| divided by the common "
+    "denominator D; see test_audit_oracles"))
+def test_float_covariance_agrees_with_rational():
+    for seed in range(20):
+        pop, cls, pred = random_instance(np.random.default_rng(seed), 6, 2, 3,
+                                         binary_hypotheses=seed % 2 == 0)
+        pred = discretize(pred, make_grid_with_denominator(pop.space, 2))
+        exact = audit_covariance_mc(pop, pred, cls)
+        approx = audit_covariance_mc(pop, pred, cls, "float")
+        assert all(_close(exact.breakdown[k], approx.breakdown[k]) for k in exact.breakdown)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from multifair import (
+    Hypothesis,
     HypothesisClass,
     OutcomeDist,
     Predictor,
@@ -266,3 +267,29 @@ def test_conditional_requires_binary():
     pop, cls, pred = random_instance(rng, 5, 3, 2)
     with pytest.raises(DomainError):
         check_conditional(pop, pred, cls, F(1, 10), "MA")
+
+
+def _empty_set(pop):
+    return Hypothesis("empty", (0, 1), {j: 0 for j in pop.ids})
+
+
+@pytest.mark.parametrize("backend", ["rational", "float"])
+@pytest.mark.parametrize("kind", ["MA", "MC", "SMC"])
+def test_conditional_skips_zero_mass_sets(kind, backend):
+    pop, cls, pred = fixture_two_point()
+    alone = HypothesisClass((_empty_set(pop),))
+    assert check_conditional(pop, pred, alone, 0, kind, backend).passed
+    # adding a zero-mass set changes no verdict and no first violation
+    both = HypothesisClass(cls.hypotheses + (_empty_set(pop),))
+    for eps in (0, F(3, 10)):
+        plain = check_conditional(pop, pred, cls, eps, kind, backend)
+        padded = check_conditional(pop, pred, both, eps, kind, backend)
+        assert (padded.passed, padded.first_violation) == (plain.passed, plain.first_violation)
+
+
+@pytest.mark.parametrize("kind", ["MA", "MC", "SMC"])
+def test_conditional_rejects_negative_epsilon(kind):
+    pop, cls, pred = fixture_two_point()
+    for backend in ("rational", "float"):
+        with pytest.raises(DomainError):
+            check_conditional(pop, pred, cls, F(-1, 10), kind, backend)

@@ -190,6 +190,62 @@ def test_omni_command(two_point, tmp_path):
     assert doc["bound_holds"] is True
 
 
+def _zero_one_losses(tmp_path):
+    losses = tmp_path / "losses.json"
+    losses.write_text(json.dumps([{
+        "name": "zero-one",
+        "actions": ["0", "1"],
+        "table": {"0": {"0": "0", "1": "1"}, "1": {"0": "1", "1": "0"}},
+    }]))
+    return losses
+
+
+def test_omni_audit_runs_once_per_command(two_point, tmp_path, monkeypatch):
+    import multifair.cli as cli_mod
+    import multifair.omni as omni_mod
+
+    calls = []
+    original = omni_mod.omni_audit
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(omni_mod, "omni_audit", counting)
+    monkeypatch.setattr(cli_mod, "omni_audit", counting, raising=False)
+    losses = _zero_one_losses(tmp_path)
+    omni_out, audit_out = tmp_path / "omni.json", tmp_path / "audit.json"
+    assert main(["omni", str(two_point), "--losses", str(losses),
+                 "--output", str(omni_out)]) == 0
+    assert len(calls) == 1
+    assert main(["audit", str(two_point), "--kind", "omni", "--losses", str(losses),
+                 "--output", str(audit_out)]) == 0
+    assert len(calls) == 2
+    # both commands print the same report and the same bound check
+    omni_doc, audit_doc = read(omni_out), read(audit_out)
+    bound_check = audit_doc.pop("bound_check")
+    assert omni_doc.pop("report") == audit_doc
+    assert omni_doc == bound_check
+
+
+def test_conditional_zero_mass_set_and_negative_epsilon(two_point, tmp_path, capsys):
+    doc = read(two_point)
+    doc["hypotheses"] = [{"name": "empty", "range": ["0", "1"],
+                          "values": {"0": "0", "1": "0"}}]
+    inst = tmp_path / "empty.json"
+    inst.write_text(json.dumps(doc))
+    rep = tmp_path / "rep.json"
+    for ck in ("ma", "mc", "smc"):
+        assert main(["audit", str(inst), "--kind", "conditional", "--epsilon", "0",
+                     "--conditional-kind", ck, "--output", str(rep)]) == 0
+        assert read(rep)["pass"] is True
+    capsys.readouterr()
+    assert main(["audit", str(two_point), "--kind", "conditional", "--epsilon", "-0.1",
+                 "--conditional-kind", "ma"]) == 2
+    err = capsys.readouterr().err
+    assert "domain error" in err and "Traceback" not in err
+
+
 def test_grid_fixture_emission(tmp_path):
     out = tmp_path / "grid.json"
     assert main(["fixture", "grid", "--m", "5", "--output", str(out)]) == 0
