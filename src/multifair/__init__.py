@@ -88,7 +88,6 @@ from .graph import (
     equivalence_bounds,
     graph_to_instance,
     irregularity,
-    irregularity_bruteforce,
     max_st_irregularity,
     mean_square_density,
     pair_partition,

@@ -12,10 +12,15 @@ P = {V_1..V_m} of the vertices:
   Szemeredi:      the mass of pairs that are not eps-regular (all large
                   sub-blocks have close density) is at most eps n^2
 
+Every edge count is read off the adjacency matrix A that a `DiGraph`
+builds once: `edge_count` is 1_S^T A 1_T, and `_block_edges` gives every
+block count e(S n V_j, T n V_k) of a partition from part-indicator matrices.
+
 All checkers are exact over the rationals: comparisons are performed on
-integer-scaled quantities, never on floats.  An eps test |r| > eps x size
-on an integer r is read off an integer threshold table built in Python
-ints (`_eps_thresholds`), so a float eps, whose exact denominator is near
+integer-scaled quantities, never on floats.  Every exact eps test is the
+violating-mass score `_violating_mass`: |r| > eps x size on an integer r
+is read off an integer threshold table built in Python ints
+(`_eps_thresholds`), so a float eps, whose exact denominator is near
 2^54, never enters an int64 product.  Every exact check enumerates T and
 maximizes over S in closed form, in one of three kernels.  `_cut_norm`
 maximizes |sum_{S x T} M| for the residual matrices of pair irregularity,
@@ -71,20 +76,28 @@ _CHUNK = 512  # masks per vectorized block of an enumeration loop
 
 @dataclass(frozen=True)
 class DiGraph:
+    """A directed graph on vertices 0..n-1, loops permitted, with its n x n
+    int64 adjacency matrix built once at construction and kept read-only."""
+
     n: int
-    edges: frozenset  # ordered pairs (u, v); loops permitted
+    edges: frozenset  # ordered pairs (u, v)
+    _adj: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.n < 0:
+            raise DomainError(f"vertex count {self.n} is negative")
         object.__setattr__(self, "edges", frozenset((int(u), int(v)) for u, v in self.edges))
+        adj = np.zeros((self.n, self.n), dtype=np.int64)
         for u, v in self.edges:
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise DomainError(f"edge ({u},{v}) outside vertex range [0,{self.n})")
+            adj[u, v] = 1
+        adj.setflags(write=False)
+        object.__setattr__(self, "_adj", adj)
 
     def adjacency(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n), dtype=np.int64)
-        for u, v in self.edges:
-            a[u, v] = 1
-        return a
+        """The cached read-only adjacency matrix: [u, v] = 1 iff (u, v) is an edge."""
+        return self._adj
 
     @classmethod
     def complete(cls, n: int, loops: bool = True) -> "DiGraph":
@@ -161,15 +174,34 @@ def _vertex_count(g: DiGraph, p: VertexPartition) -> int:
     return p.n
 
 
+def _indicator(n: int, X) -> np.ndarray:
+    """1_X over vertices 0..n-1; ids of X outside 0..n-1 match no vertex."""
+    X = set(X)
+    return np.fromiter((v in X for v in range(n)), dtype=np.int64, count=n)
+
+
 def edge_count(g: DiGraph, S, T) -> int:
-    S, T = set(S), set(T)
-    return sum(1 for (u, v) in g.edges if u in S and v in T)
+    """e(S, T): the edges from S to T, read off the cached adjacency matrix."""
+    return int(_indicator(g.n, S) @ g.adjacency() @ _indicator(g.n, T))
 
 
-def _block_edges(adj: np.ndarray, p: VertexPartition) -> np.ndarray:
-    """e(V_j, V_k) for every part pair of p, as an m x m array."""
-    return np.array([[adj[np.ix_(a, b)].sum() for b in p.parts] for a in p.parts],
-                    dtype=np.int64)
+def _block_edges(g: DiGraph, p: VertexPartition, S=None, T=None):
+    """(e, s, t): e[j, k] = e(S n V_j, T n V_k), s[j] = |S n V_j| and t[k] =
+    |T n V_k| (S, T default to all vertices), as e = P_S^T A P_T with the
+    n x m part-indicator matrices restricted to S and to T."""
+    n = _vertex_count(g, p)
+    parts = np.zeros((n, p.size), dtype=np.int64)
+    parts[np.arange(n), p.block_of()] = 1
+    rows = parts if S is None else parts * _indicator(n, S)[:, None]
+    cols = parts if T is None else parts * _indicator(n, T)[:, None]
+    return rows.T @ g.adjacency() @ cols, rows.sum(axis=0), cols.sum(axis=0)
+
+
+def _sum_over_blocks(num: np.ndarray, sizes: np.ndarray) -> Fraction:
+    """sum_jk num[j, k] / (|V_j||V_k|), exactly, over the common denominator."""
+    lcm = math.lcm(*sizes.tolist())
+    w = np.array([lcm // s for s in sizes.tolist()], dtype=object)
+    return Fraction(int((num.astype(object) * np.outer(w, w)).sum()), lcm * lcm)
 
 
 def density(g: DiGraph, S, T) -> Fraction:
@@ -187,10 +219,8 @@ class EdgeStats:
 
 def edge_stats(g: DiGraph, S, T) -> EdgeStats:
     c = edge_count(g, S, T)
-    S, T = set(S), set(T)
-    if not S or not T:
-        return EdgeStats(count=c, density=None)
-    return EdgeStats(count=c, density=Fraction(c, len(S) * len(T)))
+    size = len(set(S)) * len(set(T))
+    return EdgeStats(count=c, density=Fraction(c, size) if size else None)
 
 
 def st_irregularity(g: DiGraph, X, Y, S, T) -> Fraction:
@@ -244,6 +274,14 @@ def _eps_thresholds(eps: Fraction, size: int) -> np.ndarray:
     pn, pd = eps.numerator, eps.denominator
     return np.array([max(-1, min(pn * x * size // pd, size * size)) for x in range(size + 1)],
                     dtype=np.int64)
+
+
+def _nonnegative(epsilon) -> Fraction:
+    """eps as an exact rational, refusing a negative one."""
+    eps = exactify(epsilon)
+    if eps < 0:
+        raise DomainError(f"epsilon {eps} is negative")
+    return eps
 
 
 def _cut_norm(mat: np.ndarray):
@@ -305,31 +343,15 @@ def irregularity(g: DiGraph, X, Y, want_witness: bool = False):
     return value, (tuple(S), tuple(T))
 
 
-def irregularity_bruteforce(g: DiGraph, X, Y) -> Fraction:
-    """Literal double enumeration over all S, T; the oracle for `irregularity`."""
-    X, Y = sorted(set(X)), sorted(set(Y))
-    if max(len(X), len(Y)) > 6:
-        raise EnumerationLimitError("brute-force irregularity capped at 6+6 vertices")
-    e_xy = edge_count(g, X, Y)
-    scale = len(X) * len(Y)
-    best = 0
-    for ms in range(1 << len(X)):
-        S = _mask_to_set(ms, X)
-        for mt in range(1 << len(Y)):
-            T = _mask_to_set(mt, Y)
-            v = abs(edge_count(g, S, T) * scale - e_xy * len(S) * len(T))
-            if v > best:
-                best = v
-    return Fraction(best, scale)
-
-
 def partition_irregularity(g: DiGraph, p: VertexPartition) -> Fraction:
     return sum((irregularity(g, a, b) for a in p.parts for b in p.parts), Fraction(0))
 
 
 def partition_st_irregularity(g: DiGraph, p: VertexPartition, S, T) -> Fraction:
-    return sum((st_irregularity(g, a, b, S, T) for a in p.parts for b in p.parts),
-               Fraction(0))
+    """sum_jk |e(S n V_j, T n V_k) - d(V_j, V_k) |S n V_j||T n V_k||, exactly."""
+    e, sizes, _ = _block_edges(g, p)
+    e_st, s, t = _block_edges(g, p, S, T)
+    return _sum_over_blocks(np.abs(e_st * np.outer(sizes, sizes) - e * np.outer(s, t)), sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -343,15 +365,14 @@ def check_regular_pair(g: DiGraph, X, Y, epsilon):
     X, Y = sorted(set(X)), sorted(set(Y))
     if max(len(X), len(Y)) > REGULAR_PAIR_LIMIT:
         raise EnumerationLimitError(f"regular-pair check capped at {REGULAR_PAIR_LIMIT}")
-    eps = exactify(epsilon)
+    eps = _nonnegative(epsilon)
     if eps >= 1:
         return True, None
     pn, pd = eps.numerator, eps.denominator
     mat = g.adjacency()[np.ix_(X, Y)]
     e_xy = int(mat.sum())
     nx, ny = len(X), len(Y)
-    size = nx * ny
-    thr = _eps_thresholds(eps, size)
+    score = _violating_mass(eps)
     table = _subset_sum_table(mat)  # e(S, {col}) for every S-mask
     s_sizes = _popcounts(1 << nx)
     t_sizes = _popcounts(1 << ny)
@@ -363,7 +384,7 @@ def check_regular_pair(g: DiGraph, X, Y, epsilon):
         stop = min(start + _CHUNK, 1 << nx)
         e_all = _int_matmul(table[start:stop], colsel)  # chunk x 2^ny
         st = s_sizes[start:stop, None] * t_sizes[None, :]
-        viol = ((np.abs(e_all * size - e_xy * st) > thr[st])
+        viol = ((score(e_all, st, nx * ny, e_xy) > 0)
                 & s_ok[start:stop, None] & t_ok[None, :])
         if viol.any():
             si, ti = np.argwhere(viol)[0]
@@ -382,7 +403,7 @@ class CheckReport:
 
 def check_szemeredi(g: DiGraph, p: VertexPartition, epsilon) -> CheckReport:
     """Mass of non-eps-regular part pairs at most eps n^2; exact."""
-    eps = exactify(epsilon)
+    eps = _nonnegative(epsilon)
     n = _vertex_count(g, p)
     bad_mass = 0
     witness = []
@@ -402,12 +423,8 @@ def check_szemeredi(g: DiGraph, p: VertexPartition, epsilon) -> CheckReport:
 
 
 def _pair_scale(p: VertexPartition) -> int:
-    scale = 1
-    for a in p.parts:
-        for b in p.parts:
-            prod = len(a) * len(b)
-            scale = scale * prod // math.gcd(scale, prod)
-    return scale
+    """The lcm of the block sizes |V_j||V_k|, which is lcm(|V_j|)^2."""
+    return math.lcm(*(len(a) for a in p.parts)) ** 2
 
 
 def check_frieze_kannan(g: DiGraph, p: VertexPartition, epsilon) -> CheckReport:
@@ -419,15 +436,14 @@ def check_frieze_kannan(g: DiGraph, p: VertexPartition, epsilon) -> CheckReport:
     n = _vertex_count(g, p)
     if n > FK_LIMIT:
         raise EnumerationLimitError(f"exact Frieze-Kannan check capped at {FK_LIMIT}")
-    eps = exactify(epsilon)
+    eps = _nonnegative(epsilon)
     L = _pair_scale(p)
     if L * n * n > (1 << 60):
         raise EnumerationLimitError("block-size denominators too large for exact scan")
-    adj = g.adjacency()
-    sizes = np.array([len(a) for a in p.parts], dtype=np.int64)
-    d_scaled = _block_edges(adj, p) * (L // np.outer(sizes, sizes))
+    e, sizes, _ = _block_edges(g, p)
+    d_scaled = e * (L // np.outer(sizes, sizes))
     block = p.block_of()
-    best, S, T = _cut_norm(adj * L - d_scaled[np.ix_(block, block)])
+    best, S, T = _cut_norm(g.adjacency() * L - d_scaled[np.ix_(block, block)])
     value = Fraction(best, L)
     passed = value <= eps * n * n
     return CheckReport("frieze-kannan", passed, (S, T), eps * n * n - value)
@@ -488,9 +504,8 @@ def _partition_scan(g: DiGraph, p: VertexPartition, score):
     n = p.n
     parts = p.parts
     m = p.size
-    adj = g.adjacency()
-    e_blocks = _block_edges(adj, p)
-    sizes, pair = _pair_tables(adj, p, e_blocks, score)
+    e_blocks, _, _ = _block_edges(g, p)
+    sizes, pair = _pair_tables(g.adjacency(), p, e_blocks, score)
     t_masks = np.arange(1 << n, dtype=np.int64)
     sub_idx = [sum(((t_masks >> v) & 1) << bit for bit, v in enumerate(part))
                for part in parts]  # per part k: local index of T n V_k
@@ -527,8 +542,9 @@ def _partition_scan(g: DiGraph, p: VertexPartition, score):
 
 
 def _violating_mass(eps: Fraction):
-    """The intermediate check's score: |S_j||T n V_k| where the restricted
-    density strays from d(V_j, V_k) by more than eps, else 0."""
+    """The one exact eps test, as a score: |S||T| where a sub-block's density
+    e / (|S||T|) strays from its block's E / size by more than eps, else 0.
+    With eps >= 0 every violation has |S||T| > 0, so "violates" is score > 0."""
     thresholds = {}
 
     def score(cols, st, size, e):
@@ -553,7 +569,7 @@ def _one_part_scan(adj: np.ndarray, eps: Fraction):
     n = adj.shape[0]
     size = n * n
     e_all = int(adj.sum())
-    thr = _eps_thresholds(eps, size)
+    score = _violating_mass(eps)
     bits = _mask_bits(np.arange(1 << n, dtype=np.int64), n).T  # mask x vertex
     counts = np.sort(_int_matmul(bits, adj.T), axis=1)  # row T: c_v ascending
     zero = np.zeros((1 << n, 1), dtype=np.int64)
@@ -561,13 +577,11 @@ def _one_part_scan(adj: np.ndarray, eps: Fraction):
     high = np.concatenate([zero, np.cumsum(counts[:, ::-1], axis=1)], axis=1)  # s largest
     pops = bits.sum(axis=1)
     st = pops[:, None] * np.arange(n + 1)  # |T| s for every T and s = 0..n
-    lim = thr[st]
-    viol = (np.abs(low * size - e_all * st) > lim) | (np.abs(high * size - e_all * st) > lim)
-    mass = np.where(viol, st, 0).max(axis=1)
+    mass = np.maximum(score(low, st, size, e_all), score(high, st, size, e_all)).max(axis=1)
     t_mask = int(mass.argmax())
     e_s = _int_matmul(bits, adj[:, bits[t_mask] == 1].sum(axis=1))  # e(S, T) per S-mask
     st_s = pops * pops[t_mask]
-    s_mask = int(np.where(np.abs(e_s * size - e_all * st_s) > thr[st_s], st_s, 0).argmax())
+    s_mask = int(score(e_s, st_s, size, e_all).argmax())
     universe = list(range(n))
     return int(mass[t_mask]), _mask_to_set(s_mask, universe), _mask_to_set(t_mask, universe)
 
@@ -591,36 +605,6 @@ def max_st_irregularity(g: DiGraph, p: VertexPartition):
     return Fraction(best, L), S, T
 
 
-def max_st_irregularity_sigma_enum(g: DiGraph, p: VertexPartition):
-    """Validation mode: literal enumeration of all sign patterns sigma over
-    block pairs, maximizing the cut value of the sigma-signed residual
-    matrix.  Equals `max_st_irregularity` because the maximizing sigma is
-    the sign pattern of the restricted block residuals.  Kept small: the
-    2^(m^2) loop is capped at m = 3 parts.
-    """
-    m = p.size
-    if m > 3:
-        raise EnumerationLimitError("sigma enumeration capped at 3 parts")
-    n = p.n
-    block = p.block_of()
-    dens = {}
-    for j, a in enumerate(p.parts):
-        for k, b in enumerate(p.parts):
-            dens[(j, k)] = density(g, a, b)
-    adj = g.adjacency()
-    residual = [[exactify(int(adj[u, v])) - dens[(block[u], block[v])]
-                 for v in range(n)] for u in range(n)]
-    best = Fraction(0)
-    for bits in range(1 << (m * m)):
-        signed = [[residual[u][v] *
-                   (1 if (bits >> (block[u] * m + block[v])) & 1 else -1)
-                   for v in range(n)] for u in range(n)]
-        _, _, val = cut_oracle(signed, mode="exact")
-        if val > best:
-            best = val
-    return best
-
-
 def check_intermediate(g: DiGraph, p: VertexPartition, epsilon) -> CheckReport:
     """For all S, T: mass of block pairs that are not (S,T,eps)-regular is
     at most eps n^2.
@@ -634,7 +618,7 @@ def check_intermediate(g: DiGraph, p: VertexPartition, epsilon) -> CheckReport:
     n = _vertex_count(g, p)
     if n > INTERMEDIATE_LIMIT:
         raise EnumerationLimitError(f"exact intermediate check capped at {INTERMEDIATE_LIMIT}")
-    eps = exactify(epsilon)
+    eps = _nonnegative(epsilon)
     if p.size == 1:
         best_val, S, T = _one_part_scan(g.adjacency(), eps)
     else:
@@ -648,6 +632,8 @@ def spot_check_intermediate(g: DiGraph, p: VertexPartition, epsilon,
     """Randomized, non-exhaustive intermediate check for larger graphs."""
     n = _vertex_count(g, p)
     eps = exactify(epsilon)
+    e, sizes, _ = _block_edges(g, p)
+    size = np.outer(sizes, sizes).astype(object)
     worst = Fraction(0)
     witness = None
     for _ in range(samples):
@@ -655,16 +641,11 @@ def spot_check_intermediate(g: DiGraph, p: VertexPartition, epsilon,
         t_mask = int(rng.integers(0, 1 << min(n, 62)))
         S = _mask_to_set(s_mask, list(range(n)))
         T = _mask_to_set(t_mask, list(range(n)))
-        mass = 0
-        for a in p.parts:
-            for b in p.parts:
-                sa = set(S) & set(a)
-                tb = set(T) & set(b)
-                if not sa or not tb:
-                    continue
-                gap = abs(density(g, sa, tb) - density(g, a, b))
-                if gap > eps:
-                    mass += len(sa) * len(tb)
+        e_st, s, t = _block_edges(g, p, S, T)
+        st = np.outer(s, t).astype(object)
+        # |d(S n V_j, T n V_k) - d(V_j, V_k)| > eps, times |S n V_j||T n V_k| > 0
+        gap = np.abs(e_st * size - e * st) * eps.denominator
+        mass = int(np.where(gap > eps.numerator * st * size, st, 0).sum())
         if mass > worst:
             worst = Fraction(mass)
             witness = (S, T)
@@ -680,10 +661,7 @@ def spot_check_intermediate(g: DiGraph, p: VertexPartition, epsilon,
 def _scale_matrix(m_rows):
     """Integer-scale a rational matrix; returns (int64 array, denominator)."""
     fr = [[exactify(x) for x in row] for row in m_rows]
-    den = 1
-    for row in fr:
-        for x in row:
-            den = den * x.denominator // math.gcd(den, x.denominator)
+    den = math.lcm(1, *(x.denominator for row in fr for x in row))
     arr = np.array([[int(x * den) for x in row] for row in fr], dtype=np.int64)
     return arr, den
 
@@ -750,13 +728,9 @@ def cut_oracle(m_rows, mode: str = "exact", rng: np.random.Generator | None = No
 
 
 def mean_square_density(g: DiGraph, p: VertexPartition) -> Fraction:
-    n = p.n
-    total = Fraction(0)
-    for a in p.parts:
-        for b in p.parts:
-            e = edge_count(g, a, b)
-            total += Fraction(e * e, len(a) * len(b))
-    return total / (n * n)
+    """sum_jk e(V_j, V_k)^2 / (|V_j||V_k| n^2), exactly."""
+    e, sizes, _ = _block_edges(g, p)
+    return _sum_over_blocks(e * e, sizes) / (p.n * p.n)
 
 
 def common_refinement(p: VertexPartition, S, T) -> VertexPartition:
@@ -796,39 +770,21 @@ def _find_violation(g, p, oracle_mode, rng):
     if oracle_mode == "exact":
         return max_st_irregularity(g, p)
     # alternating: climb on the sign-split bilinear form, then score exactly
-    n = p.n
     block = p.block_of()
-    dens = {}
-    for j, a in enumerate(p.parts):
-        for k, b in enumerate(p.parts):
-            dens[(j, k)] = density(g, a, b)
-    adj = g.adjacency()
-    res = np.zeros((n, n))
-    for u in range(n):
-        for v in range(n):
-            res[u, v] = float(adj[u, v]) - float(dens[(block[u], block[v])])
-    S, T = tuple(range(n)), tuple(range(n))
+    e, sizes, _ = _block_edges(g, p)
+    size = np.outer(sizes, sizes)
+    res = g.adjacency() - (e / size)[np.ix_(block, block)]
+    S = T = tuple(range(p.n))
     for _ in range(16):
-        sigma = {}
-        for j in range(p.size):
-            for k in range(p.size):
-                sa = set(S) & set(p.parts[j])
-                tb = set(T) & set(p.parts[k])
-                if sa and tb:
-                    r = edge_count(g, sa, tb) - dens[(j, k)] * len(sa) * len(tb)
-                    sigma[(j, k)] = 1 if r >= 0 else -1
-                else:
-                    sigma[(j, k)] = 1
-        signed = res.copy()
-        for u in range(n):
-            for v in range(n):
-                signed[u, v] *= sigma[(block[u], block[v])]
+        # sigma_jk: the sign of the (S, T)-restricted block residual, + when empty
+        e_st, s, t = _block_edges(g, p, S, T)
+        sigma = np.where(e_st * size >= e * np.outer(s, t), 1.0, -1.0)
+        signed = res * sigma[np.ix_(block, block)]
         S2, T2, _ = cut_oracle(signed.tolist(), mode="alternating", rng=rng)
         if (S2, T2) == (S, T):
             break
         S, T = S2, T2
-    val = partition_st_irregularity(g, p, S, T)
-    return val, S, T
+    return partition_st_irregularity(g, p, S, T), S, T
 
 
 def refine_intermediate(g: DiGraph, epsilon, oracle_mode: str = "exact",
@@ -983,17 +939,12 @@ def rectangle_class(g: DiGraph) -> HypothesisClass:
 
 def partition_to_predictor(g: DiGraph, p: VertexPartition) -> Predictor:
     """The density predictor: on V_j x V_k it outputs d(V_j, V_k)."""
-    _vertex_count(g, p)
+    e, sizes, _ = _block_edges(g, p)
+    dens = [[OutcomeDist.bernoulli(Fraction(int(x), int(sj * sk))) for x, sk in zip(row, sizes)]
+            for row, sj in zip(e, sizes)]
     block = p.block_of()
-    dens = {}
-    for j, a in enumerate(p.parts):
-        for k, b in enumerate(p.parts):
-            dens[(j, k)] = density(g, a, b)
-    values = {}
-    for u in range(g.n):
-        for v in range(g.n):
-            values[pair_id(u, v)] = OutcomeDist.bernoulli(dens[(block[u], block[v])])
-    return Predictor(values)
+    return Predictor({pair_id(u, v): dens[block[u]][block[v]]
+                      for u in range(g.n) for v in range(g.n)})
 
 
 def predictor_to_partition(n: int, predictor: Predictor) -> VertexPartition:
@@ -1067,18 +1018,12 @@ def single_edge_gadget() -> DiGraph:
 
 
 def xor_product(g1: DiGraph, g2: DiGraph) -> DiGraph:
-    """Vertex set V1 x V2; edge iff exactly one factor has the projected edge."""
-    n2 = g2.n
-    edges = set()
-    e1, e2 = g1.edges, g2.edges
-    for u1 in range(g1.n):
-        for u2 in range(g1.n):
-            first = (u1, u2) in e1
-            for b1 in range(n2):
-                for b2 in range(n2):
-                    if first != ((b1, b2) in e2):
-                        edges.add((u1 * n2 + b1, u2 * n2 + b2))
-    return DiGraph(g1.n * n2, frozenset(edges))
+    """Vertex set V1 x V2, vertex (u, b) numbered u n2 + b; edge iff exactly
+    one factor has the projected edge."""
+    n = g1.n * g2.n
+    a1, a2 = g1.adjacency(), g2.adjacency()
+    x = (a1[:, None, :, None] ^ a2[None, :, None, :]).reshape(n, n)
+    return DiGraph(n, frozenset(map(tuple, np.argwhere(x).tolist())))
 
 
 def pair_partition(g1: DiGraph, g2: DiGraph) -> VertexPartition:

@@ -136,6 +136,11 @@ def mc_event_distinguisher(h, event, grid: SimplexGrid, name=None) -> Distinguis
                          {"hypothesis": h.name, "event_cells": sorted(ev)})
 
 
+def _cell_name(h, y, o, point) -> str:
+    """The name of the basic member 1[c_j = y, o, rounded p_j = point]."""
+    return f"cell[{h.name},{y},{o},({','.join(str(w) for w in point)})]"
+
+
 def monomial_distinguisher(h, o0, mono) -> Distinguisher:
     """c(j) * (monomial in p_j) * 1[o = o0]."""
     mono = tuple(mono)
@@ -199,7 +204,7 @@ class DistinguisherFamily:
         cls = self.hypotheses
         if self.kind == "basic":
             return [mc_event_distinguisher(h, [(y, o, tuple(g.weights))], self.grid,
-                                           name=f"cell[{h.name},{y},{o}]")
+                                           name=_cell_name(h, y, o, g.weights))
                     for h in cls for y in cls.range_values
                     for o in self.grid.space.labels for g in self.grid.iter_points()]
         if self.kind == "lowdegree":
@@ -217,6 +222,11 @@ def make_family(kind, hypotheses=None, grid=None, degree=None, members=None,
     if kind == "explicit":
         if not members:
             raise ConstructionError("explicit family needs a member list")
+        names = set()
+        for d in members:
+            if d.name in names:
+                raise ConstructionError(f"two explicit members are named {d.name!r}")
+            names.add(d.name)
         return DistinguisherFamily(kind="explicit", explicit_members=tuple(members))
     if hypotheses is None:
         raise ConstructionError(f"{kind} family needs a hypothesis class")
@@ -426,8 +436,8 @@ def best_response(pop, predictor, family: DistinguisherFamily, backend="rational
     ell = pop.space.size
     y, o = ys[i // ell], pop.space.labels[i % ell]
     val = prep.to_mass(tables[c][v][i])
-    d = mc_event_distinguisher(h, [(y, o, tuple(prep.levels[v].weights))], family.grid,
-                               name=f"cell[{h.name},{y},{o}]")
+    point = tuple(prep.levels[v].weights)
+    d = mc_event_distinguisher(h, [(y, o, point)], family.grid, name=_cell_name(h, y, o, point))
     if val < 0:
         return negate(d), -val
     return d, val

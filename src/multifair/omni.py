@@ -93,11 +93,17 @@ def omni_audit(pop: PopulationInstance, predictor: Predictor, losses,
                cls: HypothesisClass) -> AuditReport:
     """max over (loss, hypothesis) of the post-processing regret, clipped at 0.
 
-    The breakdown keeps the signed per-pair gaps; the report value clips
-    below at zero so it compares directly against a slack eps.
+    The breakdown keeps the signed per-pair gaps, keyed by (loss name,
+    hypothesis name), so loss names must be distinct; the report value
+    clips below at zero so it compares directly against a slack eps.
     """
     if not losses:
         raise DomainError("an omniprediction audit needs at least one loss")
+    names = set()
+    for loss in losses:
+        if loss.name in names:
+            raise DomainError(f"two losses are named {loss.name!r}")
+        names.add(loss.name)
     act_of = _action_map(losses, cls)
     prep = _Prepared(pop, predictor, exact=True)
     ell = pop.space.size

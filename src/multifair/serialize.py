@@ -244,21 +244,6 @@ def losses_from_json(space: OutcomeSpace, doc) -> list:
     return out
 
 
-def losses_to_json(losses) -> list:
-    return [
-        {
-            "name": loss.name,
-            "actions": [str(a) for a in loss.actions],
-            "table": {
-                str(o): {str(y): number_to_string(Fraction(loss.table[(o, y)]))
-                         for y in loss.actions}
-                for o in loss.space.labels
-            },
-        }
-        for loss in losses
-    ]
-
-
 def report_to_json(report: AuditReport) -> dict:
     return {
         "kind": report.kind,

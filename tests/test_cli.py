@@ -308,14 +308,22 @@ BAD_INPUTS = [
     (["graph", "{g6}", "--task", task, "--epsilon", "0.3", "--partition", part], 2)
     for task in ("check-fk", "check-int", "check-sz", "correspond")
     for part in ("{small}", "{large}")
+] + [
+    (["graph", "{g6}", "--task", task, "--epsilon=-0.1"], 2)
+    for task in ("check-fk", "check-int", "check-sz")
+] + [
+    (["audit", "{tp}", "--kind", "omni", "--losses", "{dup}"], 2),
+    (["omni", "{tp}", "--losses", "{dup}"], 2),
 ]
 
 
 @pytest.mark.parametrize("argv,code", BAD_INPUTS, ids=[" ".join(a) for a, _ in BAD_INPUTS])
 def test_bad_inputs_exit_cleanly(argv, code, two_point, tmp_path, capsys):
     files = {"tp": two_point}
+    zero_one = {"name": "zero-one", "actions": ["0", "1"],
+                "table": {"0": {"0": "0", "1": "1"}, "1": {"0": "1", "1": "0"}}}
     for name, doc in (("empty", []), ("small", [[0, 1], [2, 3]]),
-                      ("large", [[0, 1, 2, 3], [4, 5, 6, 7]])):
+                      ("large", [[0, 1, 2, 3], [4, 5, 6, 7]]), ("dup", [zero_one, zero_one])):
         files[name] = tmp_path / f"{name}.json"
         files[name].write_text(json.dumps(doc))
     files["g6"] = tmp_path / "g6.json"

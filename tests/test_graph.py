@@ -21,7 +21,6 @@ from multifair import (
     equivalence_bounds,
     graph_to_instance,
     irregularity,
-    irregularity_bruteforce,
     max_st_irregularity,
     mean_square_density,
     pair_partition,
@@ -53,6 +52,15 @@ from multifair.errors import (
     EnumerationLimitError,
     InternalInvariantError,
     StructuralFailureError,
+)
+from oracles import (
+    density_scan,
+    edge_count_scan,
+    irregularity_bruteforce,
+    max_st_irregularity_sigma_enum,
+    mean_square_density_scan,
+    partition_st_irregularity_scan,
+    st_irregularity_scan,
 )
 
 
@@ -91,6 +99,73 @@ def test_density_empty_block_errors_count_still_available():
         density(g, (), (0, 1))
     assert edge_count(g, (), (0, 1)) == 0
     assert edge_stats(g, (), (0, 1)).density is None
+
+
+def test_adjacency_is_built_once_and_read_only():
+    g = DiGraph(3, frozenset({(0, 1), (2, 2)}))
+    a = g.adjacency()
+    assert a is g.adjacency() and not a.flags.writeable
+    assert a.tolist() == [[0, 1, 0], [0, 0, 0], [0, 0, 1]]
+    with pytest.raises(ValueError):
+        a[0, 0] = 1
+    assert g == DiGraph(3, frozenset({(2, 2), (0, 1)})) and hash(g) == hash(DiGraph(3, g.edges))
+    for n, edges in ((3, {(0, 3)}), (3, {(-1, 0)}), (3, {(0, 2 ** 70)}), (-1, set())):
+        with pytest.raises(DomainError):
+            DiGraph(n, frozenset(edges))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except EmptyBlockError:
+        return "empty"
+
+
+def test_edge_statistics_match_literal_edge_scan():
+    # matrix-backed statistics against a scan of g.edges, on sides that are
+    # empty, full, or mix vertices with out-of-range and negative ids
+    for n in range(1, 11):
+        for seed in range(5):
+            rng = np.random.default_rng(100 * n + seed)
+            g = random_digraph(rng, n, float(rng.uniform(0.1, 0.9)), loops=bool(seed % 2))
+            labels = rng.integers(0, int(rng.integers(1, 4)), size=n).tolist()
+            p = VertexPartition(tuple(tuple(v for v in range(n) if labels[v] == b)
+                                      for b in sorted(set(labels))))
+            pool = list(range(n)) + [-1, -2, n, n + 5]
+            sides = [(), tuple(range(n)), (-1, n, n + 5), (0, -1, n, 0)]
+            sides += [tuple(int(v) for v in rng.choice(pool, size=int(rng.integers(1, len(pool))),
+                                                       replace=False)) for _ in range(4)]
+            assert mean_square_density(g, p) == mean_square_density_scan(g, p)
+            for S in sides:
+                for T in sides:
+                    count = edge_count_scan(g, S, T)
+                    assert edge_count(g, S, T) == count
+                    dens = _outcome(density_scan, g, S, T)
+                    assert _outcome(density, g, S, T) == dens
+                    st = edge_stats(g, S, T)
+                    assert (st.count, st.density) == (count, None if dens == "empty" else dens)
+                    assert partition_st_irregularity(g, p, S, T) == \
+                        partition_st_irregularity_scan(g, p, S, T)
+                    for X, Y in ((p.parts[0], p.parts[-1]), (S, T)):
+                        assert _outcome(st_irregularity, g, X, Y, S, T) == \
+                            _outcome(st_irregularity_scan, g, X, Y, S, T)
+
+
+def test_graph_checks_reject_negative_epsilon():
+    g = random_digraph(np.random.default_rng(3), 6, 0.5)
+    p = VertexPartition(((0, 1, 2), (3, 4, 5)))
+    for eps in (F(-1, 10), -0.1):
+        with pytest.raises(DomainError):
+            check_regular_pair(g, range(3), range(3, 6), eps)
+        for q in (p, VertexPartition.trivial(6)):
+            for check in (check_szemeredi, check_frieze_kannan, check_intermediate):
+                with pytest.raises(DomainError):
+                    check(g, q, eps)
+    # eps = 0 stays valid: a complete graph is exactly regular
+    k = DiGraph.complete(4)
+    assert check_regular_pair(k, (0, 1), (2, 3), 0) == (True, None)
+    assert check_intermediate(k, VertexPartition.trivial(4), 0).passed
+    assert check_intermediate(k, VertexPartition(((0, 1), (2, 3))), 0).passed
 
 
 # ---------------------------------------------------------------------------
@@ -732,7 +807,6 @@ def test_graph_serialization_round_trip():
 
 
 def test_sigma_enumeration_validates_direct_search():
-    from multifair.graph import max_st_irregularity_sigma_enum
     for seed in range(5):
         g = random_digraph(np.random.default_rng(70 + seed), 6, 0.5)
         for parts in [((0, 1, 2), (3, 4, 5)), ((0, 1), (2, 3), (4, 5)),

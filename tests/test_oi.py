@@ -351,3 +351,38 @@ def test_negate_complements_and_double_negation_restores():
         assert once.payload["negated"] is True and twice.payload["negated"] is True
         assert once.name == f"not:{d.name}"
         assert oi_advantage(pop, pred, once) == -oi_advantage(pop, pred, d)
+
+
+def test_basic_member_names_carry_the_grid_point():
+    # members that differ only in their grid point used to share a name, and
+    # the explicit audit, keyed by name, collapsed them into one entry
+    pop, cls, pred = random_instance(np.random.default_rng(32), 6, 2, 2)
+    grid = make_grid_with_denominator(pop.space, 3)
+    basic = make_family("basic", hypotheses=cls, grid=grid)
+    members = basic.members()
+    assert len(members) == 32 and len({d.name for d in members}) == 32
+    explicit = make_family("explicit", members=members)
+    true_max = max(abs(oi_advantage(pop, pred, d)) for d in members)
+    assert true_max == F(2173, 12600)
+    assert audit_oi(pop, pred, explicit).value == audit_oi(pop, pred, basic).value == true_max
+    d, adv = best_response(pop, pred, basic)
+    assert d.name in {m.name for m in members} and adv == true_max
+    assert best_response(pop, pred, explicit)[0].name == d.name
+
+
+def test_explicit_family_rejects_duplicate_member_names():
+    pop, cls, _ = random_instance(np.random.default_rng(32), 6, 2, 2)
+    d = make_family("basic", hypotheses=cls, grid=make_grid_with_denominator(pop.space, 3)
+                    ).members()[0]
+    with pytest.raises(ConstructionError):
+        make_family("explicit", members=[d, d])
+
+
+def test_explicit_construction_reports_the_true_final_audit():
+    from multifair import construct_exact
+    for seed in range(6):
+        pop, cls, _ = random_instance(np.random.default_rng(900 + seed), 5, 2, 2)
+        members = make_family("basic", hypotheses=cls,
+                              grid=make_grid_with_denominator(pop.space, 3)).members()
+        out, tr = construct_exact(pop, make_family("explicit", members=members), F(1, 20))
+        assert tr.final_audit == max(abs(oi_advantage(pop, out, d)) for d in members)

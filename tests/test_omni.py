@@ -162,3 +162,17 @@ def test_covariance_omniprediction_numerical_check():
     rep = omni_audit(pop, pred, [sq], cls)
     assert rep.value == 0
     assert all(gap <= 0 for gap in rep.breakdown.values())
+
+
+def test_losses_sharing_a_name_are_rejected():
+    # keyed by name, the second loss's gaps used to overwrite the first's
+    pop, cls, pred = fixture_two_point()
+    loss = zero_one_loss(pop.space)
+    other = LossFunction("zero-one", pop.space, ("0", "1"),
+                         {("0", "0"): F(0), ("0", "1"): F(1, 2),
+                          ("1", "0"): F(1), ("1", "1"): F(0)})
+    for losses in ([other, loss], [loss, loss]):
+        with pytest.raises(DomainError):
+            omni_audit(pop, pred, losses, cls)
+        with pytest.raises(DomainError):
+            omni_bound_check(pop, pred, losses, cls)
