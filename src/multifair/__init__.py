@@ -10,7 +10,6 @@ from .core import (
     make_coordinate_grid,
     make_grid_with_denominator,
     stat_distance,
-    stat_distance_subset_oracle,
     verify_covering_radius,
 )
 from .population import (
@@ -45,7 +44,6 @@ from .oi import (
     Distinguisher,
     DistinguisherFamily,
     audit_oi,
-    audit_oi_mc_bruteforce,
     best_response,
     make_family,
     mc_event_distinguisher,

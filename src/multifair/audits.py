@@ -32,6 +32,10 @@ they pass and in how they reduce the table:
 The OI event families build the table on the levels of the grid-rounded
 predictor: the mc OI audit is the multi-calibration distance over those
 levels, with the modeled mass still taken from the raw predictor.
+`_Prepared(grid=...)` maps a predictor onto a grid for every audit and
+distinguisher evaluation: it rounds each distinct prediction once, by
+`SimplexGrid.round_dist`, under either backend, and members read the
+points it keeps.
 
 The chain MA <= MC <= SMC holds exactly on every instance, as does the
 discretization inequality SMC(rounded p) <= |grid| * MC(p) + eta.
@@ -102,7 +106,9 @@ class _Prepared:
     Levels group individuals by prediction value.  With a grid they group
     by the grid-rounded prediction instead, which is what the OI event
     families condition on; the modeled mass still comes from the raw
-    predictor.  `level_weight` holds each level's scaled mass.
+    predictor.  `grid` is that grid (or None), `predictor` the predictor
+    read (exact in exact mode, raw otherwise), `points[level]` each level's
+    weight tuple and `level_weight` each level's scaled mass.
     """
 
     def __init__(self, pop: PopulationInstance, predictor: Predictor, exact: bool,
@@ -110,9 +116,11 @@ class _Prepared:
         predictor.check_total(pop)
         self.pop = pop
         self.exact = exact
+        self.grid = grid
         self.ids = pop.ids
         ell = pop.space.size
         pred = predictor.as_exact() if exact else predictor
+        self.predictor = pred
         self.dists = [pred.values[j] for j in pop.ids]
 
         if exact:
@@ -121,50 +129,30 @@ class _Prepared:
                         for i, d in enumerate(self.dists)]
             star_fr = [[w[i] * exactify(pop.p_true[j].weights[o]) for o in range(ell)]
                        for i, j in enumerate(pop.ids)]
-            D = 1
-            for row in tilde_fr:
-                for f in row:
-                    D = D * f.denominator // math.gcd(D, f.denominator)
-            for row in star_fr:
-                for f in row:
-                    D = D * f.denominator // math.gcd(D, f.denominator)
-            self.D = D
+            self.D = D = math.lcm(1, *(f.denominator for rows in (tilde_fr, star_fr)
+                                      for row in rows for f in row))
             tilde = [[int(f * D) for f in row] for row in tilde_fr]
             self.star = [[int(f * D) for f in row] for row in star_fr]
         else:
             self.D = 1.0
-            tilde = [
-                [float(pop.weight[j]) * float(d.weights[o]) for o in range(ell)]
-                for j, d in zip(pop.ids, self.dists)
-            ]
-            self.star = [
-                [float(pop.weight[j]) * float(pop.p_true[j].weights[o]) for o in range(ell)]
-                for j in pop.ids
-            ]
+            w = [float(pop.weight[j]) for j in pop.ids]
+            tilde = [[wi * float(x) for x in d.weights] for wi, d in zip(w, self.dists)]
+            self.star = [[wi * float(x) for x in pop.p_true[j].weights]
+                         for wi, j in zip(w, pop.ids)]
         self.diff = [[t - s for t, s in zip(tr, sr)] for tr, sr in zip(tilde, self.star)]
 
         if grid is not None:
-            rounded = {}
-            for d in self.dists:
-                if d not in rounded:
-                    rounded[d] = grid.round_dist(d)
-            self.level_dists = [rounded[d] for d in self.dists]
+            rounded = {d: grid.round_dist(d) for d in set(self.dists)}
+            level_dists = [rounded[d] for d in self.dists]
         elif exact:
-            self.level_dists = self.dists
+            level_dists = self.dists
         else:
-            self.level_dists = self._cluster_levels()
-
-        reps = {}
-        order = []
-        for d in self.level_dists:
-            if d not in reps:
-                reps[d] = None
-                order.append(d)
-        order.sort(key=lambda d: tuple(d.weights))
-        self.levels = order
-        idx = {d: i for i, d in enumerate(order)}
-        self.level_of = [idx[d] for d in self.level_dists]
-        self.level_weight = [0] * len(order)
+            level_dists = self._cluster_levels()
+        self.levels = sorted(set(level_dists), key=lambda d: tuple(d.weights))
+        self.points = [tuple(d.weights) for d in self.levels]
+        idx = {d: i for i, d in enumerate(self.levels)}
+        self.level_of = [idx[d] for d in level_dists]
+        self.level_weight = [0] * len(self.levels)
         for li, row in zip(self.level_of, self.star):
             self.level_weight[li] += sum(row)
 

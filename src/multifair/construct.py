@@ -7,6 +7,9 @@ update rule to every individual's prediction.  The regret bound of the
 rule caps the number of iterations at 2 (L/eps)^2 E[D(p*_i, p_i^(1))]:
 with multiplicative weights from the uniform start this is
 2 ln(outcomes) / eps^2, with projected gradient descent 2*outcomes/eps^2.
+The final audit is the value of the last best response, which attains
+the audit.  Loss tables, empirical advantages and the randomized
+selection read one float `audits._Prepared` population per grid and call.
 
 The sample-based loop replaces the exact search with a weak agnostic
 learner: empirical-advantage maximization over an explicit family on
@@ -41,6 +44,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .audits import _Prepared
 from .core import SimplexGrid, exactify
 from .errors import (
     DomainError,
@@ -52,12 +56,13 @@ from .noregret import LossTable, UpdateRule, mwu_rule, update
 from .oi import (
     Distinguisher,
     DistinguisherFamily,
+    _oriented,
+    _preparer,
     audit_oi,
     best_response,
     make_family,
     mc_event_distinguisher,
     monomial_multisets,
-    negate,
 )
 from .population import (
     HypothesisClass,
@@ -132,8 +137,8 @@ def wal_sample_count(epsilon, beta, member_count) -> int:
 
 def loss_from_distinguisher(d: Distinguisher, pop, predictor) -> list:
     """Per individual of the population: the loss table L_j(o) = A(j, o, p)."""
-    return [LossTable(pop.space, tuple(float(v) for v in row))
-            for row in d.values(pop.ids, predictor)]
+    prep = _Prepared(pop, predictor, exact=False, grid=d.grid)
+    return [LossTable(pop.space, tuple(float(v) for v in row)) for row in d.values(prep)]
 
 
 def _apply_update(pop, predictor, rule, d) -> Predictor:
@@ -203,7 +208,7 @@ def construct_exact(pop: PopulationInstance, family: DistinguisherFamily, epsilo
         transcript.iterations.append(
             IterationRecord(index=t, witness=dict(d.payload), advantage=adv))
     transcript.final_predictor = predictor
-    transcript.final_audit = audit_oi(pop, predictor, family, backend="rational").value
+    transcript.final_audit = adv
     return predictor, transcript
 
 
@@ -230,14 +235,15 @@ def empirical_advantages(members, pop, predictor, samples):
         counts[id_pos[j]] += 1
         obs_counts[id_pos[j], o_pos[o]] += 1
     drawn = [i for i in range(len(pop.ids)) if counts[i] != 0]
-    drawn_ids = [pop.ids[i] for i in drawn]
-    pts = [[float(w) for w in predictor.values[j].weights] for j in drawn_ids]
+    pts = [[float(w) for w in predictor.values[pop.ids[i]].weights] for i in drawn]
+    prep = _preparer(pop, predictor, exact=False)
     out = []
     for d in members:
         modeled = 0.0
         observed = 0.0
-        for i, pt, row in zip(drawn, pts, d.values(drawn_ids, predictor)):
-            vals = [float(v) for v in row]
+        rows = d.values(prep(d.grid))
+        for i, pt in zip(drawn, pts):
+            vals = [float(v) for v in rows[i]]
             modeled += counts[i] * sum(a * b for a, b in zip(vals, pt))
             observed += sum(obs_counts[i, oi] * vals[oi] for oi in range(pop.space.size))
         out.append((modeled - observed) / n)
@@ -256,10 +262,7 @@ def wal_erm(family, cfg: WALConfig, samples, pop, predictor):
     advs = empirical_advantages(members, pop, predictor, samples)
     best_i = max(range(len(members)), key=lambda i: abs(advs[i]))
     if abs(advs[best_i]) > cfg.threshold:
-        d = members[best_i]
-        if advs[best_i] < 0:
-            return negate(d), -advs[best_i]
-        return d, advs[best_i]
+        return _oriented(members[best_i], advs[best_i])
     return None
 
 
@@ -378,8 +381,7 @@ def select_distinguisher_randomized(pop, predictor, cls: HypothesisClass, eps_pr
         8 * math.log(2 * len(learner.search) * rounds / beta) / (epsp / 2) ** 2)
 
     cells = [(o, tuple(g.weights)) for o in pop.space.labels for g in grid.iter_points()]
-    pred_exact = predictor.as_exact()
-    rounded = {j: tuple(grid.round_dist(pred_exact.values[j]).weights) for j in pop.ids}
+    prep = _Prepared(pop, predictor, exact=False, grid=grid)
 
     weights = np.array([float(pop.weight[j]) for j in pop.ids])
     weights = weights / weights.sum()
@@ -388,8 +390,8 @@ def select_distinguisher_randomized(pop, predictor, cls: HypothesisClass, eps_pr
     p_mod = np.array([[float(w) for w in predictor.values[j].weights] for j in pop.ids])
     cum_mod = np.cumsum(p_mod, axis=1)
     cell_index = {c: i for i, c in enumerate(cells)}
-    cell_of = np.array(
-        [[cell_index[(o, rounded[j])] for o in pop.space.labels] for j in pop.ids])
+    cell_of = np.array([[cell_index[(o, prep.points[level])] for o in pop.space.labels]
+                        for level in prep.level_of])
 
     for _ in range(rounds):
         member_bits = rng.integers(0, 2, size=len(cells))

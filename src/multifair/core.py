@@ -11,15 +11,16 @@ Statistical distance between finite distributions p and q is
 
     delta(p, q) = max_A |p(A) - q(A)| = (1/2) * sum_a |p(a) - q(a)|,
 
-the maximum running over all event subsets A of the common support.  Both
-forms are implemented; the subset-enumeration form is kept deliberately
-independent so it can serve as an oracle for the half-L1 form.
+the maximum running over all event subsets A of the common support.  The
+library computes the half-L1 form; the subset-enumeration form is a test
+oracle (`tests/oracles.py`).
 
 A coordinate grid with denominator m is the set of points of the outcome
 simplex whose coordinates are multiples of 1/m.  It covers the simplex to
 statistical distance (l-1)/m, contains C(m+l-1, l-1) points, and nearest-
 point rounding onto it is largest-remainder apportionment, so predictors
-can be discretized without materializing the grid.
+can be discretized without materializing the grid.  `SimplexGrid.round_dist`
+is the one rounding rule: a prediction rounds as its exact value.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .errors import (
     SupportMismatchError,
 )
 
-SUBSET_ORACLE_LIMIT = 22
 FLOAT_SUM_TOL = 1e-12
 FLOAT_GROUP_TOL = 1e-9
 
@@ -198,48 +198,6 @@ def stat_distance(p, q):
     return total / 2 if isinstance(total, float) else Fraction(total) / 2
 
 
-def stat_distance_subset_oracle(p, q):
-    """max_A |p(A) - q(A)| by literal enumeration of all 2^|support| events.
-
-    This is the defining form of statistical distance and is kept independent
-    of `stat_distance` so the two can check each other.  Supports of more
-    than 22 atoms are refused.
-    """
-    tp, tq = _as_table(p), _as_table(q)
-    _check_same_support(tp, tq)
-    atoms = list(tp)
-    k = len(atoms)
-    if k > SUBSET_ORACLE_LIMIT:
-        raise EnumerationLimitError(
-            f"support of size {k} exceeds the enumeration guard {SUBSET_ORACLE_LIMIT}"
-        )
-    return _max_abs_subset_sum([tp[a] - tq[a] for a in atoms])
-
-
-def _max_abs_subset_sum(values):
-    """max over all subsets of |sum of the subset|, by literal enumeration.
-
-    A Gray-code walk: exactly one value enters or leaves the subset per
-    step.  Returns the int 0 when no subset sum is nonzero.
-    """
-    best = 0
-    acc = 0
-    prev = 0
-    for g in range(1, 1 << len(values)):
-        gray = g ^ (g >> 1)
-        changed = gray ^ prev
-        idx = changed.bit_length() - 1
-        if gray & changed:
-            acc += values[idx]
-        else:
-            acc -= values[idx]
-        prev = gray
-        mag = abs(acc)
-        if mag > best:
-            best = mag
-    return best
-
-
 def conditional_distance_profile(joint_x: Mapping, joint_y: Mapping) -> dict:
     """Per-condition statistical distances delta(X, Y | Z=z).
 
@@ -345,28 +303,26 @@ class SimplexGrid:
         return self.denominator is not None
 
     def round_dist(self, dist: OutcomeDist) -> OutcomeDist:
-        """Nearest grid point in statistical distance, earliest point on ties."""
+        """The grid point nearest `dist.as_exact()` in statistical distance,
+        earliest point on ties: a float prediction rounds as its exact value."""
         if dist.space != self.space:
             raise DomainError("distribution and grid live on different outcome spaces")
+        dist = dist.as_exact()
         if self.is_coordinate:
             return self._round_coordinate(dist)
         return self._round_scan(dist)
 
     def _round_scan(self, dist: OutcomeDist) -> OutcomeDist:
-        best = None
-        best_d = None
-        for g in self.points:
-            d = sum(abs(exactify(a) - exactify(b)) for a, b in zip(dist.weights, g.weights))
-            if best_d is None or d < best_d:
-                best, best_d = g, d
-        return best
+        # min keeps the earliest of equally near points
+        return min(self.points, key=lambda g: sum(abs(a - exactify(b))
+                                                  for a, b in zip(dist.weights, g.weights)))
 
     def _round_coordinate(self, dist: OutcomeDist) -> OutcomeDist:
         # Largest-remainder apportionment is the L1 projection onto the integer
         # simplex; ties bump earlier coordinates, matching the canonical
         # descending-lex point order.  Verified against _round_scan in tests.
         m = self.denominator
-        scaled = [exactify(w) * m for w in dist.weights]
+        scaled = [w * m for w in dist.weights]
         floors = [int(x) for x in scaled]  # int() truncates toward zero; weights >= 0
         remainders = [x - f for x, f in zip(scaled, floors)]
         k = m - sum(floors)

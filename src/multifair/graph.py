@@ -627,32 +627,6 @@ def check_intermediate(g: DiGraph, p: VertexPartition, epsilon) -> CheckReport:
     return CheckReport("intermediate", passed, (S, T), eps * n * n - best_val)
 
 
-def spot_check_intermediate(g: DiGraph, p: VertexPartition, epsilon,
-                            rng: np.random.Generator, samples: int = 2000) -> CheckReport:
-    """Randomized, non-exhaustive intermediate check for larger graphs."""
-    n = _vertex_count(g, p)
-    eps = exactify(epsilon)
-    e, sizes, _ = _block_edges(g, p)
-    size = np.outer(sizes, sizes).astype(object)
-    worst = Fraction(0)
-    witness = None
-    for _ in range(samples):
-        s_mask = int(rng.integers(0, 1 << min(n, 62)))
-        t_mask = int(rng.integers(0, 1 << min(n, 62)))
-        S = _mask_to_set(s_mask, list(range(n)))
-        T = _mask_to_set(t_mask, list(range(n)))
-        e_st, s, t = _block_edges(g, p, S, T)
-        st = np.outer(s, t).astype(object)
-        # |d(S n V_j, T n V_k) - d(V_j, V_k)| > eps, times |S n V_j||T n V_k| > 0
-        gap = np.abs(e_st * size - e * st) * eps.denominator
-        mass = int(np.where(gap > eps.numerator * st * size, st, 0).sum())
-        if mass > worst:
-            worst = Fraction(mass)
-            witness = (S, T)
-    return CheckReport("intermediate-spot", worst <= eps * n * n, witness,
-                       eps * n * n - worst, exhaustive=False)
-
-
 # ---------------------------------------------------------------------------
 # Cut oracle
 # ---------------------------------------------------------------------------

@@ -20,15 +20,16 @@ Members are data, not closures: basic, mc and smc members are events
 over (hypothesis value, outcome, grid point) cells, lowdegree members are
 (hypothesis, outcome, monomial) triples, and only explicit members carry
 a callable.  `Distinguisher.values` evaluates a member over a population
-at once, rounding each distinct prediction once; every advantage, loss
-table and empirical advantage goes through it.
+that `audits._Prepared` rounded onto the member's grid; one prepared
+population per grid serves every member of a call, and every advantage,
+loss table and empirical advantage goes through it.
 
 The mc and smc families have astronomically many members (every event E
 is one member) but their audits never enumerate: for a fixed hypothesis
 the best event is the set of cells where the modeled mass exceeds the
 true mass, so the maximal advantage is exactly the corresponding
-statistical distance.  The literal exhaustive-E maximization is kept as
-an oracle for small cell counts.
+statistical distance.  The literal exhaustive-E maximization is a test
+oracle for small cell counts (`tests/oracles.py`).
 
 The basic, mc and smc audits, their best responses and the oracle all
 reduce over one signed table, the (modeled - true) mass per (hypothesis,
@@ -43,22 +44,21 @@ import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .core import OutcomeDist, OutcomeSpace, SimplexGrid, _max_abs_subset_sum, exactify
+from .core import OutcomeDist, OutcomeSpace, SimplexGrid, exactify
 from .errors import ConstructionError, EnumerationLimitError
 from .audits import AuditReport, _is_exact, _Prepared
 from .population import HypothesisClass, PopulationInstance, Predictor
 
 EXPLICIT_AUDIT_LIMIT = 10**6
-MC_ORACLE_CELL_LIMIT = 12
 
 
 @dataclass
 class Distinguisher:
     """A family member as data; `payload` is what transcripts record.
 
-    event     `events` maps a grid point (weight tuple) to (c, cells): the
-              value at (j, o) is 1[(c(j), o) in cells] for the point nearest
-              p_j, and 0 at points without an entry.
+    event     `events` maps a point of `grid` (weight tuple) to (c, cells):
+              the value at (j, o) is 1[(c(j), o) in cells] for the point
+              nearest p_j, and 0 at points without an entry.
     monomial  `monomial` is (c, o0, indices): c(j) * prod_i p_j[i] * 1[o = o0].
     explicit  `fn(j, o, predictor)`.
 
@@ -73,38 +73,29 @@ class Distinguisher:
     monomial: tuple | None = None
     negated: bool = False
 
-    def values(self, ids, predictor):
-        """Per individual in `ids`: the member's value at each outcome, in label order.
-
-        Each distinct prediction is rounded onto the grid once per call.
-        """
-        rows = []
-        rounded = {}
-        for j in ids:
-            dist = predictor.values[j]
-            labels = dist.space.labels
-            if self.events is not None:
-                g = rounded.get(dist)
-                if g is None:
-                    g = rounded[dist] = tuple(self.grid.round_dist(dist.as_exact()).weights)
-                entry = self.events.get(g)
-                if entry is None:
-                    row = [0] * len(labels)
-                else:
-                    h, cells = entry
-                    y = h.values[j]
-                    row = [1 if (y, o) in cells else 0 for o in labels]
-            elif self.monomial is not None:
-                h, o0, mono = self.monomial
-                row = [h.values[j] * monomial_value(mono, dist) if o == o0 else 0
-                       for o in labels]
-            else:
-                row = [self.fn(j, o, predictor) for o in labels]
-            rows.append([1 - v for v in row] if self.negated else row)
+    def values(self, prep: _Prepared):
+        """Per individual of `prep`: the member's value at each outcome, in
+        label order.  Event members need `prep` prepared for their grid."""
+        labels = prep.pop.space.labels
+        if self.events is not None:
+            if prep.grid is not self.grid:
+                raise ConstructionError(
+                    f"member {self.name} reads a grid the population was not prepared for")
+            entries = [self.events.get(point) for point in prep.points]
+            rows = []
+            for j, level in zip(prep.ids, prep.level_of):
+                h, cells = entries[level] or (None, ())
+                y = h.values[j] if h is not None else None
+                rows.append([1 if (y, o) in cells else 0 for o in labels])
+        elif self.monomial is not None:
+            h, o0, mono = self.monomial
+            rows = [[h.values[j] * monomial_value(mono, dist) if o == o0 else 0
+                     for o in labels] for j, dist in zip(prep.ids, prep.dists)]
+        else:
+            rows = [[self.fn(j, o, prep.predictor) for o in labels] for j in prep.ids]
+        if self.negated:
+            return [[1 - v for v in row] for row in rows]
         return rows
-
-    def evaluate(self, j, o, predictor):
-        return self.values([j], predictor)[0][predictor.values[j].space.index(o)]
 
 
 def negate(d: Distinguisher) -> Distinguisher:
@@ -252,21 +243,36 @@ def make_family(kind, hypotheses=None, grid=None, degree=None, members=None,
 def oi_advantage(pop: PopulationInstance, predictor: Predictor, d: Distinguisher,
                  exact: bool = True):
     """Signed advantage Delta_A, an exact expectation difference over the joint."""
-    predictor.check_total(pop)
-    pred = predictor.as_exact() if exact else predictor
-    total = Fraction(0) if exact else 0.0
-    for j, row in zip(pop.ids, d.values(pop.ids, pred)):
-        w = exactify(pop.weight[j]) if exact else float(pop.weight[j])
-        if w == 0:
-            continue
-        pt = pred.values[j].weights
-        ps = pop.p_true[j].weights
-        for o_idx, a in enumerate(row):
-            coef = pt[o_idx] - ps[o_idx]
-            if coef != 0 and a != 0:
-                v = w * (exactify(coef) * exactify(a) if exact else float(coef) * float(a))
-                total += v
-    return total
+    return _advantage(_Prepared(pop, predictor, exact, grid=d.grid), d)
+
+
+def _advantage(prep, d):
+    """Delta_A on a prepared population: the (modeled - true) masses weighted by A."""
+    conv = exactify if prep.exact else float
+    return prep.to_mass(sum(x * conv(a) for diff, row in zip(prep.diff, d.values(prep))
+                            for x, a in zip(diff, row) if x and a))
+
+
+def _preparer(pop, predictor, exact):
+    """prep(grid): the population prepared once per grid, grids compared by identity."""
+    cache = {}
+
+    def prep(grid):
+        if id(grid) not in cache:
+            cache[id(grid)] = _Prepared(pop, predictor, exact, grid=grid)
+        return cache[id(grid)]
+    return prep
+
+
+def _explicit_advantages(pop, predictor, family, exact):
+    """(member, signed advantage) for every explicit member, in member order."""
+    prep = _preparer(pop, predictor, exact)
+    return [(d, _advantage(prep(d.grid), d)) for d in family.explicit_members]
+
+
+def _oriented(d, adv):
+    """(d, adv) with a nonnegative advantage: the complement 1 - d when adv < 0."""
+    return (negate(d), -adv) if adv < 0 else (d, adv)
 
 
 def _mass(prep, scaled):
@@ -283,7 +289,7 @@ def _positive_cells(prep, ys, per_level, levels):
     """The (y, outcome, grid point) cells with positive signed mass on the given levels."""
     ell = prep.pop.space.size
     labels = prep.pop.space.labels
-    return [(ys[i // ell], labels[i % ell], tuple(prep.levels[v].weights))
+    return [(ys[i // ell], labels[i % ell], prep.points[v])
             for v in levels for i, x in enumerate(per_level[v]) if x > 0]
 
 
@@ -321,13 +327,13 @@ def audit_oi(pop, predictor, family: DistinguisherFamily, backend="rational") ->
     if family.kind == "explicit":
         if len(family.explicit_members) > EXPLICIT_AUDIT_LIMIT:
             raise EnumerationLimitError("explicit family too large to audit")
-        breakdown = {d.name: abs(oi_advantage(pop, predictor, d, exact=exact))
-                     for d in family.explicit_members}
+        breakdown = {d.name: abs(adv)
+                     for d, adv in _explicit_advantages(pop, predictor, family, exact)}
         witness = max(breakdown, key=lambda k: breakdown[k])
         return AuditReport("oi-explicit", breakdown[witness], witness, breakdown)
 
     if family.kind == "lowdegree":
-        return _audit_lowdegree(pop, predictor, family, exact)
+        return _audit_lowdegree(_Prepared(pop, predictor, exact), family)
 
     if family.kind not in ("mc", "smc", "basic"):
         raise ConstructionError(f"unknown family kind {family.kind!r}")
@@ -336,7 +342,7 @@ def audit_oi(pop, predictor, family: DistinguisherFamily, backend="rational") ->
     _, tables = prep.cell_tables(cls, prep.diff)
     if family.kind == "smc":
         choice = _smc_choice(prep, tables)
-        per_level_best = {tuple(prep.levels[v].weights): (cls.hypotheses[c].name, _mass(prep, s))
+        per_level_best = {prep.points[v]: (cls.hypotheses[c].name, _mass(prep, s))
                           for v, (c, s) in enumerate(choice)}
         total = prep.to_mass(sum(s for _, s in choice))
         return AuditReport("oi-smc", total, per_level_best, per_level_best)
@@ -349,9 +355,8 @@ def audit_oi(pop, predictor, family: DistinguisherFamily, backend="rational") ->
     return AuditReport(f"oi-{family.kind}", breakdown[witness], witness, breakdown)
 
 
-def _audit_lowdegree(pop, predictor, family, exact):
-    prep = _Prepared(pop, predictor, exact)
-    conv = exactify if exact else float
+def _audit_lowdegree(prep, family):
+    conv = exactify if prep.exact else float
     labels = family.outcome_space.labels
     monos = monomial_multisets(len(labels), family.degree)
     mono_vals = [[conv(monomial_value(mono, d)) for d in prep.dists] for mono in monos]
@@ -386,25 +391,16 @@ def best_response(pop, predictor, family: DistinguisherFamily, backend="rational
     """
     exact = _is_exact(backend)
     if family.kind == "explicit":
-        best = None
-        for d in family.explicit_members:
-            adv = oi_advantage(pop, predictor, d, exact=exact)
-            if best is None or abs(adv) > abs(best[1]):
-                best = (d, adv)
-        d, adv = best
-        if adv < 0:
-            return negate(d), -adv
-        return d, adv
+        # max keeps the first member of largest |advantage|
+        return _oriented(*max(_explicit_advantages(pop, predictor, family, exact),
+                              key=lambda t: abs(t[1])))
 
     if family.kind == "lowdegree":
-        report = _audit_lowdegree(pop, predictor, family, exact)
-        w = report.witness
+        prep = _Prepared(pop, predictor, exact)
+        w = _audit_lowdegree(prep, family).witness
         h = next(h for h in family.hypotheses if h.name == w["hypothesis"])
         d = monomial_distinguisher(h, w["outcome"], w["monomial_indices"])
-        adv = oi_advantage(pop, predictor, d, exact=exact)
-        if adv < 0:
-            return negate(d), -adv
-        return d, adv
+        return _oriented(d, _advantage(prep, d))
 
     if family.kind not in ("mc", "smc", "basic"):
         raise ConstructionError(f"unknown family kind {family.kind!r}")
@@ -418,7 +414,7 @@ def best_response(pop, predictor, family: DistinguisherFamily, backend="rational
         return mc_event_distinguisher(cls.hypotheses[c], cells, family.grid), _mass(prep, pos[c])
     if family.kind == "smc":
         choice = _smc_choice(prep, tables)
-        amap = {tuple(prep.levels[v].weights): cls.hypotheses[c]
+        amap = {prep.points[v]: cls.hypotheses[c]
                 for v, (c, _) in enumerate(choice)}
         cells = sorted(cell for v, (c, _) in enumerate(choice)
                        for cell in _positive_cells(prep, ys, tables[c], [v]))
@@ -435,34 +431,6 @@ def best_response(pop, predictor, family: DistinguisherFamily, backend="rational
     v, i = _first_reached_cell(prep, ys, h, tables[c], peak[c])
     ell = pop.space.size
     y, o = ys[i // ell], pop.space.labels[i % ell]
-    val = prep.to_mass(tables[c][v][i])
-    point = tuple(prep.levels[v].weights)
+    point = prep.points[v]
     d = mc_event_distinguisher(h, [(y, o, point)], family.grid, name=_cell_name(h, y, o, point))
-    if val < 0:
-        return negate(d), -val
-    return d, val
-
-
-def audit_oi_mc_bruteforce(pop, predictor, cls, grid, backend="rational"):
-    """Literal max over all events E of |Delta| for the mc family; oracle only.
-
-    Enumerates 2^(|Y| * outcomes * |grid|) events, so the cell count is
-    capped at 12.
-    """
-    prep = _Prepared(pop, predictor, _is_exact(backend), grid=grid)
-    ys, tables = prep.cell_tables(cls, prep.diff)
-    ell = pop.space.size
-    n_cells = len(ys) * ell * grid.size
-    if n_cells > MC_ORACLE_CELL_LIMIT:
-        raise EnumerationLimitError(f"{n_cells} cells exceed the oracle cap")
-    # cells over the full (y, o, grid) lattice, not just occupied levels
-    level_of = {tuple(d.weights): v for v, d in enumerate(prep.levels)}
-    best = 0
-    for per_level in tables:
-        diffs = []
-        for i in range(len(ys) * ell):
-            for g in grid.iter_points():
-                v = level_of.get(tuple(g.weights))
-                diffs.append(per_level[v][i] if v is not None else 0)
-        best = max(best, _max_abs_subset_sum(diffs))
-    return _mass(prep, best)
+    return _oriented(d, prep.to_mass(tables[c][v][i]))

@@ -104,6 +104,9 @@ def dist_to_json(d: OutcomeDist) -> dict:
 
 
 def dist_from_json(space: OutcomeSpace, doc: dict) -> OutcomeDist:
+    if not isinstance(doc, dict) or not doc.keys() <= set(space.labels):
+        raise InputError(f"a distribution maps outcomes of {list(space.labels)} to "
+                         f"weights, not {doc!r}")
     return OutcomeDist.from_mapping(space, {o: parse_number(v) for o, v in doc.items()})
 
 
@@ -165,6 +168,10 @@ def instance_from_json(doc: dict):
             for h in doc["hypotheses"]:
                 rng = tuple(_value_token(v) for v in h["range"])
                 values = {j: _value_token(v) for j, v in h["values"].items()}
+                missing = [j for j in ids if j not in values]
+                if missing:
+                    raise InputError(f"hypothesis {h['name']!r} has no value for "
+                                     f"individuals {missing[:5]}")
                 hyps.append(Hypothesis(h["name"], rng, values))
             cls = HypothesisClass(tuple(hyps),
                                   closed_under_complement=doc.get("closed_under_complement",
@@ -224,7 +231,7 @@ def partition_to_json(p: VertexPartition) -> list:
 def partition_from_json(doc) -> VertexPartition:
     try:
         return VertexPartition(tuple(tuple(int(v) for v in part) for part in doc))
-    except TypeError as e:
+    except (TypeError, ValueError) as e:
         raise InputError(f"malformed partition document: {e}") from None
 
 

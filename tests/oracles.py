@@ -1,14 +1,127 @@
-"""Brute-force graph oracles for the tests.
+"""Brute-force oracles for the tests.
 
-Every edge count here is a literal scan of `g.edges`, so these oracles
-share no code path with the library, which reads every count off the
-cached adjacency matrix.
+Statistical distance by enumeration of every event, the mc OI audit by
+enumeration of every event over the cell lattice, and the graph
+statistics.  Every edge count in the graph oracles is a literal scan of
+`g.edges`, so they share no code path with the library, which reads
+every count off the cached adjacency matrix.  The randomized
+intermediate spot check samples S and T rather than enumerating them.
 """
 
 from fractions import Fraction
 
+import numpy as np
+
+from multifair.audits import _is_exact, _Prepared
+from multifair.core import _as_table, _check_same_support, exactify
 from multifair.errors import EmptyBlockError, EnumerationLimitError
-from multifair.graph import DiGraph, VertexPartition, cut_oracle
+from multifair.graph import (
+    CheckReport,
+    DiGraph,
+    VertexPartition,
+    _block_edges,
+    _vertex_count,
+    cut_oracle,
+)
+from multifair.oi import _mass
+
+SUBSET_ORACLE_LIMIT = 22
+MC_ORACLE_CELL_LIMIT = 12
+
+
+def stat_distance_subset_oracle(p, q):
+    """max_A |p(A) - q(A)| by literal enumeration of all 2^|support| events.
+
+    This is the defining form of statistical distance and is kept independent
+    of `stat_distance` so the two can check each other.  Supports of more
+    than 22 atoms are refused.
+    """
+    tp, tq = _as_table(p), _as_table(q)
+    _check_same_support(tp, tq)
+    atoms = list(tp)
+    k = len(atoms)
+    if k > SUBSET_ORACLE_LIMIT:
+        raise EnumerationLimitError(
+            f"support of size {k} exceeds the enumeration guard {SUBSET_ORACLE_LIMIT}"
+        )
+    return _max_abs_subset_sum([tp[a] - tq[a] for a in atoms])
+
+
+def _max_abs_subset_sum(values):
+    """max over all subsets of |sum of the subset|, by literal enumeration.
+
+    A Gray-code walk: exactly one value enters or leaves the subset per
+    step.  Returns the int 0 when no subset sum is nonzero.
+    """
+    best = 0
+    acc = 0
+    prev = 0
+    for g in range(1, 1 << len(values)):
+        gray = g ^ (g >> 1)
+        changed = gray ^ prev
+        idx = changed.bit_length() - 1
+        if gray & changed:
+            acc += values[idx]
+        else:
+            acc -= values[idx]
+        prev = gray
+        mag = abs(acc)
+        if mag > best:
+            best = mag
+    return best
+
+
+def audit_oi_mc_bruteforce(pop, predictor, cls, grid, backend="rational"):
+    """Literal max over all events E of |Delta| for the mc family.
+
+    Enumerates 2^(|Y| * outcomes * |grid|) events, so the cell count is
+    capped at 12.
+    """
+    prep = _Prepared(pop, predictor, _is_exact(backend), grid=grid)
+    ys, tables = prep.cell_tables(cls, prep.diff)
+    ell = pop.space.size
+    n_cells = len(ys) * ell * grid.size
+    if n_cells > MC_ORACLE_CELL_LIMIT:
+        raise EnumerationLimitError(f"{n_cells} cells exceed the oracle cap")
+    # cells over the full (y, o, grid) lattice, not just occupied levels
+    level_of = {point: v for v, point in enumerate(prep.points)}
+    best = 0
+    for per_level in tables:
+        diffs = []
+        for i in range(len(ys) * ell):
+            for g in grid.iter_points():
+                v = level_of.get(tuple(g.weights))
+                diffs.append(per_level[v][i] if v is not None else 0)
+        best = max(best, _max_abs_subset_sum(diffs))
+    return _mass(prep, best)
+
+
+def spot_check_intermediate(g: DiGraph, p: VertexPartition, epsilon,
+                            rng: np.random.Generator, samples: int = 2000) -> CheckReport:
+    """Randomized, non-exhaustive intermediate check for larger graphs.
+
+    Each sample puts every vertex in S, and independently in T, with
+    probability 1/2, so every vertex is reached whatever n is.
+    """
+    n = _vertex_count(g, p)
+    eps = exactify(epsilon)
+    e, sizes, _ = _block_edges(g, p)
+    size = np.outer(sizes, sizes).astype(object)
+    worst = Fraction(0)
+    witness = None
+    for _ in range(samples):
+        S = tuple(np.flatnonzero(rng.integers(0, 2, size=n)).tolist())
+        T = tuple(np.flatnonzero(rng.integers(0, 2, size=n)).tolist())
+        e_st, s, t = _block_edges(g, p, S, T)
+        st = np.outer(s, t).astype(object)
+        # |d(S n V_j, T n V_k) - d(V_j, V_k)| > eps, times |S n V_j||T n V_k| > 0
+        gap = np.abs(e_st * size - e * st) * eps.denominator
+        mass = int(np.where(gap > eps.numerator * st * size, st, 0).sum())
+        if mass > worst:
+            worst = Fraction(mass)
+            witness = (S, T)
+    return CheckReport("intermediate-spot", worst <= eps * n * n, witness,
+                       eps * n * n - worst, exhaustive=False)
 
 
 def edge_count_scan(g: DiGraph, S, T) -> int:

@@ -13,7 +13,7 @@ from fractions import Fraction as F
 import numpy as np
 
 import multifair as mf
-from oracles import irregularity_bruteforce
+from oracles import audit_oi_mc_bruteforce, irregularity_bruteforce, stat_distance_subset_oracle
 
 
 def _report(num, ok, text, t0):
@@ -353,7 +353,7 @@ def test_criterion_14_oracle_equivalences():
         raw2[0] = max(raw2[0], 1)
         p = {i: F(a, sum(raw)) for i, a in enumerate(raw)}
         q = {i: F(a, sum(raw2)) for i, a in enumerate(raw2)}
-        ok = ok and mf.stat_distance(p, q) == mf.stat_distance_subset_oracle(p, q)
+        ok = ok and mf.stat_distance(p, q) == stat_distance_subset_oracle(p, q)
     # mc closed form vs exhaustive event enumeration, |Y| l |G| = 12 cells
     grid = mf.SimplexGrid.from_points(
         [mf.OutcomeDist.bernoulli(F(0)), mf.OutcomeDist.bernoulli(F(1, 2)),
@@ -363,7 +363,7 @@ def test_criterion_14_oracle_equivalences():
             np.random.default_rng(70000 + case), int(rng.integers(2, 7)), 2, 2)
         fam = mf.make_family("mc", hypotheses=cls, grid=grid)
         ok = ok and mf.audit_oi(pop, pred, fam).value == \
-            mf.audit_oi_mc_bruteforce(pop, pred, cls, grid)
+            audit_oi_mc_bruteforce(pop, pred, cls, grid)
     # irregularity fast enumeration vs naive double enumeration, sides <= 6
     for case in range(100):
         r = np.random.default_rng(80000 + case)

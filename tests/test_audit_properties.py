@@ -1,17 +1,25 @@
 """Property tests of the population audits on hypothesis-drawn random instances."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multifair import (
+    OutcomeDist,
+    Predictor,
     audit_covariance_mc,
     audit_multi_accuracy,
     audit_multi_calibration,
+    audit_oi,
     audit_strict_multi_calibration,
+    best_response,
     discretize,
+    make_family,
     make_grid_with_denominator,
+    oi_advantage,
     random_instance,
     violation_profile,
 )
@@ -85,3 +93,36 @@ def test_float_covariance_agrees_with_rational():
         exact = audit_covariance_mc(pop, pred, cls)
         approx = audit_covariance_mc(pop, pred, cls, "float")
         assert all(_close(exact.breakdown[k], approx.breakdown[k]) for k in exact.breakdown)
+
+
+@st.composite
+def float_predictor_instances(draw):
+    """A random instance, a grid of denominator m, and a float predictor whose
+    coordinates are floats of multiples of 1/(2m): each lies on, or within
+    float error of, a boundary between two grid points."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(1, 7))
+    ell = draw(st.sampled_from((2, 3)))
+    m = draw(st.sampled_from((2, 3, 5, 6)))
+    pop, cls, _ = random_instance(np.random.default_rng(seed), n, ell, draw(st.integers(1, 3)))
+    values = {}
+    for j in pop.ids:
+        cuts = sorted(draw(st.lists(st.integers(0, 2 * m), min_size=ell - 1, max_size=ell - 1)))
+        counts = [b - a for a, b in zip([0] + cuts, cuts + [2 * m])]
+        values[j] = OutcomeDist(pop.space, tuple(float(Fraction(c, 2 * m)) for c in counts))
+    return pop, cls, Predictor(values), make_grid_with_denominator(pop.space, m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(float_predictor_instances())
+def test_float_oi_audits_agree_with_rational_on_float_predictors(inst):
+    # both backends round a float prediction as its exact value, so they
+    # condition on the same grid points
+    pop, cls, pred, grid = inst
+    for kind in ("basic", "mc", "smc"):
+        fam = make_family(kind, hypotheses=cls, grid=grid)
+        assert _close(audit_oi(pop, pred, fam).value, audit_oi(pop, pred, fam, "float").value)
+        for backend in ("rational", "float"):
+            d, adv = best_response(pop, pred, fam, backend)
+            assert _close(oi_advantage(pop, pred, d), adv)
+            assert abs(oi_advantage(pop, pred, d, exact=False) - float(adv)) <= TOL

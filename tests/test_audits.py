@@ -24,12 +24,12 @@ from multifair import (
     indicator_all,
     make_grid_with_denominator,
     random_instance,
-    stat_distance_subset_oracle,
     joint_tables,
     violation_profile,
     binary_space,
 )
 from multifair.errors import DomainError
+from oracles import stat_distance_subset_oracle
 
 
 def test_ground_truth_audits_all_zero():

@@ -314,6 +314,12 @@ BAD_INPUTS = [
 ] + [
     (["audit", "{tp}", "--kind", "omni", "--losses", "{dup}"], 2),
     (["omni", "{tp}", "--losses", "{dup}"], 2),
+    (["audit", "{tp_missing_value}", "--kind", "mc"], 1),
+    (["audit", "{tp_missing_value}", "--kind", "oi"], 1),
+    (["graph", "{g6}", "--task", "check-fk", "--epsilon", "0.3", "--partition", "{alpha}"], 1),
+    (["audit", "{tp_list_truth}", "--kind", "mc"], 1),
+    (["audit", "{tp_list_prediction}", "--kind", "mc"], 1),
+    (["audit", "{tp_unknown_outcome}", "--kind", "mc"], 1),
 ]
 
 
@@ -322,8 +328,15 @@ def test_bad_inputs_exit_cleanly(argv, code, two_point, tmp_path, capsys):
     files = {"tp": two_point}
     zero_one = {"name": "zero-one", "actions": ["0", "1"],
                 "table": {"0": {"0": "0", "1": "1"}, "1": {"0": "1", "1": "0"}}}
+    malformed = {name: read(two_point) for name in (
+        "tp_missing_value", "tp_list_truth", "tp_list_prediction", "tp_unknown_outcome")}
+    del malformed["tp_missing_value"]["hypotheses"][0]["values"]["1"]
+    malformed["tp_list_truth"]["individuals"][0]["p_true"] = ["0.5", "0.5"]
+    malformed["tp_list_prediction"]["predictor"]["0"] = ["1", "0"]
+    malformed["tp_unknown_outcome"]["individuals"][0]["p_true"]["2"] = "0"
     for name, doc in (("empty", []), ("small", [[0, 1], [2, 3]]),
-                      ("large", [[0, 1, 2, 3], [4, 5, 6, 7]]), ("dup", [zero_one, zero_one])):
+                      ("large", [[0, 1, 2, 3], [4, 5, 6, 7]]), ("dup", [zero_one, zero_one]),
+                      ("alpha", [["a", 1, 2], [3, 4, 5]]), *malformed.items()):
         files[name] = tmp_path / f"{name}.json"
         files[name].write_text(json.dumps(doc))
     files["g6"] = tmp_path / "g6.json"

@@ -17,7 +17,6 @@ from multifair import (
     make_coordinate_grid,
     make_grid_with_denominator,
     stat_distance,
-    stat_distance_subset_oracle,
     verify_covering_radius,
 )
 from multifair.errors import (
@@ -27,6 +26,7 @@ from multifair.errors import (
     PrecisionTooCoarseError,
     SupportMismatchError,
 )
+from oracles import stat_distance_subset_oracle
 
 
 def bern(p):
@@ -205,6 +205,18 @@ def test_discretize_nearest_and_tiebreak():
     out = discretize(p, grid)
     assert out.values["x"].p_one() == F(1, 4)       # 0.3 rounds to 0.25
     assert out.values["y"].p_one() == F(1, 4)       # midpoint tie: earliest point
+
+
+def test_round_dist_rounds_the_exact_value_of_a_float_prediction():
+    # 1/12 lies halfway between the points 0 and 1/6; as floats the two
+    # coordinates sum to a little less than 1, and the exact value that
+    # as_exact makes of them rounds to (1, 0), the point members read
+    grid = make_grid_with_denominator(binary_space(), 6)
+    d = OutcomeDist.bernoulli(1 / 12)
+    assert sum(F(w) for w in d.weights) != 1
+    assert grid.round_dist(d) == grid.round_dist(d.as_exact()) == bern(0)
+    from multifair import Predictor
+    assert discretize(Predictor({"x": d}), grid).values["x"] == bern(0)
 
 
 def test_outcome_dist_validation():

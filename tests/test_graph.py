@@ -44,7 +44,6 @@ from multifair.graph import (
     delta_st_level,
     pair_id,
     rational_sqrt_upper,
-    spot_check_intermediate,
 )
 from multifair.errors import (
     DomainError,
@@ -60,6 +59,7 @@ from oracles import (
     max_st_irregularity_sigma_enum,
     mean_square_density_scan,
     partition_st_irregularity_scan,
+    spot_check_intermediate,
     st_irregularity_scan,
 )
 
@@ -788,10 +788,24 @@ def test_xor_product_witness_irregularity():
 def test_spot_check_intermediate_labeled_nonexhaustive():
     g = random_digraph(np.random.default_rng(30), 10, 0.5)
     p = VertexPartition.trivial(10)
-    rep = __import__("multifair").graph.spot_check_intermediate(
+    rep = spot_check_intermediate(
         g, p, F(9, 10), np.random.default_rng(0), samples=50)
     assert rep.exhaustive is False
     assert rep.kind == "intermediate-spot"
+
+
+def test_spot_check_intermediate_samples_every_vertex():
+    # vertices 0..61 carry no edges, so every block touching them is regular;
+    # the only irregular block is a 4-clique inside the part 62..69, which
+    # masks drawn below 1 << 62 never reached
+    n = 70
+    edges = frozenset((u, v) for u in range(62, 66) for v in range(62, 66))
+    g = DiGraph(n, edges)
+    p = VertexPartition((tuple(range(62)), tuple(range(62, 70))))
+    rep = spot_check_intermediate(g, p, F(1, 10000), np.random.default_rng(0), samples=20)
+    assert not rep.passed
+    S, T = rep.witness
+    assert max(S) >= 62 and max(T) >= 62
 
 
 def test_graph_serialization_round_trip():

@@ -12,7 +12,6 @@ from multifair import (
     SimplexGrid,
     audit_multi_calibration,
     audit_oi,
-    audit_oi_mc_bruteforce,
     audit_strict_multi_calibration,
     best_response,
     binary_space,
@@ -29,8 +28,20 @@ from multifair import (
     stat_distance,
     update,
 )
+from multifair.audits import _Prepared
 from multifair.errors import ConstructionError, DomainError, EnumerationLimitError
-from multifair.oi import monomial_multisets, negate
+from multifair.oi import _preparer, monomial_multisets, negate
+from oracles import audit_oi_mc_bruteforce
+
+
+def _values(d, prep):
+    """The member's per-individual rows; prep(grid) prepares the population."""
+    return d.values(prep(d.grid))
+
+
+def _value_at(d, prep, j, o):
+    p = prep(d.grid)
+    return d.values(p)[p.ids.index(j)][p.pop.space.index(o)]
 
 
 def identity_grid():
@@ -225,9 +236,10 @@ def test_sample_access_probe():
     grid = identity_grid()
     fam = make_family("basic", hypotheses=cls, grid=grid)
     other = Predictor({"0": pred.values["0"], "1": OutcomeDist.bernoulli(F(1, 3))})
+    at_pred, at_other = _preparer(pop, pred, False), _preparer(pop, other, False)
     for d in fam.members():
         for o in pop.space.labels:
-            assert d.evaluate("0", o, pred) == d.evaluate("0", o, other)
+            assert _value_at(d, at_pred, "0", o) == _value_at(d, at_other, "0", o)
 
 
 def test_theorem_basic_family_bound():
@@ -271,13 +283,14 @@ def test_sample_access_probe_mc_and_lowdegree():
     fam = make_family("mc", hypotheses=cls, grid=grid)
     d, _ = best_response(pop, pred, fam)
     other = Predictor({"0": pred.values["0"], "1": OutcomeDist.bernoulli(F(2, 5))})
+    at_pred, at_other = _preparer(pop, pred, False), _preparer(pop, other, False)
     for o in pop.space.labels:
-        assert d.evaluate("0", o, pred) == d.evaluate("0", o, other)
+        assert _value_at(d, at_pred, "0", o) == _value_at(d, at_other, "0", o)
     fam2 = make_family("lowdegree", hypotheses=cls, degree=2,
                        outcome_space=pop.space)
     d2, _ = best_response(pop, pred, fam2)
     for o in pop.space.labels:
-        assert d2.evaluate("0", o, pred) == d2.evaluate("0", o, other)
+        assert _value_at(d2, at_pred, "0", o) == _value_at(d2, at_other, "0", o)
 
 
 @functools.lru_cache(maxsize=None)
@@ -326,12 +339,13 @@ def test_population_evaluation_matches_payload_oracle(ell):
             members += [best_response(pop, p, fam_low)[0]] + fam_low.members()
             # the payload marks a negation but not how many: complement each once
             members += [negate(d) for d in members if not d.payload.get("negated")]
+            prep = _preparer(pop, p, False)
             for d in members:
-                rows = d.values(pop.ids, p)
+                rows = _values(d, prep)
                 for j, row in zip(pop.ids, rows):
                     for o, v in zip(pop.space.labels, row):
                         want = _oracle_value(d, pop, cls, grid, j, o, p)
-                        assert v == want and d.evaluate(j, o, p) == want, (d.name, j, o)
+                        assert v == want and _value_at(d, prep, j, o) == want, (d.name, j, o)
 
 
 def test_negate_complements_and_double_negation_restores():
@@ -343,11 +357,12 @@ def test_negate_complements_and_double_negation_restores():
                best_response(pop, pred, make_family("mc", hypotheses=cls, grid=grid))[0],
                make_family("lowdegree", hypotheses=cls, degree=2,
                            outcome_space=pop.space).members()[4]]
+    prep = _preparer(pop, pred, False)
     for d in members:
         once, twice = negate(d), negate(negate(d))
-        base = d.values(pop.ids, pred)
-        assert once.values(pop.ids, pred) == [[1 - v for v in row] for row in base]
-        assert twice.values(pop.ids, pred) == base
+        base = _values(d, prep)
+        assert _values(once, prep) == [[1 - v for v in row] for row in base]
+        assert _values(twice, prep) == base
         assert once.payload["negated"] is True and twice.payload["negated"] is True
         assert once.name == f"not:{d.name}"
         assert oi_advantage(pop, pred, once) == -oi_advantage(pop, pred, d)
@@ -386,3 +401,32 @@ def test_explicit_construction_reports_the_true_final_audit():
                               grid=make_grid_with_denominator(pop.space, 3)).members()
         out, tr = construct_exact(pop, make_family("explicit", members=members), F(1, 20))
         assert tr.final_audit == max(abs(oi_advantage(pop, out, d)) for d in members)
+
+
+def test_float_oi_audit_rounds_like_the_rational_one():
+    # the float audits used to round the raw floats while members and the
+    # rational audits round their exact values, so on this constructed
+    # predictor the float mc audit read other levels than its own member
+    from multifair import construct_exact, pgd_rule
+    pop, cls, _ = random_instance(np.random.default_rng([11, 5]), 9, 8, 4)
+    grid = make_grid_with_denominator(pop.space, 2)
+    pred, _ = construct_exact(pop, make_family("mc", hypotheses=cls, grid=grid), F(1, 10),
+                              rule=pgd_rule(pop.space, 0.1 / 8))
+    for kind in ("basic", "mc", "smc"):
+        fam = make_family(kind, hypotheses=cls, grid=grid)
+        exact = audit_oi(pop, pred, fam).value
+        assert abs(float(exact) - audit_oi(pop, pred, fam, "float").value) < 1e-9
+        d, adv = best_response(pop, pred, fam, "float")
+        assert abs(oi_advantage(pop, pred, d, exact=False) - adv) < 1e-9
+        assert abs(float(exact) - adv) < 1e-9
+
+
+def test_event_member_needs_a_population_prepared_for_its_grid():
+    pop, cls, pred = random_instance(np.random.default_rng(13), 5, 2, 2)
+    grid = make_grid_with_denominator(pop.space, 2)
+    d = make_family("basic", hypotheses=cls, grid=grid).members()[0]
+    assert len(d.values(_Prepared(pop, pred, exact=True, grid=grid))) == len(pop.ids)
+    # an equal grid is still another grid: members compare grids by identity
+    for other in (None, make_grid_with_denominator(pop.space, 2)):
+        with pytest.raises(ConstructionError):
+            d.values(_Prepared(pop, pred, exact=True, grid=other))
