@@ -109,6 +109,11 @@ class _Prepared:
     predictor.  `grid` is that grid (or None), `predictor` the predictor
     read (exact in exact mode, raw otherwise), `points[level]` each level's
     weight tuple and `level_weight` each level's scaled mass.
+
+    This is the one place that knows the backend.  Float mode stores float
+    masses with D = 1.0.  Audits read numbers through `number(x)` and
+    `ratio(a, b)`, exact Fractions or floats, and convert scaled sums with
+    `to_value` and `to_mass`, both ratios over D.
     """
 
     def __init__(self, pop: PopulationInstance, predictor: Predictor, exact: bool,
@@ -212,15 +217,21 @@ class _Prepared:
             out.append(tables)
         return ys, out
 
+    def number(self, x):
+        """x in the backend's number type: its exact Fraction, or a float."""
+        return exactify(x) if self.exact else float(x)
+
+    def ratio(self, a, b):
+        """a / b in the backend's number type."""
+        return Fraction(a, b) if self.exact else a / b
+
     def to_value(self, scaled_total):
         """Convert an accumulated |scaled mass| total into the distance value."""
-        if self.exact:
-            return Fraction(scaled_total, 2 * self.D)
-        return scaled_total / 2.0
+        return self.ratio(scaled_total, 2 * self.D)
 
     def to_mass(self, scaled):
         """Convert an accumulated scaled mass into a probability mass."""
-        return Fraction(scaled, self.D) if self.exact else float(scaled)
+        return self.ratio(scaled, self.D)
 
 
 def _is_exact(backend) -> bool:
@@ -312,10 +323,10 @@ def audit_covariance_mc(pop, predictor, cls, backend="rational") -> AuditReport:
     prep = _prepare(pop, predictor, backend)
     one = pop.space.index("1")
     ys, tables = prep.cell_tables(cls, [(sum(row), row[one]) for row in prep.star])
-    yv = [exactify(y) if prep.exact else float(y) for y in ys]
+    yv = [prep.number(y) for y in ys]
     breakdown = {}
     for h, per_level in zip(cls, tables):
-        total = Fraction(0) if prep.exact else 0.0
+        total = prep.number(0)
         for mass, cells in zip(prep.level_weight, per_level):
             if mass == 0:
                 continue
@@ -323,14 +334,11 @@ def audit_covariance_mc(pop, predictor, cls, backend="rational") -> AuditReport:
             a = sum(y * x for y, x in zip(yv, cells[1::2]))
             b = sum(y * x for y, x in zip(yv, cells[0::2]))
             c = sum(cells[1::2])
-            # E|Cov| contribution: mass * |a/mass - (b/mass)(c/mass)| / D-normalization
-            num = abs(a * mass - b * c)
-            if prep.exact:
-                # known defect (ROADMAP item 2): mass * D is the right divisor,
-                # so this reports E|Cov| / D; kept while its value is pinned
-                total += Fraction(num, mass * prep.D * prep.D)
-            else:
-                total += num / mass
+            # E|Cov| contribution: mass * |a/mass - (b/mass)(c/mass)| / D-normalization.
+            # Known defect (ROADMAP item 2): mass * D is the right divisor, so the
+            # rational backend reports E|Cov| / D (the float one has D = 1); kept
+            # while its value is pinned.
+            total += prep.ratio(abs(a * mass - b * c), mass * prep.D * prep.D)
         breakdown[h.name] = total
     witness = max(breakdown, key=lambda k: breakdown[k])
     return AuditReport("covariance-multi-calibration", breakdown[witness], witness, breakdown)
@@ -360,6 +368,11 @@ def _binary_level_stats(prep, cls):
     return [[tuple(cells[base:base + 3]) for cells in per_level] for per_level in tables]
 
 
+def _nabla(prep, v, ones, mass):
+    """|Pr[o* = 1 | S, level v] - v| from the scaled (true-one mass, mass) of S."""
+    return abs(prep.ratio(ones, mass) - prep.number(prep.levels[v].p_one()))
+
+
 def violation_profile(pop, predictor, cls, backend="rational") -> ViolationProfile:
     """nabla_{S,v} = |Pr[o*=1 | i in S, p_i = v] - v| for every positive-mass pair.
 
@@ -374,12 +387,7 @@ def violation_profile(pop, predictor, cls, backend="rational") -> ViolationProfi
         for v, (mass, ones, _) in enumerate(per_level):
             if mass == 0:
                 continue
-            vv = prep.levels[v].p_one()
-            if prep.exact:
-                nab = abs(Fraction(ones, mass) - exactify(vv))
-            else:
-                nab = abs(ones / mass - float(vv))
-            entries[(h.name, vv)] = nab
+            entries[(h.name, prep.levels[v].p_one())] = _nabla(prep, v, ones, mass)
     return ViolationProfile(entries)
 
 
@@ -405,20 +413,19 @@ def check_conditional(pop, predictor, cls, epsilon, kind, backend="rational") ->
     if kind not in ("MA", "MC", "SMC"):
         raise DomainError(f"unknown conditional kind {kind!r}")
     prep = _prepare(pop, predictor, backend)
-    eps = exactify(epsilon) if prep.exact else float(epsilon)
+    eps = prep.number(epsilon)
     if eps < 0:
         raise DomainError(f"epsilon must be nonnegative, got {epsilon}")
     stats = _binary_level_stats(prep, cls)
-    total = prep.D if prep.exact else 1.0
 
     if kind == "MA":
         for h, per_level in zip(cls, stats):
             mass = sum(m for m, _, _ in per_level)
-            if mass == 0 or mass < eps * total:
+            if mass == 0 or mass < eps * prep.D:
                 continue
             # modeled-minus-true one mass of S; its |.| / Pr[S] is the gap
             excess = sum(e for _, _, e in per_level)
-            gap = abs(Fraction(excess, mass)) if prep.exact else abs(excess) / mass
+            gap = abs(prep.ratio(excess, mass))
             if gap > eps:
                 return ConditionalCheckResult(kind, False, None, (h.name, None, gap))
         return ConditionalCheckResult(kind, True, None)
@@ -427,18 +434,15 @@ def check_conditional(pop, predictor, cls, epsilon, kind, backend="rational") ->
         witness = {}
         for h, per_level in zip(cls, stats):
             mass = sum(m for m, _, _ in per_level)
-            if mass < eps * total:
+            if mass < eps * prep.D:
                 continue
             good_levels = []
             good_mass = 0
             for v, (m, o, _) in enumerate(per_level):
                 if m == 0:
                     continue
-                vv = prep.levels[v].p_one()
-                nab = abs(Fraction(o, m) - exactify(vv)) if prep.exact \
-                    else abs(o / m - float(vv))
-                if nab <= eps:
-                    good_levels.append(vv)
+                if _nabla(prep, v, o, m) <= eps:
+                    good_levels.append(prep.levels[v].p_one())
                     good_mass += m
             if good_mass < (1 - eps) * mass:
                 bad = [prep.levels[v].p_one() for v, (m, _, _) in enumerate(per_level)
@@ -461,7 +465,7 @@ def check_conditional(pop, predictor, cls, epsilon, kind, backend="rational") ->
             m, o, _ = per_level[v]
             if m == 0 or m < eps * level_mass:
                 continue
-            nab = abs(Fraction(o, m) - exactify(vv)) if prep.exact else abs(o / m - float(vv))
+            nab = _nabla(prep, v, o, m)
             if nab > eps:
                 ok = False
                 if first_bad is None:
@@ -470,6 +474,6 @@ def check_conditional(pop, predictor, cls, epsilon, kind, backend="rational") ->
         if ok:
             good_v.append(vv)
             good_mass += level_mass
-    if good_mass >= (1 - eps) * total:
+    if good_mass >= (1 - eps) * prep.D:
         return ConditionalCheckResult(kind, True, good_v)
     return ConditionalCheckResult(kind, False, None, first_bad)

@@ -68,6 +68,10 @@ from .population import (
     HypothesisClass,
     PopulationInstance,
     Predictor,
+    _cumulative,
+    _draw_outcomes,
+    _sampling_tables,
+    _with_complements,
     sample,
 )
 
@@ -340,15 +344,7 @@ class ErmOverHypotheses:
     """
 
     def __init__(self, cls: HypothesisClass):
-        search = list(cls.hypotheses)
-        seen = {tuple(sorted(h.values.items())) for h in search}
-        for h in cls.hypotheses:
-            comp = h.complement()
-            key = tuple(sorted(comp.values.items()))
-            if key not in seen:
-                seen.add(key)
-                search.append(comp)
-        self.search = search
+        self.search = _with_complements(cls.hypotheses)
 
     def from_aggregates(self, eps, agg, n):
         """ERM on per-individual label sums: E[c_x y] = sum_j c_j agg_j / n."""
@@ -374,7 +370,11 @@ def select_distinguisher_randomized(pop, predictor, cls: HypothesisClass, eps_pr
     """
     if not pop.space.is_binary or not cls.is_binary:
         raise DomainError("randomized selection requires binary outcomes and hypotheses")
+    if not 0 < beta < 1:
+        raise DomainError("failure probability must lie in (0, 1)")
     epsp = float(eps_prime)
+    if not epsp > 0:
+        raise DomainError(f"eps' must be positive, got {eps_prime}")
     learner = ErmOverHypotheses(cls)
     rounds = math.ceil(SELECT_ROUNDS_FACTOR * math.log(1 / beta))
     n_per_round = math.ceil(
@@ -383,12 +383,8 @@ def select_distinguisher_randomized(pop, predictor, cls: HypothesisClass, eps_pr
     cells = [(o, tuple(g.weights)) for o in pop.space.labels for g in grid.iter_points()]
     prep = _Prepared(pop, predictor, exact=False, grid=grid)
 
-    weights = np.array([float(pop.weight[j]) for j in pop.ids])
-    weights = weights / weights.sum()
-    p_true_one = np.array([[float(w) for w in pop.p_true[j].weights] for j in pop.ids])
-    cum_true = np.cumsum(p_true_one, axis=1)
-    p_mod = np.array([[float(w) for w in predictor.values[j].weights] for j in pop.ids])
-    cum_mod = np.cumsum(p_mod, axis=1)
+    weights, cum_true = _sampling_tables(pop)
+    cum_mod = _cumulative([predictor.values[j] for j in pop.ids])
     cell_index = {c: i for i, c in enumerate(cells)}
     cell_of = np.array([[cell_index[(o, prep.points[level])] for o in pop.space.labels]
                         for level in prep.level_of])
@@ -398,12 +394,8 @@ def select_distinguisher_randomized(pop, predictor, cls: HypothesisClass, eps_pr
         event = {c for c, b in zip(cells, member_bits) if b}
         in_event = member_bits.astype(np.int8)
         idx = rng.choice(len(pop.ids), size=n_per_round, p=weights)
-        u = rng.random(n_per_round)
-        o_star = (cum_true[idx] < u[:, None]).sum(axis=1)
-        o_star = np.minimum(o_star, pop.space.size - 1)
-        u2 = rng.random(n_per_round)
-        o_prime = (cum_mod[idx] < u2[:, None]).sum(axis=1)
-        o_prime = np.minimum(o_prime, pop.space.size - 1)
+        o_star = _draw_outcomes(rng, cum_true[idx])
+        o_prime = _draw_outcomes(rng, cum_mod[idx])
         y = in_event[cell_of[idx, o_prime]] - in_event[cell_of[idx, o_star]]
         # aggregate labels per individual so the ERM is O(|C| * |X|)
         agg_arr = np.bincount(idx, weights=y.astype(float), minlength=len(pop.ids))

@@ -783,6 +783,8 @@ def refine_intermediate(g: DiGraph, epsilon, oracle_mode: str = "exact",
     eps = exactify(epsilon)
     if eps <= 0:
         raise DomainError("epsilon must be positive")
+    if oracle_mode not in ("exact", "alternating"):
+        raise DomainError(f"unknown cut oracle mode {oracle_mode!r}")
     n = g.n
     p = VertexPartition.trivial(n)
     transcript = RefineTranscript(epsilon=eps, oracle_mode=oracle_mode)
@@ -955,30 +957,6 @@ def predictor_to_partition(n: int, predictor: Predictor) -> VertexPartition:
         raise StructuralFailureError(
             "level sets do not tile all block pairs (two blocks share a density)")
     return VertexPartition(tuple(tuple(sorted(b)) for b in blocks))
-
-
-def delta_st(g: DiGraph, predictor: Predictor, S, T) -> Fraction:
-    """sum over pairs h in S x T of (true - predicted) positive mass."""
-    total = Fraction(0)
-    edges = g.edges
-    for u in set(S):
-        for v in set(T):
-            truth = Fraction(1 if (u, v) in edges else 0)
-            total += truth - exactify(predictor.value(pair_id(u, v)).p_one())
-    return total
-
-
-def delta_st_level(g: DiGraph, predictor: Predictor, S, T, level) -> Fraction:
-    """The same sum restricted to pairs predicted exactly `level`."""
-    lv = exactify(level)
-    total = Fraction(0)
-    edges = g.edges
-    for u in set(S):
-        for v in set(T):
-            pv = exactify(predictor.value(pair_id(u, v)).p_one())
-            if pv == lv:
-                total += Fraction(1 if (u, v) in edges else 0) - pv
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -31,11 +31,17 @@ true mass, so the maximal advantage is exactly the corresponding
 statistical distance.  The literal exhaustive-E maximization is a test
 oracle for small cell counts (`tests/oracles.py`).
 
-The basic, mc and smc audits, their best responses and the oracle all
-reduce over one signed table, the (modeled - true) mass per (hypothesis,
-level, y, outcome) that `audits._Prepared` builds for the statistical-
-distance audits, here on the levels of the grid-rounded predictor.  The
-lowdegree audit reads the same prepared per-individual mass differences.
+`audit_oi` and `best_response` are two views of one reduction: it
+prepares the population (and, for the event families, builds the cell
+table) once per call and returns the audit report together with the
+best-responding member and its advantage, which is the audit value.  The
+basic, mc and smc families and the oracle reduce over one signed table,
+the (modeled - true) mass per (hypothesis, level, y, outcome) that
+`audits._Prepared` builds for the statistical-distance audits, here on the
+levels of the grid-rounded predictor; lowdegree and explicit members read
+the same prepared per-individual mass differences.  Only `_Prepared`
+knows the backend: every number here goes through its `number`, `ratio`
+and `to_mass`.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .core import OutcomeDist, OutcomeSpace, SimplexGrid, exactify
+from .core import OutcomeDist, OutcomeSpace, SimplexGrid
 from .errors import ConstructionError, EnumerationLimitError
 from .audits import AuditReport, _is_exact, _Prepared
 from .population import HypothesisClass, PopulationInstance, Predictor
@@ -248,8 +254,7 @@ def oi_advantage(pop: PopulationInstance, predictor: Predictor, d: Distinguisher
 
 def _advantage(prep, d):
     """Delta_A on a prepared population: the (modeled - true) masses weighted by A."""
-    conv = exactify if prep.exact else float
-    return prep.to_mass(sum(x * conv(a) for diff, row in zip(prep.diff, d.values(prep))
+    return prep.to_mass(sum(x * prep.number(a) for diff, row in zip(prep.diff, d.values(prep))
                             for x, a in zip(diff, row) if x and a))
 
 
@@ -262,12 +267,6 @@ def _preparer(pop, predictor, exact):
             cache[id(grid)] = _Prepared(pop, predictor, exact, grid=grid)
         return cache[id(grid)]
     return prep
-
-
-def _explicit_advantages(pop, predictor, family, exact):
-    """(member, signed advantage) for every explicit member, in member order."""
-    prep = _preparer(pop, predictor, exact)
-    return [(d, _advantage(prep(d.grid), d)) for d in family.explicit_members]
 
 
 def _oriented(d, adv):
@@ -323,62 +322,7 @@ def _first_reached_cell(prep, ys, h, per_level, target):
 
 def audit_oi(pop, predictor, family: DistinguisherFamily, backend="rational") -> AuditReport:
     """max_A |Delta_A| over the family, via closed forms for mc/smc/basic."""
-    exact = _is_exact(backend)
-    if family.kind == "explicit":
-        if len(family.explicit_members) > EXPLICIT_AUDIT_LIMIT:
-            raise EnumerationLimitError("explicit family too large to audit")
-        breakdown = {d.name: abs(adv)
-                     for d, adv in _explicit_advantages(pop, predictor, family, exact)}
-        witness = max(breakdown, key=lambda k: breakdown[k])
-        return AuditReport("oi-explicit", breakdown[witness], witness, breakdown)
-
-    if family.kind == "lowdegree":
-        return _audit_lowdegree(_Prepared(pop, predictor, exact), family)
-
-    if family.kind not in ("mc", "smc", "basic"):
-        raise ConstructionError(f"unknown family kind {family.kind!r}")
-    cls = family.hypotheses
-    prep = _Prepared(pop, predictor, exact, grid=family.grid)
-    _, tables = prep.cell_tables(cls, prep.diff)
-    if family.kind == "smc":
-        choice = _smc_choice(prep, tables)
-        per_level_best = {prep.points[v]: (cls.hypotheses[c].name, _mass(prep, s))
-                          for v, (c, s) in enumerate(choice)}
-        total = prep.to_mass(sum(s for _, s in choice))
-        return AuditReport("oi-smc", total, per_level_best, per_level_best)
-    if family.kind == "mc":
-        breakdown = {h.name: _mass(prep, sum(_positive_sums(t))) for h, t in zip(cls, tables)}
-    else:
-        breakdown = {h.name: prep.to_mass(max(abs(x) for row in t for x in row))
-                     for h, t in zip(cls, tables)}
-    witness = max(breakdown, key=lambda k: breakdown[k])
-    return AuditReport(f"oi-{family.kind}", breakdown[witness], witness, breakdown)
-
-
-def _audit_lowdegree(prep, family):
-    conv = exactify if prep.exact else float
-    labels = family.outcome_space.labels
-    monos = monomial_multisets(len(labels), family.degree)
-    mono_vals = [[conv(monomial_value(mono, d)) for d in prep.dists] for mono in monos]
-    breakdown = {}
-    witness = None
-    best_abs = None
-    for h in family.hypotheses:
-        cvals = [conv(h.values[j]) for j in prep.ids]
-        h_best = None
-        for o_idx, o0 in enumerate(labels):
-            terms = [(pos, row[o_idx] * c)
-                     for pos, (row, c) in enumerate(zip(prep.diff, cvals)) if row[o_idx] and c]
-            for mono, mv in zip(monos, mono_vals):
-                total = prep.to_mass(sum(t * mv[pos] for pos, t in terms))
-                if h_best is None or abs(total) > abs(h_best[0]):
-                    h_best = (total, o0, mono)
-        breakdown[h.name] = abs(h_best[0])
-        if best_abs is None or breakdown[h.name] > best_abs:
-            best_abs = breakdown[h.name]
-            witness = {"hypothesis": h.name, "outcome": h_best[1],
-                       "monomial_indices": list(h_best[2])}
-    return AuditReport("oi-lowdegree", best_abs, witness, breakdown)
+    return _reduce(pop, predictor, family, backend)[0]
 
 
 def best_response(pop, predictor, family: DistinguisherFamily, backend="rational"):
@@ -389,48 +333,91 @@ def best_response(pop, predictor, family: DistinguisherFamily, backend="rational
     mc/smc, a `negated` member otherwise), so the result is always
     directly usable as a loss table.
     """
+    return _reduce(pop, predictor, family, backend)[1:]
+
+
+def _reduce(pop, predictor, family, backend):
+    """(audit report, best-responding member, its advantage) for one family.
+
+    One prepared population, and for the event families one cell table,
+    serves the audit and the best response: the audit value is the
+    advantage of the member, which is oriented to be nonnegative.  Ties go
+    to the first hypothesis, member or cell in order.
+    """
     exact = _is_exact(backend)
     if family.kind == "explicit":
-        # max keeps the first member of largest |advantage|
-        return _oriented(*max(_explicit_advantages(pop, predictor, family, exact),
-                              key=lambda t: abs(t[1])))
+        if len(family.explicit_members) > EXPLICIT_AUDIT_LIMIT:
+            raise EnumerationLimitError("explicit family too large to audit")
+        prep = _preparer(pop, predictor, exact)
+        advs = [(d, _advantage(prep(d.grid), d)) for d in family.explicit_members]
+        breakdown = {d.name: abs(adv) for d, adv in advs}
+        d, adv = max(advs, key=lambda t: abs(t[1]))
+        return AuditReport("oi-explicit", abs(adv), d.name, breakdown), *_oriented(d, adv)
 
     if family.kind == "lowdegree":
         prep = _Prepared(pop, predictor, exact)
-        w = _audit_lowdegree(prep, family).witness
-        h = next(h for h in family.hypotheses if h.name == w["hypothesis"])
-        d = monomial_distinguisher(h, w["outcome"], w["monomial_indices"])
-        return _oriented(d, _advantage(prep, d))
+        labels = family.outcome_space.labels
+        monos = monomial_multisets(len(labels), family.degree)
+        mono_vals = [[prep.number(monomial_value(mono, d)) for d in prep.dists]
+                     for mono in monos]
+        breakdown = {}
+        best = None  # (|advantage|, hypothesis, outcome, monomial)
+        for h in family.hypotheses:
+            cvals = [prep.number(h.values[j]) for j in prep.ids]
+            h_best = None
+            for o_idx, o0 in enumerate(labels):
+                terms = [(pos, row[o_idx] * c) for pos, (row, c)
+                         in enumerate(zip(prep.diff, cvals)) if row[o_idx] and c]
+                for mono, mv in zip(monos, mono_vals):
+                    total = prep.to_mass(sum(t * mv[pos] for pos, t in terms))
+                    if h_best is None or abs(total) > abs(h_best[0]):
+                        h_best = (total, o0, mono)
+            breakdown[h.name] = abs(h_best[0])
+            if best is None or breakdown[h.name] > best[0]:
+                best = (breakdown[h.name], h, *h_best[1:])
+        value, h, o0, mono = best
+        witness = {"hypothesis": h.name, "outcome": o0, "monomial_indices": list(mono)}
+        d = monomial_distinguisher(h, o0, mono)
+        return (AuditReport("oi-lowdegree", value, witness, breakdown),
+                *_oriented(d, _advantage(prep, d)))
 
     if family.kind not in ("mc", "smc", "basic"):
         raise ConstructionError(f"unknown family kind {family.kind!r}")
     cls = family.hypotheses
     prep = _Prepared(pop, predictor, exact, grid=family.grid)
     ys, tables = prep.cell_tables(cls, prep.diff)
-    if family.kind == "mc":
-        pos = [sum(_positive_sums(t)) for t in tables]
-        c = max(range(len(cls)), key=lambda c: pos[c])
-        cells = _positive_cells(prep, ys, tables[c], range(len(prep.levels)))
-        return mc_event_distinguisher(cls.hypotheses[c], cells, family.grid), _mass(prep, pos[c])
     if family.kind == "smc":
         choice = _smc_choice(prep, tables)
-        amap = {prep.points[v]: cls.hypotheses[c]
-                for v, (c, _) in enumerate(choice)}
+        per_level_best = {prep.points[v]: (cls.hypotheses[c].name, _mass(prep, s))
+                          for v, (c, s) in enumerate(choice)}
+        total = prep.to_mass(sum(s for _, s in choice))
+        amap = {prep.points[v]: cls.hypotheses[c] for v, (c, _) in enumerate(choice)}
         cells = sorted(cell for v, (c, _) in enumerate(choice)
                        for cell in _positive_cells(prep, ys, tables[c], [v]))
         d = _event_member(family.grid, amap, cells, "level-assigned-event",
                           {"assignment": {str(k): h.name for k, h in amap.items()},
                            "event_cells": cells})
-        return d, prep.to_mass(sum(s for _, s in choice))
+        return AuditReport("oi-smc", total, per_level_best, per_level_best), d, total
+
+    if family.kind == "mc":
+        score = [sum(_positive_sums(t)) for t in tables]
+        breakdown = {h.name: _mass(prep, s) for h, s in zip(cls, score)}
+    else:
+        score = [max(abs(x) for row in t for x in row) for t in tables]
+        breakdown = {h.name: prep.to_mass(s) for h, s in zip(cls, score)}
+    c = max(range(len(cls)), key=lambda c: score[c])
+    h = cls.hypotheses[c]
+    report = AuditReport(f"oi-{family.kind}", breakdown[h.name], h.name, breakdown)
+    if family.kind == "mc":
+        cells = _positive_cells(prep, ys, tables[c], range(len(prep.levels)))
+        return report, mc_event_distinguisher(h, cells, family.grid), breakdown[h.name]
     # basic: binary instances always tie (y, "0", l) against (y, "1", l), so the
     # first-reached order is what keeps the witness, and with it the
     # constructor transcripts, deterministic and stable.
-    peak = [max(abs(x) for row in t for x in row) for t in tables]
-    c = max(range(len(cls)), key=lambda c: peak[c])
-    h = cls.hypotheses[c]
-    v, i = _first_reached_cell(prep, ys, h, tables[c], peak[c])
+    v, i = _first_reached_cell(prep, ys, h, tables[c], score[c])
     ell = pop.space.size
     y, o = ys[i // ell], pop.space.labels[i % ell]
     point = prep.points[v]
     d = mc_event_distinguisher(h, [(y, o, point)], family.grid, name=_cell_name(h, y, o, point))
-    return _oriented(d, prep.to_mass(tables[c][v][i]))
+    return report, *_oriented(d, prep.to_mass(tables[c][v][i]))
+

@@ -198,15 +198,22 @@ def indicator_all(pop: PopulationInstance, name: str = "all") -> Hypothesis:
 
 def close_under_complement(cls: HypothesisClass) -> HypothesisClass:
     """Extend a 0/1 class with the missing pointwise complements."""
-    tables = {tuple(sorted(h.values.items())): h for h in cls.hypotheses}
-    out = list(cls.hypotheses)
-    for h in cls.hypotheses:
+    return HypothesisClass(tuple(_with_complements(cls.hypotheses)),
+                           closed_under_complement=True)
+
+
+def _with_complements(hypotheses) -> list:
+    """The hypotheses, then the pointwise complement of each whose table is
+    not there yet, in order."""
+    seen = {tuple(sorted(h.values.items())) for h in hypotheses}
+    out = list(hypotheses)
+    for h in hypotheses:
         comp = h.complement()
         key = tuple(sorted(comp.values.items()))
-        if key not in tables:
-            tables[key] = comp
+        if key not in seen:
+            seen.add(key)
             out.append(comp)
-    return HypothesisClass(tuple(out), closed_under_complement=True)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -248,19 +255,31 @@ def sample(pop: PopulationInstance, rng: np.random.Generator, n: int) -> list:
         raise DomainError("sample size must be nonnegative")
     if n == 0:
         return []
-    weights = np.array([float(pop.weight[j]) for j in pop.ids], dtype=float)
-    weights = weights / weights.sum()
+    weights, cum_true = _sampling_tables(pop)
     idx = rng.choice(len(pop.ids), size=n, p=weights)
-    cum = np.cumsum(
-        np.array([[float(w) for w in pop.p_true[j].weights] for j in pop.ids], dtype=float),
-        axis=1,
-    )
-    u = rng.random(n)
-    rows = cum[idx]
-    o_idx = (rows < u[:, None]).sum(axis=1)
-    o_idx = np.minimum(o_idx, pop.space.size - 1)
+    o_idx = _draw_outcomes(rng, cum_true[idx])
     labels = pop.space.labels
     return [(pop.ids[i], labels[o]) for i, o in zip(idx.tolist(), o_idx.tolist())]
+
+
+def _cumulative(dists) -> np.ndarray:
+    """Cumulative outcome probabilities as floats, one row per distribution."""
+    return np.cumsum(np.array([[float(w) for w in d.weights] for d in dists], dtype=float),
+                     axis=1)
+
+
+def _sampling_tables(pop: PopulationInstance):
+    """(individual weights normalised to sum 1, cumulative truth rows) as floats."""
+    weights = np.array([float(pop.weight[j]) for j in pop.ids], dtype=float)
+    return weights / weights.sum(), _cumulative([pop.p_true[j] for j in pop.ids])
+
+
+def _draw_outcomes(rng: np.random.Generator, rows: np.ndarray) -> np.ndarray:
+    """One outcome index per cumulative row, from one uniform draw each: the
+    number of entries below the draw, clamped to the last outcome for rows
+    whose float total falls short of 1."""
+    u = rng.random(len(rows))
+    return np.minimum((rows < u[:, None]).sum(axis=1), rows.shape[1] - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Statistical distance by enumeration of every event, the mc OI audit by
 enumeration of every event over the cell lattice, and the graph
-statistics.  Every edge count in the graph oracles is a literal scan of
+statistics, including the (true - predicted) pair sums delta_{S,T} of a
+graph predictor.  Every edge count in the graph oracles is a literal scan of
 `g.edges`, so they share no code path with the library, which reads
 every count off the cached adjacency matrix.  The randomized
 intermediate spot check samples S and T rather than enumerating them.
@@ -22,8 +23,10 @@ from multifair.graph import (
     _block_edges,
     _vertex_count,
     cut_oracle,
+    pair_id,
 )
 from multifair.oi import _mass
+from multifair.population import Predictor
 
 SUBSET_ORACLE_LIMIT = 22
 MC_ORACLE_CELL_LIMIT = 12
@@ -153,6 +156,30 @@ def mean_square_density_scan(g: DiGraph, p: VertexPartition) -> Fraction:
     total = sum((density_scan(g, a, b) ** 2 * len(a) * len(b)
                  for a in p.parts for b in p.parts), Fraction(0))
     return total / (p.n * p.n)
+
+
+def delta_st(g: DiGraph, predictor: Predictor, S, T) -> Fraction:
+    """sum over pairs h in S x T of (true - predicted) positive mass."""
+    total = Fraction(0)
+    edges = g.edges
+    for u in set(S):
+        for v in set(T):
+            truth = Fraction(1 if (u, v) in edges else 0)
+            total += truth - exactify(predictor.value(pair_id(u, v)).p_one())
+    return total
+
+
+def delta_st_level(g: DiGraph, predictor: Predictor, S, T, level) -> Fraction:
+    """The same sum restricted to pairs predicted exactly `level`."""
+    lv = exactify(level)
+    total = Fraction(0)
+    edges = g.edges
+    for u in set(S):
+        for v in set(T):
+            pv = exactify(predictor.value(pair_id(u, v)).p_one())
+            if pv == lv:
+                total += Fraction(1 if (u, v) in edges else 0) - pv
+    return total
 
 
 def _mask_to_set(mask: int, universe) -> tuple:

@@ -238,6 +238,17 @@ def test_select_requires_binary():
                                         make_grid_with_denominator(pop.space, 2))
 
 
+@pytest.mark.parametrize("eps_prime, beta", [
+    (F(1, 32), 0), (F(1, 32), 1), (F(1, 32), 2), (0, 0.1), (F(-1, 32), 0.1)])
+def test_select_rejects_beta_outside_unit_interval_and_nonpositive_eps(eps_prime, beta):
+    # before these were checked: ZeroDivisionError at beta = 0 or eps' = 0, a math
+    # domain error at beta >= 1, and a member of zero advantage at eps' < 0
+    pop, cls, pred = fixture_two_point()
+    with pytest.raises(DomainError):
+        select_distinguisher_randomized(pop, pred, cls, eps_prime, beta,
+                                        np.random.default_rng(0), identity_grid())
+
+
 # ---------------------------------------------------------------------------
 # low-degree construction and VC helper
 # ---------------------------------------------------------------------------

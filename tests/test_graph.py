@@ -40,8 +40,6 @@ from multifair.graph import (
     _int_matmul,
     _partition_scan,
     _violating_mass,
-    delta_st,
-    delta_st_level,
     pair_id,
     rational_sqrt_upper,
 )
@@ -53,6 +51,8 @@ from multifair.errors import (
     StructuralFailureError,
 )
 from oracles import (
+    delta_st,
+    delta_st_level,
     density_scan,
     edge_count_scan,
     irregularity_bruteforce,
@@ -535,6 +535,13 @@ def test_refine_alternating_oracle_mode():
     p, tr = refine_intermediate(g, F(1, 5), oracle_mode="alternating",
                                 rng=np.random.default_rng(0))
     assert check_intermediate(g, p, F(1, 5)).passed
+
+
+def test_refine_rejects_unknown_oracle_mode():
+    # a misspelt mode used to run the alternating heuristic under its own name
+    g = random_digraph(np.random.default_rng(0), 8, 0.5)
+    with pytest.raises(DomainError):
+        refine_intermediate(g, F(1, 5), oracle_mode="exactt")
 
 
 def test_common_refinement_splits_and_drops_empties():

@@ -421,6 +421,32 @@ def test_float_oi_audit_rounds_like_the_rational_one():
         assert abs(float(exact) - adv) < 1e-9
 
 
+@pytest.mark.parametrize("ell", [2, 3, 8])
+def test_audit_value_is_the_advantage_of_the_best_response(ell):
+    # every family kind, both backends, an exact predictor and a float one a
+    # multiplicative-weights step away: the audit value is the advantage that
+    # best_response reports, and its member attains that advantage
+    rng = np.random.default_rng(300 + ell)
+    for _ in range(2):
+        pop, cls, pred = random_instance(rng, 8, ell, 3)
+        grid = make_grid_with_denominator(pop.space, 2)
+        losses = LossTable(pop.space, tuple((k % 3) / 2 for k in range(ell)))
+        fpred = Predictor({j: update(mwu_rule(pop.space, 0.7), pred.values[j], losses)
+                           for j in pop.ids})
+        fams = [make_family(k, hypotheses=cls, grid=grid) for k in ("basic", "mc", "smc")]
+        fams.append(make_family("lowdegree", hypotheses=cls, degree=2, outcome_space=pop.space))
+        fams.append(make_family("explicit", members=fams[0].members()[:12]))
+        for p in (pred, fpred):
+            for fam in fams:
+                value = audit_oi(pop, p, fam).value
+                d, adv = best_response(pop, p, fam)
+                assert adv == value >= 0 and oi_advantage(pop, p, d) == adv, fam.kind
+                fvalue = audit_oi(pop, p, fam, "float").value
+                d, fadv = best_response(pop, p, fam, "float")
+                assert abs(fvalue - fadv) < 1e-12 and fadv >= 0, fam.kind
+                assert abs(oi_advantage(pop, p, d, exact=False) - fadv) < 1e-12, fam.kind
+
+
 def test_event_member_needs_a_population_prepared_for_its_grid():
     pop, cls, pred = random_instance(np.random.default_rng(13), 5, 2, 2)
     grid = make_grid_with_denominator(pop.space, 2)
