@@ -6,7 +6,6 @@ from .core import (
     OutcomeSpace,
     SimplexGrid,
     binary_space,
-    conditional_distance_profile,
     make_coordinate_grid,
     make_grid_with_denominator,
     stat_distance,
@@ -25,7 +24,6 @@ from .population import (
     grid_fixture_mc_closed_form,
     grid_fixture_smc_closed_form,
     indicator_all,
-    joint_tables,
     random_instance,
     sample,
 )

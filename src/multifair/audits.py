@@ -43,7 +43,6 @@ discretization inequality SMC(rounded p) <= |grid| * MC(p) + eta.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -55,6 +54,7 @@ from .population import (
     HypothesisClass,
     PopulationInstance,
     Predictor,
+    _scaled_products,
     indicator_all,
 )
 
@@ -101,14 +101,22 @@ class _Prepared:
     Exact mode stores, per individual j and outcome o, the integer
     D * w_j * p*_j(o) of the truth (`star`) and the signed difference
     D * w_j * (p_j(o) - p*_j(o)) of the predictor against it (`diff`),
-    where D is the least common denominator of every such product.
+    where D is the least common denominator of every such product.  It is
+    built from integers alone: the truth comes from the population's
+    cached integer table over its own denominator D_pop, each w_j p_j(o) is
+    reduced by a gcd, and D = lcm(D_pop, the reduced predictor
+    denominators), the same D as the lcm over every reduced product.
 
     Levels group individuals by prediction value.  With a grid they group
     by the grid-rounded prediction instead, which is what the OI event
     families condition on; the modeled mass still comes from the raw
-    predictor.  `grid` is that grid (or None), `predictor` the predictor
-    read (exact in exact mode, raw otherwise), `points[level]` each level's
-    weight tuple and `level_weight` each level's scaled mass.
+    predictor.  Each distinct prediction is keyed once (by its integer
+    ratios in exact mode), only one representative per key is rounded or
+    clustered, and levels are told apart by their integer ratios, so no
+    Fraction is hashed.  `grid` is that grid (or None),
+    `predictor` the predictor read (exact in exact mode, raw otherwise),
+    `points[level]` each level's weight tuple and `level_weight` each
+    level's scaled mass.
 
     This is the one place that knows the backend.  Float mode stores float
     masses with D = 1.0.  Audits read numbers through `number(x)` and
@@ -123,22 +131,20 @@ class _Prepared:
         self.exact = exact
         self.grid = grid
         self.ids = pop.ids
-        ell = pop.space.size
         pred = predictor.as_exact() if exact else predictor
         self.predictor = pred
         self.dists = [pred.values[j] for j in pop.ids]
 
         if exact:
-            w = [exactify(pop.weight[j]) for j in pop.ids]
-            tilde_fr = [[w[i] * exactify(d.weights[o]) for o in range(ell)]
-                        for i, d in enumerate(self.dists)]
-            star_fr = [[w[i] * exactify(pop.p_true[j].weights[o]) for o in range(ell)]
-                       for i, j in enumerate(pop.ids)]
-            self.D = D = math.lcm(1, *(f.denominator for rows in (tilde_fr, star_fr)
-                                      for row in rows for f in row))
-            tilde = [[int(f * D) for f in row] for row in tilde_fr]
-            self.star = [[int(f * D) for f in row] for row in star_fr]
+            keys = [tuple(x.as_integer_ratio() for x in d.weights) for d in self.dists]
+            weights, star, D_pop = pop._exact_table()
+            tilde, self.D = _scaled_products(weights, keys, D_pop)
+            scale = self.D // D_pop
+            self.star = [[x * scale for x in row] for row in star]
         else:
+            # clustering reads only the floats; a grid rounds the exact value
+            keys = [d.weights if grid is not None else tuple(map(float, d.weights))
+                    for d in self.dists]
             self.D = 1.0
             w = [float(pop.weight[j]) for j in pop.ids]
             tilde = [[wi * float(x) for x in d.weights] for wi, d in zip(w, self.dists)]
@@ -146,32 +152,41 @@ class _Prepared:
                          for wi, j in zip(w, pop.ids)]
         self.diff = [[t - s for t, s in zip(tr, sr)] for tr, sr in zip(tilde, self.star)]
 
+        first = {}  # key -> its first prediction, in population order
+        for key, d in zip(keys, self.dists):
+            first.setdefault(key, d)
         if grid is not None:
-            rounded = {d: grid.round_dist(d) for d in set(self.dists)}
-            level_dists = [rounded[d] for d in self.dists]
+            level_rep = [grid.round_dist(d) for d in first.values()]
         elif exact:
-            level_dists = self.dists
+            level_rep = list(first.values())
         else:
-            level_dists = self._cluster_levels()
-        self.levels = sorted(set(level_dists), key=lambda d: tuple(d.weights))
+            level_rep = self._cluster_levels(list(first))
+        # a level is one value, kept as its first occurrence: values are told
+        # apart by their integer ratios and ordered by (float, exact) pairs,
+        # which is their exact order, since rounding to float is monotone
+        rep_keys = [tuple(x.as_integer_ratio() for x in d.weights) for d in level_rep]
+        levels = {}
+        for rk, d in zip(rep_keys, level_rep):
+            levels.setdefault(rk, d)
+        order = sorted(levels, key=lambda rk: [(float(x), x) for x in levels[rk].weights])
+        self.levels = [levels[rk] for rk in order]
         self.points = [tuple(d.weights) for d in self.levels]
-        idx = {d: i for i, d in enumerate(self.levels)}
-        self.level_of = [idx[d] for d in level_dists]
+        idx = {rk: i for i, rk in enumerate(order)}
+        level_of_key = {key: idx[rk] for key, rk in zip(first, rep_keys)}
+        self.level_of = [level_of_key[key] for key in keys]
         self.level_weight = [0] * len(self.levels)
         for li, row in zip(self.level_of, self.star):
             self.level_weight[li] += sum(row)
 
-    def _cluster_levels(self):
-        dists = self.dists
-        uniq = sorted({tuple(float(w) for w in d.weights) for d in dists})
+    def _cluster_levels(self, floats):
+        """Per distinct float prediction, the representative of its 1e-9 cluster."""
         rep_of = {}
         current = None
-        for t in uniq:
+        for t in sorted(floats):
             if current is None or max(abs(a - b) for a, b in zip(t, current)) > FLOAT_GROUP_TOL:
                 current = t
-            rep_of[t] = current
-        reps = {t: OutcomeDist(self.pop.space, rep_of[t]) for t in uniq}
-        return [reps[tuple(float(w) for w in d.weights)] for d in dists]
+            rep_of[t] = OutcomeDist(self.pop.space, current)
+        return [rep_of[t] for t in floats]
 
     def cell_tables(self, cls: HypothesisClass, rows):
         """Sums of per-individual rows per (hypothesis, level, y).
@@ -182,9 +197,12 @@ class _Prepared:
         level's members on which hypothesis c takes the y-th value.  The
         module docstring lists the rows each audit passes.
 
-        The rows callers pass are masses or differences of masses, so the
-        absolute values in any one column sum to at most 2D: under
-        D <= 2^40 no int64 partial sum can overflow.
+        Float tables, and exact ones with D <= 2^40, are summed by numpy
+        once there are more than 512 entries.  The rows callers pass are
+        masses or differences of masses, so the absolute values in any one
+        column sum to at most 2D: under D <= 2^40 no int64 partial sum can
+        overflow.  `np.add.at` adds into each cell in population order, as
+        the Python loop does, so float sums are the same to the bit.
         """
         ys = list(cls.range_values)
         y_idx = {y: i for i, y in enumerate(ys)}
@@ -194,14 +212,14 @@ class _Prepared:
         n = len(self.ids)
         k = len(rows[0])
 
-        if self.exact and self.D <= _NUMPY_SAFE_LIMIT and n * k > 512:
-            flat = np.asarray(rows, dtype=np.int64).reshape(-1)
+        if (not self.exact or self.D <= _NUMPY_SAFE_LIMIT) and n * k > 512:
+            flat = np.asarray(rows, dtype=np.int64 if self.exact else np.float64).reshape(-1)
             i_part = np.tile(np.arange(k, dtype=np.int64), n)
             lvl = np.repeat(np.asarray(self.level_of, dtype=np.int64) * ny, k)
             out = []
             for y_arr in y_arrays:
                 keys = (lvl + np.repeat(np.asarray(y_arr, dtype=np.int64), k)) * k + i_part
-                acc = np.zeros(nv * ny * k, dtype=np.int64)
+                acc = np.zeros(nv * ny * k, dtype=flat.dtype)
                 np.add.at(acc, keys, flat)
                 out.append(acc.reshape(nv, ny * k).tolist())
             return ys, out

@@ -33,7 +33,6 @@ from typing import Iterable, Mapping, Sequence
 from .errors import (
     DomainError,
     EnumerationLimitError,
-    ConditioningMismatchError,
     PrecisionTooCoarseError,
     SupportMismatchError,
 )
@@ -196,37 +195,6 @@ def stat_distance(p, q):
     _check_same_support(tp, tq)
     total = sum(abs(tp[a] - tq[a]) for a in tp)
     return total / 2 if isinstance(total, float) else Fraction(total) / 2
-
-
-def conditional_distance_profile(joint_x: Mapping, joint_y: Mapping) -> dict:
-    """Per-condition statistical distances delta(X, Y | Z=z).
-
-    Both tables are keyed by tuples whose last coordinate is the conditioning
-    value z.  The Z-marginals must agree exactly; conditions with zero mass
-    are excluded from the output.  The profile satisfies
-
-        sum_z profile[z] * Pr[Z=z] = delta((X,Z), (Y,Z)).
-    """
-    zx, zy = {}, {}
-    for key, mass in joint_x.items():
-        zx[key[-1]] = zx.get(key[-1], 0) + mass
-    for key, mass in joint_y.items():
-        zy[key[-1]] = zy.get(key[-1], 0) + mass
-    if set(zx) != set(zy) or any(zx[z] != zy[z] for z in zx):
-        raise ConditioningMismatchError("conditioning marginals differ between the joints")
-    profile = {}
-    for z, mass in zx.items():
-        if mass == 0:
-            continue
-        px = {k[:-1]: v for k, v in joint_x.items() if k[-1] == z}
-        py = {k[:-1]: v for k, v in joint_y.items() if k[-1] == z}
-        keys = set(px) | set(py)
-        tot = sum(abs(px.get(k, 0) - py.get(k, 0)) for k in keys)
-        if isinstance(tot, float) or isinstance(mass, float):
-            profile[z] = tot / (2 * mass)
-        else:
-            profile[z] = Fraction(tot, 1) / (2 * mass)
-    return profile
 
 
 # ---------------------------------------------------------------------------

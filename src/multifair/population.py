@@ -13,11 +13,18 @@ two-point population where a predictor is perfectly multi-accurate but
 badly multi-calibrated, and the m-by-m grid population whose per-level
 violations have the closed forms 2v(1-v), making audits checkable symbol
 by symbol.
+
+A population keeps one exact integer table of its masses, built on first
+use and then shared by every exact audit of that population (see
+`PopulationInstance._exact_table`).  The table is never rebuilt, so it
+relies on the instance being immutable: its weight and truth maps must not
+be mutated after construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +34,7 @@ from .core import (
     OutcomeSpace,
     SimplexGrid,
     binary_space,
+    exactify,
     is_exact_number,
 )
 from .errors import DomainError
@@ -40,6 +48,7 @@ class PopulationInstance:
     ids: tuple
     weight: dict  # id -> marginal mass
     p_true: dict  # id -> OutcomeDist, the conditional outcome law
+    _table: tuple = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "ids", tuple(self.ids))
@@ -63,6 +72,22 @@ class PopulationInstance:
     def size(self) -> int:
         return len(self.ids)
 
+    def _exact_table(self) -> tuple:
+        """(weights, star, D_pop), built on the first call and then reused.
+
+        `weights[pos]` is the reduced (numerator, denominator) of w_j for the
+        pos-th id, and `star[pos][o]` the integer D_pop * w_j * p*_j(o), where
+        D_pop is the least common denominator of those reduced products.
+        Float masses enter by their exact binary value.
+        """
+        if self._table is None:
+            weights = tuple(exactify(self.weight[j]).as_integer_ratio() for j in self.ids)
+            star, D = _scaled_products(weights, [
+                [exactify(x).as_integer_ratio() for x in self.p_true[j].weights]
+                for j in self.ids])
+            object.__setattr__(self, "_table", (weights, tuple(map(tuple, star)), D))
+        return self._table
+
     def ground_truth_predictor(self) -> "Predictor":
         return Predictor({j: self.p_true[j] for j in self.ids})
 
@@ -70,6 +95,24 @@ class PopulationInstance:
         ws = [sum(self.weight[j] * self.p_true[j].weights[o] for j in self.ids)
               for o in range(self.space.size)]
         return OutcomeDist(self.space, tuple(ws))
+
+
+def _scaled_products(weights, rows, base=1):
+    """(numerators, D) for the products w_j * x_j(o) of integer ratios.
+
+    Each product is reduced by a gcd, D is the lcm of `base` and the
+    reduced denominators, and numerators[pos][o] is the product times D.
+    """
+    cells = []
+    for (a, b), row in zip(weights, rows):
+        out = []
+        for c, e in row:
+            num, den = a * c, b * e
+            g = math.gcd(num, den)
+            out.append((num // g, den // g))
+        cells.append(out)
+    D = math.lcm(base, *{den for row in cells for _, den in row})
+    return [[num * (D // den) for num, den in row] for row in cells], D
 
 
 @dataclass(frozen=True)
@@ -91,10 +134,6 @@ class Predictor:
 
     def as_exact(self) -> "Predictor":
         return Predictor({j: d.as_exact() for j, d in self.values.items()})
-
-    def as_projection(self):
-        """Projection onto the prediction value itself (usable in joint tables)."""
-        return lambda j: self.values[j]
 
 
 def constant_predictor(pop: PopulationInstance, dist: OutcomeDist) -> Predictor:
@@ -145,9 +184,6 @@ class Hypothesis:
             self.range_values if set(self.range_values) == {0, 1} else (0, 1),
             {j: 1 - v for j, v in self.values.items()},
         )
-
-    def as_projection(self):
-        return lambda j: self.values[j]
 
 
 @dataclass(frozen=True)
@@ -217,36 +253,8 @@ def _with_complements(hypotheses) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Joint tables and sampling
+# Sampling
 # ---------------------------------------------------------------------------
-
-
-def joint_tables(pop: PopulationInstance, predictor: Predictor, projections=()) -> tuple:
-    """Exact joint laws of (projections..., outcome) under modeled and true outcomes.
-
-    Returns a pair (modeled, true) of tables keyed by tuples whose last
-    coordinate is the outcome label.  Masses in each table sum to exactly 1
-    under the rational backend.
-    """
-    predictor.check_total(pop)
-    tilde: dict = {}
-    star: dict = {}
-    for j in pop.ids:
-        w = pop.weight[j]
-        if w == 0:
-            continue
-        prefix = tuple(proj(j) for proj in projections)
-        pd = predictor.values[j]
-        td = pop.p_true[j]
-        for o_idx, o in enumerate(pop.space.labels):
-            key = prefix + (o,)
-            mt = w * pd.weights[o_idx]
-            ms = w * td.weights[o_idx]
-            if mt != 0:
-                tilde[key] = tilde.get(key, 0) + mt
-            if ms != 0:
-                star[key] = star.get(key, 0) + ms
-    return tilde, star
 
 
 def sample(pop: PopulationInstance, rng: np.random.Generator, n: int) -> list:
@@ -326,21 +334,21 @@ def fixture_grid_population(m: int):
     ids = tuple(f"{r},{c}" for r in range(1, m + 1) for c in range(1, m + 1))
     w = Fraction(1, m * m)
     weight = {j: w for j in ids}
+    truth = [OutcomeDist.bernoulli(Fraction(b)) for b in (0, 1)]
+    levels = [OutcomeDist.bernoulli(Fraction(r, m)) for r in range(1, m + 1)]
     p_true = {}
     values = {}
     for r in range(1, m + 1):
-        level = OutcomeDist.bernoulli(Fraction(r, m))
         for c in range(1, m + 1):
             j = f"{r},{c}"
-            p_true[j] = OutcomeDist.bernoulli(Fraction(1 if r >= c else 0))
-            values[j] = level
+            p_true[j] = truth[r >= c]
+            values[j] = levels[r - 1]
     pop = PopulationInstance(space=space, ids=ids, weight=weight, p_true=p_true)
     hyps = []
+    zeros = dict.fromkeys(ids, 0)
     for k in range(1, m + 1):
-        hv = {}
-        for r in range(1, m + 1):
-            for c in range(1, m + 1):
-                hv[f"{r},{c}"] = 1 if (r == k and c <= k) else 0
+        hv = dict(zeros)
+        hv.update((f"{k},{c}", 1) for c in range(1, k + 1))
         hyps.append(Hypothesis(f"c{k}", (0, 1), hv))
     return pop, HypothesisClass(tuple(hyps)), Predictor(values)
 

@@ -1,6 +1,8 @@
 """Brute-force oracles for the tests.
 
-Statistical distance by enumeration of every event, the mc OI audit by
+The literal joint tables of a population and a predictor, the exact
+prepared population built by Fraction products cell by cell, statistical
+distance by enumeration of every event, the mc OI audit by
 enumeration of every event over the cell lattice, and the graph
 statistics, including the (true - predicted) pair sums delta_{S,T} of a
 graph predictor.  Every edge count in the graph oracles is a literal scan of
@@ -9,13 +11,14 @@ every count off the cached adjacency matrix.  The randomized
 intermediate spot check samples S and T rather than enumerating them.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
 from multifair.audits import _is_exact, _Prepared
 from multifair.core import _as_table, _check_same_support, exactify
-from multifair.errors import EmptyBlockError, EnumerationLimitError
+from multifair.errors import ConditioningMismatchError, EmptyBlockError, EnumerationLimitError
 from multifair.graph import (
     CheckReport,
     DiGraph,
@@ -30,6 +33,107 @@ from multifair.population import Predictor
 
 SUBSET_ORACLE_LIMIT = 22
 MC_ORACLE_CELL_LIMIT = 12
+
+
+def projection(obj):
+    """j -> obj.values[j] for a predictor or a hypothesis: a key of the joint tables."""
+    return lambda j: obj.values[j]
+
+
+def joint_tables(pop, predictor, projections=()) -> tuple:
+    """Exact joint laws of (projections..., outcome) under modeled and true outcomes.
+
+    Returns a pair (modeled, true) of tables keyed by tuples whose last
+    coordinate is the outcome label.  Masses in each table sum to exactly 1
+    under the rational backend.
+    """
+    predictor.check_total(pop)
+    tilde: dict = {}
+    star: dict = {}
+    for j in pop.ids:
+        w = pop.weight[j]
+        if w == 0:
+            continue
+        prefix = tuple(proj(j) for proj in projections)
+        pd = predictor.values[j]
+        td = pop.p_true[j]
+        for o_idx, o in enumerate(pop.space.labels):
+            key = prefix + (o,)
+            mt = w * pd.weights[o_idx]
+            ms = w * td.weights[o_idx]
+            if mt != 0:
+                tilde[key] = tilde.get(key, 0) + mt
+            if ms != 0:
+                star[key] = star.get(key, 0) + ms
+    return tilde, star
+
+
+def conditional_distance_profile(joint_x, joint_y) -> dict:
+    """Per-condition statistical distances delta(X, Y | Z=z).
+
+    Both tables are keyed by tuples whose last coordinate is the conditioning
+    value z.  The Z-marginals must agree exactly; conditions with zero mass
+    are excluded from the output.  The profile satisfies
+
+        sum_z profile[z] * Pr[Z=z] = delta((X,Z), (Y,Z)).
+    """
+    zx, zy = {}, {}
+    for key, mass in joint_x.items():
+        zx[key[-1]] = zx.get(key[-1], 0) + mass
+    for key, mass in joint_y.items():
+        zy[key[-1]] = zy.get(key[-1], 0) + mass
+    if set(zx) != set(zy) or any(zx[z] != zy[z] for z in zx):
+        raise ConditioningMismatchError("conditioning marginals differ between the joints")
+    profile = {}
+    for z, mass in zx.items():
+        if mass == 0:
+            continue
+        px = {k[:-1]: v for k, v in joint_x.items() if k[-1] == z}
+        py = {k[:-1]: v for k, v in joint_y.items() if k[-1] == z}
+        keys = set(px) | set(py)
+        tot = sum(abs(px.get(k, 0) - py.get(k, 0)) for k in keys)
+        if isinstance(tot, float) or isinstance(mass, float):
+            profile[z] = tot / (2 * mass)
+        else:
+            profile[z] = Fraction(tot, 1) / (2 * mass)
+    return profile
+
+
+def prepared_fraction_oracle(pop, predictor, grid=None) -> dict:
+    """The exact `_Prepared` fields, built by Fraction products cell by cell.
+
+    Every w_j p_j(o) and w_j p*_j(o) is a Fraction, D is the lcm of their
+    denominators, and levels are the distinct (grid-rounded) predictions,
+    each kept as its first occurrence in population order.  Returns the
+    fields D, star, diff, levels, points, level_of and level_weight.
+    """
+    ell = pop.space.size
+    exact = predictor.as_exact()
+    dists = [exact.values[j] for j in pop.ids]
+    w = [exactify(pop.weight[j]) for j in pop.ids]
+    tilde_fr = [[w[i] * exactify(d.weights[o]) for o in range(ell)]
+                for i, d in enumerate(dists)]
+    star_fr = [[w[i] * exactify(pop.p_true[j].weights[o]) for o in range(ell)]
+               for i, j in enumerate(pop.ids)]
+    D = math.lcm(1, *(f.denominator for rows in (tilde_fr, star_fr)
+                      for row in rows for f in row))
+    tilde = [[int(f * D) for f in row] for row in tilde_fr]
+    star = [[int(f * D) for f in row] for row in star_fr]
+    diff = [[t - s for t, s in zip(tr, sr)] for tr, sr in zip(tilde, star)]
+    if grid is not None:
+        rounded = {d: grid.round_dist(d) for d in set(dists)}
+        level_dists = [rounded[d] for d in dists]
+    else:
+        level_dists = dists
+    levels = sorted(set(level_dists), key=lambda d: tuple(d.weights))
+    idx = {d: i for i, d in enumerate(levels)}
+    level_of = [idx[d] for d in level_dists]
+    level_weight = [0] * len(levels)
+    for li, row in zip(level_of, star):
+        level_weight[li] += sum(row)
+    return {"D": D, "star": star, "diff": diff, "levels": levels,
+            "points": [tuple(d.weights) for d in levels], "level_of": level_of,
+            "level_weight": level_weight}
 
 
 def stat_distance_subset_oracle(p, q):

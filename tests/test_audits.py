@@ -24,12 +24,11 @@ from multifair import (
     indicator_all,
     make_grid_with_denominator,
     random_instance,
-    joint_tables,
     violation_profile,
     binary_space,
 )
 from multifair.errors import DomainError
-from oracles import stat_distance_subset_oracle
+from oracles import joint_tables, projection, stat_distance_subset_oracle
 
 
 def test_ground_truth_audits_all_zero():
@@ -62,7 +61,7 @@ def test_multi_accuracy_matches_subset_oracle():
     rep = audit_multi_accuracy(pop, pred, cls)
     worst = 0
     for h in cls:
-        tilde, star = joint_tables(pop, pred, [h.as_projection()])
+        tilde, star = joint_tables(pop, pred, [projection(h)])
         keys = set(tilde) | set(star)
         tp = {k: tilde.get(k, 0) for k in keys}
         tq = {k: star.get(k, 0) for k in keys}

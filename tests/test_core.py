@@ -10,10 +10,8 @@ from multifair import (
     OutcomeSpace,
     SimplexGrid,
     binary_space,
-    conditional_distance_profile,
     discretize,
     fixture_two_point,
-    joint_tables,
     make_coordinate_grid,
     make_grid_with_denominator,
     stat_distance,
@@ -26,7 +24,12 @@ from multifair.errors import (
     PrecisionTooCoarseError,
     SupportMismatchError,
 )
-from oracles import stat_distance_subset_oracle
+from oracles import (
+    conditional_distance_profile,
+    joint_tables,
+    projection,
+    stat_distance_subset_oracle,
+)
 
 
 def bern(p):
@@ -108,7 +111,7 @@ def test_conditional_profile_identical_joints():
 
 def test_conditional_profile_two_point_fixture():
     pop, _, pred = fixture_two_point()
-    tilde, star = joint_tables(pop, pred, [pred.as_projection()])
+    tilde, star = joint_tables(pop, pred, [projection(pred)])
     # reorder keys to (outcome, prediction) so the prediction conditions
     tx = {(o, v): m for (v, o), m in tilde.items()}
     ty = {(o, v): m for (v, o), m in star.items()}

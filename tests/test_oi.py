@@ -39,9 +39,12 @@ def _values(d, prep):
     return d.values(prep(d.grid))
 
 
-def _value_at(d, prep, j, o):
+def _value_at(d, prep, j, o, rows=None):
+    """The member's value at (j, o), looked up by id and label in `rows`,
+    its per-individual rows, which are evaluated here when not given."""
     p = prep(d.grid)
-    return d.values(p)[p.ids.index(j)][p.pop.space.index(o)]
+    rows = d.values(p) if rows is None else rows
+    return rows[p.ids.index(j)][p.pop.space.index(o)]
 
 
 def identity_grid():
@@ -345,7 +348,7 @@ def test_population_evaluation_matches_payload_oracle(ell):
                 for j, row in zip(pop.ids, rows):
                     for o, v in zip(pop.space.labels, row):
                         want = _oracle_value(d, pop, cls, grid, j, o, p)
-                        assert v == want and _value_at(d, prep, j, o) == want, (d.name, j, o)
+                        assert v == want and _value_at(d, prep, j, o, rows) == want, (d.name, j, o)
 
 
 def test_negate_complements_and_double_negation_restores():

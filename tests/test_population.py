@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from multifair import (
+    Hypothesis,
     HypothesisClass,
     OutcomeDist,
     PopulationInstance,
@@ -15,12 +16,12 @@ from multifair import (
     grid_fixture_mc_closed_form,
     grid_fixture_smc_closed_form,
     indicator_all,
-    joint_tables,
     random_instance,
     sample,
 )
 from multifair import serialize
 from multifair.errors import DomainError
+from oracles import joint_tables, projection
 
 
 def test_weights_must_sum_to_one():
@@ -42,7 +43,7 @@ def test_joint_table_marginal_mixture():
 
 def test_joint_table_two_point_prediction_tuple():
     pop, _, pred = fixture_two_point()
-    tilde, _ = joint_tables(pop, pred, [pred.as_projection()])
+    tilde, _ = joint_tables(pop, pred, [projection(pred)])
     zero, one = OutcomeDist.bernoulli(F(0)), OutcomeDist.bernoulli(F(1))
     assert tilde == {(zero, "0"): F(1, 2), (one, "1"): F(1, 2)}
 
@@ -52,7 +53,7 @@ def test_ground_truth_joints_coincide():
     pop, cls, _ = random_instance(rng, 6, 3, 2)
     gt = pop.ground_truth_predictor()
     for h in cls:
-        tilde, star = joint_tables(pop, gt, [h.as_projection(), gt.as_projection()])
+        tilde, star = joint_tables(pop, gt, [projection(h), projection(gt)])
         assert tilde == star
 
 
@@ -98,6 +99,27 @@ def test_grid_fixture_shape_and_closed_forms():
     assert grid_fixture_smc_closed_form(m) == F(m * m - 1, 3 * m * m)
     assert grid_fixture_mc_closed_form(m) == max(
         2 * F(k, m) * (1 - F(k, m)) / m for k in range(1, m + 1))
+
+
+def _grid_fixture_per_cell(m):
+    """The grid fixture built literally, one distribution and value per cell."""
+    ids = tuple(f"{r},{c}" for r in range(1, m + 1) for c in range(1, m + 1))
+    cells = [(r, c) for r in range(1, m + 1) for c in range(1, m + 1)]
+    pop = PopulationInstance(
+        binary_space(), ids, {j: F(1, m * m) for j in ids},
+        {f"{r},{c}": OutcomeDist.bernoulli(F(1 if r >= c else 0)) for r, c in cells})
+    hyps = tuple(Hypothesis(f"c{k}", (0, 1), {f"{r},{c}": 1 if (r == k and c <= k) else 0
+                                             for r, c in cells})
+                 for k in range(1, m + 1))
+    pred = Predictor({f"{r},{c}": OutcomeDist.bernoulli(F(r, m)) for r, c in cells})
+    return pop, HypothesisClass(hyps), pred
+
+
+@pytest.mark.parametrize("m", range(2, 13))
+def test_grid_fixture_equals_its_per_cell_build(m):
+    got, want = fixture_grid_population(m), _grid_fixture_per_cell(m)
+    assert got == want
+    assert [list(h.values.items()) for h in got[1]] == [list(h.values.items()) for h in want[1]]
 
 
 def test_complement_closure():

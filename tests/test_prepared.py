@@ -1,0 +1,177 @@
+"""Differential tests of `audits._Prepared` against literal builds.
+
+The exact build reads the population's cached integer table and reduces
+each predictor product by a gcd; `oracles.prepared_fraction_oracle` builds
+the same fields by Fraction products, cell by cell.  The float cell tables
+of more than 512 entries are summed by numpy and are checked against a
+literal loop over the individuals.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from multifair import (
+    LossTable,
+    OutcomeDist,
+    OutcomeSpace,
+    PopulationInstance,
+    Predictor,
+    binary_space,
+    make_grid_with_denominator,
+    mwu_rule,
+    random_instance,
+    update,
+)
+from multifair.audits import _Prepared
+from oracles import prepared_fraction_oracle
+
+# pairwise coprime denominators far beyond int64 products
+LARGE_PRIMES = (10007, 1000003, 2**31 - 1, 2**61 - 1, 2**89 - 1)
+FIELDS = ("D", "star", "diff", "levels", "points", "level_of", "level_weight")
+
+
+def _split(draw, total, k):
+    """k nonnegative integers summing to total."""
+    cuts = sorted(draw(st.lists(st.integers(0, total), min_size=k - 1, max_size=k - 1)))
+    return [b - a for a, b in zip([0] + cuts, cuts + [total])]
+
+
+def _dist(draw, space):
+    """An exact point of the simplex over a small or a large prime denominator."""
+    den = draw(st.sampled_from((1, 2, 3, 6) + LARGE_PRIMES))
+    return OutcomeDist(space, tuple(Fraction(c, den) for c in _split(draw, den, space.size)))
+
+
+@st.composite
+def populations(draw):
+    """A population whose weights are exact (some zero, some over a large
+    prime) or floats, and whose truth rows use coprime denominators."""
+    n = draw(st.integers(1, 6))
+    space = binary_space() if draw(st.booleans()) else OutcomeSpace(("a", "b", "c"))
+    ids = tuple(f"x{i}" for i in range(n))
+    total = draw(st.sampled_from((1, 5, 12) + LARGE_PRIMES))
+    parts = _split(draw, total, n)
+    if draw(st.booleans()):
+        weights = [Fraction(a, total) for a in parts]
+    else:
+        weights = [a / total for a in parts]
+    p_true = {j: _dist(draw, space) for j in ids}
+    return PopulationInstance(space, ids, dict(zip(ids, weights)), p_true)
+
+
+def _predictor(draw, pop):
+    """An exact predictor, or one whose predictions took one MWU step.
+
+    Predictions come from a small pool, so levels hold several individuals.
+    The pool holds one vertex twice, as ints and as Fractions: the two are
+    equal but print differently, so a level must keep its first occurrence.
+    """
+    space = pop.space
+    vertex = OutcomeDist.point_mass(space, draw(st.sampled_from(space.labels)))
+    pool = [vertex, OutcomeDist(space, tuple(Fraction(w) for w in vertex.weights))]
+    pool += [_dist(draw, space) for _ in range(draw(st.integers(1, len(pop.ids))))]
+    exact = Predictor({j: draw(st.sampled_from(pool)) for j in pop.ids})
+    if draw(st.booleans()):
+        return exact
+    rule = mwu_rule(pop.space, draw(st.sampled_from((0.3, 0.7))))
+    loss = LossTable(pop.space, tuple((k % 3) / 2 for k in range(pop.space.size)))
+    return Predictor({j: update(rule, d, loss) for j, d in exact.values.items()})
+
+
+def _hash_or_error(obj):
+    try:
+        return hash(obj)
+    except TypeError as e:
+        return type(e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_integer_build_equals_fraction_per_cell_oracle(data):
+    pop = data.draw(populations())
+    twin = PopulationInstance(pop.space, pop.ids, pop.weight, pop.p_true)
+    grid = data.draw(st.sampled_from((None, make_grid_with_denominator(pop.space, 2))))
+    # two predictors in turn: the second build reuses the cached table
+    for _ in range(2):
+        pred = _predictor(data.draw, pop)
+        prep = _Prepared(pop, pred, exact=True, grid=grid)
+        want = prepared_fraction_oracle(pop, pred, grid)
+        for name in FIELDS:
+            assert getattr(prep, name) == want[name], name
+        assert repr(prep.points) == repr(want["points"])
+        table = pop._table
+        assert table is not None
+    assert pop._table is table
+    assert pop == twin and repr(pop) == repr(twin)
+    assert _hash_or_error(pop) == _hash_or_error(twin)
+
+
+def test_levels_equal_as_floats_are_ordered_by_exact_value():
+    big = LARGE_PRIMES[-1]
+    half = Fraction(big // 2, big)  # 1/(2P) below 1/2
+    low = OutcomeDist(binary_space(), (half, 1 - half))
+    high = OutcomeDist(binary_space(), (1 - half, half))
+    assert float(half) == float(1 - half)
+    # the higher level comes first in population order
+    pop = PopulationInstance(binary_space(), ("a", "b"), {"a": Fraction(1, 2), "b": Fraction(1, 2)},
+                             {"a": high, "b": low})
+    pred = Predictor({"a": high, "b": low})
+    prep = _Prepared(pop, pred, exact=True)
+    assert prep.points == [tuple(low.weights), tuple(high.weights)]
+    assert prep.level_of == [1, 0]
+    assert prep.points == prepared_fraction_oracle(pop, pred)["points"]
+
+
+def test_second_exact_build_makes_no_fraction_arithmetic(monkeypatch):
+    pop, _, pred = random_instance(np.random.default_rng(3), 40, 3, 1)
+    _Prepared(pop, pred, exact=True)
+    calls = []
+    for op in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__truediv__"):
+        original = getattr(Fraction, op)
+
+        def counted(*args, op=op, original=original):
+            calls.append(op)
+            return original(*args)
+        monkeypatch.setattr(Fraction, op, counted)
+    _Prepared(pop, pred, exact=True)
+    assert calls == []
+
+
+def _cell_tables_loop(prep, cls, rows):
+    """cell_tables by a literal loop over the individuals, in population order."""
+    ys = list(cls.range_values)
+    k = len(rows[0])
+    out = []
+    for h in cls:
+        tables = [[0] * (len(ys) * k) for _ in prep.levels]
+        for j, level, row in zip(prep.ids, prep.level_of, rows):
+            base = ys.index(h.values[j]) * k
+            for i, x in enumerate(row):
+                tables[level][base + i] += x
+        out.append(tables)
+    return ys, out
+
+
+@pytest.mark.parametrize("ell,grid_m", [(2, None), (2, 3), (8, None), (8, 2)])
+def test_float_numpy_tables_equal_the_literal_loop(ell, grid_m):
+    pop, cls, pred = random_instance(np.random.default_rng([ell, 17]), 300, ell, 3,
+                                     binary_hypotheses=ell == 2)
+    rule = mwu_rule(pop.space, 0.7)
+    loss = LossTable(pop.space, tuple((k % 3) / 2 for k in range(ell)))
+    fpred = Predictor({j: update(rule, d, loss) for j, d in pred.values.items()})
+    grid = make_grid_with_denominator(pop.space, grid_m) if grid_m else None
+    for p in (pred, fpred):
+        prep = _Prepared(pop, p, exact=False, grid=grid)
+        assert len(pop.ids) * ell > 512
+        for rows in (prep.diff, prep.star, [(sum(s), s[0]) for s in prep.star]):
+            ys, tables = prep.cell_tables(cls, rows)
+            want_ys, want = _cell_tables_loop(prep, cls, rows)
+            assert ys == want_ys
+            assert tables == want
+            assert [[[x.hex() for x in row] for row in t] for t in tables] == \
+                [[[float(x).hex() for x in row] for row in t] for t in want]
+
