@@ -45,10 +45,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
-from .core import OutcomeDist, SimplexGrid, exactify, FLOAT_GROUP_TOL
+from .core import FLOAT_GROUP_TOL, OutcomeDist, SimplexGrid, _exact_ratios, exactify
 from .errors import DomainError
 from .population import (
     HypothesisClass,
@@ -102,21 +103,25 @@ class _Prepared:
     D * w_j * p*_j(o) of the truth (`star`) and the signed difference
     D * w_j * (p_j(o) - p*_j(o)) of the predictor against it (`diff`),
     where D is the least common denominator of every such product.  It is
-    built from integers alone: the truth comes from the population's
-    cached integer table over its own denominator D_pop, each w_j p_j(o) is
-    reduced by a gcd, and D = lcm(D_pop, the reduced predictor
-    denominators), the same D as the lcm over every reduced product.
+    built from integers alone: each prediction's exact value comes as
+    integer ratios (`core._exact_ratios`), the truth comes from the
+    population's cached integer table over its own denominator D_pop, each
+    w_j p_j(o) is reduced by a gcd, and D = lcm(D_pop, the reduced
+    predictor denominators), the same D as the lcm over every reduced
+    product.
 
     Levels group individuals by prediction value.  With a grid they group
     by the grid-rounded prediction instead, which is what the OI event
     families condition on; the modeled mass still comes from the raw
     predictor.  Each distinct prediction is keyed once (by its integer
-    ratios in exact mode), only one representative per key is rounded or
+    ratios in exact mode), only one representative per key is rounded (on
+    the integer ratios of its exact value, under either backend) or
     clustered, and levels are told apart by their integer ratios, so no
-    Fraction is hashed.  `grid` is that grid (or None),
-    `predictor` the predictor read (exact in exact mode, raw otherwise),
-    `points[level]` each level's weight tuple and `level_weight` each
-    level's scaled mass.
+    Fraction is hashed.  `grid` is that grid (or None), `points[level]`
+    each level's weight tuple and `level_weight` each level's scaled mass.
+    `predictor`, the predictor read (exact in exact mode, raw otherwise),
+    and `dists`, its predictions, are made on first use: only lowdegree and
+    explicit members read them.
 
     This is the one place that knows the backend.  Float mode stores float
     masses with D = 1.0.  Audits read numbers through `number(x)` and
@@ -127,16 +132,17 @@ class _Prepared:
     def __init__(self, pop: PopulationInstance, predictor: Predictor, exact: bool,
                  grid: SimplexGrid | None = None):
         predictor.check_total(pop)
+        if grid is not None and grid.space != pop.space:
+            raise DomainError("distribution and grid live on different outcome spaces")
         self.pop = pop
         self.exact = exact
         self.grid = grid
         self.ids = pop.ids
-        pred = predictor.as_exact() if exact else predictor
-        self.predictor = pred
-        self.dists = [pred.values[j] for j in pop.ids]
+        self._source = predictor
+        dists = [predictor.values[j] for j in pop.ids]
 
         if exact:
-            keys = [tuple(x.as_integer_ratio() for x in d.weights) for d in self.dists]
+            keys = [_exact_ratios(d) for d in dists]
             weights, star, D_pop = pop._exact_table()
             tilde, self.D = _scaled_products(weights, keys, D_pop)
             scale = self.D // D_pop
@@ -144,21 +150,22 @@ class _Prepared:
         else:
             # clustering reads only the floats; a grid rounds the exact value
             keys = [d.weights if grid is not None else tuple(map(float, d.weights))
-                    for d in self.dists]
+                    for d in dists]
             self.D = 1.0
             w = [float(pop.weight[j]) for j in pop.ids]
-            tilde = [[wi * float(x) for x in d.weights] for wi, d in zip(w, self.dists)]
+            tilde = [[wi * float(x) for x in d.weights] for wi, d in zip(w, dists)]
             self.star = [[wi * float(x) for x in pop.p_true[j].weights]
                          for wi, j in zip(w, pop.ids)]
         self.diff = [[t - s for t, s in zip(tr, sr)] for tr, sr in zip(tilde, self.star)]
 
         first = {}  # key -> its first prediction, in population order
-        for key, d in zip(keys, self.dists):
+        for key, d in zip(keys, dists):
             first.setdefault(key, d)
         if grid is not None:
-            level_rep = [grid.round_dist(d) for d in first.values()]
+            level_rep = [grid._round_ratios(key if exact else _exact_ratios(d))
+                         for key, d in first.items()]
         elif exact:
-            level_rep = list(first.values())
+            level_rep = [d.as_exact() for d in first.values()]
         else:
             level_rep = self._cluster_levels(list(first))
         # a level is one value, kept as its first occurrence: values are told
@@ -177,6 +184,14 @@ class _Prepared:
         self.level_weight = [0] * len(self.levels)
         for li, row in zip(self.level_of, self.star):
             self.level_weight[li] += sum(row)
+
+    @cached_property
+    def predictor(self) -> Predictor:
+        return self._source.as_exact() if self.exact else self._source
+
+    @cached_property
+    def dists(self) -> list:
+        return [self.predictor.values[j] for j in self.ids]
 
     def _cluster_levels(self, floats):
         """Per distinct float prediction, the representative of its 1e-9 cluster."""

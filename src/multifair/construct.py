@@ -8,8 +8,12 @@ rule caps the number of iterations at 2 (L/eps)^2 E[D(p*_i, p_i^(1))]:
 with multiplicative weights from the uniform start this is
 2 ln(outcomes) / eps^2, with projected gradient descent 2*outcomes/eps^2.
 The final audit is the value of the last best response, which attains
-the audit.  Loss tables, empirical advantages and the randomized
-selection read one float `audits._Prepared` population per grid and call.
+the audit.  An event member's loss table is read off the exact
+`audits._Prepared` its best response was scored on: its values depend
+only on the grid-rounded levels, which both backends take from the exact
+value of each prediction.  Every other loss table, the empirical
+advantages and the randomized selection read one float population per
+grid and call.
 
 The sample-based loop replaces the exact search with a weak agnostic
 learner: empirical-advantage maximization over an explicit family on
@@ -58,8 +62,8 @@ from .oi import (
     DistinguisherFamily,
     _oriented,
     _preparer,
+    _reduce,
     audit_oi,
-    best_response,
     make_family,
     mc_event_distinguisher,
     monomial_multisets,
@@ -141,12 +145,15 @@ def wal_sample_count(epsilon, beta, member_count) -> int:
 
 def loss_from_distinguisher(d: Distinguisher, pop, predictor) -> list:
     """Per individual of the population: the loss table L_j(o) = A(j, o, p)."""
-    prep = _Prepared(pop, predictor, exact=False, grid=d.grid)
-    return [LossTable(pop.space, tuple(float(v) for v in row)) for row in d.values(prep)]
+    return _loss_tables(d, _Prepared(pop, predictor, exact=False, grid=d.grid))
 
 
-def _apply_update(pop, predictor, rule, d) -> Predictor:
-    losses = loss_from_distinguisher(d, pop, predictor)
+def _loss_tables(d: Distinguisher, prep: _Prepared) -> list:
+    """The loss tables of `d`, read off a population prepared for its grid."""
+    return [LossTable(prep.pop.space, tuple(float(v) for v in row)) for row in d.values(prep)]
+
+
+def _apply_update(pop, predictor, rule, losses) -> Predictor:
     return Predictor({j: update(rule, predictor.values[j], loss)
                       for j, loss in zip(pop.ids, losses)})
 
@@ -197,7 +204,7 @@ def construct_exact(pop: PopulationInstance, family: DistinguisherFamily, epsilo
     transcript = ConstructionTranscript(iteration_bound=bound)
     t = 0
     while True:
-        d, adv = best_response(pop, predictor, family, backend="rational")
+        _, d, adv, prep = _reduce(pop, predictor, family, "rational")
         if transcript.iterations:
             # the fresh best-response value is the post-update audit of the
             # previous iteration
@@ -208,7 +215,13 @@ def construct_exact(pop: PopulationInstance, family: DistinguisherFamily, epsilo
         if t > math.ceil(bound) + 1:
             raise InternalInvariantError(
                 f"construction exceeded its regret bound ({bound:.2f} iterations)")
-        predictor = _apply_update(pop, predictor, rule, d)
+        if d.events is not None:
+            # levels and points, all an event member reads, are the same
+            # in the exact population and in a float one
+            losses = _loss_tables(d, prep)
+        else:
+            losses = loss_from_distinguisher(d, pop, predictor)
+        predictor = _apply_update(pop, predictor, rule, losses)
         transcript.iterations.append(
             IterationRecord(index=t, witness=dict(d.payload), advantage=adv))
     transcript.final_predictor = predictor
@@ -302,7 +315,7 @@ def construct_sampled(pop, family, epsilon, rule=None, beta=0.05,
     while True:
         draws = sample(pop, rng, cfg.n_samples)
         transcript.sample_count += cfg.n_samples
-        found = wal_erm(family, cfg, draws, pop, predictor)
+        found = wal_erm(members, cfg, draws, pop, predictor)
         if transcript.iterations:
             transcript.iterations[-1].post_update_audit = \
                 found[1] if found is not None else 0.0
@@ -316,7 +329,8 @@ def construct_sampled(pop, family, epsilon, rule=None, beta=0.05,
             transcript.final_predictor = predictor
             raise SampledRunFailureError(
                 f"exceeded the iteration cap {hard_cap}", transcript)
-        predictor = _apply_update(pop, predictor, rule, d)
+        predictor = _apply_update(pop, predictor, rule,
+                                  loss_from_distinguisher(d, pop, predictor))
         transcript.iterations.append(IterationRecord(
             index=t, witness=dict(d.payload), advantage=emp_adv,
             samples_drawn=cfg.n_samples))

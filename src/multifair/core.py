@@ -19,14 +19,17 @@ A coordinate grid with denominator m is the set of points of the outcome
 simplex whose coordinates are multiples of 1/m.  It covers the simplex to
 statistical distance (l-1)/m, contains C(m+l-1, l-1) points, and nearest-
 point rounding onto it is largest-remainder apportionment, so predictors
-can be discretized without materializing the grid.  `SimplexGrid.round_dist`
-is the one rounding rule: a prediction rounds as its exact value.
+can be discretized without materializing the grid.  There is one rounding
+rule: a prediction rounds as its exact value.  `_exact_ratios` gives that
+value as integer ratios, without building a Fraction, and
+`SimplexGrid._round_ratios` rounds those ratios by integer floor division;
+`SimplexGrid.round_dist` and `audits._Prepared` both go through the pair.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -56,6 +59,55 @@ def exactify(x) -> Fraction:
     if isinstance(x, float):
         return Fraction(x)
     raise DomainError(f"cannot interpret {x!r} as a number")
+
+
+def _exact_ratios(dist: "OutcomeDist") -> tuple:
+    """The weights of `dist.as_exact()` as reduced (numerator, denominator)
+    pairs, computed on integers alone.
+
+    An exact point is taken as it is.  Otherwise the weights' exact values
+    (floats by `as_integer_ratio`, over powers of two) are put over their
+    least common denominator and the first largest absorbs the deficit
+    1 - sum, which must leave it nonnegative.
+    """
+    if dist.is_exact:
+        return tuple(w.as_integer_ratio() for w in dist.weights)
+    ratios = []
+    for w in dist.weights:
+        if not isinstance(w, (int, Fraction, float)):
+            raise DomainError(f"cannot interpret {w!r} as a number")
+        ratios.append(w.as_integer_ratio())
+    den = math.lcm(*(d for _, d in ratios))
+    nums = [n * (den // d) for n, d in ratios]
+    deficit = den - sum(nums)
+    if deficit:
+        i = nums.index(max(nums))
+        num = nums[i] + deficit
+        if num < 0:
+            raise DomainError("cannot exactify: weights too far from the simplex")
+        g = math.gcd(num, den)
+        ratios[i] = (num // g, den // g)
+    return tuple(ratios)
+
+
+def _largest_remainder(ratios, m: int) -> tuple:
+    """Largest-remainder apportionment of m units by exact weights.
+
+    `ratios` are (numerator, denominator) pairs summing to 1.  Each
+    coordinate gets its floor (n * m) // d, and the m - sum(floors) units
+    left go to the largest remainders (n * m) % d, compared over a common
+    denominator; equal remainders go to the earlier coordinate.
+    """
+    den = math.lcm(*(d for _, d in ratios))
+    out, rems = [], []
+    for n, d in ratios:
+        q, r = divmod(n * m, d)
+        out.append(q)
+        rems.append(r * (den // d))
+    # a stable sort keeps equal remainders in coordinate order
+    for i in sorted(range(len(out)), key=rems.__getitem__, reverse=True)[:m - sum(out)]:
+        out[i] += 1
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -96,12 +148,14 @@ class OutcomeDist:
 
     space: OutcomeSpace
     weights: tuple
+    _exact: bool = field(default=False, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(self.weights))
         if len(self.weights) != self.space.size:
             raise DomainError("weight count does not match the outcome space")
         exact = all(is_exact_number(w) for w in self.weights)
+        object.__setattr__(self, "_exact", exact)
         total = sum(self.weights)
         for w in self.weights:
             if w < 0:
@@ -135,7 +189,8 @@ class OutcomeDist:
 
     @property
     def is_exact(self) -> bool:
-        return all(is_exact_number(w) for w in self.weights)
+        """Every weight is an int or a Fraction; decided once, at construction."""
+        return self._exact
 
     def p_one(self):
         """Mass on label "1" of a binary distribution."""
@@ -144,18 +199,14 @@ class OutcomeDist:
         return self.weight("1")
 
     def as_exact(self) -> "OutcomeDist":
+        """This point with exact weights: itself when its weights are exact.
+
+        Floats summing to ~1 rarely sum to exactly 1 as rationals; the
+        deficit is absorbed by the largest coordinate (see `_exact_ratios`).
+        """
         if self.is_exact:
             return self
-        ws = [exactify(w) for w in self.weights]
-        # Floats summing to ~1 rarely sum to exactly 1 as rationals; the
-        # deficit is absorbed by the largest coordinate to stay on the simplex.
-        deficit = 1 - sum(ws)
-        if deficit != 0:
-            i = max(range(len(ws)), key=lambda j: ws[j])
-            ws[i] += deficit
-            if ws[i] < 0:
-                raise DomainError("cannot exactify: weights too far from the simplex")
-        return OutcomeDist(self.space, tuple(ws))
+        return OutcomeDist(self.space, tuple(Fraction(n, d) for n, d in _exact_ratios(self)))
 
     def __repr__(self):
         pairs = ", ".join(f"{o}:{w}" for o, w in zip(self.space.labels, self.weights))
@@ -233,6 +284,7 @@ class SimplexGrid:
     points: tuple | None
     eta: Fraction
     denominator: int | None = None
+    _point_of: dict = field(default=None, init=False, compare=False, repr=False)
 
     @classmethod
     def coordinate(cls, space: OutcomeSpace, denominator: int) -> "SimplexGrid":
@@ -275,30 +327,32 @@ class SimplexGrid:
         earliest point on ties: a float prediction rounds as its exact value."""
         if dist.space != self.space:
             raise DomainError("distribution and grid live on different outcome spaces")
-        dist = dist.as_exact()
-        if self.is_coordinate:
-            return self._round_coordinate(dist)
-        return self._round_scan(dist)
+        return self._round_ratios(_exact_ratios(dist))
 
-    def _round_scan(self, dist: OutcomeDist) -> OutcomeDist:
+    def _round_ratios(self, ratios) -> OutcomeDist:
+        """`round_dist` of the exact point whose weights are `ratios`.
+
+        On a coordinate grid, largest-remainder apportionment is the L1
+        projection onto the integer simplex; ties bump earlier coordinates,
+        matching the canonical descending-lex point order (verified against
+        `_round_scan` in tests).  A materialized grid returns its own point.
+        """
+        if not self.is_coordinate:
+            return self._round_scan(tuple(Fraction(n, d) for n, d in ratios))
+        m = self.denominator
+        comp = _largest_remainder(ratios, m)
+        if self.points is None:
+            return OutcomeDist(self.space, tuple(Fraction(c, m) for c in comp))
+        if self._point_of is None:
+            object.__setattr__(self, "_point_of", dict(
+                zip(_compositions(m, self.space.size), self.points)))
+        return self._point_of[comp]
+
+    def _round_scan(self, weights) -> OutcomeDist:
+        """The first point nearest the exact `weights` in L1 distance."""
         # min keeps the earliest of equally near points
         return min(self.points, key=lambda g: sum(abs(a - exactify(b))
-                                                  for a, b in zip(dist.weights, g.weights)))
-
-    def _round_coordinate(self, dist: OutcomeDist) -> OutcomeDist:
-        # Largest-remainder apportionment is the L1 projection onto the integer
-        # simplex; ties bump earlier coordinates, matching the canonical
-        # descending-lex point order.  Verified against _round_scan in tests.
-        m = self.denominator
-        scaled = [w * m for w in dist.weights]
-        floors = [int(x) for x in scaled]  # int() truncates toward zero; weights >= 0
-        remainders = [x - f for x, f in zip(scaled, floors)]
-        k = m - sum(floors)
-        order = sorted(range(len(scaled)), key=lambda i: (-remainders[i], i))
-        out = list(floors)
-        for i in order[: max(k, 0)]:
-            out[i] += 1
-        return OutcomeDist(self.space, tuple(Fraction(c, m) for c in out))
+                                                  for a, b in zip(weights, g.weights)))
 
     def iter_points(self) -> Iterable[OutcomeDist]:
         if self.points is not None:

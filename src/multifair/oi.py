@@ -34,14 +34,15 @@ oracle for small cell counts (`tests/oracles.py`).
 `audit_oi` and `best_response` are two views of one reduction: it
 prepares the population (and, for the event families, builds the cell
 table) once per call and returns the audit report together with the
-best-responding member and its advantage, which is the audit value.  The
-basic, mc and smc families and the oracle reduce over one signed table,
-the (modeled - true) mass per (hypothesis, level, y, outcome) that
-`audits._Prepared` builds for the statistical-distance audits, here on the
-levels of the grid-rounded predictor; lowdegree and explicit members read
-the same prepared per-individual mass differences.  Only `_Prepared`
-knows the backend: every number here goes through its `number`, `ratio`
-and `to_mass`.
+best-responding member and its advantage, which is the audit value.  It
+also returns the prepared population, off which the exact constructor
+reads an event member's loss table.  The basic, mc and smc families and
+the oracle reduce over one signed table, the (modeled - true) mass per
+(hypothesis, level, y, outcome) that `audits._Prepared` builds for the
+statistical-distance audits, here on the levels of the grid-rounded
+predictor; lowdegree and explicit members read the same prepared
+per-individual mass differences.  Only `_Prepared` knows the backend:
+every number here goes through its `number`, `ratio` and `to_mass`.
 """
 
 from __future__ import annotations
@@ -333,16 +334,19 @@ def best_response(pop, predictor, family: DistinguisherFamily, backend="rational
     mc/smc, a `negated` member otherwise), so the result is always
     directly usable as a loss table.
     """
-    return _reduce(pop, predictor, family, backend)[1:]
+    return _reduce(pop, predictor, family, backend)[1:3]
 
 
 def _reduce(pop, predictor, family, backend):
-    """(audit report, best-responding member, its advantage) for one family.
+    """(audit report, best-responding member, its advantage, prepared
+    population) for one family.
 
     One prepared population, and for the event families one cell table,
     serves the audit and the best response: the audit value is the
     advantage of the member, which is oriented to be nonnegative.  Ties go
-    to the first hypothesis, member or cell in order.
+    to the first hypothesis, member or cell in order.  The prepared
+    population returned is the one the member was scored on, so an event
+    member's values can be read off it.
     """
     exact = _is_exact(backend)
     if family.kind == "explicit":
@@ -352,7 +356,8 @@ def _reduce(pop, predictor, family, backend):
         advs = [(d, _advantage(prep(d.grid), d)) for d in family.explicit_members]
         breakdown = {d.name: abs(adv) for d, adv in advs}
         d, adv = max(advs, key=lambda t: abs(t[1]))
-        return AuditReport("oi-explicit", abs(adv), d.name, breakdown), *_oriented(d, adv)
+        return (AuditReport("oi-explicit", abs(adv), d.name, breakdown), *_oriented(d, adv),
+                prep(d.grid))
 
     if family.kind == "lowdegree":
         prep = _Prepared(pop, predictor, exact)
@@ -379,7 +384,7 @@ def _reduce(pop, predictor, family, backend):
         witness = {"hypothesis": h.name, "outcome": o0, "monomial_indices": list(mono)}
         d = monomial_distinguisher(h, o0, mono)
         return (AuditReport("oi-lowdegree", value, witness, breakdown),
-                *_oriented(d, _advantage(prep, d)))
+                *_oriented(d, _advantage(prep, d)), prep)
 
     if family.kind not in ("mc", "smc", "basic"):
         raise ConstructionError(f"unknown family kind {family.kind!r}")
@@ -397,7 +402,7 @@ def _reduce(pop, predictor, family, backend):
         d = _event_member(family.grid, amap, cells, "level-assigned-event",
                           {"assignment": {str(k): h.name for k, h in amap.items()},
                            "event_cells": cells})
-        return AuditReport("oi-smc", total, per_level_best, per_level_best), d, total
+        return AuditReport("oi-smc", total, per_level_best, per_level_best), d, total, prep
 
     if family.kind == "mc":
         score = [sum(_positive_sums(t)) for t in tables]
@@ -410,7 +415,8 @@ def _reduce(pop, predictor, family, backend):
     report = AuditReport(f"oi-{family.kind}", breakdown[h.name], h.name, breakdown)
     if family.kind == "mc":
         cells = _positive_cells(prep, ys, tables[c], range(len(prep.levels)))
-        return report, mc_event_distinguisher(h, cells, family.grid), breakdown[h.name]
+        return (report, mc_event_distinguisher(h, cells, family.grid), breakdown[h.name],
+                prep)
     # basic: binary instances always tie (y, "0", l) against (y, "1", l), so the
     # first-reached order is what keeps the witness, and with it the
     # constructor transcripts, deterministic and stable.
@@ -419,5 +425,5 @@ def _reduce(pop, predictor, family, backend):
     y, o = ys[i // ell], pop.space.labels[i % ell]
     point = prep.points[v]
     d = mc_event_distinguisher(h, [(y, o, point)], family.grid, name=_cell_name(h, y, o, point))
-    return report, *_oriented(d, prep.to_mass(tables[c][v][i]))
+    return report, *_oriented(d, prep.to_mass(tables[c][v][i])), prep
 

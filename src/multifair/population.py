@@ -133,6 +133,9 @@ class Predictor:
             raise DomainError(f"predictor missing individuals: {missing[:5]}")
 
     def as_exact(self) -> "Predictor":
+        """This predictor with exact predictions: itself when they all are."""
+        if all(d.is_exact for d in self.values.values()):
+            return self
         return Predictor({j: d.as_exact() for j, d in self.values.items()})
 
 

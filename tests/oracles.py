@@ -1,14 +1,16 @@
 """Brute-force oracles for the tests.
 
-The literal joint tables of a population and a predictor, the exact
-prepared population built by Fraction products cell by cell, statistical
-distance by enumeration of every event, the mc OI audit by
-enumeration of every event over the cell lattice, and the graph
-statistics, including the (true - predicted) pair sums delta_{S,T} of a
-graph predictor.  Every edge count in the graph oracles is a literal scan of
-`g.edges`, so they share no code path with the library, which reads
-every count off the cached adjacency matrix.  The randomized
-intermediate spot check samples S and T rather than enumerating them.
+The literal joint tables of a population and a predictor, the exact value
+of a float prediction and its largest-remainder rounding onto a coordinate
+grid by Fraction arithmetic, the exact prepared population built by
+Fraction products cell by cell, statistical distance by enumeration of
+every event, the mc OI audit by enumeration of every event over the cell
+lattice, and the graph statistics, including the (true - predicted) pair
+sums delta_{S,T} of a graph predictor.  Every edge count in the graph
+oracles is a literal scan of `g.edges`, so they share no code path with
+the library, which reads every count off the cached adjacency matrix.  The
+randomized intermediate spot check samples S and T rather than
+enumerating them.
 """
 
 import math
@@ -17,8 +19,13 @@ from fractions import Fraction
 import numpy as np
 
 from multifair.audits import _is_exact, _Prepared
-from multifair.core import _as_table, _check_same_support, exactify
-from multifair.errors import ConditioningMismatchError, EmptyBlockError, EnumerationLimitError
+from multifair.core import OutcomeDist, SimplexGrid, _as_table, _check_same_support, exactify
+from multifair.errors import (
+    ConditioningMismatchError,
+    DomainError,
+    EmptyBlockError,
+    EnumerationLimitError,
+)
 from multifair.graph import (
     CheckReport,
     DiGraph,
@@ -99,6 +106,45 @@ def conditional_distance_profile(joint_x, joint_y) -> dict:
     return profile
 
 
+def as_exact_fraction_oracle(dist: OutcomeDist) -> OutcomeDist:
+    """`OutcomeDist.as_exact()` by Fraction arithmetic: each weight at its
+    exact value, and the first largest absorbing the deficit 1 - sum."""
+    if dist.is_exact:
+        return dist
+    ws = [exactify(w) for w in dist.weights]
+    deficit = 1 - sum(ws)
+    if deficit != 0:
+        i = max(range(len(ws)), key=lambda j: ws[j])
+        ws[i] += deficit
+        if ws[i] < 0:
+            raise DomainError("cannot exactify: weights too far from the simplex")
+    return OutcomeDist(dist.space, tuple(ws))
+
+
+def round_coordinate_fraction(grid: SimplexGrid, dist: OutcomeDist) -> OutcomeDist:
+    """Largest-remainder rounding of an exact `dist` onto a coordinate grid,
+    by Fraction remainders; ties bump earlier coordinates."""
+    m = grid.denominator
+    scaled = [w * m for w in dist.weights]
+    floors = [int(x) for x in scaled]  # int() truncates toward zero; weights >= 0
+    remainders = [x - f for x, f in zip(scaled, floors)]
+    k = m - sum(floors)
+    order = sorted(range(len(scaled)), key=lambda i: (-remainders[i], i))
+    out = list(floors)
+    for i in order[: max(k, 0)]:
+        out[i] += 1
+    return OutcomeDist(grid.space, tuple(Fraction(c, m) for c in out))
+
+
+def round_dist_fraction_oracle(grid: SimplexGrid, dist: OutcomeDist) -> OutcomeDist:
+    """`grid.round_dist(dist)` with the exact value and the apportionment
+    taken by Fraction arithmetic; explicit grids are scanned."""
+    exact = as_exact_fraction_oracle(dist)
+    if grid.is_coordinate:
+        return round_coordinate_fraction(grid, exact)
+    return grid._round_scan(exact.weights)
+
+
 def prepared_fraction_oracle(pop, predictor, grid=None) -> dict:
     """The exact `_Prepared` fields, built by Fraction products cell by cell.
 
@@ -108,8 +154,7 @@ def prepared_fraction_oracle(pop, predictor, grid=None) -> dict:
     fields D, star, diff, levels, points, level_of and level_weight.
     """
     ell = pop.space.size
-    exact = predictor.as_exact()
-    dists = [exact.values[j] for j in pop.ids]
+    dists = [as_exact_fraction_oracle(predictor.values[j]) for j in pop.ids]
     w = [exactify(pop.weight[j]) for j in pop.ids]
     tilde_fr = [[w[i] * exactify(d.weights[o]) for o in range(ell)]
                 for i, d in enumerate(dists)]
@@ -121,7 +166,7 @@ def prepared_fraction_oracle(pop, predictor, grid=None) -> dict:
     star = [[int(f * D) for f in row] for row in star_fr]
     diff = [[t - s for t, s in zip(tr, sr)] for tr, sr in zip(tilde, star)]
     if grid is not None:
-        rounded = {d: grid.round_dist(d) for d in set(dists)}
+        rounded = {d: round_dist_fraction_oracle(grid, d) for d in set(dists)}
         level_dists = [rounded[d] for d in dists]
     else:
         level_dists = dists

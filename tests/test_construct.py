@@ -29,6 +29,9 @@ from multifair import (
     wal_erm,
     wal_sample_count,
 )
+import multifair.construct as construct_module
+from multifair.audits import _Prepared
+from multifair.construct import loss_from_distinguisher
 from multifair.errors import DomainError, InputError
 from multifair.oi import Distinguisher
 
@@ -90,6 +93,74 @@ def test_transcript_length_bounds_description():
     out, tr = construct_exact(pop, fam, F(1, 8), rule=mwu_rule(pop.space, 1 / 8))
     assert tr.iteration_count <= math.ceil(tr.iteration_bound) + 1
     assert len(tr.iterations) == tr.iteration_count
+
+
+def _iterate_family(kind, pop, cls):
+    """An exact-construction family of the given kind on a denominator-2 grid;
+    "explicit" is one callable member that reads the predictor."""
+    if kind == "lowdegree":
+        return make_family("lowdegree", hypotheses=cls, degree=2, outcome_space=pop.space)
+    if kind == "explicit":
+        h = cls.hypotheses[0]
+
+        def top_outcome(j, o, p):
+            """c(j) on the first most likely outcome of p_j, 0 elsewhere."""
+            d = p.values[j]
+            return h.values[j] if d.weights.index(max(d.weights)) == d.space.index(o) else 0
+        return make_family("explicit", members=[Distinguisher("top-outcome", top_outcome)])
+    return make_family(kind, hypotheses=cls, grid=make_grid_with_denominator(pop.space, 2))
+
+
+def _iterate_instance(kind):
+    seed = ["basic", "mc", "smc", "lowdegree", "explicit"].index(kind)
+    pop, cls, _ = random_instance(np.random.default_rng([seed, 41]), 8, 4, 3)
+    return pop, _iterate_family(kind, pop, cls)
+
+
+@pytest.mark.parametrize("kind", ["basic", "mc", "smc", "lowdegree", "explicit"])
+def test_event_iterates_prepare_the_population_once(kind, monkeypatch):
+    pop, fam = _iterate_instance(kind)
+    builds = []
+    original = _Prepared.__init__
+
+    def counted(self, pop, predictor, exact, grid=None):
+        builds.append(exact)
+        original(self, pop, predictor, exact, grid)
+    monkeypatch.setattr(_Prepared, "__init__", counted)
+    _, tr = construct_exact(pop, fam, F(1, 40), rule=mwu_rule(pop.space, 1 / 40))
+    assert tr.iteration_count > 0
+    if kind in ("basic", "mc", "smc"):
+        # one exact build per best response: every iterate and the final audit
+        assert builds == [True] * (tr.iteration_count + 1)
+    else:
+        # the member reads the predictions, so its loss table keeps a float build
+        assert builds == [True, False] * tr.iteration_count + [True]
+
+
+@pytest.mark.parametrize("rule_kind", ["mwu", "pgd"])
+@pytest.mark.parametrize("kind", ["basic", "mc", "smc"])
+def test_reused_loss_tables_equal_the_float_prep_tables(kind, rule_kind, monkeypatch):
+    pop, fam = _iterate_instance(kind)
+    rule = mwu_rule(pop.space, 1 / 40) if rule_kind == "mwu" else pgd_rule(pop.space, 1 / 160)
+    members = []
+    checked = []
+    reduce, apply_update = construct_module._reduce, construct_module._apply_update
+
+    def reduce_spy(*args):
+        out = reduce(*args)
+        members.append(out[1])
+        return out
+
+    def apply_spy(pop, predictor, rule, losses):
+        want = loss_from_distinguisher(members[-1], pop, predictor)
+        assert [[v.hex() for v in t.values] for t in losses] == \
+            [[v.hex() for v in t.values] for t in want]
+        checked.append(members[-1].name)
+        return apply_update(pop, predictor, rule, losses)
+    monkeypatch.setattr(construct_module, "_reduce", reduce_spy)
+    monkeypatch.setattr(construct_module, "_apply_update", apply_spy)
+    _, tr = construct_exact(pop, fam, F(1, 40), rule=rule)
+    assert len(checked) == tr.iteration_count > 0
 
 
 # ---------------------------------------------------------------------------

@@ -126,9 +126,8 @@ def test_levels_equal_as_floats_are_ordered_by_exact_value():
     assert prep.points == prepared_fraction_oracle(pop, pred)["points"]
 
 
-def test_second_exact_build_makes_no_fraction_arithmetic(monkeypatch):
-    pop, _, pred = random_instance(np.random.default_rng(3), 40, 3, 1)
-    _Prepared(pop, pred, exact=True)
+def _count_fraction_arithmetic(monkeypatch) -> list:
+    """Record every Fraction *, +, - and / from here on."""
     calls = []
     for op in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__truediv__"):
         original = getattr(Fraction, op)
@@ -137,8 +136,33 @@ def test_second_exact_build_makes_no_fraction_arithmetic(monkeypatch):
             calls.append(op)
             return original(*args)
         monkeypatch.setattr(Fraction, op, counted)
+    return calls
+
+
+def test_second_exact_build_makes_no_fraction_arithmetic(monkeypatch):
+    pop, _, pred = random_instance(np.random.default_rng(3), 40, 3, 1)
+    _Prepared(pop, pred, exact=True)
+    calls = _count_fraction_arithmetic(monkeypatch)
     _Prepared(pop, pred, exact=True)
     assert calls == []
+
+
+def test_second_exact_build_of_a_construct_iterate_makes_no_fraction_arithmetic(monkeypatch):
+    """The construct path: an exact build on a coordinate grid from a float
+    predictor one MWU step away.  Its predictions are exactified and rounded
+    on integers, and its levels are the grid's own points."""
+    pop, _, pred = random_instance(np.random.default_rng(3), 40, 3, 1)
+    rule = mwu_rule(pop.space, 0.1)
+    loss = LossTable(pop.space, (0.0, 0.5, 1.0))
+    pred = Predictor({j: update(rule, d, loss) for j, d in pred.values.items()})
+    grid = make_grid_with_denominator(pop.space, 4)
+    assert not any(d.is_exact for d in pred.values.values())
+    _Prepared(pop, pred, exact=True, grid=grid)
+    calls = _count_fraction_arithmetic(monkeypatch)
+    prep = _Prepared(pop, pred, exact=True, grid=grid)
+    assert calls == []
+    assert len(prep.levels) > 1
+    assert all(any(p is level for p in grid.points) for level in prep.levels)
 
 
 def _cell_tables_loop(prep, cls, rows):
