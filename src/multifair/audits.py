@@ -19,8 +19,10 @@ on floats and clusters prediction values within 1e-9.
 Every audit here, the OI event-family audits in `oi` and the
 omniprediction audit in `omni` each make one call of
 `_Prepared.cell_tables`, which sums per-individual rows of scaled masses
-per (hypothesis, level, hypothesis value y).  They differ only in the rows
-they pass and in how they reduce the table:
+per (hypothesis, level, hypothesis value y) in one numpy kernel; the
+backend picks only its accumulator: float64, int64 while D <= 2^40, and
+Python ints beyond.  The audits differ only in the rows they pass and in
+how they reduce the table:
 
     MA, MC, SMC, OI families   diff: modeled - true mass per outcome
     covariance                 (mass, true-one mass); E[c] and E[c o*]
@@ -59,7 +61,7 @@ from .population import (
     indicator_all,
 )
 
-_NUMPY_SAFE_LIMIT = 1 << 40  # beyond this, integer sums stay in pure Python
+_NUMPY_SAFE_LIMIT = 1 << 40  # beyond this, exact tables sum Python ints, not int64
 
 
 @dataclass
@@ -212,42 +214,29 @@ class _Prepared:
         level's members on which hypothesis c takes the y-th value.  The
         module docstring lists the rows each audit passes.
 
-        Float tables, and exact ones with D <= 2^40, are summed by numpy
-        once there are more than 512 entries.  The rows callers pass are
-        masses or differences of masses, so the absolute values in any one
-        column sum to at most 2D: under D <= 2^40 no int64 partial sum can
-        overflow.  `np.add.at` adds into each cell in population order, as
-        the Python loop does, so float sums are the same to the bit.
+        One numpy kernel sums every table: `np.add.at` adds into each cell
+        in population order, so float sums are those of a literal loop to
+        the bit.  The backend picks only the accumulator: float64 for
+        floats, int64 for exact tables with D <= 2^40 and Python ints
+        (object) beyond.  The rows callers pass are masses or differences
+        of masses, so the absolute values in any one column sum to at most
+        2D: under D <= 2^40 no int64 partial sum can overflow.  Cells come
+        back as Python ints or floats.
         """
         ys = list(cls.range_values)
         y_idx = {y: i for i, y in enumerate(ys)}
-        y_arrays = [[y_idx[h.values[j]] for j in self.ids] for h in cls]
-        ny = len(ys)
-        nv = len(self.levels)
-        n = len(self.ids)
-        k = len(rows[0])
-
-        if (not self.exact or self.D <= _NUMPY_SAFE_LIMIT) and n * k > 512:
-            flat = np.asarray(rows, dtype=np.int64 if self.exact else np.float64).reshape(-1)
-            i_part = np.tile(np.arange(k, dtype=np.int64), n)
-            lvl = np.repeat(np.asarray(self.level_of, dtype=np.int64) * ny, k)
-            out = []
-            for y_arr in y_arrays:
-                keys = (lvl + np.repeat(np.asarray(y_arr, dtype=np.int64), k)) * k + i_part
-                acc = np.zeros(nv * ny * k, dtype=flat.dtype)
-                np.add.at(acc, keys, flat)
-                out.append(acc.reshape(nv, ny * k).tolist())
-            return ys, out
-
+        ny, nv, k = len(ys), len(self.levels), len(rows[0])
+        dtype = (np.float64 if not self.exact
+                 else np.int64 if self.D <= _NUMPY_SAFE_LIMIT else object)
+        flat = np.asarray(rows, dtype=dtype).reshape(-1)
+        i_part = np.tile(np.arange(k), len(rows))
+        lvl = np.repeat(np.asarray(self.level_of) * ny, k)
         out = []
-        for y_arr in y_arrays:
-            tables = [[0] * (ny * k) for _ in range(nv)]
-            for li, y, row in zip(self.level_of, y_arr, rows):
-                cells = tables[li]
-                base = y * k
-                for i, x in enumerate(row):
-                    cells[base + i] += x
-            out.append(tables)
+        for h in cls:
+            y_arr = np.repeat([y_idx[h.values[j]] for j in self.ids], k)
+            acc = np.zeros(nv * ny * k, dtype=dtype)
+            np.add.at(acc, (lvl + y_arr) * k + i_part, flat)
+            out.append(acc.reshape(nv, ny * k).tolist())
         return ys, out
 
     def number(self, x):
@@ -290,10 +279,7 @@ def audit_multi_accuracy(pop, predictor, cls, backend="rational") -> AuditReport
     ys, tables = prep.cell_tables(cls, prep.diff)
     breakdown = {}
     for h, per_level in zip(cls, tables):
-        cells = [0] * len(per_level[0])
-        for row in per_level:
-            for i, x in enumerate(row):
-                cells[i] += x
+        cells = [sum(col) for col in zip(*per_level)]
         breakdown[h.name] = prep.to_value(sum(abs(x) for x in cells))
     witness = max(breakdown, key=lambda k: breakdown[k])
     return AuditReport("multi-accuracy", breakdown[witness], witness, breakdown)

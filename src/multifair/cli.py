@@ -318,6 +318,9 @@ def main(argv=None) -> int:
     if args.command == "construct" and args.mode == "sampled" and args.seed is None:
         _log("error: sampled mode requires --seed")
         return 1
+    if getattr(args, "seed", None) is not None and args.seed < 0:
+        _log(f"error: --seed must be nonnegative, got {args.seed}")
+        return 2
     try:
         return args.fn(args)
     except SampledRunFailureError as e:
@@ -328,6 +331,9 @@ def main(argv=None) -> int:
         return 1
     except DomainError as e:
         _log(f"domain error: {e}")
+        return 2
+    except OverflowError as e:
+        _log(f"domain error: a number is beyond the float range: {e}")
         return 2
     except OSError as e:
         _log(f"io error: {e}")

@@ -789,7 +789,7 @@ def refine_intermediate(g: DiGraph, epsilon, oracle_mode: str = "exact",
     p = VertexPartition.trivial(n)
     transcript = RefineTranscript(epsilon=eps, oracle_mode=oracle_mode)
     threshold = eps * n * n / 2
-    max_steps = math.ceil(4 / float(eps) ** 2) + math.ceil(1 / float(eps) ** 4) + 2
+    max_steps = math.ceil(4 / eps ** 2) + math.ceil(1 / eps ** 4) + 2
     step = 0
 
     def apply(S, T, val, trigger):

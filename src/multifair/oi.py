@@ -40,9 +40,12 @@ reads an event member's loss table.  The basic, mc and smc families and
 the oracle reduce over one signed table, the (modeled - true) mass per
 (hypothesis, level, y, outcome) that `audits._Prepared` builds for the
 statistical-distance audits, here on the levels of the grid-rounded
-predictor; lowdegree and explicit members read the same prepared
-per-individual mass differences.  Only `_Prepared` knows the backend:
-every number here goes through its `number`, `ratio` and `to_mass`.
+predictor.  An mc or smc member is built straight from the table's rows:
+each level with a positive cell is one entry of its event map.  Lowdegree
+and explicit members read the same prepared per-individual mass
+differences, and a lowdegree audit scores each member as its advantage
+sums it.  Only `_Prepared` knows the backend: every number here goes
+through its `number`, `ratio` and `to_mass`.
 """
 
 from __future__ import annotations
@@ -111,27 +114,26 @@ def negate(d: Distinguisher) -> Distinguisher:
                    negated=not d.negated)
 
 
-def _event_member(grid: SimplexGrid, assignment, event, name, payload) -> Distinguisher:
-    """An event member: the (y, outcome, grid point) cells grouped by point.
-
-    `assignment` maps grid points to the hypothesis that reads their cells;
-    cells at a point without a hypothesis are never accepted.
-    """
-    events = {}
-    for y, o, w in event:
-        w = tuple(w)
-        h = assignment.get(w)
-        if h is not None:
-            events.setdefault(w, (h, set()))[1].add((y, o))
-    return Distinguisher(name, payload=payload, grid=grid, events=events)
-
-
 def mc_event_distinguisher(h, event, grid: SimplexGrid, name=None) -> Distinguisher:
     """1[(c_j, o, rounded p_j) in E] for an event over (y, outcome, grid point)."""
-    ev = frozenset(event)
-    return _event_member(grid, {tuple(w): h for _, _, w in ev}, ev,
-                         name or f"event[{h.name},|E|={len(ev)}]",
-                         {"hypothesis": h.name, "event_cells": sorted(ev)})
+    events = {}
+    for y, o, w in event:
+        events.setdefault(tuple(w), (h, set()))[1].add((y, o))
+    return _mc_member(h, events, grid, name)
+
+
+def _mc_member(h, events, grid, name=None) -> Distinguisher:
+    """The mc member whose `events` read hypothesis h at every point."""
+    size = sum(len(cells) for _, cells in events.values())
+    return _event_distinguisher(name or f"event[{h.name},|E|={size}]", events, grid,
+                                hypothesis=h.name)
+
+
+def _event_distinguisher(name, events, grid, **payload) -> Distinguisher:
+    """An event member whose payload ends with its (y, outcome, point) cells, sorted."""
+    cells = sorted((y, o, point) for point, (_, yo) in events.items() for y, o in yo)
+    return Distinguisher(name, payload={**payload, "event_cells": cells}, grid=grid,
+                         events=events)
 
 
 def _cell_name(h, y, o, point) -> str:
@@ -285,22 +287,22 @@ def _positive_sums(per_level):
     return [sum(x for x in row if x > 0) for row in per_level]
 
 
-def _positive_cells(prep, ys, per_level, levels):
-    """The (y, outcome, grid point) cells with positive signed mass on the given levels."""
-    ell = prep.pop.space.size
-    labels = prep.pop.space.labels
-    return [(ys[i // ell], labels[i % ell], prep.points[v])
-            for v in levels for i, x in enumerate(per_level[v]) if x > 0]
+def _positive_events(prep, ys, hypotheses, rows):
+    """point -> (hypotheses[v], its positive (y, outcome) cells in rows[v]),
+    one entry per level v with a positive cell."""
+    ell, labels = prep.pop.space.size, prep.pop.space.labels
+    events = {}
+    for point, h, row in zip(prep.points, hypotheses, rows):
+        cells = {(ys[i // ell], labels[i % ell]) for i, x in enumerate(row) if x > 0}
+        if cells:
+            events[point] = (h, cells)
+    return events
 
 
-def _smc_choice(prep, tables):
+def _smc_choice(tables):
     """Per level: the first hypothesis with the largest positive sum, and that sum."""
     pos = [_positive_sums(per_level) for per_level in tables]
-    out = []
-    for v in range(len(prep.levels)):
-        c = max(range(len(tables)), key=lambda c: pos[c][v])
-        out.append((c, pos[c][v]))
-    return out
+    return [max(enumerate(sums), key=lambda cs: cs[1]) for sums in zip(*pos)]
 
 
 def _first_reached_cell(prep, ys, h, per_level, target):
@@ -363,28 +365,35 @@ def _reduce(pop, predictor, family, backend):
         prep = _Prepared(pop, predictor, exact)
         labels = family.outcome_space.labels
         monos = monomial_multisets(len(labels), family.degree)
-        mono_vals = [[prep.number(monomial_value(mono, d)) for d in prep.dists]
-                     for mono in monos]
+        mono_vals = [[monomial_value(mono, d) for d in prep.dists] for mono in monos]
+        mono_nums = [[prep.number(m) for m in mv] for mv in mono_vals]
         breakdown = {}
-        best = None  # (|advantage|, hypothesis, outcome, monomial)
+        best = None  # (advantage, hypothesis, outcome, monomial)
         for h in family.hypotheses:
-            cvals = [prep.number(h.values[j]) for j in prep.ids]
+            cvals = [h.values[j] for j in prep.ids]
+            # each member's values c * m, as `Distinguisher.values` gives them;
+            # an int or Fraction c of 1 spares 0/1 classes the product
+            values = [[x if c == 1 and isinstance(c, (int, Fraction))
+                       else prep.number(c * m) if c else 0
+                       for c, m, x in zip(cvals, mv, nums)]
+                      for mv, nums in zip(mono_vals, mono_nums)]
             h_best = None
             for o_idx, o0 in enumerate(labels):
-                terms = [(pos, row[o_idx] * c) for pos, (row, c)
+                terms = [(pos, row[o_idx]) for pos, (row, c)
                          in enumerate(zip(prep.diff, cvals)) if row[o_idx] and c]
-                for mono, mv in zip(monos, mono_vals):
-                    total = prep.to_mass(sum(t * mv[pos] for pos, t in terms))
+                for mono, a in zip(monos, values):
+                    # summed in `_advantage`'s order, so it is the member's advantage
+                    total = prep.to_mass(sum(x * a[pos] for pos, x in terms if a[pos]))
                     if h_best is None or abs(total) > abs(h_best[0]):
                         h_best = (total, o0, mono)
             breakdown[h.name] = abs(h_best[0])
-            if best is None or breakdown[h.name] > best[0]:
-                best = (breakdown[h.name], h, *h_best[1:])
-        value, h, o0, mono = best
+            if best is None or breakdown[h.name] > abs(best[0]):
+                best = (h_best[0], h, *h_best[1:])
+        adv, h, o0, mono = best
         witness = {"hypothesis": h.name, "outcome": o0, "monomial_indices": list(mono)}
         d = monomial_distinguisher(h, o0, mono)
-        return (AuditReport("oi-lowdegree", value, witness, breakdown),
-                *_oriented(d, _advantage(prep, d)), prep)
+        return (AuditReport("oi-lowdegree", abs(adv), witness, breakdown), *_oriented(d, adv),
+                prep)
 
     if family.kind not in ("mc", "smc", "basic"):
         raise ConstructionError(f"unknown family kind {family.kind!r}")
@@ -392,16 +401,15 @@ def _reduce(pop, predictor, family, backend):
     prep = _Prepared(pop, predictor, exact, grid=family.grid)
     ys, tables = prep.cell_tables(cls, prep.diff)
     if family.kind == "smc":
-        choice = _smc_choice(prep, tables)
+        choice = _smc_choice(tables)
         per_level_best = {prep.points[v]: (cls.hypotheses[c].name, _mass(prep, s))
                           for v, (c, s) in enumerate(choice)}
         total = prep.to_mass(sum(s for _, s in choice))
-        amap = {prep.points[v]: cls.hypotheses[c] for v, (c, _) in enumerate(choice)}
-        cells = sorted(cell for v, (c, _) in enumerate(choice)
-                       for cell in _positive_cells(prep, ys, tables[c], [v]))
-        d = _event_member(family.grid, amap, cells, "level-assigned-event",
-                          {"assignment": {str(k): h.name for k, h in amap.items()},
-                           "event_cells": cells})
+        hyps = [cls.hypotheses[c] for c, _ in choice]
+        rows = [tables[c][v] for v, (c, _) in enumerate(choice)]
+        events = _positive_events(prep, ys, hyps, rows)
+        d = _event_distinguisher("level-assigned-event", events, family.grid, assignment={
+            str(point): h.name for point, h in zip(prep.points, hyps)})
         return AuditReport("oi-smc", total, per_level_best, per_level_best), d, total, prep
 
     if family.kind == "mc":
@@ -414,9 +422,8 @@ def _reduce(pop, predictor, family, backend):
     h = cls.hypotheses[c]
     report = AuditReport(f"oi-{family.kind}", breakdown[h.name], h.name, breakdown)
     if family.kind == "mc":
-        cells = _positive_cells(prep, ys, tables[c], range(len(prep.levels)))
-        return (report, mc_event_distinguisher(h, cells, family.grid), breakdown[h.name],
-                prep)
+        events = _positive_events(prep, ys, [h] * len(prep.levels), tables[c])
+        return report, _mc_member(h, events, family.grid), breakdown[h.name], prep
     # basic: binary instances always tie (y, "0", l) against (y, "1", l), so the
     # first-reached order is what keeps the witness, and with it the
     # constructor transcripts, deterministic and stable.

@@ -1,9 +1,11 @@
 """Differential tests of the cell-table audits against literal per-individual loops.
 
 Each oracle below is written from the definition, one individual at a time,
-without `audits._Prepared`.  The instances cover both accumulation paths of
-`_Prepared.cell_tables`: the int64 path on the m=20 grid fixture and the
-Python-int path on small random instances, plus a class of range (0,).
+without `audits._Prepared`.  The instances cover both integer accumulators
+of `_Prepared.cell_tables`: int64 on the m=20 grid fixture and the small
+random instances (D <= 2^40), and Python ints on the wide random instances,
+whose weights and predictions have denominators near 2^12 (D > 2^40); plus
+a class of range (0,).
 """
 
 from fractions import Fraction as F
@@ -178,14 +180,19 @@ def _random(seed, n=9, binary=True):
                            binary_hypotheses=binary)
 
 
+def _wide(seed, binary=True):
+    """A small random instance whose common denominator D exceeds 2^40."""
+    return random_instance(np.random.default_rng([seed, 37]), 9, 2, 3,
+                           binary_hypotheses=binary, weight_denominator=1 << 12)
+
+
 def _coarse(pop, pred):
     """The predictor rounded to thirds, so levels hold several individuals."""
     return discretize(pred, make_grid_with_denominator(pop.space, 3))
 
 
-def _takes_int64_path(pop, pred, k):
-    prep = _Prepared(pop, pred, exact=True)
-    return prep.D <= _NUMPY_SAFE_LIMIT and len(pop.ids) * k > 512
+def _takes_int64_path(pop, pred):
+    return _Prepared(pop, pred, exact=True).D <= _NUMPY_SAFE_LIMIT
 
 
 def _asymmetric_loss(space):
@@ -203,11 +210,9 @@ def _params(cases):
 
 
 def test_instances_exercise_both_table_paths():
-    pop, _, pred = fixture_grid_population(20)
-    assert all(_takes_int64_path(pop, pred, k) for k in (2, 3))
-    for seed in range(4):
-        pop, _, pred = _random(seed)
-        assert not _takes_int64_path(pop, pred, 3)
+    for cases in (_cov_cases, _binary_cases, _omni_cases):
+        paths = [_takes_int64_path(pop, pred) for _, pop, _, pred in cases()]
+        assert True in paths and False in paths, cases.__name__
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +232,10 @@ def _cov_cases():
         yield f"rand{seed}-truth", pop, cls, pop.ground_truth_predictor()
     pop, _, pred = _random(7)
     yield "rand7-zero", pop, _zero_class(pop), pred
+    for seed in range(2):
+        pop, cls, pred = _wide(seed, binary=seed % 2 == 0)
+        yield f"wide{seed}", pop, cls, pred
+        yield f"wide{seed}-coarse", pop, cls, _coarse(pop, pred)
 
 
 @pytest.mark.parametrize("pop,cls,pred", _params(_cov_cases()))
@@ -262,6 +271,10 @@ def _binary_cases():
     yield "rand7-zero", pop, _zero_class(pop), pred
     empty = Hypothesis("empty", (0, 1), {j: 0 for j in pop.ids})
     yield "rand7-empty", pop, HypothesisClass(cls.hypotheses + (empty,)), pred
+    for seed in range(2):
+        pop, cls, pred = _wide(seed)
+        yield f"wide{seed}", pop, cls, pred
+        yield f"wide{seed}-coarse", pop, cls, _coarse(pop, pred)
 
 
 @pytest.mark.parametrize("pop,cls,pred", _params(_binary_cases()))
@@ -291,6 +304,9 @@ def _omni_cases():
         yield f"rand{seed}-coarse", pop, cls, _coarse(pop, pred)
     pop, _, pred = _random(7)
     yield "rand7-zero", pop, _zero_class(pop), pred
+    for seed in range(2):
+        pop, cls, pred = _wide(seed, binary=seed % 2 == 0)
+        yield f"wide{seed}", pop, cls, pred
 
 
 @pytest.mark.parametrize("pop,cls,pred", _params(_omni_cases()))

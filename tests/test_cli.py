@@ -320,6 +320,16 @@ BAD_INPUTS = [
     (["audit", "{tp_list_truth}", "--kind", "mc"], 1),
     (["audit", "{tp_list_prediction}", "--kind", "mc"], 1),
     (["audit", "{tp_unknown_outcome}", "--kind", "mc"], 1),
+    # numpy rejects a negative seed, and an epsilon beyond the float range
+    # overflows the grid and step sizes; both used to print a traceback
+    (["fixture", "random", "--seed", "-1"], 2),
+    (["fixture", "graph-random", "--seed", "-1"], 2),
+    (["construct", "{tp}", "--epsilon", "0.2", "--grid-m", "2", "--mode", "sampled",
+      "--seed", "-3"], 2),
+    (["graph", "{g6}", "--task", "refine", "--epsilon", "0.3", "--oracle", "alternating",
+      "--seed", "-1"], 2),
+    (["construct", "{tp}", "--epsilon", "1e400"], 2),
+    (["audit", "{tp}", "--kind", "oi", "--epsilon", "1e400"], 2),
 ]
 
 
@@ -346,3 +356,13 @@ def test_bad_inputs_exit_cleanly(argv, code, two_point, tmp_path, capsys):
     assert main([a.format(**files) for a in argv]) == code
     err = capsys.readouterr().err
     assert err and "Traceback" not in err
+
+
+def test_refine_below_the_float_range_exits_cleanly(tmp_path, capsys):
+    # the refinement cap used to divide by float(eps), which is 0.0 here
+    gpath = tmp_path / "g6.json"
+    assert main(["fixture", "graph-random", "--seed", "1", "--n", "6",
+                 "--output", str(gpath)]) == 0
+    assert main(["graph", str(gpath), "--task", "refine", "--epsilon", "1e-400"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert sorted(v for part in doc["partition"] for v in part) == list(range(6))

@@ -537,6 +537,18 @@ def test_refine_alternating_oracle_mode():
     assert check_intermediate(g, p, F(1, 5)).passed
 
 
+def test_refine_below_the_float_range():
+    # the energy-increment cap is computed from the exact eps: float(eps) is
+    # 0.0 at 10^-400, and dividing by it used to raise ZeroDivisionError
+    eps = F(1, 10**400)
+    g = random_digraph(np.random.default_rng(5), 6, 0.5)
+    p, tr = refine_intermediate(g, eps)
+    assert check_intermediate(g, p, eps).passed
+    assert p.size <= 6 and tr.final_parts == p.size
+    for s in tr.steps:
+        assert s.energy_after - s.energy_before >= (s.st_irregularity / 36) ** 2
+
+
 def test_refine_rejects_unknown_oracle_mode():
     # a misspelt mode used to run the alternating heuristic under its own name
     g = random_digraph(np.random.default_rng(0), 8, 0.5)

@@ -1,4 +1,5 @@
 import functools
+import itertools
 from fractions import Fraction as F
 
 import numpy as np
@@ -30,7 +31,15 @@ from multifair import (
 )
 from multifair.audits import _Prepared
 from multifair.errors import ConstructionError, DomainError, EnumerationLimitError
-from multifair.oi import _preparer, monomial_multisets, negate
+from multifair.oi import (
+    _advantage,
+    _preparer,
+    _reduce,
+    mc_event_distinguisher,
+    monomial_distinguisher,
+    monomial_multisets,
+    negate,
+)
 from oracles import audit_oi_mc_bruteforce
 
 
@@ -459,3 +468,87 @@ def test_event_member_needs_a_population_prepared_for_its_grid():
     for other in (None, make_grid_with_denominator(pop.space, 2)):
         with pytest.raises(ConstructionError):
             d.values(_Prepared(pop, pred, exact=True, grid=other))
+
+
+def _stepped(pop, pred, eta):
+    """The predictor after one multiplicative-weights step: float predictions."""
+    loss = LossTable(pop.space, tuple((k % 3) / 2 for k in range(pop.space.size)))
+    return Predictor({j: update(mwu_rule(pop.space, eta), d, loss)
+                      for j, d in pred.values.items()})
+
+
+def _literal_event_member(kind, prep, cls, grid):
+    """The mc or smc best response built from the cell table by literal loops.
+
+    The positive cells of each level go through `mc_event_distinguisher`
+    (mc) or an explicit per-level grouping under the level's chosen
+    hypothesis (smc).  Ties go to the first hypothesis, as in the audit.
+    """
+    ys, tables = prep.cell_tables(cls, prep.diff)
+    ell, labels = prep.pop.space.size, prep.pop.space.labels
+
+    def positive(row, point):
+        return [(ys[i // ell], labels[i % ell], point) for i, x in enumerate(row) if x > 0]
+
+    def positive_sum(row):
+        return sum(x for x in row if x > 0)
+
+    if kind == "mc":
+        score = [sum(positive_sum(row) for row in t) for t in tables]
+        c = score.index(max(score))
+        cells = [cell for point, row in zip(prep.points, tables[c])
+                 for cell in positive(row, point)]
+        return mc_event_distinguisher(cls.hypotheses[c], cells, grid)
+    events, assignment, cells = {}, {}, []
+    for v, point in enumerate(prep.points):
+        sums = [positive_sum(t[v]) for t in tables]
+        c = sums.index(max(sums))
+        assignment[str(point)] = cls.hypotheses[c].name
+        level_cells = positive(tables[c][v], point)
+        for y, o, _ in level_cells:
+            events.setdefault(point, (cls.hypotheses[c], set()))[1].add((y, o))
+        cells += level_cells
+    return Distinguisher("level-assigned-event", grid=grid, events=events,
+                         payload={"assignment": assignment, "event_cells": sorted(cells)})
+
+
+@pytest.mark.parametrize("kind", ["mc", "smc"])
+def test_event_members_built_from_rows_equal_literal_builds(kind):
+    # the reduction groups the positive cells of each table row into its
+    # member's events; a literal build from the same table must agree in
+    # events, payload and values, also on a float population it was not
+    # scored on
+    for seed, (n, ell, nh, m) in enumerate(((6, 2, 2, 3), (9, 2, 4, 4), (12, 3, 3, 2),
+                                            (10, 8, 3, 2))):
+        pop, cls, pred = random_instance(np.random.default_rng([seed, 61]), n, ell, nh)
+        grid = make_grid_with_denominator(pop.space, m)
+        fam = make_family(kind, hypotheses=cls, grid=grid)
+        moved = _Prepared(pop, _stepped(pop, pred, 0.5), exact=False, grid=grid)
+        for p, backend in itertools.product((pred, _stepped(pop, pred, 0.3)),
+                                            ("rational", "float")):
+            _, d, _, prep = _reduce(pop, p, fam, backend)
+            want = _literal_event_member(kind, prep, cls, grid)
+            assert d.events == want.events
+            assert d.name == want.name and repr(d.payload) == repr(want.payload)
+            assert d.values(prep) == want.values(prep)
+            assert d.values(moved) == want.values(moved)
+
+
+@pytest.mark.parametrize("seed,n,degree,step", [(1, 7, 2, True), (10, 7, 3, False),
+                                                (22, 10, 2, False)])
+def test_lowdegree_float_value_is_the_advantage_of_its_member(seed, n, degree, step):
+    # with real-valued classes the float audit used to sum (diff * c) * m
+    # while the member's advantage sums diff * (c * m): on these instances
+    # the two differ in the last bit.  The audit now scores each member as
+    # its advantage sums it, so the value is that advantage exactly.
+    pop, cls, pred = random_instance(np.random.default_rng([seed, 53]), n, 2, 3,
+                                     binary_hypotheses=False)
+    if step:
+        pred = _stepped(pop, pred, 0.3)
+    fam = make_family("lowdegree", hypotheses=cls, degree=degree, outcome_space=pop.space)
+    report, d, adv, prep = _reduce(pop, pred, fam, "float")
+    w = report.witness
+    h = next(h for h in cls if h.name == w["hypothesis"])
+    member = monomial_distinguisher(h, w["outcome"], w["monomial_indices"])
+    assert report.value == adv == abs(_advantage(prep, member))
+    assert report.breakdown[h.name] == report.value

@@ -2,11 +2,12 @@
 
 The exact build reads the population's cached integer table and reduces
 each predictor product by a gcd; `oracles.prepared_fraction_oracle` builds
-the same fields by Fraction products, cell by cell.  The float cell tables
-of more than 512 entries are summed by numpy and are checked against a
-literal loop over the individuals.
+the same fields by Fraction products, cell by cell.  The one cell-table
+kernel is checked against a literal loop over the individuals under each
+of its accumulators.
 """
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -180,22 +181,41 @@ def _cell_tables_loop(prep, cls, rows):
     return ys, out
 
 
+def _kernel_instances(ell):
+    """Populations of 300 and of 20 individuals (tables above and below 512
+    entries).  Masses drawn as 0/1 counts (`weight_denominator=2`) keep D
+    below 2^40 for an exact predictor."""
+    binary = ell == 2
+    yield random_instance(np.random.default_rng([ell, 17]), 300, ell, 3, binary_hypotheses=binary)
+    for seed, n, den in ((18, 300, 2), (19, 20, 16), (19, 20, 2)):
+        yield random_instance(np.random.default_rng([ell, seed]), n, ell, 3,
+                              binary_hypotheses=binary, weight_denominator=den)
+
+
 @pytest.mark.parametrize("ell,grid_m", [(2, None), (2, 3), (8, None), (8, 2)])
 def test_float_numpy_tables_equal_the_literal_loop(ell, grid_m):
-    pop, cls, pred = random_instance(np.random.default_rng([ell, 17]), 300, ell, 3,
-                                     binary_hypotheses=ell == 2)
-    rule = mwu_rule(pop.space, 0.7)
-    loss = LossTable(pop.space, tuple((k % 3) / 2 for k in range(ell)))
-    fpred = Predictor({j: update(rule, d, loss) for j, d in pred.values.items()})
-    grid = make_grid_with_denominator(pop.space, grid_m) if grid_m else None
-    for p in (pred, fpred):
-        prep = _Prepared(pop, p, exact=False, grid=grid)
-        assert len(pop.ids) * ell > 512
-        for rows in (prep.diff, prep.star, [(sum(s), s[0]) for s in prep.star]):
-            ys, tables = prep.cell_tables(cls, rows)
-            want_ys, want = _cell_tables_loop(prep, cls, rows)
-            assert ys == want_ys
-            assert tables == want
-            assert [[[x.hex() for x in row] for row in t] for t in tables] == \
-                [[[float(x).hex() for x in row] for row in t] for t in want]
-
+    """The one kernel against a literal loop, under every accumulator:
+    float64, int64 (exact, D <= 2^40) and Python ints (exact, D > 2^40)."""
+    reached = set()
+    for pop, cls, pred in _kernel_instances(ell):
+        grid = make_grid_with_denominator(pop.space, grid_m) if grid_m else None
+        rule = mwu_rule(pop.space, 0.7)
+        loss = LossTable(pop.space, tuple((k % 3) / 2 for k in range(ell)))
+        fpred = Predictor({j: update(rule, d, loss) for j, d in pred.values.items()})
+        for p, exact in itertools.product((pred, fpred), (False, True)):
+            prep = _Prepared(pop, p, exact=exact, grid=grid)
+            cell_type = int if exact else float
+            dtype = "float64" if not exact else "int64" if prep.D <= 1 << 40 else "object"
+            reached.add((dtype, len(pop.ids) * ell > 512))
+            for rows in (prep.diff, prep.star, [(sum(s), s[0]) for s in prep.star]):
+                ys, tables = prep.cell_tables(cls, rows)
+                want_ys, want = _cell_tables_loop(prep, cls, rows)
+                assert ys == want_ys
+                assert all(type(x) is cell_type for t in tables for row in t for x in row)
+                if exact:
+                    assert repr(tables) == repr(want)
+                else:
+                    assert [[[x.hex() for x in row] for row in t] for t in tables] == \
+                        [[[float(x).hex() for x in row] for row in t] for t in want]
+    assert reached == {(dtype, big) for dtype in ("float64", "int64", "object")
+                       for big in (True, False)}
