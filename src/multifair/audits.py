@@ -172,12 +172,14 @@ class _Prepared:
             level_rep = self._cluster_levels(list(first))
         # a level is one value, kept as its first occurrence: values are told
         # apart by their integer ratios and ordered by (float, exact) pairs,
-        # which is their exact order, since rounding to float is monotone
+        # which is their exact order, since rounding to float is monotone;
+        # n / d is the correctly rounded float of the ratio
         rep_keys = [tuple(x.as_integer_ratio() for x in d.weights) for d in level_rep]
         levels = {}
         for rk, d in zip(rep_keys, level_rep):
             levels.setdefault(rk, d)
-        order = sorted(levels, key=lambda rk: [(float(x), x) for x in levels[rk].weights])
+        order = sorted(levels, key=lambda rk: [(n / d, x) for (n, d), x
+                                               in zip(rk, levels[rk].weights)])
         self.levels = [levels[rk] for rk in order]
         self.points = [tuple(d.weights) for d in self.levels]
         idx = {rk: i for i, rk in enumerate(order)}

@@ -76,6 +76,14 @@ def _load_instance(path, need_hypotheses=True, need_predictor=True):
     return pop, cls, predictor
 
 
+def _float_epsilon(epsilon, x: float) -> float:
+    """x, a float computed from the exact epsilon; a positive epsilon whose
+    float is 0.0 is refused here, not reported as nonpositive further on."""
+    if x == 0 < epsilon:
+        raise DomainError("epsilon is positive but below the float range")
+    return x
+
+
 def _family_for(args, pop, cls, epsilon):
     kind = args.family
     if kind == "lowdegree":
@@ -84,7 +92,7 @@ def _family_for(args, pop, cls, epsilon):
     if args.grid_m is not None:
         grid = make_grid_with_denominator(pop.space, args.grid_m)
     else:
-        grid = make_coordinate_grid(pop.space, float(epsilon))
+        grid = make_coordinate_grid(pop.space, _float_epsilon(epsilon, float(epsilon)))
     return make_family(kind, hypotheses=cls, grid=grid)
 
 
@@ -135,9 +143,9 @@ def cmd_construct(args) -> int:
     family = _family_for(args, pop, cls, epsilon)
     step = float(epsilon) if args.mode == "exact" else float(epsilon) / 2
     if args.rule == "mwu":
-        rule = mwu_rule(pop.space, step_size=step / 1.0)
+        rule = mwu_rule(pop.space, step_size=_float_epsilon(epsilon, step / 1.0))
     else:
-        rule = pgd_rule(pop.space, step_size=step / pop.space.size)
+        rule = pgd_rule(pop.space, step_size=_float_epsilon(epsilon, step / pop.space.size))
     if args.mode == "exact":
         predictor, transcript = construct_exact(pop, family, epsilon, rule=rule)
     else:

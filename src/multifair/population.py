@@ -19,10 +19,17 @@ use and then shared by every exact audit of that population (see
 `PopulationInstance._exact_table`).  The table is never rebuilt, so it
 relies on the instance being immutable: its weight and truth maps must not
 be mutated after construction.
+
+`random_instance` costs per distinct value: each phase of its draws is a
+vector call, and individuals with equal distributions or masses share one
+object.  Its draws consume the generator exactly as one scalar call per
+row or value would, so an instance is a function of the generator state
+alone, the same as when it was drawn value by value.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -378,7 +385,16 @@ def random_instance(rng: np.random.Generator, n_individuals: int, n_outcomes: in
     """Random exact-rational instance: population, hypothesis class, predictor.
 
     Weights and conditionals are built from small random integers so all
-    denominators stay tame under the exact backend.
+    denominators stay tame under the exact backend.  A mass vector is k
+    integers in [0, weight_denominator) over their sum; an all-zero draw
+    puts 1 on one coordinate, drawn next.  The draws are, in order: the
+    individual weights, the truth rows, the predictor rows, then each
+    hypothesis (one value in {0, 1}, or in {0, 1/8, ..., 1}, per
+    individual).  Each phase is drawn by vector calls that consume the
+    generator exactly as one scalar call per row or value would (see
+    `_draw_rows`), so an instance depends only on the generator state and
+    the generator ends in the same state.  Individuals with equal
+    distributions share one `OutcomeDist`, and equal masses one Fraction.
     """
     if n_individuals < 1:
         raise DomainError("a random instance needs at least one individual")
@@ -388,29 +404,71 @@ def random_instance(rng: np.random.Generator, n_individuals: int, n_outcomes: in
         space = OutcomeSpace(tuple(str(i) for i in range(n_outcomes)))
     ids = tuple(f"x{i}" for i in range(n_individuals))
 
-    def random_masses(k):
-        raw = [int(a) for a in rng.integers(0, weight_denominator, size=k)]
-        if sum(raw) == 0:
-            raw[int(rng.integers(0, k))] = 1
-        total = sum(raw)
-        return [Fraction(a, total) for a in raw]
+    fraction = functools.cache(Fraction)  # one object per distinct mass
 
-    weights = random_masses(n_individuals)
-    weight = dict(zip(ids, weights))
-    p_true = {j: OutcomeDist(space, tuple(random_masses(n_outcomes))) for j in ids}
-    predictor = Predictor({j: OutcomeDist(space, tuple(random_masses(n_outcomes))) for j in ids})
-    hyps = []
-    for h in range(n_hypotheses):
-        if binary_hypotheses:
-            vals = {j: int(rng.integers(0, 2)) for j in ids}
-            hyps.append(Hypothesis(f"c{h}", (0, 1), vals))
-        else:
-            denom = 8
-            vals = {j: Fraction(int(rng.integers(0, denom + 1)), denom) for j in ids}
-            rng_vals = tuple(Fraction(i, denom) for i in range(denom + 1))
-            hyps.append(Hypothesis(f"c{h}", rng_vals, vals))
+    def masses(row):
+        row = row.tolist()
+        total = sum(row)
+        return tuple(fraction(a, total) for a in row)
+
+    weight = dict(zip(ids, masses(_draw_rows(rng, weight_denominator, 1, n_individuals)[0])))
+    rows = _draw_rows(rng, weight_denominator, 2 * n_individuals, n_outcomes)
+    # a row over its gcd is the same distribution: one key per distribution
+    rows, row_of = np.unique(rows // np.gcd.reduce(rows, axis=1, keepdims=True),
+                             axis=0, return_inverse=True)
+    dists = [OutcomeDist(space, masses(row)) for row in rows]
+    row_of = row_of.reshape(-1).tolist()
+    p_true = dict(zip(ids, map(dists.__getitem__, row_of[:n_individuals])))
+    predictor = Predictor(dict(zip(ids, map(dists.__getitem__, row_of[n_individuals:]))))
+    denom = 8
+    if binary_hypotheses:
+        range_values = value_of = (0, 1)
+        high = 2
+    else:
+        range_values = value_of = tuple(Fraction(i, denom) for i in range(denom + 1))
+        high = denom + 1
+    draws = rng.integers(0, high, size=(max(n_hypotheses, 0), n_individuals))
+    hyps = [Hypothesis(f"c{h}", range_values, dict(zip(ids, map(value_of.__getitem__, row))))
+            for h, row in enumerate(draws.tolist())]
     cls = HypothesisClass(tuple(hyps))
     if complement_closed:
         cls = close_under_complement(cls)
     pop = PopulationInstance(space=space, ids=ids, weight=weight, p_true=p_true)
     return pop, cls, predictor
+
+
+def _draw_rows(rng: np.random.Generator, high, n_rows: int, k: int) -> np.ndarray:
+    """`n_rows` rows of k integers in [0, high), as a loop drawing
+    `rng.integers(0, high, size=k)` per row draws them, where an all-zero
+    row is followed by `rng.integers(0, k)`, the coordinate set to 1.
+
+    A vector call consumes the generator as the same values drawn one call
+    at a time, so rows are drawn in blocks.  A block ends at its first zero
+    row: the generator is put back to the block's start, only the rows up
+    to the zero row are drawn again, and then its coordinate.  The next
+    block is a few times the rows just taken, so that frequent zero rows
+    cost one short block each rather than a redraw of all that is left.
+    For high == 1 every row is zero and draws nothing, so only the
+    coordinates are drawn.
+    """
+    out = np.zeros((n_rows, k), dtype=np.int64)
+    if high == 1:
+        out[np.arange(n_rows), rng.integers(0, k, size=n_rows)] = 1
+        return out
+    start, block = 0, n_rows
+    while start < n_rows:
+        state = rng.bit_generator.state
+        rows = rng.integers(0, high, size=(min(block, n_rows - start), k))
+        zero = np.flatnonzero(~rows.any(axis=1))
+        taken = int(zero[0]) + 1 if len(zero) else len(rows)
+        if taken < len(rows):
+            rng.bit_generator.state = state
+            rows = rng.integers(0, high, size=(taken, k))
+        if len(zero):
+            rows[-1, rng.integers(0, k)] = 1
+            block = 4 * taken
+        else:
+            block *= 2
+        out[start:start + taken] = rows
+        start += taken
+    return out

@@ -5,6 +5,14 @@ round trip: a value is written as a plain decimal when its denominator is
 a product of 2s and 5s, and as "p/q" otherwise.  The parser accepts both
 forms (and plain integers).  Every emitted artifact re-loads to an equal
 in-memory object under the rational backend.
+
+Instances are read and written per distinct value, not per individual.
+One `_Reader` per call parses each distinct number, distribution and
+hypothesis value once, keyed by JSON type and value, and individuals with
+equal values share the parsed object; the emitter formats each distinct
+distribution, weight and hypothesis value object once.  The output, and
+every error a document raises, is that of reading or writing each value
+on its own.
 """
 
 from __future__ import annotations
@@ -104,10 +112,7 @@ def dist_to_json(d: OutcomeDist) -> dict:
 
 
 def dist_from_json(space: OutcomeSpace, doc: dict) -> OutcomeDist:
-    if not isinstance(doc, dict) or not doc.keys() <= set(space.labels):
-        raise InputError(f"a distribution maps outcomes of {list(space.labels)} to "
-                         f"weights, not {doc!r}")
-    return OutcomeDist.from_mapping(space, {o: parse_number(v) for o, v in doc.items()})
+    return _Reader(space).dist(doc)
 
 
 def _value_token(v):
@@ -123,51 +128,132 @@ def _value_token(v):
     raise InputError(f"bad hypothesis value {v!r}")
 
 
+def _value_to_string(v) -> str:
+    return number_to_string(v) if isinstance(v, (int, Fraction)) else str(v)
+
+
+def _json_key(v):
+    """A key equal only for JSON values of one type and value: `1`, `1.0` and
+    `true` are equal and hash alike in Python, but parse differently.  A
+    string, equal to no other JSON value, is its own key.  Hashing the key
+    raises TypeError for a list, and for a dict holding a list or a dict."""
+    if v.__class__ is str:
+        return v
+    if isinstance(v, dict):
+        return (dict, *((k, x.__class__, x) for k, x in v.items()))
+    return (v.__class__, v)
+
+
+def _memoized(read):
+    """`read`, run once per distinct JSON value; a value whose key cannot be
+    hashed is read every time, so it fails as it would unmemoized."""
+    memo = {}
+
+    def cached(v):
+        try:
+            key = _json_key(v)
+            out = memo.get(key)
+        except TypeError:
+            key = out = None
+        if out is None:
+            out = read(v)
+            if key is not None:
+                memo[key] = out
+        return out
+    return cached
+
+
+class _Reader:
+    """The readers of one document's numbers, distributions and hypothesis
+    values, over one outcome space.
+
+    Each reads every distinct JSON value once: equal values in a document
+    parse to one shared object, so the work follows the distinct values,
+    not the individuals.  A reader lives for one call.
+    """
+
+    def __init__(self, space: OutcomeSpace):
+        self.space = space
+        self.number = _memoized(parse_number)
+        self.dist = _memoized(self._dist)
+        self.token = _memoized(_value_token)
+
+    def _dist(self, doc) -> OutcomeDist:
+        if not isinstance(doc, dict) or not doc.keys() <= set(self.space.labels):
+            raise InputError(f"a distribution maps outcomes of {list(self.space.labels)} to "
+                             f"weights, not {doc!r}")
+        return OutcomeDist.from_mapping(self.space,
+                                        {o: self.number(v) for o, v in doc.items()})
+
+
+def _formatter(fmt):
+    """`fmt`, run once per distinct object, keyed by identity: the objects
+    an emitter formats are held by its arguments for the whole call, and
+    the equal values `random_instance` and `instance_from_json` build are
+    one object."""
+    memo = {}
+
+    def cached(x):
+        out = memo.get(id(x))
+        if out is None:
+            out = memo[id(x)] = fmt(x)
+        return out
+    return cached
+
+
+def _dist_emitter():
+    """`dist_to_json` of each distinct distribution once; every call returns
+    its own dict, so a caller may edit one individual's entry."""
+    cached = _formatter(dist_to_json)
+    return lambda d: dict(cached(d))
+
+
 def instance_to_json(pop: PopulationInstance, cls: HypothesisClass | None = None,
                      predictor: Predictor | None = None) -> dict:
+    dist = _dist_emitter()
+    weight = _formatter(lambda w: number_to_string(Fraction(w)))
     doc = {
         "outcomes": [str(o) for o in pop.space.labels],
         "individuals": [
-            {
-                "id": str(j),
-                "weight": number_to_string(Fraction(pop.weight[j])),
-                "p_true": dist_to_json(pop.p_true[j]),
-            }
+            {"id": str(j), "weight": weight(pop.weight[j]), "p_true": dist(pop.p_true[j])}
             for j in pop.ids
         ],
     }
     if cls is not None:
+        value = _formatter(_value_to_string)
         doc["hypotheses"] = [
             {
                 "name": h.name,
-                "range": [number_to_string(v) if isinstance(v, (int, Fraction)) else str(v)
-                          for v in h.range_values],
-                "values": {str(j): number_to_string(v) if isinstance(v, (int, Fraction))
-                           else str(v) for j, v in h.values.items()},
+                "range": [_value_to_string(v) for v in h.range_values],
+                "values": {str(j): value(v) for j, v in h.values.items()},
             }
             for h in cls.hypotheses
         ]
         doc["closed_under_complement"] = cls.closed_under_complement
     if predictor is not None:
-        doc["predictor"] = {str(j): dist_to_json(d) for j, d in predictor.values.items()}
+        doc["predictor"] = {str(j): dist(d) for j, d in predictor.values.items()}
     return doc
 
 
 def instance_from_json(doc: dict):
-    """Returns (population, hypothesis class or None, predictor or None)."""
+    """Returns (population, hypothesis class or None, predictor or None).
+
+    Every number, distribution and hypothesis value is read through one
+    `_Reader`, so each distinct JSON value is parsed and validated once.
+    """
     try:
         space = OutcomeSpace(tuple(doc["outcomes"]))
+        read = _Reader(space)
         ids = tuple(ind["id"] for ind in doc["individuals"])
-        weight = {ind["id"]: parse_number(ind["weight"]) for ind in doc["individuals"]}
-        p_true = {ind["id"]: dist_from_json(space, ind["p_true"])
-                  for ind in doc["individuals"]}
+        weight = {ind["id"]: read.number(ind["weight"]) for ind in doc["individuals"]}
+        p_true = {ind["id"]: read.dist(ind["p_true"]) for ind in doc["individuals"]}
         pop = PopulationInstance(space=space, ids=ids, weight=weight, p_true=p_true)
         cls = None
         if doc.get("hypotheses"):
             hyps = []
             for h in doc["hypotheses"]:
-                rng = tuple(_value_token(v) for v in h["range"])
-                values = {j: _value_token(v) for j, v in h["values"].items()}
+                rng = tuple(read.token(v) for v in h["range"])
+                values = {j: read.token(v) for j, v in h["values"].items()}
                 missing = [j for j in ids if j not in values]
                 if missing:
                     raise InputError(f"hypothesis {h['name']!r} has no value for "
@@ -178,19 +264,20 @@ def instance_from_json(doc: dict):
                                                                   False))
         predictor = None
         if doc.get("predictor"):
-            predictor = Predictor({j: dist_from_json(space, d)
-                                   for j, d in doc["predictor"].items()})
+            predictor = Predictor({j: read.dist(d) for j, d in doc["predictor"].items()})
         return pop, cls, predictor
     except (KeyError, TypeError) as e:
         raise InputError(f"malformed instance document: {e}") from None
 
 
 def predictor_to_json(predictor: Predictor) -> dict:
-    return {str(j): dist_to_json(d) for j, d in predictor.values.items()}
+    dist = _dist_emitter()
+    return {str(j): dist(d) for j, d in predictor.values.items()}
 
 
 def predictor_from_json(space: OutcomeSpace, doc: dict) -> Predictor:
-    return Predictor({j: dist_from_json(space, d) for j, d in doc.items()})
+    read = _Reader(space)
+    return Predictor({j: read.dist(d) for j, d in doc.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,12 @@ grid by Fraction arithmetic, the exact prepared population built by
 Fraction products cell by cell, statistical distance by enumeration of
 every event, the mc OI audit by enumeration of every event over the cell
 lattice, and the graph statistics, including the (true - predicted) pair
-sums delta_{S,T} of a graph predictor.  Every edge count in the graph
+sums delta_{S,T} of a graph predictor.  The random instance drawn with one
+scalar generator call per row or value, and the instance parser that reads
+every number and distribution on its own, are the references for the
+block-drawn `random_instance` and the memoized parse, and the emitter that
+formats every individual's values on its own is the reference for the
+memoized emit.  Every edge count in the graph
 oracles is a literal scan of `g.edges`, so they share no code path with
 the library, which reads every count off the cached adjacency matrix.  The
 randomized intermediate spot check samples S and T rather than
@@ -19,12 +24,21 @@ from fractions import Fraction
 import numpy as np
 
 from multifair.audits import _is_exact, _Prepared
-from multifair.core import OutcomeDist, SimplexGrid, _as_table, _check_same_support, exactify
+from multifair.core import (
+    OutcomeDist,
+    OutcomeSpace,
+    SimplexGrid,
+    _as_table,
+    _check_same_support,
+    binary_space,
+    exactify,
+)
 from multifair.errors import (
     ConditioningMismatchError,
     DomainError,
     EmptyBlockError,
     EnumerationLimitError,
+    InputError,
 )
 from multifair.graph import (
     CheckReport,
@@ -36,7 +50,14 @@ from multifair.graph import (
     pair_id,
 )
 from multifair.oi import _mass
-from multifair.population import Predictor
+from multifair.population import (
+    Hypothesis,
+    HypothesisClass,
+    PopulationInstance,
+    Predictor,
+    close_under_complement,
+)
+from multifair.serialize import _value_token, dist_to_json, number_to_string, parse_number
 
 SUBSET_ORACLE_LIMIT = 22
 MC_ORACLE_CELL_LIMIT = 12
@@ -377,3 +398,115 @@ def max_st_irregularity_sigma_enum(g: DiGraph, p: VertexPartition) -> Fraction:
         if val > best:
             best = val
     return best
+
+
+def random_instance_scalar_oracle(rng, n_individuals, n_outcomes=2, n_hypotheses=3,
+                                  binary_hypotheses=True, complement_closed=False,
+                                  weight_denominator=16):
+    """`random_instance` drawn one generator call per row or value, with one
+    OutcomeDist and one Fraction per individual."""
+    if n_individuals < 1:
+        raise DomainError("a random instance needs at least one individual")
+    if n_outcomes == 2:
+        space = binary_space()
+    else:
+        space = OutcomeSpace(tuple(str(i) for i in range(n_outcomes)))
+    ids = tuple(f"x{i}" for i in range(n_individuals))
+
+    def random_masses(k):
+        raw = [int(a) for a in rng.integers(0, weight_denominator, size=k)]
+        if sum(raw) == 0:
+            raw[int(rng.integers(0, k))] = 1
+        total = sum(raw)
+        return [Fraction(a, total) for a in raw]
+
+    weights = random_masses(n_individuals)
+    weight = dict(zip(ids, weights))
+    p_true = {j: OutcomeDist(space, tuple(random_masses(n_outcomes))) for j in ids}
+    predictor = Predictor({j: OutcomeDist(space, tuple(random_masses(n_outcomes))) for j in ids})
+    hyps = []
+    for h in range(n_hypotheses):
+        if binary_hypotheses:
+            vals = {j: int(rng.integers(0, 2)) for j in ids}
+            hyps.append(Hypothesis(f"c{h}", (0, 1), vals))
+        else:
+            denom = 8
+            vals = {j: Fraction(int(rng.integers(0, denom + 1)), denom) for j in ids}
+            rng_vals = tuple(Fraction(i, denom) for i in range(denom + 1))
+            hyps.append(Hypothesis(f"c{h}", rng_vals, vals))
+    cls = HypothesisClass(tuple(hyps))
+    if complement_closed:
+        cls = close_under_complement(cls)
+    pop = PopulationInstance(space=space, ids=ids, weight=weight, p_true=p_true)
+    return pop, cls, predictor
+
+
+def dist_from_json_oracle(space, doc):
+    """One distribution read and validated on its own."""
+    if not isinstance(doc, dict) or not doc.keys() <= set(space.labels):
+        raise InputError(f"a distribution maps outcomes of {list(space.labels)} to "
+                         f"weights, not {doc!r}")
+    return OutcomeDist.from_mapping(space, {o: parse_number(v) for o, v in doc.items()})
+
+
+def instance_from_json_oracle(doc):
+    """`instance_from_json` reading every number, distribution and
+    hypothesis value on its own, with nothing shared between individuals."""
+    try:
+        space = OutcomeSpace(tuple(doc["outcomes"]))
+        ids = tuple(ind["id"] for ind in doc["individuals"])
+        weight = {ind["id"]: parse_number(ind["weight"]) for ind in doc["individuals"]}
+        p_true = {ind["id"]: dist_from_json_oracle(space, ind["p_true"])
+                  for ind in doc["individuals"]}
+        pop = PopulationInstance(space=space, ids=ids, weight=weight, p_true=p_true)
+        cls = None
+        if doc.get("hypotheses"):
+            hyps = []
+            for h in doc["hypotheses"]:
+                rng = tuple(_value_token(v) for v in h["range"])
+                values = {j: _value_token(v) for j, v in h["values"].items()}
+                missing = [j for j in ids if j not in values]
+                if missing:
+                    raise InputError(f"hypothesis {h['name']!r} has no value for "
+                                     f"individuals {missing[:5]}")
+                hyps.append(Hypothesis(h["name"], rng, values))
+            cls = HypothesisClass(tuple(hyps),
+                                  closed_under_complement=doc.get("closed_under_complement",
+                                                                  False))
+        predictor = None
+        if doc.get("predictor"):
+            predictor = Predictor({j: dist_from_json_oracle(space, d)
+                                   for j, d in doc["predictor"].items()})
+        return pop, cls, predictor
+    except (KeyError, TypeError) as e:
+        raise InputError(f"malformed instance document: {e}") from None
+
+
+def instance_to_json_oracle(pop, cls=None, predictor=None):
+    """`instance_to_json` formatting every individual's values on its own."""
+    doc = {
+        "outcomes": [str(o) for o in pop.space.labels],
+        "individuals": [
+            {
+                "id": str(j),
+                "weight": number_to_string(Fraction(pop.weight[j])),
+                "p_true": dist_to_json(pop.p_true[j]),
+            }
+            for j in pop.ids
+        ],
+    }
+    if cls is not None:
+        doc["hypotheses"] = [
+            {
+                "name": h.name,
+                "range": [number_to_string(v) if isinstance(v, (int, Fraction)) else str(v)
+                          for v in h.range_values],
+                "values": {str(j): number_to_string(v) if isinstance(v, (int, Fraction))
+                           else str(v) for j, v in h.values.items()},
+            }
+            for h in cls.hypotheses
+        ]
+        doc["closed_under_complement"] = cls.closed_under_complement
+    if predictor is not None:
+        doc["predictor"] = {str(j): dist_to_json(d) for j, d in predictor.values.items()}
+    return doc

@@ -330,6 +330,12 @@ BAD_INPUTS = [
       "--seed", "-1"], 2),
     (["construct", "{tp}", "--epsilon", "1e400"], 2),
     (["audit", "{tp}", "--kind", "oi", "--epsilon", "1e400"], 2),
+    # a value seen once as valid JSON and again under a JSON type that is
+    # equal in Python (true == 1) or unhashable must not be read from the
+    # parser's memo
+    (["audit", "{tp_bool_truth}", "--kind", "mc"], 1),
+    (["audit", "{tp_bool_weight}", "--kind", "mc"], 1),
+    (["audit", "{tp_list_truth_repeated}", "--kind", "mc"], 1),
 ]
 
 
@@ -339,11 +345,18 @@ def test_bad_inputs_exit_cleanly(argv, code, two_point, tmp_path, capsys):
     zero_one = {"name": "zero-one", "actions": ["0", "1"],
                 "table": {"0": {"0": "0", "1": "1"}, "1": {"0": "1", "1": "0"}}}
     malformed = {name: read(two_point) for name in (
-        "tp_missing_value", "tp_list_truth", "tp_list_prediction", "tp_unknown_outcome")}
+        "tp_missing_value", "tp_list_truth", "tp_list_prediction", "tp_unknown_outcome",
+        "tp_bool_truth", "tp_bool_weight", "tp_list_truth_repeated")}
     del malformed["tp_missing_value"]["hypotheses"][0]["values"]["1"]
     malformed["tp_list_truth"]["individuals"][0]["p_true"] = ["0.5", "0.5"]
     malformed["tp_list_prediction"]["predictor"]["0"] = ["1", "0"]
     malformed["tp_unknown_outcome"]["individuals"][0]["p_true"]["2"] = "0"
+    first, second = malformed["tp_bool_truth"]["individuals"]
+    first["p_true"], second["p_true"] = {"0": 1, "1": 0}, {"0": True, "1": False}
+    first, second = malformed["tp_bool_weight"]["individuals"]
+    first["weight"], second["weight"] = 1, True
+    second = malformed["tp_list_truth_repeated"]["individuals"][1]
+    second["p_true"] = list(second["p_true"].values())
     for name, doc in (("empty", []), ("small", [[0, 1], [2, 3]]),
                       ("large", [[0, 1, 2, 3], [4, 5, 6, 7]]), ("dup", [zero_one, zero_one]),
                       ("alpha", [["a", 1, 2], [3, 4, 5]]), *malformed.items()):
@@ -366,3 +379,16 @@ def test_refine_below_the_float_range_exits_cleanly(tmp_path, capsys):
     assert main(["graph", str(gpath), "--task", "refine", "--epsilon", "1e-400"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert sorted(v for part in doc["partition"] for v in part) == list(range(6))
+
+
+@pytest.mark.parametrize("argv", [
+    ["audit", "{tp}", "--kind", "oi", "--epsilon", "1e-400"],
+    ["construct", "{tp}", "--epsilon", "1e-400", "--grid-m", "2"],
+    ["construct", "{tp}", "--epsilon", "1e-400", "--grid-m", "2", "--rule", "pgd"],
+])
+def test_epsilon_below_the_float_range_is_named(argv, two_point, capsys):
+    # float(1e-400) is 0.0: these used to report a positive epsilon (or the
+    # step size made from it) as nonpositive
+    assert main([a.format(tp=two_point) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err == "domain error: epsilon is positive but below the float range\n"
