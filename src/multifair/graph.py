@@ -21,18 +21,15 @@ integer-scaled quantities, never on floats.  Every exact eps test is the
 violating-mass score `_violating_mass`: |r| > eps x size on an integer r
 is read off an integer threshold table built in Python ints
 (`_eps_thresholds`), so a float eps, whose exact denominator is near
-2^54, never enters an int64 product.  Every exact check enumerates T and
-maximizes over S in closed form, in one of three kernels.  `_cut_norm`
-maximizes |sum_{S x T} M| for the residual matrices of pair irregularity,
-the Frieze-Kannan check and the exact cut oracle.  `_partition_scan` uses
-that for a fixed T the objective decomposes across parts, so the 4^n
-double enumeration collapses to a 2^n scan with an exact maximization per
-part; the intermediate check and the (S,T)-irregularity maximizer differ
-only in the per-block score they pass to it, and a block pair small enough
-to tabulate whole is scored once per scan.  `_one_part_scan` is the
-intermediate check on a one-part partition: for a fixed T the extreme
-values of e(S, T) over |S| = s are sums of the s smallest and s largest
-column counts, so sorting those counts decides every S at once.
+2^54, never enters an int64 product.  Every exact check enumerates one
+side's masks in the blocks of `_mask_sums` and maximizes over the other
+side in closed form: `_cut_norm` takes the rows of one sign, for the cut
+norms of pair irregularity, the Frieze-Kannan check and the exact cut
+oracle; `_extreme_scan` sorts per-element counts, for the one-part
+intermediate check and the regular-pair check; `_partition_scan` uses that
+for a fixed T the objective decomposes across parts, with an exact
+maximization per part, for the intermediate check and the
+(S,T)-irregularity maximizer on more parts.
 
 The cut oracle stands in for the semidefinite-programming subroutine of
 the partition-refinement algorithm.  Its exact mode is `_cut_norm`; its
@@ -71,6 +68,7 @@ FK_LIMIT = 20
 INTERMEDIATE_LIMIT = 14
 CUT_ORACLE_LIMIT = 20
 RECTANGLE_CLASS_LIMIT = 6
+_MASK_BLOCK_BITS = 20  # a `_mask_sums` block holds at most 2^20 entries
 _CHUNK = 512  # masks per vectorized block of an enumeration loop
 
 
@@ -284,31 +282,42 @@ def _nonnegative(epsilon) -> Fraction:
     return eps
 
 
+def _mask_sums(mat: np.ndarray):
+    """Yield (start, sums), sums[i, v] = sum of mat[v, t] over t in column
+    mask start + i, in increasing blocks of 2^b masks at multiples of 2^b
+    with at most 2^20 entries (or one mask): the low columns' subset-sum
+    table plus the row of the high columns' sums.  One block is the table."""
+    n_rows, n_cols = mat.shape
+    low = min(n_cols, max(0, _MASK_BLOCK_BITS - (max(n_rows, 1) - 1).bit_length()))
+    table = _subset_sum_table(mat[:, :low].T)  # low mask x row
+    yield 0, table
+    for h in range(1, 1 << (n_cols - low)):
+        yield h << low, table + mat[:, low:] @ ((h >> np.arange(n_cols - low)) & 1)
+
+
+def _scan_max(mat: np.ndarray, reduce):
+    """(value, mask): the first column mask of mat with the largest
+    reduce(start, sums) over the blocks of `_mask_sums(mat)`."""
+    best, arg = -1, 0
+    for start, sums in _mask_sums(mat):
+        values = reduce(start, sums)
+        i = int(values.argmax())
+        if values[i] > best:
+            best, arg = int(values[i]), start + i
+    return best, arg
+
+
 def _cut_norm(mat: np.ndarray):
     """(value, S, T) maximizing |sum_{S x T} mat| over row sets S and column
-    sets T of an integer matrix, exactly.
-
-    Column masks T are enumerated in increasing order while the positive
-    and negative row sums over each T accumulate a block of rows at a time
-    (at most 2^20 sums, or one row), so memory stays O(2^cols) instead of
-    O(rows 2^cols).  The first maximizing T wins, the sign is +
-    when the positive total is at least the negative one, and S is the rows
-    whose sum over T has that sign strictly.
-    """
-    n_rows, n_cols = mat.shape
-    pos = np.zeros(1 << n_cols, dtype=np.int64)
-    neg = np.zeros(1 << n_cols, dtype=np.int64)
-    step = max(1, (1 << 20) >> n_cols)
-    for start in range(0, n_rows, step):
-        sums = _subset_sum_table(mat[start:start + step].T)  # T-mask x row
-        pos += np.maximum(sums, 0).sum(axis=1)
-        neg += np.maximum(-sums, 0).sum(axis=1)
-    best = np.maximum(pos, neg)
-    t_mask = int(best.argmax())
-    sign = 1 if pos[t_mask] >= neg[t_mask] else -1
-    T = _mask_to_set(t_mask, range(n_cols))
-    S = tuple(np.nonzero(sign * mat[:, list(T)].sum(axis=1) > 0)[0].tolist())
-    return int(best[t_mask]), S, T
+    sets T of an integer matrix, exactly: the first maximizing T, the sign +
+    when the positive row sums over T total at least the negative ones, and
+    S the rows of that sign strictly."""
+    best, t_mask = _scan_max(  # max(pos, neg) = (pos + neg + |pos - neg|) / 2
+        mat, lambda _, sums: (np.abs(sums).sum(axis=1) + np.abs(sums.sum(axis=1))) // 2)
+    T = _mask_to_set(t_mask, range(mat.shape[1]))
+    rows = mat[:, list(T)].sum(axis=1)
+    sign = 1 if rows.sum() >= 0 else -1  # pos - neg
+    return best, tuple(np.nonzero(sign * rows > 0)[0].tolist()), T
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +370,8 @@ def partition_st_irregularity(g: DiGraph, p: VertexPartition, S, T) -> Fraction:
 
 def check_regular_pair(g: DiGraph, X, Y, epsilon):
     """Is (X, Y) eps-regular: |d(S,T) - d(X,Y)| <= eps whenever |S| >= eps|X|
-    and |T| >= eps|Y|?  Exact; returns (bool, witness-or-None)."""
+    and |T| >= eps|Y|?  Exact; returns (bool, witness-or-None), the witness
+    being the first violating S-mask and, for it, the first T-mask."""
     X, Y = sorted(set(X)), sorted(set(Y))
     if max(len(X), len(Y)) > REGULAR_PAIR_LIMIT:
         raise EnumerationLimitError(f"regular-pair check capped at {REGULAR_PAIR_LIMIT}")
@@ -373,23 +383,13 @@ def check_regular_pair(g: DiGraph, X, Y, epsilon):
     e_xy = int(mat.sum())
     nx, ny = len(X), len(Y)
     score = _violating_mass(eps)
-    table = _subset_sum_table(mat)  # e(S, {col}) for every S-mask
-    s_sizes = _popcounts(1 << nx)
-    t_sizes = _popcounts(1 << ny)
     # |S| >= eps |X| and |T| >= eps |Y|, decided per size in Python ints
-    s_ok = np.array([s * pd >= pn * nx for s in range(nx + 1)])[s_sizes]
-    t_ok = np.array([t * pd >= pn * ny for t in range(ny + 1)])[t_sizes]
-    colsel = _mask_bits(np.arange(1 << ny, dtype=np.int64), ny)  # ny x 2^ny
-    for start in range(0, 1 << nx, _CHUNK):
-        stop = min(start + _CHUNK, 1 << nx)
-        e_all = _int_matmul(table[start:stop], colsel)  # chunk x 2^ny
-        st = s_sizes[start:stop, None] * t_sizes[None, :]
-        viol = ((score(e_all, st, nx * ny, e_xy) > 0)
-                & s_ok[start:stop, None] & t_ok[None, :])
-        if viol.any():
-            si, ti = np.argwhere(viol)[0]
-            return False, (_mask_to_set(start + int(si), X), _mask_to_set(int(ti), Y))
-    return True, None
+    s_ok, t_ok = (np.array([k * pd >= pn * m for k in range(m + 1)]) for m in (nx, ny))
+    found, s_mask, t_mask = _extreme_scan(  # sums[S, t] = e(S, {t})
+        mat.T, lambda *args: score(*args) > 0, nx * ny, e_xy, (s_ok, t_ok))
+    if not found:
+        return True, None
+    return False, (_mask_to_set(s_mask, X), _mask_to_set(t_mask, Y))
 
 
 @dataclass
@@ -554,36 +554,32 @@ def _violating_mass(eps: Fraction):
     return score
 
 
-def _one_part_scan(adj: np.ndarray, eps: Fraction):
-    """`_partition_scan` with `_violating_mass(eps)` on the one-part
-    partition of the vertices of the n x n matrix adj, in O(2^n n log n).
+def _extreme_scan(mat: np.ndarray, score, size: int, e: int, admissible=None):
+    """(mass, A, B): the first column mask A of mat whose mass, the largest
+    score of e(A, B) over row masks B, is largest, and for it the first B of
+    largest score (as `_partition_scan` picks them on one part).  `score` is
+    `_violating_mass(eps)` or its > 0 test; `admissible`, if given, holds
+    boolean tables of the allowed |A| and |B|.  Over |B| = s, e(A, B) ranges
+    between the sums of the s smallest and s largest counts e(A, {w}), and
+    the eps test is convex in e, so those two decide every B of size s."""
+    def extreme_mass(start, sums):  # sums[i, w] = e(A, {w}) for A = start + i
+        pops = _popcounts(len(sums)) + start.bit_count()
+        low = np.cumsum(np.pad(np.sort(sums, axis=1), ((0, 0), (1, 0))), axis=1)  # s smallest
+        high = low[:, -1:] - low[:, ::-1]  # s largest: all but the k - s smallest
+        st = pops[:, None] * np.arange(low.shape[1])
+        mass = np.maximum(score(low, st, size, e), score(high, st, size, e))
+        if admissible is not None:
+            mass = np.where(admissible[0][pops][:, None] & admissible[1], mass, 0)
+        return mass.max(axis=1)
 
-    For a fixed T write c_v = e({v}, T).  Over |S| = s, e(S, T) ranges
-    between the sums of the s smallest and the s largest c_v, and the test
-    |e n^2 - E s t| > eps s t n^2 is convex in e, so a violating S of size s
-    exists exactly when one of those two sums violates.  T's mass is t
-    times the largest such s.  The first T of largest mass wins; for it
-    alone the e(S, T) table over S-masks yields the first S-mask of largest
-    score, as `_partition_scan` would pick.
-    """
-    n = adj.shape[0]
-    size = n * n
-    e_all = int(adj.sum())
-    score = _violating_mass(eps)
-    bits = _mask_bits(np.arange(1 << n, dtype=np.int64), n).T  # mask x vertex
-    counts = np.sort(_int_matmul(bits, adj.T), axis=1)  # row T: c_v ascending
-    zero = np.zeros((1 << n, 1), dtype=np.int64)
-    low = np.concatenate([zero, np.cumsum(counts, axis=1)], axis=1)  # s smallest
-    high = np.concatenate([zero, np.cumsum(counts[:, ::-1], axis=1)], axis=1)  # s largest
-    pops = bits.sum(axis=1)
-    st = pops[:, None] * np.arange(n + 1)  # |T| s for every T and s = 0..n
-    mass = np.maximum(score(low, st, size, e_all), score(high, st, size, e_all)).max(axis=1)
-    t_mask = int(mass.argmax())
-    e_s = _int_matmul(bits, adj[:, bits[t_mask] == 1].sum(axis=1))  # e(S, T) per S-mask
-    st_s = pops * pops[t_mask]
-    s_mask = int(score(e_s, st_s, size, e_all).argmax())
-    universe = list(range(n))
-    return int(mass[t_mask]), _mask_to_set(s_mask, universe), _mask_to_set(t_mask, universe)
+    best, a_mask = _scan_max(mat, extreme_mass)
+    A = _mask_to_set(a_mask, range(mat.shape[1]))
+    e_b = _subset_sum_table(mat[:, list(A)].sum(axis=1)[:, None])[:, 0]  # e(A, B) per B-mask
+    b_sizes = _popcounts(1 << mat.shape[0])
+    b_score = score(e_b, len(A) * b_sizes, size, e)
+    if admissible is not None:
+        b_score = np.where(admissible[1][b_sizes], b_score, 0)
+    return best, a_mask, int(b_score.argmax())
 
 
 def max_st_irregularity(g: DiGraph, p: VertexPartition):
@@ -609,18 +605,19 @@ def check_intermediate(g: DiGraph, p: VertexPartition, epsilon) -> CheckReport:
     """For all S, T: mass of block pairs that are not (S,T,eps)-regular is
     at most eps n^2.
 
-    Exact.  A one-part partition takes the sorted-count closed form of
-    `_one_part_scan`; any other takes `_partition_scan` with the violating
-    mass as score.  Both compare against integer threshold tables, so a
-    float eps is decided exactly too.  The witness is the first T-mask of
-    largest mass and, within it, the first S-mask of largest score.
+    Exact, a float eps too: `_extreme_scan` over T on a one-part partition,
+    else `_partition_scan`, both with the violating mass as score.  The
+    witness is the first T-mask of largest mass and, within it, the first
+    S-mask of largest score.
     """
     n = _vertex_count(g, p)
     if n > INTERMEDIATE_LIMIT:
         raise EnumerationLimitError(f"exact intermediate check capped at {INTERMEDIATE_LIMIT}")
     eps = _nonnegative(epsilon)
-    if p.size == 1:
-        best_val, S, T = _one_part_scan(g.adjacency(), eps)
+    if p.size == 1:  # counts e({v}, T) over T-masks
+        adj = g.adjacency()
+        best_val, t_mask, s_mask = _extreme_scan(adj, _violating_mass(eps), n * n, int(adj.sum()))
+        S, T = _mask_to_set(s_mask, range(n)), _mask_to_set(t_mask, range(n))
     else:
         best_val, S, T = _partition_scan(g, p, _violating_mass(eps))
     passed = best_val * eps.denominator <= eps.numerator * n * n

@@ -58,13 +58,13 @@ def number_to_string(x) -> str:
 
 
 def parse_number(s) -> Fraction:
+    """A JSON number or numeric string as an exact rational; a NaN or an
+    infinite float, and a string no Fraction spells, raise InputError."""
     if isinstance(s, (int, Fraction)) and not isinstance(s, bool):
         return Fraction(s)
-    if isinstance(s, float):
-        return Fraction(s)
     try:
-        return Fraction(str(s).strip())
-    except (ValueError, ZeroDivisionError) as e:
+        return Fraction(s) if isinstance(s, float) else Fraction(str(s).strip())
+    except (ValueError, OverflowError, ZeroDivisionError) as e:
         raise InputError(f"cannot parse number {s!r}: {e}") from None
 
 
@@ -235,6 +235,14 @@ def instance_to_json(pop: PopulationInstance, cls: HypothesisClass | None = None
     return doc
 
 
+def _object(doc, what: str) -> dict:
+    """doc, which must be a JSON object keyed by individual id."""
+    if not isinstance(doc, dict):
+        raise InputError(f"{what} must map individual ids to values, "
+                         f"not a JSON {type(doc).__name__}")
+    return doc
+
+
 def instance_from_json(doc: dict):
     """Returns (population, hypothesis class or None, predictor or None).
 
@@ -253,7 +261,8 @@ def instance_from_json(doc: dict):
             hyps = []
             for h in doc["hypotheses"]:
                 rng = tuple(read.token(v) for v in h["range"])
-                values = {j: read.token(v) for j, v in h["values"].items()}
+                values = {j: read.token(v)
+                          for j, v in _object(h["values"], "hypothesis values").items()}
                 missing = [j for j in ids if j not in values]
                 if missing:
                     raise InputError(f"hypothesis {h['name']!r} has no value for "
@@ -264,7 +273,8 @@ def instance_from_json(doc: dict):
                                                                   False))
         predictor = None
         if doc.get("predictor"):
-            predictor = Predictor({j: read.dist(d) for j, d in doc["predictor"].items()})
+            predictor = Predictor({j: read.dist(d)
+                                   for j, d in _object(doc["predictor"], "a predictor").items()})
         return pop, cls, predictor
     except (KeyError, TypeError) as e:
         raise InputError(f"malformed instance document: {e}") from None
@@ -277,7 +287,7 @@ def predictor_to_json(predictor: Predictor) -> dict:
 
 def predictor_from_json(space: OutcomeSpace, doc: dict) -> Predictor:
     read = _Reader(space)
-    return Predictor({j: read.dist(d) for j, d in doc.items()})
+    return Predictor({j: read.dist(d) for j, d in _object(doc, "a predictor").items()})
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +299,19 @@ def graph_to_json(g: DiGraph) -> dict:
     return {"n": g.n, "edges": sorted([u, v] for u, v in g.edges)}
 
 
+def _integer(x) -> int:
+    """A vertex count or vertex id: an integer, an integral float or an
+    integer string.  A boolean or a fractional number raises ValueError
+    rather than being cut down to another vertex."""
+    if isinstance(x, bool) or (isinstance(x, float) and not x.is_integer()):
+        raise ValueError(f"{x!r} is not an integer")
+    return int(x)
+
+
 def graph_from_json(doc: dict) -> DiGraph:
     try:
-        return DiGraph(int(doc["n"]), frozenset((int(u), int(v)) for u, v in doc["edges"]))
+        return DiGraph(_integer(doc["n"]),
+                       frozenset((_integer(u), _integer(v)) for u, v in doc["edges"]))
     except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"malformed graph document: {e}") from None
 
@@ -317,7 +337,7 @@ def partition_to_json(p: VertexPartition) -> list:
 
 def partition_from_json(doc) -> VertexPartition:
     try:
-        return VertexPartition(tuple(tuple(int(v) for v in part) for part in doc))
+        return VertexPartition(tuple(tuple(_integer(v) for v in part) for part in doc))
     except (TypeError, ValueError) as e:
         raise InputError(f"malformed partition document: {e}") from None
 

@@ -14,6 +14,9 @@ formats every individual's values on its own is the reference for the
 memoized emit.  Every edge count in the graph
 oracles is a literal scan of `g.edges`, so they share no code path with
 the library, which reads every count off the cached adjacency matrix.  The
+cut norm, the one-part intermediate scan and the regular-pair check as
+they were before `_mask_sums` chunked them (every T-mask at once, and
+the S x T loop) are the references for the chunked scans.  The
 randomized intermediate spot check samples S and T rather than
 enumerating them.
 """
@@ -45,7 +48,12 @@ from multifair.graph import (
     DiGraph,
     VertexPartition,
     _block_edges,
+    _int_matmul,
+    _mask_bits,
+    _popcounts,
+    _subset_sum_table,
     _vertex_count,
+    _violating_mass,
     cut_oracle,
     pair_id,
 )
@@ -57,7 +65,13 @@ from multifair.population import (
     Predictor,
     close_under_complement,
 )
-from multifair.serialize import _value_token, dist_to_json, number_to_string, parse_number
+from multifair.serialize import (
+    _object,
+    _value_token,
+    dist_to_json,
+    number_to_string,
+    parse_number,
+)
 
 SUBSET_ORACLE_LIMIT = 22
 MC_ORACLE_CELL_LIMIT = 12
@@ -400,6 +414,81 @@ def max_st_irregularity_sigma_enum(g: DiGraph, p: VertexPartition) -> Fraction:
     return best
 
 
+# The scans that `_mask_sums` replaced, kept whole: each holds every T-mask
+# (or, for the regular pair, every (S, T) pair of a chunk of S-masks) at once.
+
+
+def cut_norm_unchunked(mat: np.ndarray):
+    """`_cut_norm` with the positive and negative totals of every column mask
+    accumulated over blocks of rows: the first maximizing T, its sign
+    (+ on a tie) and the rows of that sign."""
+    n_rows, n_cols = mat.shape
+    pos = np.zeros(1 << n_cols, dtype=np.int64)
+    neg = np.zeros(1 << n_cols, dtype=np.int64)
+    step = max(1, (1 << 20) >> n_cols)
+    for start in range(0, n_rows, step):
+        sums = _subset_sum_table(mat[start:start + step].T)  # T-mask x row
+        pos += np.maximum(sums, 0).sum(axis=1)
+        neg += np.maximum(-sums, 0).sum(axis=1)
+    best = np.maximum(pos, neg)
+    t_mask = int(best.argmax())
+    sign = 1 if pos[t_mask] >= neg[t_mask] else -1
+    T = _mask_to_set(t_mask, range(n_cols))
+    S = tuple(np.nonzero(sign * mat[:, list(T)].sum(axis=1) > 0)[0].tolist())
+    return int(best[t_mask]), S, T
+
+
+def one_part_scan_unchunked(adj: np.ndarray, eps: Fraction):
+    """(mass, S-mask, T-mask) of the one-part intermediate check (the
+    `_extreme_scan` of adj) on the whole 2^n x n table of counts e({v}, T)."""
+    n = adj.shape[0]
+    size = n * n
+    e_all = int(adj.sum())
+    score = _violating_mass(eps)
+    bits = _mask_bits(np.arange(1 << n, dtype=np.int64), n).T  # mask x vertex
+    counts = np.sort(_int_matmul(bits, adj.T), axis=1)  # row T: c_v ascending
+    zero = np.zeros((1 << n, 1), dtype=np.int64)
+    low = np.concatenate([zero, np.cumsum(counts, axis=1)], axis=1)  # s smallest
+    high = np.concatenate([zero, np.cumsum(counts[:, ::-1], axis=1)], axis=1)  # s largest
+    pops = bits.sum(axis=1)
+    st = pops[:, None] * np.arange(n + 1)  # |T| s for every T and s = 0..n
+    mass = np.maximum(score(low, st, size, e_all), score(high, st, size, e_all)).max(axis=1)
+    t_mask = int(mass.argmax())
+    e_s = _int_matmul(bits, adj[:, bits[t_mask] == 1].sum(axis=1))  # e(S, T) per S-mask
+    s_mask = int(score(e_s, pops * pops[t_mask], size, e_all).argmax())
+    return int(mass[t_mask]), s_mask, t_mask
+
+
+def check_regular_pair_bruteforce(g: DiGraph, X, Y, epsilon, chunk: int = 64):
+    """`check_regular_pair` by scoring every (S, T) pair, a chunk of S-masks
+    at a time; the witness is the first violating pair in row-major order."""
+    X, Y = sorted(set(X)), sorted(set(Y))
+    eps = exactify(epsilon)
+    if eps >= 1 or not X or not Y:
+        return True, None
+    pn, pd = eps.numerator, eps.denominator
+    mat = g.adjacency()[np.ix_(X, Y)]
+    e_xy = int(mat.sum())
+    nx, ny = len(X), len(Y)
+    score = _violating_mass(eps)
+    table = _subset_sum_table(mat)  # e(S, {col}) for every S-mask
+    s_sizes = _popcounts(1 << nx)
+    t_sizes = _popcounts(1 << ny)
+    s_ok = np.array([s * pd >= pn * nx for s in range(nx + 1)])[s_sizes]
+    t_ok = np.array([t * pd >= pn * ny for t in range(ny + 1)])[t_sizes]
+    colsel = _mask_bits(np.arange(1 << ny, dtype=np.int64), ny)  # ny x 2^ny
+    for start in range(0, 1 << nx, chunk):
+        stop = min(start + chunk, 1 << nx)
+        e_all = _int_matmul(table[start:stop], colsel)  # chunk x 2^ny
+        st = s_sizes[start:stop, None] * t_sizes[None, :]
+        viol = ((score(e_all, st, nx * ny, e_xy) > 0)
+                & s_ok[start:stop, None] & t_ok[None, :])
+        if viol.any():
+            si, ti = np.argwhere(viol)[0]
+            return False, (_mask_to_set(start + int(si), X), _mask_to_set(int(ti), Y))
+    return True, None
+
+
 def random_instance_scalar_oracle(rng, n_individuals, n_outcomes=2, n_hypotheses=3,
                                   binary_hypotheses=True, complement_closed=False,
                                   weight_denominator=16):
@@ -464,7 +553,8 @@ def instance_from_json_oracle(doc):
             hyps = []
             for h in doc["hypotheses"]:
                 rng = tuple(_value_token(v) for v in h["range"])
-                values = {j: _value_token(v) for j, v in h["values"].items()}
+                values = {j: _value_token(v)
+                          for j, v in _object(h["values"], "hypothesis values").items()}
                 missing = [j for j in ids if j not in values]
                 if missing:
                     raise InputError(f"hypothesis {h['name']!r} has no value for "
@@ -476,7 +566,7 @@ def instance_from_json_oracle(doc):
         predictor = None
         if doc.get("predictor"):
             predictor = Predictor({j: dist_from_json_oracle(space, d)
-                                   for j, d in doc["predictor"].items()})
+                                   for j, d in _object(doc["predictor"], "a predictor").items()})
         return pop, cls, predictor
     except (KeyError, TypeError) as e:
         raise InputError(f"malformed instance document: {e}") from None

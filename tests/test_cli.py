@@ -336,6 +336,20 @@ BAD_INPUTS = [
     (["audit", "{tp_bool_truth}", "--kind", "mc"], 1),
     (["audit", "{tp_bool_weight}", "--kind", "mc"], 1),
     (["audit", "{tp_list_truth_repeated}", "--kind", "mc"], 1),
+    # JSON numbers no Fraction takes, and objects spelt as lists
+    (["audit", "{tp_nan_weight}", "--kind", "mc"], 1),
+    (["audit", "{tp_infinite_truth}", "--kind", "mc"], 1),
+    (["audit", "{tp_list_values}", "--kind", "mc"], 1),
+    (["audit", "{tp_list_predictor}", "--kind", "mc"], 1),
+] + [
+    # a fractional or boolean vertex count, edge endpoint or partition
+    # vertex used to be cut down by int() to another graph or partition
+    (["graph", graph, "--task", "check-fk", "--epsilon", "0.3"], 1)
+    for graph in ("{g_fractional_n}", "{g_boolean_n}", "{g_fractional_edge}",
+                  "{g_boolean_edge}")
+] + [
+    (["graph", "{g6}", "--task", "check-fk", "--epsilon", "0.3", "--partition", part], 1)
+    for part in ("{fractional_part}", "{boolean_part}")
 ]
 
 
@@ -346,7 +360,8 @@ def test_bad_inputs_exit_cleanly(argv, code, two_point, tmp_path, capsys):
                 "table": {"0": {"0": "0", "1": "1"}, "1": {"0": "1", "1": "0"}}}
     malformed = {name: read(two_point) for name in (
         "tp_missing_value", "tp_list_truth", "tp_list_prediction", "tp_unknown_outcome",
-        "tp_bool_truth", "tp_bool_weight", "tp_list_truth_repeated")}
+        "tp_bool_truth", "tp_bool_weight", "tp_list_truth_repeated", "tp_nan_weight",
+        "tp_infinite_truth", "tp_list_values", "tp_list_predictor")}
     del malformed["tp_missing_value"]["hypotheses"][0]["values"]["1"]
     malformed["tp_list_truth"]["individuals"][0]["p_true"] = ["0.5", "0.5"]
     malformed["tp_list_prediction"]["predictor"]["0"] = ["1", "0"]
@@ -357,9 +372,22 @@ def test_bad_inputs_exit_cleanly(argv, code, two_point, tmp_path, capsys):
     first["weight"], second["weight"] = 1, True
     second = malformed["tp_list_truth_repeated"]["individuals"][1]
     second["p_true"] = list(second["p_true"].values())
+    malformed["tp_nan_weight"]["individuals"][0]["weight"] = float("nan")
+    malformed["tp_infinite_truth"]["individuals"][0]["p_true"]["0"] = float("inf")
+    hypothesis = malformed["tp_list_values"]["hypotheses"][0]
+    hypothesis["values"] = list(hypothesis["values"].values())
+    malformed["tp_list_predictor"]["predictor"] = list(
+        malformed["tp_list_predictor"]["predictor"].values())
+    graphs = {"g_fractional_n": {"n": 3.5, "edges": [[0, 1]]},
+              "g_boolean_n": {"n": True, "edges": []},
+              "g_fractional_edge": {"n": 3, "edges": [[0, 1.5]]},
+              "g_boolean_edge": {"n": 3, "edges": [[True, 2]]}}
     for name, doc in (("empty", []), ("small", [[0, 1], [2, 3]]),
                       ("large", [[0, 1, 2, 3], [4, 5, 6, 7]]), ("dup", [zero_one, zero_one]),
-                      ("alpha", [["a", 1, 2], [3, 4, 5]]), *malformed.items()):
+                      ("alpha", [["a", 1, 2], [3, 4, 5]]),
+                      ("fractional_part", [[0, 1, 2], [3, 4, 5.5]]),
+                      ("boolean_part", [[True, 0, 2], [3, 4, 5]]),
+                      *malformed.items(), *graphs.items()):
         files[name] = tmp_path / f"{name}.json"
         files[name].write_text(json.dumps(doc))
     files["g6"] = tmp_path / "g6.json"

@@ -37,8 +37,12 @@ from multifair import (
     xor_product,
 )
 from multifair.graph import (
+    _MASK_BLOCK_BITS,
+    _extreme_scan,
     _int_matmul,
+    _mask_sums,
     _partition_scan,
+    _subset_sum_table,
     _violating_mass,
     pair_id,
     rational_sqrt_upper,
@@ -51,6 +55,8 @@ from multifair.errors import (
     StructuralFailureError,
 )
 from oracles import (
+    check_regular_pair_bruteforce,
+    cut_norm_unchunked,
     delta_st,
     delta_st_level,
     density_scan,
@@ -58,6 +64,7 @@ from oracles import (
     irregularity_bruteforce,
     max_st_irregularity_sigma_enum,
     mean_square_density_scan,
+    one_part_scan_unchunked,
     partition_st_irregularity_scan,
     spot_check_intermediate,
     st_irregularity_scan,
@@ -295,6 +302,39 @@ def test_regular_pair_half_graph_fails():
     assert abs(d_sub - density(g, (0, 1), (2, 3))) > F(1, 10)
 
 
+REGULAR_PAIR_EPS = (0, F(1, 10), F(1, 5), F(1, 3), F(1, 2), 0.2, 0.45, F(9, 10), 1, F(3, 2))
+
+
+def test_regular_pair_matches_the_brute_force_oracle():
+    # disjoint, equal, overlapping and empty sides at every eps, witnesses included
+    rng = np.random.default_rng(1500)
+    for case in range(300):
+        n = int(rng.integers(1, 10))
+        g = random_digraph(rng, n, float(rng.choice([0.1, 0.5, 0.9])))
+        perm = rng.permutation(n).tolist()
+        cut = int(rng.integers(0, n + 1))
+        X, Y = [(perm[:cut], perm[cut:]), (perm, perm), (perm[:cut], perm[cut // 2:]),
+                (perm[:cut], ())][case % 4]
+        eps = REGULAR_PAIR_EPS[case % len(REGULAR_PAIR_EPS)]
+        assert check_regular_pair(g, X, Y, eps) == check_regular_pair_bruteforce(g, X, Y, eps)
+    g = random_digraph(rng, 4, 0.5)
+    for eps in REGULAR_PAIR_EPS:
+        for X, Y in (((), ()), ((), (0, 1)), ((0, 1), ())):
+            assert check_regular_pair(g, X, Y, eps) == (True, None)
+
+
+def test_regular_pair_matches_the_brute_force_oracle_at_the_cap():
+    # two failing pairs whose first violating S-mask is over 700, and one
+    # regular pair, which the oracle must score over all 4^14 (S, T) pairs
+    g = random_digraph(np.random.default_rng(1501), 28, 0.5)
+    cases = [(range(14), range(14), F(2, 5), False), (range(14), range(14, 28), F(7, 20), False),
+             (range(14, 28), range(14), 0.45, True)]
+    for X, Y, eps, regular in cases:
+        got = check_regular_pair(g, X, Y, eps)
+        assert got == check_regular_pair_bruteforce(g, X, Y, eps)
+        assert got[0] == regular
+
+
 def test_checkers_trivial_graphs():
     for g in (DiGraph.complete(6), DiGraph.empty(6)):
         for p in (VertexPartition.trivial(6), VertexPartition.singletons(6),
@@ -391,6 +431,38 @@ def test_one_part_kernel_matches_partition_scan():
                     (best <= exact * n * n, exact * n * n - best, (S, T))
 
 
+def test_one_part_kernel_spans_several_blocks():
+    # at n = 17 a block holds 2^15 T-masks; vertices 0 and 15 are twins, so
+    # a T holding just one of them ties with its swap in a later block, and
+    # the first must win
+    rng = np.random.default_rng(13)
+    adj = (rng.random((17, 17)) < 0.5).astype(np.int64)
+    adj[15, :], adj[:, 15] = adj[0, :], adj[:, 0]
+    adj[15, 15] = adj[0, 15] = adj[15, 0] = adj[0, 0]
+    assert 17 << 15 <= 1 << _MASK_BLOCK_BITS < 17 << 16
+    for eps in (F(1, 5), F(3, 10)):
+        mass, t_mask, s_mask = _extreme_scan(adj, _violating_mass(eps), 17 * 17, int(adj.sum()))
+        assert (mass, s_mask, t_mask) == one_part_scan_unchunked(adj, eps)
+        assert t_mask & 1 and not t_mask >> 15 & 1
+
+
+def test_mask_sums_blocks_make_up_the_subset_sum_table():
+    rng = np.random.default_rng(1502)
+    for rows, cols in ((3, 5), (16, 16), (40, 16), (0, 4), (5, 0), (1, 3)):
+        mat = rng.integers(-3, 4, (rows, cols))
+        blocks = list(_mask_sums(mat))
+        whole = _subset_sum_table(mat.T)
+        if rows << cols <= 1 << _MASK_BLOCK_BITS:
+            assert len(blocks) == 1
+        starts = [start for start, _ in blocks]
+        widths = [len(sums) for _, sums in blocks]
+        assert starts == [sum(widths[:i]) for i in range(len(blocks))]
+        assert all(w == widths[0] and start % w == 0 for start, w in zip(starts, widths))
+        assert all(sums.size <= 1 << _MASK_BLOCK_BITS for _, sums in blocks)
+        assert np.array_equal(np.concatenate([sums for _, sums in blocks]), whole)
+    assert len(list(_mask_sums(np.zeros((40, 16), dtype=np.int64)))) == 4
+
+
 def test_multi_part_scans_on_rows_pair_tables():
     # one part of 12 of 14 vertices: its pair with itself has 2^24 > 2^22
     # (S_j, T n V_k) entries, so the scans build its columns per T-chunk
@@ -470,6 +542,21 @@ def test_cut_oracle_exact_is_maximal():
                 best = max(best, abs(sum(m[u][v] for u in s for v in t)))
         assert val == best
         assert abs(sum(m[u][v] for u in S for v in T)) == val
+
+
+def test_cut_oracle_spans_several_blocks():
+    # a block holds 2^low column masks; column `low`, the lowest block bit,
+    # is zero, so T and T + {low} tie across a block boundary and the first
+    # must win
+    rng = np.random.default_rng(0)
+    for rows in (8, 3):
+        low = _MASK_BLOCK_BITS - (rows - 1).bit_length()
+        m = rng.integers(-3, 4, (rows, 20))
+        m[:, low] = 0
+        S, T, val = cut_oracle(m.tolist(), mode="exact")
+        assert (val, S, T) == cut_norm_unchunked(m)
+        assert low not in T and any(t > low for t in T)
+        assert abs(m[np.ix_(S, T)].sum()) == val
 
 
 def test_int_matmul_checks_exactness_bound():
