@@ -21,15 +21,17 @@ integer-scaled quantities, never on floats.  Every exact eps test is the
 violating-mass score `_violating_mass`: |r| > eps x size on an integer r
 is read off an integer threshold table built in Python ints
 (`_eps_thresholds`), so a float eps, whose exact denominator is near
-2^54, never enters an int64 product.  Every exact check enumerates one
-side's masks in the blocks of `_mask_sums` and maximizes over the other
-side in closed form: `_cut_norm` takes the rows of one sign, for the cut
-norms of pair irregularity, the Frieze-Kannan check and the exact cut
-oracle; `_extreme_scan` sorts per-element counts, for the one-part
-intermediate check and the regular-pair check; `_partition_scan` uses that
-for a fixed T the objective decomposes across parts, with an exact
-maximization per part, for the intermediate check and the
-(S,T)-irregularity maximizer on more parts.
+2^54, never enters an int64 product.  The exact checks on one block
+enumerate one side's masks in the blocks of `_mask_sums` and maximize over
+the other side in closed form: `_cut_norm` takes the rows of one sign, for
+the cut norms of pair irregularity, the Frieze-Kannan check and the exact
+cut oracle; `_extreme_scan` sorts per-element counts, for the one-part
+intermediate check and the regular-pair check.  On more parts, for the
+intermediate check and the (S,T)-irregularity maximizer, `_partition_scan`
+uses that for a fixed T the objective is a sum over parts j of a max over
+S_j in V_j: it scores every (S_j, T n V_k) once and takes each part's max
+on the grid of local masks (T n V_1, ..., T n V_m), and its witness is the
+first best T in mask order, then the first best S_j.
 
 The cut oracle stands in for the semidefinite-programming subroutine of
 the partition-refinement algorithm.  Its exact mode is `_cut_norm`; its
@@ -69,7 +71,6 @@ INTERMEDIATE_LIMIT = 14
 CUT_ORACLE_LIMIT = 20
 RECTANGLE_CLASS_LIMIT = 6
 _MASK_BLOCK_BITS = 20  # a `_mask_sums` block holds at most 2^20 entries
-_CHUNK = 512  # masks per vectorized block of an enumeration loop
 
 
 @dataclass(frozen=True)
@@ -240,9 +241,9 @@ def st_irregularity(g: DiGraph, X, Y, S, T) -> Fraction:
 
 def _subset_sum_table(rows: np.ndarray) -> np.ndarray:
     """out[mask, c] = sum of rows[i, c] over i in mask; 2^len(rows) rows."""
-    out = np.zeros((1, rows.shape[1]), dtype=np.int64)
-    for r in rows:
-        out = np.concatenate([out, out + r])
+    out = np.zeros((1 << len(rows), rows.shape[1]), dtype=np.int64)
+    for i, r in enumerate(rows):  # doubling: the masks holding row i follow those without
+        np.add(out[:1 << i], r, out=out[1 << i:2 << i])
     return out
 
 
@@ -255,11 +256,6 @@ def _popcounts(n_masks: int) -> np.ndarray:
 
 def _mask_to_set(mask: int, universe) -> tuple:
     return tuple(universe[i] for i in range(len(universe)) if (mask >> i) & 1)
-
-
-def _mask_bits(masks: np.ndarray, width: int) -> np.ndarray:
-    """out[c, i] = bit c of masks[i]; a width x len(masks) 0/1 table."""
-    return np.stack([(masks >> c) & 1 for c in range(width)], axis=0)
 
 
 def _eps_thresholds(eps: Fraction, size: int) -> np.ndarray:
@@ -454,91 +450,56 @@ def check_frieze_kannan(g: DiGraph, p: VertexPartition, epsilon) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def _int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact integer matmul routed through BLAS; exact because every partial
-    sum is below max|a| max|b| * (inner dimension) < 2^53, checked here."""
-    bound = int(np.abs(a).max(initial=0)) * int(np.abs(b).max(initial=0)) * a.shape[-1]
-    if bound >= 1 << 53:
-        raise InternalInvariantError(f"integer matmul bound {bound} exceeds 2^53")
-    out = a.astype(np.float64) @ b.astype(np.float64)
-    return np.rint(out).astype(np.int64)
-
-
-def _pair_tables(adj: np.ndarray, p: VertexPartition, e_blocks: np.ndarray, score):
-    """Per part pair (j, k): the scored table over (local S_j-mask, local
-    (T n V_k)-mask) when it has at most 2^22 entries, else the e(S_j, {v})
-    row table, whose columns each T-chunk builds and scores itself.
-
-    Full tables are scored in row blocks of at most 2^18 entries, so the
-    score's temporaries stay small.
-    """
-    parts = p.parts
-    sizes = [_popcounts(1 << len(a)) for a in parts]
-    pair = {}
-    for j, a in enumerate(parts):
-        for k, b in enumerate(parts):
-            row_table = _subset_sum_table(adj[np.ix_(a, b)])  # 2^|a| x |b|
-            if len(a) + len(b) > 22:
-                pair[(j, k)] = ("rows", row_table)
-                continue
-            colsel = _mask_bits(np.arange(1 << len(b), dtype=np.int64), len(b))
-            scored = np.empty((1 << len(a), 1 << len(b)), dtype=np.int64)
-            step = max(1, (1 << 18) >> len(b))
-            for r in range(0, 1 << len(a), step):
-                st = sizes[j][r:r + step, None] * sizes[k][None, :]
-                scored[r:r + step] = score(_int_matmul(row_table[r:r + step], colsel), st,
-                                           len(a) * len(b), e_blocks[j, k])
-            pair[(j, k)] = ("full", scored)
-    return sizes, pair
-
-
 def _partition_scan(g: DiGraph, p: VertexPartition, score):
     """(best, S, T) maximizing sum_j max_{S_j in V_j} sum_k score(...) over T.
 
-    `score(cols, st, size, e)` maps the e(S_j, T n V_k) table of one block
-    pair (local S_j-mask x T-mask), its |S_j||T n V_k| products, |V_j||V_k|
-    and e(V_j, V_k) to a nonnegative integer table, elementwise.  T-masks
-    are scanned in chunks; the first maximizing T wins, and within it the
-    first best S_j.
+    `score(cols, st, size, e)` maps e(S_j, T n V_k) for local S_j- and
+    (T n V_k)-masks, their |S_j||T n V_k|, |V_j||V_k| and e(V_j, V_k) to a
+    nonnegative integer table, elementwise.  T is scanned as the grid of
+    its parts' local masks T n V_k, whose axes run from the smallest part
+    to the largest, so the broadcast sums' inner loops are long.  Each
+    part's S_j-masks, in blocks of at most 2^16 grid entries, score
+    every T n V_k once and broadcast their sum over the grid, whose max
+    over S_j is the part's term.  The first maximizing T in mask order
+    wins, and within it the first best S_j, recomputed from one column per
+    block pair.
     """
-    n = p.n
     parts = p.parts
-    m = p.size
+    adj = g.adjacency()
     e_blocks, _, _ = _block_edges(g, p)
-    sizes, pair = _pair_tables(g.adjacency(), p, e_blocks, score)
-    t_masks = np.arange(1 << n, dtype=np.int64)
-    sub_idx = [sum(((t_masks >> v) & 1) << bit for bit, v in enumerate(part))
-               for part in parts]  # per part k: local index of T n V_k
-    chunk = min(_CHUNK, max(64, (1 << 22) // max(1 << len(a) for a in parts)))
-    best_val = -1
-    best = None
-    for start in range(0, 1 << n, chunk):
-        stop = min(start + chunk, 1 << n)
-        width = stop - start
-        total = np.zeros(width, dtype=np.int64)
-        arg_a = np.zeros((m, width), dtype=np.int64)
-        for j in range(m):
-            acc = np.zeros(((1 << len(parts[j])), width), dtype=np.int64)
-            for k in range(m):
-                b_idx = sub_idx[k][start:stop]
-                kind, table = pair[(j, k)]
-                if kind == "full":
-                    acc += table[:, b_idx]
-                    continue
-                cols = _int_matmul(table, _mask_bits(b_idx, len(parts[k])))
-                st = sizes[j][:, None] * sizes[k][b_idx][None, :]
-                acc += score(cols, st, len(parts[j]) * len(parts[k]), e_blocks[j, k])
-            arg_a[j] = acc.argmax(axis=0)
-            total += acc.max(axis=0)
-        i = int(total.argmax())
-        if total[i] > best_val:
-            best_val = int(total[i])
-            t_mask = start + i
-            s_set = []
-            for j in range(m):
-                s_set.extend(_mask_to_set(int(arg_a[j][i]), parts[j]))
-            best = (tuple(sorted(s_set)), _mask_to_set(t_mask, list(range(n))))
-    return best_val, best[0], best[1]
+    dims = [1 << len(a) for a in parts]
+    sizes = [_popcounts(d) for d in dims]
+    rows = [[_subset_sum_table(adj[np.ix_(a, b)]) for b in parts]
+            for a in parts]  # rows[j][k][S_j, i] = e(S_j, {V_k[i]})
+    axes = sorted(range(p.size), key=lambda k: dims[k])  # grid axis i holds part axes[i]
+    grid = tuple(dims[k] for k in axes)
+    step = max(1, (1 << 16) >> p.n)  # larger blocks made malloc trim and regrow the heap per block
+    total = np.zeros(grid, dtype=np.int64)
+    for j, a in enumerate(parts):
+        best = np.zeros(grid, dtype=np.int64)
+        for r in range(0, dims[j], step):
+            acc = 0
+            for i, k in enumerate(axes):
+                cols = _subset_sum_table(rows[j][k][r:r + step].T).T  # S_j x (T n V_k)
+                scored = score(cols, sizes[j][r:r + step, None] * sizes[k],
+                               len(a) * len(parts[k]), e_blocks[j, k])
+                acc = acc + scored.reshape((len(scored),) + (1,) * i + (dims[k],)
+                                           + (1,) * (p.size - 1 - i))
+            np.maximum(best, acc.max(axis=0), out=best)
+        total += best
+    t_masks = np.arange(1 << p.n, dtype=np.int64)
+    local = [sum(((t_masks >> v) & 1) << bit for bit, v in enumerate(parts[k])) for k in axes]
+    total = total.ravel()[np.ravel_multi_index(local, grid)]  # in T-mask order
+    t_mask = int(total.argmax())
+    S = []
+    for j, a in enumerate(parts):
+        acc = 0
+        for k, b in enumerate(parts):
+            in_t = [i for i, v in enumerate(b) if t_mask >> v & 1]
+            acc = acc + score(rows[j][k][:, in_t].sum(axis=1), sizes[j] * len(in_t),
+                              len(a) * len(b), e_blocks[j, k])
+        S.extend(_mask_to_set(int(acc.argmax()), a))
+    return int(total[t_mask]), tuple(sorted(S)), _mask_to_set(t_mask, range(p.n))
 
 
 def _violating_mass(eps: Fraction):

@@ -348,8 +348,12 @@ def losses_from_json(space: OutcomeSpace, doc) -> list:
     try:
         for entry in doc:
             actions = tuple(entry["actions"])
+            rows = entry["table"]
+            if not (isinstance(rows, dict) and all(isinstance(r, dict) for r in rows.values())):
+                raise InputError("malformed loss document: a table and each of its rows "
+                                 "must be JSON objects")
             table = {}
-            for o, row in entry["table"].items():
+            for o, row in rows.items():
                 for y, v in row.items():
                     table[(o, y)] = parse_number(v)
             out.append(LossFunction(entry["name"], space, actions, table))

@@ -16,9 +16,10 @@ oracles is a literal scan of `g.edges`, so they share no code path with
 the library, which reads every count off the cached adjacency matrix.  The
 cut norm, the one-part intermediate scan and the regular-pair check as
 they were before `_mask_sums` chunked them (every T-mask at once, and
-the S x T loop) are the references for the chunked scans.  The
-randomized intermediate spot check samples S and T rather than
-enumerating them.
+the S x T loop) are the references for the chunked scans, and the
+partition scan with its per-pair "full" or "rows" tables and float-BLAS
+products is the reference for the grid scan.  The randomized intermediate
+spot check samples S and T rather than enumerating them.
 """
 
 import math
@@ -42,14 +43,13 @@ from multifair.errors import (
     EmptyBlockError,
     EnumerationLimitError,
     InputError,
+    InternalInvariantError,
 )
 from multifair.graph import (
     CheckReport,
     DiGraph,
     VertexPartition,
     _block_edges,
-    _int_matmul,
-    _mask_bits,
     _popcounts,
     _subset_sum_table,
     _vertex_count,
@@ -412,6 +412,106 @@ def max_st_irregularity_sigma_enum(g: DiGraph, p: VertexPartition) -> Fraction:
         if val > best:
             best = val
     return best
+
+
+# The partition scan as it was before it moved onto the grid of its parts'
+# local T-masks: per block pair a "full" scored table, or the "rows" table
+# whose columns each T-chunk builds and scores again, both through a float64
+# BLAS product checked exact below 2^53.
+
+_CHUNK = 512  # masks per vectorized block of an enumeration loop
+
+
+def _mask_bits(masks: np.ndarray, width: int) -> np.ndarray:
+    """out[c, i] = bit c of masks[i]; a width x len(masks) 0/1 table."""
+    return np.stack([(masks >> c) & 1 for c in range(width)], axis=0)
+
+
+def _int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact integer matmul routed through BLAS; exact because every partial
+    sum is below max|a| max|b| * (inner dimension) < 2^53, checked here."""
+    bound = int(np.abs(a).max(initial=0)) * int(np.abs(b).max(initial=0)) * a.shape[-1]
+    if bound >= 1 << 53:
+        raise InternalInvariantError(f"integer matmul bound {bound} exceeds 2^53")
+    out = a.astype(np.float64) @ b.astype(np.float64)
+    return np.rint(out).astype(np.int64)
+
+
+def _pair_tables(adj: np.ndarray, p: VertexPartition, e_blocks: np.ndarray, score):
+    """Per part pair (j, k): the scored table over (local S_j-mask, local
+    (T n V_k)-mask) when it has at most 2^22 entries, else the e(S_j, {v})
+    row table, whose columns each T-chunk builds and scores itself.
+
+    Full tables are scored in row blocks of at most 2^18 entries, so the
+    score's temporaries stay small.
+    """
+    parts = p.parts
+    sizes = [_popcounts(1 << len(a)) for a in parts]
+    pair = {}
+    for j, a in enumerate(parts):
+        for k, b in enumerate(parts):
+            row_table = _subset_sum_table(adj[np.ix_(a, b)])  # 2^|a| x |b|
+            if len(a) + len(b) > 22:
+                pair[(j, k)] = ("rows", row_table)
+                continue
+            colsel = _mask_bits(np.arange(1 << len(b), dtype=np.int64), len(b))
+            scored = np.empty((1 << len(a), 1 << len(b)), dtype=np.int64)
+            step = max(1, (1 << 18) >> len(b))
+            for r in range(0, 1 << len(a), step):
+                st = sizes[j][r:r + step, None] * sizes[k][None, :]
+                scored[r:r + step] = score(_int_matmul(row_table[r:r + step], colsel), st,
+                                           len(a) * len(b), e_blocks[j, k])
+            pair[(j, k)] = ("full", scored)
+    return sizes, pair
+
+
+def partition_scan_pair_tables(g: DiGraph, p: VertexPartition, score):
+    """(best, S, T) maximizing sum_j max_{S_j in V_j} sum_k score(...) over T.
+
+    `score(cols, st, size, e)` maps the e(S_j, T n V_k) table of one block
+    pair (local S_j-mask x T-mask), its |S_j||T n V_k| products, |V_j||V_k|
+    and e(V_j, V_k) to a nonnegative integer table, elementwise.  T-masks
+    are scanned in chunks; the first maximizing T wins, and within it the
+    first best S_j.
+    """
+    n = p.n
+    parts = p.parts
+    m = p.size
+    e_blocks, _, _ = _block_edges(g, p)
+    sizes, pair = _pair_tables(g.adjacency(), p, e_blocks, score)
+    t_masks = np.arange(1 << n, dtype=np.int64)
+    sub_idx = [sum(((t_masks >> v) & 1) << bit for bit, v in enumerate(part))
+               for part in parts]  # per part k: local index of T n V_k
+    chunk = min(_CHUNK, max(64, (1 << 22) // max(1 << len(a) for a in parts)))
+    best_val = -1
+    best = None
+    for start in range(0, 1 << n, chunk):
+        stop = min(start + chunk, 1 << n)
+        width = stop - start
+        total = np.zeros(width, dtype=np.int64)
+        arg_a = np.zeros((m, width), dtype=np.int64)
+        for j in range(m):
+            acc = np.zeros(((1 << len(parts[j])), width), dtype=np.int64)
+            for k in range(m):
+                b_idx = sub_idx[k][start:stop]
+                kind, table = pair[(j, k)]
+                if kind == "full":
+                    acc += table[:, b_idx]
+                    continue
+                cols = _int_matmul(table, _mask_bits(b_idx, len(parts[k])))
+                st = sizes[j][:, None] * sizes[k][b_idx][None, :]
+                acc += score(cols, st, len(parts[j]) * len(parts[k]), e_blocks[j, k])
+            arg_a[j] = acc.argmax(axis=0)
+            total += acc.max(axis=0)
+        i = int(total.argmax())
+        if total[i] > best_val:
+            best_val = int(total[i])
+            t_mask = start + i
+            s_set = []
+            for j in range(m):
+                s_set.extend(_mask_to_set(int(arg_a[j][i]), parts[j]))
+            best = (tuple(sorted(s_set)), _mask_to_set(t_mask, list(range(n))))
+    return best_val, best[0], best[1]
 
 
 # The scans that `_mask_sums` replaced, kept whole: each holds every T-mask

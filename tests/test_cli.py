@@ -314,6 +314,12 @@ BAD_INPUTS = [
 ] + [
     (["audit", "{tp}", "--kind", "omni", "--losses", "{dup}"], 2),
     (["omni", "{tp}", "--losses", "{dup}"], 2),
+] + [
+    # a loss table, or a row of it, spelt as a list used to raise AttributeError
+    (argv + ["--losses", losses], 1)
+    for argv in (["audit", "{tp}", "--kind", "omni"], ["omni", "{tp}"])
+    for losses in ("{list_table}", "{list_row}")
+] + [
     (["audit", "{tp_missing_value}", "--kind", "mc"], 1),
     (["audit", "{tp_missing_value}", "--kind", "oi"], 1),
     (["graph", "{g6}", "--task", "check-fk", "--epsilon", "0.3", "--partition", "{alpha}"], 1),
@@ -358,6 +364,8 @@ def test_bad_inputs_exit_cleanly(argv, code, two_point, tmp_path, capsys):
     files = {"tp": two_point}
     zero_one = {"name": "zero-one", "actions": ["0", "1"],
                 "table": {"0": {"0": "0", "1": "1"}, "1": {"0": "1", "1": "0"}}}
+    list_table = dict(zero_one, table=[["0", "1"], ["1", "0"]])
+    list_row = dict(zero_one, table={"0": ["0", "1"], "1": {"0": "1", "1": "0"}})
     malformed = {name: read(two_point) for name in (
         "tp_missing_value", "tp_list_truth", "tp_list_prediction", "tp_unknown_outcome",
         "tp_bool_truth", "tp_bool_weight", "tp_list_truth_repeated", "tp_nan_weight",
@@ -384,6 +392,7 @@ def test_bad_inputs_exit_cleanly(argv, code, two_point, tmp_path, capsys):
               "g_boolean_edge": {"n": 3, "edges": [[True, 2]]}}
     for name, doc in (("empty", []), ("small", [[0, 1], [2, 3]]),
                       ("large", [[0, 1, 2, 3], [4, 5, 6, 7]]), ("dup", [zero_one, zero_one]),
+                      ("list_table", [list_table]), ("list_row", [list_row]),
                       ("alpha", [["a", 1, 2], [3, 4, 5]]),
                       ("fractional_part", [[0, 1, 2], [3, 4, 5.5]]),
                       ("boolean_part", [[True, 0, 2], [3, 4, 5]]),

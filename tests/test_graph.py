@@ -39,8 +39,8 @@ from multifair import (
 from multifair.graph import (
     _MASK_BLOCK_BITS,
     _extreme_scan,
-    _int_matmul,
     _mask_sums,
+    _pair_scale,
     _partition_scan,
     _subset_sum_table,
     _violating_mass,
@@ -55,6 +55,7 @@ from multifair.errors import (
     StructuralFailureError,
 )
 from oracles import (
+    _int_matmul,
     check_regular_pair_bruteforce,
     cut_norm_unchunked,
     delta_st,
@@ -65,6 +66,7 @@ from oracles import (
     max_st_irregularity_sigma_enum,
     mean_square_density_scan,
     one_part_scan_unchunked,
+    partition_scan_pair_tables,
     partition_st_irregularity_scan,
     spot_check_intermediate,
     st_irregularity_scan,
@@ -414,8 +416,8 @@ def test_intermediate_float_eps_does_not_overflow():
 
 
 def test_one_part_kernel_matches_partition_scan():
-    # the sorted-count closed form against the exact T-scan it replaces, which
-    # takes its "full" pair table up to n = 11 and its "rows" table at n = 12
+    # the sorted-count closed form against the pair-table T-scan it replaced,
+    # which takes its "full" pair table up to n = 11 and its "rows" table at n = 12
     for n in range(1, 13):
         for seed in range(2 if n < 11 else 1):
             rng = np.random.default_rng(700 + 10 * n + seed)
@@ -426,7 +428,7 @@ def test_one_part_kernel_matches_partition_scan():
             for eps in eps_list:
                 exact = F(eps)
                 rep = check_intermediate(g, p, eps)
-                best, S, T = _partition_scan(g, p, _violating_mass(exact))
+                best, S, T = partition_scan_pair_tables(g, p, _violating_mass(exact))
                 assert (rep.passed, rep.slack, rep.witness) == \
                     (best <= exact * n * n, exact * n * n - best, (S, T))
 
@@ -464,8 +466,8 @@ def test_mask_sums_blocks_make_up_the_subset_sum_table():
 
 
 def test_multi_part_scans_on_rows_pair_tables():
-    # one part of 12 of 14 vertices: its pair with itself has 2^24 > 2^22
-    # (S_j, T n V_k) entries, so the scans build its columns per T-chunk
+    # one part of 12 of 14 vertices: its pair with itself has 2^24
+    # (S_j, T n V_k) scores, which the scan builds a few S_j-masks at a time
     eps = F(1, 5)
     rng = np.random.default_rng(900)
     g = random_digraph(rng, 14, 0.5)
@@ -482,6 +484,50 @@ def _random_partition(rng, n):
     m = int(rng.integers(2, n + 1))
     cuts = sorted(rng.choice(np.arange(1, n), m - 1, replace=False).tolist())
     return VertexPartition(tuple(tuple(perm[a:b]) for a, b in zip([0] + cuts, cuts + [n])))
+
+
+def _scan_scores(p):
+    """The partition scan's three scores: the violating mass at a rational
+    and at a float eps, and the L-scaled absolute block residual."""
+    L = _pair_scale(p)
+    return {"eps 1/5": _violating_mass(F(1, 5)), "eps 0.3": _violating_mass(F(0.3)),
+            "residual": lambda cols, st, size, e: np.abs(cols * L - e * (L // size) * st)}
+
+
+def test_partition_scan_matches_the_pair_table_scan():
+    for seed in range(60):
+        rng = np.random.default_rng(1600 + seed)
+        n = int(rng.integers(2, 11))
+        g = random_digraph(rng, n, float(rng.choice([0.3, 0.5, 0.7])))
+        p = _random_partition(rng, n)
+        for name, score in _scan_scores(p).items():
+            assert _partition_scan(g, p, score) == partition_scan_pair_tables(g, p, score), \
+                (seed, name)
+    # the 12-part's pair with itself takes the oracle's "rows" branch
+    rng = np.random.default_rng(1660)
+    perm = rng.permutation(13).tolist()
+    g = random_digraph(rng, 13, 0.5)
+    p = VertexPartition((tuple(perm[:12]), (perm[12],)))
+    score = _violating_mass(F(1, 5))
+    assert _partition_scan(g, p, score) == partition_scan_pair_tables(g, p, score)
+
+
+def test_partition_scan_ties_go_to_the_first_t_mask():
+    # sigma swaps the parts (0, 1, 2) and (3, 4, 5) vertex by vertex and is an
+    # automorphism, so T and sigma(T) tie.  The best T is not fixed by sigma:
+    # its image comes first on the grid of local masks, where (0, 1, 2) is the
+    # major axis of the two, but later in T-mask order, and T must win
+    sigma = [3, 4, 5, 0, 1, 2, 6, 7]
+    adj = np.random.default_rng(1687).random((8, 8)) < 0.6
+    adj |= adj[np.ix_(sigma, sigma)]
+    assert np.array_equal(adj[np.ix_(sigma, sigma)], adj)
+    g = DiGraph(8, frozenset(map(tuple, np.argwhere(adj).tolist())))
+    p = VertexPartition(((6, 7), (0, 1, 2), (3, 4, 5)))
+    for name, score in _scan_scores(p).items():
+        value, S, T = _partition_scan(g, p, score)
+        assert (value, S, T) == partition_scan_pair_tables(g, p, score), name
+        image = tuple(sorted(sigma[v] for v in T))
+        assert sum(1 << v for v in image) > sum(1 << v for v in T), name
 
 
 def test_fk_matches_literal_enumeration_on_multi_part_partitions():
