@@ -112,15 +112,23 @@ class _Prepared:
     predictor denominators), the same D as the lcm over every reduced
     product.
 
+    The build costs per distinct value, not per individual.  Each distinct
+    prediction object is exactified once, keyed by `id()`, and the
+    products are reduced once per distinct (weight, prediction) pair of
+    objects.  Float mode computes float(w) * float(x) once per distinct
+    (weight, prediction) and (weight, truth) pair, the same operations as
+    per individual, so no float moves.
+
     Levels group individuals by prediction value.  With a grid they group
     by the grid-rounded prediction instead, which is what the OI event
     families condition on; the modeled mass still comes from the raw
-    predictor.  Each distinct prediction is keyed once (by its integer
-    ratios in exact mode), only one representative per key is rounded (on
-    the integer ratios of its exact value, under either backend) or
-    clustered, and levels are told apart by their integer ratios, so no
-    Fraction is hashed.  `grid` is that grid (or None), `points[level]`
-    each level's weight tuple and `level_weight` each level's scaled mass.
+    predictor.  Each distinct prediction object is keyed once, by its
+    integer ratios in exact mode; only one representative per key is
+    rounded (on the integer ratios of its exact value, under either
+    backend) or clustered, and levels are told apart by their integer
+    ratios, so no Fraction is hashed.  `grid` is that grid (or None),
+    `points[level]` each level's weight tuple and `level_weight` each
+    level's scaled mass.
     `predictor`, the predictor read (exact in exact mode, raw otherwise),
     and `dists`, its predictions, are made on first use: only lowdegree and
     explicit members read them.
@@ -141,28 +149,39 @@ class _Prepared:
         self.grid = grid
         self.ids = pop.ids
         self._source = predictor
-        dists = [predictor.values[j] for j in pop.ids]
+        dists = list(map(predictor.values.__getitem__, pop.ids))
+        weights = list(map(pop.weight.__getitem__, pop.ids))
+        dist_ids = list(map(id, dists))
+        distinct = dict(zip(dist_ids, dists))  # in first-occurrence order
+        # identity keys: each row is built once per distinct pair of objects
+        pairs = list(zip(map(id, weights), dist_ids))
 
         if exact:
-            keys = [_exact_ratios(d) for d in dists]
-            weights, star, D_pop = pop._exact_table()
-            tilde, self.D = _scaled_products(weights, keys, D_pop)
+            key_of = {i: _exact_ratios(d) for i, d in distinct.items()}
+            w_ratios, star, D_pop = pop._exact_table()
+            w_of = dict(zip(pairs, w_ratios))
+            rows, self.D = _scaled_products(w_of.values(), [key_of[i] for _, i in w_of], D_pop)
+            tilde = dict(zip(w_of, rows))
             scale = self.D // D_pop
             self.star = [[x * scale for x in row] for row in star]
         else:
-            # clustering reads only the floats; a grid rounds the exact value
-            keys = [d.weights if grid is not None else tuple(map(float, d.weights))
-                    for d in dists]
             self.D = 1.0
-            w = [float(pop.weight[j]) for j in pop.ids]
-            tilde = [[wi * float(x) for x in d.weights] for wi, d in zip(w, dists)]
-            self.star = [[wi * float(x) for x in pop.p_true[j].weights]
-                         for wi, j in zip(w, pop.ids)]
-        self.diff = [[t - s for t, s in zip(tr, sr)] for tr, sr in zip(tilde, self.star)]
+            truths = list(map(pop.p_true.__getitem__, pop.ids))
+            true_pairs = list(zip(map(id, weights), map(id, truths)))
+            w_float = {i: float(w) for i, w in dict(zip(map(id, weights), weights)).items()}
+            floats = {i: tuple(map(float, d.weights))
+                      for i, d in {**distinct, **dict(zip(map(id, truths), truths))}.items()}
+            tilde, star = ({k: [w_float[k[0]] * x for x in floats[k[1]]]
+                            for k in dict.fromkeys(keys)} for keys in (pairs, true_pairs))
+            self.star = [star[k] for k in true_pairs]
+            # clustering reads only the floats; a grid rounds the exact value
+            key_of = {i: d.weights if grid is not None else floats[i]
+                      for i, d in distinct.items()}
+        self.diff = [[t - s for t, s in zip(tilde[k], sr)] for k, sr in zip(pairs, self.star)]
 
         first = {}  # key -> its first prediction, in population order
-        for key, d in zip(keys, dists):
-            first.setdefault(key, d)
+        for i, d in distinct.items():
+            first.setdefault(key_of[i], d)
         if grid is not None:
             level_rep = [grid._round_ratios(key if exact else _exact_ratios(d))
                          for key, d in first.items()]
@@ -171,10 +190,14 @@ class _Prepared:
         else:
             level_rep = self._cluster_levels(list(first))
         # a level is one value, kept as its first occurrence: values are told
-        # apart by their integer ratios and ordered by (float, exact) pairs,
-        # which is their exact order, since rounding to float is monotone;
-        # n / d is the correctly rounded float of the ratio
-        rep_keys = [tuple(x.as_integer_ratio() for x in d.weights) for d in level_rep]
+        # apart by their integer ratios (in exact mode without a grid, the
+        # keys themselves) and ordered by (float, exact) pairs, which is their
+        # exact order, since rounding to float is monotone; n / d is the
+        # correctly rounded float of the ratio
+        if exact and grid is None:
+            rep_keys = list(first)
+        else:
+            rep_keys = [tuple(x.as_integer_ratio() for x in d.weights) for d in level_rep]
         levels = {}
         for rk, d in zip(rep_keys, level_rep):
             levels.setdefault(rk, d)
@@ -184,7 +207,8 @@ class _Prepared:
         self.points = [tuple(d.weights) for d in self.levels]
         idx = {rk: i for i, rk in enumerate(order)}
         level_of_key = {key: idx[rk] for key, rk in zip(first, rep_keys)}
-        self.level_of = [level_of_key[key] for key in keys]
+        level_of_id = {i: level_of_key[key_of[i]] for i in distinct}
+        self.level_of = list(map(level_of_id.__getitem__, dist_ids))
         self.level_weight = [0] * len(self.levels)
         for li, row in zip(self.level_of, self.star):
             self.level_weight[li] += sum(row)
@@ -356,7 +380,7 @@ def audit_covariance_mc(pop, predictor, cls, backend="rational") -> AuditReport:
             b = sum(y * x for y, x in zip(yv, cells[0::2]))
             c = sum(cells[1::2])
             # E|Cov| contribution: mass * |a/mass - (b/mass)(c/mass)| / D-normalization.
-            # Known defect (ROADMAP item 2): mass * D is the right divisor, so the
+            # Known defect (ROADMAP item 1): mass * D is the right divisor, so the
             # rational backend reports E|Cov| / D (the float one has D = 1); kept
             # while its value is pinned.
             total += prep.ratio(abs(a * mass - b * c), mass * prep.D * prep.D)

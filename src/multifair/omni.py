@@ -12,7 +12,12 @@ The audit evaluates this gap exactly for every (loss, hypothesis) pair
 from one cell table of true masses per (hypothesis, level, y, outcome),
 `audits._Prepared.cell_tables` over the rows `star`: each level is
 post-processed once per loss, and each hypothesis costs once per
-(y, outcome).
+(y, outcome).  The audit runs on integers: a level's weights are put over
+their common denominator and a loss's costs over the lcm L of theirs, so
+the post-processed action is the argmin of integer dot products (first
+action on ties, as `post_process` picks it), every expected loss is an
+integer over D * L, and each gap is one Fraction.  `post_process` keeps its
+Fraction arithmetic, as the scalar API.
 Because losses are [0,1]-bounded, the gap is at most the calibration
 audit plus the multi-accuracy audit, exactly; `omni_bound_check` verifies
 that inequality on any instance.
@@ -20,6 +25,7 @@ that inequality on any instance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -105,29 +111,67 @@ def omni_audit(pop: PopulationInstance, predictor: Predictor, losses,
             raise DomainError(f"two losses are named {loss.name!r}")
         names.add(loss.name)
     act_of = _action_map(losses, cls)
-    prep = _Prepared(pop, predictor, exact=True)
-    ell = pop.space.size
+    return _omni_report(_Prepared(pop, predictor, exact=True), losses, cls, act_of)
+
+
+def _level_numerators(prep) -> list:
+    """Each level's weights as integer numerators over the level's common
+    denominator, which is positive, so they rank actions as the weights do."""
+    out = []
+    for d in prep.levels:
+        ratios = [w.as_integer_ratio() for w in d.weights]
+        den = math.lcm(*(b for _, b in ratios))
+        out.append([a * (den // b) for a, b in ratios])
+    return out
+
+
+def _cost_numerators(loss: LossFunction, labels) -> tuple:
+    """(L, costs): costs[a][o] is L times the cost of action a on outcome o,
+    for the loss's actions in order, where L is the lcm of the costs'
+    denominators."""
+    ratios = [[exactify(loss.cost(o, a)).as_integer_ratio() for o in labels]
+              for a in loss.actions]
+    L = math.lcm(*(b for row in ratios for _, b in row))
+    return L, [[n * (L // b) for n, b in row] for row in ratios]
+
+
+def _dot(xs, ys):
+    return sum(x * y for x, y in zip(xs, ys))
+
+
+def _omni_report(prep, losses, cls: HypothesisClass, act_of: dict) -> AuditReport:
+    """The omniprediction report from an exact prep, on integers alone.
+
+    Every expected loss is a sum of scaled masses (over D) times integer
+    costs (over the loss's L), so each gap is one Fraction over D * L.  A
+    level's action is the argmin of integer dot products with its weight
+    numerators, the first action on ties, as `post_process` picks it.
+    """
+    ell = prep.pop.space.size
     ys, tables = prep.cell_tables(cls, prep.star)
     # scaled true outcome masses per level (any hypothesis splits a level by
     # y), and per (hypothesis, y) at [c][y * ell + o]
     level_true = [[sum(cells[o::ell]) for o in range(ell)] for cells in tables[0]]
     y_true = [[sum(col) for col in zip(*per_level)] for per_level in tables]
+    level_nums = _level_numerators(prep)
     breakdown = {}
     witness = None
     best = None
     for loss in losses:
-        costs = {a: [exactify(loss.cost(o, a)) for o in pop.space.labels]
-                 for a in loss.actions}
-
-        def expected(masses, action):
-            return sum(m * c for m, c in zip(masses, costs[action]))
-
-        post_loss = sum(expected(masses, post_process(loss, d))
-                        for d, masses in zip(prep.levels, level_true))
+        L, costs = _cost_numerators(loss, prep.pop.space.labels)
+        cost_of = dict(zip(loss.actions, costs))
+        post = 0
+        for nums, masses in zip(level_nums, level_true):
+            best_row = None
+            for row in costs:
+                exp = _dot(nums, row)
+                if best_row is None or exp < best_exp:
+                    best_row, best_exp = row, exp
+            post += _dot(masses, best_row)
         for h, cells in zip(cls, y_true):
-            h_loss = sum(expected(cells[i * ell:(i + 1) * ell], act_of[(loss.name, y)])
+            h_loss = sum(_dot(cells[i * ell:(i + 1) * ell], cost_of[act_of[(loss.name, y)]])
                          for i, y in enumerate(ys))
-            gap = Fraction(post_loss - h_loss, prep.D)
+            gap = Fraction(post - h_loss, prep.D * L)
             breakdown[(loss.name, h.name)] = gap
             if best is None or gap > best:
                 best = gap

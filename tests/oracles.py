@@ -3,7 +3,9 @@
 The literal joint tables of a population and a predictor, the exact value
 of a float prediction and its largest-remainder rounding onto a coordinate
 grid by Fraction arithmetic, the exact prepared population built by
-Fraction products cell by cell, statistical distance by enumeration of
+Fraction products cell by cell, the prepared population as it was built
+one individual at a time (the reference for the build per distinct
+value), statistical distance by enumeration of
 every event, the mc OI audit by enumeration of every event over the cell
 lattice, and the graph statistics, including the (true - predicted) pair
 sums delta_{S,T} of a graph predictor.  The random instance drawn with one
@@ -29,11 +31,13 @@ import numpy as np
 
 from multifair.audits import _is_exact, _Prepared
 from multifair.core import (
+    FLOAT_GROUP_TOL,
     OutcomeDist,
     OutcomeSpace,
     SimplexGrid,
     _as_table,
     _check_same_support,
+    _exact_ratios,
     binary_space,
     exactify,
 )
@@ -63,6 +67,7 @@ from multifair.population import (
     HypothesisClass,
     PopulationInstance,
     Predictor,
+    _scaled_products,
     close_under_complement,
 )
 from multifair.serialize import (
@@ -214,6 +219,72 @@ def prepared_fraction_oracle(pop, predictor, grid=None) -> dict:
     return {"D": D, "star": star, "diff": diff, "levels": levels,
             "points": [tuple(d.weights) for d in levels], "level_of": level_of,
             "level_weight": level_weight}
+
+
+def prepared_per_individual(pop, predictor, exact, grid=None) -> dict:
+    """The `_Prepared` fields as the build computed them one individual at
+    a time: `_exact_ratios` and the gcd-reduced products per individual in
+    exact mode, float(w) * float(x) per individual in float mode, levels
+    keyed per individual.  Returns D, star, diff, levels, points, level_of
+    and level_weight.
+    """
+    dists = [predictor.values[j] for j in pop.ids]
+
+    if exact:
+        keys = [_exact_ratios(d) for d in dists]
+        weights, star, D_pop = pop._exact_table()
+        tilde, D = _scaled_products(weights, keys, D_pop)
+        scale = D // D_pop
+        star = [[x * scale for x in row] for row in star]
+    else:
+        # clustering reads only the floats; a grid rounds the exact value
+        keys = [d.weights if grid is not None else tuple(map(float, d.weights))
+                for d in dists]
+        D = 1.0
+        w = [float(pop.weight[j]) for j in pop.ids]
+        tilde = [[wi * float(x) for x in d.weights] for wi, d in zip(w, dists)]
+        star = [[wi * float(x) for x in pop.p_true[j].weights]
+                for wi, j in zip(w, pop.ids)]
+    diff = [[t - s for t, s in zip(tr, sr)] for tr, sr in zip(tilde, star)]
+
+    first = {}  # key -> its first prediction, in population order
+    for key, d in zip(keys, dists):
+        first.setdefault(key, d)
+    if grid is not None:
+        level_rep = [grid._round_ratios(key if exact else _exact_ratios(d))
+                     for key, d in first.items()]
+    elif exact:
+        level_rep = [d.as_exact() for d in first.values()]
+    else:
+        level_rep = _cluster_levels_per_value(pop.space, list(first))
+    rep_keys = [tuple(x.as_integer_ratio() for x in d.weights) for d in level_rep]
+    levels = {}
+    for rk, d in zip(rep_keys, level_rep):
+        levels.setdefault(rk, d)
+    order = sorted(levels, key=lambda rk: [(n / d, x) for (n, d), x
+                                           in zip(rk, levels[rk].weights)])
+    levels = [levels[rk] for rk in order]
+    idx = {rk: i for i, rk in enumerate(order)}
+    level_of_key = {key: idx[rk] for key, rk in zip(first, rep_keys)}
+    level_of = [level_of_key[key] for key in keys]
+    level_weight = [0] * len(levels)
+    for li, row in zip(level_of, star):
+        level_weight[li] += sum(row)
+    return {"D": D, "star": star, "diff": diff, "levels": levels,
+            "points": [tuple(d.weights) for d in levels], "level_of": level_of,
+            "level_weight": level_weight}
+
+
+def _cluster_levels_per_value(space, floats):
+    """Per distinct float prediction, the representative of its 1e-9 cluster,
+    one `OutcomeDist` per prediction."""
+    rep_of = {}
+    current = None
+    for t in sorted(floats):
+        if current is None or max(abs(a - b) for a, b in zip(t, current)) > FLOAT_GROUP_TOL:
+            current = t
+        rep_of[t] = OutcomeDist(space, current)
+    return [rep_of[t] for t in floats]
 
 
 def stat_distance_subset_oracle(p, q):

@@ -205,6 +205,22 @@ def _squared_loss(space, actions):
     return LossFunction("squared", space, actions, table)
 
 
+def _cycled_loss(name, space, actions, costs):
+    """A loss whose costs cycle through `costs` over (outcome, action)."""
+    table = {(o, a): costs[(i + k) % len(costs)]
+             for i, o in enumerate(space.labels) for k, a in enumerate(actions)}
+    return LossFunction(name, space, actions, table)
+
+
+def _tie_loss(space):
+    """Three actions with three different cost rows whose expected losses
+    all tie at the prediction (1/3, 2/3), a level of every coarse
+    predictor, so the first action must win there."""
+    table = {("0", "0"): F(0), ("1", "0"): F(1, 2), ("0", "1"): F(1), ("1", "1"): F(0),
+             ("0", "2"): F(1, 3), ("1", "2"): F(1, 3)}
+    return LossFunction("tie", space, ("0", "1", "2"), table)
+
+
 def _params(cases):
     return [pytest.param(*case, id=name) for name, *case in cases]
 
@@ -311,9 +327,13 @@ def _omni_cases():
 
 @pytest.mark.parametrize("pop,cls,pred", _params(_omni_cases()))
 def test_omni_audit_matches_literal_oracle(pop, cls, pred):
-    losses = [_squared_loss(pop.space, tuple(cls.range_values))]
+    actions = tuple(cls.range_values)
+    losses = [_squared_loss(pop.space, actions),
+              _cycled_loss("coprime", pop.space, actions, (F(1, 3), F(2, 7))),
+              _cycled_loss("floats", pop.space, actions, (0.1, 0.3))]
     if cls.is_binary:
-        losses = [zero_one_loss(pop.space), _asymmetric_loss(pop.space)] + losses
+        losses = [zero_one_loss(pop.space), _asymmetric_loss(pop.space),
+                  _tie_loss(pop.space)] + losses
     rep = omni_audit(pop, pred, losses, cls)
     expected = omni_oracle(pop, pred, losses, cls)
     assert list(rep.breakdown.items()) == list(expected.items())

@@ -4,9 +4,13 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multifair import (
     Distinguisher,
+    Hypothesis,
+    HypothesisClass,
     LossTable,
     OutcomeDist,
     Predictor,
@@ -41,6 +45,7 @@ from multifair.oi import (
     negate,
 )
 from oracles import audit_oi_mc_bruteforce
+from test_prepared import _predictor, populations
 
 
 def _values(d, prep):
@@ -134,6 +139,25 @@ def test_mc_audit_equals_mc_of_discretized_when_grid_valued():
                 audit_multi_calibration(pop, phat, cls).value
             assert audit_oi(pop, phat, make_family("smc", hypotheses=cls, grid=grid)).value == \
                 audit_strict_multi_calibration(pop, phat, cls).value
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_oi_mc_and_smc_equal_mc_and_smc_on_grid_valued_predictors(data):
+    """The generated form of the seeded identities above: exact, MWU-stepped
+    and shared predictions discretized onto a denominator-2 or -3 grid,
+    against a class of 2- or 3-valued hypotheses."""
+    pop = data.draw(populations())
+    grid = make_grid_with_denominator(pop.space, data.draw(st.sampled_from((2, 3))))
+    phat = discretize(_predictor(data.draw, pop), grid)
+    values = tuple(range(data.draw(st.sampled_from((2, 3)))))
+    cls = HypothesisClass(tuple(
+        Hypothesis(f"c{k}", values, {j: data.draw(st.sampled_from(values)) for j in pop.ids})
+        for k in range(data.draw(st.integers(1, 3)))))
+    assert audit_oi(pop, phat, make_family("mc", hypotheses=cls, grid=grid)).value == \
+        audit_multi_calibration(pop, phat, cls).value
+    assert audit_oi(pop, phat, make_family("smc", hypotheses=cls, grid=grid)).value == \
+        audit_strict_multi_calibration(pop, phat, cls).value
 
 
 @pytest.mark.parametrize("ell", [2, 3, 8])

@@ -2,9 +2,12 @@
 
 The exact build reads the population's cached integer table and reduces
 each predictor product by a gcd; `oracles.prepared_fraction_oracle` builds
-the same fields by Fraction products, cell by cell.  The one cell-table
-kernel is checked against a literal loop over the individuals under each
-of its accumulators.
+the same fields by Fraction products, cell by cell.  Both backends scale
+once per distinct (weight, prediction) pair of objects, and the float
+build once per (weight, truth) pair too; `oracles.prepared_per_individual`
+is the build one individual at a time.  The one cell-table kernel is
+checked against a literal loop over the individuals under each of its
+accumulators.
 """
 
 import itertools
@@ -28,7 +31,7 @@ from multifair import (
     update,
 )
 from multifair.audits import _Prepared
-from oracles import prepared_fraction_oracle
+from oracles import prepared_fraction_oracle, prepared_per_individual
 
 # pairwise coprime denominators far beyond int64 products
 LARGE_PRIMES = (10007, 1000003, 2**31 - 1, 2**61 - 1, 2**89 - 1)
@@ -83,6 +86,19 @@ def _predictor(draw, pop):
     return Predictor({j: update(rule, d, loss) for j, d in exact.values.items()})
 
 
+def _share_objects(draw, pop):
+    """`pop` with float weights and truths that are shared objects: the
+    first k individuals (in a drawn order) share one weight and the others
+    another, and each truth is one of the population's own truth objects."""
+    n = len(pop.ids)
+    k = draw(st.integers(0, n - 1))
+    shared = [1.0 / n] * n if k == 0 else [0.5 / k] * k + [0.5 / (n - k)] * (n - k)
+    order = draw(st.permutations(range(n)))
+    weight = {j: shared[i] for j, i in zip(pop.ids, order)}
+    p_true = {j: pop.p_true[draw(st.sampled_from(pop.ids))] for j in pop.ids}
+    return PopulationInstance(pop.space, pop.ids, weight, p_true)
+
+
 def _hash_or_error(obj):
     try:
         return hash(obj)
@@ -109,6 +125,24 @@ def test_integer_build_equals_fraction_per_cell_oracle(data):
     assert pop._table is table
     assert pop == twin and repr(pop) == repr(twin)
     assert _hash_or_error(pop) == _hash_or_error(twin)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_build_per_distinct_value_equals_the_per_individual_build(data):
+    pop = data.draw(populations())
+    if data.draw(st.booleans()):
+        pop = _share_objects(data.draw, pop)
+    grid = data.draw(st.sampled_from((None, make_grid_with_denominator(pop.space, 2))))
+    pred = _predictor(data.draw, pop)
+    for exact in (True, False):
+        prep = _Prepared(pop, pred, exact=exact, grid=grid)
+        want = prepared_per_individual(pop, pred, exact, grid)
+        for name in FIELDS:
+            assert getattr(prep, name) == want[name], (exact, name)
+        assert repr(prep.star) == repr(want["star"])
+        assert repr(prep.diff) == repr(want["diff"])
+        assert repr(prep.points) == repr(want["points"])
 
 
 def test_levels_equal_as_floats_are_ordered_by_exact_value():
