@@ -19,10 +19,11 @@ on floats and clusters prediction values within 1e-9.
 Every audit here, the OI event-family audits in `oi` and the
 omniprediction audit in `omni` each make one call of
 `_Prepared.cell_tables`, which sums per-individual rows of scaled masses
-per (hypothesis, level, hypothesis value y) in one numpy kernel; the
-backend picks only its accumulator: float64, int64 while D <= 2^40, and
-Python ints beyond.  The audits differ only in the rows they pass and in
-how they reduce the table:
+per (hypothesis, level, hypothesis value y) in one numpy kernel over the
+columnar arrays of `_Prepared` and the class's cached y-index array; the
+backend picks only its dtype: float64, int64 while D <= 2^40, and Python
+ints beyond.  The audits differ only in the rows they pass and in how
+they reduce the table:
 
     MA, MC, SMC, OI families   diff: modeled - true mass per outcome
     covariance                 (mass, true-one mass); E[c] and E[c o*]
@@ -52,16 +53,15 @@ from functools import cached_property
 import numpy as np
 
 from .core import FLOAT_GROUP_TOL, OutcomeDist, SimplexGrid, _exact_ratios, exactify
-from .errors import DomainError
+from .errors import DomainError, InternalInvariantError
 from .population import (
     HypothesisClass,
     PopulationInstance,
     Predictor,
+    _int_array,
     _scaled_products,
     indicator_all,
 )
-
-_NUMPY_SAFE_LIMIT = 1 << 40  # beyond this, exact tables sum Python ints, not int64
 
 
 @dataclass
@@ -102,22 +102,26 @@ class _Prepared:
     """Instance + predictor flattened into integer (or float) mass arrays.
 
     Exact mode stores, per individual j and outcome o, the integer
-    D * w_j * p*_j(o) of the truth (`star`) and the signed difference
-    D * w_j * (p_j(o) - p*_j(o)) of the predictor against it (`diff`),
-    where D is the least common denominator of every such product.  It is
-    built from integers alone: each prediction's exact value comes as
-    integer ratios (`core._exact_ratios`), the truth comes from the
-    population's cached integer table over its own denominator D_pop, each
-    w_j p_j(o) is reduced by a gcd, and D = lcm(D_pop, the reduced
-    predictor denominators), the same D as the lcm over every reduced
-    product.
+    D * w_j * p*_j(o) of the truth (`star[pos, o]`) and the signed
+    difference D * w_j * (p_j(o) - p*_j(o)) of the predictor against it
+    (`diff[pos, o]`), where D is the least common denominator of every such
+    product.  It is built from integers alone: each prediction's exact
+    value comes as integer ratios (`core._exact_ratios`), the truth comes
+    from the population's cached integer array over its own denominator
+    D_pop, each w_j p_j(o) is reduced by a gcd, and D = lcm(D_pop, the
+    reduced predictor denominators), the same D as the lcm over every
+    reduced product.  `mass[pos]` is the `star` row summed.  The arrays
+    are int64 while D <= 2^40, Python ints (object) beyond, float64 in
+    float mode.
 
     The build costs per distinct value, not per individual.  Each distinct
     prediction object is exactified once, keyed by `id()`, and the
-    products are reduced once per distinct (weight, prediction) pair of
-    objects.  Float mode computes float(w) * float(x) once per distinct
-    (weight, prediction) and (weight, truth) pair, the same operations as
-    per individual, so no float moves.
+    products are reduced into one row per distinct (weight, prediction)
+    pair of objects, which `diff` gathers by an int pair index.  Float mode
+    computes float(w) * float(x) once per distinct (weight, prediction) and
+    (weight, truth) pair, the same operations as per individual, and sums
+    `mass` and `level_weight` in column and population order, as literal
+    loops do, so no float moves.
 
     Levels group individuals by prediction value.  With a grid they group
     by the grid-rounded prediction instead, which is what the OI event
@@ -127,8 +131,9 @@ class _Prepared:
     rounded (on the integer ratios of its exact value, under either
     backend) or clustered, and levels are told apart by their integer
     ratios, so no Fraction is hashed.  `grid` is that grid (or None),
-    `points[level]` each level's weight tuple and `level_weight` each
-    level's scaled mass.
+    `points[level]` each level's weight tuple, `level_of[pos]` the int
+    array of each individual's level and `level_weight` each level's
+    scaled mass.
     `predictor`, the predictor read (exact in exact mode, raw otherwise),
     and `dists`, its predictions, are made on first use: only lowdegree and
     explicit members read them.
@@ -155,29 +160,29 @@ class _Prepared:
         distinct = dict(zip(dist_ids, dists))  # in first-occurrence order
         # identity keys: each row is built once per distinct pair of objects
         pairs = list(zip(map(id, weights), dist_ids))
+        pair_keys, pair_of = _first_index(pairs)
 
         if exact:
             key_of = {i: _exact_ratios(d) for i, d in distinct.items()}
             w_ratios, star, D_pop = pop._exact_table()
-            w_of = dict(zip(pairs, w_ratios))
+            w_of = dict(zip(pairs, w_ratios))  # in the order of pair_keys
             rows, self.D = _scaled_products(w_of.values(), [key_of[i] for _, i in w_of], D_pop)
-            tilde = dict(zip(w_of, rows))
-            scale = self.D // D_pop
-            self.star = [[x * scale for x in row] for row in star]
+            tilde = _int_array(rows, self.D)
+            self.star = np.asarray(star, dtype=tilde.dtype) * (self.D // D_pop)
         else:
             self.D = 1.0
             truths = list(map(pop.p_true.__getitem__, pop.ids))
-            true_pairs = list(zip(map(id, weights), map(id, truths)))
+            true_keys, true_of = _first_index(list(zip(map(id, weights), map(id, truths))))
             w_float = {i: float(w) for i, w in dict(zip(map(id, weights), weights)).items()}
             floats = {i: tuple(map(float, d.weights))
                       for i, d in {**distinct, **dict(zip(map(id, truths), truths))}.items()}
-            tilde, star = ({k: [w_float[k[0]] * x for x in floats[k[1]]]
-                            for k in dict.fromkeys(keys)} for keys in (pairs, true_pairs))
-            self.star = [star[k] for k in true_pairs]
+            tilde, star = (np.array([[w_float[w] * x for x in floats[i]] for w, i in keys])
+                           for keys in (pair_keys, true_keys))
+            self.star = star[true_of]
             # clustering reads only the floats; a grid rounds the exact value
             key_of = {i: d.weights if grid is not None else floats[i]
                       for i, d in distinct.items()}
-        self.diff = [[t - s for t, s in zip(tilde[k], sr)] for k, sr in zip(pairs, self.star)]
+        self.diff = tilde[pair_of] - self.star
 
         first = {}  # key -> its first prediction, in population order
         for i, d in distinct.items():
@@ -207,11 +212,14 @@ class _Prepared:
         self.points = [tuple(d.weights) for d in self.levels]
         idx = {rk: i for i, rk in enumerate(order)}
         level_of_key = {key: idx[rk] for key, rk in zip(first, rep_keys)}
-        level_of_id = {i: level_of_key[key_of[i]] for i in distinct}
-        self.level_of = list(map(level_of_id.__getitem__, dist_ids))
-        self.level_weight = [0] * len(self.levels)
-        for li, row in zip(self.level_of, self.star):
-            self.level_weight[li] += sum(row)
+        self.level_of = np.array([level_of_key[key_of[i]] for _, i in pair_keys],
+                                 dtype=np.intp)[pair_of]
+        # sum(row) per individual (0 plus the columns in order), then per
+        # level in population order, so float masses keep those loops' bits
+        self.mass = sum(self.star.T)
+        level_weight = np.zeros(len(self.levels), dtype=self.star.dtype)
+        np.add.at(level_weight, self.level_of, self.mass)
+        self.level_weight = level_weight.tolist()
 
     @cached_property
     def predictor(self) -> Predictor:
@@ -234,34 +242,35 @@ class _Prepared:
     def cell_tables(self, cls: HypothesisClass, rows):
         """Sums of per-individual rows per (hypothesis, level, y).
 
-        `rows[pos]` holds k scaled masses for individual pos (k is read from
-        the rows).  Returns (ys, tables) with ys the class's range in order
+        `rows[pos]` holds k scaled masses for individual pos (an array, k
+        columns).  Returns (ys, tables) with ys the class's range in order
         and tables[c][level][y * k + i] the sum of rows[pos][i] over the
         level's members on which hypothesis c takes the y-th value.  The
         module docstring lists the rows each audit passes.
 
-        One numpy kernel sums every table: `np.add.at` adds into each cell
-        in population order, so float sums are those of a literal loop to
-        the bit.  The backend picks only the accumulator: float64 for
-        floats, int64 for exact tables with D <= 2^40 and Python ints
-        (object) beyond.  The rows callers pass are masses or differences
-        of masses, so the absolute values in any one column sum to at most
-        2D: under D <= 2^40 no int64 partial sum can overflow.  Cells come
-        back as Python ints or floats.
+        One `np.add.at` per hypothesis, on the class's y-index array, adds
+        into each cell in population order, so float sums are those of a
+        literal loop to the bit.  The accumulator has the dtype of `star`.
+        Int64 rows must have absolute values summing to at most 2D in each
+        column, as the masses and mass differences callers pass do, so no
+        partial sum can overflow; other rows raise InternalInvariantError.
+        Cells come back as Python ints or floats.
         """
         ys = list(cls.range_values)
-        y_idx = {y: i for i, y in enumerate(ys)}
-        ny, nv, k = len(ys), len(self.levels), len(rows[0])
-        dtype = (np.float64 if not self.exact
-                 else np.int64 if self.D <= _NUMPY_SAFE_LIMIT else object)
-        flat = np.asarray(rows, dtype=dtype).reshape(-1)
-        i_part = np.tile(np.arange(k), len(rows))
-        lvl = np.repeat(np.asarray(self.level_of) * ny, k)
+        ny, nv = len(ys), len(self.levels)
+        rows = np.asarray(rows, dtype=self.star.dtype)
+        k = rows.shape[1]
+        # exact: float sums of nonnegative integers below 2^53 do not round,
+        # and a sum past 2^53 cannot round back to 2D <= 2^41 or below
+        if rows.dtype == np.int64 and (abs(rows.astype(float)).sum(axis=0) > 2 * self.D).any():
+            raise InternalInvariantError("int64 cell-table rows sum beyond 2D in a column")
+        flat = rows.reshape(-1)
+        base = self.level_of * ny
+        cells = np.arange(k)
         out = []
-        for h in cls:
-            y_arr = np.repeat([y_idx[h.values[j]] for j in self.ids], k)
-            acc = np.zeros(nv * ny * k, dtype=dtype)
-            np.add.at(acc, (lvl + y_arr) * k + i_part, flat)
+        for y in cls._y_index(self.ids):
+            acc = np.zeros(nv * ny * k, dtype=rows.dtype)
+            np.add.at(acc, (((base + y) * k)[:, None] + cells).reshape(-1), flat)
             out.append(acc.reshape(nv, ny * k).tolist())
         return ys, out
 
@@ -282,6 +291,13 @@ class _Prepared:
         return self.ratio(scaled, self.D)
 
 
+def _first_index(keys) -> tuple:
+    """(distinct, of): the distinct keys in first-occurrence order, and the
+    int array of each key's position among them."""
+    index = {key: n for n, key in enumerate(dict.fromkeys(keys))}
+    return list(index), np.fromiter(map(index.__getitem__, keys), np.intp, len(keys))
+
+
 def _is_exact(backend) -> bool:
     """True for the "rational" backend, False for "float"; DomainError otherwise."""
     if backend not in ("rational", "float"):
@@ -289,8 +305,14 @@ def _is_exact(backend) -> bool:
     return backend == "rational"
 
 
-def _prepare(pop, predictor, backend):
-    return _Prepared(pop, predictor, exact=_is_exact(backend))
+def _prepare(pop, predictor, backend, prep=None):
+    """(pop, predictor) prepared under the backend, or `prep`, the same already prepared."""
+    exact = _is_exact(backend)
+    if prep is None:
+        return _Prepared(pop, predictor, exact)
+    if (prep.pop, prep._source, prep.exact, prep.grid) != (pop, predictor, exact, None):
+        raise DomainError("prep was built for another population, predictor or backend")
+    return prep
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +320,11 @@ def _prepare(pop, predictor, backend):
 # ---------------------------------------------------------------------------
 
 
-def audit_multi_accuracy(pop, predictor, cls, backend="rational") -> AuditReport:
+def audit_multi_accuracy(pop, predictor, cls, backend="rational", *,
+                         prep=None) -> AuditReport:
     """max_c delta((c_i, modeled), (c_i, true)); the predictor is multi-accurate
-    with slack eps iff the value is <= eps."""
-    prep = _prepare(pop, predictor, backend)
+    with slack eps iff the value is <= eps.  `prep` as in `_prepare`."""
+    prep = _prepare(pop, predictor, backend, prep)
     ys, tables = prep.cell_tables(cls, prep.diff)
     breakdown = {}
     for h, per_level in zip(cls, tables):
@@ -311,9 +334,10 @@ def audit_multi_accuracy(pop, predictor, cls, backend="rational") -> AuditReport
     return AuditReport("multi-accuracy", breakdown[witness], witness, breakdown)
 
 
-def audit_multi_calibration(pop, predictor, cls, backend="rational") -> AuditReport:
-    """max_c delta((c_i, modeled, p_i), (c_i, true, p_i))."""
-    prep = _prepare(pop, predictor, backend)
+def audit_multi_calibration(pop, predictor, cls, backend="rational", *,
+                            prep=None) -> AuditReport:
+    """max_c delta((c_i, modeled, p_i), (c_i, true, p_i)); `prep` as in `_prepare`."""
+    prep = _prepare(pop, predictor, backend, prep)
     ys, tables = prep.cell_tables(cls, prep.diff)
     breakdown = {}
     for h, per_level in zip(cls, tables):
@@ -324,7 +348,10 @@ def audit_multi_calibration(pop, predictor, cls, backend="rational") -> AuditRep
 
 def audit_strict_multi_calibration(pop, predictor, cls, backend="rational") -> AuditReport:
     """E over level sets of the per-level worst hypothesis distance."""
-    prep = _prepare(pop, predictor, backend)
+    return _strict_multi_calibration(_prepare(pop, predictor, backend), cls)
+
+
+def _strict_multi_calibration(prep, cls) -> AuditReport:
     ys, tables = prep.cell_tables(cls, prep.diff)
     total = 0
     breakdown = {}
@@ -352,10 +379,10 @@ def audit_strict_multi_calibration(pop, predictor, cls, backend="rational") -> A
     return AuditReport("strict-multi-calibration", prep.to_value(total), witness, breakdown)
 
 
-def audit_calibration(pop, predictor, backend="rational"):
+def audit_calibration(pop, predictor, backend="rational", *, prep=None):
     """delta((modeled, p_i), (true, p_i)); equals multi-calibration against {1_X}."""
     cls = HypothesisClass((indicator_all(pop),))
-    return audit_multi_calibration(pop, predictor, cls, backend=backend).value
+    return audit_multi_calibration(pop, predictor, cls, backend, prep=prep).value
 
 
 def audit_covariance_mc(pop, predictor, cls, backend="rational") -> AuditReport:
@@ -367,7 +394,7 @@ def audit_covariance_mc(pop, predictor, cls, backend="rational") -> AuditReport:
             raise DomainError(f"hypothesis {h.name}: range must lie in [0, 1]")
     prep = _prepare(pop, predictor, backend)
     one = pop.space.index("1")
-    ys, tables = prep.cell_tables(cls, [(sum(row), row[one]) for row in prep.star])
+    ys, tables = prep.cell_tables(cls, np.stack([prep.mass, prep.star[:, one]], axis=1))
     yv = [prep.number(y) for y in ys]
     breakdown = {}
     for h, per_level in zip(cls, tables):
@@ -405,7 +432,7 @@ def _binary_level_stats(prep, cls):
     """Per (c, level), integer-scaled, for the set S that c indicates: (mass of
     S, true-one mass of S, modeled-minus-true one mass of S) in the level."""
     one = prep.pop.space.index("1")
-    rows = [(sum(s), s[one], d[one]) for s, d in zip(prep.star, prep.diff)]
+    rows = np.stack([prep.mass, prep.star[:, one], prep.diff[:, one]], axis=1)
     ys, tables = prep.cell_tables(cls, rows)
     if 1 not in ys:
         return [[(0, 0, 0)] * len(prep.levels) for _ in tables]

@@ -400,8 +400,8 @@ def select_distinguisher_randomized(pop, predictor, cls: HypothesisClass, eps_pr
     weights, cum_true = _sampling_tables(pop)
     cum_mod = _cumulative([predictor.values[j] for j in pop.ids])
     cell_index = {c: i for i, c in enumerate(cells)}
-    cell_of = np.array([[cell_index[(o, prep.points[level])] for o in pop.space.labels]
-                        for level in prep.level_of])
+    cell_of = np.array([[cell_index[(o, point)] for o in pop.space.labels]
+                        for point in prep.points])[prep.level_of]
 
     for _ in range(rounds):
         member_bits = rng.integers(0, 2, size=len(cells))

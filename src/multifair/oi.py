@@ -93,7 +93,7 @@ class Distinguisher:
                     f"member {self.name} reads a grid the population was not prepared for")
             entries = [self.events.get(point) for point in prep.points]
             rows = []
-            for j, level in zip(prep.ids, prep.level_of):
+            for j, level in zip(prep.ids, prep.level_of.tolist()):
                 h, cells = entries[level] or (None, ())
                 y = h.values[j] if h is not None else None
                 rows.append([1 if (y, o) in cells else 0 for o in labels])
@@ -257,7 +257,8 @@ def oi_advantage(pop: PopulationInstance, predictor: Predictor, d: Distinguisher
 
 def _advantage(prep, d):
     """Delta_A on a prepared population: the (modeled - true) masses weighted by A."""
-    return prep.to_mass(sum(x * prep.number(a) for diff, row in zip(prep.diff, d.values(prep))
+    return prep.to_mass(sum(x * prep.number(a) for diff, row
+                            in zip(prep.diff.tolist(), d.values(prep))
                             for x, a in zip(diff, row) if x and a))
 
 
@@ -314,12 +315,12 @@ def _first_reached_cell(prep, ys, h, per_level, target):
     """
     y_idx = {y: i for i, y in enumerate(ys)}
     ell = prep.pop.space.size
-    for pos, j in enumerate(prep.ids):
-        row = per_level[prep.level_of[pos]]
+    for j, level, diff in zip(prep.ids, prep.level_of.tolist(), prep.diff.tolist()):
+        row = per_level[level]
         base = y_idx[h.values[j]] * ell
-        for o, x in enumerate(prep.diff[pos]):
+        for o, x in enumerate(diff):
             if x and abs(row[base + o]) == target:
-                return prep.level_of[pos], base + o
+                return level, base + o
     return 0, 0
 
 
@@ -369,6 +370,7 @@ def _reduce(pop, predictor, family, backend):
         mono_nums = [[prep.number(m) for m in mv] for mv in mono_vals]
         breakdown = {}
         best = None  # (advantage, hypothesis, outcome, monomial)
+        diff = prep.diff.tolist()
         for h in family.hypotheses:
             cvals = [h.values[j] for j in prep.ids]
             # each member's values c * m, as `Distinguisher.values` gives them;
@@ -380,7 +382,7 @@ def _reduce(pop, predictor, family, backend):
             h_best = None
             for o_idx, o0 in enumerate(labels):
                 terms = [(pos, row[o_idx]) for pos, (row, c)
-                         in enumerate(zip(prep.diff, cvals)) if row[o_idx] and c]
+                         in enumerate(zip(diff, cvals)) if row[o_idx] and c]
                 for mono, a in zip(monos, values):
                     # summed in `_advantage`'s order, so it is the member's advantage
                     total = prep.to_mass(sum(x * a[pos] for pos, x in terms if a[pos]))

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .audits import AuditReport, _Prepared, audit_calibration, audit_multi_accuracy
+from .audits import AuditReport, _prepare, _Prepared, audit_calibration, audit_multi_accuracy
 from .core import OutcomeDist, OutcomeSpace, exactify
 from .errors import DomainError, RangeMismatchError
 from .population import HypothesisClass, PopulationInstance, Predictor
@@ -96,12 +96,13 @@ def _action_map(losses, cls: HypothesisClass) -> dict:
 
 
 def omni_audit(pop: PopulationInstance, predictor: Predictor, losses,
-               cls: HypothesisClass) -> AuditReport:
+               cls: HypothesisClass, *, prep=None) -> AuditReport:
     """max over (loss, hypothesis) of the post-processing regret, clipped at 0.
 
     The breakdown keeps the signed per-pair gaps, keyed by (loss name,
     hypothesis name), so loss names must be distinct; the report value
     clips below at zero so it compares directly against a slack eps.
+    `prep` is as in `audits._prepare`.
     """
     if not losses:
         raise DomainError("an omniprediction audit needs at least one loss")
@@ -111,7 +112,7 @@ def omni_audit(pop: PopulationInstance, predictor: Predictor, losses,
             raise DomainError(f"two losses are named {loss.name!r}")
         names.add(loss.name)
     act_of = _action_map(losses, cls)
-    return _omni_report(_Prepared(pop, predictor, exact=True), losses, cls, act_of)
+    return _omni_report(_prepare(pop, predictor, "rational", prep), losses, cls, act_of)
 
 
 def _level_numerators(prep) -> list:
@@ -182,10 +183,12 @@ def _omni_report(prep, losses, cls: HypothesisClass, act_of: dict) -> AuditRepor
 
 def omni_bound_check(pop, predictor, losses, cls) -> dict:
     """Verify omni_audit <= calibration + multi-accuracy, exactly, and report
-    all three numbers; the omni audit's full report is kept under "report"."""
-    omni = omni_audit(pop, predictor, losses, cls)
-    cal = audit_calibration(pop, predictor)
-    ma = audit_multi_accuracy(pop, predictor, cls)
+    all three numbers; the omni audit's full report is kept under "report".
+    The three audits read one exact prepared population."""
+    prep = _Prepared(pop, predictor, exact=True)
+    omni = omni_audit(pop, predictor, losses, cls, prep=prep)
+    cal = audit_calibration(pop, predictor, prep=prep)
+    ma = audit_multi_accuracy(pop, predictor, cls, prep=prep)
     holds = omni.value <= cal + ma.value
     return {
         "omni_audit": omni.value,

@@ -16,9 +16,10 @@ by symbol.
 
 A population keeps one exact integer table of its masses, built on first
 use and then shared by every exact audit of that population (see
-`PopulationInstance._exact_table`).  The table is never rebuilt, so it
-relies on the instance being immutable: its weight and truth maps must not
-be mutated after construction.
+`PopulationInstance._exact_table`), and a hypothesis class the y-index
+array of its last population (`HypothesisClass._y_index`).  Neither is
+rebuilt, so both rely on immutability: weight, truth and hypothesis value
+maps must not be mutated after construction.
 
 `random_instance` costs per distinct value: each phase of its draws is a
 vector call, and individuals with equal distributions or masses share one
@@ -45,6 +46,8 @@ from .core import (
     is_exact_number,
 )
 from .errors import DomainError
+
+_NUMPY_SAFE_LIMIT = 1 << 40  # beyond this, exact arrays hold Python ints, not int64
 
 
 @dataclass(frozen=True)
@@ -83,16 +86,17 @@ class PopulationInstance:
         """(weights, star, D_pop), built on the first call and then reused.
 
         `weights[pos]` is the reduced (numerator, denominator) of w_j for the
-        pos-th id, and `star[pos][o]` the integer D_pop * w_j * p*_j(o), where
+        pos-th id, and `star[pos, o]` the integer D_pop * w_j * p*_j(o), where
         D_pop is the least common denominator of those reduced products.
-        Float masses enter by their exact binary value.
+        `star` is an `_int_array`.  Float masses enter by their exact binary
+        value.
         """
         if self._table is None:
             weights = tuple(exactify(self.weight[j]).as_integer_ratio() for j in self.ids)
             star, D = _scaled_products(weights, [
                 [exactify(x).as_integer_ratio() for x in self.p_true[j].weights]
                 for j in self.ids])
-            object.__setattr__(self, "_table", (weights, tuple(map(tuple, star)), D))
+            object.__setattr__(self, "_table", (weights, _int_array(star, D), D))
         return self._table
 
     def ground_truth_predictor(self) -> "Predictor":
@@ -120,6 +124,11 @@ def _scaled_products(weights, rows, base=1):
         cells.append(out)
     D = math.lcm(base, *{den for row in cells for _, den in row})
     return [[num * (D // den) for num, den in row] for row in cells], D
+
+
+def _int_array(rows, D) -> np.ndarray:
+    """Integer rows over a common denominator D: int64 while D <= 2^40, else object."""
+    return np.array(rows, dtype=np.int64 if D <= _NUMPY_SAFE_LIMIT else object)
 
 
 @dataclass(frozen=True)
@@ -198,8 +207,12 @@ class Hypothesis:
 
 @dataclass(frozen=True)
 class HypothesisClass:
+    """Hypotheses over one range.  Like `PopulationInstance` it caches an
+    array (`_y_index`), so its hypotheses' value maps must not be mutated."""
+
     hypotheses: tuple
     closed_under_complement: bool = False
+    _index: tuple = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "hypotheses", tuple(self.hypotheses))
@@ -231,6 +244,17 @@ class HypothesisClass:
     @property
     def range_values(self) -> tuple:
         return self.hypotheses[0].range_values
+
+    def _y_index(self, ids: tuple) -> np.ndarray:
+        """[c, pos]: the index in `range_values` of hypothesis c's value at
+        ids[pos].  Kept until a call passes another tuple than `ids`, which
+        the cache holds, so the identity key cannot be reused."""
+        if self._index is None or self._index[0] is not ids:
+            y_idx = {y: i for i, y in enumerate(self.range_values)}
+            index = np.array([list(map(y_idx.__getitem__, map(h.values.__getitem__, ids)))
+                              for h in self.hypotheses], dtype=np.intp)
+            object.__setattr__(self, "_index", (ids, index))
+        return self._index[1]
 
     @property
     def is_binary(self) -> bool:

@@ -8,7 +8,10 @@ one individual at a time (the reference for the build per distinct
 value), statistical distance by enumeration of
 every event, the mc OI audit by enumeration of every event over the cell
 lattice, and the graph statistics, including the (true - predicted) pair
-sums delta_{S,T} of a graph predictor.  The random instance drawn with one
+sums delta_{S,T} of a graph predictor.  The per-hypothesis y-index
+lists and the cell table summed by a literal loop over the individuals are
+the references for the class-attached index and the `np.add.at` kernel.
+The random instance drawn with one
 scalar generator call per row or value, and the instance parser that reads
 every number and distribution on its own, are the references for the
 block-drawn `random_instance` and the memoized parse, and the emitter that
@@ -235,7 +238,7 @@ def prepared_per_individual(pop, predictor, exact, grid=None) -> dict:
         weights, star, D_pop = pop._exact_table()
         tilde, D = _scaled_products(weights, keys, D_pop)
         scale = D // D_pop
-        star = [[x * scale for x in row] for row in star]
+        star = [[x * scale for x in row] for row in star.tolist()]
     else:
         # clustering reads only the floats; a grid rounds the exact value
         keys = [d.weights if grid is not None else tuple(map(float, d.weights))
@@ -273,6 +276,30 @@ def prepared_per_individual(pop, predictor, exact, grid=None) -> dict:
     return {"D": D, "star": star, "diff": diff, "levels": levels,
             "points": [tuple(d.weights) for d in levels], "level_of": level_of,
             "level_weight": level_weight}
+
+
+def y_index_per_hypothesis(cls, ids) -> list:
+    """Per hypothesis, the list of each individual's position in the range,
+    looked up one individual at a time."""
+    y_idx = {y: i for i, y in enumerate(cls.range_values)}
+    return [[y_idx[h.values[j]] for j in ids] for h in cls]
+
+
+def cell_tables_loop(ids, level_of, n_levels, cls, rows):
+    """`_Prepared.cell_tables` by a literal loop over the individuals, in
+    population order: rows[pos] (a list of numbers) is added cell by cell
+    into the table of its level and of each hypothesis's value at ids[pos]."""
+    ys = list(cls.range_values)
+    k = len(rows[0])
+    out = []
+    for h in cls:
+        tables = [[0] * (len(ys) * k) for _ in range(n_levels)]
+        for j, level, row in zip(ids, level_of, rows):
+            base = ys.index(h.values[j]) * k
+            for i, x in enumerate(row):
+                tables[level][base + i] += x
+        out.append(tables)
+    return ys, out
 
 
 def _cluster_levels_per_value(space, floats):

@@ -29,7 +29,8 @@ from multifair import (
     violation_profile,
     zero_one_loss,
 )
-from multifair.audits import _NUMPY_SAFE_LIMIT, _Prepared
+from multifair.audits import _Prepared
+from multifair.population import _NUMPY_SAFE_LIMIT
 
 EPSILONS = (F(0), F(1, 100), F(1, 10), F(3, 10), F(1, 2))
 

@@ -8,6 +8,8 @@ from multifair import (
     Hypothesis,
     LossFunction,
     OutcomeDist,
+    PopulationInstance,
+    Predictor,
     audit_calibration,
     audit_multi_accuracy,
     binary_space,
@@ -176,3 +178,39 @@ def test_losses_sharing_a_name_are_rejected():
             omni_audit(pop, pred, losses, cls)
         with pytest.raises(DomainError):
             omni_bound_check(pop, pred, losses, cls)
+
+
+def test_bound_check_prepares_once_and_matches_the_separate_audits(monkeypatch):
+    """The three audits of one bound check share one exact prepared
+    population, and report what the three separate calls report."""
+    from multifair import audits
+
+    builds = []
+    init = audits._Prepared.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(args[:1])
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(audits._Prepared, "__init__", counted)
+    rng = np.random.default_rng(4)
+    for n, ell in ((12, 2), (40, 3)):
+        pop, cls, pred = random_instance(rng, n, ell, 3)
+        losses = [zero_one_loss(pop.space)]
+        builds.clear()
+        chk = omni_bound_check(pop, pred, losses, cls)
+        assert len(builds) == 1
+        omni = omni_audit(pop, pred, losses, cls)
+        assert repr(chk["report"]) == repr(omni) and chk["report"].breakdown == omni.breakdown
+        assert chk["omni_audit"] == omni.value and chk["witness"] == omni.witness
+        assert chk["calibration"] == audit_calibration(pop, pred)
+        assert chk["multi_accuracy"] == audit_multi_accuracy(pop, pred, cls).value
+        assert chk["bound_holds"] == (omni.value <= chk["calibration"] + chk["multi_accuracy"])
+    # a shared prep must be of the same objects under the audit's backend
+    prep = audits._Prepared(pop, pred, exact=True)
+    reordered = PopulationInstance(pop.space, pop.ids[::-1], pop.weight, pop.p_true)
+    other = Predictor({j: pop.p_true[j] for j in pop.ids})
+    for call in (lambda: audit_multi_accuracy(pop, pred, cls, "float", prep=prep),
+                 lambda: audit_calibration(reordered, pred, prep=prep),
+                 lambda: omni_audit(pop, other, losses, cls, prep=prep)):
+        with pytest.raises(DomainError):
+            call()

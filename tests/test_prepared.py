@@ -5,12 +5,16 @@ each predictor product by a gcd; `oracles.prepared_fraction_oracle` builds
 the same fields by Fraction products, cell by cell.  Both backends scale
 once per distinct (weight, prediction) pair of objects, and the float
 build once per (weight, truth) pair too; `oracles.prepared_per_individual`
-is the build one individual at a time.  The one cell-table kernel is
-checked against a literal loop over the individuals under each of its
-accumulators.
+is the build one individual at a time.  The array fields are compared as
+lists.  The one cell-table kernel is checked against a literal loop over
+the individuals under each of its accumulators, its overflow guard on
+crafted rows, and its hypothesis class's cached y-index against the lists
+looked up per hypothesis.
 """
 
+import gc
 import itertools
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -22,20 +26,36 @@ from multifair import (
     LossTable,
     OutcomeDist,
     OutcomeSpace,
+    HypothesisClass,
     PopulationInstance,
     Predictor,
+    audit_multi_calibration,
     binary_space,
+    fixture_grid_population,
     make_grid_with_denominator,
     mwu_rule,
     random_instance,
     update,
 )
-from multifair.audits import _Prepared
-from oracles import prepared_fraction_oracle, prepared_per_individual
+from multifair.audits import _Prepared, _strict_multi_calibration
+from multifair.errors import InternalInvariantError
+from oracles import (
+    cell_tables_loop,
+    prepared_fraction_oracle,
+    prepared_per_individual,
+    y_index_per_hypothesis,
+)
 
 # pairwise coprime denominators far beyond int64 products
 LARGE_PRIMES = (10007, 1000003, 2**31 - 1, 2**61 - 1, 2**89 - 1)
 FIELDS = ("D", "star", "diff", "levels", "points", "level_of", "level_weight")
+ARRAYS = ("star", "diff", "level_of")
+
+
+def _field(prep, name):
+    """A `_Prepared` field, with its arrays as lists."""
+    value = getattr(prep, name)
+    return value.tolist() if name in ARRAYS else value
 
 
 def _split(draw, total, k):
@@ -118,7 +138,7 @@ def test_integer_build_equals_fraction_per_cell_oracle(data):
         prep = _Prepared(pop, pred, exact=True, grid=grid)
         want = prepared_fraction_oracle(pop, pred, grid)
         for name in FIELDS:
-            assert getattr(prep, name) == want[name], name
+            assert _field(prep, name) == want[name], name
         assert repr(prep.points) == repr(want["points"])
         table = pop._table
         assert table is not None
@@ -139,9 +159,11 @@ def test_build_per_distinct_value_equals_the_per_individual_build(data):
         prep = _Prepared(pop, pred, exact=exact, grid=grid)
         want = prepared_per_individual(pop, pred, exact, grid)
         for name in FIELDS:
-            assert getattr(prep, name) == want[name], (exact, name)
-        assert repr(prep.star) == repr(want["star"])
-        assert repr(prep.diff) == repr(want["diff"])
+            assert _field(prep, name) == want[name], (exact, name)
+        assert repr(prep.star.tolist()) == repr(want["star"])
+        assert repr(prep.diff.tolist()) == repr(want["diff"])
+        assert repr(prep.mass.tolist()) == repr([sum(row) for row in want["star"]])
+        assert repr(prep.level_weight) == repr(want["level_weight"])
         assert repr(prep.points) == repr(want["points"])
 
 
@@ -157,7 +179,7 @@ def test_levels_equal_as_floats_are_ordered_by_exact_value():
     pred = Predictor({"a": high, "b": low})
     prep = _Prepared(pop, pred, exact=True)
     assert prep.points == [tuple(low.weights), tuple(high.weights)]
-    assert prep.level_of == [1, 0]
+    assert prep.level_of.tolist() == [1, 0]
     assert prep.points == prepared_fraction_oracle(pop, pred)["points"]
 
 
@@ -201,18 +223,8 @@ def test_second_exact_build_of_a_construct_iterate_makes_no_fraction_arithmetic(
 
 
 def _cell_tables_loop(prep, cls, rows):
-    """cell_tables by a literal loop over the individuals, in population order."""
-    ys = list(cls.range_values)
-    k = len(rows[0])
-    out = []
-    for h in cls:
-        tables = [[0] * (len(ys) * k) for _ in prep.levels]
-        for j, level, row in zip(prep.ids, prep.level_of, rows):
-            base = ys.index(h.values[j]) * k
-            for i, x in enumerate(row):
-                tables[level][base + i] += x
-        out.append(tables)
-    return ys, out
+    """`oracles.cell_tables_loop` over the prepared population's levels."""
+    return cell_tables_loop(prep.ids, prep.level_of.tolist(), len(prep.levels), cls, rows)
 
 
 def _kernel_instances(ell):
@@ -241,8 +253,9 @@ def test_float_numpy_tables_equal_the_literal_loop(ell, grid_m):
             cell_type = int if exact else float
             dtype = "float64" if not exact else "int64" if prep.D <= 1 << 40 else "object"
             reached.add((dtype, len(pop.ids) * ell > 512))
-            for rows in (prep.diff, prep.star, [(sum(s), s[0]) for s in prep.star]):
-                ys, tables = prep.cell_tables(cls, rows)
+            star, diff = prep.star.tolist(), prep.diff.tolist()
+            for rows in (diff, star, [(sum(s), s[0]) for s in star]):
+                ys, tables = prep.cell_tables(cls, np.array(rows, dtype=prep.star.dtype))
                 want_ys, want = _cell_tables_loop(prep, cls, rows)
                 assert ys == want_ys
                 assert all(type(x) is cell_type for t in tables for row in t for x in row)
@@ -253,3 +266,115 @@ def test_float_numpy_tables_equal_the_literal_loop(ell, grid_m):
                         [[[float(x).hex() for x in row] for row in t] for t in want]
     assert reached == {(dtype, big) for dtype in ("float64", "int64", "object")
                        for big in (True, False)}
+
+
+def test_int64_overflow_guard_trips_on_crafted_rows():
+    """The int64 kernel sums rows whose absolute values add up to at most 2D
+    per column; rows past that bound raise rather than wrap."""
+    pop, cls, pred = fixture_grid_population(4)
+    prep = _Prepared(pop, pred, exact=True)
+    assert prep.star.dtype == np.int64
+    n, D = len(pop.ids), prep.D
+    for rows in (np.full((n, 1), 2**62, dtype=np.int64),
+                 np.full((n, 2), -2**63, dtype=np.int64)):
+        with pytest.raises(InternalInvariantError):
+            prep.cell_tables(cls, rows)
+    # the guard is exact at the bound: |.| summing to 2D passes, 2D + 1 trips
+    at_bound = np.zeros((n, 2), dtype=np.int64)
+    at_bound[0, 1], at_bound[1, 1] = D, -D
+    ys, tables = prep.cell_tables(cls, at_bound)
+    assert tables == _cell_tables_loop(prep, cls, at_bound.tolist())[1]
+    at_bound[2, 1] = 1
+    with pytest.raises(InternalInvariantError):
+        prep.cell_tables(cls, at_bound)
+
+
+def _smc_breakdown_oracle(want, tables):
+    """The strict audit's per-level (mass, value) from per-individual fields
+    and literal-loop tables, as floats (D = 1)."""
+    out = {}
+    for v, point in enumerate(want["points"]):
+        per_c = [sum(abs(x) for x in t[v]) for t in tables]
+        mass = want["level_weight"][v] / want["D"]
+        contribution = max(per_c) / (2 * want["D"])
+        out[point] = (mass, contribution / mass if mass else contribution)
+    return out
+
+
+@pytest.mark.parametrize("grid_m", [None, 2])
+def test_float_fields_and_tables_keep_their_bits_at_eight_outcomes(grid_m):
+    """Float masses at ell = 8 are summed over eight columns, where numpy's
+    pairwise sum would move bits; every float field, table and SMC record
+    equals the per-individual build by `float.hex()`."""
+    def hexes(x):
+        return [hexes(y) for y in x] if isinstance(x, list) else float(x).hex()
+
+    for seed in range(6):
+        pop, cls, pred = random_instance(np.random.default_rng(seed), 300, 8, 3)
+        grid = make_grid_with_denominator(pop.space, grid_m) if grid_m else None
+        prep = _Prepared(pop, pred, exact=False, grid=grid)
+        want = prepared_per_individual(pop, pred, False, grid)
+        assert prep.level_of.tolist() == want["level_of"]
+        for mine, theirs in ((prep.star.tolist(), want["star"]),
+                             (prep.diff.tolist(), want["diff"]),
+                             (prep.mass.tolist(), [sum(row) for row in want["star"]]),
+                             (prep.level_weight, want["level_weight"])):
+            assert hexes(mine) == hexes(theirs)
+        want_tables = {}
+        for name in ("diff", "star"):
+            _, tables = prep.cell_tables(cls, getattr(prep, name))
+            _, want_tables[name] = cell_tables_loop(pop.ids, want["level_of"],
+                                                    len(want["levels"]), cls, want[name])
+            assert hexes(tables) == hexes(want_tables[name])
+        report = _strict_multi_calibration(prep, cls)
+        got = {p: (r["mass"], r["value"]) for p, r in report.breakdown.items()}
+        want_smc = _smc_breakdown_oracle(want, want_tables["diff"])
+        assert list(got) == list(want_smc)
+        assert {p: hexes(list(mv)) for p, mv in got.items()} == \
+            {p: hexes(list(mv)) for p, mv in want_smc.items()}
+
+
+def test_class_y_index_equals_the_per_hypothesis_lists():
+    for seed, binary in ((0, True), (1, False)):
+        pop, cls, _ = random_instance(np.random.default_rng(seed), 50, 2, 4,
+                                      binary_hypotheses=binary, complement_closed=binary)
+        index = cls._y_index(pop.ids)
+        assert index.shape == (len(cls), len(pop.ids))
+        assert index.tolist() == y_index_per_hypothesis(cls, pop.ids)
+        assert cls._y_index(pop.ids) is index  # kept for the same ids tuple
+
+
+def test_one_class_across_reordered_and_copied_ids_gives_fresh_tables():
+    """The y-index is keyed by the identity of the ids tuple: a population
+    with the same ids in another order, or an equal but separate tuple,
+    rebuilds it, so the tables equal those of a fresh class."""
+    pop, cls, pred = random_instance(np.random.default_rng(5), 40, 3, 3)
+    reordered = PopulationInstance(pop.space, pop.ids[::-1], pop.weight, pop.p_true)
+    copied = PopulationInstance(pop.space, tuple(list(pop.ids)), pop.weight, pop.p_true)
+    assert copied.ids == pop.ids and copied.ids is not pop.ids
+    for p in (pop, reordered, copied, pop, reordered):
+        for exact in (True, False):
+            prep = _Prepared(p, pred, exact=exact)
+            fresh = HypothesisClass(cls.hypotheses)
+            assert repr(prep.cell_tables(cls, prep.diff)) == \
+                repr(prep.cell_tables(fresh, prep.diff))
+            assert cls._y_index(p.ids).tolist() == y_index_per_hypothesis(cls, p.ids)
+        backend_reports = [audit_multi_calibration(p, pred, c, backend)
+                           for c in (cls, HypothesisClass(cls.hypotheses))
+                           for backend in ("rational", "float")]
+        assert repr(backend_reports[:2]) == repr(backend_reports[2:])
+        assert [r.breakdown for r in backend_reports[:2]] == \
+            [r.breakdown for r in backend_reports[2:]]
+
+
+def test_class_and_population_are_freed_once_dropped():
+    """The cache lives on the class and holds only the ids tuple: no
+    module-level registry keeps a class or a population alive."""
+    pop, cls, pred = random_instance(np.random.default_rng(7), 30, 2, 2)
+    audit_multi_calibration(pop, pred, cls)
+    audit_multi_calibration(pop, pred, cls, "float")
+    assert cls._index is not None and pop._table is not None
+    refs = [weakref.ref(pop), weakref.ref(cls)]
+    del pop, cls, pred
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
