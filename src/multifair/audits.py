@@ -10,20 +10,20 @@ prediction level sets of the per-level worst case over hypotheses:
     MC(c)  = delta((c_i, ~o_i, p_i), (c_i, o*_i, p_i))
     SMC    = E_level[ max_c delta((c_i, ~o_i), (c_i, o*_i) | level) ]
 
-Under the rational backend all masses are scaled by one common denominator
-D so the inner accumulation is pure integer arithmetic; a value is only
-converted back to a Fraction at the very end.  Level-set identity is exact
-equality of prediction values.  The float backend uses the same algorithms
-on floats and clusters prediction values within 1e-9.
+All masses are scaled by one common denominator D so the inner
+accumulation is pure integer arithmetic; a value is only converted back to
+a Fraction at the very end.  Level-set identity is exact equality of
+prediction values.  Every audit computes exactly: the float backend
+returns the exact result with each Fraction rounded once to its nearest
+float (`_to_float`), so a float value is `float()` of its rational twin.
 
 Every audit here, the OI event-family audits in `oi` and the
 omniprediction audit in `omni` each make one call of
 `_Prepared.cell_tables`, which sums per-individual rows of scaled masses
 per (hypothesis, level, hypothesis value y) in one numpy kernel over the
-columnar arrays of `_Prepared` and the class's cached y-index array; the
-backend picks only its dtype: float64, int64 while D <= 2^40, and Python
-ints beyond.  The audits differ only in the rows they pass and in how
-they reduce the table:
+columnar arrays of `_Prepared` and the class's cached y-index array, in
+int64 while D <= 2^40 and in Python ints beyond.  The audits differ only
+in the rows they pass and in how they reduce the table:
 
     MA, MC, SMC, OI families   diff: modeled - true mass per outcome
     covariance                 (mass, true-one mass); E[c] and E[c o*]
@@ -37,8 +37,7 @@ predictor: the mc OI audit is the multi-calibration distance over those
 levels, with the modeled mass still taken from the raw predictor.
 `_Prepared(grid=...)` maps a predictor onto a grid for every audit and
 distinguisher evaluation: it rounds each distinct prediction once, by
-`SimplexGrid.round_dist`, under either backend, and members read the
-points it keeps.
+`SimplexGrid.round_dist`, and members read the points it keeps.
 
 The chain MA <= MC <= SMC holds exactly on every instance, as does the
 discretization inequality SMC(rounded p) <= |grid| * MC(p) + eta.
@@ -46,13 +45,14 @@ discretization inequality SMC(rounded p) <= |grid| * MC(p) + eta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
-from .core import FLOAT_GROUP_TOL, OutcomeDist, SimplexGrid, _exact_ratios, exactify
+from .core import OutcomeDist, SimplexGrid, _exact_ratios, exactify
 from .errors import DomainError, InternalInvariantError
 from .population import (
     HypothesisClass,
@@ -67,7 +67,7 @@ from .population import (
 @dataclass
 class AuditReport:
     kind: str
-    value: object  # Fraction (rational backend) or float
+    value: object  # Fraction (rational backend) or its float
     witness: object  # hypothesis name, or (name, level value), or None
     breakdown: dict  # per-hypothesis values (MA/MC), per-level records (SMC)
 
@@ -99,11 +99,11 @@ class ConditionalCheckResult:
 
 
 class _Prepared:
-    """Instance + predictor flattened into integer (or float) mass arrays.
+    """Instance + predictor flattened into integer mass arrays.
 
-    Exact mode stores, per individual j and outcome o, the integer
-    D * w_j * p*_j(o) of the truth (`star[pos, o]`) and the signed
-    difference D * w_j * (p_j(o) - p*_j(o)) of the predictor against it
+    It stores, per individual j and outcome o, the integer D * w_j * p*_j(o)
+    of the truth (`star[pos, o]`) and the signed difference
+    D * w_j * (p_j(o) - p*_j(o)) of the predictor against it
     (`diff[pos, o]`), where D is the least common denominator of every such
     product.  It is built from integers alone: each prediction's exact
     value comes as integer ratios (`core._exact_ratios`), the truth comes
@@ -111,46 +111,33 @@ class _Prepared:
     D_pop, each w_j p_j(o) is reduced by a gcd, and D = lcm(D_pop, the
     reduced predictor denominators), the same D as the lcm over every
     reduced product.  `mass[pos]` is the `star` row summed.  The arrays
-    are int64 while D <= 2^40, Python ints (object) beyond, float64 in
-    float mode.
+    are int64 while D <= 2^40, Python ints (object) beyond.
 
     The build costs per distinct value, not per individual.  Each distinct
     prediction object is exactified once, keyed by `id()`, and the
     products are reduced into one row per distinct (weight, prediction)
-    pair of objects, which `diff` gathers by an int pair index.  Float mode
-    computes float(w) * float(x) once per distinct (weight, prediction) and
-    (weight, truth) pair, the same operations as per individual, and sums
-    `mass` and `level_weight` in column and population order, as literal
-    loops do, so no float moves.
+    pair of objects, which `diff` gathers by an int pair index.
 
-    Levels group individuals by prediction value.  With a grid they group
-    by the grid-rounded prediction instead, which is what the OI event
-    families condition on; the modeled mass still comes from the raw
+    Levels group individuals by exact prediction value.  With a grid they
+    group by the grid-rounded prediction instead, which is what the OI
+    event families condition on; the modeled mass still comes from the raw
     predictor.  Each distinct prediction object is keyed once, by its
-    integer ratios in exact mode; only one representative per key is
-    rounded (on the integer ratios of its exact value, under either
-    backend) or clustered, and levels are told apart by their integer
-    ratios, so no Fraction is hashed.  `grid` is that grid (or None),
-    `points[level]` each level's weight tuple, `level_of[pos]` the int
-    array of each individual's level and `level_weight` each level's
-    scaled mass.
-    `predictor`, the predictor read (exact in exact mode, raw otherwise),
-    and `dists`, its predictions, are made on first use: only lowdegree and
-    explicit members read them.
-
-    This is the one place that knows the backend.  Float mode stores float
-    masses with D = 1.0.  Audits read numbers through `number(x)` and
-    `ratio(a, b)`, exact Fractions or floats, and convert scaled sums with
-    `to_value` and `to_mass`, both ratios over D.
+    integer ratios; only one representative per key is rounded (on those
+    ratios), and levels are told apart by their integer ratios, so no
+    Fraction is hashed.  `grid` is that grid (or None), `points[level]`
+    each level's weight tuple, `level_of[pos]` the int array of each
+    individual's level and `level_weight` each level's scaled mass.
+    `predictor`, the exact predictor, is made on first use: only lowdegree
+    and explicit members read it.  Scaled sums convert back with
+    `to_value` and `to_mass`, both Fractions over D.
     """
 
-    def __init__(self, pop: PopulationInstance, predictor: Predictor, exact: bool,
+    def __init__(self, pop: PopulationInstance, predictor: Predictor,
                  grid: SimplexGrid | None = None):
         predictor.check_total(pop)
         if grid is not None and grid.space != pop.space:
             raise DomainError("distribution and grid live on different outcome spaces")
         self.pop = pop
-        self.exact = exact
         self.grid = grid
         self.ids = pop.ids
         self._source = predictor
@@ -162,46 +149,27 @@ class _Prepared:
         pairs = list(zip(map(id, weights), dist_ids))
         pair_keys, pair_of = _first_index(pairs)
 
-        if exact:
-            key_of = {i: _exact_ratios(d) for i, d in distinct.items()}
-            w_ratios, star, D_pop = pop._exact_table()
-            w_of = dict(zip(pairs, w_ratios))  # in the order of pair_keys
-            rows, self.D = _scaled_products(w_of.values(), [key_of[i] for _, i in w_of], D_pop)
-            tilde = _int_array(rows, self.D)
-            self.star = np.asarray(star, dtype=tilde.dtype) * (self.D // D_pop)
-        else:
-            self.D = 1.0
-            truths = list(map(pop.p_true.__getitem__, pop.ids))
-            true_keys, true_of = _first_index(list(zip(map(id, weights), map(id, truths))))
-            w_float = {i: float(w) for i, w in dict(zip(map(id, weights), weights)).items()}
-            floats = {i: tuple(map(float, d.weights))
-                      for i, d in {**distinct, **dict(zip(map(id, truths), truths))}.items()}
-            tilde, star = (np.array([[w_float[w] * x for x in floats[i]] for w, i in keys])
-                           for keys in (pair_keys, true_keys))
-            self.star = star[true_of]
-            # clustering reads only the floats; a grid rounds the exact value
-            key_of = {i: d.weights if grid is not None else floats[i]
-                      for i, d in distinct.items()}
+        key_of = {i: _exact_ratios(d) for i, d in distinct.items()}
+        w_ratios, star, D_pop = pop._exact_table()
+        w_of = dict(zip(pairs, w_ratios))  # in the order of pair_keys
+        rows, self.D = _scaled_products(w_of.values(), [key_of[i] for _, i in w_of], D_pop)
+        tilde = _int_array(rows, self.D)
+        self.star = np.asarray(star, dtype=tilde.dtype) * (self.D // D_pop)
         self.diff = tilde[pair_of] - self.star
 
-        first = {}  # key -> its first prediction, in population order
+        first = {}  # exact value -> its first prediction, in population order
         for i, d in distinct.items():
             first.setdefault(key_of[i], d)
-        if grid is not None:
-            level_rep = [grid._round_ratios(key if exact else _exact_ratios(d))
-                         for key, d in first.items()]
-        elif exact:
-            level_rep = [d.as_exact() for d in first.values()]
-        else:
-            level_rep = self._cluster_levels(list(first))
         # a level is one value, kept as its first occurrence: values are told
-        # apart by their integer ratios (in exact mode without a grid, the
-        # keys themselves) and ordered by (float, exact) pairs, which is their
-        # exact order, since rounding to float is monotone; n / d is the
-        # correctly rounded float of the ratio
-        if exact and grid is None:
+        # apart by their integer ratios (without a grid, the keys themselves)
+        # and ordered by (float, exact) pairs, which is their exact order,
+        # since rounding to float is monotone; n / d is the correctly rounded
+        # float of the ratio
+        if grid is None:
+            level_rep = [d.as_exact() for d in first.values()]
             rep_keys = list(first)
         else:
+            level_rep = [grid._round_ratios(key) for key in first]
             rep_keys = [tuple(x.as_integer_ratio() for x in d.weights) for d in level_rep]
         levels = {}
         for rk, d in zip(rep_keys, level_rep):
@@ -214,30 +182,14 @@ class _Prepared:
         level_of_key = {key: idx[rk] for key, rk in zip(first, rep_keys)}
         self.level_of = np.array([level_of_key[key_of[i]] for _, i in pair_keys],
                                  dtype=np.intp)[pair_of]
-        # sum(row) per individual (0 plus the columns in order), then per
-        # level in population order, so float masses keep those loops' bits
-        self.mass = sum(self.star.T)
+        self.mass = self.star.sum(axis=1)
         level_weight = np.zeros(len(self.levels), dtype=self.star.dtype)
         np.add.at(level_weight, self.level_of, self.mass)
         self.level_weight = level_weight.tolist()
 
     @cached_property
     def predictor(self) -> Predictor:
-        return self._source.as_exact() if self.exact else self._source
-
-    @cached_property
-    def dists(self) -> list:
-        return [self.predictor.values[j] for j in self.ids]
-
-    def _cluster_levels(self, floats):
-        """Per distinct float prediction, the representative of its 1e-9 cluster."""
-        rep_of = {}
-        current = None
-        for t in sorted(floats):
-            if current is None or max(abs(a - b) for a, b in zip(t, current)) > FLOAT_GROUP_TOL:
-                current = t
-            rep_of[t] = OutcomeDist(self.pop.space, current)
-        return [rep_of[t] for t in floats]
+        return self._source.as_exact()
 
     def cell_tables(self, cls: HypothesisClass, rows):
         """Sums of per-individual rows per (hypothesis, level, y).
@@ -249,12 +201,11 @@ class _Prepared:
         module docstring lists the rows each audit passes.
 
         One `np.add.at` per hypothesis, on the class's y-index array, adds
-        into each cell in population order, so float sums are those of a
-        literal loop to the bit.  The accumulator has the dtype of `star`.
-        Int64 rows must have absolute values summing to at most 2D in each
+        into each cell.  The accumulator has the dtype of `star`.  Int64
+        rows must have absolute values summing to at most 2D in each
         column, as the masses and mass differences callers pass do, so no
         partial sum can overflow; other rows raise InternalInvariantError.
-        Cells come back as Python ints or floats.
+        Cells come back as Python ints.
         """
         ys = list(cls.range_values)
         ny, nv = len(ys), len(self.levels)
@@ -274,21 +225,13 @@ class _Prepared:
             out.append(acc.reshape(nv, ny * k).tolist())
         return ys, out
 
-    def number(self, x):
-        """x in the backend's number type: its exact Fraction, or a float."""
-        return exactify(x) if self.exact else float(x)
-
-    def ratio(self, a, b):
-        """a / b in the backend's number type."""
-        return Fraction(a, b) if self.exact else a / b
-
     def to_value(self, scaled_total):
         """Convert an accumulated |scaled mass| total into the distance value."""
-        return self.ratio(scaled_total, 2 * self.D)
+        return Fraction(scaled_total, 2 * self.D)
 
     def to_mass(self, scaled):
         """Convert an accumulated scaled mass into a probability mass."""
-        return self.ratio(scaled, self.D)
+        return Fraction(scaled, self.D)
 
 
 def _first_index(keys) -> tuple:
@@ -298,20 +241,43 @@ def _first_index(keys) -> tuple:
     return list(index), np.fromiter(map(index.__getitem__, keys), np.intp, len(keys))
 
 
-def _is_exact(backend) -> bool:
-    """True for the "rational" backend, False for "float"; DomainError otherwise."""
-    if backend not in ("rational", "float"):
-        raise DomainError(f"unknown backend {backend!r}")
-    return backend == "rational"
+def _to_float(x):
+    """x with every Fraction in it replaced by its correctly rounded float.
+
+    This is the float backend: every audit computes exactly, and a float
+    result is the exact one passed through here once.  It maps reports,
+    dicts (keys too), lists, tuples and points; ints, strings and
+    everything else are kept.
+    """
+    if isinstance(x, Fraction):
+        return float(x)
+    if isinstance(x, OutcomeDist):
+        return OutcomeDist(x.space, _to_float(x.weights))
+    if isinstance(x, (tuple, list)):
+        return type(x)(map(_to_float, x))
+    if isinstance(x, dict):
+        return {_to_float(k): _to_float(v) for k, v in x.items()}
+    if isinstance(x, (AuditReport, ViolationProfile, ConditionalCheckResult)):
+        return replace(x, **{f.name: _to_float(getattr(x, f.name)) for f in fields(x)})
+    return x
 
 
-def _prepare(pop, predictor, backend, prep=None):
-    """(pop, predictor) prepared under the backend, or `prep`, the same already prepared."""
-    exact = _is_exact(backend)
+def _rounding(backend):
+    """What a backend does to an exact result: nothing under "rational",
+    `_to_float` under "float"; DomainError for any other backend."""
+    if backend == "rational":
+        return lambda x: x
+    if backend == "float":
+        return _to_float
+    raise DomainError(f"unknown backend {backend!r}")
+
+
+def _prepare(pop, predictor, prep=None):
+    """(pop, predictor) prepared, or `prep`, the same already prepared."""
     if prep is None:
-        return _Prepared(pop, predictor, exact)
-    if (prep.pop, prep._source, prep.exact, prep.grid) != (pop, predictor, exact, None):
-        raise DomainError("prep was built for another population, predictor or backend")
+        return _Prepared(pop, predictor)
+    if (prep.pop, prep._source, prep.grid) != (pop, predictor, None):
+        raise DomainError("prep was built for another population or predictor")
     return prep
 
 
@@ -324,31 +290,33 @@ def audit_multi_accuracy(pop, predictor, cls, backend="rational", *,
                          prep=None) -> AuditReport:
     """max_c delta((c_i, modeled), (c_i, true)); the predictor is multi-accurate
     with slack eps iff the value is <= eps.  `prep` as in `_prepare`."""
-    prep = _prepare(pop, predictor, backend, prep)
+    rounded = _rounding(backend)
+    prep = _prepare(pop, predictor, prep)
     ys, tables = prep.cell_tables(cls, prep.diff)
     breakdown = {}
     for h, per_level in zip(cls, tables):
         cells = [sum(col) for col in zip(*per_level)]
         breakdown[h.name] = prep.to_value(sum(abs(x) for x in cells))
     witness = max(breakdown, key=lambda k: breakdown[k])
-    return AuditReport("multi-accuracy", breakdown[witness], witness, breakdown)
+    return rounded(AuditReport("multi-accuracy", breakdown[witness], witness, breakdown))
 
 
 def audit_multi_calibration(pop, predictor, cls, backend="rational", *,
                             prep=None) -> AuditReport:
     """max_c delta((c_i, modeled, p_i), (c_i, true, p_i)); `prep` as in `_prepare`."""
-    prep = _prepare(pop, predictor, backend, prep)
+    rounded = _rounding(backend)
+    prep = _prepare(pop, predictor, prep)
     ys, tables = prep.cell_tables(cls, prep.diff)
     breakdown = {}
     for h, per_level in zip(cls, tables):
         breakdown[h.name] = prep.to_value(sum(abs(x) for row in per_level for x in row))
     witness = max(breakdown, key=lambda k: breakdown[k])
-    return AuditReport("multi-calibration", breakdown[witness], witness, breakdown)
+    return rounded(AuditReport("multi-calibration", breakdown[witness], witness, breakdown))
 
 
 def audit_strict_multi_calibration(pop, predictor, cls, backend="rational") -> AuditReport:
     """E over level sets of the per-level worst hypothesis distance."""
-    return _strict_multi_calibration(_prepare(pop, predictor, backend), cls)
+    return _rounding(backend)(_strict_multi_calibration(_Prepared(pop, predictor), cls))
 
 
 def _strict_multi_calibration(prep, cls) -> AuditReport:
@@ -392,28 +360,34 @@ def audit_covariance_mc(pop, predictor, cls, backend="rational") -> AuditReport:
     for h in cls:
         if any(not (0 <= exactify(v) <= 1) for v in h.range_values):
             raise DomainError(f"hypothesis {h.name}: range must lie in [0, 1]")
-    prep = _prepare(pop, predictor, backend)
+    rounded = _rounding(backend)
+    prep = _Prepared(pop, predictor)
     one = pop.space.index("1")
     ys, tables = prep.cell_tables(cls, np.stack([prep.mass, prep.star[:, one]], axis=1))
-    yv = [prep.number(y) for y in ys]
+    # the range over its common denominator Y: y = ny / Y
+    ratios = [exactify(y).as_integer_ratio() for y in ys]
+    Y = math.lcm(*(d for _, d in ratios))
+    ny = [n * (Y // d) for n, d in ratios]
     breakdown = {}
     for h, per_level in zip(cls, tables):
-        total = prep.number(0)
+        total = Fraction(0)
         for mass, cells in zip(prep.level_weight, per_level):
             if mass == 0:
                 continue
-            # scaled masses of c * o*, of c and of o* = 1 on the level
-            a = sum(y * x for y, x in zip(yv, cells[1::2]))
-            b = sum(y * x for y, x in zip(yv, cells[0::2]))
+            # Y times the scaled masses of c * o* and of c, and the scaled
+            # mass of o* = 1, on the level: all ints
+            a = sum(y * x for y, x in zip(ny, cells[1::2]))
+            b = sum(y * x for y, x in zip(ny, cells[0::2]))
             c = sum(cells[1::2])
-            # E|Cov| contribution: mass * |a/mass - (b/mass)(c/mass)| / D-normalization.
-            # Known defect (ROADMAP item 1): mass * D is the right divisor, so the
-            # rational backend reports E|Cov| / D (the float one has D = 1); kept
-            # while its value is pinned.
-            total += prep.ratio(abs(a * mass - b * c), mass * prep.D * prep.D)
+            # the level's E|Cov| term, mass * |a/mass - (b/mass)(c/mass)| / (Y D)
+            total += Fraction(abs(a * mass - b * c), Y * mass * prep.D)
         breakdown[h.name] = total
+    if backend == "rational":
+        # Known defect (ROADMAP item 1): the rational report is E|Cov| / D, kept while pinned
+        breakdown = {name: value / prep.D for name, value in breakdown.items()}
     witness = max(breakdown, key=lambda k: breakdown[k])
-    return AuditReport("covariance-multi-calibration", breakdown[witness], witness, breakdown)
+    return rounded(AuditReport("covariance-multi-calibration", breakdown[witness], witness,
+                               breakdown))
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +416,7 @@ def _binary_level_stats(prep, cls):
 
 def _nabla(prep, v, ones, mass):
     """|Pr[o* = 1 | S, level v] - v| from the scaled (true-one mass, mass) of S."""
-    return abs(prep.ratio(ones, mass) - prep.number(prep.levels[v].p_one()))
+    return abs(Fraction(ones, mass) - prep.levels[v].p_one())
 
 
 def violation_profile(pop, predictor, cls, backend="rational") -> ViolationProfile:
@@ -452,7 +426,8 @@ def violation_profile(pop, predictor, cls, backend="rational") -> ViolationProfi
     as zero.
     """
     _require_binary(pop, cls)
-    prep = _prepare(pop, predictor, backend)
+    rounded = _rounding(backend)
+    prep = _Prepared(pop, predictor)
     stats = _binary_level_stats(prep, cls)
     entries = {}
     for h, per_level in zip(cls, stats):
@@ -460,7 +435,7 @@ def violation_profile(pop, predictor, cls, backend="rational") -> ViolationProfi
             if mass == 0:
                 continue
             entries[(h.name, prep.levels[v].p_one())] = _nabla(prep, v, ones, mass)
-    return ViolationProfile(entries)
+    return rounded(ViolationProfile(entries))
 
 
 def check_conditional(pop, predictor, cls, epsilon, kind, backend="rational") -> ConditionalCheckResult:
@@ -484,12 +459,16 @@ def check_conditional(pop, predictor, cls, epsilon, kind, backend="rational") ->
     _require_binary(pop, cls)
     if kind not in ("MA", "MC", "SMC"):
         raise DomainError(f"unknown conditional kind {kind!r}")
-    prep = _prepare(pop, predictor, backend)
-    eps = prep.number(epsilon)
+    rounded = _rounding(backend)
+    prep = _Prepared(pop, predictor)
+    eps = exactify(epsilon)
     if eps < 0:
         raise DomainError(f"epsilon must be nonnegative, got {epsilon}")
-    stats = _binary_level_stats(prep, cls)
+    return rounded(_conditional(prep, cls, eps, kind))
 
+
+def _conditional(prep, cls, eps, kind) -> ConditionalCheckResult:
+    stats = _binary_level_stats(prep, cls)
     if kind == "MA":
         for h, per_level in zip(cls, stats):
             mass = sum(m for m, _, _ in per_level)
@@ -497,7 +476,7 @@ def check_conditional(pop, predictor, cls, epsilon, kind, backend="rational") ->
                 continue
             # modeled-minus-true one mass of S; its |.| / Pr[S] is the gap
             excess = sum(e for _, _, e in per_level)
-            gap = abs(prep.ratio(excess, mass))
+            gap = abs(Fraction(excess, mass))
             if gap > eps:
                 return ConditionalCheckResult(kind, False, None, (h.name, None, gap))
         return ConditionalCheckResult(kind, True, None)

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import serialize
 from .audits import (
+    _rounding,
     audit_calibration,
     audit_covariance_mc,
     audit_multi_accuracy,
@@ -119,7 +120,7 @@ def cmd_audit(args) -> int:
         if not args.losses:
             raise InputError("--kind omni needs --losses")
         losses = serialize.losses_from_json(pop.space, _load_json(args.losses))
-        check = omni_bound_check(pop, predictor, losses, cls)
+        check = _rounding(backend)(omni_bound_check(pop, predictor, losses, cls))
         report = serialize.report_to_json(check.pop("report"))
         report["bound_check"] = serialize.jsonify(check)
     elif kind == "conditional":
@@ -265,7 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("instance")
     a.add_argument("--kind", required=True,
                    choices=["ma", "mc", "smc", "cal", "cov", "oi", "omni", "conditional"])
-    a.add_argument("--backend", default="rational", choices=["rational", "float"])
+    a.add_argument("--backend", default="rational", choices=["rational", "float"],
+                   help="rational prints exact values; float prints each exact value "
+                        "rounded once to its nearest float")
     a.add_argument("--epsilon")
     a.add_argument("--conditional-kind", choices=["ma", "mc", "smc"])
     a.add_argument("--family", default="mc",

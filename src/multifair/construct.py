@@ -8,12 +8,13 @@ rule caps the number of iterations at 2 (L/eps)^2 E[D(p*_i, p_i^(1))]:
 with multiplicative weights from the uniform start this is
 2 ln(outcomes) / eps^2, with projected gradient descent 2*outcomes/eps^2.
 The final audit is the value of the last best response, which attains
-the audit.  An event member's loss table is read off the exact
+the audit.  An event member's loss table is read off the
 `audits._Prepared` its best response was scored on: its values depend
-only on the grid-rounded levels, which both backends take from the exact
-value of each prediction.  Every other loss table, the empirical
-advantages and the randomized selection read one float population per
-grid and call.
+only on the grid-rounded levels of the exact predictions.  Monomial and
+explicit members read the raw predictor, so their loss tables and
+empirical advantages take no prepared population at all; the empirical
+advantages and the randomized selection prepare one population per grid
+and call.
 
 The sample-based loop replaces the exact search with a weak agnostic
 learner: empirical-advantage maximization over an explicit family on
@@ -145,12 +146,12 @@ def wal_sample_count(epsilon, beta, member_count) -> int:
 
 def loss_from_distinguisher(d: Distinguisher, pop, predictor) -> list:
     """Per individual of the population: the loss table L_j(o) = A(j, o, p)."""
-    return _loss_tables(d, _Prepared(pop, predictor, exact=False, grid=d.grid))
+    return _loss_tables(pop, d.values(pop, predictor))
 
 
-def _loss_tables(d: Distinguisher, prep: _Prepared) -> list:
-    """The loss tables of `d`, read off a population prepared for its grid."""
-    return [LossTable(prep.pop.space, tuple(float(v) for v in row)) for row in d.values(prep)]
+def _loss_tables(pop, rows) -> list:
+    """Loss tables of a member's per-individual rows of values."""
+    return [LossTable(pop.space, tuple(float(v) for v in row)) for row in rows]
 
 
 def _apply_update(pop, predictor, rule, losses) -> Predictor:
@@ -204,7 +205,7 @@ def construct_exact(pop: PopulationInstance, family: DistinguisherFamily, epsilo
     transcript = ConstructionTranscript(iteration_bound=bound)
     t = 0
     while True:
-        _, d, adv, prep = _reduce(pop, predictor, family, "rational")
+        _, d, adv, prep = _reduce(pop, predictor, family)
         if transcript.iterations:
             # the fresh best-response value is the post-update audit of the
             # previous iteration
@@ -215,12 +216,8 @@ def construct_exact(pop: PopulationInstance, family: DistinguisherFamily, epsilo
         if t > math.ceil(bound) + 1:
             raise InternalInvariantError(
                 f"construction exceeded its regret bound ({bound:.2f} iterations)")
-        if d.events is not None:
-            # levels and points, all an event member reads, are the same
-            # in the exact population and in a float one
-            losses = _loss_tables(d, prep)
-        else:
-            losses = loss_from_distinguisher(d, pop, predictor)
+        # an event member reads the levels of the population it was scored on
+        losses = _loss_tables(pop, d.values(pop, predictor, prep))
         predictor = _apply_update(pop, predictor, rule, losses)
         transcript.iterations.append(
             IterationRecord(index=t, witness=dict(d.payload), advantage=adv))
@@ -253,12 +250,12 @@ def empirical_advantages(members, pop, predictor, samples):
         obs_counts[id_pos[j], o_pos[o]] += 1
     drawn = [i for i in range(len(pop.ids)) if counts[i] != 0]
     pts = [[float(w) for w in predictor.values[pop.ids[i]].weights] for i in drawn]
-    prep = _preparer(pop, predictor, exact=False)
+    prep = _preparer(pop, predictor)
     out = []
     for d in members:
         modeled = 0.0
         observed = 0.0
-        rows = d.values(prep(d.grid))
+        rows = d.values(pop, predictor, prep(d.grid) if d.events is not None else None)
         for i, pt in zip(drawn, pts):
             vals = [float(v) for v in rows[i]]
             modeled += counts[i] * sum(a * b for a, b in zip(vals, pt))
@@ -395,7 +392,7 @@ def select_distinguisher_randomized(pop, predictor, cls: HypothesisClass, eps_pr
         8 * math.log(2 * len(learner.search) * rounds / beta) / (epsp / 2) ** 2)
 
     cells = [(o, tuple(g.weights)) for o in pop.space.labels for g in grid.iter_points()]
-    prep = _Prepared(pop, predictor, exact=False, grid=grid)
+    prep = _Prepared(pop, predictor, grid=grid)
 
     weights, cum_true = _sampling_tables(pop)
     cum_mod = _cumulative([predictor.values[j] for j in pop.ids])

@@ -3,9 +3,10 @@
 Everything here is exact by default: weights are `fractions.Fraction` (or
 ints), sums are checked for equality rather than closeness, and the two
 statistical-distance computations (half-L1 and max-over-events) agree as
-integers, not merely to a tolerance.  A float backend is tolerated for
+integers, not merely to a tolerance.  Float weights are tolerated for
 values produced by the multiplicative-weights constructors; validation
-then falls back to a 1e-12 absolute tolerance.
+then falls back to a 1e-12 absolute tolerance, and every audit reads such
+a point as its exact value (`_exact_ratios`).
 
 Statistical distance between finite distributions p and q is
 
@@ -41,7 +42,6 @@ from .errors import (
 )
 
 FLOAT_SUM_TOL = 1e-12
-FLOAT_GROUP_TOL = 1e-9
 
 BINARY_LABELS = ("0", "1")
 

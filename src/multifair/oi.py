@@ -19,10 +19,12 @@ the predictor only at the individual under consideration):
 Members are data, not closures: basic, mc and smc members are events
 over (hypothesis value, outcome, grid point) cells, lowdegree members are
 (hypothesis, outcome, monomial) triples, and only explicit members carry
-a callable.  `Distinguisher.values` evaluates a member over a population
-that `audits._Prepared` rounded onto the member's grid; one prepared
-population per grid serves every member of a call, and every advantage,
-loss table and empirical advantage goes through it.
+a callable.  `Distinguisher.values` evaluates a member on a population:
+an event member reads only the levels of the population that
+`audits._Prepared` rounded onto its grid, and one prepared population per
+grid serves every member of a call; monomial and explicit members read
+the predictor they are given, the exact one for an advantage and the raw
+one for a loss table or an empirical advantage.
 
 The mc and smc families have astronomically many members (every event E
 is one member) but their audits never enumerate: for a fixed hypothesis
@@ -44,8 +46,9 @@ predictor.  An mc or smc member is built straight from the table's rows:
 each level with a positive cell is one entry of its event map.  Lowdegree
 and explicit members read the same prepared per-individual mass
 differences, and a lowdegree audit scores each member as its advantage
-sums it.  Only `_Prepared` knows the backend: every number here goes
-through its `number`, `ratio` and `to_mass`.
+sums it.  Every value here is exact; the float backend rounds the
+finished report, or the best response's advantage, once
+(`audits._to_float`).
 """
 
 from __future__ import annotations
@@ -54,9 +57,9 @@ import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .core import OutcomeDist, OutcomeSpace, SimplexGrid
+from .core import OutcomeDist, OutcomeSpace, SimplexGrid, exactify
 from .errors import ConstructionError, EnumerationLimitError
-from .audits import AuditReport, _is_exact, _Prepared
+from .audits import AuditReport, _Prepared, _rounding, _to_float
 from .population import HypothesisClass, PopulationInstance, Predictor
 
 EXPLICIT_AUDIT_LIMIT = 10**6
@@ -83,11 +86,15 @@ class Distinguisher:
     monomial: tuple | None = None
     negated: bool = False
 
-    def values(self, prep: _Prepared):
-        """Per individual of `prep`: the member's value at each outcome, in
-        label order.  Event members need `prep` prepared for their grid."""
-        labels = prep.pop.space.labels
+    def values(self, pop: PopulationInstance, predictor: Predictor, prep=None):
+        """Per individual of `pop`: the member's value at each outcome, in
+        label order.  Monomial and explicit members read `predictor` as
+        given.  Event members read only the levels of `prep`, the population
+        prepared for their grid, which is built here when not given."""
+        labels = pop.space.labels
         if self.events is not None:
+            if prep is None:
+                prep = _Prepared(pop, predictor, grid=self.grid)
             if prep.grid is not self.grid:
                 raise ConstructionError(
                     f"member {self.name} reads a grid the population was not prepared for")
@@ -99,10 +106,10 @@ class Distinguisher:
                 rows.append([1 if (y, o) in cells else 0 for o in labels])
         elif self.monomial is not None:
             h, o0, mono = self.monomial
-            rows = [[h.values[j] * monomial_value(mono, dist) if o == o0 else 0
-                     for o in labels] for j, dist in zip(prep.ids, prep.dists)]
+            rows = [[h.values[j] * monomial_value(mono, predictor.values[j]) if o == o0 else 0
+                     for o in labels] for j in pop.ids]
         else:
-            rows = [[self.fn(j, o, prep.predictor) for o in labels] for j in prep.ids]
+            rows = [[self.fn(j, o, predictor) for o in labels] for j in pop.ids]
         if self.negated:
             return [[1 - v for v in row] for row in rows]
         return rows
@@ -251,24 +258,27 @@ def make_family(kind, hypotheses=None, grid=None, degree=None, members=None,
 
 def oi_advantage(pop: PopulationInstance, predictor: Predictor, d: Distinguisher,
                  exact: bool = True):
-    """Signed advantage Delta_A, an exact expectation difference over the joint."""
-    return _advantage(_Prepared(pop, predictor, exact, grid=d.grid), d)
+    """Signed advantage Delta_A, an exact expectation difference over the
+    joint; with `exact` false, its correctly rounded float."""
+    adv = _advantage(_Prepared(pop, predictor, grid=d.grid), d)
+    return adv if exact else _to_float(adv)
 
 
 def _advantage(prep, d):
-    """Delta_A on a prepared population: the (modeled - true) masses weighted by A."""
-    return prep.to_mass(sum(x * prep.number(a) for diff, row
-                            in zip(prep.diff.tolist(), d.values(prep))
+    """Delta_A on a prepared population: the (modeled - true) masses weighted
+    by A, which reads the exact predictor."""
+    return prep.to_mass(sum(x * exactify(a) for diff, row
+                            in zip(prep.diff.tolist(), d.values(prep.pop, prep.predictor, prep))
                             for x, a in zip(diff, row) if x and a))
 
 
-def _preparer(pop, predictor, exact):
+def _preparer(pop, predictor):
     """prep(grid): the population prepared once per grid, grids compared by identity."""
     cache = {}
 
     def prep(grid):
         if id(grid) not in cache:
-            cache[id(grid)] = _Prepared(pop, predictor, exact, grid=grid)
+            cache[id(grid)] = _Prepared(pop, predictor, grid=grid)
         return cache[id(grid)]
     return prep
 
@@ -326,7 +336,7 @@ def _first_reached_cell(prep, ys, h, per_level, target):
 
 def audit_oi(pop, predictor, family: DistinguisherFamily, backend="rational") -> AuditReport:
     """max_A |Delta_A| over the family, via closed forms for mc/smc/basic."""
-    return _reduce(pop, predictor, family, backend)[0]
+    return _rounding(backend)(_reduce(pop, predictor, family)[0])
 
 
 def best_response(pop, predictor, family: DistinguisherFamily, backend="rational"):
@@ -337,10 +347,12 @@ def best_response(pop, predictor, family: DistinguisherFamily, backend="rational
     mc/smc, a `negated` member otherwise), so the result is always
     directly usable as a loss table.
     """
-    return _reduce(pop, predictor, family, backend)[1:3]
+    rounded = _rounding(backend)
+    d, adv = _reduce(pop, predictor, family)[1:3]
+    return d, rounded(adv)
 
 
-def _reduce(pop, predictor, family, backend):
+def _reduce(pop, predictor, family):
     """(audit report, best-responding member, its advantage, prepared
     population) for one family.
 
@@ -351,11 +363,10 @@ def _reduce(pop, predictor, family, backend):
     population returned is the one the member was scored on, so an event
     member's values can be read off it.
     """
-    exact = _is_exact(backend)
     if family.kind == "explicit":
         if len(family.explicit_members) > EXPLICIT_AUDIT_LIMIT:
             raise EnumerationLimitError("explicit family too large to audit")
-        prep = _preparer(pop, predictor, exact)
+        prep = _preparer(pop, predictor)
         advs = [(d, _advantage(prep(d.grid), d)) for d in family.explicit_members]
         breakdown = {d.name: abs(adv) for d, adv in advs}
         d, adv = max(advs, key=lambda t: abs(t[1]))
@@ -363,11 +374,11 @@ def _reduce(pop, predictor, family, backend):
                 prep(d.grid))
 
     if family.kind == "lowdegree":
-        prep = _Prepared(pop, predictor, exact)
+        prep = _Prepared(pop, predictor)
         labels = family.outcome_space.labels
         monos = monomial_multisets(len(labels), family.degree)
-        mono_vals = [[monomial_value(mono, d) for d in prep.dists] for mono in monos]
-        mono_nums = [[prep.number(m) for m in mv] for mv in mono_vals]
+        dists = [prep.predictor.values[j] for j in prep.ids]
+        mono_vals = [[monomial_value(mono, d) for d in dists] for mono in monos]
         breakdown = {}
         best = None  # (advantage, hypothesis, outcome, monomial)
         diff = prep.diff.tolist()
@@ -375,10 +386,10 @@ def _reduce(pop, predictor, family, backend):
             cvals = [h.values[j] for j in prep.ids]
             # each member's values c * m, as `Distinguisher.values` gives them;
             # an int or Fraction c of 1 spares 0/1 classes the product
-            values = [[x if c == 1 and isinstance(c, (int, Fraction))
-                       else prep.number(c * m) if c else 0
-                       for c, m, x in zip(cvals, mv, nums)]
-                      for mv, nums in zip(mono_vals, mono_nums)]
+            values = [[m if c == 1 and isinstance(c, (int, Fraction))
+                       else exactify(c * m) if c else 0
+                       for c, m in zip(cvals, mv)]
+                      for mv in mono_vals]
             h_best = None
             for o_idx, o0 in enumerate(labels):
                 terms = [(pos, row[o_idx]) for pos, (row, c)
@@ -400,7 +411,7 @@ def _reduce(pop, predictor, family, backend):
     if family.kind not in ("mc", "smc", "basic"):
         raise ConstructionError(f"unknown family kind {family.kind!r}")
     cls = family.hypotheses
-    prep = _Prepared(pop, predictor, exact, grid=family.grid)
+    prep = _Prepared(pop, predictor, grid=family.grid)
     ys, tables = prep.cell_tables(cls, prep.diff)
     if family.kind == "smc":
         choice = _smc_choice(tables)

@@ -112,7 +112,7 @@ def omni_audit(pop: PopulationInstance, predictor: Predictor, losses,
             raise DomainError(f"two losses are named {loss.name!r}")
         names.add(loss.name)
     act_of = _action_map(losses, cls)
-    return _omni_report(_prepare(pop, predictor, "rational", prep), losses, cls, act_of)
+    return _omni_report(_prepare(pop, predictor, prep), losses, cls, act_of)
 
 
 def _level_numerators(prep) -> list:
@@ -141,7 +141,7 @@ def _dot(xs, ys):
 
 
 def _omni_report(prep, losses, cls: HypothesisClass, act_of: dict) -> AuditReport:
-    """The omniprediction report from an exact prep, on integers alone.
+    """The omniprediction report from a prep, on integers alone.
 
     Every expected loss is a sum of scaled masses (over D) times integer
     costs (over the loss's L), so each gap is one Fraction over D * L.  A
@@ -185,7 +185,7 @@ def omni_bound_check(pop, predictor, losses, cls) -> dict:
     """Verify omni_audit <= calibration + multi-accuracy, exactly, and report
     all three numbers; the omni audit's full report is kept under "report".
     The three audits read one exact prepared population."""
-    prep = _Prepared(pop, predictor, exact=True)
+    prep = _Prepared(pop, predictor)
     omni = omni_audit(pop, predictor, losses, cls, prep=prep)
     cal = audit_calibration(pop, predictor, prep=prep)
     ma = audit_multi_accuracy(pop, predictor, cls, prep=prep)

@@ -111,10 +111,6 @@ def dist_to_json(d: OutcomeDist) -> dict:
             for o, w in zip(d.space.labels, d.weights)}
 
 
-def dist_from_json(space: OutcomeSpace, doc: dict) -> OutcomeDist:
-    return _Reader(space).dist(doc)
-
-
 def _value_token(v):
     """Hypothesis values: numeric strings parse to Fractions, others stay strings."""
     if isinstance(v, str):

@@ -32,9 +32,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from multifair.audits import _is_exact, _Prepared
+from multifair.audits import _Prepared, _rounding
 from multifair.core import (
-    FLOAT_GROUP_TOL,
     OutcomeDist,
     OutcomeSpace,
     SimplexGrid,
@@ -224,42 +223,27 @@ def prepared_fraction_oracle(pop, predictor, grid=None) -> dict:
             "level_weight": level_weight}
 
 
-def prepared_per_individual(pop, predictor, exact, grid=None) -> dict:
+def prepared_per_individual(pop, predictor, grid=None) -> dict:
     """The `_Prepared` fields as the build computed them one individual at
-    a time: `_exact_ratios` and the gcd-reduced products per individual in
-    exact mode, float(w) * float(x) per individual in float mode, levels
-    keyed per individual.  Returns D, star, diff, levels, points, level_of
-    and level_weight.
+    a time: `_exact_ratios` and the gcd-reduced products per individual,
+    levels keyed per individual.  Returns D, star, diff, levels, points,
+    level_of and level_weight.
     """
     dists = [predictor.values[j] for j in pop.ids]
-
-    if exact:
-        keys = [_exact_ratios(d) for d in dists]
-        weights, star, D_pop = pop._exact_table()
-        tilde, D = _scaled_products(weights, keys, D_pop)
-        scale = D // D_pop
-        star = [[x * scale for x in row] for row in star.tolist()]
-    else:
-        # clustering reads only the floats; a grid rounds the exact value
-        keys = [d.weights if grid is not None else tuple(map(float, d.weights))
-                for d in dists]
-        D = 1.0
-        w = [float(pop.weight[j]) for j in pop.ids]
-        tilde = [[wi * float(x) for x in d.weights] for wi, d in zip(w, dists)]
-        star = [[wi * float(x) for x in pop.p_true[j].weights]
-                for wi, j in zip(w, pop.ids)]
+    keys = [_exact_ratios(d) for d in dists]
+    weights, star, D_pop = pop._exact_table()
+    tilde, D = _scaled_products(weights, keys, D_pop)
+    scale = D // D_pop
+    star = [[x * scale for x in row] for row in star.tolist()]
     diff = [[t - s for t, s in zip(tr, sr)] for tr, sr in zip(tilde, star)]
 
     first = {}  # key -> its first prediction, in population order
     for key, d in zip(keys, dists):
         first.setdefault(key, d)
     if grid is not None:
-        level_rep = [grid._round_ratios(key if exact else _exact_ratios(d))
-                     for key, d in first.items()]
-    elif exact:
-        level_rep = [d.as_exact() for d in first.values()]
+        level_rep = [grid._round_ratios(key) for key in first]
     else:
-        level_rep = _cluster_levels_per_value(pop.space, list(first))
+        level_rep = [d.as_exact() for d in first.values()]
     rep_keys = [tuple(x.as_integer_ratio() for x in d.weights) for d in level_rep]
     levels = {}
     for rk, d in zip(rep_keys, level_rep):
@@ -300,18 +284,6 @@ def cell_tables_loop(ids, level_of, n_levels, cls, rows):
                 tables[level][base + i] += x
         out.append(tables)
     return ys, out
-
-
-def _cluster_levels_per_value(space, floats):
-    """Per distinct float prediction, the representative of its 1e-9 cluster,
-    one `OutcomeDist` per prediction."""
-    rep_of = {}
-    current = None
-    for t in sorted(floats):
-        if current is None or max(abs(a - b) for a, b in zip(t, current)) > FLOAT_GROUP_TOL:
-            current = t
-        rep_of[t] = OutcomeDist(space, current)
-    return [rep_of[t] for t in floats]
 
 
 def stat_distance_subset_oracle(p, q):
@@ -360,9 +332,10 @@ def audit_oi_mc_bruteforce(pop, predictor, cls, grid, backend="rational"):
     """Literal max over all events E of |Delta| for the mc family.
 
     Enumerates 2^(|Y| * outcomes * |grid|) events, so the cell count is
-    capped at 12.
+    capped at 12.  The float backend rounds the exact maximum.
     """
-    prep = _Prepared(pop, predictor, _is_exact(backend), grid=grid)
+    rounded = _rounding(backend)
+    prep = _Prepared(pop, predictor, grid=grid)
     ys, tables = prep.cell_tables(cls, prep.diff)
     ell = pop.space.size
     n_cells = len(ys) * ell * grid.size
@@ -378,7 +351,7 @@ def audit_oi_mc_bruteforce(pop, predictor, cls, grid, backend="rational"):
                 v = level_of.get(tuple(g.weights))
                 diffs.append(per_level[v][i] if v is not None else 0)
         best = max(best, _max_abs_subset_sum(diffs))
-    return _mass(prep, best)
+    return rounded(_mass(prep, best))
 
 
 def spot_check_intermediate(g: DiGraph, p: VertexPartition, epsilon,

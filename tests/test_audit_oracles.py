@@ -193,7 +193,7 @@ def _coarse(pop, pred):
 
 
 def _takes_int64_path(pop, pred):
-    return _Prepared(pop, pred, exact=True).D <= _NUMPY_SAFE_LIMIT
+    return _Prepared(pop, pred).D <= _NUMPY_SAFE_LIMIT
 
 
 def _asymmetric_loss(space):

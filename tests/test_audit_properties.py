@@ -1,5 +1,6 @@
 """Property tests of the population audits on hypothesis-drawn random instances."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -10,12 +11,14 @@ from hypothesis import strategies as st
 from multifair import (
     OutcomeDist,
     Predictor,
+    audit_calibration,
     audit_covariance_mc,
     audit_multi_accuracy,
     audit_multi_calibration,
     audit_oi,
     audit_strict_multi_calibration,
     best_response,
+    check_conditional,
     discretize,
     make_family,
     make_grid_with_denominator,
@@ -23,6 +26,7 @@ from multifair import (
     random_instance,
     violation_profile,
 )
+from test_audit_oracles import covariance_oracle
 
 TOL = 1e-9
 
@@ -126,3 +130,70 @@ def test_float_oi_audits_agree_with_rational_on_float_predictors(inst):
             d, adv = best_response(pop, pred, fam, backend)
             assert _close(oi_advantage(pop, pred, d), adv)
             assert abs(oi_advantage(pop, pred, d, exact=False) - float(adv)) <= TOL
+
+
+def _assert_rounded(approx, exact):
+    """`approx` is `exact` with every Fraction in it, dict keys included,
+    replaced by its float(), compared with ==; everything else is equal and
+    of the same type."""
+    if isinstance(exact, Fraction):
+        assert type(approx) is float and approx == float(exact), (approx, exact)
+    elif isinstance(exact, OutcomeDist):
+        assert type(approx) is OutcomeDist and approx.space == exact.space
+        _assert_rounded(approx.weights, exact.weights)
+    elif isinstance(exact, (list, tuple)):
+        assert type(approx) is type(exact) and len(approx) == len(exact)
+        for a, e in zip(approx, exact):
+            _assert_rounded(a, e)
+    elif isinstance(exact, dict):
+        assert type(approx) is dict and len(approx) == len(exact)
+        for (ka, va), (ke, ve) in zip(approx.items(), exact.items()):
+            _assert_rounded(ka, ke)
+            _assert_rounded(va, ve)
+    elif dataclasses.is_dataclass(exact):
+        assert type(approx) is type(exact)
+        for f in dataclasses.fields(exact):
+            _assert_rounded(getattr(approx, f.name), getattr(exact, f.name))
+    else:
+        assert type(approx) is type(exact) and approx == exact, (approx, exact)
+
+
+def _families(pop, cls):
+    grid = make_grid_with_denominator(pop.space, 2)
+    fams = [make_family(kind, hypotheses=cls, grid=grid) for kind in ("basic", "mc", "smc")]
+    fams.append(make_family("lowdegree", hypotheses=cls, degree=2, outcome_space=pop.space))
+    fams.append(make_family("explicit", members=fams[0].members()[:12]))
+    return fams
+
+
+@settings(max_examples=40, deadline=None)
+@given(instances())
+def test_float_results_are_the_rational_results_rounded(inst):
+    pop, cls, pred = inst
+    for audit in (audit_multi_accuracy, audit_multi_calibration,
+                  audit_strict_multi_calibration):
+        _assert_rounded(audit(pop, pred, cls, "float"), audit(pop, pred, cls))
+    _assert_rounded(audit_calibration(pop, pred, "float"), audit_calibration(pop, pred))
+    for fam in _families(pop, cls):
+        _assert_rounded(audit_oi(pop, pred, fam, "float"), audit_oi(pop, pred, fam))
+        d, adv = best_response(pop, pred, fam)
+        fd, fadv = best_response(pop, pred, fam, "float")
+        assert fd.name == d.name and repr(fd.payload) == repr(d.payload)
+        _assert_rounded(fadv, adv)
+        _assert_rounded(oi_advantage(pop, pred, d, exact=False), oi_advantage(pop, pred, d))
+
+
+@settings(max_examples=40, deadline=None)
+@given(instances(binary_outcomes=True), st.sampled_from((0, Fraction(1, 10), 0.25)))
+def test_binary_float_results_are_the_rational_results_rounded(inst, eps):
+    pop, cls, pred = inst
+    cov = audit_covariance_mc(pop, pred, cls, "float")
+    for name, value in covariance_oracle(pop, pred, cls).items():
+        assert cov.breakdown[name] == float(value)
+    assert cov.value == max(cov.breakdown.values())
+    if not cls.is_binary:
+        return
+    _assert_rounded(violation_profile(pop, pred, cls, "float"), violation_profile(pop, pred, cls))
+    for kind in ("MA", "MC", "SMC"):
+        _assert_rounded(check_conditional(pop, pred, cls, eps, kind, "float"),
+                        check_conditional(pop, pred, cls, eps, kind))

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -269,6 +270,61 @@ def test_float_backend_flag(two_point, tmp_path):
     assert main(["audit", str(two_point), "--kind", "mc", "--backend", "float",
                  "--output", str(rep)]) == 0
     assert abs(float(read(rep)["value"]) - 0.5) < 1e-9
+
+
+def _read_number(s):
+    """s as the float nearest the number it spells, or s when it spells none."""
+    try:
+        return float(Fraction(s))
+    except (ValueError, ZeroDivisionError):
+        return s
+
+
+def _rounded_numbers(doc):
+    """doc with every number read as the float nearest its value: numeric
+    strings (and the "|"-joined parts of keys) and ints."""
+    if isinstance(doc, dict):
+        return {tuple(map(_read_number, k.split("|"))): _rounded_numbers(v)
+                for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_rounded_numbers(v) for v in doc]
+    if isinstance(doc, str):
+        return _read_number(doc)
+    if isinstance(doc, int) and not isinstance(doc, bool):
+        return float(doc)
+    return doc
+
+
+def _fraction_strings(doc):
+    """Every "p/q" string in doc, keys included."""
+    if isinstance(doc, dict):
+        return [s for k, v in doc.items() for s in _fraction_strings(k) + _fraction_strings(v)]
+    if isinstance(doc, list):
+        return [s for v in doc for s in _fraction_strings(v)]
+    return [doc] if isinstance(doc, str) and "/" in doc else []
+
+
+@pytest.mark.parametrize("kind", [
+    "ma", "mc", "smc", "cal",
+    pytest.param("cov", marks=pytest.mark.xfail(strict=True, reason=(
+        "the float covariance is E|Cov| rounded, while the rational one reports "
+        "E|Cov| / D; see test_audit_oracles"))),
+    "oi", "omni", "conditional"])
+def test_float_backend_prints_the_rational_values_rounded(kind, tmp_path):
+    inst = tmp_path / "inst.json"
+    assert main(["fixture", "random", "--seed", "1", "--individuals", "20",
+                 "--output", str(inst)]) == 0
+    extra = {"oi": ["--grid-m", "3"], "omni": ["--losses", str(_zero_one_losses(tmp_path))],
+             "conditional": ["--epsilon", "1/10"]}.get(kind, [])
+    docs = {}
+    for backend in ("rational", "float"):
+        out = tmp_path / f"{backend}.json"
+        assert main(["audit", str(inst), "--kind", kind, "--backend", backend,
+                     "--output", str(out), *extra]) == 0
+        docs[backend] = read(out)
+    assert _fraction_strings(docs["rational"])
+    assert _fraction_strings(docs["float"]) == []
+    assert _rounded_numbers(docs["float"]) == _rounded_numbers(docs["rational"])
 
 
 def test_sampled_failure_exit_three_retains_transcript(tmp_path, monkeypatch):

@@ -123,18 +123,16 @@ def test_event_iterates_prepare_the_population_once(kind, monkeypatch):
     builds = []
     original = _Prepared.__init__
 
-    def counted(self, pop, predictor, exact, grid=None):
-        builds.append(exact)
-        original(self, pop, predictor, exact, grid)
+    def counted(self, pop, predictor, grid=None):
+        builds.append(grid)
+        original(self, pop, predictor, grid)
     monkeypatch.setattr(_Prepared, "__init__", counted)
     _, tr = construct_exact(pop, fam, F(1, 40), rule=mwu_rule(pop.space, 1 / 40))
     assert tr.iteration_count > 0
-    if kind in ("basic", "mc", "smc"):
-        # one exact build per best response: every iterate and the final audit
-        assert builds == [True] * (tr.iteration_count + 1)
-    else:
-        # the member reads the predictions, so its loss table keeps a float build
-        assert builds == [True, False] * tr.iteration_count + [True]
+    # one build per best response, every iterate's and the final audit's: an
+    # event member's loss table reads that build, and a monomial or explicit
+    # member's reads the raw predictor without one
+    assert builds == [fam.grid] * (tr.iteration_count + 1)
 
 
 @pytest.mark.parametrize("rule_kind", ["mwu", "pgd"])

@@ -1,5 +1,4 @@
 import functools
-import itertools
 from fractions import Fraction as F
 
 import numpy as np
@@ -37,7 +36,6 @@ from multifair.audits import _Prepared
 from multifair.errors import ConstructionError, DomainError, EnumerationLimitError
 from multifair.oi import (
     _advantage,
-    _preparer,
     _reduce,
     mc_event_distinguisher,
     monomial_distinguisher,
@@ -48,17 +46,12 @@ from oracles import audit_oi_mc_bruteforce
 from test_prepared import _predictor, populations
 
 
-def _values(d, prep):
-    """The member's per-individual rows; prep(grid) prepares the population."""
-    return d.values(prep(d.grid))
-
-
-def _value_at(d, prep, j, o, rows=None):
-    """The member's value at (j, o), looked up by id and label in `rows`,
-    its per-individual rows, which are evaluated here when not given."""
-    p = prep(d.grid)
-    rows = d.values(p) if rows is None else rows
-    return rows[p.ids.index(j)][p.pop.space.index(o)]
+def _value_at(d, pop, pred, j, o, rows=None):
+    """The member's value at (j, o) on the raw predictor, looked up by id and
+    label in `rows`, its per-individual rows, which are evaluated here when
+    not given."""
+    rows = d.values(pop, pred) if rows is None else rows
+    return rows[pop.ids.index(j)][pop.space.index(o)]
 
 
 def identity_grid():
@@ -272,10 +265,9 @@ def test_sample_access_probe():
     grid = identity_grid()
     fam = make_family("basic", hypotheses=cls, grid=grid)
     other = Predictor({"0": pred.values["0"], "1": OutcomeDist.bernoulli(F(1, 3))})
-    at_pred, at_other = _preparer(pop, pred, False), _preparer(pop, other, False)
     for d in fam.members():
         for o in pop.space.labels:
-            assert _value_at(d, at_pred, "0", o) == _value_at(d, at_other, "0", o)
+            assert _value_at(d, pop, pred, "0", o) == _value_at(d, pop, other, "0", o)
 
 
 def test_theorem_basic_family_bound():
@@ -319,14 +311,13 @@ def test_sample_access_probe_mc_and_lowdegree():
     fam = make_family("mc", hypotheses=cls, grid=grid)
     d, _ = best_response(pop, pred, fam)
     other = Predictor({"0": pred.values["0"], "1": OutcomeDist.bernoulli(F(2, 5))})
-    at_pred, at_other = _preparer(pop, pred, False), _preparer(pop, other, False)
     for o in pop.space.labels:
-        assert _value_at(d, at_pred, "0", o) == _value_at(d, at_other, "0", o)
+        assert _value_at(d, pop, pred, "0", o) == _value_at(d, pop, other, "0", o)
     fam2 = make_family("lowdegree", hypotheses=cls, degree=2,
                        outcome_space=pop.space)
     d2, _ = best_response(pop, pred, fam2)
     for o in pop.space.labels:
-        assert _value_at(d2, at_pred, "0", o) == _value_at(d2, at_other, "0", o)
+        assert _value_at(d2, pop, pred, "0", o) == _value_at(d2, pop, other, "0", o)
 
 
 @functools.lru_cache(maxsize=None)
@@ -375,13 +366,12 @@ def test_population_evaluation_matches_payload_oracle(ell):
             members += [best_response(pop, p, fam_low)[0]] + fam_low.members()
             # the payload marks a negation but not how many: complement each once
             members += [negate(d) for d in members if not d.payload.get("negated")]
-            prep = _preparer(pop, p, False)
             for d in members:
-                rows = _values(d, prep)
+                rows = d.values(pop, p)
                 for j, row in zip(pop.ids, rows):
                     for o, v in zip(pop.space.labels, row):
                         want = _oracle_value(d, pop, cls, grid, j, o, p)
-                        assert v == want and _value_at(d, prep, j, o, rows) == want, (d.name, j, o)
+                        assert v == want and _value_at(d, pop, p, j, o, rows) == want, (d.name, j, o)
 
 
 def test_negate_complements_and_double_negation_restores():
@@ -393,12 +383,11 @@ def test_negate_complements_and_double_negation_restores():
                best_response(pop, pred, make_family("mc", hypotheses=cls, grid=grid))[0],
                make_family("lowdegree", hypotheses=cls, degree=2,
                            outcome_space=pop.space).members()[4]]
-    prep = _preparer(pop, pred, False)
     for d in members:
         once, twice = negate(d), negate(negate(d))
-        base = _values(d, prep)
-        assert _values(once, prep) == [[1 - v for v in row] for row in base]
-        assert _values(twice, prep) == base
+        base = d.values(pop, pred)
+        assert once.values(pop, pred) == [[1 - v for v in row] for row in base]
+        assert twice.values(pop, pred) == base
         assert once.payload["negated"] is True and twice.payload["negated"] is True
         assert once.name == f"not:{d.name}"
         assert oi_advantage(pop, pred, once) == -oi_advantage(pop, pred, d)
@@ -487,11 +476,11 @@ def test_event_member_needs_a_population_prepared_for_its_grid():
     pop, cls, pred = random_instance(np.random.default_rng(13), 5, 2, 2)
     grid = make_grid_with_denominator(pop.space, 2)
     d = make_family("basic", hypotheses=cls, grid=grid).members()[0]
-    assert len(d.values(_Prepared(pop, pred, exact=True, grid=grid))) == len(pop.ids)
+    assert len(d.values(pop, pred, _Prepared(pop, pred, grid=grid))) == len(pop.ids)
     # an equal grid is still another grid: members compare grids by identity
     for other in (None, make_grid_with_denominator(pop.space, 2)):
         with pytest.raises(ConstructionError):
-            d.values(_Prepared(pop, pred, exact=True, grid=other))
+            d.values(pop, pred, _Prepared(pop, pred, grid=other))
 
 
 def _stepped(pop, pred, eta):
@@ -540,22 +529,21 @@ def _literal_event_member(kind, prep, cls, grid):
 def test_event_members_built_from_rows_equal_literal_builds(kind):
     # the reduction groups the positive cells of each table row into its
     # member's events; a literal build from the same table must agree in
-    # events, payload and values, also on a float population it was not
-    # scored on
+    # events, payload and values, also on a population of float predictions
+    # it was not scored on
     for seed, (n, ell, nh, m) in enumerate(((6, 2, 2, 3), (9, 2, 4, 4), (12, 3, 3, 2),
                                             (10, 8, 3, 2))):
         pop, cls, pred = random_instance(np.random.default_rng([seed, 61]), n, ell, nh)
         grid = make_grid_with_denominator(pop.space, m)
         fam = make_family(kind, hypotheses=cls, grid=grid)
-        moved = _Prepared(pop, _stepped(pop, pred, 0.5), exact=False, grid=grid)
-        for p, backend in itertools.product((pred, _stepped(pop, pred, 0.3)),
-                                            ("rational", "float")):
-            _, d, _, prep = _reduce(pop, p, fam, backend)
+        moved = _stepped(pop, pred, 0.5)
+        for p in (pred, _stepped(pop, pred, 0.3)):
+            _, d, _, prep = _reduce(pop, p, fam)
             want = _literal_event_member(kind, prep, cls, grid)
             assert d.events == want.events
             assert d.name == want.name and repr(d.payload) == repr(want.payload)
-            assert d.values(prep) == want.values(prep)
-            assert d.values(moved) == want.values(moved)
+            assert d.values(pop, p, prep) == want.values(pop, p, prep)
+            assert d.values(pop, moved) == want.values(pop, moved)
 
 
 @pytest.mark.parametrize("seed,n,degree,step", [(1, 7, 2, True), (10, 7, 3, False),
@@ -563,16 +551,19 @@ def test_event_members_built_from_rows_equal_literal_builds(kind):
 def test_lowdegree_float_value_is_the_advantage_of_its_member(seed, n, degree, step):
     # with real-valued classes the float audit used to sum (diff * c) * m
     # while the member's advantage sums diff * (c * m): on these instances
-    # the two differ in the last bit.  The audit now scores each member as
-    # its advantage sums it, so the value is that advantage exactly.
+    # the two differed in the last bit.  The audit scores each member as its
+    # advantage sums it, and the float value is that advantage rounded.
     pop, cls, pred = random_instance(np.random.default_rng([seed, 53]), n, 2, 3,
                                      binary_hypotheses=False)
     if step:
         pred = _stepped(pop, pred, 0.3)
     fam = make_family("lowdegree", hypotheses=cls, degree=degree, outcome_space=pop.space)
-    report, d, adv, prep = _reduce(pop, pred, fam, "float")
+    report, d, adv, prep = _reduce(pop, pred, fam)
     w = report.witness
     h = next(h for h in cls if h.name == w["hypothesis"])
     member = monomial_distinguisher(h, w["outcome"], w["monomial_indices"])
     assert report.value == adv == abs(_advantage(prep, member))
     assert report.breakdown[h.name] == report.value
+    freport = audit_oi(pop, pred, fam, "float")
+    assert freport.value == best_response(pop, pred, fam, "float")[1] == float(adv)
+    assert freport.breakdown[h.name] == float(adv)

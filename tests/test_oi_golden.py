@@ -1,13 +1,15 @@
 """Golden outputs of the OI reduction.
 
-Each case runs `oi._reduce` for one family kind under one backend on
-fixed seeded instances with 0/1 classes, and pins the sha256 of the
-`repr` of (value, witness, breakdown, member name, payload, advantage).
-Every instance is reduced twice: with its own exact predictor and with
-that predictor after one MWU step, whose predictions are floats.  The
-digests were recorded before the one cell-table kernel and the event
-members built from its rows went in; any change to a value, a witness, a
-tie-break or a member's payload shows up here.
+Each case runs `oi._reduce` for one family kind on fixed seeded instances
+with 0/1 classes, and pins the sha256 of the `repr` of (value, witness,
+breakdown, member name, payload, advantage).  Every instance is reduced
+twice: with its own exact predictor and with that predictor after one MWU
+step, whose predictions are floats.  The digests were recorded before the
+one cell-table kernel and the event members built from its rows went in;
+any change to a value, a witness, a tie-break or a member's payload shows
+up here.  The float backend is pinned to the same records: its report and
+advantage are the exact ones passed once through `audits._to_float`, and
+its member is the exact one.
 """
 
 import hashlib
@@ -18,35 +20,23 @@ import pytest
 from multifair import (
     LossTable,
     Predictor,
+    audit_oi,
+    best_response,
     make_family,
     make_grid_with_denominator,
     mwu_rule,
     random_instance,
     update,
 )
+from multifair.audits import _to_float
 from multifair.oi import Distinguisher, _reduce
 
 GOLDEN = {
-    "basic-rational":
-        "182ce2555164dda1e4a80d30f5a28a39d1c41125e0be8d31f665df8b3524b104",
-    "basic-float":
-        "c1d179929830705e7869503da3fc420dcd456afae3388fe21bb228e03b0c048f",
-    "mc-rational":
-        "f7b088713f7178ef950e116b793f23ff378721044dbdd6bf30af125c3746d174",
-    "mc-float":
-        "d2bb1ad60a484d366b5578ce198dad7fc2e5508b845ca84f44866868acec0942",
-    "smc-rational":
-        "ab7bb04664dba1f99be5b58b0a74d5e45849927644f246a665452a878b538ea9",
-    "smc-float":
-        "5ee63bfc8162336f0635838e5079e29efb8b7f4476213acb1a21ce2efa484dc2",
-    "lowdegree-rational":
-        "41033063bab133c61b7636b5308925f9daddbeebc28feb513f408c2c540a8eb7",
-    "lowdegree-float":
-        "4bbf1269a433c14ab66457d8b4cd232bacc6dcb67512e4ffe165322f346dada3",
-    "explicit-rational":
-        "36d219de7ec485de8f2305503786c557e4173e98f186be037ffa06eaa1c9845d",
-    "explicit-float":
-        "10e9f3b6211a7455047fc4e58a1d9b016b4e158a1c6e1d9f2734fb202b72fdff",
+    "basic": "182ce2555164dda1e4a80d30f5a28a39d1c41125e0be8d31f665df8b3524b104",
+    "mc": "f7b088713f7178ef950e116b793f23ff378721044dbdd6bf30af125c3746d174",
+    "smc": "ab7bb04664dba1f99be5b58b0a74d5e45849927644f246a665452a878b538ea9",
+    "lowdegree": "41033063bab133c61b7636b5308925f9daddbeebc28feb513f408c2c540a8eb7",
+    "explicit": "36d219de7ec485de8f2305503786c557e4173e98f186be037ffa06eaa1c9845d",
 }
 
 KINDS = ("basic", "mc", "smc", "lowdegree", "explicit")
@@ -78,15 +68,28 @@ def _instances():
         yield pop, cls, m, stepped
 
 
-def _digest(kind, backend):
+def _records(kind, backend):
+    """Per instance: (value, witness, breakdown, member name, payload,
+    advantage) of the audit and best response under the backend."""
     records = []
     for pop, cls, m, pred in _instances():
-        report, d, adv, _ = _reduce(pop, pred, _family(kind, pop, cls, m), backend)
+        fam = _family(kind, pop, cls, m)
+        if backend == "rational":
+            report, d, adv, _ = _reduce(pop, pred, fam)
+        else:
+            report = audit_oi(pop, pred, fam, backend)
+            d, adv = best_response(pop, pred, fam, backend)
         records.append((report.value, report.witness, report.breakdown, d.name, d.payload, adv))
-    return hashlib.sha256(repr(records).encode()).hexdigest()
+    return records
 
 
 @pytest.mark.parametrize("backend", ["rational", "float"])
 @pytest.mark.parametrize("kind", KINDS)
 def test_oi_reduction_is_pinned(kind, backend):
-    assert _digest(kind, backend) == GOLDEN[f"{kind}-{backend}"]
+    exact = _records(kind, "rational")
+    if backend == "rational":
+        assert hashlib.sha256(repr(exact).encode()).hexdigest() == GOLDEN[kind]
+        return
+    want = [(*_to_float((value, witness, breakdown)), name, payload, _to_float(adv))
+            for value, witness, breakdown, name, payload, adv in exact]
+    assert repr(_records(kind, "float")) == repr(want)

@@ -205,12 +205,14 @@ def test_bound_check_prepares_once_and_matches_the_separate_audits(monkeypatch):
         assert chk["calibration"] == audit_calibration(pop, pred)
         assert chk["multi_accuracy"] == audit_multi_accuracy(pop, pred, cls).value
         assert chk["bound_holds"] == (omni.value <= chk["calibration"] + chk["multi_accuracy"])
-    # a shared prep must be of the same objects under the audit's backend
-    prep = audits._Prepared(pop, pred, exact=True)
+    # a shared prep must be of the same objects; it serves either backend,
+    # since the float one rounds the exact result
+    prep = audits._Prepared(pop, pred)
+    assert audit_multi_accuracy(pop, pred, cls, "float", prep=prep).value == \
+        float(audit_multi_accuracy(pop, pred, cls, prep=prep).value)
     reordered = PopulationInstance(pop.space, pop.ids[::-1], pop.weight, pop.p_true)
     other = Predictor({j: pop.p_true[j] for j in pop.ids})
-    for call in (lambda: audit_multi_accuracy(pop, pred, cls, "float", prep=prep),
-                 lambda: audit_calibration(reordered, pred, prep=prep),
+    for call in (lambda: audit_calibration(reordered, pred, prep=prep),
                  lambda: omni_audit(pop, other, losses, cls, prep=prep)):
         with pytest.raises(DomainError):
             call()

@@ -1,19 +1,17 @@
 """Differential tests of `audits._Prepared` against literal builds.
 
-The exact build reads the population's cached integer table and reduces
-each predictor product by a gcd; `oracles.prepared_fraction_oracle` builds
-the same fields by Fraction products, cell by cell.  Both backends scale
-once per distinct (weight, prediction) pair of objects, and the float
-build once per (weight, truth) pair too; `oracles.prepared_per_individual`
-is the build one individual at a time.  The array fields are compared as
-lists.  The one cell-table kernel is checked against a literal loop over
-the individuals under each of its accumulators, its overflow guard on
-crafted rows, and its hypothesis class's cached y-index against the lists
-looked up per hypothesis.
+The build reads the population's cached integer table and reduces each
+predictor product by a gcd; `oracles.prepared_fraction_oracle` builds the
+same fields by Fraction products, cell by cell.  It scales once per
+distinct (weight, prediction) pair of objects;
+`oracles.prepared_per_individual` is the build one individual at a time.
+The array fields are compared as lists.  The one cell-table kernel is
+checked against a literal loop over the individuals under each of its
+accumulators, its overflow guard on crafted rows, and its hypothesis
+class's cached y-index against the lists looked up per hypothesis.
 """
 
 import gc
-import itertools
 import weakref
 from fractions import Fraction
 
@@ -37,7 +35,7 @@ from multifair import (
     random_instance,
     update,
 )
-from multifair.audits import _Prepared, _strict_multi_calibration
+from multifair.audits import _Prepared
 from multifair.errors import InternalInvariantError
 from oracles import (
     cell_tables_loop,
@@ -135,7 +133,7 @@ def test_integer_build_equals_fraction_per_cell_oracle(data):
     # two predictors in turn: the second build reuses the cached table
     for _ in range(2):
         pred = _predictor(data.draw, pop)
-        prep = _Prepared(pop, pred, exact=True, grid=grid)
+        prep = _Prepared(pop, pred, grid=grid)
         want = prepared_fraction_oracle(pop, pred, grid)
         for name in FIELDS:
             assert _field(prep, name) == want[name], name
@@ -155,16 +153,15 @@ def test_build_per_distinct_value_equals_the_per_individual_build(data):
         pop = _share_objects(data.draw, pop)
     grid = data.draw(st.sampled_from((None, make_grid_with_denominator(pop.space, 2))))
     pred = _predictor(data.draw, pop)
-    for exact in (True, False):
-        prep = _Prepared(pop, pred, exact=exact, grid=grid)
-        want = prepared_per_individual(pop, pred, exact, grid)
-        for name in FIELDS:
-            assert _field(prep, name) == want[name], (exact, name)
-        assert repr(prep.star.tolist()) == repr(want["star"])
-        assert repr(prep.diff.tolist()) == repr(want["diff"])
-        assert repr(prep.mass.tolist()) == repr([sum(row) for row in want["star"]])
-        assert repr(prep.level_weight) == repr(want["level_weight"])
-        assert repr(prep.points) == repr(want["points"])
+    prep = _Prepared(pop, pred, grid=grid)
+    want = prepared_per_individual(pop, pred, grid)
+    for name in FIELDS:
+        assert _field(prep, name) == want[name], name
+    assert repr(prep.star.tolist()) == repr(want["star"])
+    assert repr(prep.diff.tolist()) == repr(want["diff"])
+    assert repr(prep.mass.tolist()) == repr([sum(row) for row in want["star"]])
+    assert repr(prep.level_weight) == repr(want["level_weight"])
+    assert repr(prep.points) == repr(want["points"])
 
 
 def test_levels_equal_as_floats_are_ordered_by_exact_value():
@@ -177,7 +174,7 @@ def test_levels_equal_as_floats_are_ordered_by_exact_value():
     pop = PopulationInstance(binary_space(), ("a", "b"), {"a": Fraction(1, 2), "b": Fraction(1, 2)},
                              {"a": high, "b": low})
     pred = Predictor({"a": high, "b": low})
-    prep = _Prepared(pop, pred, exact=True)
+    prep = _Prepared(pop, pred)
     assert prep.points == [tuple(low.weights), tuple(high.weights)]
     assert prep.level_of.tolist() == [1, 0]
     assert prep.points == prepared_fraction_oracle(pop, pred)["points"]
@@ -198,9 +195,9 @@ def _count_fraction_arithmetic(monkeypatch) -> list:
 
 def test_second_exact_build_makes_no_fraction_arithmetic(monkeypatch):
     pop, _, pred = random_instance(np.random.default_rng(3), 40, 3, 1)
-    _Prepared(pop, pred, exact=True)
+    _Prepared(pop, pred)
     calls = _count_fraction_arithmetic(monkeypatch)
-    _Prepared(pop, pred, exact=True)
+    _Prepared(pop, pred)
     assert calls == []
 
 
@@ -214,9 +211,9 @@ def test_second_exact_build_of_a_construct_iterate_makes_no_fraction_arithmetic(
     pred = Predictor({j: update(rule, d, loss) for j, d in pred.values.items()})
     grid = make_grid_with_denominator(pop.space, 4)
     assert not any(d.is_exact for d in pred.values.values())
-    _Prepared(pop, pred, exact=True, grid=grid)
+    _Prepared(pop, pred, grid=grid)
     calls = _count_fraction_arithmetic(monkeypatch)
-    prep = _Prepared(pop, pred, exact=True, grid=grid)
+    prep = _Prepared(pop, pred, grid=grid)
     assert calls == []
     assert len(prep.levels) > 1
     assert all(any(p is level for p in grid.points) for level in prep.levels)
@@ -240,31 +237,27 @@ def _kernel_instances(ell):
 
 @pytest.mark.parametrize("ell,grid_m", [(2, None), (2, 3), (8, None), (8, 2)])
 def test_float_numpy_tables_equal_the_literal_loop(ell, grid_m):
-    """The one kernel against a literal loop, under every accumulator:
-    float64, int64 (exact, D <= 2^40) and Python ints (exact, D > 2^40)."""
+    """The one kernel against a literal loop, under both accumulators, on
+    exact and float predictors: int64 (D <= 2^40) and Python ints
+    (D > 2^40)."""
     reached = set()
     for pop, cls, pred in _kernel_instances(ell):
         grid = make_grid_with_denominator(pop.space, grid_m) if grid_m else None
         rule = mwu_rule(pop.space, 0.7)
         loss = LossTable(pop.space, tuple((k % 3) / 2 for k in range(ell)))
         fpred = Predictor({j: update(rule, d, loss) for j, d in pred.values.items()})
-        for p, exact in itertools.product((pred, fpred), (False, True)):
-            prep = _Prepared(pop, p, exact=exact, grid=grid)
-            cell_type = int if exact else float
-            dtype = "float64" if not exact else "int64" if prep.D <= 1 << 40 else "object"
+        for p in (pred, fpred):
+            prep = _Prepared(pop, p, grid=grid)
+            dtype = "int64" if prep.D <= 1 << 40 else "object"
             reached.add((dtype, len(pop.ids) * ell > 512))
             star, diff = prep.star.tolist(), prep.diff.tolist()
             for rows in (diff, star, [(sum(s), s[0]) for s in star]):
                 ys, tables = prep.cell_tables(cls, np.array(rows, dtype=prep.star.dtype))
                 want_ys, want = _cell_tables_loop(prep, cls, rows)
                 assert ys == want_ys
-                assert all(type(x) is cell_type for t in tables for row in t for x in row)
-                if exact:
-                    assert repr(tables) == repr(want)
-                else:
-                    assert [[[x.hex() for x in row] for row in t] for t in tables] == \
-                        [[[float(x).hex() for x in row] for row in t] for t in want]
-    assert reached == {(dtype, big) for dtype in ("float64", "int64", "object")
+                assert all(type(x) is int for t in tables for row in t for x in row)
+                assert repr(tables) == repr(want)
+    assert reached == {(dtype, big) for dtype in ("int64", "object")
                        for big in (True, False)}
 
 
@@ -272,7 +265,7 @@ def test_int64_overflow_guard_trips_on_crafted_rows():
     """The int64 kernel sums rows whose absolute values add up to at most 2D
     per column; rows past that bound raise rather than wrap."""
     pop, cls, pred = fixture_grid_population(4)
-    prep = _Prepared(pop, pred, exact=True)
+    prep = _Prepared(pop, pred)
     assert prep.star.dtype == np.int64
     n, D = len(pop.ids), prep.D
     for rows in (np.full((n, 1), 2**62, dtype=np.int64),
@@ -287,51 +280,6 @@ def test_int64_overflow_guard_trips_on_crafted_rows():
     at_bound[2, 1] = 1
     with pytest.raises(InternalInvariantError):
         prep.cell_tables(cls, at_bound)
-
-
-def _smc_breakdown_oracle(want, tables):
-    """The strict audit's per-level (mass, value) from per-individual fields
-    and literal-loop tables, as floats (D = 1)."""
-    out = {}
-    for v, point in enumerate(want["points"]):
-        per_c = [sum(abs(x) for x in t[v]) for t in tables]
-        mass = want["level_weight"][v] / want["D"]
-        contribution = max(per_c) / (2 * want["D"])
-        out[point] = (mass, contribution / mass if mass else contribution)
-    return out
-
-
-@pytest.mark.parametrize("grid_m", [None, 2])
-def test_float_fields_and_tables_keep_their_bits_at_eight_outcomes(grid_m):
-    """Float masses at ell = 8 are summed over eight columns, where numpy's
-    pairwise sum would move bits; every float field, table and SMC record
-    equals the per-individual build by `float.hex()`."""
-    def hexes(x):
-        return [hexes(y) for y in x] if isinstance(x, list) else float(x).hex()
-
-    for seed in range(6):
-        pop, cls, pred = random_instance(np.random.default_rng(seed), 300, 8, 3)
-        grid = make_grid_with_denominator(pop.space, grid_m) if grid_m else None
-        prep = _Prepared(pop, pred, exact=False, grid=grid)
-        want = prepared_per_individual(pop, pred, False, grid)
-        assert prep.level_of.tolist() == want["level_of"]
-        for mine, theirs in ((prep.star.tolist(), want["star"]),
-                             (prep.diff.tolist(), want["diff"]),
-                             (prep.mass.tolist(), [sum(row) for row in want["star"]]),
-                             (prep.level_weight, want["level_weight"])):
-            assert hexes(mine) == hexes(theirs)
-        want_tables = {}
-        for name in ("diff", "star"):
-            _, tables = prep.cell_tables(cls, getattr(prep, name))
-            _, want_tables[name] = cell_tables_loop(pop.ids, want["level_of"],
-                                                    len(want["levels"]), cls, want[name])
-            assert hexes(tables) == hexes(want_tables[name])
-        report = _strict_multi_calibration(prep, cls)
-        got = {p: (r["mass"], r["value"]) for p, r in report.breakdown.items()}
-        want_smc = _smc_breakdown_oracle(want, want_tables["diff"])
-        assert list(got) == list(want_smc)
-        assert {p: hexes(list(mv)) for p, mv in got.items()} == \
-            {p: hexes(list(mv)) for p, mv in want_smc.items()}
 
 
 def test_class_y_index_equals_the_per_hypothesis_lists():
@@ -353,12 +301,11 @@ def test_one_class_across_reordered_and_copied_ids_gives_fresh_tables():
     copied = PopulationInstance(pop.space, tuple(list(pop.ids)), pop.weight, pop.p_true)
     assert copied.ids == pop.ids and copied.ids is not pop.ids
     for p in (pop, reordered, copied, pop, reordered):
-        for exact in (True, False):
-            prep = _Prepared(p, pred, exact=exact)
-            fresh = HypothesisClass(cls.hypotheses)
-            assert repr(prep.cell_tables(cls, prep.diff)) == \
-                repr(prep.cell_tables(fresh, prep.diff))
-            assert cls._y_index(p.ids).tolist() == y_index_per_hypothesis(cls, p.ids)
+        prep = _Prepared(p, pred)
+        fresh = HypothesisClass(cls.hypotheses)
+        assert repr(prep.cell_tables(cls, prep.diff)) == \
+            repr(prep.cell_tables(fresh, prep.diff))
+        assert cls._y_index(p.ids).tolist() == y_index_per_hypothesis(cls, p.ids)
         backend_reports = [audit_multi_calibration(p, pred, c, backend)
                            for c in (cls, HypothesisClass(cls.hypotheses))
                            for backend in ("rational", "float")]
