@@ -17,8 +17,11 @@ prediction values.  Every audit computes exactly: the float backend
 returns the exact result with each Fraction rounded once to its nearest
 float (`_to_float`), so a float value is `float()` of its rational twin.
 
-Every audit here, the OI event-family audits in `oi` and the
-omniprediction audit in `omni` each make one call of
+Every audit reads one prepared population per (population, predictor,
+grid): `_prepared` builds `_Prepared` on first use and keeps it on the
+predictor, so the audits, OI reductions and member evaluations of one
+predictor share it.  Every audit here, the OI event-family audits in `oi`
+and the omniprediction audit in `omni` each make one call of
 `_Prepared.cell_tables`, which sums per-individual rows of scaled masses
 per (hypothesis, level, hypothesis value y) in one numpy kernel over the
 columnar arrays of `_Prepared` and the class's cached y-index array, in
@@ -46,9 +49,9 @@ discretization inequality SMC(rounded p) <= |grid| * MC(p) + eta.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
@@ -126,10 +129,9 @@ class _Prepared:
     ratios), and levels are told apart by their integer ratios, so no
     Fraction is hashed.  `grid` is that grid (or None), `points[level]`
     each level's weight tuple, `level_of[pos]` the int array of each
-    individual's level and `level_weight` each level's scaled mass.
-    `predictor`, the exact predictor, is made on first use: only lowdegree
-    and explicit members read it.  Scaled sums convert back with
-    `to_value` and `to_mass`, both Fractions over D.
+    individual's level and `level_weight` each level's scaled mass.  It
+    keeps no reference to the predictor (see `_prepared`).  Scaled sums
+    convert back with `to_value` and `to_mass`, both Fractions over D.
     """
 
     def __init__(self, pop: PopulationInstance, predictor: Predictor,
@@ -140,7 +142,6 @@ class _Prepared:
         self.pop = pop
         self.grid = grid
         self.ids = pop.ids
-        self._source = predictor
         dists = list(map(predictor.values.__getitem__, pop.ids))
         weights = list(map(pop.weight.__getitem__, pop.ids))
         dist_ids = list(map(id, dists))
@@ -187,25 +188,21 @@ class _Prepared:
         np.add.at(level_weight, self.level_of, self.mass)
         self.level_weight = level_weight.tolist()
 
-    @cached_property
-    def predictor(self) -> Predictor:
-        return self._source.as_exact()
-
     def cell_tables(self, cls: HypothesisClass, rows):
         """Sums of per-individual rows per (hypothesis, level, y).
 
         `rows[pos]` holds k scaled masses for individual pos (an array, k
-        columns).  Returns (ys, tables) with ys the class's range in order
-        and tables[c][level][y * k + i] the sum of rows[pos][i] over the
+        columns).  Returns (ys, table) with ys the class's range in order
+        and table[c, level, y * k + i] the sum of rows[pos][i] over the
         level's members on which hypothesis c takes the y-th value.  The
         module docstring lists the rows each audit passes.
 
         One `np.add.at` per hypothesis, on the class's y-index array, adds
-        into each cell.  The accumulator has the dtype of `star`.  Int64
-        rows must have absolute values summing to at most 2D in each
-        column, as the masses and mass differences callers pass do, so no
-        partial sum can overflow; other rows raise InternalInvariantError.
-        Cells come back as Python ints.
+        into each cell.  The table has the dtype of `star`; `.tolist()`
+        gives Python ints.  Int64 rows must have absolute values summing to
+        at most 2D in each column, as the masses and mass differences
+        callers pass do, so no partial sum (nor the sum of a table's
+        |cells|) can overflow; other rows raise InternalInvariantError.
         """
         ys = list(cls.range_values)
         ny, nv = len(ys), len(self.levels)
@@ -215,15 +212,14 @@ class _Prepared:
         # and a sum past 2^53 cannot round back to 2D <= 2^41 or below
         if rows.dtype == np.int64 and (abs(rows.astype(float)).sum(axis=0) > 2 * self.D).any():
             raise InternalInvariantError("int64 cell-table rows sum beyond 2D in a column")
+        y_index = cls._y_index(self.ids)
         flat = rows.reshape(-1)
         base = self.level_of * ny
         cells = np.arange(k)
-        out = []
-        for y in cls._y_index(self.ids):
-            acc = np.zeros(nv * ny * k, dtype=rows.dtype)
+        table = np.zeros((len(y_index), nv * ny * k), dtype=rows.dtype)
+        for acc, y in zip(table, y_index):
             np.add.at(acc, (((base + y) * k)[:, None] + cells).reshape(-1), flat)
-            out.append(acc.reshape(nv, ny * k).tolist())
-        return ys, out
+        return ys, table.reshape(len(y_index), nv, ny * k)
 
     def to_value(self, scaled_total):
         """Convert an accumulated |scaled mass| total into the distance value."""
@@ -247,7 +243,8 @@ def _to_float(x):
     This is the float backend: every audit computes exactly, and a float
     result is the exact one passed through here once.  It maps reports,
     dicts (keys too), lists, tuples and points; ints, strings and
-    everything else are kept.
+    everything else are kept.  Dict keys that round to one float keep
+    their exact form, so no entry is lost; their values are rounded.
     """
     if isinstance(x, Fraction):
         return float(x)
@@ -256,7 +253,11 @@ def _to_float(x):
     if isinstance(x, (tuple, list)):
         return type(x)(map(_to_float, x))
     if isinstance(x, dict):
-        return {_to_float(k): _to_float(v) for k, v in x.items()}
+        # a key keeps its exact form where rounding would merge it with another
+        keys = list(map(_to_float, x))
+        count = Counter(keys)
+        return {fk if count[fk] == 1 else k: _to_float(v)
+                for k, fk, v in zip(x, keys, x.values())}
     if isinstance(x, (AuditReport, ViolationProfile, ConditionalCheckResult)):
         return replace(x, **{f.name: _to_float(getattr(x, f.name)) for f in fields(x)})
     return x
@@ -272,13 +273,24 @@ def _rounding(backend):
     raise DomainError(f"unknown backend {backend!r}")
 
 
-def _prepare(pop, predictor, prep=None):
-    """(pop, predictor) prepared, or `prep`, the same already prepared."""
-    if prep is None:
-        return _Prepared(pop, predictor)
-    if (prep.pop, prep._source, prep.grid) != (pop, predictor, None):
-        raise DomainError("prep was built for another population or predictor")
-    return prep
+def _prepared(pop, predictor, grid=None) -> _Prepared:
+    """`_Prepared(pop, predictor, grid)`, built once and kept on the predictor.
+
+    The memo (`Predictor._prepared`) holds one population, compared by
+    identity like the ids of `HypothesisClass._y_index`, and one build per
+    grid object (None for no grid), keyed by its `id`: a build holds its
+    grid, so the key is not reused while it is kept.  A call with another
+    population starts a new memo.  A build holds no reference to the
+    predictor, so predictor, memo and builds form no reference cycle.
+    """
+    memo = predictor._prepared
+    if memo is None or memo[0] is not pop:
+        memo = (pop, {})
+        object.__setattr__(predictor, "_prepared", memo)
+    builds = memo[1]
+    if id(grid) not in builds:
+        builds[id(grid)] = _Prepared(pop, predictor, grid)
+    return builds[id(grid)]
 
 
 # ---------------------------------------------------------------------------
@@ -286,71 +298,65 @@ def _prepare(pop, predictor, prep=None):
 # ---------------------------------------------------------------------------
 
 
-def audit_multi_accuracy(pop, predictor, cls, backend="rational", *,
-                         prep=None) -> AuditReport:
+def audit_multi_accuracy(pop, predictor, cls, backend="rational") -> AuditReport:
     """max_c delta((c_i, modeled), (c_i, true)); the predictor is multi-accurate
-    with slack eps iff the value is <= eps.  `prep` as in `_prepare`."""
+    with slack eps iff the value is <= eps."""
     rounded = _rounding(backend)
-    prep = _prepare(pop, predictor, prep)
-    ys, tables = prep.cell_tables(cls, prep.diff)
-    breakdown = {}
-    for h, per_level in zip(cls, tables):
-        cells = [sum(col) for col in zip(*per_level)]
-        breakdown[h.name] = prep.to_value(sum(abs(x) for x in cells))
+    prep = _prepared(pop, predictor)
+    ys, table = prep.cell_tables(cls, prep.diff)
+    totals = np.abs(table.sum(axis=1)).sum(axis=1).tolist()
+    breakdown = {h.name: prep.to_value(t) for h, t in zip(cls, totals)}
     witness = max(breakdown, key=lambda k: breakdown[k])
     return rounded(AuditReport("multi-accuracy", breakdown[witness], witness, breakdown))
 
 
-def audit_multi_calibration(pop, predictor, cls, backend="rational", *,
-                            prep=None) -> AuditReport:
-    """max_c delta((c_i, modeled, p_i), (c_i, true, p_i)); `prep` as in `_prepare`."""
+def audit_multi_calibration(pop, predictor, cls, backend="rational") -> AuditReport:
+    """max_c delta((c_i, modeled, p_i), (c_i, true, p_i))."""
     rounded = _rounding(backend)
-    prep = _prepare(pop, predictor, prep)
-    ys, tables = prep.cell_tables(cls, prep.diff)
-    breakdown = {}
-    for h, per_level in zip(cls, tables):
-        breakdown[h.name] = prep.to_value(sum(abs(x) for row in per_level for x in row))
+    prep = _prepared(pop, predictor)
+    ys, table = prep.cell_tables(cls, prep.diff)
+    totals = np.abs(table).sum(axis=(1, 2)).tolist()
+    breakdown = {h.name: prep.to_value(t) for h, t in zip(cls, totals)}
     witness = max(breakdown, key=lambda k: breakdown[k])
     return rounded(AuditReport("multi-calibration", breakdown[witness], witness, breakdown))
 
 
 def audit_strict_multi_calibration(pop, predictor, cls, backend="rational") -> AuditReport:
     """E over level sets of the per-level worst hypothesis distance."""
-    return _rounding(backend)(_strict_multi_calibration(_Prepared(pop, predictor), cls))
+    return _rounding(backend)(_strict_multi_calibration(_prepared(pop, predictor), cls))
 
 
 def _strict_multi_calibration(prep, cls) -> AuditReport:
-    ys, tables = prep.cell_tables(cls, prep.diff)
-    total = 0
+    ys, table = prep.cell_tables(cls, prep.diff)
+    per_level = np.abs(table).sum(axis=2)  # [c, v]: hypothesis c's scaled distance on level v
+    best_c = per_level.argmax(axis=0).tolist()  # the first worst hypothesis per level
+    best = per_level.max(axis=0).tolist()
     breakdown = {}
     witness = None
     worst = None
-    for v in range(len(prep.levels)):
-        per_c = [sum(abs(x) for x in tables[c][v]) for c in range(len(cls.hypotheses))]
-        best_c = max(range(len(per_c)), key=lambda c: per_c[c])
-        total += per_c[best_c]
+    for v, (c, scaled) in enumerate(zip(best_c, best)):
         level_value = prep.levels[v]
         mass = prep.to_mass(prep.level_weight[v])
-        contribution = prep.to_value(per_c[best_c])
+        contribution = prep.to_value(scaled)
         record = {
             "level": level_value,
             "mass": mass,
             # conditional distance delta(. | level); its mass-weighted sum is
             # the audit value
             "value": contribution / mass if mass else contribution,
-            "hypothesis": cls.hypotheses[best_c].name,
+            "hypothesis": cls.hypotheses[c].name,
         }
         breakdown[tuple(level_value.weights)] = record
         if worst is None or contribution > worst:
             worst = contribution
-            witness = (cls.hypotheses[best_c].name, level_value)
-    return AuditReport("strict-multi-calibration", prep.to_value(total), witness, breakdown)
+            witness = (cls.hypotheses[c].name, level_value)
+    return AuditReport("strict-multi-calibration", prep.to_value(sum(best)), witness, breakdown)
 
 
-def audit_calibration(pop, predictor, backend="rational", *, prep=None):
+def audit_calibration(pop, predictor, backend="rational"):
     """delta((modeled, p_i), (true, p_i)); equals multi-calibration against {1_X}."""
     cls = HypothesisClass((indicator_all(pop),))
-    return audit_multi_calibration(pop, predictor, cls, backend, prep=prep).value
+    return audit_multi_calibration(pop, predictor, cls, backend).value
 
 
 def audit_covariance_mc(pop, predictor, cls, backend="rational") -> AuditReport:
@@ -361,15 +367,15 @@ def audit_covariance_mc(pop, predictor, cls, backend="rational") -> AuditReport:
         if any(not (0 <= exactify(v) <= 1) for v in h.range_values):
             raise DomainError(f"hypothesis {h.name}: range must lie in [0, 1]")
     rounded = _rounding(backend)
-    prep = _Prepared(pop, predictor)
+    prep = _prepared(pop, predictor)
     one = pop.space.index("1")
-    ys, tables = prep.cell_tables(cls, np.stack([prep.mass, prep.star[:, one]], axis=1))
+    ys, table = prep.cell_tables(cls, np.stack([prep.mass, prep.star[:, one]], axis=1))
     # the range over its common denominator Y: y = ny / Y
     ratios = [exactify(y).as_integer_ratio() for y in ys]
     Y = math.lcm(*(d for _, d in ratios))
     ny = [n * (Y // d) for n, d in ratios]
     breakdown = {}
-    for h, per_level in zip(cls, tables):
+    for h, per_level in zip(cls, table.tolist()):
         total = Fraction(0)
         for mass, cells in zip(prep.level_weight, per_level):
             if mass == 0:
@@ -407,11 +413,11 @@ def _binary_level_stats(prep, cls):
     S, true-one mass of S, modeled-minus-true one mass of S) in the level."""
     one = prep.pop.space.index("1")
     rows = np.stack([prep.mass, prep.star[:, one], prep.diff[:, one]], axis=1)
-    ys, tables = prep.cell_tables(cls, rows)
+    ys, table = prep.cell_tables(cls, rows)
     if 1 not in ys:
-        return [[(0, 0, 0)] * len(prep.levels) for _ in tables]
+        return [[(0, 0, 0)] * len(prep.levels) for _ in cls]
     base = 3 * ys.index(1)
-    return [[tuple(cells[base:base + 3]) for cells in per_level] for per_level in tables]
+    return table[:, :, base:base + 3].tolist()
 
 
 def _nabla(prep, v, ones, mass):
@@ -427,7 +433,7 @@ def violation_profile(pop, predictor, cls, backend="rational") -> ViolationProfi
     """
     _require_binary(pop, cls)
     rounded = _rounding(backend)
-    prep = _Prepared(pop, predictor)
+    prep = _prepared(pop, predictor)
     stats = _binary_level_stats(prep, cls)
     entries = {}
     for h, per_level in zip(cls, stats):
@@ -460,7 +466,7 @@ def check_conditional(pop, predictor, cls, epsilon, kind, backend="rational") ->
     if kind not in ("MA", "MC", "SMC"):
         raise DomainError(f"unknown conditional kind {kind!r}")
     rounded = _rounding(backend)
-    prep = _Prepared(pop, predictor)
+    prep = _prepared(pop, predictor)
     eps = exactify(epsilon)
     if eps < 0:
         raise DomainError(f"epsilon must be nonnegative, got {epsilon}")

@@ -157,17 +157,21 @@ def cmd_construct(args) -> int:
                 seed=args.seed)
         except SampledRunFailureError as e:
             # retain the failed run's transcript before signalling exit 3
-            doc = {"failed": True, "transcript": serialize.jsonify(e.transcript)}
-            doc["transcript"].pop("final_predictor", None)
-            _emit(doc, args.output)
+            _emit({"failed": True, "transcript": _transcript_json(e.transcript)}, args.output)
             raise
     doc = {
         "predictor": serialize.predictor_to_json(predictor.as_exact()),
-        "transcript": serialize.jsonify(transcript),
+        "transcript": _transcript_json(transcript),
     }
-    doc["transcript"].pop("final_predictor", None)
     _emit(doc, args.output)
     return 0
+
+
+def _transcript_json(transcript) -> dict:
+    """A constructor transcript as JSON, without its final predictor, which
+    the document carries (or a failed run does not certify)."""
+    return serialize.jsonify({k: v for k, v in vars(transcript).items()
+                              if k != "final_predictor"})
 
 
 def cmd_graph(args) -> int:

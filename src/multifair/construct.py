@@ -8,13 +8,12 @@ rule caps the number of iterations at 2 (L/eps)^2 E[D(p*_i, p_i^(1))]:
 with multiplicative weights from the uniform start this is
 2 ln(outcomes) / eps^2, with projected gradient descent 2*outcomes/eps^2.
 The final audit is the value of the last best response, which attains
-the audit.  An event member's loss table is read off the
-`audits._Prepared` its best response was scored on: its values depend
-only on the grid-rounded levels of the exact predictions.  Monomial and
-explicit members read the raw predictor, so their loss tables and
-empirical advantages take no prepared population at all; the empirical
-advantages and the randomized selection prepare one population per grid
-and call.
+the audit.  An event member's loss table is read off the prepared
+population its best response was scored on, which `audits._prepared`
+keeps on the predictor: its values depend only on the grid-rounded levels
+of the exact predictions.  Monomial and explicit members read the raw
+predictor, so their loss tables and empirical advantages take no prepared
+population at all.
 
 The sample-based loop replaces the exact search with a weak agnostic
 learner: empirical-advantage maximization over an explicit family on
@@ -49,7 +48,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .audits import _Prepared
+from .audits import _prepared
 from .core import SimplexGrid, exactify
 from .errors import (
     DomainError,
@@ -62,7 +61,6 @@ from .oi import (
     Distinguisher,
     DistinguisherFamily,
     _oriented,
-    _preparer,
     _reduce,
     audit_oi,
     make_family,
@@ -205,7 +203,7 @@ def construct_exact(pop: PopulationInstance, family: DistinguisherFamily, epsilo
     transcript = ConstructionTranscript(iteration_bound=bound)
     t = 0
     while True:
-        _, d, adv, prep = _reduce(pop, predictor, family)
+        _, d, adv = _reduce(pop, predictor, family)
         if transcript.iterations:
             # the fresh best-response value is the post-update audit of the
             # previous iteration
@@ -216,8 +214,8 @@ def construct_exact(pop: PopulationInstance, family: DistinguisherFamily, epsilo
         if t > math.ceil(bound) + 1:
             raise InternalInvariantError(
                 f"construction exceeded its regret bound ({bound:.2f} iterations)")
-        # an event member reads the levels of the population it was scored on
-        losses = _loss_tables(pop, d.values(pop, predictor, prep))
+        # an event member reads the prepared population it was scored on
+        losses = _loss_tables(pop, d.values(pop, predictor))
         predictor = _apply_update(pop, predictor, rule, losses)
         transcript.iterations.append(
             IterationRecord(index=t, witness=dict(d.payload), advantage=adv))
@@ -250,12 +248,11 @@ def empirical_advantages(members, pop, predictor, samples):
         obs_counts[id_pos[j], o_pos[o]] += 1
     drawn = [i for i in range(len(pop.ids)) if counts[i] != 0]
     pts = [[float(w) for w in predictor.values[pop.ids[i]].weights] for i in drawn]
-    prep = _preparer(pop, predictor)
     out = []
     for d in members:
         modeled = 0.0
         observed = 0.0
-        rows = d.values(pop, predictor, prep(d.grid) if d.events is not None else None)
+        rows = d.values(pop, predictor)
         for i, pt in zip(drawn, pts):
             vals = [float(v) for v in rows[i]]
             modeled += counts[i] * sum(a * b for a, b in zip(vals, pt))
@@ -392,7 +389,7 @@ def select_distinguisher_randomized(pop, predictor, cls: HypothesisClass, eps_pr
         8 * math.log(2 * len(learner.search) * rounds / beta) / (epsp / 2) ** 2)
 
     cells = [(o, tuple(g.weights)) for o in pop.space.labels for g in grid.iter_points()]
-    prep = _Prepared(pop, predictor, grid=grid)
+    prep = _prepared(pop, predictor, grid)
 
     weights, cum_true = _sampling_tables(pop)
     cum_mod = _cumulative([predictor.values[j] for j in pop.ids])

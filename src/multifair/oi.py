@@ -21,10 +21,11 @@ over (hypothesis value, outcome, grid point) cells, lowdegree members are
 (hypothesis, outcome, monomial) triples, and only explicit members carry
 a callable.  `Distinguisher.values` evaluates a member on a population:
 an event member reads only the levels of the population that
-`audits._Prepared` rounded onto its grid, and one prepared population per
-grid serves every member of a call; monomial and explicit members read
-the predictor they are given, the exact one for an advantage and the raw
-one for a loss table or an empirical advantage.
+`audits._Prepared` rounded onto its grid; monomial and explicit members
+read the predictor they are given, the exact one for an advantage and the
+raw one for a loss table or an empirical advantage.  Every reduction and
+evaluation reads one prepared population per (population, predictor,
+grid), kept on the predictor by `audits._prepared`.
 
 The mc and smc families have astronomically many members (every event E
 is one member) but their audits never enumerate: for a fixed hypothesis
@@ -34,11 +35,10 @@ statistical distance.  The literal exhaustive-E maximization is a test
 oracle for small cell counts (`tests/oracles.py`).
 
 `audit_oi` and `best_response` are two views of one reduction: it
-prepares the population (and, for the event families, builds the cell
-table) once per call and returns the audit report together with the
-best-responding member and its advantage, which is the audit value.  It
-also returns the prepared population, off which the exact constructor
-reads an event member's loss table.  The basic, mc and smc families and
+reads the prepared population (and, for the event families, builds the
+cell table) once per call and returns the audit report together with the
+best-responding member and its advantage, which is the audit value.  The
+basic, mc and smc families and
 the oracle reduce over one signed table, the (modeled - true) mass per
 (hypothesis, level, y, outcome) that `audits._Prepared` builds for the
 statistical-distance audits, here on the levels of the grid-rounded
@@ -59,7 +59,7 @@ from fractions import Fraction
 
 from .core import OutcomeDist, OutcomeSpace, SimplexGrid, exactify
 from .errors import ConstructionError, EnumerationLimitError
-from .audits import AuditReport, _Prepared, _rounding, _to_float
+from .audits import AuditReport, _prepared, _rounding, _to_float
 from .population import HypothesisClass, PopulationInstance, Predictor
 
 EXPLICIT_AUDIT_LIMIT = 10**6
@@ -86,18 +86,14 @@ class Distinguisher:
     monomial: tuple | None = None
     negated: bool = False
 
-    def values(self, pop: PopulationInstance, predictor: Predictor, prep=None):
+    def values(self, pop: PopulationInstance, predictor: Predictor):
         """Per individual of `pop`: the member's value at each outcome, in
         label order.  Monomial and explicit members read `predictor` as
-        given.  Event members read only the levels of `prep`, the population
-        prepared for their grid, which is built here when not given."""
+        given.  Event members read only the levels of the population
+        prepared with `predictor` for their grid."""
         labels = pop.space.labels
         if self.events is not None:
-            if prep is None:
-                prep = _Prepared(pop, predictor, grid=self.grid)
-            if prep.grid is not self.grid:
-                raise ConstructionError(
-                    f"member {self.name} reads a grid the population was not prepared for")
+            prep = _prepared(pop, predictor, self.grid)
             entries = [self.events.get(point) for point in prep.points]
             rows = []
             for j, level in zip(prep.ids, prep.level_of.tolist()):
@@ -260,27 +256,18 @@ def oi_advantage(pop: PopulationInstance, predictor: Predictor, d: Distinguisher
                  exact: bool = True):
     """Signed advantage Delta_A, an exact expectation difference over the
     joint; with `exact` false, its correctly rounded float."""
-    adv = _advantage(_Prepared(pop, predictor, grid=d.grid), d)
+    adv = _advantage(pop, predictor, predictor.as_exact(), d)
     return adv if exact else _to_float(adv)
 
 
-def _advantage(prep, d):
-    """Delta_A on a prepared population: the (modeled - true) masses weighted
-    by A, which reads the exact predictor."""
-    return prep.to_mass(sum(x * exactify(a) for diff, row
-                            in zip(prep.diff.tolist(), d.values(prep.pop, prep.predictor, prep))
+def _advantage(pop, predictor, exact, d):
+    """Delta_A: the (modeled - true) masses weighted by A.  An event member
+    reads the levels prepared for `predictor`, any other member `exact`,
+    the predictor with exact predictions."""
+    prep = _prepared(pop, predictor, d.grid)
+    rows = d.values(pop, predictor if d.events is not None else exact)
+    return prep.to_mass(sum(x * exactify(a) for diff, row in zip(prep.diff.tolist(), rows)
                             for x, a in zip(diff, row) if x and a))
-
-
-def _preparer(pop, predictor):
-    """prep(grid): the population prepared once per grid, grids compared by identity."""
-    cache = {}
-
-    def prep(grid):
-        if id(grid) not in cache:
-            cache[id(grid)] = _Prepared(pop, predictor, grid=grid)
-        return cache[id(grid)]
-    return prep
 
 
 def _oriented(d, adv):
@@ -348,36 +335,33 @@ def best_response(pop, predictor, family: DistinguisherFamily, backend="rational
     directly usable as a loss table.
     """
     rounded = _rounding(backend)
-    d, adv = _reduce(pop, predictor, family)[1:3]
+    d, adv = _reduce(pop, predictor, family)[1:]
     return d, rounded(adv)
 
 
 def _reduce(pop, predictor, family):
-    """(audit report, best-responding member, its advantage, prepared
-    population) for one family.
+    """(audit report, best-responding member, its advantage) for one family.
 
     One prepared population, and for the event families one cell table,
     serves the audit and the best response: the audit value is the
     advantage of the member, which is oriented to be nonnegative.  Ties go
-    to the first hypothesis, member or cell in order.  The prepared
-    population returned is the one the member was scored on, so an event
-    member's values can be read off it.
+    to the first hypothesis, member or cell in order.
     """
     if family.kind == "explicit":
         if len(family.explicit_members) > EXPLICIT_AUDIT_LIMIT:
             raise EnumerationLimitError("explicit family too large to audit")
-        prep = _preparer(pop, predictor)
-        advs = [(d, _advantage(prep(d.grid), d)) for d in family.explicit_members]
+        exact = predictor.as_exact()
+        advs = [(d, _advantage(pop, predictor, exact, d)) for d in family.explicit_members]
         breakdown = {d.name: abs(adv) for d, adv in advs}
         d, adv = max(advs, key=lambda t: abs(t[1]))
-        return (AuditReport("oi-explicit", abs(adv), d.name, breakdown), *_oriented(d, adv),
-                prep(d.grid))
+        return AuditReport("oi-explicit", abs(adv), d.name, breakdown), *_oriented(d, adv)
 
     if family.kind == "lowdegree":
-        prep = _Prepared(pop, predictor)
+        prep = _prepared(pop, predictor)
         labels = family.outcome_space.labels
         monos = monomial_multisets(len(labels), family.degree)
-        dists = [prep.predictor.values[j] for j in prep.ids]
+        exact = predictor.as_exact()
+        dists = [exact.values[j] for j in prep.ids]
         mono_vals = [[monomial_value(mono, d) for d in dists] for mono in monos]
         breakdown = {}
         best = None  # (advantage, hypothesis, outcome, monomial)
@@ -405,14 +389,14 @@ def _reduce(pop, predictor, family):
         adv, h, o0, mono = best
         witness = {"hypothesis": h.name, "outcome": o0, "monomial_indices": list(mono)}
         d = monomial_distinguisher(h, o0, mono)
-        return (AuditReport("oi-lowdegree", abs(adv), witness, breakdown), *_oriented(d, adv),
-                prep)
+        return AuditReport("oi-lowdegree", abs(adv), witness, breakdown), *_oriented(d, adv)
 
     if family.kind not in ("mc", "smc", "basic"):
         raise ConstructionError(f"unknown family kind {family.kind!r}")
     cls = family.hypotheses
-    prep = _Prepared(pop, predictor, grid=family.grid)
-    ys, tables = prep.cell_tables(cls, prep.diff)
+    prep = _prepared(pop, predictor, family.grid)
+    ys, table = prep.cell_tables(cls, prep.diff)
+    tables = table.tolist()
     if family.kind == "smc":
         choice = _smc_choice(tables)
         per_level_best = {prep.points[v]: (cls.hypotheses[c].name, _mass(prep, s))
@@ -423,7 +407,7 @@ def _reduce(pop, predictor, family):
         events = _positive_events(prep, ys, hyps, rows)
         d = _event_distinguisher("level-assigned-event", events, family.grid, assignment={
             str(point): h.name for point, h in zip(prep.points, hyps)})
-        return AuditReport("oi-smc", total, per_level_best, per_level_best), d, total, prep
+        return AuditReport("oi-smc", total, per_level_best, per_level_best), d, total
 
     if family.kind == "mc":
         score = [sum(_positive_sums(t)) for t in tables]
@@ -436,7 +420,7 @@ def _reduce(pop, predictor, family):
     report = AuditReport(f"oi-{family.kind}", breakdown[h.name], h.name, breakdown)
     if family.kind == "mc":
         events = _positive_events(prep, ys, [h] * len(prep.levels), tables[c])
-        return report, _mc_member(h, events, family.grid), breakdown[h.name], prep
+        return report, _mc_member(h, events, family.grid), breakdown[h.name]
     # basic: binary instances always tie (y, "0", l) against (y, "1", l), so the
     # first-reached order is what keeps the witness, and with it the
     # constructor transcripts, deterministic and stable.
@@ -445,5 +429,5 @@ def _reduce(pop, predictor, family):
     y, o = ys[i // ell], pop.space.labels[i % ell]
     point = prep.points[v]
     d = mc_event_distinguisher(h, [(y, o, point)], family.grid, name=_cell_name(h, y, o, point))
-    return report, *_oriented(d, prep.to_mass(tables[c][v][i])), prep
+    return report, *_oriented(d, prep.to_mass(tables[c][v][i]))
 

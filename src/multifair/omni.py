@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .audits import AuditReport, _prepare, _Prepared, audit_calibration, audit_multi_accuracy
+from .audits import AuditReport, _prepared, audit_calibration, audit_multi_accuracy
 from .core import OutcomeDist, OutcomeSpace, exactify
 from .errors import DomainError, RangeMismatchError
 from .population import HypothesisClass, PopulationInstance, Predictor
@@ -96,13 +96,12 @@ def _action_map(losses, cls: HypothesisClass) -> dict:
 
 
 def omni_audit(pop: PopulationInstance, predictor: Predictor, losses,
-               cls: HypothesisClass, *, prep=None) -> AuditReport:
+               cls: HypothesisClass) -> AuditReport:
     """max over (loss, hypothesis) of the post-processing regret, clipped at 0.
 
     The breakdown keeps the signed per-pair gaps, keyed by (loss name,
     hypothesis name), so loss names must be distinct; the report value
     clips below at zero so it compares directly against a slack eps.
-    `prep` is as in `audits._prepare`.
     """
     if not losses:
         raise DomainError("an omniprediction audit needs at least one loss")
@@ -112,7 +111,7 @@ def omni_audit(pop: PopulationInstance, predictor: Predictor, losses,
             raise DomainError(f"two losses are named {loss.name!r}")
         names.add(loss.name)
     act_of = _action_map(losses, cls)
-    return _omni_report(_prepare(pop, predictor, prep), losses, cls, act_of)
+    return _omni_report(_prepared(pop, predictor), losses, cls, act_of)
 
 
 def _level_numerators(prep) -> list:
@@ -149,11 +148,11 @@ def _omni_report(prep, losses, cls: HypothesisClass, act_of: dict) -> AuditRepor
     numerators, the first action on ties, as `post_process` picks it.
     """
     ell = prep.pop.space.size
-    ys, tables = prep.cell_tables(cls, prep.star)
+    ys, table = prep.cell_tables(cls, prep.star)
     # scaled true outcome masses per level (any hypothesis splits a level by
     # y), and per (hypothesis, y) at [c][y * ell + o]
-    level_true = [[sum(cells[o::ell]) for o in range(ell)] for cells in tables[0]]
-    y_true = [[sum(col) for col in zip(*per_level)] for per_level in tables]
+    level_true = table[0].reshape(len(prep.levels), len(ys), ell).sum(axis=1).tolist()
+    y_true = table.sum(axis=1).tolist()
     level_nums = _level_numerators(prep)
     breakdown = {}
     witness = None
@@ -184,11 +183,10 @@ def _omni_report(prep, losses, cls: HypothesisClass, act_of: dict) -> AuditRepor
 def omni_bound_check(pop, predictor, losses, cls) -> dict:
     """Verify omni_audit <= calibration + multi-accuracy, exactly, and report
     all three numbers; the omni audit's full report is kept under "report".
-    The three audits read one exact prepared population."""
-    prep = _Prepared(pop, predictor)
-    omni = omni_audit(pop, predictor, losses, cls, prep=prep)
-    cal = audit_calibration(pop, predictor, prep=prep)
-    ma = audit_multi_accuracy(pop, predictor, cls, prep=prep)
+    The three audits read one prepared population (`audits._prepared`)."""
+    omni = omni_audit(pop, predictor, losses, cls)
+    cal = audit_calibration(pop, predictor)
+    ma = audit_multi_accuracy(pop, predictor, cls)
     holds = omni.value <= cal + ma.value
     return {
         "omni_audit": omni.value,

@@ -16,10 +16,12 @@ by symbol.
 
 A population keeps one exact integer table of its masses, built on first
 use and then shared by every exact audit of that population (see
-`PopulationInstance._exact_table`), and a hypothesis class the y-index
-array of its last population (`HypothesisClass._y_index`).  Neither is
-rebuilt, so both rely on immutability: weight, truth and hypothesis value
-maps must not be mutated after construction.
+`PopulationInstance._exact_table`), a hypothesis class the y-index array
+of its last population (`HypothesisClass._y_index`), and a predictor its
+prepared populations for its last population, one per grid
+(`audits._prepared`).  None is rebuilt, so all rely on immutability:
+weight, truth, hypothesis value and predictor value maps must not be
+mutated after construction, or later audits read the old values.
 
 `random_instance` costs per distinct value: each phase of its draws is a
 vector call, and individuals with equal distributions or masses share one
@@ -133,9 +135,12 @@ def _int_array(rows, D) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Predictor:
-    """Total map from individuals to outcome distributions."""
+    """Total map from individuals to outcome distributions.  It caches its
+    prepared populations (`audits._prepared`), so `values` must not be
+    mutated."""
 
     values: dict  # id -> OutcomeDist
+    _prepared: tuple = field(default=None, init=False, compare=False, repr=False)
 
     def value(self, j) -> OutcomeDist:
         try:

@@ -87,7 +87,8 @@ def jsonify(obj):
         items = sorted(obj, key=repr) if isinstance(obj, (set, frozenset)) else obj
         return [jsonify(v) for v in items]
     if hasattr(obj, "__dict__"):
-        return {k: jsonify(v) for k, v in vars(obj).items()}
+        # underscore fields are caches (`_prepared`, `_table`, ...), not data
+        return {k: jsonify(v) for k, v in vars(obj).items() if not k.startswith("_")}
     return repr(obj)
 
 

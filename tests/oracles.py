@@ -336,7 +336,8 @@ def audit_oi_mc_bruteforce(pop, predictor, cls, grid, backend="rational"):
     """
     rounded = _rounding(backend)
     prep = _Prepared(pop, predictor, grid=grid)
-    ys, tables = prep.cell_tables(cls, prep.diff)
+    ys, table = prep.cell_tables(cls, prep.diff)
+    tables = table.tolist()
     ell = pop.space.size
     n_cells = len(ys) * ell * grid.size
     if n_cells > MC_ORACLE_CELL_LIMIT:

@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multifair import (
+    HypothesisClass,
     OutcomeDist,
+    PopulationInstance,
     Predictor,
     audit_calibration,
     audit_covariance_mc,
@@ -18,14 +20,17 @@ from multifair import (
     audit_oi,
     audit_strict_multi_calibration,
     best_response,
+    binary_space,
     check_conditional,
     discretize,
+    indicator_all,
     make_family,
     make_grid_with_denominator,
     oi_advantage,
     random_instance,
     violation_profile,
 )
+from multifair.audits import _to_float
 from test_audit_oracles import covariance_oracle
 
 TOL = 1e-9
@@ -197,3 +202,24 @@ def test_binary_float_results_are_the_rational_results_rounded(inst, eps):
     for kind in ("MA", "MC", "SMC"):
         _assert_rounded(check_conditional(pop, pred, cls, eps, kind, "float"),
                         check_conditional(pop, pred, cls, eps, kind))
+
+
+def test_float_reports_keep_entries_whose_keys_round_to_one_float():
+    """Levels 1/3 and 1/3 + 10^-30 round to one float.  The float violation
+    profile and SMC breakdown keep both entries, under their exact keys,
+    with every value rounded."""
+    ids = ("a", "b")
+    half = Fraction(1, 2)
+    pop = PopulationInstance(binary_space(), ids, dict.fromkeys(ids, half),
+                             dict.fromkeys(ids, OutcomeDist.bernoulli(half)))
+    low = Fraction(1, 3)
+    pred = Predictor({"a": OutcomeDist.bernoulli(low),
+                      "b": OutcomeDist.bernoulli(low + Fraction(1, 10**30))})
+    cls = HypothesisClass((indicator_all(pop),))
+    for audit, entries in ((violation_profile, lambda r: r.entries),
+                           (audit_strict_multi_calibration, lambda r: r.breakdown)):
+        exact = entries(audit(pop, pred, cls))
+        rounded = entries(audit(pop, pred, cls, "float"))
+        assert len(exact) == 2 and len({_to_float(k) for k in exact}) == 1
+        assert list(rounded) == list(exact)
+        assert repr(list(rounded.values())) == repr([_to_float(v) for v in exact.values()])

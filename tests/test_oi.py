@@ -32,7 +32,7 @@ from multifair import (
     stat_distance,
     update,
 )
-from multifair.audits import _Prepared
+from multifair.audits import _prepared
 from multifair.errors import ConstructionError, DomainError, EnumerationLimitError
 from multifair.oi import (
     _advantage,
@@ -476,11 +476,14 @@ def test_event_member_needs_a_population_prepared_for_its_grid():
     pop, cls, pred = random_instance(np.random.default_rng(13), 5, 2, 2)
     grid = make_grid_with_denominator(pop.space, 2)
     d = make_family("basic", hypotheses=cls, grid=grid).members()[0]
-    assert len(d.values(pop, pred, _Prepared(pop, pred, grid=grid))) == len(pop.ids)
-    # an equal grid is still another grid: members compare grids by identity
-    for other in (None, make_grid_with_denominator(pop.space, 2)):
-        with pytest.raises(ConstructionError):
-            d.values(pop, pred, _Prepared(pop, pred, grid=other))
+    # builds for no grid and for an equal grid are in the predictor's memo
+    # first: an equal grid is still another grid, keyed by identity
+    others = [_prepared(pop, pred, g) for g in (None, make_grid_with_denominator(pop.space, 2))]
+    rows = d.values(pop, pred)
+    assert len(rows) == len(pop.ids)
+    prep = _prepared(pop, pred, grid)
+    assert prep.grid is grid and all(o is not prep and o.grid is not grid for o in others)
+    assert rows == d.values(pop, Predictor(dict(pred.values)))
 
 
 def _stepped(pop, pred, eta):
@@ -497,7 +500,8 @@ def _literal_event_member(kind, prep, cls, grid):
     (mc) or an explicit per-level grouping under the level's chosen
     hypothesis (smc).  Ties go to the first hypothesis, as in the audit.
     """
-    ys, tables = prep.cell_tables(cls, prep.diff)
+    ys, table = prep.cell_tables(cls, prep.diff)
+    tables = table.tolist()
     ell, labels = prep.pop.space.size, prep.pop.space.labels
 
     def positive(row, point):
@@ -538,11 +542,11 @@ def test_event_members_built_from_rows_equal_literal_builds(kind):
         fam = make_family(kind, hypotheses=cls, grid=grid)
         moved = _stepped(pop, pred, 0.5)
         for p in (pred, _stepped(pop, pred, 0.3)):
-            _, d, _, prep = _reduce(pop, p, fam)
-            want = _literal_event_member(kind, prep, cls, grid)
+            _, d, _ = _reduce(pop, p, fam)
+            want = _literal_event_member(kind, _prepared(pop, p, grid), cls, grid)
             assert d.events == want.events
             assert d.name == want.name and repr(d.payload) == repr(want.payload)
-            assert d.values(pop, p, prep) == want.values(pop, p, prep)
+            assert d.values(pop, p) == want.values(pop, p)
             assert d.values(pop, moved) == want.values(pop, moved)
 
 
@@ -558,11 +562,11 @@ def test_lowdegree_float_value_is_the_advantage_of_its_member(seed, n, degree, s
     if step:
         pred = _stepped(pop, pred, 0.3)
     fam = make_family("lowdegree", hypotheses=cls, degree=degree, outcome_space=pop.space)
-    report, d, adv, prep = _reduce(pop, pred, fam)
+    report, d, adv = _reduce(pop, pred, fam)
     w = report.witness
     h = next(h for h in cls if h.name == w["hypothesis"])
     member = monomial_distinguisher(h, w["outcome"], w["monomial_indices"])
-    assert report.value == adv == abs(_advantage(prep, member))
+    assert report.value == adv == abs(_advantage(pop, pred, pred.as_exact(), member))
     assert report.breakdown[h.name] == report.value
     freport = audit_oi(pop, pred, fam, "float")
     assert freport.value == best_response(pop, pred, fam, "float")[1] == float(adv)

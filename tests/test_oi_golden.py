@@ -75,7 +75,7 @@ def _records(kind, backend):
     for pop, cls, m, pred in _instances():
         fam = _family(kind, pop, cls, m)
         if backend == "rational":
-            report, d, adv, _ = _reduce(pop, pred, fam)
+            report, d, adv = _reduce(pop, pred, fam)
         else:
             report = audit_oi(pop, pred, fam, backend)
             d, adv = best_response(pop, pred, fam, backend)

@@ -205,14 +205,19 @@ def test_bound_check_prepares_once_and_matches_the_separate_audits(monkeypatch):
         assert chk["calibration"] == audit_calibration(pop, pred)
         assert chk["multi_accuracy"] == audit_multi_accuracy(pop, pred, cls).value
         assert chk["bound_holds"] == (omni.value <= chk["calibration"] + chk["multi_accuracy"])
-    # a shared prep must be of the same objects; it serves either backend,
-    # since the float one rounds the exact result
-    prep = audits._Prepared(pop, pred)
-    assert audit_multi_accuracy(pop, pred, cls, "float", prep=prep).value == \
-        float(audit_multi_accuracy(pop, pred, cls, prep=prep).value)
+        # the separate calls, and a float audit, read the bound check's build
+        assert audit_multi_accuracy(pop, pred, cls, "float").value == \
+            float(chk["multi_accuracy"])
+        assert len(builds) == 1
+    # the memo is kept per population and predictor object: another
+    # population with the same ids, or another predictor, gets its own build,
+    # which equals the build of a fresh predictor with the same values
     reordered = PopulationInstance(pop.space, pop.ids[::-1], pop.weight, pop.p_true)
     other = Predictor({j: pop.p_true[j] for j in pop.ids})
-    for call in (lambda: audit_calibration(reordered, pred, prep=prep),
-                 lambda: omni_audit(pop, other, losses, cls, prep=prep)):
-        with pytest.raises(DomainError):
-            call()
+    for p, q in ((reordered, pred), (pop, other), (pop, pred)):
+        builds.clear()
+        got = (audit_calibration(p, q), omni_audit(p, q, losses, cls))
+        assert builds == [(p,)] and q._prepared[0] is p
+        twin = Predictor(dict(q.values))
+        want = (audit_calibration(p, twin), omni_audit(p, twin, losses, cls))
+        assert repr(got) == repr(want) and got[1].breakdown == want[1].breakdown

@@ -9,6 +9,8 @@ The array fields are compared as lists.  The one cell-table kernel is
 checked against a literal loop over the individuals under each of its
 accumulators, its overflow guard on crafted rows, and its hypothesis
 class's cached y-index against the lists looked up per hypothesis.
+`audits._prepared`, the memo on the predictor, is checked against fresh
+builds, per population and grid object, and for cycles.
 """
 
 import gc
@@ -21,21 +23,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multifair import (
+    ConstructionTranscript,
     LossTable,
     OutcomeDist,
     OutcomeSpace,
     HypothesisClass,
     PopulationInstance,
     Predictor,
+    audit_calibration,
+    audit_covariance_mc,
+    audit_multi_accuracy,
     audit_multi_calibration,
+    audit_oi,
+    audit_strict_multi_calibration,
+    best_response,
     binary_space,
+    check_conditional,
     fixture_grid_population,
+    make_family,
     make_grid_with_denominator,
     mwu_rule,
+    omni_bound_check,
     random_instance,
+    serialize,
     update,
+    violation_profile,
+    zero_one_loss,
 )
-from multifair.audits import _Prepared
+from multifair.audits import _Prepared, _prepared
 from multifair.errors import InternalInvariantError
 from oracles import (
     cell_tables_loop,
@@ -252,9 +267,10 @@ def test_float_numpy_tables_equal_the_literal_loop(ell, grid_m):
             reached.add((dtype, len(pop.ids) * ell > 512))
             star, diff = prep.star.tolist(), prep.diff.tolist()
             for rows in (diff, star, [(sum(s), s[0]) for s in star]):
-                ys, tables = prep.cell_tables(cls, np.array(rows, dtype=prep.star.dtype))
+                ys, table = prep.cell_tables(cls, np.array(rows, dtype=prep.star.dtype))
                 want_ys, want = _cell_tables_loop(prep, cls, rows)
-                assert ys == want_ys
+                assert ys == want_ys and table.dtype == prep.star.dtype
+                tables = table.tolist()
                 assert all(type(x) is int for t in tables for row in t for x in row)
                 assert repr(tables) == repr(want)
     assert reached == {(dtype, big) for dtype in ("int64", "object")
@@ -275,8 +291,8 @@ def test_int64_overflow_guard_trips_on_crafted_rows():
     # the guard is exact at the bound: |.| summing to 2D passes, 2D + 1 trips
     at_bound = np.zeros((n, 2), dtype=np.int64)
     at_bound[0, 1], at_bound[1, 1] = D, -D
-    ys, tables = prep.cell_tables(cls, at_bound)
-    assert tables == _cell_tables_loop(prep, cls, at_bound.tolist())[1]
+    ys, table = prep.cell_tables(cls, at_bound)
+    assert table.tolist() == _cell_tables_loop(prep, cls, at_bound.tolist())[1]
     at_bound[2, 1] = 1
     with pytest.raises(InternalInvariantError):
         prep.cell_tables(cls, at_bound)
@@ -303,8 +319,8 @@ def test_one_class_across_reordered_and_copied_ids_gives_fresh_tables():
     for p in (pop, reordered, copied, pop, reordered):
         prep = _Prepared(p, pred)
         fresh = HypothesisClass(cls.hypotheses)
-        assert repr(prep.cell_tables(cls, prep.diff)) == \
-            repr(prep.cell_tables(fresh, prep.diff))
+        assert repr(prep.cell_tables(cls, prep.diff)[1].tolist()) == \
+            repr(prep.cell_tables(fresh, prep.diff)[1].tolist())
         assert cls._y_index(p.ids).tolist() == y_index_per_hypothesis(cls, p.ids)
         backend_reports = [audit_multi_calibration(p, pred, c, backend)
                            for c in (cls, HypothesisClass(cls.hypotheses))
@@ -325,3 +341,141 @@ def test_class_and_population_are_freed_once_dropped():
     del pop, cls, pred
     gc.collect()
     assert [r() for r in refs] == [None, None]
+
+
+def _every_audit(pop, cls, predictor, grid):
+    """repr of every audit kind under both backends, with each report's
+    fields, the predictor drawn from `predictor()` for each call."""
+    fams = [make_family(kind, hypotheses=cls, grid=grid) for kind in ("basic", "mc", "smc")]
+    fams.append(make_family("lowdegree", hypotheses=cls, degree=2, outcome_space=pop.space))
+    fams.append(make_family("explicit", members=fams[0].members()[:6]))
+    binary = pop.space.is_binary and cls.is_binary
+    out = []
+    for b in ("rational", "float"):
+        out += [audit(pop, predictor(), cls, b) for audit in (
+            audit_multi_accuracy, audit_multi_calibration, audit_strict_multi_calibration)]
+        out.append(audit_calibration(pop, predictor(), b))
+        if binary:
+            out.append(audit_covariance_mc(pop, predictor(), cls, b))
+            out.append(violation_profile(pop, predictor(), cls, b))
+            out += [check_conditional(pop, predictor(), cls, Fraction(1, 10), kind, b)
+                    for kind in ("MA", "MC", "SMC")]
+        for fam in fams:
+            out += [audit_oi(pop, predictor(), fam, b), best_response(pop, predictor(), fam, b)]
+    if cls.is_binary:  # its values are the actions "0" and "1" of the loss
+        out.append(omni_bound_check(pop, predictor(), [zero_one_loss(pop.space)], cls))
+    return repr([vars(r) if hasattr(r, "__dict__") else r for r in out])
+
+
+@pytest.mark.parametrize("ell,binary", [(2, True), (3, False), (8, True)])
+def test_memo_hits_equal_fresh_builds_of_an_equal_predictor(ell, binary):
+    """Every audit kind reads the same build from a warm memo as a fresh
+    build of an equal but distinct predictor object gives it."""
+    pop, cls, pred = random_instance(np.random.default_rng([ell, 71]), 12, ell, 3,
+                                     binary_hypotheses=binary)
+    grid = make_grid_with_denominator(pop.space, 2)
+    _every_audit(pop, cls, lambda: pred, grid)
+    warm = pred._prepared
+    assert warm[0] is pop and len(warm[1]) == 2
+    hits = _every_audit(pop, cls, lambda: pred, grid)
+    assert pred._prepared is warm and len(warm[1]) == 2
+    assert hits == _every_audit(pop, cls, lambda: Predictor(dict(pred.values)), grid)
+
+
+def _count_builds(monkeypatch) -> list:
+    """Record (population, predictor, grid) of every `_Prepared` built."""
+    builds = []
+    init = _Prepared.__init__
+
+    def counted(self, pop, predictor, grid=None):
+        builds.append((pop, predictor, grid))
+        init(self, pop, predictor, grid)
+    monkeypatch.setattr(_Prepared, "__init__", counted)
+    return builds
+
+
+def test_memo_builds_once_per_population_and_grid_object(monkeypatch):
+    """A population with reordered ids, a copied population and a second
+    equal grid object each get their own build, equal to a fresh one."""
+    pop, cls, pred = random_instance(np.random.default_rng(72), 20, 3, 3)
+    grid, twin_grid = (make_grid_with_denominator(pop.space, 2) for _ in range(2))
+    reordered = PopulationInstance(pop.space, pop.ids[::-1], pop.weight, pop.p_true)
+    copied = PopulationInstance(pop.space, pop.ids, pop.weight, pop.p_true)
+    assert copied == pop and copied is not pop
+    builds = _count_builds(monkeypatch)
+    for p in (pop, pop, reordered, copied, copied, pop):
+        got = audit_multi_calibration(p, pred, cls)
+        assert pred._prepared[0] is p
+        fresh = audit_multi_calibration(p, Predictor(dict(pred.values)), cls)
+        assert repr((got, got.breakdown)) == repr((fresh, fresh.breakdown))
+    assert [b[0] for b in builds if b[1] is pred] == [pop, reordered, copied, pop]
+    builds.clear()
+    for g in (grid, twin_grid, grid, None, twin_grid):
+        assert _prepared(pop, pred, g).grid is g
+    assert [b[2] for b in builds] == [grid, twin_grid]
+    assert len(pred._prepared[1]) == 3
+
+
+def test_one_build_per_population_predictor_and_grid(monkeypatch):
+    """The population audits, the bound check, the float audits and the
+    three grid OI families of one predictor make one build without a grid
+    and one on the grid."""
+    pop, cls, pred = random_instance(np.random.default_rng(73), 30, 2, 4)
+    grid = make_grid_with_denominator(pop.space, 3)
+    fams = [make_family(kind, hypotheses=cls, grid=grid) for kind in ("basic", "mc", "smc")]
+    builds = _count_builds(monkeypatch)
+    for audit in (audit_multi_accuracy, audit_multi_calibration,
+                  audit_strict_multi_calibration, audit_covariance_mc, violation_profile):
+        audit(pop, pred, cls)
+    audit_calibration(pop, pred)
+    for kind in ("MA", "MC", "SMC"):
+        check_conditional(pop, pred, cls, Fraction(1, 10), kind)
+    omni_bound_check(pop, pred, [zero_one_loss(pop.space)], cls)
+    for audit in (audit_multi_accuracy, audit_multi_calibration,
+                  audit_strict_multi_calibration):
+        audit(pop, pred, cls, "float")
+    audit_calibration(pop, pred, "float")
+    for fam in fams:
+        audit_oi(pop, pred, fam)
+    assert [(p is pop, q is pred, g) for p, q, g in builds] == [(True, True, None),
+                                                                (True, True, grid)]
+
+
+def test_dropped_predictor_population_and_class_are_freed_without_a_collection():
+    """The memo holds the population and its builds; no build refers back to
+    the predictor, so reference counting alone frees all three."""
+    pop, cls, pred = random_instance(np.random.default_rng(74), 25, 2, 3)
+    pred = Predictor(dict(pred.values))
+    grid = make_grid_with_denominator(pop.space, 2)
+    fams = [make_family("mc", hypotheses=cls, grid=grid),
+            make_family("lowdegree", hypotheses=cls, degree=2, outcome_space=pop.space)]
+    fams.append(make_family("explicit", members=make_family(
+        "basic", hypotheses=cls, grid=grid).members()[:3]))
+    audit_multi_calibration(pop, pred, cls)
+    for fam in fams:
+        best_response(pop, pred, fam)
+    assert pred._prepared[0] is pop and len(pred._prepared[1]) == 2
+    refs = [weakref.ref(x) for x in (pop, cls, pred)]
+    gc.collect()
+    gc.disable()
+    try:
+        del pop, cls, pred, fams
+        assert [r() for r in refs] == [None, None, None]
+    finally:
+        gc.enable()
+
+
+def test_a_warm_memo_jsonifies_as_a_cold_predictor():
+    """Cache fields are not data: a predictor, population and grid with warm
+    caches jsonify to the documents they gave cold."""
+    pop, cls, pred = random_instance(np.random.default_rng(75), 10, 3, 2)
+    grid = make_grid_with_denominator(pop.space, 2)
+    cold = [serialize.jsonify(x) for x in (pred, pop, grid, cls)]
+    audit_oi(pop, pred, make_family("mc", hypotheses=cls, grid=grid))
+    grid.round_dist(pred.values[pop.ids[0]])
+    assert pred._prepared is not None and pop._table is not None
+    assert grid._point_of is not None and cls._index is not None
+    warm = [serialize.jsonify(x) for x in (pred, pop, grid, cls)]
+    assert warm == cold
+    assert serialize.jsonify(ConstructionTranscript(final_predictor=pred)) == \
+        serialize.jsonify(ConstructionTranscript(final_predictor=Predictor(dict(pred.values))))
