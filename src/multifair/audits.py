@@ -17,16 +17,18 @@ prediction values.  Every audit computes exactly: the float backend
 returns the exact result with each Fraction rounded once to its nearest
 float (`_to_float`), so a float value is `float()` of its rational twin.
 
-Every audit reads one prepared population per (population, predictor,
-grid): `_prepared` builds `_Prepared` on first use and keeps it on the
-predictor, so the audits, OI reductions and member evaluations of one
-predictor share it.  Every audit here, the OI event-family audits in `oi`
-and the omniprediction audit in `omni` each make one call of
-`_Prepared.cell_tables`, which sums per-individual rows of scaled masses
-per (hypothesis, level, hypothesis value y) in one numpy kernel over the
-columnar arrays of `_Prepared` and the class's cached y-index array, in
-int64 while D <= 2^40 and in Python ints beyond.  The audits differ only
-in the rows they pass and in how they reduce the table:
+Every audit reads its prepared population from `_prepared`, which keeps
+them on the predictor: one mass build per (population, predictor), and
+one level grouping of those masses per grid object (or none), so the
+audits, OI reductions and member evaluations of one predictor share the
+masses, and a grid only regroups the levels.  Every audit here, the OI
+event-family audits in `oi` and the omniprediction audit in `omni` each
+make one call of `_Prepared.cell_tables`, which sums per-individual rows
+of scaled masses per (hypothesis, level, hypothesis value y) in one numpy
+kernel over the columnar arrays of `_Prepared` and the class's cached
+y-index array, in int64 while D <= 2^40 and in Python ints beyond.  The
+audits differ only in the rows they pass and in how they reduce the
+table:
 
     MA, MC, SMC, OI families   diff: modeled - true mass per outcome
     covariance                 (mass, true-one mass); E[c] and E[c o*]
@@ -38,9 +40,10 @@ in the rows they pass and in how they reduce the table:
 The OI event families build the table on the levels of the grid-rounded
 predictor: the mc OI audit is the multi-calibration distance over those
 levels, with the modeled mass still taken from the raw predictor.
-`_Prepared(grid=...)` maps a predictor onto a grid for every audit and
-distinguisher evaluation: it rounds each distinct prediction once, by
-`SimplexGrid.round_dist`, and members read the points it keeps.
+The level part of `_Prepared` maps a predictor onto a grid for every
+audit and distinguisher evaluation: it rounds each distinct exact
+prediction once, as `SimplexGrid.round_dist` does, and members read the
+points it keeps.
 
 The chain MA <= MC <= SMC holds exactly on every instance, as does the
 discretization inequality SMC(rounded p) <= |grid| * MC(p) + eta.
@@ -48,6 +51,7 @@ discretization inequality SMC(rounded p) <= |grid| * MC(p) + eta.
 
 from __future__ import annotations
 
+import copy
 import math
 from collections import Counter
 from dataclasses import dataclass, fields, replace
@@ -102,45 +106,40 @@ class ConditionalCheckResult:
 
 
 class _Prepared:
-    """Instance + predictor flattened into integer mass arrays.
+    """Instance + predictor flattened into integer mass arrays, grouped
+    into levels.
 
-    It stores, per individual j and outcome o, the integer D * w_j * p*_j(o)
-    of the truth (`star[pos, o]`) and the signed difference
-    D * w_j * (p_j(o) - p*_j(o)) of the predictor against it
-    (`diff[pos, o]`), where D is the least common denominator of every such
-    product.  It is built from integers alone: each prediction's exact
-    value comes as integer ratios (`core._exact_ratios`), the truth comes
-    from the population's cached integer array over its own denominator
-    D_pop, each w_j p_j(o) is reduced by a gcd, and D = lcm(D_pop, the
-    reduced predictor denominators), the same D as the lcm over every
-    reduced product.  `mass[pos]` is the `star` row summed.  The arrays
-    are int64 while D <= 2^40, Python ints (object) beyond.
+    The mass part depends on (population, predictor) alone: per individual
+    j and outcome o, the integer D * w_j * p*_j(o) of the truth
+    (`star[pos, o]`), the signed difference D * w_j * (p_j(o) - p*_j(o))
+    of the predictor against it (`diff[pos, o]`), and `mass[pos]`, the
+    `star` row summed, where D is the least common denominator of every
+    such product.  It is built from integers alone, per distinct value:
+    each distinct prediction object is exactified once, keyed by `id()`
+    (`core._exact_ratios`), the truth comes from the population's cached
+    integer array over its own denominator D_pop, and each distinct
+    (weight, prediction) pair of objects gets one row of gcd-reduced
+    products, which `diff` gathers by an int pair index; D = lcm(D_pop,
+    the reduced predictor denominators).  The arrays are int64 while
+    D <= 2^40, Python ints (object) beyond.
 
-    The build costs per distinct value, not per individual.  Each distinct
-    prediction object is exactified once, keyed by `id()`, and the
-    products are reduced into one row per distinct (weight, prediction)
-    pair of objects, which `diff` gathers by an int pair index.
-
-    Levels group individuals by exact prediction value.  With a grid they
-    group by the grid-rounded prediction instead, which is what the OI
-    event families condition on; the modeled mass still comes from the raw
-    predictor.  Each distinct prediction object is keyed once, by its
-    integer ratios; only one representative per key is rounded (on those
-    ratios), and levels are told apart by their integer ratios, so no
-    Fraction is hashed.  `grid` is that grid (or None), `points[level]`
-    each level's weight tuple, `level_of[pos]` the int array of each
-    individual's level and `level_weight` each level's scaled mass.  It
-    keeps no reference to the predictor (see `_prepared`).  Scaled sums
-    convert back with `to_value` and `to_mass`, both Fractions over D.
+    The level part depends on the grid (`_group`), and `on` regroups the
+    same masses on another grid.  Levels group individuals by exact
+    prediction value or, with a grid, by grid-rounded value, which is what
+    the OI event families condition on.  Each exact value is rounded once,
+    on its integer ratios, and levels are told apart by their reduced
+    integer ratios (`level_ratios`), so no Fraction is hashed.  `grid` is
+    that grid (or None), `points[level]` each level's weight tuple,
+    `level_of[pos]` each individual's level (an int array) and
+    `level_weight` each level's scaled mass.  Neither part refers to the
+    predictor (see `_prepared`).  `to_value` and `to_mass` convert scaled
+    sums back to Fractions over D.
     """
 
     def __init__(self, pop: PopulationInstance, predictor: Predictor,
                  grid: SimplexGrid | None = None):
         predictor.check_total(pop)
-        if grid is not None and grid.space != pop.space:
-            raise DomainError("distribution and grid live on different outcome spaces")
         self.pop = pop
-        self.grid = grid
         self.ids = pop.ids
         dists = list(map(predictor.values.__getitem__, pop.ids))
         weights = list(map(pop.weight.__getitem__, pop.ids))
@@ -157,36 +156,48 @@ class _Prepared:
         tilde = _int_array(rows, self.D)
         self.star = np.asarray(star, dtype=tilde.dtype) * (self.D // D_pop)
         self.diff = tilde[pair_of] - self.star
+        self.mass = self.star.sum(axis=1)
 
-        first = {}  # exact value -> its first prediction, in population order
+        self._first = {}  # exact value -> its first prediction, in population order
         for i, d in distinct.items():
-            first.setdefault(key_of[i], d)
-        # a level is one value, kept as its first occurrence: values are told
-        # apart by their integer ratios (without a grid, the keys themselves)
-        # and ordered by (float, exact) pairs, which is their exact order,
-        # since rounding to float is monotone; n / d is the correctly rounded
-        # float of the ratio
+            self._first.setdefault(key_of[i], d)
+        index = {key: k for k, key in enumerate(self._first)}
+        self._value_of = np.array([index[key_of[i]] for _, i in pair_keys],
+                                  dtype=np.intp)[pair_of]
+        self._group(grid)
+
+    def _group(self, grid):
+        """Set the level part for `grid` from the exact values alone."""
+        if grid is not None and grid.space != self.pop.space:
+            raise DomainError("distribution and grid live on different outcome spaces")
+        self.grid = grid
+        # a level is one value, kept as its first occurrence, ordered by
+        # (float, exact) pairs, which is the exact order since rounding to
+        # float is monotone; n / d is the correctly rounded float of n/d
         if grid is None:
-            level_rep = [d.as_exact() for d in first.values()]
-            rep_keys = list(first)
+            level_rep = [d.as_exact() for d in self._first.values()]
+            rep_keys = list(self._first)
         else:
-            level_rep = [grid._round_ratios(key) for key in first]
+            level_rep = [grid._round_ratios(key) for key in self._first]
             rep_keys = [tuple(x.as_integer_ratio() for x in d.weights) for d in level_rep]
         levels = {}
         for rk, d in zip(rep_keys, level_rep):
             levels.setdefault(rk, d)
-        order = sorted(levels, key=lambda rk: [(n / d, x) for (n, d), x
-                                               in zip(rk, levels[rk].weights)])
-        self.levels = [levels[rk] for rk in order]
+        self.level_ratios = sorted(levels, key=lambda rk: [(n / d, x) for (n, d), x
+                                                           in zip(rk, levels[rk].weights)])
+        self.levels = [levels[rk] for rk in self.level_ratios]
         self.points = [tuple(d.weights) for d in self.levels]
-        idx = {rk: i for i, rk in enumerate(order)}
-        level_of_key = {key: idx[rk] for key, rk in zip(first, rep_keys)}
-        self.level_of = np.array([level_of_key[key_of[i]] for _, i in pair_keys],
-                                 dtype=np.intp)[pair_of]
-        self.mass = self.star.sum(axis=1)
+        idx = {rk: i for i, rk in enumerate(self.level_ratios)}
+        self.level_of = np.array([idx[rk] for rk in rep_keys], dtype=np.intp)[self._value_of]
         level_weight = np.zeros(len(self.levels), dtype=self.star.dtype)
         np.add.at(level_weight, self.level_of, self.mass)
         self.level_weight = level_weight.tolist()
+
+    def on(self, grid) -> "_Prepared":
+        """A shallow copy sharing these mass arrays, with levels on `grid`."""
+        prep = copy.copy(self)
+        prep._group(grid)
+        return prep
 
     def cell_tables(self, cls: HypothesisClass, rows):
         """Sums of per-individual rows per (hypothesis, level, y).
@@ -279,9 +290,11 @@ def _prepared(pop, predictor, grid=None) -> _Prepared:
     The memo (`Predictor._prepared`) holds one population, compared by
     identity like the ids of `HypothesisClass._y_index`, and one build per
     grid object (None for no grid), keyed by its `id`: a build holds its
-    grid, so the key is not reused while it is kept.  A call with another
-    population starts a new memo.  A build holds no reference to the
-    predictor, so predictor, memo and builds form no reference cycle.
+    grid, so the key is not reused while it is kept.  Only the first build
+    scales the masses; every later one is its `on(grid)`, sharing them.  A
+    call with another population starts a new memo.  A build holds no
+    reference to the predictor, so predictor, memo and builds form no
+    reference cycle.
     """
     memo = predictor._prepared
     if memo is None or memo[0] is not pop:
@@ -289,7 +302,8 @@ def _prepared(pop, predictor, grid=None) -> _Prepared:
         object.__setattr__(predictor, "_prepared", memo)
     builds = memo[1]
     if id(grid) not in builds:
-        builds[id(grid)] = _Prepared(pop, predictor, grid)
+        builds[id(grid)] = (next(iter(builds.values())).on(grid) if builds
+                            else _Prepared(pop, predictor, grid))
     return builds[id(grid)]
 
 
@@ -323,10 +337,8 @@ def audit_multi_calibration(pop, predictor, cls, backend="rational") -> AuditRep
 
 def audit_strict_multi_calibration(pop, predictor, cls, backend="rational") -> AuditReport:
     """E over level sets of the per-level worst hypothesis distance."""
-    return _rounding(backend)(_strict_multi_calibration(_prepared(pop, predictor), cls))
-
-
-def _strict_multi_calibration(prep, cls) -> AuditReport:
+    rounded = _rounding(backend)
+    prep = _prepared(pop, predictor)
     ys, table = prep.cell_tables(cls, prep.diff)
     per_level = np.abs(table).sum(axis=2)  # [c, v]: hypothesis c's scaled distance on level v
     best_c = per_level.argmax(axis=0).tolist()  # the first worst hypothesis per level
@@ -350,7 +362,8 @@ def _strict_multi_calibration(prep, cls) -> AuditReport:
         if worst is None or contribution > worst:
             worst = contribution
             witness = (cls.hypotheses[c].name, level_value)
-    return AuditReport("strict-multi-calibration", prep.to_value(sum(best)), witness, breakdown)
+    return rounded(AuditReport("strict-multi-calibration", prep.to_value(sum(best)), witness,
+                               breakdown))
 
 
 def audit_calibration(pop, predictor, backend="rational"):

@@ -112,6 +112,8 @@ def random_digraph(rng: np.random.Generator, n: int, p: float = 0.5,
                    loops: bool = False) -> DiGraph:
     if n < 0:
         raise DomainError(f"vertex count {n} is negative")
+    if not 0 <= p <= 1:  # NaN fails too
+        raise DomainError(f"edge probability {p} is not in [0, 1]")
     mat = rng.random((n, n)) < p
     if not loops:
         np.fill_diagonal(mat, False)
@@ -591,11 +593,15 @@ def check_intermediate(g: DiGraph, p: VertexPartition, epsilon) -> CheckReport:
 
 
 def _scale_matrix(m_rows):
-    """Integer-scale a rational matrix; returns (int64 array, denominator)."""
+    """Integer-scale a rational matrix; returns (int64 array, denominator).
+    EnumerationLimitError unless the |scaled entries| sum below 2^62, so no
+    sum `_cut_norm` forms (at most twice that) overflows int64."""
     fr = [[exactify(x) for x in row] for row in m_rows]
     den = math.lcm(1, *(x.denominator for row in fr for x in row))
-    arr = np.array([[int(x * den) for x in row] for row in fr], dtype=np.int64)
-    return arr, den
+    rows = [[int(x * den) for x in row] for row in fr]
+    if sum(abs(x) for row in rows for x in row) >= 1 << 62:
+        raise EnumerationLimitError("scaled matrix too large for the exact cut oracle")
+    return np.array(rows, dtype=np.int64), den
 
 
 def cut_oracle(m_rows, mode: str = "exact", rng: np.random.Generator | None = None):

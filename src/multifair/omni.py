@@ -111,18 +111,38 @@ def omni_audit(pop: PopulationInstance, predictor: Predictor, losses,
             raise DomainError(f"two losses are named {loss.name!r}")
         names.add(loss.name)
     act_of = _action_map(losses, cls)
-    return _omni_report(_prepared(pop, predictor), losses, cls, act_of)
-
-
-def _level_numerators(prep) -> list:
-    """Each level's weights as integer numerators over the level's common
-    denominator, which is positive, so they rank actions as the weights do."""
-    out = []
-    for d in prep.levels:
-        ratios = [w.as_integer_ratio() for w in d.weights]
+    prep = _prepared(pop, predictor)
+    ell = prep.pop.space.size
+    ys, table = prep.cell_tables(cls, prep.star)
+    # scaled true outcome masses per level (any hypothesis splits a level by
+    # y), and per (hypothesis, y) at [c][y * ell + o]
+    level_true = table[0].reshape(len(prep.levels), len(ys), ell).sum(axis=1).tolist()
+    y_true = table.sum(axis=1).tolist()
+    # each level's weights as numerators over their common denominator,
+    # which is positive, so they rank actions as the weights do
+    level_nums = []
+    for ratios in prep.level_ratios:
         den = math.lcm(*(b for _, b in ratios))
-        out.append([a * (den // b) for a, b in ratios])
-    return out
+        level_nums.append([a * (den // b) for a, b in ratios])
+    breakdown = {}
+    witness = None
+    best = None
+    for loss in losses:
+        L, costs = _cost_numerators(loss, prep.pop.space.labels)
+        cost_of = dict(zip(loss.actions, costs))
+        # min keeps the first action on ties
+        post = sum(_dot(masses, min(costs, key=lambda row: _dot(nums, row)))
+                   for nums, masses in zip(level_nums, level_true))
+        for h, cells in zip(cls, y_true):
+            h_loss = sum(_dot(cells[i * ell:(i + 1) * ell], cost_of[act_of[(loss.name, y)]])
+                         for i, y in enumerate(ys))
+            gap = Fraction(post - h_loss, prep.D * L)
+            breakdown[(loss.name, h.name)] = gap
+            if best is None or gap > best:
+                best = gap
+                witness = (loss.name, h.name)
+    value = max(best, Fraction(0))
+    return AuditReport("omniprediction", value, witness, breakdown)
 
 
 def _cost_numerators(loss: LossFunction, labels) -> tuple:
@@ -137,47 +157,6 @@ def _cost_numerators(loss: LossFunction, labels) -> tuple:
 
 def _dot(xs, ys):
     return sum(x * y for x, y in zip(xs, ys))
-
-
-def _omni_report(prep, losses, cls: HypothesisClass, act_of: dict) -> AuditReport:
-    """The omniprediction report from a prep, on integers alone.
-
-    Every expected loss is a sum of scaled masses (over D) times integer
-    costs (over the loss's L), so each gap is one Fraction over D * L.  A
-    level's action is the argmin of integer dot products with its weight
-    numerators, the first action on ties, as `post_process` picks it.
-    """
-    ell = prep.pop.space.size
-    ys, table = prep.cell_tables(cls, prep.star)
-    # scaled true outcome masses per level (any hypothesis splits a level by
-    # y), and per (hypothesis, y) at [c][y * ell + o]
-    level_true = table[0].reshape(len(prep.levels), len(ys), ell).sum(axis=1).tolist()
-    y_true = table.sum(axis=1).tolist()
-    level_nums = _level_numerators(prep)
-    breakdown = {}
-    witness = None
-    best = None
-    for loss in losses:
-        L, costs = _cost_numerators(loss, prep.pop.space.labels)
-        cost_of = dict(zip(loss.actions, costs))
-        post = 0
-        for nums, masses in zip(level_nums, level_true):
-            best_row = None
-            for row in costs:
-                exp = _dot(nums, row)
-                if best_row is None or exp < best_exp:
-                    best_row, best_exp = row, exp
-            post += _dot(masses, best_row)
-        for h, cells in zip(cls, y_true):
-            h_loss = sum(_dot(cells[i * ell:(i + 1) * ell], cost_of[act_of[(loss.name, y)]])
-                         for i, y in enumerate(ys))
-            gap = Fraction(post - h_loss, prep.D * L)
-            breakdown[(loss.name, h.name)] = gap
-            if best is None or gap > best:
-                best = gap
-                witness = (loss.name, h.name)
-    value = max(best, Fraction(0))
-    return AuditReport("omniprediction", value, witness, breakdown)
 
 
 def omni_bound_check(pop, predictor, losses, cls) -> dict:

@@ -359,6 +359,9 @@ BAD_INPUTS = [
     (["construct", "{tp}", "--epsilon", "0.2", "--family", "lowdegree", "--degree", "0"], 2),
     (["fixture", "random", "--seed", "1", "--individuals", "0"], 2),
     (["fixture", "graph-random", "--seed", "1", "--n", "-1"], 2),
+    # an edge probability outside [0, 1], or NaN, used to draw a graph
+    (["fixture", "graph-random", "--seed", "1", "--p", "2"], 2),
+    (["fixture", "graph-random", "--seed", "1", "--p", "nan"], 2),
     (["graph", "{g6}", "--task", "correspond", "--partition", "{empty}"], 2),
 ] + [
     (["graph", "{g6}", "--task", task, "--epsilon", "0.3", "--partition", part], 2)

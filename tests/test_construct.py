@@ -30,10 +30,10 @@ from multifair import (
     wal_sample_count,
 )
 import multifair.construct as construct_module
-from multifair.audits import _Prepared
 from multifair.construct import loss_from_distinguisher
 from multifair.errors import DomainError, InputError
 from multifair.oi import Distinguisher
+from test_prepared import _count_builds
 
 
 def identity_grid():
@@ -120,19 +120,15 @@ def _iterate_instance(kind):
 @pytest.mark.parametrize("kind", ["basic", "mc", "smc", "lowdegree", "explicit"])
 def test_event_iterates_prepare_the_population_once(kind, monkeypatch):
     pop, fam = _iterate_instance(kind)
-    builds = []
-    original = _Prepared.__init__
-
-    def counted(self, pop, predictor, grid=None):
-        builds.append(grid)
-        original(self, pop, predictor, grid)
-    monkeypatch.setattr(_Prepared, "__init__", counted)
+    builds, groupings = _count_builds(monkeypatch)
     _, tr = construct_exact(pop, fam, F(1, 40), rule=mwu_rule(pop.space, 1 / 40))
     assert tr.iteration_count > 0
-    # one build per best response, every iterate's and the final audit's: an
-    # event member's loss table reads that build, and a monomial or explicit
-    # member's reads the raw predictor without one
-    assert builds == [fam.grid] * (tr.iteration_count + 1)
+    # one build per best response, every iterate's and the final audit's, and
+    # no grouping on another grid: an event member's loss table reads that
+    # build, and a monomial or explicit member's reads the raw predictor
+    # without one
+    assert [g for _, _, g in builds] == [fam.grid] * (tr.iteration_count + 1)
+    assert groupings == [fam.grid] * (tr.iteration_count + 1)
 
 
 @pytest.mark.parametrize("rule_kind", ["mwu", "pgd"])

@@ -2,6 +2,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multifair import (
     DiGraph,
@@ -631,6 +633,18 @@ def test_cut_oracle_rational_entries():
     assert val == best
 
 
+def test_cut_oracle_rejects_matrices_beyond_the_int64_bound():
+    """Scaled entries whose |.| sum reaches 2^62 raise instead of wrapping:
+    the first matrix's cut norm is about 12, the second's entry 2/3 scales
+    past int64 over the common denominator 3 * 2^62."""
+    for m in ([[F(2**62 - 1, 2**62)] * 4] * 3, [[F(2, 3), F(1, 2**62)]]):
+        with pytest.raises(EnumerationLimitError):
+            cut_oracle(m, mode="exact")
+    # just below the bound the scan is exact
+    S, T, val = cut_oracle([[F(2**62 - 1, 2**62)]], mode="exact")
+    assert (S, T, val) == ((0,), (0,), F(2**62 - 1, 2**62))
+
+
 # ---------------------------------------------------------------------------
 # refinement
 # ---------------------------------------------------------------------------
@@ -815,6 +829,38 @@ def test_predictor_to_partition_constant_two_vertices():
     pred = Predictor({pair_id(u, v): OutcomeDist.bernoulli(F(1, 2))
                       for u in range(2) for v in range(2)})
     assert predictor_to_partition(2, pred).parts == ((0, 1),)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_partition_predictor_partition_round_trip(data):
+    """With all block-pair densities distinct, the density predictor's level
+    sets are the blocks of P x P and recovery returns P.  Otherwise it
+    raises, or, when the density is constant on the block pairs of a
+    coarser partition Q (an empty graph, say), returns Q: a level set is
+    then one block of Q x Q."""
+    n = data.draw(st.integers(1, 6))
+    vertex = st.integers(0, n - 1)
+    g = DiGraph(n, frozenset(data.draw(st.sets(st.tuples(vertex, vertex)))))
+    blocks = {}
+    for v, label in enumerate(data.draw(st.lists(vertex, min_size=n, max_size=n))):
+        blocks.setdefault(label, []).append(v)
+    p = VertexPartition(tuple(blocks.values()))
+    densities = [F(sum((u, v) in g.edges for u in a for v in b), len(a) * len(b))
+                 for a in p.parts for b in p.parts]
+    pred = partition_to_predictor(g, p)
+    if len(set(densities)) == len(densities):
+        assert predictor_to_partition(n, pred) == p
+        return
+    try:
+        q = predictor_to_partition(n, pred)
+    except StructuralFailureError:
+        return
+    assert len(q.parts) < len(p.parts)
+    assert all(any(set(a) <= set(b) for b in q.parts) for a in p.parts)
+    values = [{pred.values[pair_id(u, v)] for u in a for v in b}
+              for a in q.parts for b in q.parts]
+    assert all(len(v) == 1 for v in values) and len(set.union(*values)) == len(values)
 
 
 def test_predictor_to_partition_rejects_union_level_sets():

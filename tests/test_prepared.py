@@ -9,8 +9,10 @@ The array fields are compared as lists.  The one cell-table kernel is
 checked against a literal loop over the individuals under each of its
 accumulators, its overflow guard on crafted rows, and its hypothesis
 class's cached y-index against the lists looked up per hypothesis.
-`audits._prepared`, the memo on the predictor, is checked against fresh
-builds, per population and grid object, and for cycles.
+A build regrouped on another grid (`_Prepared.on`) is checked against
+the per-individual build on that grid.  `audits._prepared`, the memo on
+the predictor, is checked against fresh builds, per population and grid
+object, for one mass build per predictor, and for cycles.
 """
 
 import gc
@@ -50,6 +52,7 @@ from multifair import (
     violation_profile,
     zero_one_loss,
 )
+from multifair import audits
 from multifair.audits import _Prepared, _prepared
 from multifair.errors import InternalInvariantError
 from oracles import (
@@ -166,17 +169,23 @@ def test_build_per_distinct_value_equals_the_per_individual_build(data):
     pop = data.draw(populations())
     if data.draw(st.booleans()):
         pop = _share_objects(data.draw, pop)
-    grid = data.draw(st.sampled_from((None, make_grid_with_denominator(pop.space, 2))))
+    grids = (None, make_grid_with_denominator(pop.space, 2))
+    grid = data.draw(st.sampled_from(grids))
     pred = _predictor(data.draw, pop)
-    prep = _Prepared(pop, pred, grid=grid)
     want = prepared_per_individual(pop, pred, grid)
-    for name in FIELDS:
-        assert _field(prep, name) == want[name], name
-    assert repr(prep.star.tolist()) == repr(want["star"])
-    assert repr(prep.diff.tolist()) == repr(want["diff"])
-    assert repr(prep.mass.tolist()) == repr([sum(row) for row in want["star"]])
-    assert repr(prep.level_weight) == repr(want["level_weight"])
-    assert repr(prep.points) == repr(want["points"])
+    # a build on the grid, and a build on the other grid regrouped on it
+    other = grids[grid is None]
+    for prep in (_Prepared(pop, pred, grid=grid), _Prepared(pop, pred, grid=other).on(grid)):
+        assert prep.grid is grid
+        for name in FIELDS:
+            assert _field(prep, name) == want[name], name
+        assert repr(prep.star.tolist()) == repr(want["star"])
+        assert repr(prep.diff.tolist()) == repr(want["diff"])
+        assert repr(prep.mass.tolist()) == repr([sum(row) for row in want["star"]])
+        assert repr(prep.level_weight) == repr(want["level_weight"])
+        assert repr(prep.points) == repr(want["points"])
+        assert prep.level_ratios == [tuple(x.as_integer_ratio() for x in d.weights)
+                                     for d in want["levels"]]
 
 
 def test_levels_equal_as_floats_are_ordered_by_exact_value():
@@ -382,27 +391,35 @@ def test_memo_hits_equal_fresh_builds_of_an_equal_predictor(ell, binary):
     assert hits == _every_audit(pop, cls, lambda: Predictor(dict(pred.values)), grid)
 
 
-def _count_builds(monkeypatch) -> list:
-    """Record (population, predictor, grid) of every `_Prepared` built."""
-    builds = []
-    init = _Prepared.__init__
+def _count_builds(monkeypatch) -> tuple:
+    """(builds, groupings): the (population, predictor, grid) of every
+    `_Prepared` built, each of which scales the masses, and the grid of
+    every level grouping, a build's or an `on` copy's."""
+    builds, groupings = [], []
+    init, group = _Prepared.__init__, _Prepared._group
 
     def counted(self, pop, predictor, grid=None):
         builds.append((pop, predictor, grid))
         init(self, pop, predictor, grid)
+
+    def grouped(self, grid):
+        groupings.append(grid)
+        group(self, grid)
     monkeypatch.setattr(_Prepared, "__init__", counted)
-    return builds
+    monkeypatch.setattr(_Prepared, "_group", grouped)
+    return builds, groupings
 
 
 def test_memo_builds_once_per_population_and_grid_object(monkeypatch):
-    """A population with reordered ids, a copied population and a second
-    equal grid object each get their own build, equal to a fresh one."""
+    """A population with reordered ids and a copied population each get
+    their own build, equal to a fresh one; a second equal grid object gets
+    its own level grouping of the same masses."""
     pop, cls, pred = random_instance(np.random.default_rng(72), 20, 3, 3)
     grid, twin_grid = (make_grid_with_denominator(pop.space, 2) for _ in range(2))
     reordered = PopulationInstance(pop.space, pop.ids[::-1], pop.weight, pop.p_true)
     copied = PopulationInstance(pop.space, pop.ids, pop.weight, pop.p_true)
     assert copied == pop and copied is not pop
-    builds = _count_builds(monkeypatch)
+    builds, groupings = _count_builds(monkeypatch)
     for p in (pop, pop, reordered, copied, copied, pop):
         got = audit_multi_calibration(p, pred, cls)
         assert pred._prepared[0] is p
@@ -410,20 +427,21 @@ def test_memo_builds_once_per_population_and_grid_object(monkeypatch):
         assert repr((got, got.breakdown)) == repr((fresh, fresh.breakdown))
     assert [b[0] for b in builds if b[1] is pred] == [pop, reordered, copied, pop]
     builds.clear()
+    groupings.clear()
     for g in (grid, twin_grid, grid, None, twin_grid):
         assert _prepared(pop, pred, g).grid is g
-    assert [b[2] for b in builds] == [grid, twin_grid]
+    assert builds == [] and groupings == [grid, twin_grid]
     assert len(pred._prepared[1]) == 3
 
 
 def test_one_build_per_population_predictor_and_grid(monkeypatch):
     """The population audits, the bound check, the float audits and the
-    three grid OI families of one predictor make one build without a grid
-    and one on the grid."""
+    three grid OI families of one predictor make one build, without a grid,
+    and group its levels once more, on the grid."""
     pop, cls, pred = random_instance(np.random.default_rng(73), 30, 2, 4)
     grid = make_grid_with_denominator(pop.space, 3)
     fams = [make_family(kind, hypotheses=cls, grid=grid) for kind in ("basic", "mc", "smc")]
-    builds = _count_builds(monkeypatch)
+    builds, groupings = _count_builds(monkeypatch)
     for audit in (audit_multi_accuracy, audit_multi_calibration,
                   audit_strict_multi_calibration, audit_covariance_mc, violation_profile):
         audit(pop, pred, cls)
@@ -437,8 +455,37 @@ def test_one_build_per_population_predictor_and_grid(monkeypatch):
     audit_calibration(pop, pred, "float")
     for fam in fams:
         audit_oi(pop, pred, fam)
-    assert [(p is pop, q is pred, g) for p, q, g in builds] == [(True, True, None),
-                                                                (True, True, grid)]
+    assert [(p is pop, q is pred, g) for p, q, g in builds] == [(True, True, None)]
+    assert groupings == [None, grid]
+
+
+def test_one_mass_build_per_predictor_and_one_grouping_per_grid(monkeypatch):
+    """MA, MC and SMC without a grid, the basic, mc and smc families on a
+    grid and an event member on an equal twin grid scale the masses once
+    and group them three times; every build shares the same arrays."""
+    pop, cls, pred = random_instance(np.random.default_rng(76), 30, 3, 3)
+    grid, twin = (make_grid_with_denominator(pop.space, 2) for _ in range(2))
+    scaled = []
+    products = audits._scaled_products
+
+    def counted(*args):
+        scaled.append(args)
+        return products(*args)
+    monkeypatch.setattr(audits, "_scaled_products", counted)
+    _, groupings = _count_builds(monkeypatch)
+    for audit in (audit_multi_accuracy, audit_multi_calibration,
+                  audit_strict_multi_calibration):
+        audit(pop, pred, cls)
+    for kind in ("basic", "mc", "smc"):
+        audit_oi(pop, pred, make_family(kind, hypotheses=cls, grid=grid))
+    make_family("basic", hypotheses=cls, grid=twin).members()[0].values(pop, pred)
+    assert len(scaled) == 1
+    assert groupings == [None, grid, twin]
+    for g in (grid, twin):
+        prep = _prepared(pop, pred, g)
+        assert prep.grid is g
+        for name in ("diff", "star", "mass"):
+            assert getattr(prep, name) is getattr(_prepared(pop, pred), name)
 
 
 def test_dropped_predictor_population_and_class_are_freed_without_a_collection():
