@@ -21,9 +21,9 @@ Every audit reads its prepared population from `_prepared`, which keeps
 them on the predictor: one mass build per (population, predictor), and
 one level grouping of those masses per grid object (or none), so the
 audits, OI reductions and member evaluations of one predictor share the
-masses, and a grid only regroups the levels.  Every audit here, the OI
-event-family audits in `oi` and the omniprediction audit in `omni` each
-make one call of `_Prepared.cell_tables`, which sums per-individual rows
+masses, and a grid only regroups the levels.  Every audit here, the
+generated-family OI audits in `oi` and the omniprediction audit in `omni`
+each make one call of `_Prepared.cell_tables`, which sums per-individual rows
 of scaled masses per (hypothesis, level, hypothesis value y) in one numpy
 kernel over the columnar arrays of `_Prepared` and the class's cached
 y-index array, in int64 while D <= 2^40 and in Python ints beyond.  The

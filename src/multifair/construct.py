@@ -144,12 +144,8 @@ def wal_sample_count(epsilon, beta, member_count) -> int:
 
 def loss_from_distinguisher(d: Distinguisher, pop, predictor) -> list:
     """Per individual of the population: the loss table L_j(o) = A(j, o, p)."""
-    return _loss_tables(pop, d.values(pop, predictor))
-
-
-def _loss_tables(pop, rows) -> list:
-    """Loss tables of a member's per-individual rows of values."""
-    return [LossTable(pop.space, tuple(float(v) for v in row)) for row in rows]
+    return [LossTable(pop.space, tuple(float(v) for v in row))
+            for row in d.values(pop, predictor)]
 
 
 def _apply_update(pop, predictor, rule, losses) -> Predictor:
@@ -215,8 +211,8 @@ def construct_exact(pop: PopulationInstance, family: DistinguisherFamily, epsilo
             raise InternalInvariantError(
                 f"construction exceeded its regret bound ({bound:.2f} iterations)")
         # an event member reads the prepared population it was scored on
-        losses = _loss_tables(pop, d.values(pop, predictor))
-        predictor = _apply_update(pop, predictor, rule, losses)
+        predictor = _apply_update(pop, predictor, rule,
+                                  loss_from_distinguisher(d, pop, predictor))
         transcript.iterations.append(
             IterationRecord(index=t, witness=dict(d.payload), advantage=adv))
     transcript.final_predictor = predictor

@@ -897,7 +897,6 @@ def predictor_to_partition(n: int, predictor: Predictor) -> VertexPartition:
             levels.setdefault(tuple(d.weights), []).append((u, v))
     row_sets = set()
     col_sets = set()
-    products = []
     for key, pairs in levels.items():
         rows = frozenset(u for u, _ in pairs)
         cols = frozenset(v for _, v in pairs)
@@ -906,7 +905,6 @@ def predictor_to_partition(n: int, predictor: Predictor) -> VertexPartition:
                 f"level set {key} is not a single product of vertex sets")
         row_sets.add(rows)
         col_sets.add(cols)
-        products.append((rows, cols))
     if row_sets != col_sets:
         raise StructuralFailureError("row blocks and column blocks differ")
     blocks = sorted(row_sets, key=lambda s: min(s))
@@ -917,9 +915,6 @@ def predictor_to_partition(n: int, predictor: Predictor) -> VertexPartition:
         seen |= b
     if seen != set(range(n)):
         raise StructuralFailureError("level-set blocks do not cover the vertices")
-    if len(products) != len(blocks) ** 2:
-        raise StructuralFailureError(
-            "level sets do not tile all block pairs (two blocks share a density)")
     return VertexPartition(tuple(tuple(sorted(b)) for b in blocks))
 
 

@@ -35,30 +35,32 @@ statistical distance.  The literal exhaustive-E maximization is a test
 oracle for small cell counts (`tests/oracles.py`).
 
 `audit_oi` and `best_response` are two views of one reduction: it
-reads the prepared population (and, for the event families, builds the
-cell table) once per call and returns the audit report together with the
-best-responding member and its advantage, which is the audit value.  The
-basic, mc and smc families and
-the oracle reduce over one signed table, the (modeled - true) mass per
-(hypothesis, level, y, outcome) that `audits._Prepared` builds for the
-statistical-distance audits, here on the levels of the grid-rounded
-predictor.  An mc or smc member is built straight from the table's rows:
-each level with a positive cell is one entry of its event map.  Lowdegree
-and explicit members read the same prepared per-individual mass
-differences, and a lowdegree audit scores each member as its advantage
-sums it.  Every value here is exact; the float backend rounds the
-finished report, or the best response's advantage, once
-(`audits._to_float`).
+reads the prepared population (and, for the generated families, builds
+the cell table) once per call and returns the audit report together with
+the best-responding member and its advantage, which is the audit value.
+The generated families and the oracle reduce over one signed table, the
+(modeled - true) mass per (hypothesis, level, y, outcome) that
+`audits._Prepared` builds for the statistical-distance audits, for the
+event families on the levels of the grid-rounded predictor.  An mc or smc
+member is built straight from the table's rows: each level with a positive
+cell is one entry of its event map.  Every lowdegree advantage is one
+integer product of the table with the member's values per (exact level,
+y).  Explicit members read the prepared per-individual mass differences.
+Every value here is exact; the float backend rounds the finished report,
+or the best response's advantage, once (`audits._to_float`).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
+import numpy as np
+
 from .core import OutcomeDist, OutcomeSpace, SimplexGrid, exactify
-from .errors import ConstructionError, EnumerationLimitError
+from .errors import ConstructionError, DomainError, EnumerationLimitError
 from .audits import AuditReport, _prepared, _rounding, _to_float
 from .population import HypothesisClass, PopulationInstance, Predictor
 
@@ -102,7 +104,9 @@ class Distinguisher:
                 rows.append([1 if (y, o) in cells else 0 for o in labels])
         elif self.monomial is not None:
             h, o0, mono = self.monomial
-            rows = [[h.values[j] * monomial_value(mono, predictor.values[j]) if o == o0 else 0
+            # c(j) as the range value it equals, as the audits read it
+            c = dict(zip(h.range_values, h.range_values))
+            rows = [[c[h.values[j]] * monomial_value(mono, predictor.values[j]) if o == o0 else 0
                      for o in labels] for j in pop.ids]
         else:
             rows = [[self.fn(j, o, predictor) for o in labels] for j in pop.ids]
@@ -357,38 +361,32 @@ def _reduce(pop, predictor, family):
         return AuditReport("oi-explicit", abs(adv), d.name, breakdown), *_oriented(d, adv)
 
     if family.kind == "lowdegree":
+        if family.outcome_space != pop.space:
+            raise DomainError("lowdegree family and population live on different outcome spaces")
+        cls = family.hypotheses
         prep = _prepared(pop, predictor)
-        labels = family.outcome_space.labels
+        ys, table = prep.cell_tables(cls, prep.diff)
+        labels = pop.space.labels
         monos = monomial_multisets(len(labels), family.degree)
-        exact = predictor.as_exact()
-        dists = [exact.values[j] for j in prep.ids]
-        mono_vals = [[monomial_value(mono, d) for d in dists] for mono in monos]
-        breakdown = {}
-        best = None  # (advantage, hypothesis, outcome, monomial)
-        diff = prep.diff.tolist()
-        for h in family.hypotheses:
-            cvals = [h.values[j] for j in prep.ids]
-            # each member's values c * m, as `Distinguisher.values` gives them;
-            # an int or Fraction c of 1 spares 0/1 classes the product
-            values = [[m if c == 1 and isinstance(c, (int, Fraction))
-                       else exactify(c * m) if c else 0
-                       for c, m in zip(cvals, mv)]
-                      for mv in mono_vals]
-            h_best = None
-            for o_idx, o0 in enumerate(labels):
-                terms = [(pos, row[o_idx]) for pos, (row, c)
-                         in enumerate(zip(diff, cvals)) if row[o_idx] and c]
-                for mono, a in zip(monos, values):
-                    # summed in `_advantage`'s order, so it is the member's advantage
-                    total = prep.to_mass(sum(x * a[pos] for pos, x in terms if a[pos]))
-                    if h_best is None or abs(total) > abs(h_best[0]):
-                        h_best = (total, o0, mono)
-            breakdown[h.name] = abs(h_best[0])
-            if best is None or breakdown[h.name] > abs(best[0]):
-                best = (h_best[0], h, *h_best[1:])
-        adv, h, o0, mono = best
-        witness = {"hypothesis": h.name, "outcome": o0, "monomial_indices": list(mono)}
-        d = monomial_distinguisher(h, o0, mono)
+        # each member's value on a (level, y) cell, as `Distinguisher.values`
+        # gives it, since a monomial reads only the exact level; all over Q
+        prices = [[exactify(y * m) for m in (monomial_value(mono, level) for level in prep.levels)
+                   for y in ys] for mono in monos]
+        Q = math.lcm(*(p.denominator for row in prices for p in row))
+        nums = np.array([[p.numerator * (Q // p.denominator) for p in row] for row in prices],
+                        dtype=object)
+        # [c, o, mono]: D * Q times the advantage, in Python ints, since a
+        # price numerator times an int64 cell may pass int64
+        cells = table.astype(object).reshape(len(cls), len(prep.levels) * len(ys), len(labels))
+        advs = np.matmul(nums, cells).transpose(0, 2, 1).reshape(len(cls), -1)
+        mags = np.abs(advs)
+        breakdown = {h.name: Fraction(x, prep.D * Q) for h, x in zip(cls, mags.max(axis=1))}
+        # the first (hypothesis, outcome, monomial) of largest |advantage|
+        c, k = divmod(int(mags.argmax()), mags.shape[1])
+        h, (o, m) = cls.hypotheses[c], divmod(k, len(monos))
+        witness = {"hypothesis": h.name, "outcome": labels[o], "monomial_indices": list(monos[m])}
+        d = monomial_distinguisher(h, labels[o], monos[m])
+        adv = Fraction(advs[c, k], prep.D * Q)
         return AuditReport("oi-lowdegree", abs(adv), witness, breakdown), *_oriented(d, adv)
 
     if family.kind not in ("mc", "smc", "basic"):

@@ -10,13 +10,13 @@ its post-processed actions lose at most eps more than any hypothesis:
 
 The audit evaluates this gap exactly for every (loss, hypothesis) pair
 from one cell table of true masses per (hypothesis, level, y, outcome),
-`audits._Prepared.cell_tables` over the rows `star`: each level is
-post-processed once per loss, and each hypothesis costs once per
-(y, outcome).  The audit runs on integers: a level's weights are put over
-their common denominator and a loss's costs over the lcm L of theirs, so
-the post-processed action is the argmin of integer dot products (first
-action on ties, as `post_process` picks it), every expected loss is an
-integer over D * L, and each gap is one Fraction.  `post_process` keeps its
+`audits._Prepared.cell_tables` over the rows `star`.  The audit runs on
+integers: a level's weights are put over their common denominator and a
+loss's costs over the lcm L of theirs, so the post-processed actions of
+all levels are the first argmin of one integer product (level weights) @
+(costs)^T (first action on ties, as `post_process` picks it), every
+expected loss is a summed elementwise product of the table with cost rows,
+an integer over D * L, and each gap is one Fraction.  `post_process` keeps its
 Fraction arithmetic, as the scalar API.
 Because losses are [0,1]-bounded, the gap is at most the calibration
 audit plus the multi-accuracy audit, exactly; `omni_bound_check` verifies
@@ -28,6 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .audits import AuditReport, _prepared, audit_calibration, audit_multi_accuracy
 from .core import OutcomeDist, OutcomeSpace, exactify
@@ -114,28 +116,26 @@ def omni_audit(pop: PopulationInstance, predictor: Predictor, losses,
     prep = _prepared(pop, predictor)
     ell = prep.pop.space.size
     ys, table = prep.cell_tables(cls, prep.star)
+    # Python ints: a mass times a cost numerator may pass int64
+    table = table.astype(object)
     # scaled true outcome masses per level (any hypothesis splits a level by
-    # y), and per (hypothesis, y) at [c][y * ell + o]
-    level_true = table[0].reshape(len(prep.levels), len(ys), ell).sum(axis=1).tolist()
-    y_true = table.sum(axis=1).tolist()
+    # y), and per (hypothesis, y) at [c, y * ell + o]
+    level_true = table[0].reshape(len(prep.levels), len(ys), ell).sum(axis=1)
+    y_true = table.sum(axis=1)
     # each level's weights as numerators over their common denominator,
     # which is positive, so they rank actions as the weights do
-    level_nums = []
-    for ratios in prep.level_ratios:
-        den = math.lcm(*(b for _, b in ratios))
-        level_nums.append([a * (den // b) for a, b in ratios])
+    ratios = np.array(prep.level_ratios, dtype=object)  # [level, o, (n, d)]
+    den = np.lcm.reduce(ratios[:, :, 1], axis=1)
+    level_nums = ratios[:, :, 0] * (den[:, None] // ratios[:, :, 1])
     breakdown = {}
     witness = None
     best = None
     for loss in losses:
         L, costs = _cost_numerators(loss, prep.pop.space.labels)
-        cost_of = dict(zip(loss.actions, costs))
-        # min keeps the first action on ties
-        post = sum(_dot(masses, min(costs, key=lambda row: _dot(nums, row)))
-                   for nums, masses in zip(level_nums, level_true))
-        for h, cells in zip(cls, y_true):
-            h_loss = sum(_dot(cells[i * ell:(i + 1) * ell], cost_of[act_of[(loss.name, y)]])
-                         for i, y in enumerate(ys))
+        # argmin keeps the first action on ties
+        post = (level_true * costs[(level_nums @ costs.T).argmin(axis=1)]).sum()
+        y_costs = costs[[loss.actions.index(act_of[(loss.name, y)]) for y in ys]].reshape(-1)
+        for h, h_loss in zip(cls, (y_true * y_costs).sum(axis=1)):
             gap = Fraction(post - h_loss, prep.D * L)
             breakdown[(loss.name, h.name)] = gap
             if best is None or gap > best:
@@ -146,17 +146,13 @@ def omni_audit(pop: PopulationInstance, predictor: Predictor, losses,
 
 
 def _cost_numerators(loss: LossFunction, labels) -> tuple:
-    """(L, costs): costs[a][o] is L times the cost of action a on outcome o,
-    for the loss's actions in order, where L is the lcm of the costs'
-    denominators."""
+    """(L, costs): costs[a, o] is L times the cost of action a on outcome o,
+    for the loss's actions in order, an array of Python ints, where L is the
+    lcm of the costs' denominators."""
     ratios = [[exactify(loss.cost(o, a)).as_integer_ratio() for o in labels]
               for a in loss.actions]
     L = math.lcm(*(b for row in ratios for _, b in row))
-    return L, [[n * (L // b) for n, b in row] for row in ratios]
-
-
-def _dot(xs, ys):
-    return sum(x * y for x, y in zip(xs, ys))
+    return L, np.array([[n * (L // b) for n, b in row] for row in ratios], dtype=object)
 
 
 def omni_bound_check(pop, predictor, losses, cls) -> dict:

@@ -12,6 +12,7 @@ from multifair import (
     HypothesisClass,
     LossTable,
     OutcomeDist,
+    OutcomeSpace,
     Predictor,
     SimplexGrid,
     audit_multi_calibration,
@@ -571,3 +572,85 @@ def test_lowdegree_float_value_is_the_advantage_of_its_member(seed, n, degree, s
     freport = audit_oi(pop, pred, fam, "float")
     assert freport.value == best_response(pop, pred, fam, "float")[1] == float(adv)
     assert freport.breakdown[h.name] == float(adv)
+
+
+def _literal_lowdegree(pop, pred, fam):
+    """(value, breakdown, first maximizer, its signed advantage) from
+    `oi_advantage` of every member of `fam.members()`, in member order:
+    (hypothesis, outcome, monomial)."""
+    advs = [(d, oi_advantage(pop, pred, d)) for d in fam.members()]
+    value = max(abs(a) for _, a in advs)
+    breakdown = {h.name: max(abs(a) for d, a in advs if d.payload["hypothesis"] == h.name)
+                 for h in fam.hypotheses}
+    d, adv = next((d, a) for d, a in advs if abs(a) == value)
+    return value, breakdown, d, adv
+
+
+# (seed, individuals, outcomes, hypotheses, 0/1 class, degree, MWU-stepped,
+# weight denominator); a denominator of 2 leaves individuals of weight zero
+LOWDEGREE_CASES = (
+    (0, 9, 2, 3, True, 1, False, 16),
+    (1, 9, 2, 3, False, 2, True, 16),
+    (2, 10, 2, 2, True, 3, False, 2),
+    (3, 8, 3, 2, False, 3, True, 16),
+    (4, 10, 3, 3, True, 2, False, 2),
+    (5, 8, 3, 2, True, 1, True, 2),
+    (6, 6, 8, 2, True, 3, True, 2),
+    (7, 7, 8, 2, False, 1, False, 16),
+    (8, 8, 8, 2, False, 2, True, 2),
+)
+
+
+@pytest.mark.parametrize("seed,n,ell,nh,binary,degree,step,wden", LOWDEGREE_CASES)
+def test_lowdegree_audit_is_the_literal_per_member_maximum(seed, n, ell, nh, binary, degree,
+                                                           step, wden):
+    pop, cls, pred = random_instance(np.random.default_rng([seed, 67]), n, ell, nh,
+                                     binary_hypotheses=binary, weight_denominator=wden)
+    assert (0 in pop.weight.values()) == (wden == 2)
+    if step:
+        pred = _stepped(pop, pred, 0.3)
+    fam = make_family("lowdegree", hypotheses=cls, degree=degree, outcome_space=pop.space)
+    value, breakdown, d, adv = _literal_lowdegree(pop, pred, fam)
+    report = audit_oi(pop, pred, fam)
+    assert report.value == value
+    assert list(report.breakdown.items()) == list(breakdown.items())
+    assert report.witness == {key: d.payload[key]
+                              for key in ("hypothesis", "outcome", "monomial_indices")}
+    member, badv = best_response(pop, pred, fam)
+    want = negate(d) if adv < 0 else d
+    assert (member.name, member.payload, badv) == (want.name, want.payload, abs(adv))
+    freport = audit_oi(pop, pred, fam, "float")
+    assert freport.value == best_response(pop, pred, fam, "float")[1] == float(value)
+    assert freport.breakdown == {name: float(x) for name, x in breakdown.items()}
+
+
+def test_lowdegree_members_read_each_value_as_the_range_value_it_equals():
+    # floats equal to exact range values: the cell table groups c(j) = 0.5
+    # with y = 1/2, so a member is priced, and evaluated, at y
+    pop, _, pred = random_instance(np.random.default_rng(5), 8, 2, 1)
+    rng = (0, F(1, 2), 1)
+    exact = HypothesisClass(tuple(Hypothesis(f"h{k}", rng, {j: rng[(i * k + 1) % 3]
+                                                           for i, j in enumerate(pop.ids)})
+                                  for k in range(3)))
+    floats = HypothesisClass(tuple(Hypothesis(h.name, h.range_values,
+                                              {j: float(v) for j, v in h.values.items()})
+                                   for h in exact))
+    fams = [make_family("lowdegree", hypotheses=c, degree=2, outcome_space=pop.space)
+            for c in (exact, floats)]
+    value, breakdown, d, adv = _literal_lowdegree(pop, pred, fams[1])
+    assert _literal_lowdegree(pop, pred, fams[0])[:2] == (value, breakdown)
+    report = audit_oi(pop, pred, fams[1])
+    assert (report.value, report.breakdown) == (value, breakdown)
+    assert best_response(pop, pred, fams[1])[1] == abs(adv)
+
+
+@pytest.mark.parametrize("labels", [("0", "1", "2"), ("a", "b"), ("1", "0")])
+def test_lowdegree_family_on_another_outcome_space_is_refused(labels):
+    # a larger family space would index past the population's outcomes, and
+    # a relabelled one of the same size would score one outcome and name another
+    pop, cls, pred = random_instance(np.random.default_rng(3), 6, 2, 2)
+    fam = make_family("lowdegree", hypotheses=cls, degree=2, outcome_space=OutcomeSpace(labels))
+    with pytest.raises(DomainError, match="outcome spaces"):
+        audit_oi(pop, pred, fam)
+    with pytest.raises(DomainError, match="outcome spaces"):
+        best_response(pop, pred, fam)

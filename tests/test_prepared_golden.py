@@ -13,6 +13,13 @@ tie-break, a level or a member's payload shows up here.
 The rational covariance reports are pinned apart, in COV_RATIONAL: they
 carry the known covariance defect (ROADMAP item 1, the report divided by D
 once more), so mending it re-records exactly that digest.
+
+LOWDEGREE_OMNI pins the two audits that price the cell table rather than
+only summing it: the lowdegree `audit_oi` and `best_response` at degrees 1
+and 3, and `omni_audit` with the asymmetric, squared and 3-action tie
+losses on 0/1 classes and on non-binary classes mapped to actions.  Those
+digests were recorded while both audits still summed per individual and
+per level.
 """
 
 import hashlib
@@ -22,6 +29,8 @@ import numpy as np
 import pytest
 
 from multifair import (
+    Hypothesis,
+    HypothesisClass,
     LossTable,
     Predictor,
     audit_calibration,
@@ -42,6 +51,7 @@ from multifair import (
     violation_profile,
     zero_one_loss,
 )
+from test_audit_oracles import _asymmetric_loss, _eighths_class, _squared_loss, _tie_loss
 
 GOLDEN = {
     "rand0":
@@ -76,6 +86,36 @@ GOLDEN = {
 # order: they carry the covariance defect of ROADMAP item 1
 COV_RATIONAL = \
     "bb254a1d5bd244d111893dadc43c3ca0058c6aadc2837f61eff36964fb54ebc6"
+
+# lowdegree audits and best responses, and omniprediction audits, per case
+LOWDEGREE_OMNI = {
+    "rand0":
+        "5238bcd7216ba017cbb59edccee1302aec712eb4fc2d42bd16441292f3593eef",
+    "rand1":
+        "214d972c0e7123366663dbef7b711d5267da4c7d76e2e2330deb55ec49116b24",
+    "rand2":
+        "71dd5ed4ad1c16f1fb669a1d92997e30240669b1b2cef462d05e9d1d13e81565",
+    "rand3":
+        "564ad825fa315c67abc8e3d43cd0068affbc26b672538d4479e1ce6ba974ffb1",
+    "rand4":
+        "05547536c33bb6d58f93ce61eb4ea7edec761e00f0ec8d529ff4c3e64fd34ca8",
+    "rand5":
+        "c0ff7d18f48bcc679ff468d99256711c856571b8bd2c4d60c67e9c3b7b88bd98",
+    "rand6":
+        "491f51e495a2eba65ffafe2c07e631b3e43b890b99e21b4f5912074afb56e95a",
+    "rand7":
+        "6ad330e38427c3d07a060e62dd881b7c10346a742a5a293ad87e8502f3a83d7d",
+    "rand8":
+        "e7aeff45812f3cddffe132556c3775ad9728281b62ab9bc637b3d63ab2948976",
+    "rand9":
+        "be46529185581f0e5636b4a07c992863cf3d037c2279a2a2b4a74bd8d72d49c1",
+    "rand10":
+        "75149d5b3d33d43bda13a30190e3faedc9467044fb7362822908d56ec958c4cb",
+    "rand11":
+        "b429190c4ef04ecb0ca3ad34bd4d221ae742b21b58b951da96e787b415405689",
+    "grid5":
+        "70a6dcd6ff9265ef4345f312839c7e15cbdfa3c5214a516d1d2a0674f2a3d2f8",
+}
 
 # (name, seed, individuals, outcomes, hypotheses, 0/1 hypotheses, MWU-stepped)
 CASES = (
@@ -174,3 +214,44 @@ def test_rational_covariance_reports_are_pinned_with_their_defect():
     """The known covariance defect (ROADMAP item 1) is in these records."""
     covs = [_cold_and_warm(_covariance_records, name) for name in NAMES]
     assert _digest(repr(covs)) == COV_RATIONAL
+
+
+def _action_class(pop, name, values, seed):
+    """One hypothesis of range `values`, drawn per individual."""
+    picks = np.random.default_rng([seed, 59]).integers(0, len(values), len(pop.ids)).tolist()
+    return HypothesisClass((Hypothesis(name, values, dict(zip(pop.ids, map(values.__getitem__,
+                                                                                picks)))),))
+
+
+def _lowdegree_omni_records(pop, cls, predictor):
+    """repr of the lowdegree audits and best responses at degrees 1 and 3
+    under both backends, then of the omniprediction audits: on a binary
+    population the case's class, an eighths class and a class of range
+    (0, 1, 2) against the losses whose actions they map to; on any other
+    the zero-one loss against a class of outcome indices."""
+    out = []
+    for b in ("rational", "float"):
+        for degree in (1, 3):
+            fam = make_family("lowdegree", hypotheses=cls, degree=degree,
+                              outcome_space=pop.space)
+            d, adv = best_response(pop, predictor(), fam, b)
+            out += [_fields(audit_oi(pop, predictor(), fam, b)), (d.name, d.payload, adv)]
+    if pop.space.is_binary:
+        eighths = _eighths_class(pop, 3)
+        runs = [(eighths, [_squared_loss(pop.space, eighths.range_values)]),
+                (_action_class(pop, "thirds", (0, 1, 2), 1), [_tie_loss(pop.space)])]
+        if cls.is_binary:
+            runs.insert(0, (cls, [_asymmetric_loss(pop.space),
+                                  _squared_loss(pop.space, ("0", "1")), _tie_loss(pop.space)]))
+        else:
+            runs.insert(0, (cls, [_squared_loss(pop.space, cls.range_values)]))
+    else:
+        runs = [(_action_class(pop, "index", tuple(range(pop.space.size)), 2),
+                 [zero_one_loss(pop.space)])]
+    out += [_fields(omni_audit(pop, predictor(), losses, c)) for c, losses in runs]
+    return repr(out)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_lowdegree_and_omni_audits_are_pinned(name):
+    assert _digest(_cold_and_warm(_lowdegree_omni_records, name)) == LOWDEGREE_OMNI[name]
