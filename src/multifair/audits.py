@@ -11,11 +11,11 @@ prediction level sets of the per-level worst case over hypotheses:
     SMC    = E_level[ max_c delta((c_i, ~o_i), (c_i, o*_i) | level) ]
 
 All masses are scaled by one common denominator D so the inner
-accumulation is pure integer arithmetic; a value is only converted back to
-a Fraction at the very end.  Level-set identity is exact equality of
-prediction values.  Every audit computes exactly: the float backend
-returns the exact result with each Fraction rounded once to its nearest
-float (`_to_float`), so a float value is `float()` of its rational twin.
+accumulation, and every witness, pass or fail, is integer arithmetic.
+Level-set identity is exact equality of prediction values.  Each reported
+number is made once from two integers a and b (`_ratio`): Fraction(a, b),
+or under the float backend a / b, which is `float(Fraction(a, b))` bit for
+bit, so a float report is its rational twin passed through `_to_float`.
 
 Every audit reads its prepared population from `_prepared`, which keeps
 them on the predictor: one mass build per (population, predictor), and
@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import copy
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
@@ -132,8 +133,8 @@ class _Prepared:
     that grid (or None), `points[level]` each level's weight tuple,
     `level_of[pos]` each individual's level (an int array) and
     `level_weight` each level's scaled mass.  Neither part refers to the
-    predictor (see `_prepared`).  `to_value` and `to_mass` convert scaled
-    sums back to Fractions over D.
+    predictor (see `_prepared`).  `reported` gives the levels as a float
+    report rounds them.
     """
 
     def __init__(self, pop: PopulationInstance, predictor: Predictor,
@@ -192,6 +193,7 @@ class _Prepared:
         level_weight = np.zeros(len(self.levels), dtype=self.star.dtype)
         np.add.at(level_weight, self.level_of, self.mass)
         self.level_weight = level_weight.tolist()
+        self._rounded = None
 
     def on(self, grid) -> "_Prepared":
         """A shallow copy sharing these mass arrays, with levels on `grid`."""
@@ -225,20 +227,26 @@ class _Prepared:
             raise InternalInvariantError("int64 cell-table rows sum beyond 2D in a column")
         y_index = cls._y_index(self.ids)
         flat = rows.reshape(-1)
-        base = self.level_of * ny
-        cells = np.arange(k)
+        # [pos, i]: the cell (level * ny + y) * k + i of y = 0, then y * k on
+        cells = (self.level_of * (ny * k))[:, None] + np.arange(k)
         table = np.zeros((len(y_index), nv * ny * k), dtype=rows.dtype)
-        for acc, y in zip(table, y_index):
-            np.add.at(acc, (((base + y) * k)[:, None] + cells).reshape(-1), flat)
+        for acc, yk in zip(table, y_index * k):
+            np.add.at(acc, (cells + yk[:, None]).reshape(-1), flat)
         return ys, table.reshape(len(y_index), nv, ny * k)
 
-    def to_value(self, scaled_total):
-        """Convert an accumulated |scaled mass| total into the distance value."""
-        return Fraction(scaled_total, 2 * self.D)
-
-    def to_mass(self, scaled):
-        """Convert an accumulated scaled mass into a probability mass."""
-        return Fraction(scaled, self.D)
+    def reported(self, backend):
+        """(levels, points) as a `backend` report gives them, made once per
+        grouping: under "float" each Fraction weight n/d is rounded to n / d
+        and an int is kept, as `_to_float` does, and a rounded point that
+        would merge with another keeps its exact form, as a dict key does."""
+        if backend == "rational":
+            return self.levels, self.points
+        if self._rounded is None:
+            levels = [OutcomeDist(d.space, tuple(n / q if isinstance(w, Fraction) else w
+                                                 for w, (n, q) in zip(d.weights, rk)))
+                      for d, rk in zip(self.levels, self.level_ratios)]
+            self._rounded = levels, _unmerged(self.points, [tuple(d.weights) for d in levels])
+        return self._rounded
 
 
 def _first_index(keys) -> tuple:
@@ -248,14 +256,22 @@ def _first_index(keys) -> tuple:
     return list(index), np.fromiter(map(index.__getitem__, keys), np.intp, len(keys))
 
 
+def _unmerged(exact, rounded) -> list:
+    """Each rounded key, or its exact key where rounding merges it with another."""
+    count = Counter(rounded)
+    return [r if count[r] == 1 else e for e, r in zip(exact, rounded)]
+
+
 def _to_float(x):
     """x with every Fraction in it replaced by its correctly rounded float.
 
-    This is the float backend: every audit computes exactly, and a float
-    result is the exact one passed through here once.  It maps reports,
-    dicts (keys too), lists, tuples and points; ints, strings and
-    everything else are kept.  Dict keys that round to one float keep
-    their exact form, so no entry is lost; their values are rounded.
+    It maps reports, dicts (keys too), lists, tuples and points; ints,
+    strings and everything else are kept.  Dict keys that round to one
+    float keep their exact form, so no entry is lost; their values are
+    rounded.  The population audits round each number where they make it
+    (`_ratio`, `_Prepared.reported`), to the same floats; this is the float
+    backend of what they do not build: the OI audits and best responses,
+    `oi_advantage`, and the CLI's omniprediction bound check.
     """
     if isinstance(x, Fraction):
         return float(x)
@@ -264,11 +280,7 @@ def _to_float(x):
     if isinstance(x, (tuple, list)):
         return type(x)(map(_to_float, x))
     if isinstance(x, dict):
-        # a key keeps its exact form where rounding would merge it with another
-        keys = list(map(_to_float, x))
-        count = Counter(keys)
-        return {fk if count[fk] == 1 else k: _to_float(v)
-                for k, fk, v in zip(x, keys, x.values())}
+        return dict(zip(_unmerged(x, list(map(_to_float, x))), map(_to_float, x.values())))
     if isinstance(x, (AuditReport, ViolationProfile, ConditionalCheckResult)):
         return replace(x, **{f.name: _to_float(getattr(x, f.name)) for f in fields(x)})
     return x
@@ -277,10 +289,18 @@ def _to_float(x):
 def _rounding(backend):
     """What a backend does to an exact result: nothing under "rational",
     `_to_float` under "float"; DomainError for any other backend."""
+    _ratio(backend)  # raises for an unknown backend
+    return _to_float if backend == "float" else lambda x: x
+
+
+def _ratio(backend):
+    """How a `backend` report makes the number a / b of two ints: Fraction,
+    or under "float" int / int, which CPython rounds correctly; DomainError
+    for any other backend."""
     if backend == "rational":
-        return lambda x: x
+        return Fraction
     if backend == "float":
-        return _to_float
+        return operator.truediv
     raise DomainError(f"unknown backend {backend!r}")
 
 
@@ -315,55 +335,49 @@ def _prepared(pop, predictor, grid=None) -> _Prepared:
 def audit_multi_accuracy(pop, predictor, cls, backend="rational") -> AuditReport:
     """max_c delta((c_i, modeled), (c_i, true)); the predictor is multi-accurate
     with slack eps iff the value is <= eps."""
-    rounded = _rounding(backend)
+    ratio = _ratio(backend)
     prep = _prepared(pop, predictor)
     ys, table = prep.cell_tables(cls, prep.diff)
     totals = np.abs(table.sum(axis=1)).sum(axis=1).tolist()
-    breakdown = {h.name: prep.to_value(t) for h, t in zip(cls, totals)}
-    witness = max(breakdown, key=lambda k: breakdown[k])
-    return rounded(AuditReport("multi-accuracy", breakdown[witness], witness, breakdown))
+    return _max_report("multi-accuracy", cls, ratio, totals, 2 * prep.D)
 
 
 def audit_multi_calibration(pop, predictor, cls, backend="rational") -> AuditReport:
     """max_c delta((c_i, modeled, p_i), (c_i, true, p_i))."""
-    rounded = _rounding(backend)
+    ratio = _ratio(backend)
     prep = _prepared(pop, predictor)
     ys, table = prep.cell_tables(cls, prep.diff)
     totals = np.abs(table).sum(axis=(1, 2)).tolist()
-    breakdown = {h.name: prep.to_value(t) for h, t in zip(cls, totals)}
-    witness = max(breakdown, key=lambda k: breakdown[k])
-    return rounded(AuditReport("multi-calibration", breakdown[witness], witness, breakdown))
+    return _max_report("multi-calibration", cls, ratio, totals, 2 * prep.D)
+
+
+def _max_report(kind, cls, ratio, totals, den) -> AuditReport:
+    """The report of max_c totals[c] / den; the first largest total names the witness."""
+    breakdown = {h.name: ratio(t, den) for h, t in zip(cls, totals)}
+    witness = cls.hypotheses[totals.index(max(totals))].name
+    return AuditReport(kind, breakdown[witness], witness, breakdown)
 
 
 def audit_strict_multi_calibration(pop, predictor, cls, backend="rational") -> AuditReport:
     """E over level sets of the per-level worst hypothesis distance."""
-    rounded = _rounding(backend)
+    ratio = _ratio(backend)
     prep = _prepared(pop, predictor)
+    levels, points = prep.reported(backend)
     ys, table = prep.cell_tables(cls, prep.diff)
     per_level = np.abs(table).sum(axis=2)  # [c, v]: hypothesis c's scaled distance on level v
     best_c = per_level.argmax(axis=0).tolist()  # the first worst hypothesis per level
     best = per_level.max(axis=0).tolist()
-    breakdown = {}
-    witness = None
-    worst = None
-    for v, (c, scaled) in enumerate(zip(best_c, best)):
-        level_value = prep.levels[v]
-        mass = prep.to_mass(prep.level_weight[v])
-        contribution = prep.to_value(scaled)
-        record = {
-            "level": level_value,
-            "mass": mass,
-            # conditional distance delta(. | level); its mass-weighted sum is
-            # the audit value
-            "value": contribution / mass if mass else contribution,
-            "hypothesis": cls.hypotheses[c].name,
-        }
-        breakdown[tuple(level_value.weights)] = record
-        if worst is None or contribution > worst:
-            worst = contribution
-            witness = (cls.hypotheses[c].name, level_value)
-    return rounded(AuditReport("strict-multi-calibration", prep.to_value(sum(best)), witness,
-                               breakdown))
+    names = [cls.hypotheses[c].name for c in best_c]
+    D = prep.D
+    # the conditional distance delta(. | level) is the scaled distance over
+    # 2 * the level's scaled mass; its mass-weighted sum is the audit value
+    breakdown = {point: {"level": level, "mass": ratio(m, D),
+                         "value": ratio(s, 2 * m if m else 2 * D), "hypothesis": name}
+                 for point, level, m, s, name
+                 in zip(points, levels, prep.level_weight, best, names)}
+    v = best.index(max(best))  # the first level of largest contribution
+    return AuditReport("strict-multi-calibration", ratio(sum(best), 2 * D),
+                       (names[v], levels[v]), breakdown)
 
 
 def audit_calibration(pop, predictor, backend="rational"):
@@ -379,34 +393,26 @@ def audit_covariance_mc(pop, predictor, cls, backend="rational") -> AuditReport:
     for h in cls:
         if any(not (0 <= exactify(v) <= 1) for v in h.range_values):
             raise DomainError(f"hypothesis {h.name}: range must lie in [0, 1]")
-    rounded = _rounding(backend)
+    ratio = _ratio(backend)
     prep = _prepared(pop, predictor)
     one = pop.space.index("1")
     ys, table = prep.cell_tables(cls, np.stack([prep.mass, prep.star[:, one]], axis=1))
     # the range over its common denominator Y: y = ny / Y
     ratios = [exactify(y).as_integer_ratio() for y in ys]
     Y = math.lcm(*(d for _, d in ratios))
-    ny = [n * (Y // d) for n, d in ratios]
-    breakdown = {}
-    for h, per_level in zip(cls, table.tolist()):
-        total = Fraction(0)
-        for mass, cells in zip(prep.level_weight, per_level):
-            if mass == 0:
-                continue
-            # Y times the scaled masses of c * o* and of c, and the scaled
-            # mass of o* = 1, on the level: all ints
-            a = sum(y * x for y, x in zip(ny, cells[1::2]))
-            b = sum(y * x for y, x in zip(ny, cells[0::2]))
-            c = sum(cells[1::2])
-            # the level's E|Cov| term, mass * |a/mass - (b/mass)(c/mass)| / (Y D)
-            total += Fraction(abs(a * mass - b * c), Y * mass * prep.D)
-        breakdown[h.name] = total
-    if backend == "rational":
-        # Known defect (ROADMAP item 1): the rational report is E|Cov| / D, kept while pinned
-        breakdown = {name: value / prep.D for name, value in breakdown.items()}
-    witness = max(breakdown, key=lambda k: breakdown[k])
-    return rounded(AuditReport("covariance-multi-calibration", breakdown[witness], witness,
-                               breakdown))
+    ny = np.array([n * (Y // d) for n, d in ratios], dtype=object)
+    table = table.astype(object)
+    # [c, v]: Y times the scaled masses of c * o* and of c, and the scaled
+    # mass of o* = 1, on level v
+    a, b, c = table[:, :, 1::2] @ ny, table[:, :, 0::2] @ ny, table[:, :, 1::2].sum(axis=2)
+    mass = np.array(prep.level_weight, dtype=object)
+    # each level's E|Cov| term, mass * |a/mass - (b/mass)(c/mass)| / (Y D), over Y D L
+    L = math.lcm(*(m for m in prep.level_weight if m))
+    scale = np.array([L // m if m else 0 for m in prep.level_weight], dtype=object)
+    totals = (abs(a * mass - b * c) * scale).sum(axis=1).tolist()
+    # Known defect (ROADMAP item 1): the rational report is E|Cov| / D, kept while pinned
+    den = Y * prep.D * L * (prep.D if backend == "rational" else 1)
+    return _max_report("covariance-multi-calibration", cls, ratio, totals, den)
 
 
 # ---------------------------------------------------------------------------
@@ -421,21 +427,23 @@ def _require_binary(pop, cls):
         raise DomainError("this operation requires 0/1-valued hypotheses")
 
 
-def _binary_level_stats(prep, cls):
-    """Per (c, level), integer-scaled, for the set S that c indicates: (mass of
-    S, true-one mass of S, modeled-minus-true one mass of S) in the level."""
+def _binary_level_stats(prep, cls, backend):
+    """Arrays [c, level] of Python ints for the set S that c indicates: its
+    scaled mass and modeled-minus-true one mass in the level, and nabla_{S,v}
+    as |ones * q - n * mass| over mass * q for the level's Pr[o = 1] = n / q
+    (0 / 0 where S has no mass); then those Pr[o = 1] as `backend` reports them."""
     one = prep.pop.space.index("1")
     rows = np.stack([prep.mass, prep.star[:, one], prep.diff[:, one]], axis=1)
     ys, table = prep.cell_tables(cls, rows)
-    if 1 not in ys:
-        return [[(0, 0, 0)] * len(prep.levels) for _ in cls]
-    base = 3 * ys.index(1)
-    return table[:, :, base:base + 3].tolist()
-
-
-def _nabla(prep, v, ones, mass):
-    """|Pr[o* = 1 | S, level v] - v| from the scaled (true-one mass, mass) of S."""
-    return abs(Fraction(ones, mass) - prep.levels[v].p_one())
+    if 1 in ys:
+        base = 3 * ys.index(1)
+        stats = table[:, :, base:base + 3].astype(object)
+    else:
+        stats = np.zeros((len(cls), len(prep.levels), 3), dtype=object)
+    mass, ones, excess = stats.transpose(2, 0, 1)
+    n, q = np.array([rk[one] for rk in prep.level_ratios], dtype=object).T
+    ps = [d.weights[one] for d in prep.reported(backend)[0]]
+    return mass, excess, abs(ones * q - n * mass), mass * q, ps
 
 
 def violation_profile(pop, predictor, cls, backend="rational") -> ViolationProfile:
@@ -445,16 +453,18 @@ def violation_profile(pop, predictor, cls, backend="rational") -> ViolationProfi
     as zero.
     """
     _require_binary(pop, cls)
-    rounded = _rounding(backend)
+    ratio = _ratio(backend)
     prep = _prepared(pop, predictor)
-    stats = _binary_level_stats(prep, cls)
-    entries = {}
-    for h, per_level in zip(cls, stats):
-        for v, (mass, ones, _) in enumerate(per_level):
-            if mass == 0:
-                continue
-            entries[(h.name, prep.levels[v].p_one())] = _nabla(prep, v, ones, mass)
-    return rounded(ViolationProfile(entries))
+    mass, _, num, den, ps = _binary_level_stats(prep, cls, backend)
+    pairs = list(zip(*(i.tolist() for i in np.nonzero(mass))))
+    names = [h.name for h in cls]
+    keys = [(names[c], ps[v]) for c, v in pairs]
+    values = [ratio(num[c, v], den[c, v]) for c, v in pairs]
+    entries = dict(zip(keys, values))
+    if len(entries) < len(keys):  # rounding merged keys: those keep their exact form
+        exact = [(names[c], prep.levels[v].p_one()) for c, v in pairs]
+        entries = dict(zip(_unmerged(exact, keys), values))
+    return ViolationProfile(entries)
 
 
 def check_conditional(pop, predictor, cls, epsilon, kind, backend="rational") -> ConditionalCheckResult:
@@ -473,77 +483,53 @@ def check_conditional(pop, predictor, cls, epsilon, kind, backend="rational") ->
     of all such levels.
 
     Conditioning events of zero mass are skipped: they constrain nothing,
-    even at eps = 0.  A negative eps raises DomainError.
+    even at eps = 0.  A negative eps raises DomainError.  Every comparison
+    with eps is made on integers.
     """
     _require_binary(pop, cls)
     if kind not in ("MA", "MC", "SMC"):
         raise DomainError(f"unknown conditional kind {kind!r}")
-    rounded = _rounding(backend)
+    ratio = _ratio(backend)
     prep = _prepared(pop, predictor)
-    eps = exactify(epsilon)
-    if eps < 0:
+    en, ed = exactify(epsilon).as_integer_ratio()  # eps = en / ed
+    if en < 0:
         raise DomainError(f"epsilon must be nonnegative, got {epsilon}")
-    return rounded(_conditional(prep, cls, eps, kind))
-
-
-def _conditional(prep, cls, eps, kind) -> ConditionalCheckResult:
-    stats = _binary_level_stats(prep, cls)
+    mass, excess, num, den, ps = _binary_level_stats(prep, cls, backend)
+    names = [h.name for h in cls]
     if kind == "MA":
-        for h, per_level in zip(cls, stats):
-            mass = sum(m for m, _, _ in per_level)
-            if mass == 0 or mass < eps * prep.D:
-                continue
-            # modeled-minus-true one mass of S; its |.| / Pr[S] is the gap
-            excess = sum(e for _, _, e in per_level)
-            gap = abs(Fraction(excess, mass))
-            if gap > eps:
-                return ConditionalCheckResult(kind, False, None, (h.name, None, gap))
+        for name, m, e in zip(names, mass.sum(axis=1).tolist(), excess.sum(axis=1).tolist()):
+            # S is eps-large and its gap |modeled - true one mass| / Pr[S] exceeds eps
+            if m and m * ed >= en * prep.D and abs(e) * ed > en * m:
+                return ConditionalCheckResult(kind, False, None, (name, None, ratio(abs(e), m)))
         return ConditionalCheckResult(kind, True, None)
 
     if kind == "MC":
         witness = {}
-        for h, per_level in zip(cls, stats):
-            mass = sum(m for m, _, _ in per_level)
-            if mass < eps * prep.D:
+        good = (num * ed <= en * den) & (mass > 0)  # [c, v]: nabla_{S,v} <= eps
+        for name, ms, gs in zip(names, mass.tolist(), good.tolist()):
+            total = sum(ms)
+            if total * ed < en * prep.D:
                 continue
-            good_levels = []
-            good_mass = 0
-            for v, (m, o, _) in enumerate(per_level):
-                if m == 0:
-                    continue
-                if _nabla(prep, v, o, m) <= eps:
-                    good_levels.append(prep.levels[v].p_one())
-                    good_mass += m
-            if good_mass < (1 - eps) * mass:
-                bad = [prep.levels[v].p_one() for v, (m, _, _) in enumerate(per_level)
-                       if m > 0 and prep.levels[v].p_one() not in good_levels]
-                return ConditionalCheckResult(kind, False, None,
-                                              (h.name, bad[0] if bad else None, None))
-            witness[h.name] = good_levels
+            if sum(m for m, g in zip(ms, gs) if g) * ed < (ed - en) * total:
+                # the first level of S that is not good: one is, as eps >= 0
+                v = next(v for v, (m, g) in enumerate(zip(ms, gs)) if m and not g)
+                return ConditionalCheckResult(kind, False, None, (name, ps[v], None))
+            witness[name] = [p for p, g in zip(ps, gs) if g]
         return ConditionalCheckResult(kind, True, witness)
 
     # SMC: canonical V = levels on which every conditionally-large S is good.
-    good_v = []
-    good_mass = 0
-    first_bad = None
-    for v, level_mass in enumerate(prep.level_weight):
-        if level_mass == 0:
-            continue
-        vv = prep.levels[v].p_one()
-        ok = True
-        for h, per_level in zip(cls, stats):
-            m, o, _ = per_level[v]
-            if m == 0 or m < eps * level_mass:
-                continue
-            nab = _nabla(prep, v, o, m)
-            if nab > eps:
-                ok = False
-                if first_bad is None:
-                    first_bad = (h.name, vv, nab)
-                break
-        if ok:
-            good_v.append(vv)
-            good_mass += level_mass
-    if good_mass >= (1 - eps) * prep.D:
-        return ConditionalCheckResult(kind, True, good_v)
-    return ConditionalCheckResult(kind, False, None, first_bad)
+    level_weight = prep.level_weight
+    # [c, v]: S is conditionally eps-large on level v and nabla_{S,v} > eps
+    bad = ((mass > 0) & (mass * ed >= en * np.array(level_weight, dtype=object))
+           & (num * ed > en * den))
+    cols = bad.T.tolist()
+    good = [v for v, (lw, col) in enumerate(zip(level_weight, cols)) if lw and True not in col]
+    if sum(level_weight[v] for v in good) * ed >= (ed - en) * prep.D:
+        return ConditionalCheckResult(kind, True, [ps[v] for v in good])
+    # float weights summing to just below 1 can fail with no bad level
+    v = next((v for v, col in enumerate(cols) if True in col), None)
+    if v is None:
+        return ConditionalCheckResult(kind, False, None, None)
+    c = cols[v].index(True)
+    return ConditionalCheckResult(kind, False, None,
+                                  (names[c], ps[v], ratio(num[c, v], den[c, v])))

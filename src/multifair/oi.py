@@ -270,8 +270,8 @@ def _advantage(pop, predictor, exact, d):
     the predictor with exact predictions."""
     prep = _prepared(pop, predictor, d.grid)
     rows = d.values(pop, predictor if d.events is not None else exact)
-    return prep.to_mass(sum(x * exactify(a) for diff, row in zip(prep.diff.tolist(), rows)
-                            for x, a in zip(diff, row) if x and a))
+    return Fraction(sum(x * exactify(a) for diff, row in zip(prep.diff.tolist(), rows)
+                        for x, a in zip(diff, row) if x and a), prep.D)
 
 
 def _oriented(d, adv):
@@ -281,7 +281,7 @@ def _oriented(d, adv):
 
 def _mass(prep, scaled):
     """A scaled sum of positive cells as a mass; an empty sum stays the int 0."""
-    return prep.to_mass(scaled) if scaled else 0
+    return Fraction(scaled, prep.D) if scaled else 0
 
 
 def _positive_sums(per_level):
@@ -323,6 +323,17 @@ def _first_reached_cell(prep, ys, h, per_level, target):
             if x and abs(row[base + o]) == target:
                 return level, base + o
     return 0, 0
+
+
+def _prices(y, values, P):
+    """(numerators, denominator) of y * values / P, elementwise; with a
+    float y each product is the float `Distinguisher.values` makes."""
+    if not isinstance(y, float):
+        n, d = exactify(y).as_integer_ratio()
+        return values * n, d * P
+    ratios = [exactify(m / P * y).as_integer_ratio() for m in values.flat]
+    q = math.lcm(*(d for _, d in ratios))
+    return np.array([n * (q // d) for n, d in ratios], dtype=object).reshape(values.shape), q
 
 
 def audit_oi(pop, predictor, family: DistinguisherFamily, backend="rational") -> AuditReport:
@@ -368,13 +379,16 @@ def _reduce(pop, predictor, family):
         ys, table = prep.cell_tables(cls, prep.diff)
         labels = pop.space.labels
         monos = monomial_multisets(len(labels), family.degree)
-        # each member's value on a (level, y) cell, as `Distinguisher.values`
-        # gives it, since a monomial reads only the exact level; all over Q
-        prices = [[exactify(y * m) for m in (monomial_value(mono, level) for level in prep.levels)
-                   for y in ys] for mono in monos]
-        Q = math.lcm(*(p.denominator for row in prices for p in row))
-        nums = np.array([[p.numerator * (Q // p.denominator) for p in row] for row in prices],
-                        dtype=object)
+        # [mono, level]: the monomial on each exact level times P = L ** top,
+        # for the lcm L of the level denominators
+        L, top = math.lcm(*(d for rk in prep.level_ratios for _, d in rk)), family.degree - 1
+        weights = np.array([[n * (L // d) for n, d in rk] for rk in prep.level_ratios],
+                           dtype=object)
+        values = np.array([weights[:, list(m)].prod(axis=1) * L ** (top - len(m)) for m in monos])
+        # [mono, level, y]: each member's value on a cell (`_prices`), over their lcm Q
+        prices = [_prices(y, values, L ** top) for y in ys]
+        Q = math.lcm(*(q for _, q in prices))
+        nums = np.stack([p * (Q // q) for p, q in prices], axis=2).reshape(len(monos), -1)
         # [c, o, mono]: D * Q times the advantage, in Python ints, since a
         # price numerator times an int64 cell may pass int64
         cells = table.astype(object).reshape(len(cls), len(prep.levels) * len(ys), len(labels))
@@ -399,7 +413,7 @@ def _reduce(pop, predictor, family):
         choice = _smc_choice(tables)
         per_level_best = {prep.points[v]: (cls.hypotheses[c].name, _mass(prep, s))
                           for v, (c, s) in enumerate(choice)}
-        total = prep.to_mass(sum(s for _, s in choice))
+        total = Fraction(sum(s for _, s in choice), prep.D)
         hyps = [cls.hypotheses[c] for c, _ in choice]
         rows = [tables[c][v] for v, (c, _) in enumerate(choice)]
         events = _positive_events(prep, ys, hyps, rows)
@@ -412,7 +426,7 @@ def _reduce(pop, predictor, family):
         breakdown = {h.name: _mass(prep, s) for h, s in zip(cls, score)}
     else:
         score = [max(abs(x) for row in t for x in row) for t in tables]
-        breakdown = {h.name: prep.to_mass(s) for h, s in zip(cls, score)}
+        breakdown = {h.name: Fraction(s, prep.D) for h, s in zip(cls, score)}
     c = max(range(len(cls)), key=lambda c: score[c])
     h = cls.hypotheses[c]
     report = AuditReport(f"oi-{family.kind}", breakdown[h.name], h.name, breakdown)
@@ -427,5 +441,5 @@ def _reduce(pop, predictor, family):
     y, o = ys[i // ell], pop.space.labels[i % ell]
     point = prep.points[v]
     d = mc_event_distinguisher(h, [(y, o, point)], family.grid, name=_cell_name(h, y, o, point))
-    return report, *_oriented(d, prep.to_mass(tables[c][v][i]))
+    return report, *_oriented(d, Fraction(tables[c][v][i], prep.D))
 

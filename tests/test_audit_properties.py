@@ -1,6 +1,7 @@
 """Property tests of the population audits on hypothesis-drawn random instances."""
 
 import dataclasses
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +24,7 @@ from multifair import (
     binary_space,
     check_conditional,
     discretize,
+    fixture_grid_population,
     indicator_all,
     make_family,
     make_grid_with_denominator,
@@ -30,7 +32,8 @@ from multifair import (
     random_instance,
     violation_profile,
 )
-from multifair.audits import _to_float
+from multifair import audits
+from multifair.audits import _prepared, _to_float
 from test_audit_oracles import covariance_oracle
 
 TOL = 1e-9
@@ -223,3 +226,83 @@ def test_float_reports_keep_entries_whose_keys_round_to_one_float():
         assert len(exact) == 2 and len({_to_float(k) for k in exact}) == 1
         assert list(rounded) == list(exact)
         assert repr(list(rounded.values())) == repr([_to_float(v) for v in exact.values()])
+
+
+@functools.cache
+def _scale_instance(name):
+    """Instances with hundreds of levels: 8 outcomes (142-bit D), 3000
+    individuals, the int64 grid fixture, and a predictor whose levels
+    include the int point masses (1, 0) and (0, 1)."""
+    if name == "rand600x8":
+        return random_instance(np.random.default_rng(81), 600, 8, 4)
+    if name == "rand3000x2":
+        return random_instance(np.random.default_rng(82), 3000, 2, 8)
+    if name == "grid50":
+        return fixture_grid_population(50)
+    pop, cls, pred = random_instance(np.random.default_rng(83), 600, 2, 4)
+    values = {j: OutcomeDist.point_mass(pop.space, "01"[k % 2]) if k % 3 else pred.values[j]
+              for k, j in enumerate(pop.ids)}
+    return pop, cls, Predictor(values)
+
+
+def _fields(r) -> list:
+    """The repr of each field of a report, and of each (key, value) of a dict field."""
+    out = []
+    for f in dataclasses.fields(r):
+        x = getattr(r, f.name)
+        out += list(map(repr, x.items())) if isinstance(x, dict) else [repr(x)]
+    return out
+
+
+@pytest.mark.parametrize("name", ("rand600x8", "rand3000x2", "grid50", "ints600x2"))
+def test_float_reports_are_the_rational_reports_rounded_at_scale(name):
+    """Each population audit's float report is `_to_float` of its rational
+    report, by repr; the rational covariance report is E|Cov| / D (ROADMAP
+    item 1), so it is multiplied by D before rounding.  On the binary
+    instances every conditional kind fails at eps 1/100 and passes at 1/2."""
+    pop, cls, pred = _scale_instance(name)
+    if name == "ints600x2":
+        assert {0, 1} <= {w for level in _prepared(pop, pred).levels for w in level.weights
+                          if type(w) is int}
+    for audit in (audit_multi_accuracy, audit_multi_calibration,
+                  audit_strict_multi_calibration):
+        assert _fields(audit(pop, pred, cls, "float")) == _fields(_to_float(audit(pop, pred, cls)))
+    assert repr(audit_calibration(pop, pred, "float")) == repr(
+        _to_float(audit_calibration(pop, pred)))
+    if not pop.space.is_binary:
+        return
+    D = _prepared(pop, pred).D
+    cov = audit_covariance_mc(pop, pred, cls)
+    cov = dataclasses.replace(cov, value=cov.value * D,
+                              breakdown={k: v * D for k, v in cov.breakdown.items()})
+    assert _fields(audit_covariance_mc(pop, pred, cls, "float")) == _fields(_to_float(cov))
+    assert _fields(violation_profile(pop, pred, cls, "float")) == _fields(
+        _to_float(violation_profile(pop, pred, cls)))
+    for eps in (Fraction(1, 100), Fraction(1, 10), Fraction(1, 3), Fraction(1, 2)):
+        for kind in ("MA", "MC", "SMC"):
+            assert _fields(check_conditional(pop, pred, cls, eps, kind, "float")) == _fields(
+                _to_float(check_conditional(pop, pred, cls, eps, kind)))
+
+
+def test_population_audits_round_where_they_make_each_number(monkeypatch):
+    """The seven population audits build their float reports without
+    `_to_float`; the OI audit still rounds its finished report through it."""
+    pop, cls, pred = random_instance(np.random.default_rng(84), 40, 2, 3)
+
+    def reports():
+        out = [audit(pop, pred, cls, "float") for audit in (
+            audit_multi_accuracy, audit_multi_calibration, audit_strict_multi_calibration,
+            audit_covariance_mc, violation_profile)]
+        out += [check_conditional(pop, pred, cls, Fraction(1, 10), kind, "float")
+                for kind in ("MA", "MC", "SMC")]
+        return list(map(_fields, out))
+    want = reports()
+
+    def refused(x):
+        raise AssertionError("a population audit called _to_float")
+    monkeypatch.setattr(audits, "_to_float", refused)
+    assert reports() == want
+    assert type(audit_calibration(pop, pred, "float")) is float
+    fam = make_family("mc", hypotheses=cls, grid=make_grid_with_denominator(pop.space, 2))
+    with pytest.raises(AssertionError, match="called _to_float"):
+        audit_oi(pop, pred, fam, "float")
