@@ -26,7 +26,7 @@ generated-family OI audits in `oi` and the omniprediction audit in `omni`
 each make one call of `_Prepared.cell_tables`, which sums per-individual rows
 of scaled masses per (hypothesis, level, hypothesis value y) in one numpy
 kernel over the columnar arrays of `_Prepared` and the class's cached
-y-index array, in int64 while D <= 2^40 and in Python ints beyond.  The
+y-index array, in int64 while D <= 2^60 and in Python ints beyond.  The
 audits differ only in the rows they pass and in how they reduce the
 table:
 
@@ -122,7 +122,9 @@ class _Prepared:
     (weight, prediction) pair of objects gets one row of gcd-reduced
     products, which `diff` gathers by an int pair index; D = lcm(D_pop,
     the reduced predictor denominators).  The arrays are int64 while
-    D <= 2^40, Python ints (object) beyond.
+    D <= 2^60, Python ints (object) beyond: the rows a cell table sums
+    total at most 4D <= 2^62 in absolute value (times the exact sum of the
+    weights, within 1e-12 of 1 for float weights; see `cell_tables`).
 
     The level part depends on the grid (`_group`), and `on` regroups the
     same masses on another grid.  Levels group individuals by exact
@@ -213,18 +215,24 @@ class _Prepared:
         One `np.add.at` per hypothesis, on the class's y-index array, adds
         into each cell.  The table has the dtype of `star`; `.tolist()`
         gives Python ints.  Int64 rows must have absolute values summing to
-        at most 2D in each column, as the masses and mass differences
-        callers pass do, so no partial sum (nor the sum of a table's
-        |cells|) can overflow; other rows raise InternalInvariantError.
+        at most 2D in each column, and to at most 2^63 - 1 in all, so no
+        partial sum, cell or sum of a table's |cells| can overflow; other
+        rows raise InternalInvariantError.  The rows callers pass total at
+        most 4D <= 2^62: `diff` 2D, `star` D, (mass, true-one mass) 2D and
+        (mass, true-one mass, modeled - true one mass) 3D.
         """
         ys = list(cls.range_values)
         ny, nv = len(ys), len(self.levels)
         rows = np.asarray(rows, dtype=self.star.dtype)
         k = rows.shape[1]
-        # exact: float sums of nonnegative integers below 2^53 do not round,
-        # and a sum past 2^53 cannot round back to 2D <= 2^41 or below
-        if rows.dtype == np.int64 and (abs(rows.astype(float)).sum(axis=0) > 2 * self.D).any():
-            raise InternalInvariantError("int64 cell-table rows sum beyond 2D in a column")
+        if rows.dtype == np.int64:
+            # exact: |x| as uint64 (2^63 too), its 32-bit halves summed apart
+            mag = np.abs(rows).view(np.uint64)
+            col = [(hi << 32) + lo for hi, lo in zip((mag >> 32).sum(axis=0).tolist(),
+                                                     (mag & 0xFFFFFFFF).sum(axis=0).tolist())]
+            if any(c > 2 * self.D for c in col) or sum(col) >= 1 << 63:
+                raise InternalInvariantError("int64 cell-table rows sum beyond 2D in a "
+                                             "column or beyond 2^63 - 1 in all")
         y_index = cls._y_index(self.ids)
         flat = rows.reshape(-1)
         # [pos, i]: the cell (level * ny + y) * k + i of y = 0, then y * k on
@@ -477,10 +485,10 @@ def check_conditional(pop, predictor, cls, epsilon, kind, backend="rational") ->
     least 1 - eps on which all violations are small; the canonical witness
     is the union of the level slices of S with nabla_{S,v} <= eps.
 
-    kind "SMC": there must be a set V of prediction values of mass at
-    least 1 - eps such that on each level in V every S that is eps-large
-    conditionally has nabla_{S,v} <= eps.  The canonical witness is the set
-    of all such levels.
+    kind "SMC": there must be a set V of prediction values, outside which
+    the mass is at most eps, such that on each level in V every S that is
+    eps-large conditionally has nabla_{S,v} <= eps.  The canonical witness
+    is the set of all such levels.
 
     Conditioning events of zero mass are skipped: they constrain nothing,
     even at eps = 0.  A negative eps raises DomainError.  Every comparison
@@ -524,12 +532,11 @@ def check_conditional(pop, predictor, cls, epsilon, kind, backend="rational") ->
            & (num * ed > en * den))
     cols = bad.T.tolist()
     good = [v for v, (lw, col) in enumerate(zip(level_weight, cols)) if lw and True not in col]
-    if sum(level_weight[v] for v in good) * ed >= (ed - en) * prep.D:
+    # the mass outside V, not D minus V's mass: float weights may total just below 1
+    if sum(lw for lw, col in zip(level_weight, cols) if True in col) * ed <= en * prep.D:
         return ConditionalCheckResult(kind, True, [ps[v] for v in good])
-    # float weights summing to just below 1 can fail with no bad level
-    v = next((v for v, col in enumerate(cols) if True in col), None)
-    if v is None:
-        return ConditionalCheckResult(kind, False, None, None)
+    # the mass outside V exceeds eps * D >= 0, so some level of positive mass is bad
+    v = next(v for v, col in enumerate(cols) if True in col)
     c = cols[v].index(True)
     return ConditionalCheckResult(kind, False, None,
                                   (names[c], ps[v], ratio(num[c, v], den[c, v])))

@@ -49,7 +49,9 @@ from .core import (
 )
 from .errors import DomainError
 
-_NUMPY_SAFE_LIMIT = 1 << 40  # beyond this, exact arrays hold Python ints, not int64
+# beyond this, exact arrays hold Python ints, not int64: the rows a cell
+# table sums total at most 4D <= 2^62 in absolute value (`audits._Prepared`)
+_NUMPY_SAFE_LIMIT = 1 << 60
 
 
 @dataclass(frozen=True)
@@ -129,7 +131,7 @@ def _scaled_products(weights, rows, base=1):
 
 
 def _int_array(rows, D) -> np.ndarray:
-    """Integer rows over a common denominator D: int64 while D <= 2^40, else object."""
+    """Integer rows over a common denominator D: int64 while D <= 2^60, else object."""
     return np.array(rows, dtype=np.int64 if D <= _NUMPY_SAFE_LIMIT else object)
 
 

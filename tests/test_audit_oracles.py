@@ -2,10 +2,11 @@
 
 Each oracle below is written from the definition, one individual at a time,
 without `audits._Prepared`.  The instances cover both integer accumulators
-of `_Prepared.cell_tables`: int64 on the m=20 grid fixture and the small
-random instances (D <= 2^40), and Python ints on the wide random instances,
-whose weights and predictions have denominators near 2^12 (D > 2^40); plus
-a class of range (0,).
+of `_Prepared.cell_tables`: int64 on the m=20 grid fixture, the small
+random instances (D <= 2^40) and one of 300 individuals shaped like the
+benchmark's 3000 x 2 (2^40 < D <= 2^60), and Python ints on the wide random
+instances, whose weights and predictions have denominators near 2^12
+(D > 2^60); plus a class of range (0,).
 """
 
 from fractions import Fraction as F
@@ -182,9 +183,15 @@ def _random(seed, n=9, binary=True):
 
 
 def _wide(seed, binary=True):
-    """A small random instance whose common denominator D exceeds 2^40."""
+    """A small random instance whose common denominator D exceeds 2^60."""
     return random_instance(np.random.default_rng([seed, 37]), 9, 2, 3,
                            binary_hypotheses=binary, weight_denominator=1 << 12)
+
+
+def _mid():
+    """A binary instance shaped like the benchmark's 3000 x 2 (weight
+    denominator 16, 8 hypotheses) on 300 individuals: 2^40 < D <= 2^60."""
+    return random_instance(np.random.default_rng([0, 41]), 300, 2, 8)
 
 
 def _coarse(pop, pred):
@@ -226,6 +233,12 @@ def _params(cases):
     return [pytest.param(*case, id=name) for name, *case in cases]
 
 
+def test_mid_instance_sums_in_int64_past_2_40():
+    pop, _, pred = _mid()
+    prep = _Prepared(pop, pred)
+    assert 1 << 40 < prep.D <= _NUMPY_SAFE_LIMIT and prep.star.dtype == np.int64
+
+
 def test_instances_exercise_both_table_paths():
     for cases in (_cov_cases, _binary_cases, _omni_cases):
         paths = [_takes_int64_path(pop, pred) for _, pop, _, pred in cases()]
@@ -253,6 +266,7 @@ def _cov_cases():
         pop, cls, pred = _wide(seed, binary=seed % 2 == 0)
         yield f"wide{seed}", pop, cls, pred
         yield f"wide{seed}-coarse", pop, cls, _coarse(pop, pred)
+    yield "mid", *_mid()
 
 
 @pytest.mark.parametrize("pop,cls,pred", _params(_cov_cases()))
@@ -292,6 +306,7 @@ def _binary_cases():
         pop, cls, pred = _wide(seed)
         yield f"wide{seed}", pop, cls, pred
         yield f"wide{seed}-coarse", pop, cls, _coarse(pop, pred)
+    yield "mid", *_mid()
 
 
 @pytest.mark.parametrize("pop,cls,pred", _params(_binary_cases()))
@@ -324,6 +339,7 @@ def _omni_cases():
     for seed in range(2):
         pop, cls, pred = _wide(seed, binary=seed % 2 == 0)
         yield f"wide{seed}", pop, cls, pred
+    yield "mid", *_mid()
 
 
 @pytest.mark.parametrize("pop,cls,pred", _params(_omni_cases()))

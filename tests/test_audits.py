@@ -8,6 +8,7 @@ from multifair import (
     Hypothesis,
     HypothesisClass,
     OutcomeDist,
+    PopulationInstance,
     Predictor,
     audit_calibration,
     audit_covariance_mc,
@@ -284,6 +285,24 @@ def test_conditional_skips_zero_mass_sets(kind, backend):
         plain = check_conditional(pop, pred, cls, eps, kind, backend)
         padded = check_conditional(pop, pred, both, eps, kind, backend)
         assert (padded.passed, padded.first_violation) == (plain.passed, plain.first_violation)
+
+
+@pytest.mark.parametrize("backend", ["rational", "float"])
+def test_conditional_checks_pass_the_truth_under_float_weights_below_one(backend):
+    """Weights 0.1, 0.2 and 0.7 sum to 1.0 as floats but to just below 1
+    exactly, so the levels' masses total just below D; the truth passes
+    every kind at eps 0 (SMC compares the mass outside V with eps)."""
+    ids = ("a", "b", "c")
+    weight = dict(zip(ids, (0.1, 0.2, 0.7)))
+    assert sum(map(F, weight.values())) < 1
+    truth = {j: OutcomeDist.bernoulli(F(k + 1, 4)) for k, j in enumerate(ids)}
+    pop = PopulationInstance(binary_space(), ids, weight, truth)
+    cls = HypothesisClass((indicator_all(pop),))
+    gt = pop.ground_truth_predictor()
+    for kind in ("MA", "MC", "SMC"):
+        res = check_conditional(pop, gt, cls, 0, kind, backend)
+        assert res.passed and res.first_violation is None, kind
+    assert check_conditional(pop, gt, cls, 0, "SMC", backend).witness == [0.75, 0.5, 0.25]
 
 
 @pytest.mark.parametrize("kind", ["MA", "MC", "SMC"])

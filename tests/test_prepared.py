@@ -7,8 +7,11 @@ distinct (weight, prediction) pair of objects;
 `oracles.prepared_per_individual` is the build one individual at a time.
 The array fields are compared as lists.  The one cell-table kernel is
 checked against a literal loop over the individuals under each of its
-accumulators, its overflow guard on crafted rows, and its hypothesis
-class's cached y-index against the lists looked up per hypothesis.
+accumulators (int64 while D <= 2^60, Python ints beyond), its exact
+overflow guard on crafted rows, also where D passes 2^53 and a float sum
+rounds, and its hypothesis class's cached y-index against the lists
+looked up per hypothesis.  The benchmark's instance shapes are checked
+for the accumulator they take.
 A build regrouped on another grid (`_Prepared.on`) is checked against
 the per-individual build on that grid.  `audits._prepared`, the memo on
 the predictor, is checked against fresh builds, per population and grid
@@ -251,19 +254,25 @@ def _cell_tables_loop(prep, cls, rows):
 def _kernel_instances(ell):
     """Populations of 300 and of 20 individuals (tables above and below 512
     entries).  Masses drawn as 0/1 counts (`weight_denominator=2`) keep D
-    below 2^40 for an exact predictor."""
+    below 2^40 for an exact predictor.  Binary ones add a 3000 x 2 instance
+    with 8 hypotheses, shaped like the benchmark's, whose D lies in
+    (2^40, 2^60]."""
     binary = ell == 2
     yield random_instance(np.random.default_rng([ell, 17]), 300, ell, 3, binary_hypotheses=binary)
     for seed, n, den in ((18, 300, 2), (19, 20, 16), (19, 20, 2)):
         yield random_instance(np.random.default_rng([ell, seed]), n, ell, 3,
                               binary_hypotheses=binary, weight_denominator=den)
+    if binary:
+        pop, cls, pred = random_instance(np.random.default_rng([ell, 20]), 3000, ell, 8)
+        assert 1 << 40 < _Prepared(pop, pred).D <= 1 << 60
+        yield pop, cls, pred
 
 
 @pytest.mark.parametrize("ell,grid_m", [(2, None), (2, 3), (8, None), (8, 2)])
 def test_float_numpy_tables_equal_the_literal_loop(ell, grid_m):
     """The one kernel against a literal loop, under both accumulators, on
-    exact and float predictors: int64 (D <= 2^40) and Python ints
-    (D > 2^40)."""
+    exact and float predictors: int64 (D <= 2^60) and Python ints
+    (D > 2^60)."""
     reached = set()
     for pop, cls, pred in _kernel_instances(ell):
         grid = make_grid_with_denominator(pop.space, grid_m) if grid_m else None
@@ -272,7 +281,7 @@ def test_float_numpy_tables_equal_the_literal_loop(ell, grid_m):
         fpred = Predictor({j: update(rule, d, loss) for j, d in pred.values.items()})
         for p in (pred, fpred):
             prep = _Prepared(pop, p, grid=grid)
-            dtype = "int64" if prep.D <= 1 << 40 else "object"
+            dtype = str(prep.star.dtype)
             reached.add((dtype, len(pop.ids) * ell > 512))
             star, diff = prep.star.tolist(), prep.diff.tolist()
             for rows in (diff, star, [(sum(s), s[0]) for s in star]):
@@ -305,6 +314,62 @@ def test_int64_overflow_guard_trips_on_crafted_rows():
     at_bound[2, 1] = 1
     with pytest.raises(InternalInvariantError):
         prep.cell_tables(cls, at_bound)
+
+
+def _guard_instance():
+    """A prepared population of 3 individuals whose D lies in [2^59, 2^60):
+    int64, and past 2^53, where a float sum of |rows| rounds."""
+    pop, cls, pred = random_instance(np.random.default_rng(0), 3, 2, 2,
+                                     weight_denominator=1 << 12)
+    prep = _Prepared(pop, pred)
+    assert prep.D.bit_length() == 60 and prep.star.dtype == np.int64
+    return prep, cls
+
+
+def test_int64_guard_is_exact_where_floats_round():
+    """A column of |rows| summing to 2D passes and 2D + 1 raises, which a
+    float sum would round back to 2D."""
+    prep, cls = _guard_instance()
+    D = prep.D
+    rows = np.zeros((3, 2), dtype=np.int64)
+    rows[0, 1], rows[1, 1] = D, -D
+    ys, table = prep.cell_tables(cls, rows)
+    assert table.tolist() == _cell_tables_loop(prep, cls, rows.tolist())[1]
+    rows[2, 1] = 1
+    assert float(2 * D + 1) == float(2 * D)
+    with pytest.raises(InternalInvariantError):
+        prep.cell_tables(cls, rows)
+
+
+def test_int64_guard_bounds_the_total_of_all_columns():
+    """Columns that each sum to at most 2D pass while their |rows| total
+    2^63 - 1, and raise at 2^63: the sums of a table's |cells| reach that
+    total."""
+    prep, cls = _guard_instance()
+    D = prep.D
+    full, last = divmod((1 << 63) - 1, 2 * D)
+    # each column holds (D, D, 0) but the last, which holds `last` split
+    rows = np.zeros((3, full + 2), dtype=np.int64)
+    rows[:2, :full] = D
+    rows[0, full], rows[1, full] = last // 2, last - last // 2
+    ys, table = prep.cell_tables(cls, rows)
+    assert table.tolist() == _cell_tables_loop(prep, cls, rows.tolist())[1]
+    assert int(np.abs(table).sum(axis=(1, 2)).max()) == (1 << 63) - 1
+    rows[2, full + 1] = -1
+    with pytest.raises(InternalInvariantError):
+        prep.cell_tables(cls, rows)
+
+
+def test_benchmark_shaped_instances_take_their_accumulators():
+    """audit-pop's 3000 x 2 and 200 x 2 instances, drawn as the benchmark
+    draws them at seeds 0 and 1, sum in int64 (D has 51 to 56 bits) and its
+    600 x 8 one in Python ints (142 bits and more)."""
+    for seed in (0, 1):
+        rng = np.random.default_rng([seed, 1])
+        shapes = ((3000, 2, 8), (600, 8, 4), (200, 2, 4))
+        preps = [_Prepared(pop, pred)
+                 for pop, _, pred in (random_instance(rng, *shape) for shape in shapes)]
+        assert [p.star.dtype for p in preps] == [np.int64, object, np.int64]
 
 
 def test_class_y_index_equals_the_per_hypothesis_lists():
