@@ -44,7 +44,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -230,7 +229,7 @@ def empirical_advantages(members, pop, predictor, samples):
 
     Uses the conditional expectation over the modeled outcome given the
     sampled individual, an unbiased range-2 estimator that needs no extra
-    randomness.
+    randomness.  Each advantage is a Python float.
     """
     if not samples:
         raise InputError("empty sample list")
@@ -253,7 +252,7 @@ def empirical_advantages(members, pop, predictor, samples):
             vals = [float(v) for v in rows[i]]
             modeled += counts[i] * sum(a * b for a, b in zip(vals, pt))
             observed += sum(obs_counts[i, oi] * vals[oi] for oi in range(pop.space.size))
-        out.append((modeled - observed) / n)
+        out.append(float((modeled - observed) / n))
     return out
 
 
@@ -334,7 +333,6 @@ def construct_sampled(pop, family, epsilon, rule=None, beta=0.05,
 # ---------------------------------------------------------------------------
 
 SELECT_ROUNDS_FACTOR = 8          # rounds = ceil(8 ln(1/beta))
-ANTI_CONCENTRATION_PROB = Fraction(1, 16)  # documented lower bound per round
 
 
 class ErmOverHypotheses:
@@ -370,7 +368,10 @@ def select_distinguisher_randomized(pop, predictor, cls: HypothesisClass, eps_pr
     If some mc-family member has advantage above 8 sqrt(outcomes * |grid|)
     times eps_prime, a member with advantage above eps_prime / 2 is
     returned with probability at least 1 - beta; the class is accessed
-    only through the weak agnostic learner.
+    only through the weak agnostic learner.  Each round draws a uniformly
+    random event over the (outcome, grid point) cells; under that premise
+    the event keeps enough of the advantage with probability at least 1/16
+    per round.
     """
     if not pop.space.is_binary or not cls.is_binary:
         raise DomainError("randomized selection requires binary outcomes and hypotheses")

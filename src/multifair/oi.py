@@ -41,11 +41,12 @@ the best-responding member and its advantage, which is the audit value.
 The generated families and the oracle reduce over one signed table, the
 (modeled - true) mass per (hypothesis, level, y, outcome) that
 `audits._Prepared` builds for the statistical-distance audits, for the
-event families on the levels of the grid-rounded predictor.  An mc or smc
-member is built straight from the table's rows: each level with a positive
-cell is one entry of its event map.  Every lowdegree advantage is one
-integer product of the table with the member's values per (exact level,
-y).  Explicit members read the prepared per-individual mass differences.
+event families on the levels of the grid-rounded predictor.  The event
+families reduce it in numpy: a level's best event is its positive cells,
+whose sum is its mass, and an mc or smc member takes one event-map entry
+per level with a positive cell.  Every lowdegree advantage is one integer
+product of the table with the member's values per (exact level, y).
+Explicit members read the prepared per-individual mass differences.
 Every value here is exact; the float backend rounds the finished report,
 or the best response's advantage, once (`audits._to_float`).
 """
@@ -284,45 +285,15 @@ def _mass(prep, scaled):
     return Fraction(scaled, prep.D) if scaled else 0
 
 
-def _positive_sums(per_level):
-    """Per level: the summed positive cells, the mass of that level's best event."""
-    return [sum(x for x in row if x > 0) for row in per_level]
-
-
 def _positive_events(prep, ys, hypotheses, rows):
     """point -> (hypotheses[v], its positive (y, outcome) cells in rows[v]),
     one entry per level v with a positive cell."""
     ell, labels = prep.pop.space.size, prep.pop.space.labels
-    events = {}
-    for point, h, row in zip(prep.points, hypotheses, rows):
-        cells = {(ys[i // ell], labels[i % ell]) for i, x in enumerate(row) if x > 0}
-        if cells:
-            events[point] = (h, cells)
-    return events
-
-
-def _smc_choice(tables):
-    """Per level: the first hypothesis with the largest positive sum, and that sum."""
-    pos = [_positive_sums(per_level) for per_level in tables]
-    return [max(enumerate(sums), key=lambda cs: cs[1]) for sums in zip(*pos)]
-
-
-def _first_reached_cell(prep, ys, h, per_level, target):
-    """(level, cell) of the first cell with |signed mass| == target.
-
-    Cells are ordered by their earliest nonzero (individual, outcome)
-    contribution, in population and label order.  When every contribution
-    is zero the first cell of the first level is returned.
-    """
-    y_idx = {y: i for i, y in enumerate(ys)}
-    ell = prep.pop.space.size
-    for j, level, diff in zip(prep.ids, prep.level_of.tolist(), prep.diff.tolist()):
-        row = per_level[level]
-        base = y_idx[h.values[j]] * ell
-        for o, x in enumerate(diff):
-            if x and abs(row[base + o]) == target:
-                return level, base + o
-    return 0, 0
+    positive = [set() for _ in prep.points]
+    for v, i in zip(*(a.tolist() for a in np.nonzero(rows > 0))):  # in row-major order
+        positive[v].add((ys[i // ell], labels[i % ell]))
+    return {point: (h, cells) for point, h, cells in zip(prep.points, hypotheses, positive)
+            if cells}
 
 
 def _prices(y, values, P):
@@ -408,38 +379,45 @@ def _reduce(pop, predictor, family):
     cls = family.hypotheses
     prep = _prepared(pop, predictor, family.grid)
     ys, table = prep.cell_tables(cls, prep.diff)
-    tables = table.tolist()
+    # [c, level]: the mass of hypothesis c's best event, its positive cells (a
+    # (level, y) block need not sum to 0: a float truth enters by its exact value)
+    best = np.maximum(table, 0).sum(axis=2)
     if family.kind == "smc":
-        choice = _smc_choice(tables)
-        per_level_best = {prep.points[v]: (cls.hypotheses[c].name, _mass(prep, s))
-                          for v, (c, s) in enumerate(choice)}
-        total = Fraction(sum(s for _, s in choice), prep.D)
-        hyps = [cls.hypotheses[c] for c, _ in choice]
-        rows = [tables[c][v] for v, (c, _) in enumerate(choice)]
-        events = _positive_events(prep, ys, hyps, rows)
+        choice = best.argmax(axis=0)  # per level, the first hypothesis of largest mass
+        sums = best.max(axis=0).tolist()
+        hyps = [cls.hypotheses[c] for c in choice.tolist()]
+        per_level_best = {point: (h.name, _mass(prep, s))
+                          for point, h, s in zip(prep.points, hyps, sums)}
+        total = Fraction(sum(sums), prep.D)
+        events = _positive_events(prep, ys, hyps, table[choice, np.arange(len(hyps))])
         d = _event_distinguisher("level-assigned-event", events, family.grid, assignment={
             str(point): h.name for point, h in zip(prep.points, hyps)})
         return AuditReport("oi-smc", total, per_level_best, per_level_best), d, total
 
     if family.kind == "mc":
-        score = [sum(_positive_sums(t)) for t in tables]
+        score = best.sum(axis=1).tolist()
         breakdown = {h.name: _mass(prep, s) for h, s in zip(cls, score)}
     else:
-        score = [max(abs(x) for row in t for x in row) for t in tables]
+        score = np.abs(table).max(axis=(1, 2)).tolist()
         breakdown = {h.name: Fraction(s, prep.D) for h, s in zip(cls, score)}
-    c = max(range(len(cls)), key=lambda c: score[c])
+    c = score.index(max(score))
     h = cls.hypotheses[c]
     report = AuditReport(f"oi-{family.kind}", breakdown[h.name], h.name, breakdown)
     if family.kind == "mc":
-        events = _positive_events(prep, ys, [h] * len(prep.levels), tables[c])
+        events = _positive_events(prep, ys, [h] * len(prep.levels), table[c])
         return report, _mc_member(h, events, family.grid), breakdown[h.name]
-    # basic: binary instances always tie (y, "0", l) against (y, "1", l), so the
-    # first-reached order is what keeps the witness, and with it the
-    # constructor transcripts, deterministic and stable.
-    v, i = _first_reached_cell(prep, ys, h, tables[c], score[c])
+    # basic: binary instances always tie (y, "0", l) against (y, "1", l); taking the
+    # first best cell that a nonzero (individual, outcome) reaches, in population
+    # and label order, keeps the witness and the constructor transcripts stable
     ell = pop.space.size
+    cells = cls._y_index(prep.ids)[c][:, None] * ell + np.arange(ell)  # [pos, o]: its cell
+    reached = (prep.diff != 0) & (np.abs(table[c])[prep.level_of[:, None], cells] == score[c])
+    hits = np.flatnonzero(reached)
+    if hits.size:
+        v, i = int(prep.level_of[hits[0] // ell]), int(cells.flat[hits[0]])
+    else:
+        v, i = 0, 0  # no contribution is nonzero: the first cell of the first level
     y, o = ys[i // ell], pop.space.labels[i % ell]
     point = prep.points[v]
     d = mc_event_distinguisher(h, [(y, o, point)], family.grid, name=_cell_name(h, y, o, point))
-    return report, *_oriented(d, Fraction(tables[c][v][i], prep.D))
-
+    return report, *_oriented(d, Fraction(int(table[c, v, i]), prep.D))

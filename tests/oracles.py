@@ -7,7 +7,8 @@ Fraction products cell by cell, the prepared population as it was built
 one individual at a time (the reference for the build per distinct
 value), statistical distance by enumeration of
 every event, the mc OI audit by enumeration of every event over the cell
-lattice, and the graph statistics, including the (true - predicted) pair
+lattice, the basic OI witness by a walk over the individuals in
+population and label order, and the graph statistics, including the (true - predicted) pair
 sums delta_{S,T} of a graph predictor.  The per-hypothesis y-index
 lists and the cell table summed by a literal loop over the individuals are
 the references for the class-attached index and the `np.add.at` kernel.
@@ -353,6 +354,24 @@ def audit_oi_mc_bruteforce(pop, predictor, cls, grid, backend="rational"):
                 diffs.append(per_level[v][i] if v is not None else 0)
         best = max(best, _max_abs_subset_sum(diffs))
     return rounded(_mass(prep, best))
+
+
+def first_reached_cell(prep, ys, h, per_level, target):
+    """(level, cell) of the basic family's witness, by a walk over the
+    individuals: the first cell of `per_level` (one hypothesis's rows of
+    the cell table, as lists) with |signed mass| == target that a nonzero
+    (individual, outcome) contribution reaches, in population and label
+    order.  When every contribution is zero the first cell of the first
+    level is returned."""
+    y_idx = {y: i for i, y in enumerate(ys)}
+    ell = prep.pop.space.size
+    for j, level, diff in zip(prep.ids, prep.level_of.tolist(), prep.diff.tolist()):
+        row = per_level[level]
+        base = y_idx[h.values[j]] * ell
+        for o, x in enumerate(diff):
+            if x and abs(row[base + o]) == target:
+                return level, base + o
+    return 0, 0
 
 
 def spot_check_intermediate(g: DiGraph, p: VertexPartition, epsilon,

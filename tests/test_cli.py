@@ -349,6 +349,38 @@ def test_sampled_failure_exit_three_retains_transcript(tmp_path, monkeypatch):
     assert doc["transcript"]["succeeded"] is False
 
 
+def test_sampled_transcript_numbers_reload(tmp_path, monkeypatch):
+    # empirical advantages are Python floats, so the document spells each
+    # as its shortest repr, which `parse_number` reads back to a rational
+    # whose nearest float is the library's value
+    import numpy as np
+
+    import multifair.cli as cli_mod
+    from multifair import random_instance
+    from multifair.serialize import instance_to_json, parse_number
+
+    runs, run = [], cli_mod.construct_sampled
+
+    def recorded(*args, **kwargs):
+        runs.append(run(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(cli_mod, "construct_sampled", recorded)
+    pop, cls, _ = random_instance(np.random.default_rng(123), 8, 4, 6)
+    inst, out = tmp_path / "inst.json", tmp_path / "out.json"
+    inst.write_text(json.dumps(instance_to_json(pop, cls)))
+    assert main(["construct", str(inst), "--mode", "sampled", "--family", "basic",
+                 "--grid-m", "2", "--epsilon", "0.15", "--seed", "1",
+                 "--output", str(out)]) == 0
+    records = runs[0][1].iterations
+    docs = read(out)["transcript"]["iterations"]
+    assert len(docs) == len(records) > 0
+    for doc, rec in zip(docs, records):
+        assert type(rec.advantage) is float and type(rec.post_update_audit) is float
+        assert float(parse_number(doc["advantage"])) == rec.advantage
+        assert float(parse_number(doc["post_update_audit"])) == rec.post_update_audit
+
+
 BAD_INPUTS = [
     (["audit", "{tp}", "--kind", "oi", "--epsilon", "abc"], 1),
     (["audit", "{tp}", "--kind", "omni", "--losses", "{empty}"], 2),

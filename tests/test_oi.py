@@ -43,7 +43,8 @@ from multifair.oi import (
     monomial_multisets,
     negate,
 )
-from oracles import audit_oi_mc_bruteforce
+from oracles import audit_oi_mc_bruteforce, first_reached_cell
+from test_oi_golden import float_truth_instances
 from test_prepared import _predictor, populations
 
 
@@ -530,25 +531,76 @@ def _literal_event_member(kind, prep, cls, grid):
                          payload={"assignment": assignment, "event_cells": sorted(cells)})
 
 
+def _event_member_cases():
+    """(pop, cls, m, predictor, moved): random instances with their exact
+    and stepped predictors, then the float-truth populations of
+    `test_oi_golden`, under exact and float weights; `moved` is a float
+    predictor the member was not scored on."""
+    for seed, (n, ell, nh, m) in enumerate(((6, 2, 2, 3), (9, 2, 4, 4), (12, 3, 3, 2),
+                                            (10, 8, 3, 2))):
+        pop, cls, pred = random_instance(np.random.default_rng([seed, 61]), n, ell, nh)
+        moved = _stepped(pop, pred, 0.5)
+        for p in (pred, _stepped(pop, pred, 0.3)):
+            yield pop, cls, m, p, moved
+    for pop, cls, m, p in float_truth_instances():
+        yield pop, cls, m, p, _stepped(pop, p, 0.5)
+
+
 @pytest.mark.parametrize("kind", ["mc", "smc"])
 def test_event_members_built_from_rows_equal_literal_builds(kind):
     # the reduction groups the positive cells of each table row into its
     # member's events; a literal build from the same table must agree in
     # events, payload and values, also on a population of float predictions
-    # it was not scored on
-    for seed, (n, ell, nh, m) in enumerate(((6, 2, 2, 3), (9, 2, 4, 4), (12, 3, 3, 2),
-                                            (10, 8, 3, 2))):
-        pop, cls, pred = random_instance(np.random.default_rng([seed, 61]), n, ell, nh)
+    # it was not scored on.  On float truths a (level, y) block need not sum
+    # to 0, so the value must be the positive cells' sum, the literal
+    # member's advantage.
+    for pop, cls, m, p, moved in _event_member_cases():
         grid = make_grid_with_denominator(pop.space, m)
-        fam = make_family(kind, hypotheses=cls, grid=grid)
-        moved = _stepped(pop, pred, 0.5)
-        for p in (pred, _stepped(pop, pred, 0.3)):
-            _, d, _ = _reduce(pop, p, fam)
-            want = _literal_event_member(kind, _prepared(pop, p, grid), cls, grid)
-            assert d.events == want.events
-            assert d.name == want.name and repr(d.payload) == repr(want.payload)
-            assert d.values(pop, p) == want.values(pop, p)
-            assert d.values(pop, moved) == want.values(pop, moved)
+        report, d, adv = _reduce(pop, p, make_family(kind, hypotheses=cls, grid=grid))
+        want = _literal_event_member(kind, _prepared(pop, p, grid), cls, grid)
+        assert d.events == want.events
+        assert d.name == want.name and repr(d.payload) == repr(want.payload)
+        assert d.values(pop, p) == want.values(pop, p)
+        assert d.values(pop, moved) == want.values(pop, moved)
+        assert report.value == adv == oi_advantage(pop, p, want)
+
+
+def test_basic_audit_is_the_largest_member_advantage_on_float_truths():
+    # float truth rows and float weights enter by their exact binary values
+    for pop, cls, m, p in float_truth_instances():
+        fam = make_family("basic", hypotheses=cls, grid=make_grid_with_denominator(pop.space, m))
+        report, _, adv = _reduce(pop, p, fam)
+        assert report.value == adv == max(abs(oi_advantage(pop, p, e)) for e in fam.members())
+
+
+def _binary_witness_cases():
+    """(pop, cls, m, predictor) on binary outcomes, where the exact truths
+    tie (y, "0", level) against (y, "1", level): random instances with
+    their exact, stepped and ground-truth predictors (the last reaches no
+    cell), then the binary float-truth populations."""
+    for seed, (n, nh, m) in enumerate(((6, 2, 1), (9, 4, 4), (12, 3, 2), (20, 5, 3))):
+        pop, cls, pred = random_instance(np.random.default_rng([seed, 67]), n, 2, nh)
+        for p in (pred, _stepped(pop, pred, 0.3), pop.ground_truth_predictor()):
+            yield pop, cls, m, p
+    yield from ((pop, cls, m, p) for pop, cls, m, p in float_truth_instances()
+                if pop.space.size == 2)
+
+
+def test_basic_witness_is_the_first_reached_cell():
+    # the literal walk over (individual, outcome) contributions in population
+    # and label order picks the same (level, cell) of the best hypothesis
+    for pop, cls, m, p in _binary_witness_cases():
+        grid = make_grid_with_denominator(pop.space, m)
+        report, d, _ = _reduce(pop, p, make_family("basic", hypotheses=cls, grid=grid))
+        prep = _prepared(pop, p, grid)
+        ys, table = prep.cell_tables(cls, prep.diff)
+        c = [h.name for h in cls].index(report.witness)
+        per_level = table[c].tolist()
+        v, i = first_reached_cell(prep, ys, cls.hypotheses[c], per_level,
+                                  max(abs(x) for row in per_level for x in row))
+        ell = pop.space.size
+        assert d.payload["event_cells"] == [(ys[i // ell], pop.space.labels[i % ell],
+                                             prep.points[v])]
 
 
 @pytest.mark.parametrize("seed,n,degree,step", [(1, 7, 2, True), (10, 7, 3, False),

@@ -10,6 +10,11 @@ any change to a value, a witness, a tie-break or a member's payload shows
 up here.  The float backend is pinned to the same records: its report and
 advantage are the exact ones passed once through `audits._to_float`, and
 its member is the exact one.
+
+A second case pins the event families on populations whose truth rows
+are floats whose exact values do not sum to 1, under exact and float
+weights; its digests were recorded before the event families reduced
+the cell table in numpy.
 """
 
 import hashlib
@@ -19,6 +24,8 @@ import pytest
 
 from multifair import (
     LossTable,
+    OutcomeDist,
+    PopulationInstance,
     Predictor,
     audit_oi,
     best_response,
@@ -39,7 +46,17 @@ GOLDEN = {
     "explicit": "36d219de7ec485de8f2305503786c557e4173e98f186be037ffa06eaa1c9845d",
 }
 
+FLOAT_TRUTH_GOLDEN = {
+    "basic": "382edce44ffb5c030f33423a52fa1ed0ea948f9c0fb50f6f7320104991be34b3",
+    "mc": "999005dec7ec7697a688d56bd6060de81c57c44f0f1feea437adcd0e3b0d6e7f",
+    "smc": "0e7bfb465bbeeda8463b608139815202dfcab146c5db4a796fe5b7ca8ac55cb6",
+}
+
 KINDS = ("basic", "mc", "smc", "lowdegree", "explicit")
+
+# float truth rows; the exact values of all but (0.3, 0.3, 0.4) miss 1 by 2^-55 or 2^-54
+FLOAT_ROWS = {2: ((0.1, 0.9), (0.3, 0.7), (0.2, 0.8)),
+              3: ((0.1, 0.2, 0.7), (0.6, 0.3, 0.1), (0.3, 0.3, 0.4))}
 
 
 def _one_vertex(j, o, p):
@@ -61,18 +78,41 @@ def _family(kind, pop, cls, m):
 def _instances():
     for seed, (n, ell, nh, m) in enumerate(((8, 2, 3, 4), (12, 3, 4, 2), (10, 4, 2, 2))):
         pop, cls, pred = random_instance(np.random.default_rng([seed, 47]), n, ell, nh)
-        rule = mwu_rule(pop.space, 0.3)
-        loss = LossTable(pop.space, tuple((k % 3) / 2 for k in range(ell)))
-        stepped = Predictor({j: update(rule, d, loss) for j, d in pred.values.items()})
         yield pop, cls, m, pred
-        yield pop, cls, m, stepped
+        yield pop, cls, m, _stepped(pop, pred)
 
 
-def _records(kind, backend):
+def float_truth_instances():
+    """(pop, cls, m, predictor) on random instances whose truth rows are
+    replaced by `FLOAT_ROWS`, under their exact weights and under float
+    weights (k + 1) / T, whose exact sum misses 1 (by -2^-55 for n = 8).  Each
+    is reduced with its exact predictor, that predictor after one MWU
+    step, and the ground truth, whose exact ratios absorb the rows'
+    float deficit, so its table is not zero."""
+    for seed, (n, ell, nh, m) in enumerate(((8, 2, 3, 4), (9, 3, 3, 2), (7, 3, 2, 3))):
+        pop, cls, pred = random_instance(np.random.default_rng([seed, 53]), n, ell, nh)
+        rows = FLOAT_ROWS[ell]
+        truth = {j: OutcomeDist(pop.space, rows[k % len(rows)]) for k, j in enumerate(pop.ids)}
+        total = n * (n + 1) // 2
+        float_weight = {j: (k + 1) / total for k, j in enumerate(pop.ids)}
+        for weight in (pop.weight, float_weight):
+            fpop = PopulationInstance(pop.space, pop.ids, weight, truth)
+            for p in (pred, _stepped(fpop, pred), fpop.ground_truth_predictor()):
+                yield fpop, cls, m, p
+
+
+def _stepped(pop, pred):
+    """The predictor after one multiplicative-weights step: float predictions."""
+    rule = mwu_rule(pop.space, 0.3)
+    loss = LossTable(pop.space, tuple((k % 3) / 2 for k in range(pop.space.size)))
+    return Predictor({j: update(rule, d, loss) for j, d in pred.values.items()})
+
+
+def _records(kind, backend, instances=_instances):
     """Per instance: (value, witness, breakdown, member name, payload,
     advantage) of the audit and best response under the backend."""
     records = []
-    for pop, cls, m, pred in _instances():
+    for pop, cls, m, pred in instances():
         fam = _family(kind, pop, cls, m)
         if backend == "rational":
             report, d, adv = _reduce(pop, pred, fam)
@@ -93,3 +133,15 @@ def test_oi_reduction_is_pinned(kind, backend):
     want = [(*_to_float((value, witness, breakdown)), name, payload, _to_float(adv))
             for value, witness, breakdown, name, payload, adv in exact]
     assert repr(_records(kind, "float")) == repr(want)
+
+
+@pytest.mark.parametrize("backend", ["rational", "float"])
+@pytest.mark.parametrize("kind", ["basic", "mc", "smc"])
+def test_oi_reduction_on_float_truths_is_pinned(kind, backend):
+    exact = _records(kind, "rational", float_truth_instances)
+    if backend == "rational":
+        assert hashlib.sha256(repr(exact).encode()).hexdigest() == FLOAT_TRUTH_GOLDEN[kind]
+        return
+    want = [(*_to_float((value, witness, breakdown)), name, payload, _to_float(adv))
+            for value, witness, breakdown, name, payload, adv in exact]
+    assert repr(_records(kind, "float", float_truth_instances)) == repr(want)
