@@ -54,6 +54,7 @@ from __future__ import annotations
 import copy
 import math
 import operator
+import sys
 from collections import Counter
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
@@ -226,10 +227,7 @@ class _Prepared:
         rows = np.asarray(rows, dtype=self.star.dtype)
         k = rows.shape[1]
         if rows.dtype == np.int64:
-            # exact: |x| as uint64 (2^63 too), its 32-bit halves summed apart
-            mag = np.abs(rows).view(np.uint64)
-            col = [(hi << 32) + lo for hi, lo in zip((mag >> 32).sum(axis=0).tolist(),
-                                                     (mag & 0xFFFFFFFF).sum(axis=0).tolist())]
+            col = _column_magnitudes(rows)
             if any(c > 2 * self.D for c in col) or sum(col) >= 1 << 63:
                 raise InternalInvariantError("int64 cell-table rows sum beyond 2D in a "
                                              "column or beyond 2^63 - 1 in all")
@@ -255,6 +253,18 @@ class _Prepared:
                       for d, rk in zip(self.levels, self.level_ratios)]
             self._rounded = levels, _unmerged(self.points, [tuple(d.weights) for d in levels])
         return self._rounded
+
+
+def _column_magnitudes(rows) -> list:
+    """Per column of the int64 array `rows` (r x k), the sum of |x| as a
+    Python int, exactly: each |x| is read as a uint64 (so int64 min counts
+    2^63), and its two 32-bit halves are summed in one pass over uint64
+    accumulators, which hold up to 2^32 rows."""
+    r, k = rows.shape
+    halves = np.ascontiguousarray(np.abs(rows)).view(np.uint32).reshape(r, k, 2)
+    sums = halves.sum(axis=0, dtype=np.uint64)
+    lo, hi = (0, 1) if sys.byteorder == "little" else (1, 0)
+    return [(h << 32) + low for low, h in zip(sums[:, lo].tolist(), sums[:, hi].tolist())]
 
 
 def _first_index(keys) -> tuple:

@@ -12,20 +12,23 @@ the audit.  An event member's loss table is read off the prepared
 population its best response was scored on, which `audits._prepared`
 keeps on the predictor: its values depend only on the grid-rounded levels
 of the exact predictions.  Monomial and explicit members read the raw
-predictor, so their loss tables and empirical advantages take no prepared
-population at all.
+predictor, so their loss tables take no prepared population at all.
 
 The sample-based loop replaces the exact search with a weak agnostic
-learner: empirical-advantage maximization over an explicit family on
+learner: empirical-advantage maximization over a basic, lowdegree or
+explicit family on
 
     n = ceil( 8 ln(2|A|/beta) / (eps/2)^2 )
 
 fresh draws per call, accepting a member whose empirical advantage
-exceeds 3 eps / 4.  At that sample size a Hoeffding bound puts every
-member's empirical advantage within eps/4 of the truth with probability
-1 - beta, which makes both weak-learner guarantees hold: a member with
-true advantage above eps is found, and an accepted member has true
-advantage above eps/2.  Accepted updates of advantage eps/2 drive the
+exceeds 3 eps / 4.  The empirical advantage is the exact advantage on
+the population of the draws (individual i weighs c_i / n, with truth
+n_io / c_i), rounded once, read off one cell table of that population.
+At that sample size a Hoeffding bound puts every member's empirical
+advantage within eps/4 of the truth with probability 1 - beta, which
+makes both weak-learner guarantees hold: a member with true advantage
+above eps is found, and an accepted member has true advantage above
+eps/2.  Accepted updates of advantage eps/2 drive the
 multiplicative-weights potential down fast enough that iterations stay
 below ceil(8 ln(outcomes) / eps^2); a hard cap at the quarter-advantage
 bound aborts runs whose learner misbehaved (probability <= the failure
@@ -44,11 +47,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
-from .audits import _prepared
-from .core import SimplexGrid, exactify
+from .audits import _Prepared, _prepared
+from .core import OutcomeDist, SimplexGrid, exactify
 from .errors import (
     DomainError,
     InputError,
@@ -59,6 +63,7 @@ from .noregret import LossTable, UpdateRule, mwu_rule, update
 from .oi import (
     Distinguisher,
     DistinguisherFamily,
+    _first_best_member,
     _oriented,
     _reduce,
     audit_oi,
@@ -71,10 +76,10 @@ from .population import (
     PopulationInstance,
     Predictor,
     _cumulative,
+    _draw,
     _draw_outcomes,
     _sampling_tables,
     _with_complements,
-    sample,
 )
 
 
@@ -220,55 +225,42 @@ def construct_exact(pop: PopulationInstance, family: DistinguisherFamily, epsilo
 
 
 # ---------------------------------------------------------------------------
-# Weak agnostic learning over an explicit family
+# Weak agnostic learning over an enumerable family
 # ---------------------------------------------------------------------------
 
 
-def empirical_advantages(members, pop, predictor, samples):
-    """Per-member empirical advantage over a list of (individual, outcome) samples.
-
-    Uses the conditional expectation over the modeled outcome given the
-    sampled individual, an unbiased range-2 estimator that needs no extra
-    randomness.  Each advantage is a Python float.
-    """
-    if not samples:
-        raise InputError("empty sample list")
-    id_pos = {j: i for i, j in enumerate(pop.ids)}
-    n = len(samples)
-    counts = np.zeros(len(pop.ids))
-    obs_counts = np.zeros((len(pop.ids), pop.space.size))
-    o_pos = {o: i for i, o in enumerate(pop.space.labels)}
-    for j, o in samples:
-        counts[id_pos[j]] += 1
-        obs_counts[id_pos[j], o_pos[o]] += 1
-    drawn = [i for i in range(len(pop.ids)) if counts[i] != 0]
-    pts = [[float(w) for w in predictor.values[pop.ids[i]].weights] for i in drawn]
-    out = []
-    for d in members:
-        modeled = 0.0
-        observed = 0.0
-        rows = d.values(pop, predictor)
-        for i, pt in zip(drawn, pts):
-            vals = [float(v) for v in rows[i]]
-            modeled += counts[i] * sum(a * b for a, b in zip(vals, pt))
-            observed += sum(obs_counts[i, oi] * vals[oi] for oi in range(pop.space.size))
-        out.append(float((modeled - observed) / n))
-    return out
+def _empirical_population(pop, idx, o_idx) -> PopulationInstance:
+    """The n draws (individual positions, outcome indices) as a population:
+    individual i weighs c_i / n and has truth n_io / c_i, for c_i draws of
+    i and n_io of (i, o); an undrawn individual weighs 0 and keeps its
+    truth."""
+    n, ell = len(idx), pop.space.size
+    counts = np.bincount(idx, minlength=len(pop.ids)).tolist()
+    pairs = np.bincount(idx * ell + o_idx, minlength=len(pop.ids) * ell).reshape(-1, ell)
+    truth = {j: OutcomeDist(pop.space, tuple(Fraction(x, c) for x in row)) if c
+             else pop.p_true[j] for j, c, row in zip(pop.ids, counts, pairs.tolist())}
+    weight = {j: Fraction(c, n) for j, c in zip(pop.ids, counts)}
+    return PopulationInstance(pop.space, pop.ids, weight, truth)
 
 
-def wal_erm(family, cfg: WALConfig, samples, pop, predictor):
+def wal_erm(family, cfg: WALConfig, draws, pop, predictor):
     """Empirical-risk-minimization weak agnostic learner.
 
-    Returns the empirical-advantage maximizer over the family and its
-    pointwise negations when that advantage exceeds cfg.threshold, else
-    None.  Satisfies both weak-learner guarantees with probability at
-    least 1 - beta at the default sample count.
+    Returns the first member of largest |empirical advantage| on the
+    draws, (individual positions, outcome indices) arrays as
+    `population._draw` makes them, oriented to be nonnegative, with that
+    advantage as a float, when it exceeds cfg.threshold, else None.
+    Satisfies both weak-learner guarantees with probability at least
+    1 - beta at the default sample count.
     """
-    members = family.members() if isinstance(family, DistinguisherFamily) else list(family)
-    advs = empirical_advantages(members, pop, predictor, samples)
-    best_i = max(range(len(members)), key=lambda i: abs(advs[i]))
-    if abs(advs[best_i]) > cfg.threshold:
-        return _oriented(members[best_i], advs[best_i])
+    idx, o_idx = draws
+    if not len(idx):
+        raise InputError("empty sample list")
+    # built directly: the predictor's memo keeps the true population's build
+    prep = _Prepared(_empirical_population(pop, idx, o_idx), predictor, family.grid)
+    d, num, den = _first_best_member(prep, predictor, family)
+    if abs(Fraction(num, den)) > cfg.threshold:
+        return _oriented(d, num / den)
     return None
 
 
@@ -288,8 +280,8 @@ def construct_sampled(pop, family, epsilon, rule=None, beta=0.05,
         rng = np.random.default_rng(seed)
     if rule is None:
         rule = mwu_rule(pop.space, step_size=eps / 2)
-    members = family.members()
-    count = 2 * len(members)  # ERM searches members and their negations
+    family.check_enumerable()
+    count = 2 * family.member_count()  # ERM searches members and their negations
     cfg = WALConfig.for_family(eps, beta, count, n_samples=n_samples)
     predictor = Predictor({j: rule.initial for j in pop.ids})
     ell = pop.space.size
@@ -302,9 +294,9 @@ def construct_sampled(pop, family, epsilon, rule=None, beta=0.05,
     transcript = ConstructionTranscript(seed=seed, iteration_bound=soft_cap)
     t = 0
     while True:
-        draws = sample(pop, rng, cfg.n_samples)
+        draws = _draw(pop, rng, cfg.n_samples)
         transcript.sample_count += cfg.n_samples
-        found = wal_erm(members, cfg, draws, pop, predictor)
+        found = wal_erm(family, cfg, draws, pop, predictor)
         if transcript.iterations:
             transcript.iterations[-1].post_update_audit = \
                 found[1] if found is not None else 0.0

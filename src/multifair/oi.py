@@ -23,9 +23,12 @@ a callable.  `Distinguisher.values` evaluates a member on a population:
 an event member reads only the levels of the population that
 `audits._Prepared` rounded onto its grid; monomial and explicit members
 read the predictor they are given, the exact one for an advantage and the
-raw one for a loss table or an empirical advantage.  Every reduction and
-evaluation reads one prepared population per (population, predictor,
-grid), kept on the predictor by `audits._prepared`.
+raw one for a loss table.  Every reduction and evaluation reads one
+prepared population per (population, predictor, grid), kept on the
+predictor by `audits._prepared`.  The sampled constructor's weak learner
+(`_first_best_member`) takes the same exact advantages on the empirical
+population of its draws, prepared apart from that memo: an empirical
+advantage is an exact advantage, rounded once.
 
 The mc and smc families have astronomically many members (every event E
 is one member) but their audits never enumerate: for a fixed hypothesis
@@ -89,14 +92,18 @@ class Distinguisher:
     monomial: tuple | None = None
     negated: bool = False
 
-    def values(self, pop: PopulationInstance, predictor: Predictor):
+    def values(self, pop: PopulationInstance, predictor: Predictor, prep=None):
         """Per individual of `pop`: the member's value at each outcome, in
         label order.  Monomial and explicit members read `predictor` as
-        given.  Event members read only the levels of the population
-        prepared with `predictor` for their grid."""
+        given: the exact predictor for an advantage, on the population or
+        on the empirical one of some draws, and the raw one for a loss
+        table.  Event members read only the levels of `prep`, the
+        population prepared for their grid, by default the one
+        `_prepared(pop, predictor, grid)` keeps."""
         labels = pop.space.labels
         if self.events is not None:
-            prep = _prepared(pop, predictor, self.grid)
+            if prep is None:
+                prep = _prepared(pop, predictor, self.grid)
             entries = [self.events.get(point) for point in prep.points]
             rows = []
             for j, level in zip(prep.ids, prep.level_of.tolist()):
@@ -144,9 +151,10 @@ def _event_distinguisher(name, events, grid, **payload) -> Distinguisher:
                          events=events)
 
 
-def _cell_name(h, y, o, point) -> str:
-    """The name of the basic member 1[c_j = y, o, rounded p_j = point]."""
-    return f"cell[{h.name},{y},{o},({','.join(str(w) for w in point)})]"
+def _basic_member(h, y, o, point, grid) -> Distinguisher:
+    """The basic member 1[c_j = y, o, rounded p_j = point]."""
+    name = f"cell[{h.name},{y},{o},({','.join(str(w) for w in point)})]"
+    return mc_event_distinguisher(h, [(y, o, point)], grid, name=name)
 
 
 def monomial_distinguisher(h, o0, mono) -> Distinguisher:
@@ -205,23 +213,25 @@ class DistinguisherFamily:
             return (nc ** ng) * (2 ** (ny * ell * ng))
         raise ConstructionError(f"unknown family kind {self.kind!r}")
 
+    def check_enumerable(self):
+        """Refuse the implicit mc/smc kinds, whose members are never listed."""
+        if self.kind not in ("explicit", "basic", "lowdegree"):
+            raise EnumerationLimitError(
+                f"{self.kind} family has {self.member_count()} members; not materializable")
+
     def members(self):
         """Materialize the member list; refused for the implicit mc/smc kinds."""
+        self.check_enumerable()
         if self.kind == "explicit":
             return list(self.explicit_members)
         cls = self.hypotheses
         if self.kind == "basic":
-            return [mc_event_distinguisher(h, [(y, o, tuple(g.weights))], self.grid,
-                                           name=_cell_name(h, y, o, g.weights))
+            return [_basic_member(h, y, o, tuple(g.weights), self.grid)
                     for h in cls for y in cls.range_values
                     for o in self.grid.space.labels for g in self.grid.iter_points()]
-        if self.kind == "lowdegree":
-            return [monomial_distinguisher(h, o0, mono) for h in cls
-                    for o0 in self.outcome_space.labels
-                    for mono in monomial_multisets(self.outcome_space.size, self.degree)]
-        raise EnumerationLimitError(
-            f"{self.kind} family has {self.member_count()} members; not materializable"
-        )
+        return [monomial_distinguisher(h, o0, mono) for h in cls
+                for o0 in self.outcome_space.labels
+                for mono in monomial_multisets(self.outcome_space.size, self.degree)]
 
 
 def make_family(kind, hypotheses=None, grid=None, degree=None, members=None,
@@ -261,16 +271,16 @@ def oi_advantage(pop: PopulationInstance, predictor: Predictor, d: Distinguisher
                  exact: bool = True):
     """Signed advantage Delta_A, an exact expectation difference over the
     joint; with `exact` false, its correctly rounded float."""
-    adv = _advantage(pop, predictor, predictor.as_exact(), d)
+    adv = _advantage(_prepared(pop, predictor, d.grid), predictor.as_exact(), d)
     return adv if exact else _to_float(adv)
 
 
-def _advantage(pop, predictor, exact, d):
-    """Delta_A: the (modeled - true) masses weighted by A.  An event member
-    reads the levels prepared for `predictor`, any other member `exact`,
-    the predictor with exact predictions."""
-    prep = _prepared(pop, predictor, d.grid)
-    rows = d.values(pop, predictor if d.events is not None else exact)
+def _advantage(prep, exact, d):
+    """Delta_A on a prepared population: its (modeled - true) masses
+    weighted by A.  An event member reads the levels of `prep`, which must
+    be on its grid, any other member `exact`, the predictor with exact
+    predictions."""
+    rows = d.values(prep.pop, exact, prep)
     return Fraction(sum(x * exactify(a) for diff, row in zip(prep.diff.tolist(), rows)
                         for x, a in zip(diff, row) if x and a), prep.D)
 
@@ -337,41 +347,19 @@ def _reduce(pop, predictor, family):
         if len(family.explicit_members) > EXPLICIT_AUDIT_LIMIT:
             raise EnumerationLimitError("explicit family too large to audit")
         exact = predictor.as_exact()
-        advs = [(d, _advantage(pop, predictor, exact, d)) for d in family.explicit_members]
+        advs = [(d, _advantage(_prepared(pop, predictor, d.grid), exact, d))
+                for d in family.explicit_members]
         breakdown = {d.name: abs(adv) for d, adv in advs}
         d, adv = max(advs, key=lambda t: abs(t[1]))
         return AuditReport("oi-explicit", abs(adv), d.name, breakdown), *_oriented(d, adv)
 
     if family.kind == "lowdegree":
-        if family.outcome_space != pop.space:
-            raise DomainError("lowdegree family and population live on different outcome spaces")
-        cls = family.hypotheses
-        prep = _prepared(pop, predictor)
-        ys, table = prep.cell_tables(cls, prep.diff)
-        labels = pop.space.labels
-        monos = monomial_multisets(len(labels), family.degree)
-        # [mono, level]: the monomial on each exact level times P = L ** top,
-        # for the lcm L of the level denominators
-        L, top = math.lcm(*(d for rk in prep.level_ratios for _, d in rk)), family.degree - 1
-        weights = np.array([[n * (L // d) for n, d in rk] for rk in prep.level_ratios],
-                           dtype=object)
-        values = np.array([weights[:, list(m)].prod(axis=1) * L ** (top - len(m)) for m in monos])
-        # [mono, level, y]: each member's value on a cell (`_prices`), over their lcm Q
-        prices = [_prices(y, values, L ** top) for y in ys]
-        Q = math.lcm(*(q for _, q in prices))
-        nums = np.stack([p * (Q // q) for p, q in prices], axis=2).reshape(len(monos), -1)
-        # [c, o, mono]: D * Q times the advantage, in Python ints, since a
-        # price numerator times an int64 cell may pass int64
-        cells = table.astype(object).reshape(len(cls), len(prep.levels) * len(ys), len(labels))
-        advs = np.matmul(nums, cells).transpose(0, 2, 1).reshape(len(cls), -1)
-        mags = np.abs(advs)
-        breakdown = {h.name: Fraction(x, prep.D * Q) for h, x in zip(cls, mags.max(axis=1))}
-        # the first (hypothesis, outcome, monomial) of largest |advantage|
-        c, k = divmod(int(mags.argmax()), mags.shape[1])
-        h, (o, m) = cls.hypotheses[c], divmod(k, len(monos))
-        witness = {"hypothesis": h.name, "outcome": labels[o], "monomial_indices": list(monos[m])}
-        d = monomial_distinguisher(h, labels[o], monos[m])
-        adv = Fraction(advs[c, k], prep.D * Q)
+        mags, scale, d, best = _lowdegree_advantages(_prepared(pop, predictor), family)
+        breakdown = {h.name: Fraction(x, scale) for h, x in zip(family.hypotheses,
+                                                                mags.max(axis=1))}
+        h, o, mono = d.monomial
+        witness = {"hypothesis": h.name, "outcome": o, "monomial_indices": list(mono)}
+        adv = Fraction(best, scale)
         return AuditReport("oi-lowdegree", abs(adv), witness, breakdown), *_oriented(d, adv)
 
     if family.kind not in ("mc", "smc", "basic"):
@@ -418,6 +406,72 @@ def _reduce(pop, predictor, family):
     else:
         v, i = 0, 0  # no contribution is nonzero: the first cell of the first level
     y, o = ys[i // ell], pop.space.labels[i % ell]
-    point = prep.points[v]
-    d = mc_event_distinguisher(h, [(y, o, point)], family.grid, name=_cell_name(h, y, o, point))
+    d = _basic_member(h, y, o, prep.points[v], family.grid)
     return report, *_oriented(d, Fraction(int(table[c, v, i]), prep.D))
+
+
+def _lowdegree_advantages(prep, family):
+    """(mags, scale, d, best) on `prep`, prepared with no grid: mags[c,
+    o * len(monos) + m] / scale is the |advantage| of the lowdegree member
+    (hypothesis c, outcome o, monos[m]), d is the first member of largest
+    |advantage| in that order, and best / scale its advantage; mags and
+    best are Python ints."""
+    if family.outcome_space != prep.pop.space:
+        raise DomainError("lowdegree family and population live on different outcome spaces")
+    cls = family.hypotheses
+    ys, table = prep.cell_tables(cls, prep.diff)
+    ell = prep.pop.space.size
+    monos = monomial_multisets(ell, family.degree)
+    # [mono, level]: the monomial on each exact level times P = L ** top,
+    # for the lcm L of the level denominators
+    L, top = math.lcm(*(d for rk in prep.level_ratios for _, d in rk)), family.degree - 1
+    weights = np.array([[n * (L // d) for n, d in rk] for rk in prep.level_ratios],
+                       dtype=object)
+    values = np.array([weights[:, list(m)].prod(axis=1) * L ** (top - len(m)) for m in monos])
+    # [mono, level, y]: each member's value on a cell (`_prices`), over their lcm Q
+    prices = [_prices(y, values, L ** top) for y in ys]
+    Q = math.lcm(*(q for _, q in prices))
+    nums = np.stack([p * (Q // q) for p, q in prices], axis=2).reshape(len(monos), -1)
+    # [c, o, mono]: D * Q times the advantage, in Python ints, since a
+    # price numerator times an int64 cell may pass int64
+    cells = table.astype(object).reshape(len(cls), len(prep.levels) * len(ys), ell)
+    advs = np.matmul(nums, cells).transpose(0, 2, 1).reshape(len(cls), -1)
+    mags = np.abs(advs)
+    c, k = divmod(int(mags.argmax()), mags.shape[1])
+    o, m = divmod(k, len(monos))
+    d = monomial_distinguisher(cls.hypotheses[c], prep.pop.space.labels[o], monos[m])
+    return mags, prep.D * Q, d, advs[c, k]
+
+
+def _first_best_member(prep, predictor, family):
+    """(member, num, den): the first member of `family`, in the order of
+    `members()`, of largest |advantage| on `prep`, and that advantage as
+    num / den.  `prep` is prepared with `predictor` on the family's grid
+    (no grid for lowdegree and explicit families).  Only that member is
+    built: a basic member's advantage is one cell of the table (a grid
+    point with no level scores 0), a lowdegree member's one entry of
+    `_lowdegree_advantages`; explicit members are scored one by one."""
+    family.check_enumerable()
+    if family.kind == "lowdegree":
+        _, scale, d, best = _lowdegree_advantages(prep, family)
+        return d, int(best), scale
+    if family.kind == "explicit":
+        exact, preps = predictor.as_exact(), {id(prep.grid): prep}
+        for d in family.explicit_members:
+            if id(d.grid) not in preps:
+                preps[id(d.grid)] = prep.on(d.grid)
+        advs = [_advantage(preps[id(d.grid)], exact, d) for d in family.explicit_members]
+        i = max(range(len(advs)), key=lambda i: abs(advs[i]))
+        return family.explicit_members[i], advs[i].numerator, advs[i].denominator
+    cls, labels = family.hypotheses, prep.pop.space.labels
+    ys, table = prep.cell_tables(cls, prep.diff)
+    points = list(family.grid.iter_points())
+    level_of = {point: v for v, point in enumerate(prep.points)}
+    cols = [level_of.get(tuple(g.weights), len(prep.points)) for g in points]
+    # [c, y, o, grid point], with the zero level of points no individual is on
+    table = np.concatenate([table, np.zeros_like(table[:, :1])], axis=1)[:, cols]
+    scores = table.reshape(len(cls), len(points), len(ys), len(labels)).transpose(0, 2, 3, 1)
+    c, y, o, g = np.unravel_index(int(np.abs(scores).argmax()), scores.shape)
+    d = _basic_member(cls.hypotheses[c], ys[y], labels[o], tuple(points[g].weights),
+                      family.grid)
+    return d, int(scores[c, y, o, g]), prep.D

@@ -300,15 +300,21 @@ def _with_complements(hypotheses) -> list:
 
 def sample(pop: PopulationInstance, rng: np.random.Generator, n: int) -> list:
     """n i.i.d. draws of (individual, outcome); deterministic given the generator state."""
+    idx, o_idx = _draw(pop, rng, n)
+    labels = pop.space.labels
+    return [(pop.ids[i], labels[o]) for i, o in zip(idx.tolist(), o_idx.tolist())]
+
+
+def _draw(pop: PopulationInstance, rng: np.random.Generator, n: int) -> tuple:
+    """The draws of `sample` as (individual positions, outcome indices), two
+    int arrays; n = 0 draws nothing and leaves the generator as it was."""
     if n < 0:
         raise DomainError("sample size must be nonnegative")
     if n == 0:
-        return []
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
     weights, cum_true = _sampling_tables(pop)
     idx = rng.choice(len(pop.ids), size=n, p=weights)
-    o_idx = _draw_outcomes(rng, cum_true[idx])
-    labels = pop.space.labels
-    return [(pop.ids[i], labels[o]) for i, o in zip(idx.tolist(), o_idx.tolist())]
+    return idx, _draw_outcomes(rng, cum_true[idx])
 
 
 def _cumulative(dists) -> np.ndarray:

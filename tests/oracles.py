@@ -8,7 +8,8 @@ one individual at a time (the reference for the build per distinct
 value), statistical distance by enumeration of
 every event, the mc OI audit by enumeration of every event over the cell
 lattice, the basic OI witness by a walk over the individuals in
-population and label order, and the graph statistics, including the (true - predicted) pair
+population and label order, the weak learner's empirical advantages by
+a float loop over every member and every draw, and the graph statistics, including the (true - predicted) pair
 sums delta_{S,T} of a graph predictor.  The per-hypothesis y-index
 lists and the cell table summed by a literal loop over the individuals are
 the references for the class-attached index and the `np.add.at` kernel.
@@ -372,6 +373,38 @@ def first_reached_cell(prep, ys, h, per_level, target):
             if x and abs(row[base + o]) == target:
                 return level, base + o
     return 0, 0
+
+
+def empirical_advantages(members, pop, predictor, samples):
+    """Per-member empirical advantage over a list of (individual, outcome) samples.
+
+    Uses the conditional expectation over the modeled outcome given the
+    sampled individual, an unbiased range-2 estimator that needs no extra
+    randomness.  Each advantage is a Python float.
+    """
+    if not samples:
+        raise InputError("empty sample list")
+    id_pos = {j: i for i, j in enumerate(pop.ids)}
+    n = len(samples)
+    counts = np.zeros(len(pop.ids))
+    obs_counts = np.zeros((len(pop.ids), pop.space.size))
+    o_pos = {o: i for i, o in enumerate(pop.space.labels)}
+    for j, o in samples:
+        counts[id_pos[j]] += 1
+        obs_counts[id_pos[j], o_pos[o]] += 1
+    drawn = [i for i in range(len(pop.ids)) if counts[i] != 0]
+    pts = [[float(w) for w in predictor.values[pop.ids[i]].weights] for i in drawn]
+    out = []
+    for d in members:
+        modeled = 0.0
+        observed = 0.0
+        rows = d.values(pop, predictor)
+        for i, pt in zip(drawn, pts):
+            vals = [float(v) for v in rows[i]]
+            modeled += counts[i] * sum(a * b for a, b in zip(vals, pt))
+            observed += sum(obs_counts[i, oi] * vals[oi] for oi in range(pop.space.size))
+        out.append(float((modeled - observed) / n))
+    return out
 
 
 def spot_check_intermediate(g: DiGraph, p: VertexPartition, epsilon,

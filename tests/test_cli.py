@@ -426,6 +426,12 @@ BAD_INPUTS = [
     (["graph", "{g6}", "--task", "refine", "--epsilon", "0.3", "--oracle", "alternating",
       "--seed", "-1"], 2),
     (["construct", "{tp}", "--epsilon", "1e400"], 2),
+] + [
+    # the sampled learner lists no mc or smc member: refused before drawing
+    (["construct", "{tp}", "--family", family, "--epsilon", "0.2", "--grid-m", "2",
+      "--mode", "sampled", "--seed", "3"], 2)
+    for family in ("mc", "smc")
+] + [
     (["audit", "{tp}", "--kind", "oi", "--epsilon", "1e400"], 2),
     # a value seen once as valid JSON and again under a JSON type that is
     # equal in Python (true == 1) or unhashable must not be read from the

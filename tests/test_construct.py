@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction as F
 
 import numpy as np
@@ -7,10 +8,12 @@ import pytest
 from multifair import (
     HypothesisClass,
     OutcomeDist,
+    PopulationInstance,
     Predictor,
     SimplexGrid,
     WALConfig,
     audit_oi,
+    best_response,
     binary_space,
     construct_exact,
     construct_low_degree,
@@ -31,8 +34,10 @@ from multifair import (
 )
 import multifair.construct as construct_module
 from multifair.construct import loss_from_distinguisher
-from multifair.errors import DomainError, InputError
-from multifair.oi import Distinguisher
+from multifair.errors import DomainError, EnumerationLimitError, InputError
+from multifair.oi import Distinguisher, DistinguisherFamily
+from multifair.population import _draw
+from oracles import empirical_advantages
 from test_prepared import _count_builds
 
 
@@ -181,7 +186,7 @@ def test_wal_erm_empty_samples():
     fam = make_family("basic", hypotheses=cls, grid=identity_grid())
     cfg = WALConfig.for_family(0.2, 0.1, fam.member_count())
     with pytest.raises(InputError):
-        wal_erm(fam, cfg, [], pop, pred)
+        wal_erm(fam, cfg, _draw(pop, np.random.default_rng(0), 0), pop, pred)
 
 
 def test_wal_erm_finds_planted_advantage():
@@ -201,7 +206,7 @@ def test_wal_erm_finds_planted_advantage():
     hits = 0
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        draws = sample(pop, rng, cfg.n_samples)
+        draws = _draw(pop, rng, cfg.n_samples)
         found = wal_erm(fam, cfg, draws, pop, pred)
         if found is not None and abs(found[1]) > cfg.threshold:
             hits += 1
@@ -216,16 +221,118 @@ def test_wal_erm_mostly_silent_on_ground_truth():
     quiet = 0
     for seed in range(20):
         rng = np.random.default_rng(100 + seed)
-        draws = sample(pop, rng, cfg.n_samples)
+        draws = _draw(pop, rng, cfg.n_samples)
         found = wal_erm(fam, cfg, draws, pop, gt)
         if found is None or abs(oi_advantage(pop, gt, found[0])) <= 0.1:
             quiet += 1
     assert quiet >= 18
 
 
+def _empirical_population(pop, samples):
+    """The population of a sample list, counted literally: each individual
+    weighs its share of the draws and has the outcome law of its own
+    draws; an undrawn individual weighs 0 and keeps its truth."""
+    drawn, pairs = Counter(j for j, _ in samples), Counter(samples)
+    weight = {j: F(drawn[j], len(samples)) for j in pop.ids}
+    truth = {j: OutcomeDist(pop.space, tuple(F(pairs[j, o], drawn[j]) for o in pop.space.labels))
+             if drawn[j] else pop.p_true[j] for j in pop.ids}
+    return PopulationInstance(pop.space, pop.ids, weight, truth)
+
+
+def _erm_cases():
+    """(pop, family, predictor): basic, lowdegree and explicit families on a
+    binary and a 4-outcome instance, at the uniform start and after two
+    MWU steps.  The explicit family holds a callable that reads the
+    predictor, then the basic members."""
+    for ell, seed in ((2, 5), (4, 123)):
+        pop, cls, _ = random_instance(np.random.default_rng(seed), 8, ell, 3)
+        basic = make_family("basic", hypotheses=cls,
+                            grid=make_grid_with_denominator(pop.space, 2))
+        own = Distinguisher("own-weight", lambda j, o, p: p.values[j].weight(o))
+        families = [basic,
+                    make_family("lowdegree", hypotheses=cls, degree=2, outcome_space=pop.space),
+                    make_family("explicit", members=[own] + basic.members())]
+        rule = mwu_rule(pop.space, 0.3)
+        start = stepped = Predictor({j: rule.initial for j in pop.ids})
+        for _ in range(2):
+            d, _ = best_response(pop, stepped, basic)
+            stepped = construct_module._apply_update(
+                pop, stepped, rule, loss_from_distinguisher(d, pop, stepped))
+        for fam in families:
+            for pred in (start, stepped):
+                yield pop, fam, pred
+
+
+def test_wal_erm_is_the_first_maximizer_of_the_float_loop():
+    """On seeded draws, the learner returns the first member of largest
+    exact |advantage| on the empirical population, with its orientation,
+    or None when that is at most the threshold.  That member is the per-member
+    float loop's (`oracles.empirical_advantages`) first maximizer up to its
+    rounding: the first member within 1e-15 of the loop's largest
+    |advantage|.  (On binary instances (y, "0", level) and (y, "1", level)
+    tie exactly, and the loop's last bits may order them either way.)  The
+    learner's advantage is the exact one rounded once, within 1e-15 of the
+    loop's."""
+    outcomes, loop_ties = Counter(), 0
+    for pop, fam, pred in _erm_cases():
+        members = fam.members()
+        for n, seed, eps in ((40, 0, 0.3), (400, 1, 0.1), (3000, 2, 0.05), (3000, 3, 0.6)):
+            cfg = WALConfig(epsilon=eps, beta=0.1, n_samples=n, threshold=3 * eps / 4)
+            samples = sample(pop, np.random.default_rng(seed), n)
+            found = wal_erm(fam, cfg, _draw(pop, np.random.default_rng(seed), n), pop, pred)
+            emp = _empirical_population(pop, samples)
+            exact = [oi_advantage(emp, pred, d) for d in members]
+            first = max(range(len(members)), key=lambda i: abs(exact[i]))
+            advs = empirical_advantages(members, pop, pred, samples)
+            top = max(map(abs, advs))
+            assert first == next(i for i, a in enumerate(advs) if abs(a) >= top - 1e-15)
+            loop_ties += abs(advs[first]) != top
+            outcomes[fam.kind, found is None] += 1
+            if abs(exact[first]) <= cfg.threshold:
+                assert found is None
+                continue
+            want, want_adv = construct_module._oriented(members[first], advs[first])
+            d, adv = found
+            assert (d.name, d.negated) == (want.name, want.negated)
+            assert type(adv) is float
+            assert adv == float(oi_advantage(emp, pred, d)) == abs(float(exact[first]))
+            assert abs(adv - want_adv) <= 1e-15
+    assert set(outcomes) == {(kind, none) for kind in ("basic", "lowdegree", "explicit")
+                             for none in (True, False)}
+    assert loop_ties > 0  # the cases reach a tie the loop orders by its last bits
+
+
 # ---------------------------------------------------------------------------
 # sampled construction
 # ---------------------------------------------------------------------------
+
+
+def test_sampled_runs_list_no_members(monkeypatch):
+    """Basic and lowdegree runs read the learner's member off the cell table
+    and never materialize the family."""
+    def refuse(self):
+        raise AssertionError("members() called")
+
+    monkeypatch.setattr(DistinguisherFamily, "members", refuse)
+    pop, cls, _ = random_instance(np.random.default_rng(123), 8, 4, 6)
+    fam = make_family("basic", hypotheses=cls, grid=make_grid_with_denominator(pop.space, 2))
+    _, tr = construct_sampled(pop, fam, 0.15, beta=0.05, rng=np.random.default_rng(7))
+    assert tr.iteration_count > 0
+    pop, cls, _ = random_instance(np.random.default_rng([2, 7]), 6, 4, 2)
+    _, tr = construct_low_degree(pop, cls, 2, 0.1, mode="sampled",
+                                 rng=np.random.default_rng(0), beta=0.1)
+    assert tr.iteration_count > 0
+
+
+@pytest.mark.parametrize("kind", ["mc", "smc"])
+def test_sampled_refuses_mc_and_smc_before_drawing(kind):
+    pop, cls, _ = random_instance(np.random.default_rng(9), 6, 2, 2)
+    fam = make_family(kind, hypotheses=cls, grid=make_grid_with_denominator(pop.space, 2))
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(EnumerationLimitError):
+        construct_sampled(pop, fam, 0.2, rng=rng)
+    assert rng.bit_generator.state == state
 
 
 def test_sampled_ground_truth_start_immediate():

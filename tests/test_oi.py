@@ -36,7 +36,6 @@ from multifair import (
 from multifair.audits import _prepared
 from multifair.errors import ConstructionError, DomainError, EnumerationLimitError
 from multifair.oi import (
-    _advantage,
     _reduce,
     mc_event_distinguisher,
     monomial_distinguisher,
@@ -619,7 +618,7 @@ def test_lowdegree_float_value_is_the_advantage_of_its_member(seed, n, degree, s
     w = report.witness
     h = next(h for h in cls if h.name == w["hypothesis"])
     member = monomial_distinguisher(h, w["outcome"], w["monomial_indices"])
-    assert report.value == adv == abs(_advantage(pop, pred, pred.as_exact(), member))
+    assert report.value == adv == abs(oi_advantage(pop, pred, member))
     assert report.breakdown[h.name] == report.value
     freport = audit_oi(pop, pred, fam, "float")
     assert freport.value == best_response(pop, pred, fam, "float")[1] == float(adv)

@@ -56,7 +56,7 @@ from multifair import (
     zero_one_loss,
 )
 from multifair import audits
-from multifair.audits import _Prepared, _prepared
+from multifair.audits import _column_magnitudes, _Prepared, _prepared
 from multifair.errors import InternalInvariantError
 from oracles import (
     cell_tables_loop,
@@ -314,6 +314,23 @@ def test_int64_overflow_guard_trips_on_crafted_rows():
     at_bound[2, 1] = 1
     with pytest.raises(InternalInvariantError):
         prep.cell_tables(cls, at_bound)
+
+
+@pytest.mark.parametrize("shape", [(0, 2), (1, 1), (7, 3), (2500, 2), (3000, 3)])
+def test_column_magnitudes_are_the_column_sums_of_abs_rows(shape):
+    """The guard's one-pass sums of 32-bit halves equal Python-int column
+    sums of |rows|, with int64 min (whose |.| wraps in int64) counting 2^63,
+    on C-ordered rows and on a transposed (Fortran-ordered) view."""
+    rng = np.random.default_rng(shape)
+    info = np.iinfo(np.int64)
+    rows = rng.integers(info.min, info.max, size=shape, endpoint=True, dtype=np.int64)
+    if rows.size:
+        rows.flat[rng.integers(0, rows.size, size=1 + rows.size // 10)] = info.min
+        rows[-1] = info.max
+    for r in (rows, np.asfortranarray(rows)):
+        want = [sum(abs(x) for x in col) for col in zip(*r.tolist())] or [0] * shape[1]
+        assert _column_magnitudes(r) == want
+        assert all(type(x) is int for x in _column_magnitudes(r))
 
 
 def _guard_instance():
