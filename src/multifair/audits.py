@@ -138,23 +138,33 @@ class _Prepared:
     `level_weight` each level's scaled mass.  Neither part refers to the
     predictor (see `_prepared`).  `reported` gives the levels as a float
     report rounds them.
+
+    `masses`, when given, replaces the population's table: (weight keys,
+    weight ratios, star, D_pop), one key and one reduced ratio per
+    individual, with star and D_pop as in `_exact_table`.  Individuals
+    with equal keys must have equal ratios.  The sampled learner passes
+    the masses of the empirical population of its draws this way; the
+    population then gives only the individuals and the outcome space.
     """
 
     def __init__(self, pop: PopulationInstance, predictor: Predictor,
-                 grid: SimplexGrid | None = None):
+                 grid: SimplexGrid | None = None, masses=None):
         predictor.check_total(pop)
         self.pop = pop
         self.ids = pop.ids
         dists = list(map(predictor.values.__getitem__, pop.ids))
-        weights = list(map(pop.weight.__getitem__, pop.ids))
+        if masses is None:
+            weights = list(map(pop.weight.__getitem__, pop.ids))
+            # identity keys: the population keeps its weight objects alive
+            masses = (map(id, weights), *pop._exact_table())
+        w_keys, w_ratios, star, D_pop = masses
         dist_ids = list(map(id, dists))
         distinct = dict(zip(dist_ids, dists))  # in first-occurrence order
-        # identity keys: each row is built once per distinct pair of objects
-        pairs = list(zip(map(id, weights), dist_ids))
+        # each row is built once per distinct (weight, prediction object) pair
+        pairs = list(zip(w_keys, dist_ids))
         pair_keys, pair_of = _first_index(pairs)
 
         key_of = {i: _exact_ratios(d) for i, d in distinct.items()}
-        w_ratios, star, D_pop = pop._exact_table()
         w_of = dict(zip(pairs, w_ratios))  # in the order of pair_keys
         rows, self.D = _scaled_products(w_of.values(), [key_of[i] for _, i in w_of], D_pop)
         tilde = _int_array(rows, self.D)

@@ -14,6 +14,15 @@ keeps on the predictor: its values depend only on the grid-rounded levels
 of the exact predictions.  Monomial and explicit members read the raw
 predictor, so their loss tables take no prepared population at all.
 
+An iterate costs per distinct (prediction, loss row), not per individual:
+an event member shares one row per (level, hypothesis value), the loss
+builder makes one table per distinct row, and the rule runs once per
+distinct (prediction object, loss table) pair, whose individuals share the
+result object.  So individuals that start on one prediction object and
+keep getting equal rows keep sharing one object, which the next prepared
+population exactifies and rounds once.  The regret bound's divergence is
+one term per distinct (truth, prediction) pair of objects.
+
 The sample-based loop replaces the exact search with a weak agnostic
 learner: empirical-advantage maximization over a basic, lowdegree or
 explicit family on
@@ -52,7 +61,7 @@ from fractions import Fraction
 import numpy as np
 
 from .audits import _Prepared, _prepared
-from .core import OutcomeDist, SimplexGrid, exactify
+from .core import SimplexGrid, exactify
 from .errors import (
     DomainError,
     InputError,
@@ -78,6 +87,7 @@ from .population import (
     _cumulative,
     _draw,
     _draw_outcomes,
+    _int_array,
     _sampling_tables,
     _with_complements,
 )
@@ -147,30 +157,53 @@ def wal_sample_count(epsilon, beta, member_count) -> int:
 
 
 def loss_from_distinguisher(d: Distinguisher, pop, predictor) -> list:
-    """Per individual of the population: the loss table L_j(o) = A(j, o, p)."""
-    return [LossTable(pop.space, tuple(float(v) for v in row))
-            for row in d.values(pop, predictor)]
+    """Per individual of the population: the loss table L_j(o) = A(j, o, p).
+    Equal rows share one table, built once."""
+    tables = {}
+    return [tables.get(key) or tables.setdefault(key, LossTable(pop.space, key))
+            for key in map(tuple, d.values(pop, predictor))]
 
 
 def _apply_update(pop, predictor, rule, losses) -> Predictor:
-    return Predictor({j: update(rule, predictor.values[j], loss)
-                      for j, loss in zip(pop.ids, losses)})
+    """The predictor after one step of the rule against the per-individual
+    losses.  The rule runs once per distinct (prediction, loss table) pair
+    of objects, and the individuals of a pair share the result object."""
+    preds = list(map(predictor.values.__getitem__, pop.ids))
+    # identity keys: every prediction and loss table stays alive in the lists
+    keys = list(zip(map(id, preds), map(id, losses)))
+    pairs = dict(zip(keys, zip(preds, losses)))
+    steps = {key: update(rule, p, loss) for key, (p, loss) in pairs.items()}
+    return Predictor(dict(zip(pop.ids, map(steps.__getitem__, keys))))
+
+
+def _divergence(rule, truth, prediction) -> float:
+    """D(p*, p) in the rule's geometry: KL for mwu, half the squared
+    Euclidean distance for pgd."""
+    ps = [float(x) for x in truth.weights]
+    pt = [float(x) for x in prediction.weights]
+    if rule.kind == "mwu":
+        return sum(a * math.log(a / b) for a, b in zip(ps, pt) if a > 0)
+    return sum((a - b) ** 2 for a, b in zip(ps, pt)) / 2
 
 
 def _initial_divergence(pop, predictor, rule) -> float:
-    """E[D(p*_i, p_i)] in the rule's geometry; the potential that regret burns."""
-    total = 0.0
+    """E[D(p*_i, p_i)] in the rule's geometry; the potential that regret
+    burns.  Each distinct weight object is read as a float once and each
+    distinct (truth, prediction) pair of objects makes one term; the
+    weighted terms are summed in population order."""
+    # identity keys: the population and the predictor keep the objects alive
+    floats, terms, total = {}, {}, 0.0
     for j in pop.ids:
-        w = float(pop.weight[j])
-        if w == 0:
+        w = pop.weight[j]
+        if id(w) not in floats:
+            floats[id(w)] = float(w)
+        if floats[id(w)] == 0:
             continue
-        ps = [float(x) for x in pop.p_true[j].weights]
-        pt = [float(x) for x in predictor.values[j].weights]
-        if rule.kind == "mwu":
-            div = sum(a * math.log(a / b) for a, b in zip(ps, pt) if a > 0)
-        else:
-            div = sum((a - b) ** 2 for a, b in zip(ps, pt)) / 2
-        total += w * div
+        truth, p = pop.p_true[j], predictor.values[j]
+        key = (id(truth), id(p))
+        if key not in terms:
+            terms[key] = _divergence(rule, truth, p)
+        total += floats[id(w)] * terms[key]
     return total
 
 
@@ -196,8 +229,8 @@ def construct_exact(pop: PopulationInstance, family: DistinguisherFamily, epsilo
     predictor = initial if initial is not None else Predictor(
         {j: rule.initial for j in pop.ids})
     if rule.kind == "mwu":
-        for j in pop.ids:
-            if any(float(w) <= 0 for w in predictor.values[j].weights):
+        for p in {id(p): p for p in map(predictor.values.__getitem__, pop.ids)}.values():
+            if any(float(w) <= 0 for w in p.weights):
                 raise DomainError("mwu construction needs strictly positive predictions")
     bound = iteration_bound_exact(pop, predictor, rule, eps)
     transcript = ConstructionTranscript(iteration_bound=bound)
@@ -229,18 +262,21 @@ def construct_exact(pop: PopulationInstance, family: DistinguisherFamily, epsilo
 # ---------------------------------------------------------------------------
 
 
-def _empirical_population(pop, idx, o_idx) -> PopulationInstance:
-    """The n draws (individual positions, outcome indices) as a population:
-    individual i weighs c_i / n and has truth n_io / c_i, for c_i draws of
-    i and n_io of (i, o); an undrawn individual weighs 0 and keeps its
-    truth."""
+def _empirical_masses(pop, idx, o_idx) -> tuple:
+    """The n draws (individual positions, outcome indices) as the masses of
+    a population, for `_Prepared`: individual i weighs c_i / n and has
+    truth n_io / c_i, for c_i draws of i and n_io of (i, o), so its truth
+    masses are n_io / n; an undrawn individual weighs 0.  Returns (weight
+    keys, weight ratios, star, D_pop), read off the integer counts: each
+    reduced ratio c_i / n is its own key, D_pop is n over the gcd h of n
+    and every n_io, and star the n_io over h."""
     n, ell = len(idx), pop.space.size
-    counts = np.bincount(idx, minlength=len(pop.ids)).tolist()
+    counts = np.bincount(idx, minlength=len(pop.ids))
     pairs = np.bincount(idx * ell + o_idx, minlength=len(pop.ids) * ell).reshape(-1, ell)
-    truth = {j: OutcomeDist(pop.space, tuple(Fraction(x, c) for x in row)) if c
-             else pop.p_true[j] for j, c, row in zip(pop.ids, counts, pairs.tolist())}
-    weight = {j: Fraction(c, n) for j, c in zip(pop.ids, counts)}
-    return PopulationInstance(pop.space, pop.ids, weight, truth)
+    g = np.gcd(counts, n)  # n for an undrawn individual, whose weight is 0 / 1
+    weights = list(zip((counts // g).tolist(), (n // g).tolist()))
+    h = math.gcd(n, int(np.gcd.reduce(pairs, axis=None)))
+    return weights, weights, _int_array(pairs // h, n // h), n // h
 
 
 def wal_erm(family, cfg: WALConfig, draws, pop, predictor):
@@ -257,7 +293,7 @@ def wal_erm(family, cfg: WALConfig, draws, pop, predictor):
     if not len(idx):
         raise InputError("empty sample list")
     # built directly: the predictor's memo keeps the true population's build
-    prep = _Prepared(_empirical_population(pop, idx, o_idx), predictor, family.grid)
+    prep = _Prepared(pop, predictor, family.grid, masses=_empirical_masses(pop, idx, o_idx))
     d, num, den = _first_best_member(prep, predictor, family)
     if abs(Fraction(num, den)) > cfg.threshold:
         return _oriented(d, num / den)
@@ -327,6 +363,11 @@ def construct_sampled(pop, family, epsilon, rule=None, beta=0.05,
 SELECT_ROUNDS_FACTOR = 8          # rounds = ceil(8 ln(1/beta))
 
 
+def _select_rounds(beta) -> int:
+    """The number of rounds `select_distinguisher_randomized` runs."""
+    return math.ceil(SELECT_ROUNDS_FACTOR * math.log(1 / beta))
+
+
 class ErmOverHypotheses:
     """ERM weak agnostic learner over a 0/1 hypothesis class.
 
@@ -357,13 +398,16 @@ def select_distinguisher_randomized(pop, predictor, cls: HypothesisClass, eps_pr
                                     grid: SimplexGrid):
     """Randomized event selection: returns an mc-family member or None.
 
-    If some mc-family member has advantage above 8 sqrt(outcomes * |grid|)
-    times eps_prime, a member with advantage above eps_prime / 2 is
-    returned with probability at least 1 - beta; the class is accessed
-    only through the weak agnostic learner.  Each round draws a uniformly
-    random event over the (outcome, grid point) cells; under that premise
-    the event keeps enough of the advantage with probability at least 1/16
-    per round.
+    Each round draws a uniformly random event over the (outcome, grid
+    point) cells; if some mc-family member has advantage above
+    8 sqrt(outcomes * |grid|) times eps_prime, the event keeps enough of
+    the advantage with probability at least 1/16 per round, and the
+    learner's sample size bounds its error over all rounds by beta.  So a
+    member with advantage above eps_prime / 2 is returned with probability
+    at least 1 - (15/16)^rounds - beta, for rounds = ceil(8 ln(1/beta)):
+    (15/16)^rounds <= beta^(8 ln(16/15)), about beta^0.52 (0.21 at
+    beta = 0.05), so this is not 1 - beta.  The class is accessed only
+    through the weak agnostic learner.
     """
     if not pop.space.is_binary or not cls.is_binary:
         raise DomainError("randomized selection requires binary outcomes and hypotheses")
@@ -373,7 +417,7 @@ def select_distinguisher_randomized(pop, predictor, cls: HypothesisClass, eps_pr
     if not epsp > 0:
         raise DomainError(f"eps' must be positive, got {eps_prime}")
     learner = ErmOverHypotheses(cls)
-    rounds = math.ceil(SELECT_ROUNDS_FACTOR * math.log(1 / beta))
+    rounds = _select_rounds(beta)
     n_per_round = math.ceil(
         8 * math.log(2 * len(learner.search) * rounds / beta) / (epsp / 2) ** 2)
 

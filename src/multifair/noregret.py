@@ -35,7 +35,8 @@ class LossTable:
     values: tuple  # one loss per outcome, each in [0, 1]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        # + 0.0 stores -0.0 as 0.0: losses that compare equal make equal tables
+        object.__setattr__(self, "values", tuple(float(v) + 0.0 for v in self.values))
         if len(self.values) != self.space.size:
             raise DomainError("loss table length does not match the outcome space")
         if any(v < -1e-12 or v > 1 + 1e-12 for v in self.values):

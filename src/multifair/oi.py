@@ -99,18 +99,27 @@ class Distinguisher:
         on the empirical one of some draws, and the raw one for a loss
         table.  Event members read only the levels of `prep`, the
         population prepared for their grid, by default the one
-        `_prepared(pop, predictor, grid)` keeps."""
+        `_prepared(pop, predictor, grid)` keeps, and build one row per
+        (level, hypothesis value), which the individuals there share: an
+        event row is read-only."""
         labels = pop.space.labels
         if self.events is not None:
             if prep is None:
                 prep = _prepared(pop, predictor, self.grid)
-            entries = [self.events.get(point) for point in prep.points]
+            entries = [self.events.get(point) or (None, ()) for point in prep.points]
+            shared = [{} for _ in entries]  # per level: its rows by hypothesis value
+            inside, outside = (0, 1) if self.negated else (1, 0)
             rows = []
             for j, level in zip(prep.ids, prep.level_of.tolist()):
-                h, cells = entries[level] or (None, ())
+                h, cells = entries[level]
                 y = h.values[j] if h is not None else None
-                rows.append([1 if (y, o) in cells else 0 for o in labels])
-        elif self.monomial is not None:
+                row = shared[level].get(y)
+                if row is None:
+                    row = shared[level][y] = [inside if (y, o) in cells else outside
+                                              for o in labels]
+                rows.append(row)
+            return rows
+        if self.monomial is not None:
             h, o0, mono = self.monomial
             # c(j) as the range value it equals, as the audits read it
             c = dict(zip(h.range_values, h.range_values))

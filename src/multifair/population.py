@@ -43,6 +43,7 @@ from .core import (
     OutcomeDist,
     OutcomeSpace,
     SimplexGrid,
+    _exact_ratios,
     binary_space,
     exactify,
     is_exact_number,
@@ -92,14 +93,16 @@ class PopulationInstance:
         `weights[pos]` is the reduced (numerator, denominator) of w_j for the
         pos-th id, and `star[pos, o]` the integer D_pop * w_j * p*_j(o), where
         D_pop is the least common denominator of those reduced products.
-        `star` is an `_int_array`.  Float masses enter by their exact binary
-        value.
+        `star` is an `_int_array`.  A float weight enters by its exact binary
+        value, and a truth row as a prediction does: by `_exact_ratios`,
+        once per distinct row object, so each row sums to 1 exactly.
         """
         if self._table is None:
             weights = tuple(exactify(self.weight[j]).as_integer_ratio() for j in self.ids)
-            star, D = _scaled_products(weights, [
-                [exactify(x).as_integer_ratio() for x in self.p_true[j].weights]
-                for j in self.ids])
+            truths = list(map(self.p_true.__getitem__, self.ids))
+            distinct = dict(zip(map(id, truths), truths))  # identity keys: truths keeps them
+            ratios = {i: _exact_ratios(d) for i, d in distinct.items()}
+            star, D = _scaled_products(weights, list(map(ratios.__getitem__, map(id, truths))))
             object.__setattr__(self, "_table", (weights, _int_array(star, D), D))
         return self._table
 

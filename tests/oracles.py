@@ -9,8 +9,13 @@ value), statistical distance by enumeration of
 every event, the mc OI audit by enumeration of every event over the cell
 lattice, the basic OI witness by a walk over the individuals in
 population and label order, the weak learner's empirical advantages by
-a float loop over every member and every draw, and the graph statistics, including the (true - predicted) pair
-sums delta_{S,T} of a graph predictor.  The per-hypothesis y-index
+a float loop over every member and every draw, the empirical population
+of some draws built by Fractions (the reference for the masses read off
+the draw counts), a member's values, loss tables, updates and the
+constructor's divergence bound one individual at a time (the references
+for the constructor's work per distinct value), and the graph
+statistics, including the (true - predicted) pair sums delta_{S,T} of a
+graph predictor.  The per-hypothesis y-index
 lists and the cell table summed by a literal loop over the individuals are
 the references for the class-attached index and the `np.add.at` kernel.
 The random instance drawn with one
@@ -65,6 +70,7 @@ from multifair.graph import (
     cut_oracle,
     pair_id,
 )
+from multifair.noregret import LossTable, update
 from multifair.oi import _mass
 from multifair.population import (
     Hypothesis,
@@ -192,8 +198,9 @@ def round_dist_fraction_oracle(grid: SimplexGrid, dist: OutcomeDist) -> OutcomeD
 def prepared_fraction_oracle(pop, predictor, grid=None) -> dict:
     """The exact `_Prepared` fields, built by Fraction products cell by cell.
 
-    Every w_j p_j(o) and w_j p*_j(o) is a Fraction, D is the lcm of their
-    denominators, and levels are the distinct (grid-rounded) predictions,
+    Every w_j p_j(o) and w_j p*_j(o) is a Fraction, each row, truth or
+    prediction, read at its exact value (`as_exact_fraction_oracle`), D is
+    the lcm of their denominators, and levels are the distinct (grid-rounded) predictions,
     each kept as its first occurrence in population order.  Returns the
     fields D, star, diff, levels, points, level_of and level_weight.
     """
@@ -202,8 +209,8 @@ def prepared_fraction_oracle(pop, predictor, grid=None) -> dict:
     w = [exactify(pop.weight[j]) for j in pop.ids]
     tilde_fr = [[w[i] * exactify(d.weights[o]) for o in range(ell)]
                 for i, d in enumerate(dists)]
-    star_fr = [[w[i] * exactify(pop.p_true[j].weights[o]) for o in range(ell)]
-               for i, j in enumerate(pop.ids)]
+    truths = [as_exact_fraction_oracle(pop.p_true[j]) for j in pop.ids]
+    star_fr = [[w[i] * d.weights[o] for o in range(ell)] for i, d in enumerate(truths)]
     D = math.lcm(1, *(f.denominator for rows in (tilde_fr, star_fr)
                       for row in rows for f in row))
     tilde = [[int(f * D) for f in row] for row in tilde_fr]
@@ -405,6 +412,76 @@ def empirical_advantages(members, pop, predictor, samples):
             observed += sum(obs_counts[i, oi] * vals[oi] for oi in range(pop.space.size))
         out.append(float((modeled - observed) / n))
     return out
+
+
+def member_rows_per_individual(d, pop, predictor) -> list:
+    """A member's values per individual, one new row each, read off the
+    individual alone: an event member at the grid point its exact
+    prediction rounds to (`SimplexGrid.round_dist`), a monomial member at
+    its prediction, an explicit member through its callable."""
+    labels = pop.space.labels
+    rows = []
+    for j in pop.ids:
+        p = predictor.values[j]
+        if d.events is not None:
+            point = tuple(d.grid.round_dist(p.as_exact()).weights)
+            h, cells = d.events.get(point, (None, ()))
+            y = h.values[j] if h is not None else None
+            row = [1 if (y, o) in cells else 0 for o in labels]
+        elif d.monomial is not None:
+            h, o0, mono = d.monomial
+            value = Fraction(1) if p.is_exact else 1.0
+            for i in mono:
+                value = value * p.weights[i]
+            c = h.range_values[h.range_values.index(h.values[j])]
+            row = [c * value if o == o0 else 0 for o in labels]
+        else:
+            row = [d.fn(j, o, predictor) for o in labels]
+        rows.append([1 - v for v in row] if d.negated else row)
+    return rows
+
+
+def loss_tables_per_individual(d, pop, predictor) -> list:
+    """One loss table L_j(o) = A(j, o, p) per individual, from its own row."""
+    return [LossTable(pop.space, tuple(float(v) for v in row))
+            for row in member_rows_per_individual(d, pop, predictor)]
+
+
+def apply_update_per_individual(pop, predictor, rule, losses) -> Predictor:
+    """One update per individual, each a new prediction object."""
+    return Predictor({j: update(rule, predictor.values[j], loss)
+                      for j, loss in zip(pop.ids, losses)})
+
+
+def initial_divergence_per_individual(pop, predictor, rule) -> float:
+    """E[D(p*_i, p_i)] in the rule's geometry, one term per individual."""
+    total = 0.0
+    for j in pop.ids:
+        w = float(pop.weight[j])
+        if w == 0:
+            continue
+        ps = [float(x) for x in pop.p_true[j].weights]
+        pt = [float(x) for x in predictor.values[j].weights]
+        if rule.kind == "mwu":
+            div = sum(a * math.log(a / b) for a, b in zip(ps, pt) if a > 0)
+        else:
+            div = sum((a - b) ** 2 for a, b in zip(ps, pt)) / 2
+        total += w * div
+    return total
+
+
+def empirical_population_fraction(pop, idx, o_idx) -> PopulationInstance:
+    """The n draws (individual positions, outcome indices) as a population,
+    by Fractions: individual i weighs c_i / n and has truth n_io / c_i, for
+    c_i draws of i and n_io of (i, o); an undrawn individual weighs 0 and
+    keeps its truth."""
+    n, ell = len(idx), pop.space.size
+    counts = np.bincount(idx, minlength=len(pop.ids)).tolist()
+    pairs = np.bincount(idx * ell + o_idx, minlength=len(pop.ids) * ell).reshape(-1, ell)
+    truth = {j: OutcomeDist(pop.space, tuple(Fraction(x, c) for x in row)) if c
+             else pop.p_true[j] for j, c, row in zip(pop.ids, counts, pairs.tolist())}
+    weight = {j: Fraction(c, n) for j, c in zip(pop.ids, counts)}
+    return PopulationInstance(pop.space, pop.ids, weight, truth)
 
 
 def spot_check_intermediate(g: DiGraph, p: VertexPartition, epsilon,

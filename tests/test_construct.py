@@ -33,10 +33,12 @@ from multifair import (
     wal_sample_count,
 )
 import multifair.construct as construct_module
+from multifair.audits import _Prepared, _prepared
 from multifair.construct import loss_from_distinguisher
 from multifair.errors import DomainError, EnumerationLimitError, InputError
-from multifair.oi import Distinguisher, DistinguisherFamily
+from multifair.oi import Distinguisher, DistinguisherFamily, negate
 from multifair.population import _draw
+import oracles
 from oracles import empirical_advantages
 from test_prepared import _count_builds
 
@@ -162,6 +164,109 @@ def test_reused_loss_tables_equal_the_float_prep_tables(kind, rule_kind, monkeyp
     assert len(checked) == tr.iteration_count > 0
 
 
+def _zero_mixed(j, o, p):
+    """An explicit member whose rows are equal up to the sign of a zero:
+    -0.0 or 0.0 at the first outcome by the parity of the individual, 1/2
+    elsewhere."""
+    if o == p.values[j].space.labels[0]:
+        return -0.0 if int(j[1:]) % 2 else 0.0
+    return 0.5
+
+
+def _update_cases():
+    """(pop, predictor, rule, member): an instance with zero-weight
+    individuals (weight denominator 3), under mwu and pgd, at three
+    predictors: the rule's start (one object), exact predictions that are
+    one new object per individual (equal values, distinct objects), and
+    float predictions after two updates.  Each predictor meets the best
+    responses of the five family kinds, their negations, and an explicit
+    member with -0.0 values."""
+    pop, cls, pred = random_instance(np.random.default_rng(61), 14, 3, 3,
+                                     weight_denominator=3)
+    assert any(w == 0 for w in pop.weight.values())
+    ell = pop.space.size
+    copies = Predictor({j: OutcomeDist(pop.space, tuple((w + F(1, ell)) / 2
+                                                        for w in pred.values[j].weights))
+                        for j in pop.ids})
+    assert len(set(copies.values.values())) < len(pop.ids)
+    families = [_iterate_family(kind, pop, cls)
+                for kind in ("basic", "mc", "smc", "lowdegree", "explicit")]
+    for rule in (mwu_rule(pop.space, 0.2), pgd_rule(pop.space, 0.05)):
+        stepped = copies
+        for _ in range(2):
+            d, _ = best_response(pop, stepped, families[1])
+            stepped = oracles.apply_update_per_individual(
+                pop, stepped, rule, oracles.loss_tables_per_individual(d, pop, stepped))
+        for predictor in (Predictor({j: rule.initial for j in pop.ids}), copies, stepped):
+            members = [best_response(pop, predictor, fam)[0] for fam in families]
+            members += [negate(d) for d in members]
+            members.append(Distinguisher("zero-mixed", _zero_mixed))
+            for d in members:
+                yield pop, predictor, rule, d
+
+
+def test_distinct_updates_equal_the_per_individual_oracles():
+    """Loss tables, the update and the divergence bound equal their
+    per-individual oracles by repr."""
+    kinds, negated = set(), 0
+    for pop, predictor, rule, d in _update_cases():
+        losses = loss_from_distinguisher(d, pop, predictor)
+        want = oracles.loss_tables_per_individual(d, pop, predictor)
+        assert repr(losses) == repr(want)
+        assert len({id(t) for t in losses}) == len(set(repr(t) for t in want))
+        assert repr(construct_module._apply_update(pop, predictor, rule, losses)) == \
+            repr(oracles.apply_update_per_individual(pop, predictor, rule, want))
+        assert repr(construct_module._initial_divergence(pop, predictor, rule)) == \
+            repr(oracles.initial_divergence_per_individual(pop, predictor, rule))
+        kinds.add((rule.kind, d.events is not None, d.monomial is not None))
+        negated += d.negated
+    assert len(kinds) == 6 and negated > 0
+
+
+def test_event_rows_are_shared_per_level_and_value():
+    """An event member's rows are one list per (level, hypothesis value)."""
+    for pop, predictor, _, d in _update_cases():
+        if d.events is None:
+            continue
+        rows = d.values(pop, predictor)
+        assert rows == oracles.member_rows_per_individual(d, pop, predictor)
+        prep = _prepared(pop, predictor, d.grid)
+        blocks = {}
+        for j, level, row in zip(pop.ids, prep.level_of.tolist(), rows):
+            h = (d.events.get(prep.points[level]) or (None,))[0]
+            blocks.setdefault((level, h.values[j] if h else None), set()).add(id(row))
+        assert all(len(ids) == 1 for ids in blocks.values())
+
+
+def test_updates_run_once_per_distinct_prediction_and_loss_row(monkeypatch):
+    """On every iterate the rule runs once per distinct (prediction value,
+    loss row), and every predictor, the final one too, holds one object
+    per distinct value."""
+    pop, cls, _ = random_instance(np.random.default_rng(29), 200, 3, 4)
+    fam = make_family("mc", hypotheses=cls, grid=make_grid_with_denominator(pop.space, 3))
+    calls, expected = [], []
+    apply_update, update = construct_module._apply_update, construct_module.update
+
+    def apply_spy(pop, predictor, rule, losses):
+        values = [predictor.values[j] for j in pop.ids]
+        assert len({id(p) for p in values}) == len(set(values))
+        expected.append(len({(p.weights, loss.values) for p, loss in zip(values, losses)}))
+        calls.append(0)
+        return apply_update(pop, predictor, rule, losses)
+
+    def update_spy(*args):
+        calls[-1] += 1
+        return update(*args)
+    monkeypatch.setattr(construct_module, "_apply_update", apply_spy)
+    monkeypatch.setattr(construct_module, "update", update_spy)
+    out, tr = construct_exact(pop, fam, F(1, 200), rule=mwu_rule(pop.space, 1 / 200))
+    assert tr.iteration_count == len(calls) > 10
+    assert calls == expected
+    assert sum(calls) < tr.iteration_count * len(pop.ids) // 4
+    final = list(out.values.values())
+    assert len({id(p) for p in final}) == len(set(final)) < len(pop.ids)
+
+
 # ---------------------------------------------------------------------------
 # weak agnostic learner
 # ---------------------------------------------------------------------------
@@ -261,6 +366,31 @@ def _erm_cases():
         for fam in families:
             for pred in (start, stepped):
                 yield pop, fam, pred
+
+
+def test_empirical_masses_equal_the_fraction_population():
+    """The learner's masses, read off the integer counts, prepare the same
+    arrays as the empirical population built by Fractions, undrawn
+    individuals included, and draws taken twice each, whose counts share
+    a factor with n that a vertex predictor leaves out of D."""
+    undrawn = 0
+    for pop, fam, pred in _erm_cases():
+        vertex = Predictor(dict.fromkeys(pop.ids, OutcomeDist.point_mass(pop.space, "0")))
+        for n, seed, times, p in ((3, 0, 1, pred), (40, 1, 1, pred), (3000, 2, 1, pred),
+                                  (40, 3, 2, pred), (40, 3, 2, vertex)):
+            idx, o_idx = (np.tile(a, times) for a in _draw(pop, np.random.default_rng(seed), n))
+            prep = _Prepared(pop, p, fam.grid,
+                             masses=construct_module._empirical_masses(pop, idx, o_idx))
+            want = _Prepared(oracles.empirical_population_fraction(pop, idx, o_idx), p,
+                             fam.grid)
+            assert prep.D == want.D
+            for name in ("star", "diff", "mass", "level_of"):
+                got, exp = getattr(prep, name), getattr(want, name)
+                assert got.dtype == exp.dtype and got.tolist() == exp.tolist()
+            assert (prep.level_ratios, prep.points, prep.level_weight) == \
+                (want.level_ratios, want.points, want.level_weight)
+            undrawn += len(pop.ids) - len(set(idx.tolist()))
+    assert undrawn > 0
 
 
 def test_wal_erm_is_the_first_maximizer_of_the_float_loop():
@@ -379,6 +509,21 @@ def test_sampled_iteration_cap_formula():
 def test_select_distinguisher_round_count():
     # rounds = ceil(8 ln(1/beta))
     assert math.ceil(8 * math.log(1 / 0.1)) == 19
+    assert construct_module._select_rounds(0.1) == 19
+
+
+@pytest.mark.parametrize("beta", [0.5, 0.1, 0.05, 0.01, 1e-9])
+def test_selection_guarantee_follows_from_its_round_count(beta):
+    """All rounds miss, each with probability at most 15/16, with
+    probability (15/16)^rounds <= beta^(8 ln(16/15)), about beta^0.52: the
+    bound the docstring states, and more than beta, which the round count
+    does not reach."""
+    rounds = construct_module._select_rounds(beta)
+    miss = (15 / 16) ** rounds
+    assert miss <= beta ** (8 * math.log(16 / 15)) * (1 + 1e-12)
+    assert miss > beta
+    if beta == 0.05:
+        assert rounds == 24 and round(miss, 2) == 0.21
 
 
 def test_select_distinguisher_fixture_and_ground_truth():

@@ -13,8 +13,11 @@ its member is the exact one.
 
 A second case pins the event families on populations whose truth rows
 are floats whose exact values do not sum to 1, under exact and float
-weights; its digests were recorded before the event families reduced
-the cell table in numpy.
+weights; its digests were recorded when the population table began to
+read each truth row as a prediction is read (`core._exact_ratios`, whose
+first largest weight absorbs the deficit), so that every (level, y)
+block of the cell table sums to 0.  The properties that rely on that
+are asserted on the same instances below.
 """
 
 import hashlib
@@ -27,16 +30,21 @@ from multifair import (
     OutcomeDist,
     PopulationInstance,
     Predictor,
+    audit_multi_calibration,
     audit_oi,
+    audit_strict_multi_calibration,
     best_response,
+    discretize,
     make_family,
     make_grid_with_denominator,
     mwu_rule,
+    oi_advantage,
     random_instance,
     update,
 )
 from multifair.audits import _to_float
 from multifair.oi import Distinguisher, _reduce
+from oracles import audit_oi_mc_bruteforce
 
 GOLDEN = {
     "basic": "182ce2555164dda1e4a80d30f5a28a39d1c41125e0be8d31f665df8b3524b104",
@@ -47,9 +55,9 @@ GOLDEN = {
 }
 
 FLOAT_TRUTH_GOLDEN = {
-    "basic": "382edce44ffb5c030f33423a52fa1ed0ea948f9c0fb50f6f7320104991be34b3",
-    "mc": "999005dec7ec7697a688d56bd6060de81c57c44f0f1feea437adcd0e3b0d6e7f",
-    "smc": "0e7bfb465bbeeda8463b608139815202dfcab146c5db4a796fe5b7ca8ac55cb6",
+    "basic": "992acac7c6edbb15176221ccadc536c7b50fa998d40c833081eb5c9896b67bac",
+    "mc": "afe3f4c6a8bc496bafe9533e2028b79cad26d80ea9bc23abff00c78a5b847f18",
+    "smc": "3fb56f9ed92109eb61c0da3292b65da84e1f33f2e242c3c566705f4b3f408c61",
 }
 
 KINDS = ("basic", "mc", "smc", "lowdegree", "explicit")
@@ -145,3 +153,44 @@ def test_oi_reduction_on_float_truths_is_pinned(kind, backend):
     want = [(*_to_float((value, witness, breakdown)), name, payload, _to_float(adv))
             for value, witness, breakdown, name, payload, adv in exact]
     assert repr(_records(kind, "float", float_truth_instances)) == repr(want)
+
+
+# The three properties below need every (level, y) block of the cell table to
+# sum to 0, which holds on float truths because a truth row is read as a
+# prediction is read; reading its raw binary value broke each of them.
+
+
+def test_best_response_attains_the_audit_on_float_truths():
+    """The best response's own advantage is the audit value: a complement
+    1 - A is priced at -Delta_A, which needs the table to sum to 0."""
+    for kind in KINDS:
+        for pop, cls, m, pred in float_truth_instances():
+            fam = _family(kind, pop, cls, m)
+            d, adv = best_response(pop, pred, fam)
+            assert oi_advantage(pop, pred, d) == adv == audit_oi(pop, pred, fam).value
+
+
+def test_oi_event_families_equal_mc_and_smc_on_grid_valued_float_truths():
+    """OI-mc = MC and OI-smc = SMC on grid-valued predictors."""
+    for pop, cls, m, pred in float_truth_instances():
+        grid = make_grid_with_denominator(pop.space, m)
+        phat = discretize(pred, grid)
+        assert audit_oi(pop, phat, make_family("mc", hypotheses=cls, grid=grid)).value == \
+            audit_multi_calibration(pop, phat, cls).value
+        assert audit_oi(pop, phat, make_family("smc", hypotheses=cls, grid=grid)).value == \
+            audit_strict_multi_calibration(pop, phat, cls).value
+
+
+def test_mc_audit_equals_the_event_enumeration_on_float_truths():
+    """The mc closed form equals the literal max over every event, on the
+    binary float-truth instances at grid denominator 1 (8 cells; the
+    others pass the oracle's cap)."""
+    checked = 0
+    for pop, cls, _, pred in float_truth_instances():
+        if pop.space.size != 2:
+            continue
+        grid = make_grid_with_denominator(pop.space, 1)
+        assert audit_oi(pop, pred, make_family("mc", hypotheses=cls, grid=grid)).value == \
+            audit_oi_mc_bruteforce(pop, pred, cls, grid)
+        checked += 1
+    assert checked == 6

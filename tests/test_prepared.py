@@ -64,6 +64,7 @@ from oracles import (
     prepared_per_individual,
     y_index_per_hypothesis,
 )
+from test_oi_golden import float_truth_instances
 
 # pairwise coprime denominators far beyond int64 products
 LARGE_PRIMES = (10007, 1000003, 2**31 - 1, 2**61 - 1, 2**89 - 1)
@@ -164,6 +165,19 @@ def test_integer_build_equals_fraction_per_cell_oracle(data):
     assert pop._table is table
     assert pop == twin and repr(pop) == repr(twin)
     assert _hash_or_error(pop) == _hash_or_error(twin)
+
+
+def test_float_truths_are_read_at_their_exact_values():
+    """On float truth rows whose exact values miss 1, the build equals the
+    Fraction oracle, which reads a truth row as a prediction is read, and
+    each individual's row of `diff` sums to 0."""
+    for pop, _, m, pred in float_truth_instances():
+        grid = make_grid_with_denominator(pop.space, m)
+        prep = _Prepared(pop, pred, grid=grid)
+        want = prepared_fraction_oracle(pop, pred, grid)
+        for name in FIELDS:
+            assert _field(prep, name) == want[name], name
+        assert not prep.diff.sum(axis=1).any()
 
 
 @settings(max_examples=80, deadline=None)
