@@ -15,7 +15,12 @@ accumulation, and every witness, pass or fail, is integer arithmetic.
 Level-set identity is exact equality of prediction values.  Each reported
 number is made once from two integers a and b (`_ratio`): Fraction(a, b),
 or under the float backend a / b, which is `float(Fraction(a, b))` bit for
-bit, so a float report is its rational twin passed through `_to_float`.
+bit, so a float report is its rational twin with each number rounded once.
+The OI audits and best responses (`oi`) and the omniprediction audit
+(`omni`) make their numbers the same way; no report is rounded after it
+is made.  The covariance audit is the one exception in value: its
+rational report is E|Cov| / D, a known defect, and its float report
+E|Cov| rounded.
 
 Every audit reads its prepared population from `_prepared`, which keeps
 them on the predictor: one mass build per (population, predictor), and
@@ -56,7 +61,7 @@ import math
 import operator
 import sys
 from collections import Counter
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -253,8 +258,8 @@ class _Prepared:
     def reported(self, backend):
         """(levels, points) as a `backend` report gives them, made once per
         grouping: under "float" each Fraction weight n/d is rounded to n / d
-        and an int is kept, as `_to_float` does, and a rounded point that
-        would merge with another keeps its exact form, as a dict key does."""
+        and an int weight is kept, and a rounded point that would merge with
+        another keeps its exact form, as a dict key does."""
         if backend == "rational":
             return self.levels, self.points
         if self._rounded is None:
@@ -288,37 +293,6 @@ def _unmerged(exact, rounded) -> list:
     """Each rounded key, or its exact key where rounding merges it with another."""
     count = Counter(rounded)
     return [r if count[r] == 1 else e for e, r in zip(exact, rounded)]
-
-
-def _to_float(x):
-    """x with every Fraction in it replaced by its correctly rounded float.
-
-    It maps reports, dicts (keys too), lists, tuples and points; ints,
-    strings and everything else are kept.  Dict keys that round to one
-    float keep their exact form, so no entry is lost; their values are
-    rounded.  The population audits round each number where they make it
-    (`_ratio`, `_Prepared.reported`), to the same floats; this is the float
-    backend of what they do not build: the OI audits and best responses,
-    `oi_advantage`, and the CLI's omniprediction bound check.
-    """
-    if isinstance(x, Fraction):
-        return float(x)
-    if isinstance(x, OutcomeDist):
-        return OutcomeDist(x.space, _to_float(x.weights))
-    if isinstance(x, (tuple, list)):
-        return type(x)(map(_to_float, x))
-    if isinstance(x, dict):
-        return dict(zip(_unmerged(x, list(map(_to_float, x))), map(_to_float, x.values())))
-    if isinstance(x, (AuditReport, ViolationProfile, ConditionalCheckResult)):
-        return replace(x, **{f.name: _to_float(getattr(x, f.name)) for f in fields(x)})
-    return x
-
-
-def _rounding(backend):
-    """What a backend does to an exact result: nothing under "rational",
-    `_to_float` under "float"; DomainError for any other backend."""
-    _ratio(backend)  # raises for an unknown backend
-    return _to_float if backend == "float" else lambda x: x
 
 
 def _ratio(backend):

@@ -15,7 +15,6 @@ import numpy as np
 
 from . import serialize
 from .audits import (
-    _rounding,
     audit_calibration,
     audit_covariance_mc,
     audit_multi_accuracy,
@@ -60,6 +59,8 @@ def _load_json(path):
         raise InputError(f"cannot read {path}: {e}") from None
     except json.JSONDecodeError as e:
         raise InputError(f"{path} is not valid JSON: {e}") from None
+    except ValueError as e:  # an integer past Python's int-to-str digit limit
+        raise InputError(f"cannot read {path}: {e}") from None
 
 
 def _emit(doc, output):
@@ -120,7 +121,7 @@ def cmd_audit(args) -> int:
         if not args.losses:
             raise InputError("--kind omni needs --losses")
         losses = serialize.losses_from_json(pop.space, _load_json(args.losses))
-        check = _rounding(backend)(omni_bound_check(pop, predictor, losses, cls))
+        check = omni_bound_check(pop, predictor, losses, cls, backend)
         report = serialize.report_to_json(check.pop("report"))
         report["bound_check"] = serialize.jsonify(check)
     elif kind == "conditional":

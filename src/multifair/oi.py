@@ -50,8 +50,10 @@ whose sum is its mass, and an mc or smc member takes one event-map entry
 per level with a positive cell.  Every lowdegree advantage is one integer
 product of the table with the member's values per (exact level, y).
 Explicit members read the prepared per-individual mass differences.
-Every value here is exact; the float backend rounds the finished report,
-or the best response's advantage, once (`audits._to_float`).
+Every value, breakdown entry and advantage is made once from two integers
+(`audits._ratio`): an exact Fraction, or under the float backend its
+correctly rounded float; a float report keys its levels by the points
+`_Prepared.reported` gives, and its member is the exact one.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ import numpy as np
 
 from .core import OutcomeDist, OutcomeSpace, SimplexGrid, exactify
 from .errors import ConstructionError, DomainError, EnumerationLimitError
-from .audits import AuditReport, _prepared, _rounding, _to_float
+from .audits import AuditReport, _prepared, _ratio
 from .population import HypothesisClass, PopulationInstance, Predictor
 
 EXPLICIT_AUDIT_LIMIT = 10**6
@@ -276,12 +278,10 @@ def make_family(kind, hypotheses=None, grid=None, degree=None, members=None,
 # ---------------------------------------------------------------------------
 
 
-def oi_advantage(pop: PopulationInstance, predictor: Predictor, d: Distinguisher,
-                 exact: bool = True):
+def oi_advantage(pop: PopulationInstance, predictor: Predictor, d: Distinguisher):
     """Signed advantage Delta_A, an exact expectation difference over the
-    joint; with `exact` false, its correctly rounded float."""
-    adv = _advantage(_prepared(pop, predictor, d.grid), predictor.as_exact(), d)
-    return adv if exact else _to_float(adv)
+    joint, as a Fraction; `float()` of it is its correctly rounded float."""
+    return _advantage(_prepared(pop, predictor, d.grid), predictor.as_exact(), d)
 
 
 def _advantage(prep, exact, d):
@@ -299,9 +299,17 @@ def _oriented(d, adv):
     return (negate(d), -adv) if adv < 0 else (d, adv)
 
 
-def _mass(prep, scaled):
-    """A scaled sum of positive cells as a mass; an empty sum stays the int 0."""
-    return Fraction(scaled, prep.D) if scaled else 0
+def _best(d, num, den, ratio):
+    """(d, num / den) made by `ratio`, oriented on the integer: the
+    complement 1 - d and -num / den when num < 0."""
+    d, num = _oriented(d, num)
+    return d, ratio(num, den)
+
+
+def _mass(prep, scaled, ratio=Fraction):
+    """A scaled sum of positive cells as a mass made by `ratio`; an empty
+    sum stays the int 0 under either backend."""
+    return ratio(scaled, prep.D) if scaled else 0
 
 
 def _positive_events(prep, ys, hypotheses, rows):
@@ -328,7 +336,7 @@ def _prices(y, values, P):
 
 def audit_oi(pop, predictor, family: DistinguisherFamily, backend="rational") -> AuditReport:
     """max_A |Delta_A| over the family, via closed forms for mc/smc/basic."""
-    return _rounding(backend)(_reduce(pop, predictor, family)[0])
+    return _reduce(pop, predictor, family, backend)[0]
 
 
 def best_response(pop, predictor, family: DistinguisherFamily, backend="rational"):
@@ -337,39 +345,43 @@ def best_response(pop, predictor, family: DistinguisherFamily, backend="rational
     When the maximizer's signed advantage is negative the pointwise
     complement 1 - A is returned instead (the structural negation inside
     mc/smc, a `negated` member otherwise), so the result is always
-    directly usable as a loss table.
+    directly usable as a loss table.  Under the float backend the member
+    is the exact one and only its advantage is a float.
     """
-    rounded = _rounding(backend)
-    d, adv = _reduce(pop, predictor, family)[1:]
-    return d, rounded(adv)
+    return _reduce(pop, predictor, family, backend)[1:]
 
 
-def _reduce(pop, predictor, family):
+def _reduce(pop, predictor, family, backend="rational"):
     """(audit report, best-responding member, its advantage) for one family.
 
     One prepared population, and for the event families one cell table,
     serves the audit and the best response: the audit value is the
     advantage of the member, which is oriented to be nonnegative.  Ties go
-    to the first hypothesis, member or cell in order.
+    to the first hypothesis, member or cell in order.  Every number is
+    made once by `audits._ratio(backend)`, which first refuses an unknown
+    backend.
     """
+    ratio = _ratio(backend)
     if family.kind == "explicit":
         if len(family.explicit_members) > EXPLICIT_AUDIT_LIMIT:
             raise EnumerationLimitError("explicit family too large to audit")
         exact = predictor.as_exact()
-        advs = [(d, _advantage(_prepared(pop, predictor, d.grid), exact, d))
-                for d in family.explicit_members]
-        breakdown = {d.name: abs(adv) for d, adv in advs}
-        d, adv = max(advs, key=lambda t: abs(t[1]))
-        return AuditReport("oi-explicit", abs(adv), d.name, breakdown), *_oriented(d, adv)
+        members = family.explicit_members
+        advs = [_advantage(_prepared(pop, predictor, d.grid), exact, d) for d in members]
+        mags = [ratio(abs(a.numerator), a.denominator) for a in advs]
+        i = max(range(len(advs)), key=lambda i: abs(advs[i]))
+        report = AuditReport("oi-explicit", mags[i], members[i].name,
+                             dict(zip((d.name for d in members), mags)))
+        return report, *_best(members[i], advs[i].numerator, advs[i].denominator, ratio)
 
     if family.kind == "lowdegree":
         mags, scale, d, best = _lowdegree_advantages(_prepared(pop, predictor), family)
-        breakdown = {h.name: Fraction(x, scale) for h, x in zip(family.hypotheses,
-                                                                mags.max(axis=1))}
+        breakdown = {h.name: ratio(x, scale) for h, x in zip(family.hypotheses,
+                                                             mags.max(axis=1))}
         h, o, mono = d.monomial
         witness = {"hypothesis": h.name, "outcome": o, "monomial_indices": list(mono)}
-        adv = Fraction(best, scale)
-        return AuditReport("oi-lowdegree", abs(adv), witness, breakdown), *_oriented(d, adv)
+        report = AuditReport("oi-lowdegree", ratio(abs(best), scale), witness, breakdown)
+        return report, *_best(d, best, scale, ratio)
 
     if family.kind not in ("mc", "smc", "basic"):
         raise ConstructionError(f"unknown family kind {family.kind!r}")
@@ -383,9 +395,9 @@ def _reduce(pop, predictor, family):
         choice = best.argmax(axis=0)  # per level, the first hypothesis of largest mass
         sums = best.max(axis=0).tolist()
         hyps = [cls.hypotheses[c] for c in choice.tolist()]
-        per_level_best = {point: (h.name, _mass(prep, s))
-                          for point, h, s in zip(prep.points, hyps, sums)}
-        total = Fraction(sum(sums), prep.D)
+        per_level_best = {point: (h.name, _mass(prep, s, ratio))
+                          for point, h, s in zip(prep.reported(backend)[1], hyps, sums)}
+        total = ratio(sum(sums), prep.D)
         events = _positive_events(prep, ys, hyps, table[choice, np.arange(len(hyps))])
         d = _event_distinguisher("level-assigned-event", events, family.grid, assignment={
             str(point): h.name for point, h in zip(prep.points, hyps)})
@@ -393,10 +405,10 @@ def _reduce(pop, predictor, family):
 
     if family.kind == "mc":
         score = best.sum(axis=1).tolist()
-        breakdown = {h.name: _mass(prep, s) for h, s in zip(cls, score)}
+        breakdown = {h.name: _mass(prep, s, ratio) for h, s in zip(cls, score)}
     else:
         score = np.abs(table).max(axis=(1, 2)).tolist()
-        breakdown = {h.name: Fraction(s, prep.D) for h, s in zip(cls, score)}
+        breakdown = {h.name: ratio(s, prep.D) for h, s in zip(cls, score)}
     c = score.index(max(score))
     h = cls.hypotheses[c]
     report = AuditReport(f"oi-{family.kind}", breakdown[h.name], h.name, breakdown)
@@ -416,7 +428,7 @@ def _reduce(pop, predictor, family):
         v, i = 0, 0  # no contribution is nonzero: the first cell of the first level
     y, o = ys[i // ell], pop.space.labels[i % ell]
     d = _basic_member(h, y, o, prep.points[v], family.grid)
-    return report, *_oriented(d, Fraction(int(table[c, v, i]), prep.D))
+    return report, *_best(d, int(table[c, v, i]), prep.D, ratio)
 
 
 def _lowdegree_advantages(prep, family):

@@ -16,11 +16,13 @@ loss's costs over the lcm L of theirs, so the post-processed actions of
 all levels are the first argmin of one integer product (level weights) @
 (costs)^T (first action on ties, as `post_process` picks it), every
 expected loss is a summed elementwise product of the table with cost rows,
-an integer over D * L, and each gap is one Fraction.  `post_process` keeps its
-Fraction arithmetic, as the scalar API.
+an integer over D * L, and gaps are compared as those integer pairs.  Each
+reported gap is made once from its two integers (`audits._ratio`): a
+Fraction, or under the float backend its correctly rounded float.
+`post_process` keeps its Fraction arithmetic, as the scalar API.
 Because losses are [0,1]-bounded, the gap is at most the calibration
 audit plus the multi-accuracy audit, exactly; `omni_bound_check` verifies
-that inequality on any instance.
+that inequality on any instance, on exact values under either backend.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .audits import AuditReport, _prepared, audit_calibration, audit_multi_accuracy
+from .audits import AuditReport, _prepared, _ratio, audit_calibration, audit_multi_accuracy
 from .core import OutcomeDist, OutcomeSpace, exactify
 from .errors import DomainError, RangeMismatchError
 from .population import HypothesisClass, PopulationInstance, Predictor
@@ -98,13 +100,16 @@ def _action_map(losses, cls: HypothesisClass) -> dict:
 
 
 def omni_audit(pop: PopulationInstance, predictor: Predictor, losses,
-               cls: HypothesisClass) -> AuditReport:
+               cls: HypothesisClass, backend="rational") -> AuditReport:
     """max over (loss, hypothesis) of the post-processing regret, clipped at 0.
 
     The breakdown keeps the signed per-pair gaps, keyed by (loss name,
     hypothesis name), so loss names must be distinct; the report value
-    clips below at zero so it compares directly against a slack eps.
+    clips below at zero so it compares directly against a slack eps.  The
+    witness is the first largest gap, compared on integers; each number is
+    made once under `backend`.
     """
+    ratio = _ratio(backend)
     if not losses:
         raise DomainError("an omniprediction audit needs at least one loss")
     names = set()
@@ -128,21 +133,19 @@ def omni_audit(pop: PopulationInstance, predictor: Predictor, losses,
     den = np.lcm.reduce(ratios[:, :, 1], axis=1)
     level_nums = ratios[:, :, 0] * (den[:, None] // ratios[:, :, 1])
     breakdown = {}
-    witness = None
-    best = None
+    witness = best = None  # best: the largest gap as (numerator, denominator)
     for loss in losses:
         L, costs = _cost_numerators(loss, prep.pop.space.labels)
         # argmin keeps the first action on ties
         post = (level_true * costs[(level_nums @ costs.T).argmin(axis=1)]).sum()
         y_costs = costs[[loss.actions.index(act_of[(loss.name, y)]) for y in ys]].reshape(-1)
+        scale = prep.D * L
         for h, h_loss in zip(cls, (y_true * y_costs).sum(axis=1)):
-            gap = Fraction(post - h_loss, prep.D * L)
-            breakdown[(loss.name, h.name)] = gap
-            if best is None or gap > best:
-                best = gap
-                witness = (loss.name, h.name)
-    value = max(best, Fraction(0))
-    return AuditReport("omniprediction", value, witness, breakdown)
+            gap = post - h_loss  # over scale
+            breakdown[(loss.name, h.name)] = ratio(gap, scale)
+            if best is None or gap * best[1] > best[0] * scale:
+                best, witness = (gap, scale), (loss.name, h.name)
+    return AuditReport("omniprediction", ratio(max(best[0], 0), best[1]), witness, breakdown)
 
 
 def _cost_numerators(loss: LossFunction, labels) -> tuple:
@@ -155,14 +158,19 @@ def _cost_numerators(loss: LossFunction, labels) -> tuple:
     return L, np.array([[n * (L // b) for n, b in row] for row in ratios], dtype=object)
 
 
-def omni_bound_check(pop, predictor, losses, cls) -> dict:
+def omni_bound_check(pop, predictor, losses, cls, backend="rational") -> dict:
     """Verify omni_audit <= calibration + multi-accuracy, exactly, and report
-    all three numbers; the omni audit's full report is kept under "report".
-    The three audits read one prepared population (`audits._prepared`)."""
-    omni = omni_audit(pop, predictor, losses, cls)
-    cal = audit_calibration(pop, predictor)
-    ma = audit_multi_accuracy(pop, predictor, cls)
-    holds = omni.value <= cal + ma.value
+    all three numbers under `backend`; the omni audit's full report is kept
+    under "report".  The three audits read one prepared population
+    (`audits._prepared`).  `bound_holds` is decided on the exact values: the
+    float backend takes it from the rational check."""
+    omni = omni_audit(pop, predictor, losses, cls, backend)
+    cal = audit_calibration(pop, predictor, backend)
+    ma = audit_multi_accuracy(pop, predictor, cls, backend)
+    if backend == "rational":
+        holds = omni.value <= cal + ma.value
+    else:
+        holds = omni_bound_check(pop, predictor, losses, cls)["bound_holds"]
     return {
         "omni_audit": omni.value,
         "calibration": cal,

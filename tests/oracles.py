@@ -1,8 +1,10 @@
 """Brute-force oracles for the tests.
 
-The literal joint tables of a population and a predictor, the exact value
-of a float prediction and its largest-remainder rounding onto a coordinate
-grid by Fraction arithmetic, the exact prepared population built by
+The literal joint tables of a population and a predictor, a rational
+report with every number in it rounded (the reference for every float
+report), the exact value of a float prediction and its largest-remainder
+rounding onto a coordinate grid by Fraction arithmetic, the exact
+prepared population built by
 Fraction products cell by cell, the prepared population as it was built
 one individual at a time (the reference for the build per distinct
 value), statistical distance by enumeration of
@@ -34,12 +36,19 @@ products is the reference for the grid scan.  The randomized intermediate
 spot check samples S and T rather than enumerating them.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 
-from multifair.audits import _Prepared, _rounding
+from multifair.audits import (
+    AuditReport,
+    ConditionalCheckResult,
+    ViolationProfile,
+    _Prepared,
+    _unmerged,
+)
 from multifair.core import (
     OutcomeDist,
     OutcomeSpace,
@@ -337,13 +346,38 @@ def _max_abs_subset_sum(values):
     return best
 
 
+def _to_float(x):
+    """x with every Fraction in it replaced by its correctly rounded float.
+
+    It maps reports, dicts (keys too), lists, tuples and points; ints,
+    strings and everything else are kept.  Dict keys that round to one
+    float keep their exact form, so no entry is lost; their values are
+    rounded.  It is the reference for "a float report is its rational
+    report rounded once": the library makes each float where it makes the
+    number, from the same two integers as its Fraction.
+    """
+    if isinstance(x, Fraction):
+        return float(x)
+    if isinstance(x, OutcomeDist):
+        return OutcomeDist(x.space, _to_float(x.weights))
+    if isinstance(x, (tuple, list)):
+        return type(x)(map(_to_float, x))
+    if isinstance(x, dict):
+        return dict(zip(_unmerged(x, list(map(_to_float, x))), map(_to_float, x.values())))
+    if isinstance(x, (AuditReport, ViolationProfile, ConditionalCheckResult)):
+        return dataclasses.replace(x, **{f.name: _to_float(getattr(x, f.name))
+                                         for f in dataclasses.fields(x)})
+    return x
+
+
 def audit_oi_mc_bruteforce(pop, predictor, cls, grid, backend="rational"):
     """Literal max over all events E of |Delta| for the mc family.
 
     Enumerates 2^(|Y| * outcomes * |grid|) events, so the cell count is
     capped at 12.  The float backend rounds the exact maximum.
     """
-    rounded = _rounding(backend)
+    if backend not in ("rational", "float"):
+        raise DomainError(f"unknown backend {backend!r}")
     prep = _Prepared(pop, predictor, grid=grid)
     ys, table = prep.cell_tables(cls, prep.diff)
     tables = table.tolist()
@@ -361,7 +395,8 @@ def audit_oi_mc_bruteforce(pop, predictor, cls, grid, backend="rational"):
                 v = level_of.get(tuple(g.weights))
                 diffs.append(per_level[v][i] if v is not None else 0)
         best = max(best, _max_abs_subset_sum(diffs))
-    return rounded(_mass(prep, best))
+    value = _mass(prep, best)
+    return _to_float(value) if backend == "float" else value
 
 
 def first_reached_cell(prep, ys, h, per_level, target):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from multifair import (
     HypothesisClass,
+    LossFunction,
     OutcomeDist,
     PopulationInstance,
     Predictor,
@@ -29,12 +30,20 @@ from multifair import (
     make_family,
     make_grid_with_denominator,
     oi_advantage,
+    omni_audit,
+    omni_bound_check,
     random_instance,
     violation_profile,
+    zero_one_loss,
 )
 from multifair import audits
-from multifair.audits import _prepared, _to_float
+from multifair.audits import _prepared
+from multifair.errors import DomainError
+from oracles import _to_float
 from test_audit_oracles import covariance_oracle
+from test_oi_golden import KINDS as OI_KINDS
+from test_oi_golden import _family as oi_family
+from test_oi_golden import float_truth_instances
 
 TOL = 1e-9
 
@@ -137,7 +146,7 @@ def test_float_oi_audits_agree_with_rational_on_float_predictors(inst):
         for backend in ("rational", "float"):
             d, adv = best_response(pop, pred, fam, backend)
             assert _close(oi_advantage(pop, pred, d), adv)
-            assert abs(oi_advantage(pop, pred, d, exact=False) - float(adv)) <= TOL
+            assert float(oi_advantage(pop, pred, d)) == float(adv)
 
 
 def _assert_rounded(approx, exact):
@@ -188,7 +197,7 @@ def test_float_results_are_the_rational_results_rounded(inst):
         fd, fadv = best_response(pop, pred, fam, "float")
         assert fd.name == d.name and repr(fd.payload) == repr(d.payload)
         _assert_rounded(fadv, adv)
-        _assert_rounded(oi_advantage(pop, pred, d, exact=False), oi_advantage(pop, pred, d))
+        assert fadv == float(oi_advantage(pop, pred, fd))
 
 
 @settings(max_examples=40, deadline=None)
@@ -254,21 +263,16 @@ def _fields(r) -> list:
     return out
 
 
-@pytest.mark.parametrize("name", ("rand600x8", "rand3000x2", "grid50", "ints600x2"))
-def test_float_reports_are_the_rational_reports_rounded_at_scale(name):
+def _assert_population_reports_rounded(pop, cls, pred, epsilons):
     """Each population audit's float report is `_to_float` of its rational
     report, by repr; the rational covariance report is E|Cov| / D (ROADMAP
-    item 1), so it is multiplied by D before rounding.  On the binary
-    instances every conditional kind fails at eps 1/100 and passes at 1/2."""
-    pop, cls, pred = _scale_instance(name)
-    if name == "ints600x2":
-        assert {0, 1} <= {w for level in _prepared(pop, pred).levels for w in level.weights
-                          if type(w) is int}
+    item 1), so it is multiplied by D before rounding."""
     for audit in (audit_multi_accuracy, audit_multi_calibration,
                   audit_strict_multi_calibration):
         assert _fields(audit(pop, pred, cls, "float")) == _fields(_to_float(audit(pop, pred, cls)))
     assert repr(audit_calibration(pop, pred, "float")) == repr(
         _to_float(audit_calibration(pop, pred)))
+    assert type(audit_calibration(pop, pred, "float")) is float
     if not pop.space.is_binary:
         return
     D = _prepared(pop, pred).D
@@ -278,31 +282,87 @@ def test_float_reports_are_the_rational_reports_rounded_at_scale(name):
     assert _fields(audit_covariance_mc(pop, pred, cls, "float")) == _fields(_to_float(cov))
     assert _fields(violation_profile(pop, pred, cls, "float")) == _fields(
         _to_float(violation_profile(pop, pred, cls)))
-    for eps in (Fraction(1, 100), Fraction(1, 10), Fraction(1, 3), Fraction(1, 2)):
+    for eps in epsilons:
         for kind in ("MA", "MC", "SMC"):
             assert _fields(check_conditional(pop, pred, cls, eps, kind, "float")) == _fields(
                 _to_float(check_conditional(pop, pred, cls, eps, kind)))
 
 
-def test_population_audits_round_where_they_make_each_number(monkeypatch):
-    """The seven population audits build their float reports without
-    `_to_float`; the OI audit still rounds its finished report through it."""
+@pytest.mark.parametrize("name", ("rand600x8", "rand3000x2", "grid50", "ints600x2"))
+def test_float_reports_are_the_rational_reports_rounded_at_scale(name):
+    """Each population audit's float report is `_to_float` of its rational
+    report, by repr (`_assert_population_reports_rounded`).  On the binary
+    instances every conditional kind fails at eps 1/100 and passes at 1/2."""
+    pop, cls, pred = _scale_instance(name)
+    if name == "ints600x2":
+        assert {0, 1} <= {w for level in _prepared(pop, pred).levels for w in level.weights
+                          if type(w) is int}
+    _assert_population_reports_rounded(pop, cls, pred, (
+        Fraction(1, 100), Fraction(1, 10), Fraction(1, 3), Fraction(1, 2)))
+
+
+def _omni_losses(space):
+    """The zero-one loss and a loss on the actions 0 and 1 with costs in sixths."""
+    costs = {(o, a): Fraction((3 * i + 2 * a + 1) % 7, 6)
+             for i, o in enumerate(space.labels) for a in (0, 1)}
+    return [zero_one_loss(space), LossFunction("sixths", space, (0, 1), costs)]
+
+
+def test_population_audits_round_where_they_make_each_number():
+    """No report is rounded after it is made: `multifair.audits` keeps no
+    `_to_float` or `_rounding`.  Every float report, of the population
+    audits, of `audit_oi` and `best_response` for every family kind and of
+    `omni_bound_check`, is its rational report passed once through the
+    oracle `_to_float`, by repr, with the same exact member; and the float
+    bound check decides `bound_holds` as the rational one does."""
+    assert not hasattr(audits, "_to_float") and not hasattr(audits, "_rounding")
     pop, cls, pred = random_instance(np.random.default_rng(84), 40, 2, 3)
+    _assert_population_reports_rounded(pop, cls, pred, (Fraction(1, 10),))
+    for pop, cls, m, pred in [(pop, cls, 2, pred), *float_truth_instances()]:
+        for kind in OI_KINDS:
+            fam = oi_family(kind, pop, cls, m)
+            assert _fields(audit_oi(pop, pred, fam, "float")) == _fields(
+                _to_float(audit_oi(pop, pred, fam)))
+            d, adv = best_response(pop, pred, fam)
+            fd, fadv = best_response(pop, pred, fam, "float")
+            assert repr((fd.name, fd.payload, fd.negated, fadv)) == repr(
+                (d.name, d.payload, d.negated, _to_float(adv)))
+        losses = _omni_losses(pop.space)
+        check = omni_bound_check(pop, pred, losses, cls)
+        fcheck = omni_bound_check(pop, pred, losses, cls, "float")
+        assert fcheck["bound_holds"] is check["bound_holds"]
+        assert _fields(fcheck.pop("report")) == _fields(_to_float(check.pop("report")))
+        assert repr(fcheck) == repr(_to_float(check))
 
-    def reports():
-        out = [audit(pop, pred, cls, "float") for audit in (
-            audit_multi_accuracy, audit_multi_calibration, audit_strict_multi_calibration,
-            audit_covariance_mc, violation_profile)]
-        out += [check_conditional(pop, pred, cls, Fraction(1, 10), kind, "float")
-                for kind in ("MA", "MC", "SMC")]
-        return list(map(_fields, out))
-    want = reports()
 
-    def refused(x):
-        raise AssertionError("a population audit called _to_float")
-    monkeypatch.setattr(audits, "_to_float", refused)
-    assert reports() == want
-    assert type(audit_calibration(pop, pred, "float")) is float
-    fam = make_family("mc", hypotheses=cls, grid=make_grid_with_denominator(pop.space, 2))
-    with pytest.raises(AssertionError, match="called _to_float"):
-        audit_oi(pop, pred, fam, "float")
+def _oi_call(call, kind):
+    return lambda pop, cls, pred, b: call(pop, pred, oi_family(kind, pop, cls, 2), b)
+
+
+BACKEND_CALLS = {
+    "ma": lambda pop, cls, pred, b: audit_multi_accuracy(pop, pred, cls, b),
+    "mc": lambda pop, cls, pred, b: audit_multi_calibration(pop, pred, cls, b),
+    "smc": lambda pop, cls, pred, b: audit_strict_multi_calibration(pop, pred, cls, b),
+    "calibration": lambda pop, cls, pred, b: audit_calibration(pop, pred, b),
+    "covariance": lambda pop, cls, pred, b: audit_covariance_mc(pop, pred, cls, b),
+    "violation_profile": lambda pop, cls, pred, b: violation_profile(pop, pred, cls, b),
+    **{f"check_conditional-{kind}": (
+        lambda pop, cls, pred, b, kind=kind: check_conditional(pop, pred, cls, Fraction(1, 10),
+                                                               kind, b))
+       for kind in ("MA", "MC", "SMC")},
+    **{f"audit_oi-{kind}": _oi_call(audit_oi, kind) for kind in OI_KINDS},
+    **{f"best_response-{kind}": _oi_call(best_response, kind) for kind in OI_KINDS},
+    "omni_audit": lambda pop, cls, pred, b: omni_audit(pop, pred, _omni_losses(pop.space),
+                                                       cls, b),
+    "omni_bound_check": lambda pop, cls, pred, b: omni_bound_check(
+        pop, pred, _omni_losses(pop.space), cls, b),
+}
+
+
+@pytest.mark.parametrize("call", BACKEND_CALLS.values(), ids=list(BACKEND_CALLS))
+def test_every_backend_taking_call_refuses_an_unknown_backend(call):
+    pop, cls, pred = random_instance(np.random.default_rng(85), 6, 2, 2)
+    for backend in ("rational", "float"):
+        call(pop, cls, pred, backend)
+    with pytest.raises(DomainError, match="unknown backend 'decimal'"):
+        call(pop, cls, pred, "decimal")

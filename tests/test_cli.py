@@ -1,9 +1,29 @@
+import contextlib
+import io
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from multifair import (
+    audit_calibration,
+    audit_covariance_mc,
+    audit_multi_accuracy,
+    audit_multi_calibration,
+    audit_oi,
+    audit_strict_multi_calibration,
+    check_conditional,
+    make_family,
+    make_grid_with_denominator,
+    omni_bound_check,
+    random_instance,
+)
 from multifair.cli import main
+from multifair.core import OutcomeDist
+from multifair.serialize import instance_from_json, instance_to_json, losses_from_json
 
 
 def run(tmp_path, *argv):
@@ -353,11 +373,8 @@ def test_sampled_transcript_numbers_reload(tmp_path, monkeypatch):
     # empirical advantages are Python floats, so the document spells each
     # as its shortest repr, which `parse_number` reads back to a rational
     # whose nearest float is the library's value
-    import numpy as np
-
     import multifair.cli as cli_mod
-    from multifair import random_instance
-    from multifair.serialize import instance_to_json, parse_number
+    from multifair.serialize import parse_number
 
     runs, run = [], cli_mod.construct_sampled
 
@@ -444,6 +461,9 @@ BAD_INPUTS = [
     (["audit", "{tp_infinite_truth}", "--kind", "mc"], 1),
     (["audit", "{tp_list_values}", "--kind", "mc"], 1),
     (["audit", "{tp_list_predictor}", "--kind", "mc"], 1),
+    # a JSON integer longer than Python's int-to-str digit limit made
+    # json.load raise a bare ValueError
+    (["audit", "{tp_long_integer}", "--kind", "mc"], 1),
 ] + [
     # a fractional or boolean vertex count, edge endpoint or partition
     # vertex used to be cut down by int() to another graph or partition
@@ -496,6 +516,10 @@ def test_bad_inputs_exit_cleanly(argv, code, two_point, tmp_path, capsys):
                       *malformed.items(), *graphs.items()):
         files[name] = tmp_path / f"{name}.json"
         files[name].write_text(json.dumps(doc))
+    # json.dumps cannot write that integer, so it replaces a truth entry in the text
+    files["tp_long_integer"] = tmp_path / "tp_long_integer.json"
+    files["tp_long_integer"].write_text(
+        json.dumps(read(two_point)).replace('"0.5"', "1" * 5000, 1))
     files["g6"] = tmp_path / "g6.json"
     assert main(["fixture", "graph-random", "--seed", "1", "--n", "6",
                  "--output", str(files["g6"])]) == 0
@@ -526,3 +550,208 @@ def test_epsilon_below_the_float_range_is_named(argv, two_point, capsys):
     assert main([a.format(tp=two_point) for a in argv]) == 2
     err = capsys.readouterr().err
     assert err == "domain error: epsilon is positive but below the float range\n"
+
+
+# ---------------------------------------------------------------------------
+# Generated documents: malformed instances, and every printed number
+# ---------------------------------------------------------------------------
+
+# stands for a JSON integer that json.dumps cannot write; replaced in the text
+_LONG_INTEGER = "@long-integer@"
+
+
+def _cli(argv):
+    """(exit code, stdout, stderr) of one in-process CLI run; an exception
+    escaping `main` fails the test, as a traceback would."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _write_case(directory, doc, ell):
+    """The instance and a zero-one loss list over labels 0..ell-1 as files."""
+    labels = [str(i) for i in range(ell)]
+    losses = [{"name": "zero-one", "actions": labels,
+               "table": {o: {a: "0" if o == a else "1" for a in labels} for o in labels}}]
+    inst, loss = directory / "inst.json", directory / "losses.json"
+    inst.write_text(json.dumps(doc).replace(f'"{_LONG_INTEGER}"', "1" * 5000))
+    loss.write_text(json.dumps(losses))
+    return inst, loss
+
+
+def _audit_argv(inst, loss, kind, backend="rational", family="mc"):
+    extra = {"oi": ["--family", family, "--grid-m", "2", "--degree", "2"],
+             "omni": ["--losses", loss], "conditional": ["--epsilon", "1/10"]}
+    return ["audit", inst, "--kind", kind, "--backend", backend, *extra.get(kind, [])]
+
+
+@st.composite
+def _instance_docs(draw):
+    """(document, ell) of a small random instance."""
+    ell = draw(st.sampled_from((2, 3)))
+    pop, cls, pred = random_instance(np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+                                     draw(st.integers(1, 4)), ell, draw(st.integers(1, 3)))
+    return instance_to_json(pop, cls, pred), ell
+
+
+def _dropped_keys(doc):
+    """Paths of the keys a document cannot do without: every key but
+    closed_under_complement and a distribution's zero entries, which may
+    be left out."""
+    out = [(k,) for k in doc if k != "closed_under_complement"]
+    for i, ind in enumerate(doc["individuals"]):
+        out += [("individuals", i, k) for k in ind]
+        out += [("individuals", i, "p_true", o) for o, v in ind["p_true"].items() if v != "0"]
+    for i, h in enumerate(doc.get("hypotheses") or ()):
+        out += [("hypotheses", i, k) for k in h] + [("hypotheses", i, "values", j)
+                                                    for j in h["values"]]
+    for j, dist in doc["predictor"].items():
+        out += [("predictor", j)] + [("predictor", j, o) for o, v in dist.items() if v != "0"]
+    return out
+
+
+_NUMBERS = st.one_of(st.fractions(max_denominator=16).map(str), st.floats(-2, 2))
+_NOT_NUMBERS = st.one_of(
+    st.sampled_from([None, True, False, {}, "", "1/0", "nan", "inf", "-inf"]),
+    st.text(alphabet="xyz!#% ", min_size=1, max_size=4),
+    st.dictionaries(st.sampled_from("01"), _NUMBERS, max_size=2))
+_NEGATIVES = st.one_of(st.fractions(max_value=Fraction(-1, 10**6), max_denominator=10**6),
+                       st.floats(-1e6, -1e-6)).map(lambda x: str(x) if isinstance(x, Fraction)
+                                                   else x)
+_BAD_NUMBERS = st.one_of(_NOT_NUMBERS, _NEGATIVES, st.lists(_NUMBERS, max_size=3),
+                        st.just(_LONG_INTEGER))
+
+
+@st.composite
+def _malformed_docs(draw):
+    """(document, ell, mutation) with one defect: a dropped key, a weight or
+    truth entry that is no number, negative or a list, or an outcome label
+    the space does not have."""
+    doc, ell = draw(_instance_docs())
+    inds = doc["individuals"]
+    where = draw(st.sampled_from(("drop", "weight", "truth", "label")))
+    i = draw(st.integers(0, len(inds) - 1))
+    if where == "drop":
+        path = draw(st.sampled_from(_dropped_keys(doc)))
+        node = doc
+        for k in path[:-1]:
+            node = node[k]
+        del node[path[-1]]
+        return doc, ell, (where, path)
+    if where == "label":
+        label = draw(st.text(alphabet="0123456789ab", min_size=1, max_size=2).filter(
+            lambda s: s not in doc["outcomes"]))
+        target = draw(st.sampled_from((inds[i]["p_true"], doc["predictor"][inds[i]["id"]])))
+        target[label] = draw(_NUMBERS)
+        return doc, ell, (where, label)
+    bad = draw(_BAD_NUMBERS)
+    if where == "weight":
+        inds[i]["weight"] = bad
+    else:
+        inds[i]["p_true"][draw(st.sampled_from(doc["outcomes"]))] = bad
+    return doc, ell, (where, bad)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_malformed_docs(), st.sampled_from(("mc", "oi", "omni")))
+def test_malformed_instances_exit_cleanly(tmp_path, case, kind):
+    doc, ell, mutation = case
+    code, _, err = _cli(_audit_argv(*_write_case(tmp_path, doc, ell), kind))
+    assert code in (1, 2), (mutation, code)
+    assert err and "Traceback" not in err, (mutation, err)
+
+
+def _reread(printed, value):
+    """Whether a printed JSON value reads back to the in-memory `value`: a
+    Fraction under Fraction(s), a float under float(s) to the bit, an int
+    beyond 2^53 under int(s) and a smaller int as itself; containers item
+    by item, a dict matching each key by `_reread_key`."""
+    if value is None or isinstance(value, (bool, str)):
+        return printed == value
+    if isinstance(value, Fraction):
+        return isinstance(printed, str) and Fraction(printed) == value
+    if isinstance(value, float):
+        return isinstance(printed, str) and float(printed).hex() == value.hex()
+    if isinstance(value, int):
+        if abs(value) > 2**53:
+            return isinstance(printed, str) and int(printed) == value
+        return type(printed) is int and printed == value
+    if isinstance(value, OutcomeDist):
+        return (isinstance(printed, dict) and set(printed) == set(value.space.labels)
+                and all(_reread(printed[o], w if isinstance(w, float) else Fraction(w))
+                        for o, w in zip(value.space.labels, value.weights)))
+    if isinstance(value, (list, tuple)):
+        return (isinstance(printed, list) and len(printed) == len(value)
+                and all(map(_reread, printed, value)))
+    if isinstance(value, dict):
+        if not isinstance(printed, dict) or len(printed) != len(value):
+            return False
+        for k, v in value.items():
+            keys = [s for s in printed if _reread_key(s, k)]
+            if len(keys) != 1 or not _reread(printed[keys[0]], v):
+                return False
+        return True
+    raise AssertionError(f"no rule for {value!r}")
+
+
+def _reread_key(s, k) -> bool:
+    """Whether a printed dict key reads back to the in-memory key: a tuple's
+    parts are joined by "|", a number is read as `_reread` reads it."""
+    if isinstance(k, tuple):
+        parts = s.split("|")
+        return len(parts) == len(k) and all(map(_reread_key, parts, k))
+    if isinstance(k, str):
+        return s == k
+    if isinstance(k, int) and not isinstance(k, bool):
+        return int(s) == k
+    return _reread(s, k)
+
+
+def _in_memory(kind, pop, cls, pred, backend, family, losses):
+    """What `audit --kind kind` prints, as the library returns it."""
+    if kind in ("ma", "mc", "smc", "cov", "oi"):
+        if kind == "oi":
+            fam = (make_family("lowdegree", hypotheses=cls, degree=2, outcome_space=pop.space)
+                   if family == "lowdegree" else
+                   make_family(family, hypotheses=cls,
+                               grid=make_grid_with_denominator(pop.space, 2)))
+            report = audit_oi(pop, pred, fam, backend)
+        else:
+            audit = {"ma": audit_multi_accuracy, "mc": audit_multi_calibration,
+                     "smc": audit_strict_multi_calibration, "cov": audit_covariance_mc}[kind]
+            report = audit(pop, pred, cls, backend)
+        return {"kind": report.kind, "value": report.value, "witness": report.witness,
+                "breakdown": report.breakdown}
+    if kind == "cal":
+        return {"kind": "calibration", "value": audit_calibration(pop, pred, backend)}
+    if kind == "omni":
+        check = omni_bound_check(pop, pred, losses, cls, backend)
+        report = check.pop("report")
+        return {"kind": report.kind, "value": report.value, "witness": report.witness,
+                "breakdown": report.breakdown, "bound_check": check}
+    res = check_conditional(pop, pred, cls, Fraction(1, 10), "MC", backend)
+    return {"kind": "conditional-mc", "pass": res.passed, "witness": res.witness,
+            "first_violation": res.first_violation}
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_instance_docs(), st.sampled_from(("basic", "mc", "smc", "lowdegree")))
+def test_every_printed_number_reads_back_to_its_value(tmp_path, case, family):
+    """For every audit kind under both backends, each number the CLI
+    prints reads back to the library's value: "p/q" and decimal strings
+    under Fraction, floats under float to the bit, long ints under int."""
+    doc, ell = case
+    inst, loss = _write_case(tmp_path, doc, ell)
+    pop, cls, pred = instance_from_json(json.loads(inst.read_text()))
+    losses = losses_from_json(pop.space, json.loads(loss.read_text()))
+    kinds = ["ma", "mc", "smc", "cal", "oi", "omni"] + (["cov", "conditional"]
+                                                         if ell == 2 else [])
+    for kind in kinds:
+        for backend in ("rational", "float"):
+            code, out, err = _cli(_audit_argv(inst, loss, kind, backend, family))
+            assert code == 0, err
+            want = _in_memory(kind, pop, cls, pred, backend, family, losses)
+            assert _reread(json.loads(out), want), (kind, backend, out)

@@ -8,7 +8,7 @@ step, whose predictions are floats.  The digests were recorded before the
 one cell-table kernel and the event members built from its rows went in;
 any change to a value, a witness, a tie-break or a member's payload shows
 up here.  The float backend is pinned to the same records: its report and
-advantage are the exact ones passed once through `audits._to_float`, and
+advantage are the exact ones passed once through `oracles._to_float`, and
 its member is the exact one.
 
 A second case pins the event families on populations whose truth rows
@@ -42,9 +42,8 @@ from multifair import (
     random_instance,
     update,
 )
-from multifair.audits import _to_float
 from multifair.oi import Distinguisher, _reduce
-from oracles import audit_oi_mc_bruteforce
+from oracles import _to_float, audit_oi_mc_bruteforce
 
 GOLDEN = {
     "basic": "182ce2555164dda1e4a80d30f5a28a39d1c41125e0be8d31f665df8b3524b104",
