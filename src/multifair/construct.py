@@ -44,11 +44,13 @@ bound aborts runs whose learner misbehaved (probability <= the failure
 budget), returning the transcript for inspection.
 
 The randomized selection procedure avoids enumerating events altogether:
-it draws a uniformly random event over {1} x outcomes x grid, labels true
-samples with the difference of event indicators on a modeled versus the
-observed outcome, and asks a weak agnostic learner over the hypothesis
-class to correlate with those labels.  A random event catches a constant
-fraction of any large violation, so O(log(1/beta)) rounds suffice.
+it draws a uniformly random event over {1} x outcomes x grid, draws
+(individual, outcome) through `population._draw` and a modeled outcome
+for each, labels each draw with the difference of event indicators on
+the modeled versus the observed outcome, and asks an ERM learner, one
+product over the class and its complements, to correlate with those
+labels.  A random event catches a constant fraction of any large
+violation, so O(log(1/beta)) rounds suffice.
 """
 
 from __future__ import annotations
@@ -88,7 +90,6 @@ from .population import (
     _draw,
     _draw_outcomes,
     _int_array,
-    _sampling_tables,
     _with_complements,
 )
 
@@ -368,35 +369,12 @@ def _select_rounds(beta) -> int:
     return math.ceil(SELECT_ROUNDS_FACTOR * math.log(1 / beta))
 
 
-class ErmOverHypotheses:
-    """ERM weak agnostic learner over a 0/1 hypothesis class.
-
-    Searches the class together with its pointwise complements, so the
-    complement-closure assumption of the selection lemma holds regardless
-    of how the class was specified.  Labels y in [-1, 1] arrive summed per
-    individual; a hypothesis is returned when its empirical correlation
-    E[c_x y] exceeds 3 eps / 4.
-    """
-
-    def __init__(self, cls: HypothesisClass):
-        self.search = _with_complements(cls.hypotheses)
-
-    def from_aggregates(self, eps, agg, n):
-        """ERM on per-individual label sums: E[c_x y] = sum_j c_j agg_j / n."""
-        best = None
-        for h in self.search:
-            corr = sum(h.values[j] * v for j, v in agg.items()) / n
-            if best is None or corr > best[1]:
-                best = (h, corr)
-        if best[1] > 3 * eps / 4:
-            return best[0]
-        return None
-
-
 def select_distinguisher_randomized(pop, predictor, cls: HypothesisClass, eps_prime,
                                     beta, rng: np.random.Generator,
                                     grid: SimplexGrid):
-    """Randomized event selection: returns an mc-family member or None.
+    """Randomized event selection: returns a member of the mc family of
+    `close_under_complement(cls)` or None; its hypothesis may be a
+    complement `not:<name>` that is not in `cls`.
 
     Each round draws a uniformly random event over the (outcome, grid
     point) cells; if some mc-family member has advantage above
@@ -406,8 +384,10 @@ def select_distinguisher_randomized(pop, predictor, cls: HypothesisClass, eps_pr
     member with advantage above eps_prime / 2 is returned with probability
     at least 1 - (15/16)^rounds - beta, for rounds = ceil(8 ln(1/beta)):
     (15/16)^rounds <= beta^(8 ln(16/15)), about beta^0.52 (0.21 at
-    beta = 0.05), so this is not 1 - beta.  The class is accessed only
-    through the weak agnostic learner.
+    beta = 0.05), so this is not 1 - beta.  The class is read only by the
+    learner: one product of the 0/1 array of the class and its complements
+    with the per-individual label sums, whose first largest entry is
+    accepted above 3 eps_prime / 4.
     """
     if not pop.space.is_binary or not cls.is_binary:
         raise DomainError("randomized selection requires binary outcomes and hypotheses")
@@ -416,36 +396,31 @@ def select_distinguisher_randomized(pop, predictor, cls: HypothesisClass, eps_pr
     epsp = float(eps_prime)
     if not epsp > 0:
         raise DomainError(f"eps' must be positive, got {eps_prime}")
-    learner = ErmOverHypotheses(cls)
+    search = _with_complements(cls.hypotheses)
     rounds = _select_rounds(beta)
     n_per_round = math.ceil(
-        8 * math.log(2 * len(learner.search) * rounds / beta) / (epsp / 2) ** 2)
+        8 * math.log(2 * len(search) * rounds / beta) / (epsp / 2) ** 2)
 
     cells = [(o, tuple(g.weights)) for o in pop.space.labels for g in grid.iter_points()]
     prep = _prepared(pop, predictor, grid)
-
-    weights, cum_true = _sampling_tables(pop)
     cum_mod = _cumulative([predictor.values[j] for j in pop.ids])
     cell_index = {c: i for i, c in enumerate(cells)}
     cell_of = np.array([[cell_index[(o, point)] for o in pop.space.labels]
                         for point in prep.points])[prep.level_of]
+    values = np.array([[float(h.values[j]) for j in pop.ids] for h in search])
 
     for _ in range(rounds):
         member_bits = rng.integers(0, 2, size=len(cells))
-        event = {c for c, b in zip(cells, member_bits) if b}
-        in_event = member_bits.astype(np.int8)
-        idx = rng.choice(len(pop.ids), size=n_per_round, p=weights)
-        o_star = _draw_outcomes(rng, cum_true[idx])
+        idx, o_star = _draw(pop, rng, n_per_round)
         o_prime = _draw_outcomes(rng, cum_mod[idx])
-        y = in_event[cell_of[idx, o_prime]] - in_event[cell_of[idx, o_star]]
-        # aggregate labels per individual so the ERM is O(|C| * |X|)
-        agg_arr = np.bincount(idx, weights=y.astype(float), minlength=len(pop.ids))
-        agg = {j: float(agg_arr[i]) for i, j in enumerate(pop.ids)}
-        c = learner.from_aggregates(epsp, agg, n_per_round)
-        if c is not None:
-            ev3 = {(1, o, g) for (o, g) in event}
-            d = mc_event_distinguisher(c, ev3, grid)
-            return d
+        y = member_bits[cell_of[idx, o_prime]] - member_bits[cell_of[idx, o_star]]
+        # E[c_x y] per hypothesis; the label sums are integers below 2^53,
+        # so the product adds them exactly in any order
+        corr = values @ np.bincount(idx, weights=y, minlength=len(pop.ids)) / n_per_round
+        best = int(corr.argmax())
+        if corr[best] > 3 * epsp / 4:
+            event = {(1, o, g) for (o, g), b in zip(cells, member_bits) if b}
+            return mc_event_distinguisher(search[best], event, grid)
     return None
 
 

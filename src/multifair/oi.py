@@ -225,8 +225,10 @@ class DistinguisherFamily:
         raise ConstructionError(f"unknown family kind {self.kind!r}")
 
     def check_enumerable(self):
-        """Refuse the implicit mc/smc kinds, whose members are never listed."""
-        if self.kind not in ("explicit", "basic", "lowdegree"):
+        """Refuse the implicit mc/smc kinds, whose members are never listed,
+        and a basic family whose grid is not materialized."""
+        if self.kind not in ("explicit", "basic", "lowdegree") or (
+                self.kind == "basic" and self.grid.points is None):
             raise EnumerationLimitError(
                 f"{self.kind} family has {self.member_count()} members; not materializable")
 

@@ -315,21 +315,15 @@ def _draw(pop: PopulationInstance, rng: np.random.Generator, n: int) -> tuple:
         raise DomainError("sample size must be nonnegative")
     if n == 0:
         return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
-    weights, cum_true = _sampling_tables(pop)
-    idx = rng.choice(len(pop.ids), size=n, p=weights)
-    return idx, _draw_outcomes(rng, cum_true[idx])
+    weights = np.array([float(pop.weight[j]) for j in pop.ids], dtype=float)
+    idx = rng.choice(len(pop.ids), size=n, p=weights / weights.sum())
+    return idx, _draw_outcomes(rng, _cumulative([pop.p_true[j] for j in pop.ids])[idx])
 
 
 def _cumulative(dists) -> np.ndarray:
     """Cumulative outcome probabilities as floats, one row per distribution."""
     return np.cumsum(np.array([[float(w) for w in d.weights] for d in dists], dtype=float),
                      axis=1)
-
-
-def _sampling_tables(pop: PopulationInstance):
-    """(individual weights normalised to sum 1, cumulative truth rows) as floats."""
-    weights = np.array([float(pop.weight[j]) for j in pop.ids], dtype=float)
-    return weights / weights.sum(), _cumulative([pop.p_true[j] for j in pop.ids])
 
 
 def _draw_outcomes(rng: np.random.Generator, rows: np.ndarray) -> np.ndarray:

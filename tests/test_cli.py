@@ -464,6 +464,8 @@ BAD_INPUTS = [
     # a JSON integer longer than Python's int-to-str digit limit made
     # json.load raise a bare ValueError
     (["audit", "{tp_long_integer}", "--kind", "mc"], 1),
+    # a class that claims complement closure without it
+    (["audit", "{tp_false_closure}", "--kind", "mc"], 2),
 ] + [
     # a fractional or boolean vertex count, edge endpoint or partition
     # vertex used to be cut down by int() to another graph or partition
@@ -486,7 +488,7 @@ def test_bad_inputs_exit_cleanly(argv, code, two_point, tmp_path, capsys):
     malformed = {name: read(two_point) for name in (
         "tp_missing_value", "tp_list_truth", "tp_list_prediction", "tp_unknown_outcome",
         "tp_bool_truth", "tp_bool_weight", "tp_list_truth_repeated", "tp_nan_weight",
-        "tp_infinite_truth", "tp_list_values", "tp_list_predictor")}
+        "tp_infinite_truth", "tp_list_values", "tp_list_predictor", "tp_false_closure")}
     del malformed["tp_missing_value"]["hypotheses"][0]["values"]["1"]
     malformed["tp_list_truth"]["individuals"][0]["p_true"] = ["0.5", "0.5"]
     malformed["tp_list_prediction"]["predictor"]["0"] = ["1", "0"]
@@ -503,6 +505,7 @@ def test_bad_inputs_exit_cleanly(argv, code, two_point, tmp_path, capsys):
     hypothesis["values"] = list(hypothesis["values"].values())
     malformed["tp_list_predictor"]["predictor"] = list(
         malformed["tp_list_predictor"]["predictor"].values())
+    malformed["tp_false_closure"]["closed_under_complement"] = True
     graphs = {"g_fractional_n": {"n": 3.5, "edges": [[0, 1]]},
               "g_boolean_n": {"n": True, "edges": []},
               "g_fractional_edge": {"n": 3, "edges": [[0, 1.5]]},

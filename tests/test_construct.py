@@ -454,15 +454,27 @@ def test_sampled_runs_list_no_members(monkeypatch):
     assert tr.iteration_count > 0
 
 
-@pytest.mark.parametrize("kind", ["mc", "smc"])
+@pytest.mark.parametrize("kind", ["mc", "smc", "basic"])
 def test_sampled_refuses_mc_and_smc_before_drawing(kind):
-    pop, cls, _ = random_instance(np.random.default_rng(9), 6, 2, 2)
-    fam = make_family(kind, hypotheses=cls, grid=make_grid_with_denominator(pop.space, 2))
+    """Also a basic family on a grid too large to materialize (869,648,208
+    points), whose members cannot be listed either."""
+    outcomes, m = (8, 60) if kind == "basic" else (2, 2)
+    pop, cls, _ = random_instance(np.random.default_rng(9), 6, outcomes, 2)
+    fam = make_family(kind, hypotheses=cls, grid=make_grid_with_denominator(pop.space, m))
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
     with pytest.raises(EnumerationLimitError):
         construct_sampled(pop, fam, 0.2, rng=rng)
     assert rng.bit_generator.state == state
+
+
+def test_exact_audit_reads_a_basic_family_on_an_unmaterialized_grid():
+    pop, cls, pred = random_instance(np.random.default_rng(9), 6, 8, 2)
+    fam = make_family("basic", hypotheses=cls, grid=make_grid_with_denominator(pop.space, 60))
+    assert fam.grid.points is None
+    value = audit_oi(pop, pred, fam).value
+    d, adv = best_response(pop, pred, fam)
+    assert value == adv == abs(oi_advantage(pop, pred, d)) > 0
 
 
 def test_sampled_ground_truth_start_immediate():

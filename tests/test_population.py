@@ -132,6 +132,17 @@ def test_complement_closure():
         assert tuple(sorted(h.complement().values.items())) in tables
 
 
+def test_complement_closure_is_checked():
+    """A class that claims closure is refused unless every complement is in
+    it, and unless it is 0/1-valued."""
+    _, cls, _ = random_instance(np.random.default_rng(3), 5, 2, 3)
+    with pytest.raises(DomainError, match="not closed under complement at c0"):
+        HypothesisClass(cls.hypotheses, closed_under_complement=True)
+    _, real, _ = random_instance(np.random.default_rng(3), 5, 2, 3, binary_hypotheses=False)
+    with pytest.raises(DomainError, match="0/1"):
+        HypothesisClass(real.hypotheses, closed_under_complement=True)
+
+
 def test_instance_serialization_round_trip():
     rng = np.random.default_rng(11)
     pop, cls, pred = random_instance(rng, 6, 3, 3)
