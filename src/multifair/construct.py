@@ -30,9 +30,12 @@ explicit family on
     n = ceil( 8 ln(2|A|/beta) / (eps/2)^2 )
 
 fresh draws per call, accepting a member whose empirical advantage
-exceeds 3 eps / 4.  The empirical advantage is the exact advantage on
-the population of the draws (individual i weighs c_i / n, with truth
-n_io / c_i), rounded once, read off one cell table of that population.
+exceeds 3 eps / 4.  The learner is the exact best response (`oi._reduce`)
+on the population of the draws (individual i weighs c_i / n, with truth
+n_io / c_i): it breaks ties as that best response does, refuses an
+explicit family above `oi.EXPLICIT_AUDIT_LIMIT` as the exact audit does,
+and its empirical advantage is the member's exact advantage there,
+rounded once.
 At that sample size a Hoeffding bound puts every member's empirical
 advantage within eps/4 of the truth with probability 1 - beta, which
 makes both weak-learner guarantees hold: a member with true advantage
@@ -58,7 +61,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -74,8 +76,6 @@ from .noregret import LossTable, UpdateRule, mwu_rule, update
 from .oi import (
     Distinguisher,
     DistinguisherFamily,
-    _first_best_member,
-    _oriented,
     _reduce,
     audit_oi,
     make_family,
@@ -237,7 +237,7 @@ def construct_exact(pop: PopulationInstance, family: DistinguisherFamily, epsilo
     transcript = ConstructionTranscript(iteration_bound=bound)
     t = 0
     while True:
-        _, d, adv = _reduce(pop, predictor, family)
+        _, d, adv = _reduce(_prepared(pop, predictor, family.grid), family)
         if transcript.iterations:
             # the fresh best-response value is the post-update audit of the
             # previous iteration
@@ -283,21 +283,24 @@ def _empirical_masses(pop, idx, o_idx) -> tuple:
 def wal_erm(family, cfg: WALConfig, draws, pop, predictor):
     """Empirical-risk-minimization weak agnostic learner.
 
-    Returns the first member of largest |empirical advantage| on the
-    draws, (individual positions, outcome indices) arrays as
-    `population._draw` makes them, oriented to be nonnegative, with that
-    advantage as a float, when it exceeds cfg.threshold, else None.
+    Returns the exact best response (`oi._reduce`) on the empirical
+    population of the draws, (individual positions, outcome indices)
+    arrays as `population._draw` makes them, with its advantage there as
+    a float, when that exceeds cfg.threshold, else None.  So it breaks
+    ties as the exact best response does, and refuses what the exact
+    audit refuses, such as an explicit family above EXPLICIT_AUDIT_LIMIT.
     Satisfies both weak-learner guarantees with probability at least
     1 - beta at the default sample count.
     """
     idx, o_idx = draws
     if not len(idx):
         raise InputError("empty sample list")
+    family.check_enumerable()
     # built directly: the predictor's memo keeps the true population's build
     prep = _Prepared(pop, predictor, family.grid, masses=_empirical_masses(pop, idx, o_idx))
-    d, num, den = _first_best_member(prep, predictor, family)
-    if abs(Fraction(num, den)) > cfg.threshold:
-        return _oriented(d, num / den)
+    _, d, adv = _reduce(prep, family)
+    if adv > cfg.threshold:
+        return d, float(adv)
     return None
 
 

@@ -26,9 +26,10 @@ read the predictor they are given, the exact one for an advantage and the
 raw one for a loss table.  Every reduction and evaluation reads one
 prepared population per (population, predictor, grid), kept on the
 predictor by `audits._prepared`.  The sampled constructor's weak learner
-(`_first_best_member`) takes the same exact advantages on the empirical
-population of its draws, prepared apart from that memo: an empirical
-advantage is an exact advantage, rounded once.
+is the same reduction on the empirical population of its draws, prepared
+apart from that memo: its member is that population's exact best
+response, ties and the explicit-family limit included, and its empirical
+advantage that member's exact advantage, rounded once.
 
 The mc and smc families have astronomically many members (every event E
 is one member) but their audits never enumerate: for a fixed hypothesis
@@ -37,10 +38,11 @@ true mass, so the maximal advantage is exactly the corresponding
 statistical distance.  The literal exhaustive-E maximization is a test
 oracle for small cell counts (`tests/oracles.py`).
 
-`audit_oi` and `best_response` are two views of one reduction: it
-reads the prepared population (and, for the generated families, builds
-the cell table) once per call and returns the audit report together with
-the best-responding member and its advantage, which is the audit value.
+`audit_oi` and `best_response` are two views of one reduction, `_reduce`,
+which the exact constructor and the sampled learner call too: it reads
+one prepared population (and, for the generated families, builds the cell
+table) once per call and returns the audit report together with the
+best-responding member and its advantage, which is the audit value.
 The generated families and the oracle reduce over one signed table, the
 (modeled - true) mass per (hypothesis, level, y, outcome) that
 `audits._Prepared` builds for the statistical-distance audits, for the
@@ -229,8 +231,9 @@ class DistinguisherFamily:
         and a basic family whose grid is not materialized."""
         if self.kind not in ("explicit", "basic", "lowdegree") or (
                 self.kind == "basic" and self.grid.points is None):
-            raise EnumerationLimitError(
-                f"{self.kind} family has {self.member_count()} members; not materializable")
+            # no count in the message: an mc or smc member count can pass
+            # Python's int-to-str digit limit
+            raise EnumerationLimitError(f"{self.kind} family members are not materializable")
 
     def members(self):
         """Materialize the member list; refused for the implicit mc/smc kinds."""
@@ -338,7 +341,7 @@ def _prices(y, values, P):
 
 def audit_oi(pop, predictor, family: DistinguisherFamily, backend="rational") -> AuditReport:
     """max_A |Delta_A| over the family, via closed forms for mc/smc/basic."""
-    return _reduce(pop, predictor, family, backend)[0]
+    return _reduce(_prepared(pop, predictor, family.grid), family, backend)[0]
 
 
 def best_response(pop, predictor, family: DistinguisherFamily, backend="rational"):
@@ -350,26 +353,33 @@ def best_response(pop, predictor, family: DistinguisherFamily, backend="rational
     directly usable as a loss table.  Under the float backend the member
     is the exact one and only its advantage is a float.
     """
-    return _reduce(pop, predictor, family, backend)[1:]
+    return _reduce(_prepared(pop, predictor, family.grid), family, backend)[1:]
 
 
-def _reduce(pop, predictor, family, backend="rational"):
-    """(audit report, best-responding member, its advantage) for one family.
+def _reduce(prep, family, backend="rational"):
+    """(audit report, best-responding member, its advantage) for one family
+    on `prep`, a population prepared with a predictor on the family's grid
+    (none for the lowdegree and explicit kinds): `_prepared(pop, predictor,
+    family.grid)`, or the sampled learner's empirical population.
 
-    One prepared population, and for the event families one cell table,
-    serves the audit and the best response: the audit value is the
-    advantage of the member, which is oriented to be nonnegative.  Ties go
-    to the first hypothesis, member or cell in order.  Every number is
-    made once by `audits._ratio(backend)`, which first refuses an unknown
-    backend.
+    `prep`, and for the event families one cell table, serves the audit
+    and the best response: the audit value is the advantage of the
+    member, which is oriented to be nonnegative.  Ties go to the first
+    hypothesis, member or cell in order.  Every number is made once by
+    `audits._ratio(backend)`, which first refuses an unknown backend.
     """
     ratio = _ratio(backend)
     if family.kind == "explicit":
-        if len(family.explicit_members) > EXPLICIT_AUDIT_LIMIT:
-            raise EnumerationLimitError("explicit family too large to audit")
-        exact = predictor.as_exact()
         members = family.explicit_members
-        advs = [_advantage(_prepared(pop, predictor, d.grid), exact, d) for d in members]
+        if len(members) > EXPLICIT_AUDIT_LIMIT:
+            raise EnumerationLimitError("explicit family too large to audit")
+        # on no grid, an individual's level is its exact prediction
+        levels = map(prep.levels.__getitem__, prep.level_of.tolist())
+        exact, preps = Predictor(dict(zip(prep.ids, levels))), {id(prep.grid): prep}
+        for d in members:
+            if id(d.grid) not in preps:
+                preps[id(d.grid)] = prep.on(d.grid)
+        advs = [_advantage(preps[id(d.grid)], exact, d) for d in members]
         mags = [ratio(abs(a.numerator), a.denominator) for a in advs]
         i = max(range(len(advs)), key=lambda i: abs(advs[i]))
         report = AuditReport("oi-explicit", mags[i], members[i].name,
@@ -377,7 +387,7 @@ def _reduce(pop, predictor, family, backend="rational"):
         return report, *_best(members[i], advs[i].numerator, advs[i].denominator, ratio)
 
     if family.kind == "lowdegree":
-        mags, scale, d, best = _lowdegree_advantages(_prepared(pop, predictor), family)
+        mags, scale, d, best = _lowdegree_advantages(prep, family)
         breakdown = {h.name: ratio(x, scale) for h, x in zip(family.hypotheses,
                                                              mags.max(axis=1))}
         h, o, mono = d.monomial
@@ -388,7 +398,6 @@ def _reduce(pop, predictor, family, backend="rational"):
     if family.kind not in ("mc", "smc", "basic"):
         raise ConstructionError(f"unknown family kind {family.kind!r}")
     cls = family.hypotheses
-    prep = _prepared(pop, predictor, family.grid)
     ys, table = prep.cell_tables(cls, prep.diff)
     # [c, level]: the mass of hypothesis c's best event, its positive cells (a
     # (level, y) block need not sum to 0: a float truth enters by its exact value)
@@ -420,7 +429,7 @@ def _reduce(pop, predictor, family, backend="rational"):
     # basic: binary instances always tie (y, "0", l) against (y, "1", l); taking the
     # first best cell that a nonzero (individual, outcome) reaches, in population
     # and label order, keeps the witness and the constructor transcripts stable
-    ell = pop.space.size
+    ell = prep.pop.space.size
     cells = cls._y_index(prep.ids)[c][:, None] * ell + np.arange(ell)  # [pos, o]: its cell
     reached = (prep.diff != 0) & (np.abs(table[c])[prep.level_of[:, None], cells] == score[c])
     hits = np.flatnonzero(reached)
@@ -428,7 +437,7 @@ def _reduce(pop, predictor, family, backend="rational"):
         v, i = int(prep.level_of[hits[0] // ell]), int(cells.flat[hits[0]])
     else:
         v, i = 0, 0  # no contribution is nonzero: the first cell of the first level
-    y, o = ys[i // ell], pop.space.labels[i % ell]
+    y, o = ys[i // ell], prep.pop.space.labels[i % ell]
     d = _basic_member(h, y, o, prep.points[v], family.grid)
     return report, *_best(d, int(table[c, v, i]), prep.D, ratio)
 
@@ -464,37 +473,3 @@ def _lowdegree_advantages(prep, family):
     o, m = divmod(k, len(monos))
     d = monomial_distinguisher(cls.hypotheses[c], prep.pop.space.labels[o], monos[m])
     return mags, prep.D * Q, d, advs[c, k]
-
-
-def _first_best_member(prep, predictor, family):
-    """(member, num, den): the first member of `family`, in the order of
-    `members()`, of largest |advantage| on `prep`, and that advantage as
-    num / den.  `prep` is prepared with `predictor` on the family's grid
-    (no grid for lowdegree and explicit families).  Only that member is
-    built: a basic member's advantage is one cell of the table (a grid
-    point with no level scores 0), a lowdegree member's one entry of
-    `_lowdegree_advantages`; explicit members are scored one by one."""
-    family.check_enumerable()
-    if family.kind == "lowdegree":
-        _, scale, d, best = _lowdegree_advantages(prep, family)
-        return d, int(best), scale
-    if family.kind == "explicit":
-        exact, preps = predictor.as_exact(), {id(prep.grid): prep}
-        for d in family.explicit_members:
-            if id(d.grid) not in preps:
-                preps[id(d.grid)] = prep.on(d.grid)
-        advs = [_advantage(preps[id(d.grid)], exact, d) for d in family.explicit_members]
-        i = max(range(len(advs)), key=lambda i: abs(advs[i]))
-        return family.explicit_members[i], advs[i].numerator, advs[i].denominator
-    cls, labels = family.hypotheses, prep.pop.space.labels
-    ys, table = prep.cell_tables(cls, prep.diff)
-    points = list(family.grid.iter_points())
-    level_of = {point: v for v, point in enumerate(prep.points)}
-    cols = [level_of.get(tuple(g.weights), len(prep.points)) for g in points]
-    # [c, y, o, grid point], with the zero level of points no individual is on
-    table = np.concatenate([table, np.zeros_like(table[:, :1])], axis=1)[:, cols]
-    scores = table.reshape(len(cls), len(points), len(ys), len(labels)).transpose(0, 2, 3, 1)
-    c, y, o, g = np.unravel_index(int(np.abs(scores).argmax()), scores.shape)
-    d = _basic_member(cls.hypotheses[c], ys[y], labels[o], tuple(points[g].weights),
-                      family.grid)
-    return d, int(scores[c, y, o, g]), prep.D

@@ -449,6 +449,11 @@ BAD_INPUTS = [
       "--mode", "sampled", "--seed", "3"], 2)
     for family in ("mc", "smc")
 ] + [
+    # an mc member count past Python's int-to-str digit limit used to make
+    # the refusal message raise ValueError
+    (["construct", "{tp}", "--family", "mc", "--epsilon", "0.2", "--grid-m", "4000",
+      "--mode", "sampled", "--seed", "3"], 2),
+] + [
     (["audit", "{tp}", "--kind", "oi", "--epsilon", "1e400"], 2),
     # a value seen once as valid JSON and again under a JSON type that is
     # equal in Python (true == 1) or unhashable must not be read from the

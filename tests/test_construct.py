@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter
 from fractions import Fraction as F
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from multifair import (
+    Hypothesis,
     HypothesisClass,
     OutcomeDist,
     PopulationInstance,
@@ -36,7 +38,7 @@ import multifair.construct as construct_module
 from multifair.audits import _Prepared, _prepared
 from multifair.construct import loss_from_distinguisher
 from multifair.errors import DomainError, EnumerationLimitError, InputError
-from multifair.oi import Distinguisher, DistinguisherFamily, negate
+from multifair.oi import Distinguisher, DistinguisherFamily, _oriented, negate
 from multifair.population import _draw
 import oracles
 from oracles import empirical_advantages
@@ -344,13 +346,16 @@ def _empirical_population(pop, samples):
     return PopulationInstance(pop.space, pop.ids, weight, truth)
 
 
-def _erm_cases():
-    """(pop, family, predictor): basic, lowdegree and explicit families on a
-    binary and a 4-outcome instance, at the uniform start and after two
-    MWU steps.  The explicit family holds a callable that reads the
-    predictor, then the basic members."""
-    for ell, seed in ((2, 5), (4, 123)):
-        pop, cls, _ = random_instance(np.random.default_rng(seed), 8, ell, 3)
+def _erm_cases(instances=None):
+    """(pop, family, predictor): basic, lowdegree and explicit families on
+    each (pop, cls) of `instances`, by default a binary and a 4-outcome
+    random instance of 8 individuals and 3 hypotheses, at the uniform start
+    and after two MWU steps.  The explicit family holds a callable that
+    reads the predictor, then the basic members."""
+    if instances is None:
+        instances = [random_instance(np.random.default_rng(seed), 8, ell, 3)[:2]
+                     for ell, seed in ((2, 5), (4, 123))]
+    for pop, cls in instances:
         basic = make_family("basic", hypotheses=cls,
                             grid=make_grid_with_denominator(pop.space, 2))
         own = Distinguisher("own-weight", lambda j, o, p: p.values[j].weight(o))
@@ -394,15 +399,15 @@ def test_empirical_masses_equal_the_fraction_population():
 
 
 def test_wal_erm_is_the_first_maximizer_of_the_float_loop():
-    """On seeded draws, the learner returns the first member of largest
-    exact |advantage| on the empirical population, with its orientation,
-    or None when that is at most the threshold.  That member is the per-member
-    float loop's (`oracles.empirical_advantages`) first maximizer up to its
-    rounding: the first member within 1e-15 of the loop's largest
-    |advantage|.  (On binary instances (y, "0", level) and (y, "1", level)
-    tie exactly, and the loop's last bits may order them either way.)  The
-    learner's advantage is the exact one rounded once, within 1e-15 of the
-    loop's."""
+    """On seeded draws, the learner returns the exact best response on the
+    empirical population, with its orientation, or None when its advantage
+    is at most the threshold.  The first member of largest exact
+    |advantage| there is the per-member float loop's
+    (`oracles.empirical_advantages`) first maximizer up to its rounding: the
+    first member within 1e-15 of the loop's largest |advantage|.  (On
+    binary instances (y, "0", level) and (y, "1", level) tie exactly, and
+    the loop's last bits may order them either way.)  The learner's
+    advantage is the exact one rounded once, within 1e-15 of the loop's."""
     outcomes, loop_ties = Counter(), 0
     for pop, fam, pred in _erm_cases():
         members = fam.members()
@@ -421,7 +426,8 @@ def test_wal_erm_is_the_first_maximizer_of_the_float_loop():
             if abs(exact[first]) <= cfg.threshold:
                 assert found is None
                 continue
-            want, want_adv = construct_module._oriented(members[first], advs[first])
+            _, want_adv = _oriented(members[first], advs[first])
+            want, _ = best_response(emp, pred, fam)
             d, adv = found
             assert (d.name, d.negated) == (want.name, want.negated)
             assert type(adv) is float
@@ -430,6 +436,51 @@ def test_wal_erm_is_the_first_maximizer_of_the_float_loop():
     assert set(outcomes) == {(kind, none) for kind in ("basic", "lowdegree", "explicit")
                              for none in (True, False)}
     assert loop_ties > 0  # the cases reach a tie the loop orders by its last bits
+
+
+def _first_one_instances():
+    """A binary and a 4-outcome random population of 4 individuals, with one
+    hypothesis that is 1 on the first individual only.  Population order
+    reaches a y = 1 cell first, where `members()` lists the y = 0 cells
+    first, so the two orders break a tie between them apart."""
+    for ell in (2, 4):
+        pop, _, _ = random_instance(np.random.default_rng([ell, 73]), 4, ell, 1)
+        first = Hypothesis("first", (0, 1), {j: int(j == pop.ids[0]) for j in pop.ids})
+        yield pop, HypothesisClass([first])
+
+
+def test_wal_erm_is_the_empirical_best_response():
+    """With a tiny threshold, the learner returns the exact best response
+    (`best_response`) on the empirical population of its draws, member and
+    orientation, with that member's advantage as a float, over small draws
+    of basic, lowdegree and explicit families on binary and 4-outcome
+    instances, at the uniform start and after MWU steps.  That is not
+    always the first member of largest |advantage| in `members()` order:
+    ties at the largest |advantage| go the way the exact best response
+    breaks them."""
+    cfg = WALConfig(epsilon=1e-12, beta=0.1, n_samples=1, threshold=0.75e-12)
+    kinds, other_first = Counter(), 0
+    for pop, fam, pred in itertools.chain(_erm_cases(), _erm_cases(_first_one_instances())):
+        members = fam.members()
+        for n, seed in itertools.product((5, 20, 100), range(3)):
+            idx, o_idx = _draw(pop, np.random.default_rng([seed, 71]), n)
+            emp = oracles.empirical_population_fraction(pop, idx, o_idx)
+            want, want_adv = best_response(emp, pred, fam)
+            found = wal_erm(fam, cfg, (idx, o_idx), pop, pred)
+            kinds[fam.kind, pop.space.size] += 1
+            if want_adv == 0:
+                assert found is None
+                continue
+            d, adv = found
+            assert (d.name, d.negated) == (want.name, want.negated)
+            assert type(adv) is float and adv == float(want_adv)
+            exact = [oi_advantage(emp, pred, e) for e in members]
+            first = max(range(len(members)), key=lambda i: abs(exact[i]))
+            first_d, _ = _oriented(members[first], exact[first])
+            other_first += (first_d.name, first_d.negated) != (want.name, want.negated)
+    assert set(kinds) == {(kind, ell) for kind in ("basic", "lowdegree", "explicit")
+                          for ell in (2, 4)}
+    assert other_first > 0
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +517,15 @@ def test_sampled_refuses_mc_and_smc_before_drawing(kind):
     with pytest.raises(EnumerationLimitError):
         construct_sampled(pop, fam, 0.2, rng=rng)
     assert rng.bit_generator.state == state
+
+
+def test_sampled_refuses_an_mc_family_whose_count_has_too_many_digits():
+    """On 4,001 binary grid points the mc member count 2^16004 has more
+    digits than Python turns into a string; the refusal must not try to."""
+    pop, cls, _ = fixture_two_point()
+    fam = make_family("mc", hypotheses=cls, grid=make_grid_with_denominator(pop.space, 4000))
+    with pytest.raises(EnumerationLimitError):
+        construct_sampled(pop, fam, 0.2, rng=np.random.default_rng(3))
 
 
 def test_exact_audit_reads_a_basic_family_on_an_unmaterialized_grid():

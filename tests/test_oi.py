@@ -555,7 +555,8 @@ def test_event_members_built_from_rows_equal_literal_builds(kind):
     # member's advantage.
     for pop, cls, m, p, moved in _event_member_cases():
         grid = make_grid_with_denominator(pop.space, m)
-        report, d, adv = _reduce(pop, p, make_family(kind, hypotheses=cls, grid=grid))
+        fam = make_family(kind, hypotheses=cls, grid=grid)
+        report, d, adv = _reduce(_prepared(pop, p, fam.grid), fam)
         want = _literal_event_member(kind, _prepared(pop, p, grid), cls, grid)
         assert d.events == want.events
         assert d.name == want.name and repr(d.payload) == repr(want.payload)
@@ -568,7 +569,7 @@ def test_basic_audit_is_the_largest_member_advantage_on_float_truths():
     # float truth rows and float weights enter by their exact binary values
     for pop, cls, m, p in float_truth_instances():
         fam = make_family("basic", hypotheses=cls, grid=make_grid_with_denominator(pop.space, m))
-        report, _, adv = _reduce(pop, p, fam)
+        report, _, adv = _reduce(_prepared(pop, p, fam.grid), fam)
         assert report.value == adv == max(abs(oi_advantage(pop, p, e)) for e in fam.members())
 
 
@@ -590,7 +591,8 @@ def test_basic_witness_is_the_first_reached_cell():
     # and label order picks the same (level, cell) of the best hypothesis
     for pop, cls, m, p in _binary_witness_cases():
         grid = make_grid_with_denominator(pop.space, m)
-        report, d, _ = _reduce(pop, p, make_family("basic", hypotheses=cls, grid=grid))
+        fam = make_family("basic", hypotheses=cls, grid=grid)
+        report, d, _ = _reduce(_prepared(pop, p, fam.grid), fam)
         prep = _prepared(pop, p, grid)
         ys, table = prep.cell_tables(cls, prep.diff)
         c = [h.name for h in cls].index(report.witness)
@@ -614,7 +616,7 @@ def test_lowdegree_float_value_is_the_advantage_of_its_member(seed, n, degree, s
     if step:
         pred = _stepped(pop, pred, 0.3)
     fam = make_family("lowdegree", hypotheses=cls, degree=degree, outcome_space=pop.space)
-    report, d, adv = _reduce(pop, pred, fam)
+    report, d, adv = _reduce(_prepared(pop, pred, fam.grid), fam)
     w = report.witness
     h = next(h for h in cls if h.name == w["hypothesis"])
     member = monomial_distinguisher(h, w["outcome"], w["monomial_indices"])

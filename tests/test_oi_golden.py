@@ -42,6 +42,7 @@ from multifair import (
     random_instance,
     update,
 )
+from multifair.audits import _prepared
 from multifair.oi import Distinguisher, _reduce
 from oracles import _to_float, audit_oi_mc_bruteforce
 
@@ -122,7 +123,7 @@ def _records(kind, backend, instances=_instances):
     for pop, cls, m, pred in instances():
         fam = _family(kind, pop, cls, m)
         if backend == "rational":
-            report, d, adv = _reduce(pop, pred, fam)
+            report, d, adv = _reduce(_prepared(pop, pred, fam.grid), fam)
         else:
             report = audit_oi(pop, pred, fam, backend)
             d, adv = best_response(pop, pred, fam, backend)
