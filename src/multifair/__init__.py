@@ -59,7 +59,6 @@ from .noregret import (
 )
 from .construct import (
     ConstructionTranscript,
-    WALConfig,
     construct_exact,
     construct_low_degree,
     construct_sampled,

@@ -289,9 +289,12 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--family", default="mc", choices=["basic", "mc", "smc", "lowdegree"])
     c.add_argument("--epsilon", required=True)
     c.add_argument("--rule", default="mwu", choices=["pgd", "mwu"])
-    c.add_argument("--mode", default="exact", choices=["exact", "sampled"])
+    c.add_argument("--mode", default="exact", choices=["exact", "sampled"],
+                   help="sampled mode takes the basic and lowdegree families; "
+                        "mc and smc exit 2")
     c.add_argument("--seed", type=int)
-    c.add_argument("--beta", type=float, default=0.05)
+    c.add_argument("--beta", type=float, default=0.05,
+                   help="failure probability in (0, 1); sampled mode only")
     c.add_argument("--grid-m", type=int)
     c.add_argument("--degree", type=int)
     c.add_argument("--output")

@@ -1,18 +1,22 @@
 """Predictor construction via no-regret updates.
 
-The full-information loop repeatedly asks for an exact best-response
-distinguisher; while one has advantage above eps it converts that
-distinguisher into a loss table L_j(o) = A(j, o, p) and applies the
-update rule to every individual's prediction.  The regret bound of the
-rule caps the number of iterations at 2 (L/eps)^2 E[D(p*_i, p_i^(1))]:
-with multiplicative weights from the uniform start this is
-2 ln(outcomes) / eps^2, with projected gradient descent 2*outcomes/eps^2.
-The final audit is the value of the last best response, which attains
-the audit.  An event member's loss table is read off the prepared
-population its best response was scored on, which `audits._prepared`
-keeps on the predictor: its values depend only on the grid-rounded levels
-of the exact predictions.  Monomial and explicit members read the raw
-predictor, so their loss tables take no prepared population at all.
+Every constructor runs one loop, `_run`, with a learner: while the learner
+returns a member whose advantage clears its threshold, the loop turns it
+into a loss table L_j(o) = A(j, o, p), applies the update rule to every
+individual's prediction and records it; a cap on the iterations ends runs
+the analysis rules out.  Both learners are the exact best response
+(`oi._reduce`), on the true population or on the population of the draws.
+
+The exact learner accepts above eps.  The regret bound of the rule caps
+the number of iterations at 2 (L/eps)^2 E[D(p*_i, p_i^(1))]: with
+multiplicative weights from the uniform start this is 2 ln(outcomes) /
+eps^2, with projected gradient descent 2*outcomes/eps^2.  The final audit
+is the value of the last best response, which attains the audit.  An
+event member's loss table is read off the prepared population its best
+response was scored on, which `audits._prepared` keeps on the predictor:
+its values depend only on the grid-rounded levels of the exact
+predictions.  Monomial and explicit members read the raw predictor, so
+their loss tables take no prepared population at all.
 
 An iterate costs per distinct (prediction, loss row), not per individual:
 an event member shares one row per (level, hypothesis value), the loss
@@ -23,24 +27,17 @@ keep getting equal rows keep sharing one object, which the next prepared
 population exactifies and rounds once.  The regret bound's divergence is
 one term per distinct (truth, prediction) pair of objects.
 
-The sample-based loop replaces the exact search with a weak agnostic
-learner: empirical-advantage maximization over a basic, lowdegree or
-explicit family on
+The sampled learner is a weak agnostic learner: empirical-advantage
+maximization over a basic, lowdegree or explicit family on
 
     n = ceil( 8 ln(2|A|/beta) / (eps/2)^2 )
 
 fresh draws per call, accepting a member whose empirical advantage
-exceeds 3 eps / 4.  The learner is the exact best response (`oi._reduce`)
-on the population of the draws (individual i weighs c_i / n, with truth
-n_io / c_i): it breaks ties as that best response does, refuses an
-explicit family above `oi.EXPLICIT_AUDIT_LIMIT` as the exact audit does,
-and its empirical advantage is the member's exact advantage there,
-rounded once.
-At that sample size a Hoeffding bound puts every member's empirical
-advantage within eps/4 of the truth with probability 1 - beta, which
-makes both weak-learner guarantees hold: a member with true advantage
-above eps is found, and an accepted member has true advantage above
-eps/2.  Accepted updates of advantage eps/2 drive the
+exceeds 3 eps / 4.  At that sample size a Hoeffding bound puts every
+member's empirical advantage within eps/4 of the truth with probability
+1 - beta, which makes both weak-learner guarantees hold: a member with
+true advantage above eps is found, and an accepted member has true
+advantage above eps/2.  Accepted updates of advantage eps/2 drive the
 multiplicative-weights potential down fast enough that iterations stay
 below ceil(8 ln(outcomes) / eps^2); a hard cap at the quarter-advantage
 bound aborts runs whose learner misbehaved (probability <= the failure
@@ -118,36 +115,6 @@ class ConstructionTranscript:
         return len(self.iterations)
 
 
-@dataclass(frozen=True)
-class WALConfig:
-    """Weak-agnostic-learner parameters.
-
-    threshold tau defaults to 3 eps / 4, squarely between the eps/2 the
-    contract must certify and the eps it must detect; n_samples defaults
-    to the Hoeffding count ceil(8 ln(2|A|/beta) / (eps/2)^2) for advantage
-    estimators with range 2.
-    """
-
-    epsilon: float
-    beta: float
-    n_samples: int
-    threshold: float
-
-    def __post_init__(self):
-        if not (0 < self.beta < 1):
-            raise DomainError("failure probability must lie in (0, 1)")
-        if not (self.epsilon / 2 < self.threshold < self.epsilon):
-            raise DomainError("threshold must lie strictly between eps/2 and eps")
-        if self.n_samples < 1:
-            raise DomainError("need at least one sample per call")
-
-    @classmethod
-    def for_family(cls, epsilon, beta, member_count, n_samples=None) -> "WALConfig":
-        eps = float(epsilon)
-        n = n_samples if n_samples is not None else wal_sample_count(eps, beta, member_count)
-        return cls(epsilon=eps, beta=float(beta), n_samples=int(n), threshold=3 * eps / 4)
-
-
 def wal_sample_count(epsilon, beta, member_count) -> int:
     return math.ceil(8 * math.log(2 * member_count / beta) / (float(epsilon) / 2) ** 2)
 
@@ -213,6 +180,31 @@ def iteration_bound_exact(pop, predictor, rule, epsilon) -> float:
     return 2 * (L / float(epsilon)) ** 2 * _initial_divergence(pop, predictor, rule)
 
 
+def _run(pop, rule, predictor, transcript, learn, n_samples, cap, error):
+    """The no-regret loop of every constructor: returns the last iterate and
+    advantage.  `learn(predictor)` gives (member or None, advantage) on
+    n_samples draws (0 for exact); each advantage is the post-update audit
+    of the record before.  Up to `cap` members update every prediction and
+    are recorded; one more raises `error`.  Records the final predictor."""
+    while True:
+        transcript.final_predictor = predictor
+        d, adv = learn(predictor)
+        transcript.sample_count += n_samples
+        if transcript.iterations:
+            transcript.iterations[-1].post_update_audit = adv
+        if d is None:
+            return predictor, adv
+        if transcript.iteration_count >= cap:
+            transcript.succeeded = False
+            raise error
+        # an event member reads the prepared population it was scored on
+        predictor = _apply_update(pop, predictor, rule,
+                                  loss_from_distinguisher(d, pop, predictor))
+        transcript.iterations.append(IterationRecord(
+            index=transcript.iteration_count + 1, witness=dict(d.payload),
+            advantage=adv, samples_drawn=n_samples))
+
+
 def construct_exact(pop: PopulationInstance, family: DistinguisherFamily, epsilon,
                     rule: UpdateRule | None = None,
                     initial: Predictor | None = None):
@@ -222,9 +214,9 @@ def construct_exact(pop: PopulationInstance, family: DistinguisherFamily, epsilo
     eps, in under 2 (L/eps)^2 E[D(p*, initial)] iterations.  Exceeding that
     bound raises InternalInvariantError, which the regret analysis rules out.
     """
+    if not 0 < epsilon < math.inf:  # NaN is not
+        raise DomainError("epsilon must be positive and finite")
     eps = exactify(epsilon)
-    if eps <= 0:
-        raise DomainError("epsilon must be positive")
     if rule is None:
         rule = mwu_rule(pop.space, step_size=float(eps) / 1.0)
     predictor = initial if initial is not None else Predictor(
@@ -235,26 +227,15 @@ def construct_exact(pop: PopulationInstance, family: DistinguisherFamily, epsilo
                 raise DomainError("mwu construction needs strictly positive predictions")
     bound = iteration_bound_exact(pop, predictor, rule, eps)
     transcript = ConstructionTranscript(iteration_bound=bound)
-    t = 0
-    while True:
+
+    def learn(predictor):
         _, d, adv = _reduce(_prepared(pop, predictor, family.grid), family)
-        if transcript.iterations:
-            # the fresh best-response value is the post-update audit of the
-            # previous iteration
-            transcript.iterations[-1].post_update_audit = adv
-        if adv <= eps:
-            break
-        t += 1
-        if t > math.ceil(bound) + 1:
-            raise InternalInvariantError(
-                f"construction exceeded its regret bound ({bound:.2f} iterations)")
-        # an event member reads the prepared population it was scored on
-        predictor = _apply_update(pop, predictor, rule,
-                                  loss_from_distinguisher(d, pop, predictor))
-        transcript.iterations.append(
-            IterationRecord(index=t, witness=dict(d.payload), advantage=adv))
-    transcript.final_predictor = predictor
-    transcript.final_audit = adv
+        return (d if adv > eps else None), adv
+
+    error = InternalInvariantError(
+        f"construction exceeded its regret bound ({bound:.2f} iterations)")
+    predictor, transcript.final_audit = _run(
+        pop, rule, predictor, transcript, learn, 0, math.ceil(bound) + 1, error)
     return predictor, transcript
 
 
@@ -280,17 +261,17 @@ def _empirical_masses(pop, idx, o_idx) -> tuple:
     return weights, weights, _int_array(pairs // h, n // h), n // h
 
 
-def wal_erm(family, cfg: WALConfig, draws, pop, predictor):
+def wal_erm(family, threshold, draws, pop, predictor):
     """Empirical-risk-minimization weak agnostic learner.
 
     Returns the exact best response (`oi._reduce`) on the empirical
     population of the draws, (individual positions, outcome indices)
     arrays as `population._draw` makes them, with its advantage there as
-    a float, when that exceeds cfg.threshold, else None.  So it breaks
+    a float, when that exceeds the threshold, else None.  So it breaks
     ties as the exact best response does, and refuses what the exact
     audit refuses, such as an explicit family above EXPLICIT_AUDIT_LIMIT.
-    Satisfies both weak-learner guarantees with probability at least
-    1 - beta at the default sample count.
+    At threshold 3 eps / 4 and `wal_sample_count` draws, it satisfies
+    both weak-learner guarantees with probability at least 1 - beta.
     """
     idx, o_idx = draws
     if not len(idx):
@@ -299,9 +280,19 @@ def wal_erm(family, cfg: WALConfig, draws, pop, predictor):
     # built directly: the predictor's memo keeps the true population's build
     prep = _Prepared(pop, predictor, family.grid, masses=_empirical_masses(pop, idx, o_idx))
     _, d, adv = _reduce(prep, family)
-    if adv > cfg.threshold:
+    if adv > threshold:
         return d, float(adv)
     return None
+
+
+def _sampled_epsilon(epsilon, beta) -> float:
+    """The float eps of a sampled run, once it and beta are in range."""
+    eps = float(epsilon)
+    if not 0 < eps < math.inf:  # NaN is not
+        raise DomainError("epsilon must be positive and finite")
+    if not 0 < beta < 1:
+        raise DomainError("failure probability must lie in (0, 1)")
+    return eps
 
 
 def construct_sampled(pop, family, epsilon, rule=None, beta=0.05,
@@ -315,47 +306,26 @@ def construct_sampled(pop, family, epsilon, rule=None, beta=0.05,
     cap raises SampledRunFailureError carrying the transcript (this is
     the probability-beta failure path made explicit).
     """
-    eps = float(epsilon)
+    eps = _sampled_epsilon(epsilon, beta)
     if rng is None:
         rng = np.random.default_rng(seed)
     if rule is None:
         rule = mwu_rule(pop.space, step_size=eps / 2)
     family.check_enumerable()
-    count = 2 * family.member_count()  # ERM searches members and their negations
-    cfg = WALConfig.for_family(eps, beta, count, n_samples=n_samples)
-    predictor = Predictor({j: rule.initial for j in pop.ids})
-    ell = pop.space.size
-    if rule.kind == "mwu":
-        soft_cap = math.ceil(8 * math.log(ell) / eps ** 2)
-        hard_cap = math.ceil(32 * math.log(ell) / eps ** 2)
-    else:
-        soft_cap = math.ceil(8 * ell / eps ** 2)
-        hard_cap = math.ceil(32 * ell / eps ** 2)
+    if n_samples is None:
+        # ERM searches members and their negations
+        n_samples = wal_sample_count(eps, beta, 2 * family.member_count())
+    scale = math.log(pop.space.size) if rule.kind == "mwu" else pop.space.size
+    soft_cap, hard_cap = (math.ceil(k * scale / eps ** 2) for k in (8, 32))
     transcript = ConstructionTranscript(seed=seed, iteration_bound=soft_cap)
-    t = 0
-    while True:
-        draws = _draw(pop, rng, cfg.n_samples)
-        transcript.sample_count += cfg.n_samples
-        found = wal_erm(family, cfg, draws, pop, predictor)
-        if transcript.iterations:
-            transcript.iterations[-1].post_update_audit = \
-                found[1] if found is not None else 0.0
-        if found is None:
-            transcript.succeeded = True
-            break
-        d, emp_adv = found
-        t += 1
-        if t > hard_cap:
-            transcript.succeeded = False
-            transcript.final_predictor = predictor
-            raise SampledRunFailureError(
-                f"exceeded the iteration cap {hard_cap}", transcript)
-        predictor = _apply_update(pop, predictor, rule,
-                                  loss_from_distinguisher(d, pop, predictor))
-        transcript.iterations.append(IterationRecord(
-            index=t, witness=dict(d.payload), advantage=emp_adv,
-            samples_drawn=cfg.n_samples))
-    transcript.final_predictor = predictor
+
+    def learn(predictor):
+        return wal_erm(family, 3 * eps / 4, _draw(pop, rng, n_samples), pop,
+                       predictor) or (None, 0.0)
+
+    error = SampledRunFailureError(f"exceeded the iteration cap {hard_cap}", transcript)
+    predictor, _ = _run(pop, rule, Predictor({j: rule.initial for j in pop.ids}), transcript,
+                        learn, n_samples, hard_cap, error)
     transcript.final_audit = audit_oi(pop, predictor, family, backend="rational").value
     return predictor, transcript
 
@@ -464,7 +434,7 @@ def low_degree_sample_count(epsilon, beta, vc, ell, degree) -> int:
 
 
 def construct_low_degree(pop, cls, degree, epsilon, mode="exact", rng=None,
-                         beta=0.1, vc_bound=None, rule=None):
+                         beta=0.1, rule=None):
     """Constructor against the low-degree family; exact or sampled mode."""
     family = make_family("lowdegree", hypotheses=cls, degree=degree,
                          outcome_space=pop.space)
@@ -472,7 +442,7 @@ def construct_low_degree(pop, cls, degree, epsilon, mode="exact", rng=None,
         return construct_exact(pop, family, epsilon, rule=rule)
     if mode != "sampled":
         raise DomainError(f"unknown mode {mode!r}")
-    vc = vc_bound if vc_bound is not None else vc_dimension(cls)
-    n = low_degree_sample_count(epsilon, beta, vc, pop.space.size, degree)
+    n = low_degree_sample_count(_sampled_epsilon(epsilon, beta), beta, vc_dimension(cls),
+                                pop.space.size, degree)
     return construct_sampled(pop, family, epsilon, rule=rule, beta=beta, rng=rng,
                              n_samples=n)

@@ -449,6 +449,12 @@ BAD_INPUTS = [
       "--mode", "sampled", "--seed", "3"], 2)
     for family in ("mc", "smc")
 ] + [
+    # beta outside (0, 1), or NaN, used to fail in the sample count's
+    # arithmetic before it was checked
+    (["construct", "{tp}", "--family", "basic", "--epsilon", "0.2", "--grid-m", "2",
+      "--mode", "sampled", "--seed", "3", beta], 2)
+    for beta in ("--beta=0", "--beta=-0.5", "--beta=inf", "--beta=nan")
+] + [
     # an mc member count past Python's int-to-str digit limit used to make
     # the refusal message raise ValueError
     (["construct", "{tp}", "--family", "mc", "--epsilon", "0.2", "--grid-m", "4000",

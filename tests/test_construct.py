@@ -13,7 +13,6 @@ from multifair import (
     PopulationInstance,
     Predictor,
     SimplexGrid,
-    WALConfig,
     audit_oi,
     best_response,
     binary_space,
@@ -279,21 +278,11 @@ def test_wal_sample_count_formula():
     assert n == math.ceil(8 * math.log(2 * 50 / 0.1) / 0.01)
 
 
-def test_wal_config_validation():
-    with pytest.raises(DomainError):
-        WALConfig(epsilon=0.2, beta=0.0, n_samples=10, threshold=0.15)
-    with pytest.raises(DomainError):
-        WALConfig(epsilon=0.2, beta=0.1, n_samples=10, threshold=0.25)
-    cfg = WALConfig.for_family(0.2, 0.1, 50)
-    assert cfg.threshold == pytest.approx(0.15)
-
-
 def test_wal_erm_empty_samples():
     pop, cls, pred = fixture_two_point()
     fam = make_family("basic", hypotheses=cls, grid=identity_grid())
-    cfg = WALConfig.for_family(0.2, 0.1, fam.member_count())
     with pytest.raises(InputError):
-        wal_erm(fam, cfg, _draw(pop, np.random.default_rng(0), 0), pop, pred)
+        wal_erm(fam, 3 * 0.2 / 4, _draw(pop, np.random.default_rng(0), 0), pop, pred)
 
 
 def test_wal_erm_finds_planted_advantage():
@@ -309,13 +298,13 @@ def test_wal_erm_finds_planted_advantage():
     fam = make_family("explicit", members=[base])
     true_adv = oi_advantage(pop, pred, base)
     assert true_adv == F(1, 4)
-    cfg = WALConfig.for_family(0.2, 0.1, 2)
+    n, threshold = wal_sample_count(0.2, 0.1, 2), 3 * 0.2 / 4
     hits = 0
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        draws = _draw(pop, rng, cfg.n_samples)
-        found = wal_erm(fam, cfg, draws, pop, pred)
-        if found is not None and abs(found[1]) > cfg.threshold:
+        draws = _draw(pop, rng, n)
+        found = wal_erm(fam, threshold, draws, pop, pred)
+        if found is not None and abs(found[1]) > threshold:
             hits += 1
     assert hits >= 18
 
@@ -324,12 +313,12 @@ def test_wal_erm_mostly_silent_on_ground_truth():
     pop, cls, _ = fixture_two_point()
     gt = pop.ground_truth_predictor()
     fam = make_family("basic", hypotheses=cls, grid=identity_grid())
-    cfg = WALConfig.for_family(0.2, 0.1, 2 * fam.member_count())
+    n = wal_sample_count(0.2, 0.1, 2 * fam.member_count())
     quiet = 0
     for seed in range(20):
         rng = np.random.default_rng(100 + seed)
-        draws = _draw(pop, rng, cfg.n_samples)
-        found = wal_erm(fam, cfg, draws, pop, gt)
+        draws = _draw(pop, rng, n)
+        found = wal_erm(fam, 3 * 0.2 / 4, draws, pop, gt)
         if found is None or abs(oi_advantage(pop, gt, found[0])) <= 0.1:
             quiet += 1
     assert quiet >= 18
@@ -412,9 +401,9 @@ def test_wal_erm_is_the_first_maximizer_of_the_float_loop():
     for pop, fam, pred in _erm_cases():
         members = fam.members()
         for n, seed, eps in ((40, 0, 0.3), (400, 1, 0.1), (3000, 2, 0.05), (3000, 3, 0.6)):
-            cfg = WALConfig(epsilon=eps, beta=0.1, n_samples=n, threshold=3 * eps / 4)
+            threshold = 3 * eps / 4
             samples = sample(pop, np.random.default_rng(seed), n)
-            found = wal_erm(fam, cfg, _draw(pop, np.random.default_rng(seed), n), pop, pred)
+            found = wal_erm(fam, threshold, _draw(pop, np.random.default_rng(seed), n), pop, pred)
             emp = _empirical_population(pop, samples)
             exact = [oi_advantage(emp, pred, d) for d in members]
             first = max(range(len(members)), key=lambda i: abs(exact[i]))
@@ -423,7 +412,7 @@ def test_wal_erm_is_the_first_maximizer_of_the_float_loop():
             assert first == next(i for i, a in enumerate(advs) if abs(a) >= top - 1e-15)
             loop_ties += abs(advs[first]) != top
             outcomes[fam.kind, found is None] += 1
-            if abs(exact[first]) <= cfg.threshold:
+            if abs(exact[first]) <= threshold:
                 assert found is None
                 continue
             _, want_adv = _oriented(members[first], advs[first])
@@ -458,7 +447,6 @@ def test_wal_erm_is_the_empirical_best_response():
     always the first member of largest |advantage| in `members()` order:
     ties at the largest |advantage| go the way the exact best response
     breaks them."""
-    cfg = WALConfig(epsilon=1e-12, beta=0.1, n_samples=1, threshold=0.75e-12)
     kinds, other_first = Counter(), 0
     for pop, fam, pred in itertools.chain(_erm_cases(), _erm_cases(_first_one_instances())):
         members = fam.members()
@@ -466,7 +454,7 @@ def test_wal_erm_is_the_empirical_best_response():
             idx, o_idx = _draw(pop, np.random.default_rng([seed, 71]), n)
             emp = oracles.empirical_population_fraction(pop, idx, o_idx)
             want, want_adv = best_response(emp, pred, fam)
-            found = wal_erm(fam, cfg, (idx, o_idx), pop, pred)
+            found = wal_erm(fam, 0.75e-12, (idx, o_idx), pop, pred)
             kinds[fam.kind, pop.space.size] += 1
             if want_adv == 0:
                 assert found is None
@@ -693,23 +681,95 @@ def test_low_degree_iteration_bound_scales_with_log_ell():
 
 
 def test_sampled_failure_path_carries_transcript(monkeypatch):
+    """A learner that always fires runs the loop to its hard cap
+    ceil(32 ln 2 / eps^2) and one draw past it; the failure carries the
+    transcript up to the last iterate.  The loop passes the learner the
+    threshold 3 eps / 4."""
     import multifair.construct as construct_mod
     from multifair.errors import SampledRunFailureError
 
     pop, cls, pred = fixture_two_point()
     fam = make_family("basic", hypotheses=cls, grid=identity_grid())
     stubborn = fam.members()[0]
+    thresholds, iterates = set(), []
 
-    def always_fires(family, cfg, samples, pop_, predictor):
+    def always_fires(family, threshold, samples, pop_, predictor):
+        thresholds.add(threshold)
         return stubborn, 1.0
 
+    def spy(*args):
+        iterates.append(apply_update(*args))
+        return iterates[-1]
+
+    apply_update = construct_mod._apply_update
     monkeypatch.setattr(construct_mod, "wal_erm", always_fires)
+    monkeypatch.setattr(construct_mod, "_apply_update", spy)
     with pytest.raises(SampledRunFailureError) as exc:
         construct_mod.construct_sampled(pop, fam, 0.5, beta=0.05,
                                         rng=np.random.default_rng(0), seed=0)
     tr = exc.value.transcript
-    assert tr is not None and not tr.succeeded
-    assert tr.iteration_count > 0
+    cap = math.ceil(32 * math.log(2) / 0.5 ** 2)
+    assert tr is not None and tr.succeeded is False
+    assert tr.iteration_count == len(iterates) == cap
+    assert tr.final_predictor is iterates[-1]
+    assert tr.sample_count == (cap + 1) * wal_sample_count(0.5, 0.05, 2 * fam.member_count())
+    assert thresholds == {3 * 0.5 / 4}
+
+
+def test_exact_regret_bound_cap_raises(monkeypatch):
+    """A best response that always clears eps drives ceil(bound) + 1
+    updates; the next one would pass the regret bound and raises
+    InternalInvariantError instead."""
+    from multifair.errors import InternalInvariantError
+
+    pop, cls, _ = random_instance(np.random.default_rng(5), 6, 2, 2)
+    fam = make_family("basic", hypotheses=cls, grid=identity_grid())
+    stubborn, eps = fam.members()[0], F(1, 4)
+    rule = mwu_rule(pop.space, float(eps))
+    start = Predictor({j: rule.initial for j in pop.ids})
+    bound = construct_module.iteration_bound_exact(pop, start, rule, eps)
+    updates = []
+
+    def spy(*args):
+        updates.append(args)
+        return apply_update(*args)
+
+    apply_update = construct_module._apply_update
+    monkeypatch.setattr(construct_module, "_reduce",
+                        lambda prep, family: (None, stubborn, 2 * eps))
+    monkeypatch.setattr(construct_module, "_apply_update", spy)
+    with pytest.raises(InternalInvariantError, match="regret bound"):
+        construct_exact(pop, fam, eps, rule=rule)
+    assert bound > 10
+    assert len(updates) == math.ceil(bound) + 1
+
+
+@pytest.mark.parametrize("mode, epsilon, beta, message", [
+    *((mode, eps, 0.05, "epsilon must be positive and finite")
+      for mode in ("exact", "sampled") for eps in (0, -0.1, float("nan"), float("inf"))),
+    *((mode, 0.2, beta, "failure probability must lie in")
+      for mode in ("sampled", "lowdegree") for beta in (0, 1, -0.5, float("inf"), float("nan"))),
+])
+def test_constructors_refuse_bad_epsilon_and_beta_before_drawing(mode, epsilon, beta, message):
+    """Before any build or draw: 0, negative, NaN and infinite eps used to
+    raise ZeroDivisionError (sampled at 0), the threshold's message
+    (sampled, negative or infinite), a bare ValueError (exact, NaN) or
+    OverflowError (exact, infinite); a beta of 0, negative, infinite or
+    NaN used to fail in the sample count's arithmetic."""
+    pop, cls, _ = fixture_two_point()
+    fam = make_family("basic", hypotheses=cls, grid=identity_grid())
+    rule = mwu_rule(pop.space, 0.1)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(DomainError, match=message):
+        if mode == "exact":
+            construct_exact(pop, fam, epsilon, rule=rule)
+        elif mode == "sampled":
+            construct_sampled(pop, fam, epsilon, rule=rule, beta=beta, rng=rng)
+        else:
+            construct_low_degree(pop, cls, 1, epsilon, mode="sampled", rng=rng, beta=beta,
+                                 rule=rule)
+    assert rng.bit_generator.state == state
 
 
 def test_pgd_accepts_arbitrary_start():
