@@ -66,7 +66,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import OutcomeDist, SimplexGrid, _exact_ratios, exactify
+from .core import OutcomeDist, SimplexGrid, _exact_ratios, _sorted_ratios, exactify
 from .errors import DomainError, InternalInvariantError
 from .population import (
     HypothesisClass,
@@ -137,7 +137,10 @@ class _Prepared:
     prediction value or, with a grid, by grid-rounded value, which is what
     the OI event families condition on.  Each exact value is rounded once,
     on its integer ratios, and levels are told apart by their reduced
-    integer ratios (`level_ratios`), so no Fraction is hashed.  `grid` is
+    integer ratios (`level_ratios`), in the exact lexicographic order of
+    their weights: on a grid by the numerators over the lcm of the level
+    denominators (`core._sorted_ratios`), so no Fraction is hashed or
+    compared, and off one by (float, exact) weight pairs.  `grid` is
     that grid (or None), `points[level]` each level's weight tuple,
     `level_of[pos]` each individual's level (an int array) and
     `level_weight` each level's scaled mass.  Neither part refers to the
@@ -190,20 +193,22 @@ class _Prepared:
         if grid is not None and grid.space != self.pop.space:
             raise DomainError("distribution and grid live on different outcome spaces")
         self.grid = grid
-        # a level is one value, kept as its first occurrence, ordered by
-        # (float, exact) pairs, which is the exact order since rounding to
-        # float is monotone; n / d is the correctly rounded float of n/d
+        # a level is one value, kept as its first occurrence
         if grid is None:
             level_rep = [d.as_exact() for d in self._first.values()]
             rep_keys = list(self._first)
         else:
             level_rep = [grid._round_ratios(key) for key in self._first]
-            rep_keys = [tuple(x.as_integer_ratio() for x in d.weights) for d in level_rep]
+            ratios_of = {}  # per returned point object
+            rep_keys = [ratios_of.get(id(d)) or ratios_of.setdefault(id(d), tuple(
+                x.as_integer_ratio() for x in d.weights)) for d in level_rep]
         levels = {}
         for rk, d in zip(rep_keys, level_rep):
             levels.setdefault(rk, d)
-        self.level_ratios = sorted(levels, key=lambda rk: [(n / d, x) for (n, d), x
-                                                           in zip(rk, levels[rk].weights)])
+        # off a grid, (float, exact) pairs give the exact order (n / d rounds
+        # n/d monotonely): an lcm of exact denominators can have 1000s of digits
+        self.level_ratios = (_sorted_ratios(levels) if grid is not None else sorted(
+            levels, key=lambda rk: [(n / d, x) for (n, d), x in zip(rk, levels[rk].weights)]))
         self.levels = [levels[rk] for rk in self.level_ratios]
         self.points = [tuple(d.weights) for d in self.levels]
         idx = {rk: i for i, rk in enumerate(self.level_ratios)}

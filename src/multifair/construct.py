@@ -374,12 +374,14 @@ def select_distinguisher_randomized(pop, predictor, cls: HypothesisClass, eps_pr
     n_per_round = math.ceil(
         8 * math.log(2 * len(search) * rounds / beta) / (epsp / 2) ** 2)
 
-    cells = [(o, tuple(g.weights)) for o in pop.space.labels for g in grid.iter_points()]
+    points = [tuple(g.weights) for g in grid.iter_points()]
+    cells = [(o, point) for o in pop.space.labels for point in points]
     prep = _prepared(pop, predictor, grid)
     cum_mod = _cumulative([predictor.values[j] for j in pop.ids])
-    cell_index = {c: i for i, c in enumerate(cells)}
-    cell_of = np.array([[cell_index[(o, point)] for o in pop.space.labels]
-                        for point in prep.points])[prep.level_of]
+    # a point's cells by its ratios, as `prep.level_ratios` names levels
+    point_index = {tuple(x.as_integer_ratio() for x in p): k for k, p in enumerate(points)}
+    cell_of = np.array([[o * len(points) + point_index[rk] for o in range(pop.space.size)]
+                        for rk in prep.level_ratios])[prep.level_of]
     values = np.array([[float(h.values[j]) for j in pop.ids] for h in search])
 
     for _ in range(rounds):
@@ -392,7 +394,7 @@ def select_distinguisher_randomized(pop, predictor, cls: HypothesisClass, eps_pr
         corr = values @ np.bincount(idx, weights=y, minlength=len(pop.ids)) / n_per_round
         best = int(corr.argmax())
         if corr[best] > 3 * epsp / 4:
-            event = {(1, o, g) for (o, g), b in zip(cells, member_bits) if b}
+            event = [(1, o, g) for (o, g), b in zip(cells, member_bits) if b]
             return mc_event_distinguisher(search[best], event, grid)
     return None
 

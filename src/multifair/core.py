@@ -25,6 +25,8 @@ rule: a prediction rounds as its exact value.  `_exact_ratios` gives that
 value as integer ratios, without building a Fraction, and
 `SimplexGrid._round_ratios` rounds those ratios by integer floor division;
 `SimplexGrid.round_dist` and `audits._Prepared` both go through the pair.
+Grid points are told apart and ordered by those ratios too
+(`_sorted_ratios`), so no Fraction is hashed or compared to do it.
 """
 
 from __future__ import annotations
@@ -88,6 +90,14 @@ def _exact_ratios(dist: "OutcomeDist") -> tuple:
         g = math.gcd(num, den)
         ratios[i] = (num // g, den // g)
     return tuple(ratios)
+
+
+def _sorted_ratios(keys) -> list:
+    """Tuples of reduced (numerator, denominator) pairs in the exact
+    lexicographic order of their values: over the lcm L of every
+    denominator the numerators are integers, ordered as the values are."""
+    L = math.lcm(*(d for key in keys for _, d in key))
+    return sorted(keys, key=lambda key: [n * (L // d) for n, d in key])
 
 
 def _largest_remainder(ratios, m: int) -> tuple:

@@ -16,11 +16,13 @@ the predictor only at the individual under consideration):
   smc        per-level hypothesis choice plus an event
   lowdegree  c(j) * (monomial of degree < k in p_j) * 1[o = o0]
 
-Members are data, not closures: basic, mc and smc members are events
-over (hypothesis value, outcome, grid point) cells, lowdegree members are
-(hypothesis, outcome, monomial) triples, and only explicit members carry
-a callable.  `Distinguisher.values` evaluates a member on a population:
-an event member reads only the levels of the population that
+Members are data, not closures: basic, mc and smc members are events over
+(hypothesis value, outcome, grid point) cells, each point keyed by its
+integer ratios as `audits._Prepared.level_ratios` names levels, so no
+Fraction is hashed or compared to build or read one; lowdegree members
+are (hypothesis, outcome, monomial) triples, and only explicit members
+carry a callable.  `Distinguisher.values` evaluates a member on a
+population: an event member reads only the levels of the population that
 `audits._Prepared` rounded onto its grid; monomial and explicit members
 read the predictor they are given, the exact one for an advantage and the
 raw one for a loss table.  Every reduction and evaluation reads one
@@ -49,8 +51,10 @@ The generated families and the oracle reduce over one signed table, the
 event families on the levels of the grid-rounded predictor.  The event
 families reduce it in numpy: a level's best event is its positive cells,
 whose sum is its mass, and an mc or smc member takes one event-map entry
-per level with a positive cell.  Every lowdegree advantage is one integer
-product of the table with the member's values per (exact level, y).
+per level with a positive cell, its payload cells sorted on level
+indices, which are in exact point order.  Every lowdegree advantage is
+one integer product of the table with the member's values per (exact
+level, y).
 Explicit members read the prepared per-individual mass differences.
 Every value, breakdown entry and advantage is made once from two integers
 (`audits._ratio`): an exact Fraction, or under the float backend its
@@ -67,7 +71,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import OutcomeDist, OutcomeSpace, SimplexGrid, exactify
+from .core import OutcomeDist, OutcomeSpace, SimplexGrid, _sorted_ratios, exactify
 from .errors import ConstructionError, DomainError, EnumerationLimitError
 from .audits import AuditReport, _prepared, _ratio
 from .population import HypothesisClass, PopulationInstance, Predictor
@@ -79,9 +83,11 @@ EXPLICIT_AUDIT_LIMIT = 10**6
 class Distinguisher:
     """A family member as data; `payload` is what transcripts record.
 
-    event     `events` maps a point of `grid` (weight tuple) to (c, cells):
-              the value at (j, o) is 1[(c(j), o) in cells] for the point
-              nearest p_j, and 0 at points without an entry.
+    event     `events` maps a point of `grid`, as its weights' reduced
+              (numerator, denominator) pairs (a `_Prepared.level_ratios`
+              entry), to (c, cells): the value at (j, o) is
+              1[(c(j), o) in cells] for the point nearest p_j, and 0 at
+              points without an entry.
     monomial  `monomial` is (c, o0, indices): c(j) * prod_i p_j[i] * 1[o = o0].
     explicit  `fn(j, o, predictor)`.
 
@@ -110,7 +116,7 @@ class Distinguisher:
         if self.events is not None:
             if prep is None:
                 prep = _prepared(pop, predictor, self.grid)
-            entries = [self.events.get(point) or (None, ()) for point in prep.points]
+            entries = [self.events.get(rk) or (None, ()) for rk in prep.level_ratios]
             shared = [{} for _ in entries]  # per level: its rows by hypothesis value
             inside, outside = (0, 1) if self.negated else (1, 0)
             rows = []
@@ -143,25 +149,24 @@ def negate(d: Distinguisher) -> Distinguisher:
 
 
 def mc_event_distinguisher(h, event, grid: SimplexGrid, name=None) -> Distinguisher:
-    """1[(c_j, o, rounded p_j) in E] for an event over (y, outcome, grid point)."""
-    events = {}
+    """1[(c_j, o, rounded p_j) in E] for an event over (y, outcome, grid point).
+    Points of equal value, whatever their number types, are one point: the
+    first tuple given."""
+    events, points = {}, {}
     for y, o, w in event:
-        events.setdefault(tuple(w), (h, set()))[1].add((y, o))
-    return _mc_member(h, events, grid, name)
+        rk = tuple(x.as_integer_ratio() for x in w)
+        points.setdefault(rk, tuple(w))
+        events.setdefault(rk, (h, set()))[1].add((y, o))
+    ranked = _sorted_ratios(events)
+    cells = sorted((y, o, v) for v, rk in enumerate(ranked) for y, o in events[rk][1])
+    return _mc_member(h, events, [(y, o, points[ranked[v]]) for y, o, v in cells], grid, name)
 
 
-def _mc_member(h, events, grid, name=None) -> Distinguisher:
-    """The mc member whose `events` read hypothesis h at every point."""
-    size = sum(len(cells) for _, cells in events.values())
-    return _event_distinguisher(name or f"event[{h.name},|E|={size}]", events, grid,
-                                hypothesis=h.name)
-
-
-def _event_distinguisher(name, events, grid, **payload) -> Distinguisher:
-    """An event member whose payload ends with its (y, outcome, point) cells, sorted."""
-    cells = sorted((y, o, point) for point, (_, yo) in events.items() for y, o in yo)
-    return Distinguisher(name, payload={**payload, "event_cells": cells}, grid=grid,
-                         events=events)
+def _mc_member(h, events, cells, grid, name=None) -> Distinguisher:
+    """The mc member whose `events` read hypothesis h at every point, with
+    its sorted (y, outcome, point) cells."""
+    return Distinguisher(name or f"event[{h.name},|E|={len(cells)}]", grid=grid, events=events,
+                         payload={"hypothesis": h.name, "event_cells": cells})
 
 
 def _basic_member(h, y, o, point, grid) -> Distinguisher:
@@ -318,14 +323,17 @@ def _mass(prep, scaled, ratio=Fraction):
 
 
 def _positive_events(prep, ys, hypotheses, rows):
-    """point -> (hypotheses[v], its positive (y, outcome) cells in rows[v]),
-    one entry per level v with a positive cell."""
+    """(events, cells): level ratios -> (hypotheses[v], its positive (y,
+    outcome) cells in rows[v]) per level v with a positive cell, and those
+    cells as (y, outcome, point) sorted on (y, outcome, v), the exact order."""
     ell, labels = prep.pop.space.size, prep.pop.space.labels
-    positive = [set() for _ in prep.points]
+    positive, cells = [set() for _ in prep.points], []
     for v, i in zip(*(a.tolist() for a in np.nonzero(rows > 0))):  # in row-major order
-        positive[v].add((ys[i // ell], labels[i % ell]))
-    return {point: (h, cells) for point, h, cells in zip(prep.points, hypotheses, positive)
-            if cells}
+        y, o = ys[i // ell], labels[i % ell]
+        positive[v].add((y, o))
+        cells.append((y, o, v))
+    events = {rk: (h, yo) for rk, h, yo in zip(prep.level_ratios, hypotheses, positive) if yo}
+    return events, [(y, o, prep.points[v]) for y, o, v in sorted(cells)]
 
 
 def _prices(y, values, P):
@@ -409,9 +417,10 @@ def _reduce(prep, family, backend="rational"):
         per_level_best = {point: (h.name, _mass(prep, s, ratio))
                           for point, h, s in zip(prep.reported(backend)[1], hyps, sums)}
         total = ratio(sum(sums), prep.D)
-        events = _positive_events(prep, ys, hyps, table[choice, np.arange(len(hyps))])
-        d = _event_distinguisher("level-assigned-event", events, family.grid, assignment={
-            str(point): h.name for point, h in zip(prep.points, hyps)})
+        events, cells = _positive_events(prep, ys, hyps, table[choice, np.arange(len(hyps))])
+        assignment = {str(point): h.name for point, h in zip(prep.points, hyps)}
+        d = Distinguisher("level-assigned-event", grid=family.grid, events=events,
+                          payload={"assignment": assignment, "event_cells": cells})
         return AuditReport("oi-smc", total, per_level_best, per_level_best), d, total
 
     if family.kind == "mc":
@@ -424,8 +433,8 @@ def _reduce(prep, family, backend="rational"):
     h = cls.hypotheses[c]
     report = AuditReport(f"oi-{family.kind}", breakdown[h.name], h.name, breakdown)
     if family.kind == "mc":
-        events = _positive_events(prep, ys, [h] * len(prep.levels), table[c])
-        return report, _mc_member(h, events, family.grid), breakdown[h.name]
+        events, cells = _positive_events(prep, ys, [h] * len(prep.levels), table[c])
+        return report, _mc_member(h, events, cells, family.grid), breakdown[h.name]
     # basic: binary instances always tie (y, "0", l) against (y, "1", l); taking the
     # first best cell that a nonzero (individual, outcome) reaches, in population
     # and label order, keeps the witness and the constructor transcripts stable

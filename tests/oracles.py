@@ -459,8 +459,8 @@ def member_rows_per_individual(d, pop, predictor) -> list:
     for j in pop.ids:
         p = predictor.values[j]
         if d.events is not None:
-            point = tuple(d.grid.round_dist(p.as_exact()).weights)
-            h, cells = d.events.get(point, (None, ()))
+            point = d.grid.round_dist(p.as_exact()).weights
+            h, cells = d.events.get(tuple(x.as_integer_ratio() for x in point), (None, ()))
             y = h.values[j] if h is not None else None
             row = [1 if (y, o) in cells else 0 for o in labels]
         elif d.monomial is not None:

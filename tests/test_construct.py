@@ -139,6 +139,27 @@ def test_event_iterates_prepare_the_population_once(kind, monkeypatch):
     assert groupings == [fam.grid] * (tr.iteration_count + 1)
 
 
+def test_exact_mc_construction_hashes_and_compares_no_fraction(monkeypatch):
+    """Levels, event members and their rows are keyed and ordered by
+    integer ratios: an mc construction on a coordinate grid, at the
+    benchmark's shape, never hashes a Fraction or tests two for equality."""
+    pop, cls, _ = random_instance(np.random.default_rng([3, 41]), 10, 8, 3)
+    fam = make_family("mc", hypotheses=cls, grid=make_grid_with_denominator(pop.space, 2))
+    rules = [mwu_rule(pop.space, 1 / 10), pgd_rule(pop.space, 1 / 80)]
+    calls = Counter()
+    for name in ("__hash__", "__eq__"):
+        original = getattr(F, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(F, name, counted)
+    for rule in rules:
+        _, tr = construct_exact(pop, fam, F(1, 10), rule=rule)
+        assert tr.iteration_count > 0
+    assert calls == Counter()
+
+
 @pytest.mark.parametrize("rule_kind", ["mwu", "pgd"])
 @pytest.mark.parametrize("kind", ["basic", "mc", "smc"])
 def test_reused_loss_tables_equal_the_float_prep_tables(kind, rule_kind, monkeypatch):
@@ -234,7 +255,7 @@ def test_event_rows_are_shared_per_level_and_value():
         prep = _prepared(pop, predictor, d.grid)
         blocks = {}
         for j, level, row in zip(pop.ids, prep.level_of.tolist(), rows):
-            h = (d.events.get(prep.points[level]) or (None,))[0]
+            h = (d.events.get(prep.level_ratios[level]) or (None,))[0]
             blocks.setdefault((level, h.values[j] if h else None), set()).add(id(row))
         assert all(len(ids) == 1 for ids in blocks.values())
 

@@ -518,13 +518,13 @@ def _literal_event_member(kind, prep, cls, grid):
                  for cell in positive(row, point)]
         return mc_event_distinguisher(cls.hypotheses[c], cells, grid)
     events, assignment, cells = {}, {}, []
-    for v, point in enumerate(prep.points):
+    for v, (point, rk) in enumerate(zip(prep.points, prep.level_ratios)):
         sums = [positive_sum(t[v]) for t in tables]
         c = sums.index(max(sums))
         assignment[str(point)] = cls.hypotheses[c].name
         level_cells = positive(tables[c][v], point)
         for y, o, _ in level_cells:
-            events.setdefault(point, (cls.hypotheses[c], set()))[1].add((y, o))
+            events.setdefault(rk, (cls.hypotheses[c], set()))[1].add((y, o))
         cells += level_cells
     return Distinguisher("level-assigned-event", grid=grid, events=events,
                          payload={"assignment": assignment, "event_cells": sorted(cells)})

@@ -13,9 +13,11 @@ rounds, and its hypothesis class's cached y-index against the lists
 looked up per hypothesis.  The benchmark's instance shapes are checked
 for the accumulator they take.
 A build regrouped on another grid (`_Prepared.on`) is checked against
-the per-individual build on that grid.  `audits._prepared`, the memo on
-the predictor, is checked against fresh builds, per population and grid
-object, for one mass build per predictor, and for cycles.
+the per-individual build on that grid, and grid levels, sorted on
+integers, against the order of their Fraction weights on materialized,
+implicit and mixed-type `from_points` grids.  `audits._prepared`, the
+memo on the predictor, is checked against fresh builds, per population
+and grid object, for one mass build per predictor, and for cycles.
 """
 
 import gc
@@ -35,6 +37,7 @@ from multifair import (
     HypothesisClass,
     PopulationInstance,
     Predictor,
+    SimplexGrid,
     audit_calibration,
     audit_covariance_mc,
     audit_multi_accuracy,
@@ -47,6 +50,7 @@ from multifair import (
     fixture_grid_population,
     make_family,
     make_grid_with_denominator,
+    mc_event_distinguisher,
     mwu_rule,
     omni_bound_check,
     random_instance,
@@ -58,6 +62,7 @@ from multifair import (
 from multifair import audits
 from multifair.audits import _column_magnitudes, _Prepared, _prepared
 from multifair.errors import InternalInvariantError
+import oracles
 from oracles import (
     cell_tables_loop,
     prepared_fraction_oracle,
@@ -219,6 +224,77 @@ def test_levels_equal_as_floats_are_ordered_by_exact_value():
     assert prep.points == [tuple(low.weights), tuple(high.weights)]
     assert prep.level_of.tolist() == [1, 0]
     assert prep.points == prepared_fraction_oracle(pop, pred)["points"]
+
+
+def _mixed_types(rng, weights) -> tuple:
+    """`weights` with each coordinate drawn as an int, Fraction or float of
+    the same value, where that type holds it exactly."""
+    out = []
+    for w in map(Fraction, weights):
+        kinds = [Fraction] + [float] * (w.denominator & (w.denominator - 1) == 0) \
+            + [int] * (w.denominator == 1)
+        out.append(kinds[rng.integers(len(kinds))](w))
+    return tuple(out)
+
+
+def _level_order_grids(rng, space):
+    """A materialized coordinate grid, one too large to materialize, and a
+    `from_points` grid whose weights mix ints, Fractions and floats; each
+    has points over several reduced denominators."""
+    yield make_grid_with_denominator(space, 12 if space.size < 4 else 6)
+    yield make_grid_with_denominator(space, 64 if space.size > 3 else 840)
+    comps = [rng.multinomial(d, [1 / space.size] * space.size) for d in (2, 3, 4, 6, 8, 8)]
+    points = [OutcomeDist(space, (0,) * (space.size - 1) + (1,))]
+    points += [OutcomeDist(space, _mixed_types(rng, [Fraction(int(c), int(comp.sum()))
+                                                     for c in comp])) for comp in comps]
+    yield SimplexGrid.from_points(points, 1)
+
+
+def test_grid_levels_and_event_cells_are_in_exact_order():
+    """Levels on a grid come out in the exact lexicographic order of their
+    weights, as the integer numerators over the lcm of the denominators
+    order them, and an mc event member given its points as ints,
+    Fractions or floats reads them by value: its rows are the literal
+    ones, and its payload cells are in exact order, each at the first
+    tuple given for its value."""
+    def exact(point):
+        return tuple(map(Fraction, point))
+
+    types = set()
+    for seed, ell in ((0, 3), (1, 3), (2, 8)):
+        rng = np.random.default_rng([seed, 33])
+        pop, cls, pred = random_instance(rng, 16, ell, 2)
+        rule = mwu_rule(pop.space, 0.4)
+        loss = LossTable(pop.space, tuple((k % 3) / 2 for k in range(ell)))
+        grids = list(_level_order_grids(rng, pop.space))
+        assert [g.points is None for g in grids] == [False, True, False]
+        assert {type(w) for q in grids[2].points for w in q.weights} == {int, Fraction, float}
+        for p in (pred, Predictor({j: update(rule, d, loss) for j, d in pred.values.items()})):
+            for grid in grids:
+                prep = _Prepared(pop, p, grid)
+                keys = [exact(d.weights) for d in prep.levels]
+                assert keys == sorted(keys) and len(set(keys)) == len(keys)
+                assert len({w.denominator for key in keys for w in key}) > 2
+                for j, v in zip(pop.ids, prep.level_of.tolist()):
+                    assert keys[v] == exact(grid.round_dist(p.values[j]).weights)
+                h = cls.hypotheses[seed % len(cls)]
+                event = [(y, o, _mixed_types(rng, point)) for point in prep.points
+                         for y in h.range_values for o in pop.space.labels
+                         if rng.random() < 0.4]
+                types |= {type(x) for *_, w in event for x in w}
+                d = mc_event_distinguisher(h, event, grid)
+                rows = d.values(pop, p)
+                want = {(y, o, exact(w)) for y, o, w in event}
+                assert rows == [[int((h.values[j], o, keys[v]) in want) for o in pop.space.labels]
+                                for j, v in zip(pop.ids, prep.level_of.tolist())]
+                assert rows == oracles.member_rows_per_individual(d, pop, p)
+                cells = d.payload["event_cells"]
+                assert [(y, o, exact(w)) for y, o, w in cells] == sorted(want)
+                first = {}
+                for y, o, w in event:
+                    first.setdefault(exact(w), w)
+                assert all(w is first[exact(w)] for _, _, w in cells)
+    assert types == {int, Fraction, float}
 
 
 def _count_fraction_arithmetic(monkeypatch) -> list:
