@@ -54,12 +54,10 @@ def is_exact_number(x) -> bool:
 
 def exactify(x) -> Fraction:
     """Convert to Fraction without rounding: floats map to their exact binary value."""
+    if isinstance(x, (float, int)):  # before Fraction, whose ABC check is slow
+        return Fraction(x)
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x)
     raise DomainError(f"cannot interpret {x!r} as a number")
 
 
@@ -76,7 +74,7 @@ def _exact_ratios(dist: "OutcomeDist") -> tuple:
         return tuple(w.as_integer_ratio() for w in dist.weights)
     ratios = []
     for w in dist.weights:
-        if not isinstance(w, (int, Fraction, float)):
+        if not isinstance(w, (float, int, Fraction)):  # Fraction last: an ABC check
             raise DomainError(f"cannot interpret {w!r} as a number")
         ratios.append(w.as_integer_ratio())
     den = math.lcm(*(d for _, d in ratios))

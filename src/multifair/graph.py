@@ -839,18 +839,19 @@ def pair_id(u: int, v: int) -> str:
 
 def graph_to_instance(g: DiGraph) -> PopulationInstance:
     """The fairness instance of a graph: individuals are vertex pairs drawn
-    uniformly, the outcome is edge membership."""
+    uniformly, the outcome is edge membership.  Every pair shares one of two
+    truth objects, an edge's and a non-edge's."""
     n = g.n
     space = binary_space()
     ids = tuple(pair_id(u, v) for u in range(n) for v in range(n))
     w = Fraction(1, n * n)
     edges = g.edges
+    truth = (OutcomeDist.bernoulli(Fraction(0)), OutcomeDist.bernoulli(Fraction(1)))
     return PopulationInstance(
         space=space,
         ids=ids,
         weight={j: w for j in ids},
-        p_true={pair_id(u, v): OutcomeDist.bernoulli(Fraction(1 if (u, v) in edges else 0))
-                for u in range(n) for v in range(n)},
+        p_true={pair_id(u, v): truth[(u, v) in edges] for u in range(n) for v in range(n)},
     )
 
 

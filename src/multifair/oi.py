@@ -407,8 +407,8 @@ def _reduce(prep, family, backend="rational"):
         raise ConstructionError(f"unknown family kind {family.kind!r}")
     cls = family.hypotheses
     ys, table = prep.cell_tables(cls, prep.diff)
-    # [c, level]: the mass of hypothesis c's best event, its positive cells (a
-    # (level, y) block need not sum to 0: a float truth enters by its exact value)
+    # [c, level]: the mass of hypothesis c's best event, its positive cells (each
+    # (level, y) block sums to 0: a float truth is read as a prediction is read)
     best = np.maximum(table, 0).sum(axis=2)
     if family.kind == "smc":
         choice = best.argmax(axis=0)  # per level, the first hypothesis of largest mass

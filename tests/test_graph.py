@@ -783,6 +783,21 @@ def test_graph_to_instance_masses():
     assert positives == [pair_id(0, 1)]
 
 
+def test_graph_to_instance_shares_two_truth_objects():
+    # every pair holds the edge or the non-edge truth object; the values and
+    # emitted bytes are those of one Bernoulli built per pair
+    from multifair import OutcomeDist, PopulationInstance
+    from multifair.serialize import instance_to_json
+    g = random_digraph(np.random.default_rng(7), 6, 0.5)
+    pop = graph_to_instance(g)
+    assert len({id(d) for d in pop.p_true.values()}) == 2
+    per_pair = PopulationInstance(pop.space, pop.ids, pop.weight, {
+        pair_id(u, v): OutcomeDist.bernoulli(F(int((u, v) in g.edges)))
+        for u in range(6) for v in range(6)})
+    assert pop.p_true == per_pair.p_true
+    assert instance_to_json(pop) == instance_to_json(per_pair)
+
+
 def test_density_predictor_block_values():
     g = two_cliques(2)  # vertices 0,1 and 2,3, cliques without loops
     p = VertexPartition(((0, 1), (2, 3)))

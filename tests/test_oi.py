@@ -550,9 +550,9 @@ def test_event_members_built_from_rows_equal_literal_builds(kind):
     # the reduction groups the positive cells of each table row into its
     # member's events; a literal build from the same table must agree in
     # events, payload and values, also on a population of float predictions
-    # it was not scored on.  On float truths a (level, y) block need not sum
-    # to 0, so the value must be the positive cells' sum, the literal
-    # member's advantage.
+    # it was not scored on.  Each (level, y) block sums to 0, on float truths
+    # too, which are read as a prediction is read; the value must be the
+    # positive cells' sum, the literal member's advantage.
     for pop, cls, m, p, moved in _event_member_cases():
         grid = make_grid_with_denominator(pop.space, m)
         fam = make_family(kind, hypotheses=cls, grid=grid)
