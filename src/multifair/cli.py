@@ -56,11 +56,9 @@ def _load_json(path):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except OSError as e:
-        raise InputError(f"cannot read {path}: {e}") from None
     except json.JSONDecodeError as e:
         raise InputError(f"{path} is not valid JSON: {e}") from None
-    except ValueError as e:  # an integer past Python's int-to-str digit limit
+    except (OSError, ValueError) as e:  # ValueError: an integer past the int-to-str limit
         raise InputError(f"cannot read {path}: {e}") from None
 
 
@@ -70,9 +68,9 @@ def _emit(doc, output):
         print(text)
 
 
-def _load_instance(path, need_hypotheses=True, need_predictor=True):
+def _load_instance(path, need_predictor=True):
     pop, cls, predictor = serialize.instance_from_json(_load_json(path))
-    if need_hypotheses and cls is None:
+    if cls is None:
         raise InputError(f"{path} carries no hypotheses")
     if need_predictor and predictor is None:
         raise InputError(f"{path} carries no predictor")
@@ -90,8 +88,7 @@ def _float_epsilon(epsilon, x: float) -> float:
 def _family_for(args, pop, cls, epsilon):
     kind = args.family
     if kind == "lowdegree":
-        degree = args.degree if args.degree is not None else 1
-        return make_family("lowdegree", hypotheses=cls, degree=degree, outcome_space=pop.space)
+        return make_family("lowdegree", hypotheses=cls, degree=args.degree, outcome_space=pop.space)
     if args.grid_m is not None:
         grid = make_grid_with_denominator(pop.space, args.grid_m)
     else:
@@ -119,17 +116,19 @@ def cmd_audit(args) -> dict:
             raise InputError("--kind omni needs --losses")
         losses = serialize.losses_from_json(pop.space, _load_json(args.losses))
         check = omni_bound_check(pop, predictor, losses, cls, backend)
-        return {**serialize.report_to_json(check.pop("report")),
-                "bound_check": serialize.jsonify(check)}
-    # the last --kind choice, "conditional"
-    if args.epsilon is None:
-        raise InputError("--kind conditional needs --epsilon")
-    ck = (args.conditional_kind or "mc").upper()
-    res = check_conditional(pop, predictor, cls, serialize.parse_number(args.epsilon),
-                            ck, backend)
-    return {"kind": f"conditional-{ck.lower()}", "pass": res.passed,
-            "witness": serialize.jsonify(res.witness),
-            "first_violation": serialize.jsonify(res.first_violation)}
+        report = serialize.report_to_json(check.pop("report"))
+        report["bound_check"] = serialize.jsonify(check)
+        return report
+    if kind == "conditional":
+        if args.epsilon is None:
+            raise InputError("--kind conditional needs --epsilon")
+        ck = (args.conditional_kind or "mc").upper()
+        res = check_conditional(pop, predictor, cls, serialize.parse_number(args.epsilon),
+                                ck, backend)
+        return {"kind": f"conditional-{ck.lower()}", "pass": res.passed,
+                "witness": serialize.jsonify(res.witness),
+                "first_violation": serialize.jsonify(res.first_violation)}
+    raise InputError(f"unknown audit kind {kind!r}")
 
 
 def cmd_construct(args) -> dict:
@@ -137,8 +136,10 @@ def cmd_construct(args) -> dict:
     epsilon = serialize.parse_number(args.epsilon)
     family = _family_for(args, pop, cls, epsilon)
     step = float(epsilon) if args.mode == "exact" else float(epsilon) / 2
-    make_rule, scale = (mwu_rule, 1.0) if args.rule == "mwu" else (pgd_rule, pop.space.size)
-    rule = make_rule(pop.space, step_size=_float_epsilon(epsilon, step / scale))
+    if args.rule == "mwu":
+        rule = mwu_rule(pop.space, step_size=_float_epsilon(epsilon, step / 1.0))
+    else:
+        rule = pgd_rule(pop.space, step_size=_float_epsilon(epsilon, step / pop.space.size))
     if args.mode == "exact":
         predictor, transcript = construct_exact(pop, family, epsilon, rule=rule)
     else:
@@ -148,12 +149,13 @@ def cmd_construct(args) -> dict:
                 pop, family, epsilon, rule=rule, beta=args.beta, rng=rng,
                 seed=args.seed)
         except SampledRunFailureError as e:
-            # retain the failed run's transcript before signalling exit 3; it is
-            # emitted here, since `main` would emit nothing from its error map
+            # retain the failed run's transcript: main's exit-3 path emits nothing
             _emit({"failed": True, "transcript": _transcript_json(e.transcript)}, args.output)
             raise
-    return {"predictor": serialize.predictor_to_json(predictor.as_exact()),
-            "transcript": _transcript_json(transcript)}
+    return {
+        "predictor": serialize.predictor_to_json(predictor.as_exact()),
+        "transcript": _transcript_json(transcript),
+    }
 
 
 def _transcript_json(transcript) -> dict:
@@ -171,9 +173,14 @@ def _partition(args, g):
 
 
 def cmd_graph(args) -> dict:
-    g = serialize.graph_from_json(_load_json(args.graph))
+    raw = _load_json(args.graph)
+    g = serialize.graph_from_json(raw)
     eps = serialize.parse_number(args.epsilon) if args.epsilon else None
     task = args.task
+    checks = {"check-fk": check_frieze_kannan, "check-int": check_intermediate,
+              "check-sz": check_szemeredi}
+    if task not in (*checks, "refine", "correspond"):
+        raise InputError(f"unknown graph task {task!r}")
     if task == "correspond":
         pop = graph_to_instance(g)
         predictor = partition_to_predictor(g, _partition(args, g))
@@ -191,11 +198,11 @@ def cmd_graph(args) -> dict:
         partition, transcript = refine_intermediate(g, eps, oracle_mode=args.oracle, rng=rng)
         return {"partition": serialize.partition_to_json(partition),
                 "transcript": serialize.jsonify(transcript)}
-    check = {"check-fk": check_frieze_kannan, "check-int": check_intermediate,
-             "check-sz": check_szemeredi}[task]
-    rep = check(g, _partition(args, g), eps)
-    return {"kind": rep.kind, "pass": rep.passed, "witness": serialize.jsonify(rep.witness),
-            "slack": serialize.jsonify(rep.slack), "exhaustive": rep.exhaustive}
+    rep = checks[task](g, _partition(args, g), eps)
+    return {"kind": rep.kind, "pass": rep.passed,
+            "witness": serialize.jsonify(rep.witness),
+            "slack": serialize.jsonify(rep.slack),
+            "exhaustive": rep.exhaustive}
 
 
 def cmd_omni(args) -> dict:
@@ -203,7 +210,9 @@ def cmd_omni(args) -> dict:
     losses = serialize.losses_from_json(pop.space, _load_json(args.losses))
     check = omni_bound_check(pop, predictor, losses, cls)
     report = check.pop("report")
-    return {**serialize.jsonify(check), "report": serialize.report_to_json(report)}
+    doc = serialize.jsonify(check)
+    doc["report"] = serialize.report_to_json(report)
+    return doc
 
 
 def cmd_fixture(args) -> dict:
@@ -217,9 +226,11 @@ def cmd_fixture(args) -> dict:
         instance = fixture_two_point()
     elif which == "grid":
         instance = fixture_grid_population(args.m)
-    else:
+    elif which == "random":
         instance = random_instance(np.random.default_rng(args.seed), args.individuals,
                                    n_outcomes=args.outcomes, n_hypotheses=args.hypotheses)
+    else:
+        raise InputError(f"unknown fixture {which!r}")
     return serialize.instance_to_json(*instance)
 
 
@@ -237,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     family = argparse.ArgumentParser(add_help=False)
     family.add_argument("--family", default="mc", choices=["basic", "mc", "smc", "lowdegree"])
     family.add_argument("--grid-m", type=int)
-    family.add_argument("--degree", type=int)
+    family.add_argument("--degree", type=int, default=1)
 
     a = sub.add_parser("audit", parents=[family, output],
                        help="run a fairness audit on an instance file")

@@ -159,14 +159,10 @@ class Predictor:
             raise DomainError(f"predictor missing individuals: {missing[:5]}")
 
     def as_exact(self) -> "Predictor":
-        """This predictor with exact predictions: itself when they all are.
-        Each distinct prediction object is made exact once, keyed by `id()`,
-        and individuals that share it share its exact value."""
+        """This predictor with exact predictions: itself when they all are."""
         if all(d.is_exact for d in self.values.values()):
             return self
-        exact: dict = {}
-        return Predictor({j: exact.get(id(d)) or exact.setdefault(id(d), d.as_exact())
-                          for j, d in self.values.items()})
+        return Predictor({j: d.as_exact() for j, d in self.values.items()})
 
 
 def constant_predictor(pop: PopulationInstance, dist: OutcomeDist) -> Predictor:

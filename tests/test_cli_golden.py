@@ -11,7 +11,8 @@ families; `construct` in exact mwu, exact pgd and seeded sampled mode, and
 a sampled run that fails (exit 3); each graph task, with a seeded
 alternating `refine` and `correspond` at n = 4 and n = 8; `omni`; each
 `fixture`; and every row of `test_cli.BAD_INPUTS`, all of which exit 1
-or 2.  Argparse usage errors and `--help` are left out.
+or 2.  Argparse usage errors and `--help` are left out.  A last test
+checks that a parser choice with no branch in its verb is an input error.
 
 The file `cli_golden.json` was recorded before every verb returned its
 document to `main`, with
@@ -31,7 +32,7 @@ import pytest
 
 from multifair import cli
 from multifair.construct import ConstructionTranscript
-from multifair.errors import SampledRunFailureError
+from multifair.errors import InputError, SampledRunFailureError
 from test_cli import BAD_INPUTS
 
 GOLDEN_PATH = Path(__file__).with_name("cli_golden.json")
@@ -126,7 +127,10 @@ def _main(argv):
 
 
 def _bad_input_files(files):
-    """The malformed inputs `test_cli.test_bad_inputs_exit_cleanly` writes."""
+    """The malformed inputs `test_cli.test_bad_inputs_exit_cleanly` writes.
+
+    A copy of that test's builder: keep the two in step, since a drift shows
+    here only as a sha256 mismatch."""
     tp = json.loads(Path(files["tp"]).read_text())
     docs = {"empty": [], "small": [[0, 1], [2, 3]], "large": [[0, 1, 2, 3], [4, 5, 6, 7]],
             "dup": [ZERO_ONE, ZERO_ONE],
@@ -215,6 +219,19 @@ def test_golden_covers_every_case(golden):
 @pytest.mark.parametrize("key", list(CASES))
 def test_cli_bytes_are_pinned(key, inputs, golden):
     assert _record(key, *inputs) == golden[key]
+
+
+@pytest.mark.parametrize("argv, field, message", [
+    (["audit", "{tp}", "--kind", "ma"], "kind", "unknown audit kind"),
+    (["graph", "{g4}", "--task", "refine"], "task", "unknown graph task"),
+    (["fixture", "two-point"], "which", "unknown fixture")])
+def test_a_choice_without_a_branch_is_an_input_error(argv, field, message, inputs):
+    # argparse's choices refuse unknown values first; a choice added to the
+    # parser without a branch in its verb must still fail as an input error
+    args = cli._PARSER.parse_args([a.format(**inputs[0]) for a in argv])
+    setattr(args, field, "unbranched")
+    with pytest.raises(InputError, match=message):
+        args.fn(args)
 
 
 if __name__ == "__main__":

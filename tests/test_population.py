@@ -157,23 +157,6 @@ def test_instance_serialization_round_trip():
     assert all(pred2.values[j] == pred.values[j] for j in pop.ids)
 
 
-def test_as_exact_makes_each_distinct_prediction_exact_once():
-    # individuals that share a float prediction share its exact value; the
-    # values and emitted bytes are those of exactifying each individual alone
-    space = binary_space()
-    shared = [OutcomeDist(space, (1 - x, x)) for x in (0.1, 0.3, 2 / 3)]
-    pred = Predictor({**{j: shared[j % 3] for j in range(10)},
-                      10: OutcomeDist.bernoulli(F(1, 4))})
-    exact = pred.as_exact()
-    alone = Predictor({j: d.as_exact() for j, d in pred.values.items()})
-    assert exact.values == alone.values and exact.values[3].is_exact
-    assert all(exact.values[j] is exact.values[j % 3] for j in range(10))
-    assert exact.values[10] is pred.values[10]
-    assert serialize.dump(serialize.predictor_to_json(exact)) == serialize.dump(
-        serialize.predictor_to_json(alone))
-    assert exact.as_exact() is exact
-
-
 def test_number_round_trip_rationals():
     for x in [F(1, 3), F(41650, 125000), F(1, 2), F(7, 10), F(22, 7), F(0)]:
         assert serialize.parse_number(serialize.number_to_string(x)) == x
